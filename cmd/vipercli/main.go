@@ -162,7 +162,7 @@ func main() {
 				fmt.Println("bad arguments")
 				continue
 			}
-			err := store.Scan(start, n, func(k uint64, v []byte) bool {
+			err := store.Range(start, n, func(k uint64, v []byte) bool {
 				fmt.Printf("  %d -> %q\n", k, v)
 				return true
 			})

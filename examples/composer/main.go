@@ -61,5 +61,5 @@ func main() {
 		retrains, _ := cb.c.RetrainStats()
 		fmt.Printf("%-45s %12.0f %12.0f %10d %9d\n", cb.label, getNs, insNs, cb.c.LeafCount(), retrains)
 	}
-	fmt.Println("\n(every combination is a fully functional index: same Get/Insert/Scan API)")
+	fmt.Println("\n(every combination is a fully functional index: same Get/Insert/Range API)")
 }

@@ -8,6 +8,7 @@ import (
 	"log"
 
 	"learnedpieces/internal/dataset"
+	"learnedpieces/internal/index"
 	"learnedpieces/internal/learned/alex"
 )
 
@@ -34,7 +35,7 @@ func main() {
 
 	// Range scan: ten keys starting at an arbitrary point.
 	fmt.Printf("scan from %d:\n", probe)
-	ix.Scan(probe, 10, func(k, v uint64) bool {
+	index.Scan(ix, probe, 10, func(k, v uint64) bool {
 		fmt.Printf("  %d -> %d\n", k, v)
 		return true
 	})

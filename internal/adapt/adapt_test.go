@@ -260,17 +260,17 @@ func TestControllerStartStop(t *testing.T) {
 	feed.push(10_000, 0)
 	c.Start(time.Millisecond)
 	defer c.Stop()
+	// Wait for the phase, not for a tick count: a ticker that fires
+	// twice between two pushes sees an idle window, which confirms
+	// nothing, so three ticks do not guarantee two read windows in a row.
 	deadline := time.After(2 * time.Second)
-	for c.Probe().Ticks < 3 {
+	for c.Phase() != PhaseRead {
 		feed.push(10_000, 0)
 		select {
 		case <-deadline:
-			t.Fatal("controller goroutine did not tick")
+			t.Fatalf("phase after %d ticks = %v, want read", c.Probe().Ticks, c.Phase())
 		case <-time.After(time.Millisecond):
 		}
 	}
 	c.Stop() // idempotent with the deferred Stop
-	if c.Phase() != PhaseRead {
-		t.Fatalf("phase after ticking loop = %v, want read", c.Phase())
-	}
 }

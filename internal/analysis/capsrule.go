@@ -14,9 +14,13 @@ const indexPkgPath = "learnedpieces/internal/index"
 // harmless, so it is not listed.
 var capsInterfaces = map[string]bool{
 	"Bulk":             true,
-	"Scanner":          true,
+	"Ranger":           true,
+	"ReverseRanger":    true,
 	"Deleter":          true,
 	"Upserter":         true,
+	"BatchGetter":      true,
+	"AsyncRetrainer":   true,
+	"RetrainTuner":     true,
 	"Sized":            true,
 	"DepthReporter":    true,
 	"RetrainReporter":  true,

@@ -8,8 +8,27 @@ import "learnedpieces/internal/index"
 
 // Resolve is the discouraged ad-hoc pattern.
 func Resolve(idx index.Index) bool {
-	_, ok := idx.(index.Scanner) // want "type assertion to index.Scanner"
+	_, ok := idx.(index.Ranger) // want "type assertion to index.Ranger"
 	return ok
+}
+
+// Late covers the capabilities added after the analyzer was written:
+// reverse cursors, batch lookups, background retraining and its tuner.
+func Late(idx index.Index) int {
+	n := 0
+	if _, ok := idx.(index.ReverseRanger); ok { // want "type assertion to index.ReverseRanger"
+		n++
+	}
+	if _, ok := idx.(index.BatchGetter); ok { // want "type assertion to index.BatchGetter"
+		n++
+	}
+	switch idx.(type) {
+	case index.AsyncRetrainer: // want "type switch case on index.AsyncRetrainer"
+		n++
+	case index.RetrainTuner: // want "type switch case on index.RetrainTuner"
+		n++
+	}
+	return n
 }
 
 // Mask asserts against the capability descriptor interface itself.

@@ -388,99 +388,6 @@ func removeChild(n interface{}, b byte) {
 	}
 }
 
-// Scan visits entries with key >= start in ascending order. Subtrees
-// entirely below start are pruned using the key bytes along the path,
-// so short scans cost O(result + depth) rather than a full traversal.
-func (t *Tree) Scan(start uint64, n int, fn func(key, value uint64) bool) {
-	count := 0
-	sb := keyBytes(start)
-	t.scan(t.root, sb, 0, true, start, n, &count, fn)
-}
-
-// scan walks nd at the given key depth. bounded reports whether this
-// subtree's path so far equals start's prefix (only then can the subtree
-// contain keys < start and need byte-level pruning); once the path
-// diverges above start, every key below is >= start and bounded is false.
-func (t *Tree) scan(nd interface{}, sb [8]byte, depth int, bounded bool, start uint64, limit int, count *int, fn func(key, value uint64) bool) bool {
-	if nd == nil {
-		return true
-	}
-	if l, ok := nd.(*leaf); ok {
-		if l.key < start {
-			return true
-		}
-		if limit > 0 && *count >= limit {
-			return false
-		}
-		*count++
-		return fn(l.key, l.val)
-	}
-	h := hdr(nd)
-	d := depth
-	if len(h.prefix) > 0 {
-		if bounded {
-			// Compare the compressed path against start's bytes: if the
-			// path is greater the subtree is unbounded below; if smaller,
-			// the whole subtree precedes start.
-			for i := 0; i < len(h.prefix) && d+i < 8; i++ {
-				if h.prefix[i] > sb[d+i] {
-					bounded = false
-					break
-				}
-				if h.prefix[i] < sb[d+i] {
-					return true // entire subtree < start
-				}
-			}
-		}
-		d += len(h.prefix)
-	}
-	min := byte(0)
-	if bounded && d < 8 {
-		min = sb[d]
-	}
-	visit := func(b byte, c interface{}) bool {
-		childBounded := bounded && b == min && d < 8
-		return t.scan(c, sb, d+1, childBounded, start, limit, count, fn)
-	}
-	switch x := nd.(type) {
-	case *node4:
-		for i := 0; i < x.n; i++ {
-			if x.keys[i] < min {
-				continue
-			}
-			if !visit(x.keys[i], x.children[i]) {
-				return false
-			}
-		}
-	case *node16:
-		for i := 0; i < x.n; i++ {
-			if x.keys[i] < min {
-				continue
-			}
-			if !visit(x.keys[i], x.children[i]) {
-				return false
-			}
-		}
-	case *node48:
-		for b := int(min); b < 256; b++ {
-			if i := x.idx[b]; i >= 0 {
-				if !visit(byte(b), x.children[i]) {
-					return false
-				}
-			}
-		}
-	case *node256:
-		for b := int(min); b < 256; b++ {
-			if x.children[b] != nil {
-				if !visit(byte(b), x.children[b]) {
-					return false
-				}
-			}
-		}
-	}
-	return true
-}
-
 // nextOccupied returns the first occupied slot >= s in nd's slot space
 // and its child, or (-1, nil) when the node has no further children.
 // Slot spaces differ by node kind: node4/16 index their sorted keys
@@ -560,9 +467,10 @@ var cursorPool = sync.Pool{New: func() any {
 }}
 
 // Range implements index.Ranger: one bounded byte-descent positions the
-// stack at the first entry with key >= start (mirroring Scan's pruning
-// rules), then Next walks depth-first. The cursor observes the tree
-// under the same contract as Scan — no mutation while it is open.
+// stack at the first entry with key >= start — subtrees entirely below
+// start are pruned using the key bytes along the path, so short scans
+// cost O(result + depth) — then Next walks depth-first. No mutation
+// while the cursor is open.
 func (t *Tree) Range(start uint64) index.Cursor {
 	c := cursorPool.Get().(*cursor)
 	c.stack = c.stack[:0]

@@ -32,7 +32,7 @@ func TestNodeGrowth(t *testing.T) {
 	}
 	// Ordered scan across the wide node.
 	prev := -1
-	tr.Scan(0, 0, func(k, v uint64) bool {
+	index.Scan(tr, 0, 0, func(k, v uint64) bool {
 		if int(v) <= prev {
 			t.Fatalf("scan out of order: %d after %d", v, prev)
 		}

@@ -269,7 +269,7 @@ func runMixed(s *viper.Store, gen *workload.Generator, n int, value []byte) (sta
 				return stats.Summary{}, err
 			}
 		case workload.OpScan:
-			if err := s.Scan(op.Key, op.ScanLen, func(uint64, []byte) bool { return true }); err != nil {
+			if err := s.Range(op.Key, op.ScanLen, func(uint64, []byte) bool { return true }); err != nil {
 				return stats.Summary{}, err
 			}
 		}

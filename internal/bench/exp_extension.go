@@ -17,15 +17,12 @@ import (
 )
 
 // RunScan is the range-query evaluation, extended from the paper's
-// appendix into the scan fast-path comparison: every ordered index runs
-// the same random-start scans twice through the store — once on the
-// legacy per-entry path (SetScanBatch(1): one index callback and two
-// key-ordered PMem reads per entry) and once on the batched path
-// (cursor pulls a batch of index entries, record reads issued in
-// ascending PMem offset order, re-emitted in key order) — across
-// datasets and scan lengths, plus a descending pass where the index
-// layout permits reverse cursors. The legacy column is the seed
-// baseline BENCH_PR10.json compares against.
+// appendix: every ordered index runs the same random-start scans
+// through the store's one scan path (cursor pulls a batch of index
+// entries, record reads issued in ascending PMem offset order,
+// re-emitted in key order) across datasets and scan lengths, plus a
+// descending pass where the index layout permits reverse cursors.
+// BENCH_PR10.json keeps the numbers of the deleted per-entry path.
 func RunScan(cfg Config) error {
 	datasets := []struct {
 		label string
@@ -35,8 +32,8 @@ func RunScan(cfg Config) error {
 		{"osm", dataset.OSMLike},
 	}
 	names := []string{"rmi-delta", "rs-delta", "fiting-buf", "pgm", "alex", "xindex", "lipp", "finedex", "btree", "skiplist", "art"}
-	t := stats.NewTable(fmt.Sprintf("Range scans: per-entry legacy vs offset-ordered batched, half-updated stores (n=%d)", cfg.N),
-		"dataset", "index", "scan len", "legacy Me/s", "batched Me/s", "speedup", "rev Me/s", "batched p99.9(us)")
+	t := stats.NewTable(fmt.Sprintf("Range scans: offset-ordered cursor rounds, half-updated stores (n=%d)", cfg.N),
+		"dataset", "index", "scan len", "fwd Me/s", "rev Me/s", "fwd p99.9(us)")
 	for _, ds := range datasets {
 		keys := dataset.Generate(ds.kind, cfg.N, cfg.Seed)
 		for _, name := range names {
@@ -48,8 +45,8 @@ func RunScan(cfg Config) error {
 			// fresh records at the log tail, so record placement
 			// decorrelates from key order. This is the state every aged
 			// store is in — and the state where offset-ordering matters
-			// (a fresh bulk load is already offset-ordered, so both scan
-			// paths read the device near-sequentially there).
+			// (a fresh bulk load is already offset-ordered, so a forward
+			// scan reads the device near-sequentially there).
 			v := cfg.value()
 			for _, k := range dataset.Shuffled(keys, cfg.Seed+9)[:len(keys)/2] {
 				if err := s.Put(k, v); err != nil {
@@ -62,22 +59,15 @@ func RunScan(cfg Config) error {
 				if nScans < 1 {
 					nScans = 1
 				}
-				// Identical start keys for every mode, so the three
-				// measurements visit the same entries.
+				// Identical start keys for both directions.
 				rng := rand.New(rand.NewSource(cfg.Seed + int64(scanLen)))
 				starts := make([]uint64, nScans)
 				for i := range starts {
 					starts[i] = keys[rng.Intn(len(keys))]
 				}
-				s.SetScanBatch(1)
-				leg, err := measureScans(s, starts, scanLen, false)
+				fwd, err := measureScans(s, starts, scanLen, false)
 				if err != nil {
-					return fmt.Errorf("%s legacy: %w", name, err)
-				}
-				s.SetScanBatch(0) // restore the batched default
-				bat, err := measureScans(s, starts, scanLen, false)
-				if err != nil {
-					return fmt.Errorf("%s batched: %w", name, err)
+					return fmt.Errorf("%s: %w", name, err)
 				}
 				rev := "-"
 				if s.Caps().RangeDesc {
@@ -87,9 +77,7 @@ func RunScan(cfg Config) error {
 					}
 					rev = fmt.Sprintf("%.3f", rm.meps)
 				}
-				t.AddRow(ds.label, name, scanLen,
-					fmt.Sprintf("%.3f", leg.meps), fmt.Sprintf("%.3f", bat.meps),
-					fmt.Sprintf("%.2fx", bat.meps/leg.meps), rev, bat.p999)
+				t.AddRow(ds.label, name, scanLen, fmt.Sprintf("%.3f", fwd.meps), rev, fwd.p999)
 			}
 			_ = s.Close()
 		}

@@ -80,7 +80,7 @@ func RunRetrain(cfg Config) error {
 	ops := workload.InsertStream(inserts, cfg.Seed+2)
 	reads := workload.ReadStream(keys, cfg.Ops, cfg.Seed+3)
 	for _, b := range retrainBuilders() {
-		if _, ok := b.mk().(index.AsyncRetrainer); !ok {
+		if !index.CapsOf(b.mk()).AsyncRetrain {
 			return fmt.Errorf("%s does not implement index.AsyncRetrainer", b.name)
 		}
 		for _, mode := range []viper.RetrainMode{viper.RetrainSync, viper.RetrainAsync} {

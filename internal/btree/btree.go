@@ -186,6 +186,27 @@ func maxOf(n interface{}) (uint64, uint64, bool) {
 	return 0, 0, false
 }
 
+// Min returns the entry with the smallest key — where FITing-tree sends
+// a key that precedes every segment start.
+func (t *BTree) Min() (uint64, uint64, bool) { return minOf(t.root) }
+
+// minOf is maxOf's mirror: the leftmost entry of a subtree.
+func minOf(n interface{}) (uint64, uint64, bool) {
+	switch x := n.(type) {
+	case *inner:
+		for i := 0; i <= x.n; i++ {
+			if k, v, ok := minOf(x.kids[i]); ok {
+				return k, v, ok
+			}
+		}
+	case *leaf:
+		if x.n > 0 {
+			return x.keys[0], x.vals[0], true
+		}
+	}
+	return 0, 0, false
+}
+
 // Insert stores value under key, replacing any existing value.
 func (t *BTree) Insert(key, value uint64) error {
 	midKey, newRight := t.insert(t.root, t.height, key, value)
@@ -294,34 +315,6 @@ func (t *BTree) Delete(key uint64) bool {
 			t.length--
 			return true
 		}
-	}
-}
-
-// Scan visits entries with key >= start in order, up to n entries
-// (n <= 0 for unlimited), stopping early when fn returns false.
-func (t *BTree) Scan(start uint64, n int, fn func(key, value uint64) bool) {
-	node := t.root
-	for {
-		x, ok := node.(*inner)
-		if !ok {
-			break
-		}
-		node = x.kids[upperBound(x.keys[:x.n], start)]
-	}
-	l := node.(*leaf)
-	count := 0
-	for l != nil {
-		for i := lowerBound(l.keys[:l.n], start); i < l.n; i++ {
-			if n > 0 && count >= n {
-				return
-			}
-			if !fn(l.keys[i], l.vals[i]) {
-				return
-			}
-			count++
-		}
-		start = 0
-		l = l.next
 	}
 }
 

@@ -43,7 +43,7 @@ func TestReverseOrderInsert(t *testing.T) {
 	}
 	got := 0
 	prev := uint64(0)
-	tr.Scan(0, 0, func(k, v uint64) bool {
+	index.Scan(tr, 0, 0, func(k, v uint64) bool {
 		if k <= prev && got > 0 {
 			t.Fatalf("scan out of order at key %d", k)
 		}
@@ -132,5 +132,12 @@ func TestFloorAfterMassDeletion(t *testing.T) {
 	}
 	if k, _, ok := tr.Floor(150); !ok || k != 150 {
 		t.Fatalf("Floor(150) = %d,%v", k, ok)
+	}
+	// Min skips the emptied leaves the same way.
+	if k, v, ok := tr.Min(); !ok || k != 101 || v != 101 {
+		t.Fatalf("Min = (%d,%d,%v), want 101", k, v, ok)
+	}
+	if _, _, ok := New().Min(); ok {
+		t.Fatal("Min of an empty tree should fail")
 	}
 }

@@ -296,21 +296,6 @@ func (c *Conn) MultiGet(ctx context.Context, keys []uint64) ([][]byte, error) {
 	return resp.Values, nil
 }
 
-// Scan visits up to limit live entries with key >= start in ascending
-// key order. limit must be in [1, wire.MaxScanLimit]; the server may
-// return fewer entries than limit when the response would otherwise
-// exceed the wire frame budget.
-func (c *Conn) Scan(ctx context.Context, start uint64, limit int) ([]wire.Entry, error) {
-	if limit < 1 || limit > wire.MaxScanLimit {
-		return nil, fmt.Errorf("client: scan limit %d out of range", limit)
-	}
-	resp, err := c.roundTrip(ctx, &wire.Request{Op: wire.OpScan, Key: start, Limit: uint32(limit)})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Entries, nil
-}
-
 // RangeChunks streams up to limit live entries with key >= start in
 // ascending key order through the server's cursor-continuation scan:
 // each server frame carries one bounded chunk (at most

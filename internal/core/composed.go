@@ -2,6 +2,7 @@ package core
 
 import (
 	"sort"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -432,28 +433,59 @@ func (c *Composed) Delete(key uint64) bool {
 	return false
 }
 
-// Scan visits entries with key >= start in ascending order.
-func (c *Composed) Scan(start uint64, n int, fn func(key, value uint64) bool) {
-	li := c.structure.Locate(start)
-	count := 0
-	for ; li < len(c.leaves); li++ {
-		cont := c.leaves[li].iterate(func(k, v uint64) bool {
-			if k < start {
-				return true
-			}
-			if n > 0 && count >= n {
-				return false
-			}
-			if !fn(k, v) {
-				return false
-			}
-			count++
-			return true
-		})
-		if !cont {
-			return
+// cursor streams the leaves in order, draining each with a two-pointer
+// merge of its (possibly gapped) base array and its sorted side buffer.
+type cursor struct {
+	leaves []*Leaf
+	li     int // current leaf
+	i, j   int // next base slot / buffer slot of leaves[li]
+	start  uint64
+}
+
+var cursorPool = sync.Pool{New: func() any { return new(cursor) }}
+
+// Range implements index.Ranger: the structure piece locates the leaf
+// covering start, then the walk is leaf-sequential. No mutation while
+// the cursor is open.
+func (c *Composed) Range(start uint64) index.Cursor {
+	cur := cursorPool.Get().(*cursor)
+	*cur = cursor{leaves: c.leaves, li: c.structure.Locate(start), start: start}
+	return cur
+}
+
+// Next fills the destination slices with the next entries in key order.
+func (cur *cursor) Next(keys, vals []uint64) int {
+	n := 0
+	for n < len(keys) && cur.li < len(cur.leaves) {
+		l := cur.leaves[cur.li]
+		for cur.i < len(l.Keys) && l.Used != nil && !l.Used[cur.i] {
+			cur.i++ // gap slot
+		}
+		base, buf := cur.i < len(l.Keys), cur.j < len(l.BufK)
+		var k, v uint64
+		switch {
+		case buf && (!base || l.BufK[cur.j] < l.Keys[cur.i]):
+			k, v = l.BufK[cur.j], l.BufV[cur.j]
+			cur.j++
+		case base:
+			k, v = l.Keys[cur.i], l.Vals[cur.i]
+			cur.i++
+		default:
+			cur.li, cur.i, cur.j = cur.li+1, 0, 0
+			continue
+		}
+		// Only the first leaf can hold keys below start.
+		if k >= cur.start {
+			keys[n], vals[n] = k, v
+			n++
 		}
 	}
+	return n
+}
+
+func (cur *cursor) Close() {
+	cur.leaves = nil
+	cursorPool.Put(cur)
 }
 
 // AvgDepth implements index.DepthReporter via the structure piece.

@@ -12,12 +12,10 @@ package index
 type Caps struct {
 	// Bulk: BulkLoad from sorted distinct keys is supported.
 	Bulk bool
-	// Scan: ordered scans work. A wrapper whose Scan method exists but
-	// cannot be honoured by its current composition (the sharded wrapper
-	// over a hash index) masks this through Capser.
-	Scan bool
-	// Range: streaming cursors (Ranger) work — the batched scan fast
-	// path. Implies the same ordering guarantees as Scan.
+	// Range: ordered scans work, through streaming cursors (Ranger). A
+	// wrapper whose Range method exists but cannot be honoured by its
+	// current composition (the sharded wrapper over a hash index) masks
+	// this through Capser.
 	Range bool
 	// RangeDesc: descending cursors (ReverseRanger) work.
 	RangeDesc bool
@@ -59,7 +57,6 @@ func CapsOf(idx Index) Caps {
 	}
 	var caps Caps
 	_, caps.Bulk = idx.(Bulk)
-	_, caps.Scan = idx.(Scanner)
 	_, caps.Range = idx.(Ranger)
 	_, caps.RangeDesc = idx.(ReverseRanger)
 	_, caps.Delete = idx.(Deleter)

@@ -15,20 +15,20 @@ type fakeFull struct {
 	fakeBase
 }
 
-func (fakeFull) BulkLoad(keys, values []uint64) error     { return nil }
-func (fakeFull) Scan(uint64, int, func(k, v uint64) bool) {}
-func (fakeFull) Delete(uint64) bool                       { return false }
-func (fakeFull) InsertReplace(k, v uint64) (bool, error)  { return false, nil }
-func (fakeFull) Sizes() Sizes                             { return Sizes{Structure: 1} }
-func (fakeFull) AvgDepth() float64                        { return 2 }
-func (fakeFull) RetrainStats() (int64, int64)             { return 3, 4 }
-func (fakeFull) ConcurrentReads() bool                    { return true }
-func (fakeFull) ConcurrentWrites() bool                   { return false }
+func (fakeFull) BulkLoad(keys, values []uint64) error    { return nil }
+func (fakeFull) Range(uint64) Cursor                     { return NewSliceCursor(nil, nil, 0, false) }
+func (fakeFull) Delete(uint64) bool                      { return false }
+func (fakeFull) InsertReplace(k, v uint64) (bool, error) { return false, nil }
+func (fakeFull) Sizes() Sizes                            { return Sizes{Structure: 1} }
+func (fakeFull) AvgDepth() float64                       { return 2 }
+func (fakeFull) RetrainStats() (int64, int64)            { return 3, 4 }
+func (fakeFull) ConcurrentReads() bool                   { return true }
+func (fakeFull) ConcurrentWrites() bool                  { return false }
 
 // fakeCapser overrides interface probing entirely.
 type fakeCapser struct{ fakeFull }
 
-func (fakeCapser) Caps() Caps { return Caps{Scan: true} }
+func (fakeCapser) Caps() Caps { return Caps{Range: true} }
 
 func TestCapsOfBase(t *testing.T) {
 	if got := CapsOf(fakeBase{}); got != (Caps{}) {
@@ -39,7 +39,7 @@ func TestCapsOfBase(t *testing.T) {
 func TestCapsOfFull(t *testing.T) {
 	got := CapsOf(fakeFull{})
 	want := Caps{
-		Bulk: true, Scan: true, Delete: true, Upsert: true,
+		Bulk: true, Range: true, Delete: true, Upsert: true,
 		Sized: true, Depth: true, Retrain: true,
 		ConcurrentReads: true, ConcurrentWrites: false,
 	}
@@ -48,34 +48,33 @@ func TestCapsOfFull(t *testing.T) {
 	}
 }
 
-// scanMasked has a Scan method its composition cannot honour; Capser is
-// now the only protocol for masking it (the former ScanChecker fold-in
-// was deleted), so Caps must come back with Scan cleared even though the
-// Scanner interface is satisfied.
+// scanMasked has a Range method its composition cannot honour; Capser is
+// the only protocol for masking it, so Caps must come back with Range
+// cleared even though the Ranger interface is satisfied.
 type scanMasked struct{ fakeFull }
 
 func (m scanMasked) Caps() Caps {
 	c := CapsOf(m.fakeFull)
-	c.Scan = false
+	c.Range = false
 	return c
 }
 
 func TestCapsOfFoldsScanChecker(t *testing.T) {
-	if _, ok := interface{}(scanMasked{}).(Scanner); !ok {
-		t.Fatal("scanMasked must still satisfy Scanner for the test to mean anything")
+	if _, ok := interface{}(scanMasked{}).(Ranger); !ok {
+		t.Fatal("scanMasked must still satisfy Ranger for the test to mean anything")
 	}
-	if CapsOf(scanMasked{}).Scan {
-		t.Fatal("Capser masking must clear Caps.Scan despite the Scan method")
+	if CapsOf(scanMasked{}).Range {
+		t.Fatal("Capser masking must clear Caps.Range despite the Range method")
 	}
-	if !CapsOf(fakeFull{}).Scan {
-		t.Fatal("unmasked Scanner must report Caps.Scan")
+	if !CapsOf(fakeFull{}).Range {
+		t.Fatal("unmasked Ranger must report Caps.Range")
 	}
 }
 
 func TestCapsOfPrefersCapser(t *testing.T) {
 	got := CapsOf(fakeCapser{})
-	if got != (Caps{Scan: true}) {
-		t.Fatalf("CapsOf(capser) = %+v, want Caps{Scan:true}", got)
+	if got != (Caps{Range: true}) {
+		t.Fatalf("CapsOf(capser) = %+v, want Caps{Range:true}", got)
 	}
 }
 

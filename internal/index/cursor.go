@@ -137,3 +137,37 @@ func (c *mergeCursor) Close() {
 	c.layers = c.layers[:0]
 	mergeCursorPool.Put(c)
 }
+
+// scanBuf is Scan's pull buffer. It is pooled rather than declared in
+// Scan's frame because slices handed to an interface method escape.
+type scanBuf struct{ keys, vals [16]uint64 }
+
+var scanBufPool = sync.Pool{New: func() any { return new(scanBuf) }}
+
+// Scan drives one cursor of r in callback style: fn sees the entries
+// with key >= start in ascending key order until it returns false, the
+// range is exhausted, or n entries were visited (n <= 0 means no
+// limit). Pulls are clamped to the remaining limit, so a Scan of one
+// entry asks the index for exactly one.
+func Scan(r Ranger, start uint64, n int, fn func(key, value uint64) bool) {
+	b := scanBufPool.Get().(*scanBuf)
+	defer scanBufPool.Put(b)
+	cur := r.Range(start)
+	defer cur.Close()
+	for seen := 0; n <= 0 || seen < n; {
+		pull := len(b.keys)
+		if n > 0 {
+			pull = min(pull, n-seen)
+		}
+		m := cur.Next(b.keys[:pull], b.vals[:pull])
+		if m == 0 {
+			return
+		}
+		for i := 0; i < m; i++ {
+			if !fn(b.keys[i], b.vals[i]) {
+				return
+			}
+		}
+		seen += m
+	}
+}

@@ -30,13 +30,6 @@ type Bulk interface {
 	BulkLoad(keys, values []uint64) error
 }
 
-// Scanner is implemented by ordered indexes: visit entries with key >=
-// start in ascending key order until fn returns false or n entries were
-// visited (n <= 0 means no limit).
-type Scanner interface {
-	Scan(start uint64, n int, fn func(key, value uint64) bool)
-}
-
 // Cursor streams one index range in key order. Next fills the parallel
 // key/value slices (equal length, len >= 1) with the next entries of
 // the range and returns how many it produced; 0 means the range is
@@ -44,22 +37,21 @@ type Scanner interface {
 // pooled by their index, so a cursor must not be used after Close and
 // every opened cursor must be closed exactly once.
 //
-// A cursor observes the index under the same safety contract as Scan:
-// single-writer indexes must not be mutated while a cursor is open;
-// indexes with ConcurrentReads may serve cursors from any goroutine,
-// re-snapshotting internally between Next calls as needed.
+// Safety contract: single-writer indexes must not be mutated while a
+// cursor is open; indexes with ConcurrentReads may serve cursors from
+// any goroutine, re-snapshotting internally between Next calls as
+// needed.
 type Cursor interface {
 	Next(keys, vals []uint64) int
 	Close()
 }
 
-// Ranger is implemented by ordered indexes that can stream a range
-// through a reusable cursor instead of a callback Scan: the index
-// positions once (via the shared search kernels) at the first entry
-// with key >= start, then each Next walks segment/leaf-sequentially.
-// This is the store's batched scan seam — the cursor yields raw
-// (key, offset) pairs in bulk so the store can reorder the record
-// reads by PMem offset.
+// Ranger is implemented by ordered indexes — it is the one way to scan
+// an index. Range positions once (via the shared search kernels) at the
+// first entry with key >= start, then each Next walks segment/leaf-
+// sequentially. The cursor yields raw (key, offset) pairs in bulk so
+// the store can reorder the record reads by PMem offset; callers that
+// want callback style drive it through Scan.
 type Ranger interface {
 	Range(start uint64) Cursor
 }

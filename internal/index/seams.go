@@ -13,7 +13,6 @@ package index
 type Seam struct {
 	Upsert       Upserter
 	Delete       Deleter
-	Scan         Scanner
 	Range        Ranger
 	RangeDesc    ReverseRanger
 	Bulk         Bulk
@@ -29,7 +28,6 @@ func Seams(idx Index) Seam {
 	var s Seam
 	s.Upsert, _ = idx.(Upserter)
 	s.Delete, _ = idx.(Deleter)
-	s.Scan, _ = idx.(Scanner)
 	s.Range, _ = idx.(Ranger)
 	s.RangeDesc, _ = idx.(ReverseRanger)
 	s.Bulk, _ = idx.(Bulk)

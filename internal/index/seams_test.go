@@ -28,11 +28,11 @@ func (r *recBulk) BulkLoad(keys, values []uint64) error {
 }
 
 func TestSeamsResolution(t *testing.T) {
-	if s := Seams(fakeBase{}); s.Upsert != nil || s.Delete != nil || s.Scan != nil || s.Bulk != nil {
+	if s := Seams(fakeBase{}); s.Upsert != nil || s.Delete != nil || s.Range != nil || s.Bulk != nil {
 		t.Fatalf("Seams(base) = %+v, want all nil", s)
 	}
 	s := Seams(fakeFull{})
-	if s.Upsert == nil || s.Delete == nil || s.Scan == nil || s.Bulk == nil {
+	if s.Upsert == nil || s.Delete == nil || s.Range == nil || s.Bulk == nil {
 		t.Fatalf("Seams(full) = %+v, want all resolved", s)
 	}
 }

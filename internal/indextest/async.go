@@ -94,10 +94,10 @@ func RunAsyncEquivalence(t *testing.T, name string, f Factory) {
 				}
 			}
 		}
-		if sc, ok := idx.(index.Scanner); ok && index.CapsOf(idx).Scan {
+		if r, ok := idx.(index.Ranger); ok && index.CapsOf(idx).Range {
 			seen := 0
 			prev := uint64(0)
-			sc.Scan(0, 0, func(k, v uint64) bool {
+			index.Scan(r, 0, 0, func(k, v uint64) bool {
 				if seen > 0 && k <= prev {
 					t.Fatalf("scan out of order: %d after %d", k, prev)
 				}

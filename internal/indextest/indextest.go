@@ -31,9 +31,6 @@ func RunAll(t *testing.T, name string, f Factory) {
 		t.Run(name+"/bulkload", func(t *testing.T) { testBulkLoad(t, f) })
 		t.Run(name+"/bulk-then-insert", func(t *testing.T) { testBulkThenInsert(t, f) })
 	}
-	if caps.Scan {
-		t.Run(name+"/scan", func(t *testing.T) { testScan(t, f) })
-	}
 	RunScanConformance(t, name, f)
 	if caps.Delete {
 		t.Run(name+"/delete", func(t *testing.T) { testDelete(t, f) })
@@ -80,9 +77,6 @@ func RunReadOnly(t *testing.T, name string, f Factory) {
 	})
 	t.Run(name+"/caps", func(t *testing.T) { testCaps(t, f) })
 	caps := index.CapsOf(f())
-	if caps.Scan {
-		t.Run(name+"/scan", func(t *testing.T) { testScan(t, f) })
-	}
 	RunScanConformance(t, name, f)
 	if caps.Sized {
 		t.Run(name+"/sizes", func(t *testing.T) { testSizes(t, f) })
@@ -91,8 +85,8 @@ func RunReadOnly(t *testing.T, name string, f Factory) {
 
 // testCaps checks that the capability descriptor matches reality: every
 // capability CapsOf reports true must be backed by a working interface,
-// and a masked Scan (reported false while the method exists) must visit
-// nothing instead of returning wrong results.
+// and a masked Range (reported false while the method exists) must
+// visit nothing instead of returning wrong results.
 func testCaps(t *testing.T, f Factory) {
 	idx := f()
 	caps := index.CapsOf(idx)
@@ -152,17 +146,17 @@ func testCaps(t *testing.T, f Factory) {
 		t.Fatal("index.BatchGetter implemented but caps mask BatchGet")
 	}
 
-	if sc, ok := idx.(index.Scanner); ok {
+	if r, ok := idx.(index.Ranger); ok {
 		visited := 0
-		sc.Scan(0, 0, func(k, v uint64) bool { visited++; return true })
-		if caps.Scan && visited != len(keys) {
-			t.Fatalf("caps report Scan but full scan visited %d of %d", visited, len(keys))
+		index.Scan(r, 0, 0, func(k, v uint64) bool { visited++; return true })
+		if caps.Range && visited != len(keys) {
+			t.Fatalf("caps report Range but full scan visited %d of %d", visited, len(keys))
 		}
-		if !caps.Scan && visited != 0 {
-			t.Fatalf("caps mask Scan but scan visited %d entries", visited)
+		if !caps.Range && visited != 0 {
+			t.Fatalf("caps mask Range but scan visited %d entries", visited)
 		}
-	} else if caps.Scan {
-		t.Fatal("caps report Scan but index.Scanner is not implemented")
+	} else if caps.Range {
+		t.Fatal("caps report Range but index.Ranger is not implemented")
 	}
 
 	if caps.Upsert {
@@ -261,9 +255,9 @@ func testEmpty(t *testing.T, f Factory) {
 	if _, ok := idx.Get(42); ok {
 		t.Fatal("empty index returned a value")
 	}
-	if s, ok := idx.(index.Scanner); ok {
+	if r, ok := idx.(index.Ranger); ok {
 		called := false
-		s.Scan(0, 10, func(k, v uint64) bool { called = true; return true })
+		index.Scan(r, 0, 10, func(k, v uint64) bool { called = true; return true })
 		if called {
 			t.Fatal("scan over empty index visited entries")
 		}
@@ -367,75 +361,6 @@ func testBulkThenInsert(t *testing.T, f Factory) {
 		if v, ok := idx.Get(k); !ok || v != k {
 			t.Fatalf("get(%d) = %d,%v", k, v, ok)
 		}
-	}
-}
-
-func testScan(t *testing.T, f Factory) {
-	idx := f()
-	keys := dataset.Generate(dataset.YCSBUniform, 3000, 41)
-	if b, ok := idx.(index.Bulk); ok {
-		if err := b.BulkLoad(keys, keys); err != nil {
-			t.Fatal(err)
-		}
-	} else {
-		for _, k := range keys {
-			mustInsert(t, idx, k, k)
-		}
-	}
-	s := idx.(index.Scanner)
-
-	// Full scan is ordered and complete.
-	var got []uint64
-	s.Scan(0, 0, func(k, v uint64) bool {
-		if k != v {
-			t.Fatalf("scan visited (%d,%d)", k, v)
-		}
-		got = append(got, k)
-		return true
-	})
-	if len(got) != len(keys) {
-		t.Fatalf("full scan visited %d entries, want %d", len(got), len(keys))
-	}
-	for i := range got {
-		if got[i] != keys[i] {
-			t.Fatalf("scan order broken at %d: %d != %d", i, got[i], keys[i])
-		}
-	}
-
-	// Bounded scan from a mid key.
-	startIdx := len(keys) / 3
-	var window []uint64
-	s.Scan(keys[startIdx], 50, func(k, v uint64) bool {
-		window = append(window, k)
-		return true
-	})
-	if len(window) != 50 {
-		t.Fatalf("bounded scan returned %d entries", len(window))
-	}
-	for i := range window {
-		if window[i] != keys[startIdx+i] {
-			t.Fatalf("bounded scan wrong at %d", i)
-		}
-	}
-
-	// Scan from between two keys starts at the next key.
-	start := keys[10] + 1
-	if start < keys[11] {
-		var first uint64
-		s.Scan(start, 1, func(k, v uint64) bool { first = k; return true })
-		if first != keys[11] {
-			t.Fatalf("scan(%d) started at %d, want %d", start, first, keys[11])
-		}
-	}
-
-	// Early termination.
-	count := 0
-	s.Scan(0, 0, func(k, v uint64) bool {
-		count++
-		return count < 7
-	})
-	if count != 7 {
-		t.Fatalf("early-terminated scan visited %d", count)
 	}
 }
 

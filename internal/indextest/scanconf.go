@@ -1,6 +1,7 @@
 package indextest
 
 import (
+	"fmt"
 	"sort"
 	"testing"
 
@@ -8,36 +9,40 @@ import (
 	"learnedpieces/internal/index"
 )
 
-// RunScanConformance is the range-scan conformance suite: ascending
-// order, start-boundary inclusion, exact-limit stop, empty ranges, and
-// — for indexes exposing streaming cursors — cursor/Scan equivalence,
-// cursor resume at lastKey+1, and descending iteration. Every check is
-// gated on the capability descriptor, so the suite runs against every
-// index and exercises exactly the surface it advertises. The cursor
-// checks pull with several buffer sizes, which under -race also
-// exercises the pooled cursors' reuse across opens.
+// RunScanConformance is the range-scan conformance suite. The cursor
+// is the one scan implementation, so every check compares it — pulled
+// raw with several buffer sizes, or driven through index.Scan — with
+// the sorted live set loadConformance returns: ascending order,
+// start-boundary inclusion, exact-limit stop, empty ranges, resume at
+// lastKey+1, and descending iteration. Every check is gated on the
+// capability descriptor, so the suite runs against every index and
+// exercises exactly the surface it advertises. Pulling with several
+// buffer sizes also exercises, under -race, the pooled cursors' reuse
+// across opens.
 func RunScanConformance(t *testing.T, name string, f Factory) {
 	caps := index.CapsOf(f())
-	if !caps.Scan && !caps.Range {
+	if !caps.Range {
 		t.Run(name+"/scan-unsupported", func(t *testing.T) {
 			// An honest refusal: nothing to conform to.
-			t.Skipf("%s advertises neither Scan nor Range", name)
+			t.Skipf("%s does not advertise Range", name)
 		})
 		return
 	}
-	if caps.Scan {
-		t.Run(name+"/scan-order", func(t *testing.T) { testScanOrder(t, f) })
-		t.Run(name+"/scan-limit", func(t *testing.T) { testScanLimit(t, f) })
-		t.Run(name+"/scan-empty", func(t *testing.T) { testScanEmpty(t, f) })
-	}
-	if caps.Range {
-		t.Run(name+"/cursor-matches-scan", func(t *testing.T) { testCursorMatchesScan(t, f) })
-		t.Run(name+"/cursor-resume", func(t *testing.T) { testCursorResume(t, f) })
-	}
+	t.Run(name+"/scan-order", func(t *testing.T) { testScanOrder(t, f) })
+	t.Run(name+"/scan-limit", func(t *testing.T) { testScanLimit(t, f) })
+	t.Run(name+"/scan-empty", func(t *testing.T) { testScanEmpty(t, f) })
+	t.Run(name+"/cursor-resume", func(t *testing.T) { testCursorResume(t, f) })
 	if caps.RangeDesc {
 		t.Run(name+"/cursor-desc", func(t *testing.T) { testCursorDesc(t, f) })
 	}
 }
+
+// edgeKeys are the keys where model arithmetic and cursor stepping are
+// most likely to slip: both ends of the key space and the float64
+// mantissa cliff (2^53 and its neighbour share a float64). They are
+// loaded into every conformance index, with a dense cluster at each
+// end, and every one is also a scan start position.
+var edgeKeys = []uint64{0, 1, 1 << 53, 1<<53 + 1, 1 << 63, ^uint64(0) - 1, ^uint64(0)}
 
 // loadConformance fills an index with a reproducible key set — bulk
 // load where supported, inserts otherwise, plus a post-load insert and
@@ -45,20 +50,19 @@ func RunScanConformance(t *testing.T, name string, f Factory) {
 // sorted live keys (every key maps to itself as value).
 func loadConformance(t *testing.T, idx index.Index) []uint64 {
 	t.Helper()
-	keys := dataset.Generate(dataset.YCSBUniform, 4000, 71)
-	if b, ok := idx.(index.Bulk); ok {
-		if err := b.BulkLoad(keys, keys); err != nil {
-			t.Fatal(err)
-		}
-	} else {
-		for _, k := range keys {
-			mustInsert(t, idx, k, k)
-		}
-	}
+	base := dataset.Generate(dataset.YCSBUniform, 4000, 71)
 	live := map[uint64]bool{}
-	for _, k := range keys {
+	for _, k := range base {
 		live[k] = true
 	}
+	for _, k := range edgeKeys {
+		live[k] = true
+	}
+	for i := uint64(0); i < 32; i++ {
+		live[2+i] = true
+		live[^uint64(0)-2-i] = true
+	}
+	loadKeys(t, idx, sortedKeys(live))
 	// Dynamic indexes additionally absorb inserts (delta layers, node
 	// splits) and deletes, so the ordered walk crosses layer boundaries.
 	extra := dataset.Generate(dataset.YCSBNormal, 500, 72)
@@ -72,25 +76,57 @@ func loadConformance(t *testing.T, idx index.Index) []uint64 {
 			live[k] = true
 		}
 		if del, ok := idx.(index.Deleter); ok && index.CapsOf(idx).Delete {
-			for i := 0; i < len(keys); i += 17 {
-				del.Delete(keys[i])
-				delete(live, keys[i])
+			for i := 0; i < len(base); i += 17 {
+				del.Delete(base[i])
+				delete(live, base[i])
 			}
 		}
 	}
-	sorted := make([]uint64, 0, len(live))
-	for k := range live {
+	return sortedKeys(live)
+}
+
+// loadKeys installs sorted keys (value = key) through the bulk path
+// where the index has one, inserts otherwise.
+func loadKeys(t *testing.T, idx index.Index, keys []uint64) {
+	t.Helper()
+	if b, ok := idx.(index.Bulk); ok {
+		if err := b.BulkLoad(keys, keys); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	for _, k := range keys {
+		mustInsert(t, idx, k, k)
+	}
+}
+
+func sortedKeys(set map[uint64]bool) []uint64 {
+	sorted := make([]uint64, 0, len(set))
+	for k := range set {
 		sorted = append(sorted, k)
 	}
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
 	return sorted
 }
 
-// collectScan drains Scan(start, n) into a slice, checking key==value.
+// suffixFrom returns the part of the sorted oracle with key >= start.
+func suffixFrom(want []uint64, start uint64) []uint64 {
+	return want[sort.Search(len(want), func(i int) bool { return want[i] >= start }):]
+}
+
+// startPositions are the scan starts every check walks from: the edge
+// keys, an existing mid key and the gap right after it.
+func startPositions(want []uint64) []uint64 {
+	mid := want[len(want)/2]
+	return append([]uint64{mid, mid + 1}, edgeKeys...)
+}
+
+// collectScan drains index.Scan(start, n) over the index's cursor into
+// a slice, checking key==value.
 func collectScan(t *testing.T, idx index.Index, start uint64, n int) []uint64 {
 	t.Helper()
 	var got []uint64
-	idx.(index.Scanner).Scan(start, n, func(k, v uint64) bool {
+	index.Scan(idx.(index.Ranger), start, n, func(k, v uint64) bool {
 		if k != v {
 			t.Fatalf("scan visited (%d,%d), want key==value", k, v)
 		}
@@ -98,6 +134,19 @@ func collectScan(t *testing.T, idx index.Index, start uint64, n int) []uint64 {
 		return true
 	})
 	return got
+}
+
+// mustEqualKeys fails unless got is exactly want.
+func mustEqualKeys(t *testing.T, what string, got, want []uint64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: visited %d entries, want %d", what, len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("%s: order broken at %d: %d != %d", what, i, got[i], want[i])
+		}
+	}
 }
 
 // collectCursor drains a cursor into a slice using the given pull
@@ -124,43 +173,36 @@ func collectCursor(t *testing.T, cur index.Cursor, buf int) []uint64 {
 func testScanOrder(t *testing.T, f Factory) {
 	idx := f()
 	want := loadConformance(t, idx)
-	got := collectScan(t, idx, 0, 0)
-	if len(got) != len(want) {
-		t.Fatalf("full scan visited %d entries, want %d", len(got), len(want))
+	r := idx.(index.Ranger)
+	for _, buf := range []int{1, 3, 64, 1024} {
+		cur := r.Range(0)
+		got := collectCursor(t, cur, buf)
+		cur.Close()
+		mustEqualKeys(t, fmt.Sprintf("cursor from 0, buf %d", buf), got, want)
 	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("scan order broken at %d: %d != %d", i, got[i], want[i])
-		}
-	}
-	// Start boundary: scanning from an existing key includes it...
-	mid := want[len(want)/2]
-	if g := collectScan(t, idx, mid, 1); len(g) != 1 || g[0] != mid {
-		t.Fatalf("scan(%d) started at %v, want inclusive start", mid, g)
-	}
-	// ...and from the gap right after it, at its successor.
-	if next := want[len(want)/2+1]; mid+1 < next {
-		if g := collectScan(t, idx, mid+1, 1); len(g) != 1 || g[0] != next {
-			t.Fatalf("scan(%d) started at %v, want %d", mid+1, g, next)
-		}
+	// Start boundary: a scan from an existing key includes it, a scan
+	// from a gap starts at the successor, at every start position.
+	for _, start := range startPositions(want) {
+		mustEqualKeys(t, fmt.Sprintf("scan from %d", start), collectScan(t, idx, start, 0), suffixFrom(want, start))
 	}
 }
 
 func testScanLimit(t *testing.T, f Factory) {
 	idx := f()
 	want := loadConformance(t, idx)
-	start := want[len(want)/4]
-	if g := collectScan(t, idx, start, 37); len(g) != 37 {
-		t.Fatalf("limited scan visited %d entries, want exactly 37", len(g))
+	for _, start := range startPositions(want) {
+		exp := suffixFrom(want, start)
+		if len(exp) > 37 {
+			exp = exp[:37]
+		}
+		mustEqualKeys(t, fmt.Sprintf("scan(%d, 37)", start), collectScan(t, idx, start, 37), exp)
 	}
 	// A limit past the tail stops at exhaustion, not before.
 	tail := want[len(want)-5]
-	if g := collectScan(t, idx, tail, 100); len(g) != 5 {
-		t.Fatalf("tail scan visited %d entries, want the 5 remaining", len(g))
-	}
+	mustEqualKeys(t, "tail scan", collectScan(t, idx, tail, 100), want[len(want)-5:])
 	// Early termination by callback return.
 	seen := 0
-	idx.(index.Scanner).Scan(start, 0, func(k, v uint64) bool {
+	index.Scan(idx.(index.Ranger), want[len(want)/4], 0, func(k, v uint64) bool {
 		seen++
 		return seen < 7
 	})
@@ -174,39 +216,13 @@ func testScanEmpty(t *testing.T, f Factory) {
 	if g := collectScan(t, f(), 0, 0); len(g) != 0 {
 		t.Fatalf("empty index scan visited %d entries", len(g))
 	}
+	// Nor does a scan from past the largest key.
 	idx := f()
-	want := loadConformance(t, idx)
-	if max := want[len(want)-1]; max != ^uint64(0) {
-		if g := collectScan(t, idx, max+1, 10); len(g) != 0 {
-			t.Fatalf("past-the-end scan visited %v", g)
+	loadKeys(t, idx, []uint64{10, 20, 30})
+	for _, start := range []uint64{31, ^uint64(0)} {
+		if g := collectScan(t, idx, start, 10); len(g) != 0 {
+			t.Fatalf("past-the-end scan from %d visited %v", start, g)
 		}
-	}
-}
-
-func testCursorMatchesScan(t *testing.T, f Factory) {
-	idx := f()
-	want := loadConformance(t, idx)
-	r := idx.(index.Ranger)
-	for _, buf := range []int{1, 3, 64, 1024} {
-		cur := r.Range(0)
-		got := collectCursor(t, cur, buf)
-		cur.Close()
-		if len(got) != len(want) {
-			t.Fatalf("buf %d: cursor yielded %d entries, want %d", buf, len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("buf %d: cursor order broken at %d: %d != %d", buf, i, got[i], want[i])
-			}
-		}
-	}
-	// Mid-range start is inclusive, exactly like Scan.
-	mid := want[len(want)/2]
-	cur := r.Range(mid)
-	got := collectCursor(t, cur, 16)
-	cur.Close()
-	if len(got) == 0 || got[0] != mid {
-		t.Fatalf("cursor from %d started at %v, want inclusive start", mid, got[:min(len(got), 1)])
 	}
 }
 
@@ -215,10 +231,10 @@ func testCursorResume(t *testing.T, f Factory) {
 	want := loadConformance(t, idx)
 	r := idx.(index.Ranger)
 	start := want[len(want)/5]
-	oneShot := collectScan(t, idx, start, 0)
+	oneShot := suffixFrom(want, start)
 	// Resume after 1, after a partial buffer, and after several pulls:
 	// close the cursor mid-range and reopen at lastKey+1 — the
-	// concatenation must equal the one-shot scan. This is exactly the
+	// concatenation must equal the one-shot walk. This is exactly the
 	// wire protocol's cursor-continuation contract.
 	for _, cut := range []int{1, 13, 200} {
 		if cut >= len(oneShot) {
@@ -246,14 +262,7 @@ func testCursorResume(t *testing.T, f Factory) {
 		cur = r.Range(last + 1)
 		got = append(got, collectCursor(t, cur, 64)...)
 		cur.Close()
-		if len(got) != len(oneShot) {
-			t.Fatalf("cut %d: resumed walk yielded %d entries, want %d", cut, len(got), len(oneShot))
-		}
-		for i := range got {
-			if got[i] != oneShot[i] {
-				t.Fatalf("cut %d: resumed walk diverged at %d: %d != %d", cut, i, got[i], oneShot[i])
-			}
-		}
+		mustEqualKeys(t, fmt.Sprintf("cut %d: resumed walk", cut), got, oneShot)
 	}
 }
 
@@ -273,20 +282,23 @@ func testCursorDesc(t *testing.T, f Factory) {
 			t.Fatalf("desc order broken at %d: %d != %d", i, got[i], want[len(want)-1-i])
 		}
 	}
-	// Start boundary: positions at the last entry with key <= start.
-	mid := want[len(want)/2]
-	cur = rr.RangeDesc(mid)
-	keys := make([]uint64, 1)
-	vals := make([]uint64, 1)
-	if m := cur.Next(keys, vals); m != 1 || keys[0] != mid {
-		t.Fatalf("desc cursor from %d started at %v (m=%d), want inclusive start", mid, keys[0], m)
-	}
-	cur.Close()
-	if next := want[len(want)/2+1]; next > mid+1 {
-		cur = rr.RangeDesc(mid + 1)
-		if m := cur.Next(keys, vals); m != 1 || keys[0] != mid {
-			t.Fatalf("desc cursor from gap %d started at %d, want predecessor %d", mid+1, keys[0], mid)
-		}
+	// Start boundary: from every start position — an existing key, the
+	// gap after it, the edge keys — the walk begins at the last entry
+	// with key <= start and steps down the oracle from there.
+	for _, start := range startPositions(want) {
+		at := sort.Search(len(want), func(i int) bool { return want[i] > start }) - 1
+		cur := rr.RangeDesc(start)
+		keys := make([]uint64, 40)
+		vals := make([]uint64, 40)
+		m := cur.Next(keys, vals)
 		cur.Close()
+		if wantM := min(at+1, len(keys)); m != wantM {
+			t.Fatalf("desc cursor from %d yielded %d entries, want %d", start, m, wantM)
+		}
+		for i := 0; i < m; i++ {
+			if keys[i] != want[at-i] || vals[i] != keys[i] {
+				t.Fatalf("desc cursor from %d: entry %d = (%d,%d), want key %d", start, i, keys[i], vals[i], want[at-i])
+			}
+		}
 	}
 }

@@ -699,33 +699,6 @@ func (ix *Index) Delete(key uint64) bool {
 	return true
 }
 
-// Scan visits entries with key >= start in ascending order via the data
-// node chain.
-func (ix *Index) Scan(start uint64, n int, fn func(key, value uint64) bool) {
-	d := ix.descend(start)
-	// The model may land us one node ahead of the true successor chain
-	// position; back up while the previous node could contain >= start.
-	for d.prev != nil && lastKey(d.prev) >= start {
-		d = d.prev
-	}
-	count := 0
-	for d != nil {
-		for i, used := range d.g.Used {
-			if !used || d.g.Keys[i] < start {
-				continue
-			}
-			if n > 0 && count >= n {
-				return
-			}
-			if !fn(d.g.Keys[i], d.g.Values[i]) {
-				return
-			}
-			count++
-		}
-		d = d.next
-	}
-}
-
 func lastKey(d *dataNode) uint64 {
 	for i := d.g.Capacity() - 1; i >= 0; i-- {
 		if d.g.Used[i] {
@@ -756,10 +729,11 @@ type cursor struct {
 var cursorPool = sync.Pool{New: func() any { return new(cursor) }}
 
 // Range implements index.Ranger: one model descent locates the data
-// node (backing up over the chain when the model lands ahead, exactly
-// like Scan), then the pooled cursor walks the gapped arrays.
+// node, then the pooled cursor walks the gapped arrays.
 func (ix *Index) Range(start uint64) index.Cursor {
 	d := ix.descend(start)
+	// The model may land us one node ahead of the true successor chain
+	// position; back up while the previous node could contain >= start.
 	for d.prev != nil && lastKey(d.prev) >= start {
 		d = d.prev
 	}

@@ -58,7 +58,7 @@ func TestHeavyInsertGrowth(t *testing.T) {
 	// Chain covers everything in order.
 	prev := uint64(0)
 	n := 0
-	ix.Scan(0, 0, func(k, v uint64) bool {
+	index.Scan(ix, 0, 0, func(k, v uint64) bool {
 		if n > 0 && k <= prev {
 			t.Fatalf("scan out of order at %d", k)
 		}

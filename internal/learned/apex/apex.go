@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 
 	"learnedpieces/internal/index"
 	"learnedpieces/internal/pla"
@@ -604,28 +605,53 @@ func (ix *Index) Delete(key uint64) bool {
 	return true
 }
 
-// Scan visits entries with key >= start in ascending order.
-func (ix *Index) Scan(start uint64, n int, fn func(key, value uint64) bool) {
-	count := 0
-	for pos := ix.locate(start); pos < len(ix.metas); pos++ {
-		m := ix.metas[pos]
-		for i := 0; i < nodeCapacity; i++ {
-			if !ix.usedAt(m, i) {
+// cursor walks the directory node by node and each node slot by slot;
+// every slot probe reads PMem, like Get.
+type cursor struct {
+	ix        *Index
+	pos, slot int
+	start     uint64
+}
+
+var cursorPool = sync.Pool{New: func() any { return new(cursor) }}
+
+// Range implements index.Ranger: one directory probe locates the node
+// covering start, then Next walks the gapped nodes in directory order.
+// No mutation while the cursor is open.
+func (ix *Index) Range(start uint64) index.Cursor {
+	c := cursorPool.Get().(*cursor)
+	c.ix, c.pos, c.slot, c.start = ix, ix.locate(start), 0, start
+	return c
+}
+
+// Next fills the destination slices with the next entries in key order.
+func (c *cursor) Next(keys, vals []uint64) int {
+	ix := c.ix
+	n := 0
+	for n < len(keys) && c.pos < len(ix.metas) {
+		m := ix.metas[c.pos]
+		for ; c.slot < nodeCapacity && n < len(keys); c.slot++ {
+			if !ix.usedAt(m, c.slot) {
 				continue
 			}
-			k := ix.keyAt(m, i)
-			if k < start {
+			// Only the first node can hold keys below start.
+			k := ix.keyAt(m, c.slot)
+			if k < c.start {
 				continue
 			}
-			if n > 0 && count >= n {
-				return
-			}
-			if !fn(k, ix.valAt(m, i)) {
-				return
-			}
-			count++
+			keys[n], vals[n] = k, ix.valAt(m, c.slot)
+			n++
+		}
+		if c.slot == nodeCapacity {
+			c.pos, c.slot = c.pos+1, 0
 		}
 	}
+	return n
+}
+
+func (c *cursor) Close() {
+	c.ix = nil
+	cursorPool.Put(c)
 }
 
 // Recover rebuilds the DRAM directory from the node log: it reads the

@@ -548,36 +548,10 @@ func (s *segment) merged() ([]uint64, []uint64) {
 	return mergeBase(s, s.overlay())
 }
 
-// Scan visits live entries with key >= start in ascending order (not
-// atomic with respect to concurrent writers).
-func (ix *Index) Scan(start uint64, n int, fn func(key, value uint64) bool) {
-	ix.structMu.RLock()
-	defer ix.structMu.RUnlock()
-	t := ix.tab.Load()
-	count := 0
-	from := sort.Search(len(t.firsts), func(i int) bool { return t.firsts[i] > start })
-	if from > 0 {
-		from--
-	}
-	for si := from; si < len(t.segs); si++ {
-		keys, vals := t.segs[si].merged()
-		for i := sort.Search(len(keys), func(j int) bool { return keys[j] >= start }); i < len(keys); i++ {
-			if n > 0 && count >= n {
-				return
-			}
-			if !fn(keys[i], vals[i]) {
-				return
-			}
-			count++
-		}
-	}
-}
-
 // cursor resumes at a key: segments retrain and tables swap underneath
 // a long scan, so the key space is the only stable coordinate. It
 // caches one segment's merged snapshot (base shadowed by bins) and
-// refills — under the structure read lock, like Scan — when the cache
-// drains. Entries are emitted in strictly ascending key order.
+// refills — under the structure read lock — when the cache drains. Entries are emitted in strictly ascending key order.
 type cursor struct {
 	ix     *Index
 	key    uint64
@@ -589,8 +563,8 @@ type cursor struct {
 var cursorPool = sync.Pool{New: func() any { return new(cursor) }}
 
 // Range implements index.Ranger. The cursor may re-snapshot between
-// Next calls (the index has concurrent writers) — the same
-// non-atomicity Scan has.
+// Next calls (the index has concurrent writers), so a scan is not
+// atomic with respect to them.
 func (ix *Index) Range(start uint64) index.Cursor {
 	c := cursorPool.Get().(*cursor)
 	c.ix, c.key, c.done = ix, start, false

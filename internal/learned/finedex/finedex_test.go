@@ -150,7 +150,7 @@ func TestDeleteBaseAndBinKeys(t *testing.T) {
 	}
 	// Scan skips tombstones.
 	seen := 0
-	ix.Scan(0, 0, func(k, v uint64) bool {
+	index.Scan(ix, 0, 0, func(k, v uint64) bool {
 		if k == load[100] || k == inserts[5] {
 			t.Fatalf("tombstoned key %d in scan", k)
 		}

@@ -275,7 +275,7 @@ func (ix *Index) leafFor(key uint64) *segLeaf {
 	_, id, ok := ix.inner.Floor(key)
 	if !ok {
 		// Key precedes the first segment.
-		ix.inner.Scan(0, 1, func(k, v uint64) bool { id = v; return true })
+		_, id, _ = ix.inner.Min()
 	}
 	return ix.leaves[id]
 }
@@ -570,51 +570,6 @@ func (ix *Index) del(key uint64, counted bool) bool {
 	return false
 }
 
-// Scan visits entries with key >= start in ascending order, merging each
-// leaf's base array with its buffer.
-func (ix *Index) Scan(start uint64, n int, fn func(key, value uint64) bool) {
-	count := 0
-	stop := false
-	emit := func(k, v uint64) bool {
-		if k < start {
-			return true
-		}
-		if n > 0 && count >= n {
-			stop = true
-			return false
-		}
-		if !fn(k, v) {
-			stop = true
-			return false
-		}
-		count++
-		return true
-	}
-	from := uint64(0)
-	if _, _, ok := ix.inner.Floor(start); ok {
-		k, _, _ := ix.inner.Floor(start)
-		from = k
-	}
-	ix.inner.Scan(from, 0, func(_, id uint64) bool {
-		l := ix.leaves[id]
-		i, j := 0, 0
-		for i < len(l.keys) || j < len(l.bufK) {
-			var k, v uint64
-			if j >= len(l.bufK) || (i < len(l.keys) && l.keys[i] < l.bufK[j]) {
-				k, v = l.keys[i], l.vals[i]
-				i++
-			} else {
-				k, v = l.bufK[j], l.bufV[j]
-				j++
-			}
-			if !emit(k, v) {
-				return false
-			}
-		}
-		return !stop
-	})
-}
-
 // cursor streams the FITing-tree leaf-sequentially: the inner B+tree's
 // own cursor yields segment ids in firstKey order (refilled in small
 // batches into fixed scratch), and each segment leaf is drained with a
@@ -636,7 +591,7 @@ var cursorPool = sync.Pool{New: func() any { return new(cursor) }}
 
 // Range implements index.Ranger: one Floor descent positions the inner
 // cursor at the covering segment, then the walk is leaf-sequential.
-// Same safety contract as Scan — no mutation while the cursor is open.
+// No mutation while the cursor is open.
 func (ix *Index) Range(start uint64) index.Cursor {
 	from := uint64(0)
 	if k, _, ok := ix.inner.Floor(start); ok {
@@ -709,7 +664,7 @@ func (ix *Index) LeafCount() int { return ix.inner.Len() }
 func (ix *Index) Sizes() index.Sizes {
 	inner := ix.inner.Sizes()
 	var keyBytes, valBytes, modelBytes int64
-	ix.inner.Scan(0, 0, func(_, id uint64) bool {
+	index.Scan(ix.inner, 0, 0, func(_, id uint64) bool {
 		l := ix.leaves[id]
 		modelBytes += 48
 		keyBytes += int64(cap(l.keys)+len(l.bufK)) * 8

@@ -112,7 +112,7 @@ func TestInsertBelowFirstKey(t *testing.T) {
 		t.Fatalf("get(5) = %d,%v", v, ok)
 	}
 	var first uint64
-	ix.Scan(0, 1, func(k, v uint64) bool { first = k; return true })
+	index.Scan(ix, 0, 1, func(k, v uint64) bool { first = k; return true })
 	if first != 5 {
 		t.Fatalf("scan starts at %d, want 5", first)
 	}

@@ -354,70 +354,6 @@ func (ix *Index) Delete(key uint64) bool {
 	}
 }
 
-// Scan visits entries with key >= start in ascending key order. Slot
-// order equals key order because every node's model is monotone, so the
-// walk starts at each node's predicted slot for start and prunes
-// everything before it — short scans cost O(result + depth).
-func (ix *Index) Scan(start uint64, n int, fn func(key, value uint64) bool) {
-	count := 0
-	ix.scanFrom(ix.root, start, n, &count, fn)
-}
-
-func (ix *Index) scanFrom(nd *node, start uint64, limit int, count *int, fn func(key, value uint64) bool) bool {
-	// Keys at slots below slot(start) are all < start (monotone model).
-	from := nd.slot(start)
-	for i := from; i < len(nd.entries); i++ {
-		e := &nd.entries[i]
-		switch e.kind {
-		case entryData:
-			if e.key < start {
-				continue
-			}
-			if limit > 0 && *count >= limit {
-				return false
-			}
-			if !fn(e.key, e.val) {
-				return false
-			}
-			*count++
-		case entryChild:
-			var cont bool
-			if i == from {
-				cont = ix.scanFrom(e.child, start, limit, count, fn)
-			} else {
-				// Subtrees right of the start slot hold only keys >= start.
-				cont = collectLimited(e.child, limit, count, fn)
-			}
-			if !cont {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// collectLimited walks a whole subtree in order, honouring the limit.
-func collectLimited(nd *node, limit int, count *int, fn func(k, v uint64) bool) bool {
-	for i := range nd.entries {
-		e := &nd.entries[i]
-		switch e.kind {
-		case entryData:
-			if limit > 0 && *count >= limit {
-				return false
-			}
-			if !fn(e.key, e.val) {
-				return false
-			}
-			*count++
-		case entryChild:
-			if !collectLimited(e.child, limit, count, fn) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 // frame is one level of a cursor's explicit walk stack.
 type frame struct {
 	nd *node
@@ -427,8 +363,9 @@ type frame struct {
 // cursor streams the tree through an explicit stack of (node, slot)
 // frames. Slot order equals key order (monotone models), so the
 // depth-first walk is the range; children are entered at their
-// predicted slot for the range start, which — by the same monotonicity
-// argument scanFrom relies on — prunes only keys below it. The stack
+// predicted slot for the range start, which prunes only keys below it:
+// keys at slots below slot(start) are all < start, so short scans cost
+// O(result + depth). The stack
 // grows by append when the tree is deeper than the pooled capacity, so
 // this cursor is deliberately not hotpath-marked.
 type cursor struct {

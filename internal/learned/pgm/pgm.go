@@ -8,7 +8,6 @@ package pgm
 
 import (
 	"math/bits"
-	"sort"
 	"sync/atomic"
 	"time"
 
@@ -557,7 +556,7 @@ func (ix *Index) Len() int {
 		return ix.length
 	}
 	n := 0
-	ix.Scan(0, 0, func(_, _ uint64) bool { n++; return true })
+	index.Scan(ix, 0, 0, func(_, _ uint64) bool { n++; return true })
 	ix.length = n
 	ix.dirty = false
 	return n
@@ -587,8 +586,8 @@ func (s *Static) lowerBound(key uint64) int {
 
 // Range implements index.Ranger: every layer is positioned once — the
 // runs through their model descent, the buffers through the shared
-// kernels — then the pooled merge cursor walks them with the same
-// newest-first shadowing as Scan.
+// kernels — then the pooled merge cursor walks them, newer layers
+// shadowing older ones (layers are ordered newest first).
 func (ix *Index) Range(start uint64) index.Cursor {
 	layers := make([]index.MergeLayer, 0, 2+len(ix.runs))
 	add := func(keys, vals []uint64, dead []bool, pos int) {
@@ -604,74 +603,6 @@ func (ix *Index) Range(start uint64) index.Cursor {
 		}
 	}
 	return index.NewMergeCursor(layers)
-}
-
-// Scan visits live entries with key >= start in order via a k-way merge
-// of the buffer and runs (newer layers shadow older ones; layers are
-// ordered newest first).
-func (ix *Index) Scan(start uint64, n int, fn func(key, value uint64) bool) {
-	type layer struct {
-		keys []uint64
-		vals []uint64
-		dead []bool
-		pos  int
-	}
-	var cs []layer
-	add := func(keys, vals []uint64, dead []bool) {
-		if len(keys) == 0 {
-			return
-		}
-		pos := sort.Search(len(keys), func(i int) bool { return keys[i] >= start })
-		if pos < len(keys) {
-			cs = append(cs, layer{keys, vals, dead, pos})
-		}
-	}
-	add(ix.bufK, ix.bufV, ix.bufD)
-	add(ix.frozenK, ix.frozenV, ix.frozenD)
-	for _, r := range ix.runs {
-		if r != nil {
-			add(r.keys, r.vals, r.dead)
-		}
-	}
-	count := 0
-	for {
-		best := -1
-		var bk uint64
-		for i := range cs {
-			if cs[i].pos >= len(cs[i].keys) {
-				continue
-			}
-			k := cs[i].keys[cs[i].pos]
-			if best < 0 || k < bk {
-				best, bk = i, k
-			}
-		}
-		if best < 0 {
-			return
-		}
-		c := &cs[best]
-		dead := c.dead != nil && c.dead[c.pos]
-		var v uint64
-		if c.vals != nil {
-			v = c.vals[c.pos]
-		}
-		// Advance every layer sitting on the same key (older shadowed).
-		for i := range cs {
-			for cs[i].pos < len(cs[i].keys) && cs[i].keys[cs[i].pos] == bk {
-				cs[i].pos++
-			}
-		}
-		if dead {
-			continue
-		}
-		if n > 0 && count >= n {
-			return
-		}
-		if !fn(bk, v) {
-			return
-		}
-		count++
-	}
 }
 
 // AvgDepth reports the model level count of the largest run (Table II).

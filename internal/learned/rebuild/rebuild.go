@@ -10,7 +10,6 @@
 package rebuild
 
 import (
-	"sort"
 	"sync/atomic"
 	"time"
 
@@ -20,12 +19,12 @@ import (
 	"learnedpieces/internal/search"
 )
 
-// Inner is the contract the wrapped index must satisfy: point lookups
-// plus bulk loading. Batch lookups are used when the inner index also
-// implements index.BatchGetter.
+// Inner is the contract the wrapped index must satisfy: point and
+// batch lookups plus bulk loading.
 type Inner interface {
 	index.Index
 	index.Bulk
+	index.BatchGetter
 }
 
 // Config controls the wrapper.
@@ -314,17 +313,10 @@ func (ix *Index) Get(key uint64) (uint64, bool) {
 
 // GetBatch implements index.BatchGetter with the same shadowing order
 // as Get. Lanes not decided by the buffer layers resolve through the
-// inner index's own batch path when it has one.
+// inner index's batch path.
 func (ix *Index) GetBatch(keys []uint64, vals []uint64, found []bool) {
-	bg, batched := ix.inner.(index.BatchGetter)
-	if !batched || (len(ix.bufK) == 0 && len(ix.frozenK) == 0) {
-		if batched {
-			bg.GetBatch(keys, vals, found)
-			return
-		}
-		for i, key := range keys {
-			vals[i], found[i] = ix.Get(key)
-		}
+	if len(ix.bufK) == 0 && len(ix.frozenK) == 0 {
+		ix.inner.GetBatch(keys, vals, found)
 		return
 	}
 	// Resolve the buffer layers per lane, then hand the undecided lanes
@@ -353,7 +345,7 @@ func (ix *Index) GetBatch(keys []uint64, vals []uint64, found []bool) {
 	}
 	sv := make([]uint64, len(sub))
 	sf := make([]bool, len(sub))
-	bg.GetBatch(sub, sv, sf)
+	ix.inner.GetBatch(sub, sv, sf)
 	for x, i := range lane {
 		vals[i], found[i] = sv[x], sf[x]
 	}
@@ -365,74 +357,15 @@ func (ix *Index) Len() int {
 		return ix.length
 	}
 	n := 0
-	ix.Scan(0, 0, func(_, _ uint64) bool { n++; return true })
+	index.Scan(ix, 0, 0, func(_, _ uint64) bool { n++; return true })
 	ix.length = n
 	ix.dirty = false
 	return n
 }
 
-// Scan visits live entries with key >= start in order via a 3-way merge
-// of buffer, frozen buffer and base arrays (newer layers shadow older).
-func (ix *Index) Scan(start uint64, n int, fn func(key, value uint64) bool) {
-	type layer struct {
-		keys []uint64
-		vals []uint64
-		dead []bool
-		pos  int
-	}
-	var cs []layer
-	add := func(keys, vals []uint64, dead []bool) {
-		if len(keys) == 0 {
-			return
-		}
-		pos := sort.Search(len(keys), func(i int) bool { return keys[i] >= start })
-		if pos < len(keys) {
-			cs = append(cs, layer{keys, vals, dead, pos})
-		}
-	}
-	add(ix.bufK, ix.bufV, ix.bufD)
-	add(ix.frozenK, ix.frozenV, ix.frozenD)
-	add(ix.baseK, ix.baseV, nil)
-	count := 0
-	for {
-		best := -1
-		var bk uint64
-		for i := range cs {
-			if cs[i].pos >= len(cs[i].keys) {
-				continue
-			}
-			k := cs[i].keys[cs[i].pos]
-			if best < 0 || k < bk {
-				best, bk = i, k
-			}
-		}
-		if best < 0 {
-			return
-		}
-		c := &cs[best]
-		dead := c.dead != nil && c.dead[c.pos]
-		v := c.vals[c.pos]
-		for i := range cs {
-			for cs[i].pos < len(cs[i].keys) && cs[i].keys[cs[i].pos] == bk {
-				cs[i].pos++
-			}
-		}
-		if dead {
-			continue
-		}
-		if n > 0 && count >= n {
-			return
-		}
-		if !fn(bk, v) {
-			return
-		}
-		count++
-	}
-}
-
 // Range implements index.Ranger with a pooled merge cursor over the
-// same three layers Scan walks (buffer, frozen buffer, base arrays,
-// newest shadowing oldest). All three are flat sorted slices that stay
+// three layers (buffer, frozen buffer, base arrays, newest shadowing
+// oldest). All three are flat sorted slices that stay
 // immutable while the single-writer contract holds, so the shared
 // merge cursor applies directly; positioning is one binary search per
 // layer.

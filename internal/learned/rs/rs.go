@@ -222,25 +222,6 @@ func (ix *Index) RangeDesc(start uint64) index.Cursor {
 	return index.NewSliceCursor(ix.keys, ix.vals, pos, true)
 }
 
-// Scan visits entries with key >= start in ascending order.
-func (ix *Index) Scan(start uint64, n int, fn func(key, value uint64) bool) {
-	i := ix.lowerBound(start)
-	count := 0
-	for ; i < len(ix.keys); i++ {
-		if n > 0 && count >= n {
-			return
-		}
-		var v uint64
-		if ix.vals != nil {
-			v = ix.vals[i]
-		}
-		if !fn(ix.keys[i], v) {
-			return
-		}
-		count++
-	}
-}
-
 // AvgDepth reports one table probe plus the spline stage.
 func (ix *Index) AvgDepth() float64 { return 2 }
 

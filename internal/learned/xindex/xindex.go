@@ -476,46 +476,6 @@ func (ix *Index) splitGroup(g *group, merged *groupData) {
 	}
 }
 
-// Scan visits live entries with key >= start in ascending order. The
-// scan is not atomic with respect to concurrent writers (it locks one
-// group at a time).
-func (ix *Index) Scan(start uint64, n int, fn func(key, value uint64) bool) {
-	count := 0
-	key := start
-	r := ix.root.Load()
-	gi := groupIndex(r, key)
-	for gi < len(r.groups) {
-		g := r.groups[gi]
-		g.mu.RLock()
-		if g.retired {
-			g.mu.RUnlock()
-			r = ix.root.Load()
-			gi = groupIndex(r, key)
-			continue
-		}
-		need := 0 // unbounded
-		if n > 0 {
-			need = n - count
-		}
-		entries := snapshotGroup(g, key, need)
-		g.mu.RUnlock()
-		for _, e := range entries {
-			if n > 0 && count >= n {
-				return
-			}
-			if !fn(e.k, e.v) {
-				return
-			}
-			count++
-			key = e.k + 1
-		}
-		if n > 0 && count >= n {
-			return
-		}
-		gi++
-	}
-}
-
 func groupIndex(r *root, key uint64) int {
 	j := search.UpperBound(r.pivots, key, 0, len(r.pivots))
 	if j == 0 {
@@ -527,7 +487,7 @@ func groupIndex(r *root, key uint64) int {
 type kv struct{ k, v uint64 }
 
 // snapshotGroup merges a group's layers into up to `need` live ordered
-// entries >= start (need <= 0 means all). All three layers are sorted,
+// entries >= start. All three layers are sorted,
 // so this is a plain k-way merge with newest-layer-wins on ties — no
 // allocation beyond the result.
 func snapshotGroup(g *group, start uint64, need int) []kv {
@@ -549,7 +509,7 @@ func snapshotGroup(g *group, start uint64, need int) []kv {
 		c.pos = sort.Search(len(c.k), func(j int) bool { return c.k[j] >= start })
 	}
 	var out []kv
-	for need <= 0 || len(out) < need {
+	for len(out) < need {
 		best := -1
 		var bk uint64
 		for i := range cs {
@@ -582,8 +542,9 @@ func snapshotGroup(g *group, start uint64, need int) []kv {
 // cursor resumes at a key rather than a position: groups split and
 // roots swap underneath a long scan, so the only stable coordinate is
 // the key space. Each Next re-resolves the covering group from the
-// current root and snapshots it under its read lock — the same
-// one-group-at-a-time consistency Scan offers.
+// current root and snapshots it under its read lock, so a scan is
+// consistent one group at a time, not atomic with respect to
+// concurrent writers.
 type cursor struct {
 	ix   *Index
 	key  uint64

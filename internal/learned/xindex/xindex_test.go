@@ -112,7 +112,7 @@ func TestDeleteThenScan(t *testing.T) {
 		}
 	}
 	seen := 0
-	ix.Scan(0, 0, func(k, v uint64) bool {
+	index.Scan(ix, 0, 0, func(k, v uint64) bool {
 		if (k-1)%3 == 0 {
 			t.Fatalf("deleted key %d visible in scan", k)
 		}

@@ -571,7 +571,7 @@ const (
 )
 
 // executeFrame runs one non-coalesced request and returns its encoded
-// response frame. Read results (Get/MultiGet/Scan values) alias the
+// response frame. Read results (Get/MultiGet/Range values) alias the
 // PMem region, so for read ops the store call and the encode both
 // happen under one epoch pin: a concurrent Compact's page frees are
 // deferred past the encode, upholding viper's rule that region aliases
@@ -634,39 +634,14 @@ func (s *Server) execute(req *wire.Request) *wire.Response {
 			break
 		}
 		resp.Values = vals
-	case wire.OpScan:
-		// DecodeRequest already rejects these; kept for direct callers
-		// so execute never passes n=0 (unlimited) to Store.Scan.
-		if req.Limit == 0 || req.Limit > wire.MaxScanLimit {
-			resp.Status = wire.StatusBadRequest
-			break
-		}
-		prealloc := int(req.Limit)
-		if prealloc > 1024 {
-			prealloc = 1024
-		}
-		entries := make([]wire.Entry, 0, prealloc)
-		// Scans return *up to* Limit entries, so the frame budget is
-		// enforced by truncation: stop before the entry that would push
-		// the response body past wire.MaxFrame.
-		body := respHeaderBytes + 4
-		err := s.store.Scan(req.Key, int(req.Limit), func(k uint64, v []byte) bool {
-			if body+scanEntryBytes+len(v) > wire.MaxFrame {
-				return false
-			}
-			body += scanEntryBytes + len(v)
-			entries = append(entries, wire.Entry{Key: k, Value: v})
-			return true
-		})
-		if resp.Status = statusOf(err); resp.Status == wire.StatusOK {
-			resp.Entries = entries
-		}
 	case wire.OpRange:
 		// Cursor-continuation scan: one bounded chunk per frame plus a
 		// resume header. The server is stateless across frames — the
 		// client carries the cursor as (ResumeKey, remaining limit) — so
 		// a continuation costs nothing to hold open and survives the
 		// store retraining or compacting between frames.
+		// DecodeRequest already rejects these limits; kept for direct
+		// callers so execute never passes n=0 (unlimited) to Store.Range.
 		if req.Limit == 0 || req.Limit > wire.MaxScanLimit {
 			resp.Status = wire.StatusBadRequest
 			break
@@ -677,8 +652,11 @@ func (s *Server) execute(req *wire.Request) *wire.Response {
 		}
 		entries := make([]wire.Entry, 0, chunk)
 		truncated := false
+		// A chunk carries *up to* Limit entries, so the frame budget is
+		// enforced by truncation: stop before the entry that would push
+		// the response body past wire.MaxFrame.
 		body := respHeaderBytes + rangeHeaderBytes + 4
-		err := s.store.Scan(req.Key, chunk, func(k uint64, v []byte) bool {
+		err := s.store.Range(req.Key, chunk, func(k uint64, v []byte) bool {
 			if body+scanEntryBytes+len(v) > wire.MaxFrame {
 				truncated = true
 				return false
@@ -730,7 +708,7 @@ func writes(op wire.Op) bool {
 // writers on indexes without concurrent-write support).
 func reads(op wire.Op) bool {
 	return op == wire.OpGet || op == wire.OpMultiGet ||
-		op == wire.OpScan || op == wire.OpRange
+		op == wire.OpRange
 }
 
 // statusOf maps the store's typed error sentinels to wire statuses —

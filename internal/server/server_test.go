@@ -80,12 +80,12 @@ func TestServerBasicOps(t *testing.T) {
 	if len(vals) != 3 || vals[0] == nil || vals[1] != nil || vals[2] == nil {
 		t.Fatalf("multiget values: %v", vals)
 	}
-	entries, err := c.Scan(ctx, 100, 5)
+	entries, err := c.Range(ctx, 100, 5)
 	if err != nil {
-		t.Fatalf("scan: %v", err)
+		t.Fatalf("range: %v", err)
 	}
 	if len(entries) != 5 || entries[0].Key != 100 {
-		t.Fatalf("scan entries: %+v", entries)
+		t.Fatalf("range entries: %+v", entries)
 	}
 	existed, err := c.Delete(ctx, 42)
 	if err != nil || !existed {
@@ -142,8 +142,8 @@ func TestServerErrorMapping(t *testing.T) {
 	if err := c.Put(ctx, 1, []byte("v")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Scan(ctx, 0, 10); !errors.Is(err, wire.ErrUnsupported) {
-		t.Fatalf("scan on hash index: got %v, want wire.ErrUnsupported", err)
+	if _, err := c.Range(ctx, 0, 10); !errors.Is(err, wire.ErrUnsupported) {
+		t.Fatalf("range on hash index: got %v, want wire.ErrUnsupported", err)
 	}
 }
 
@@ -304,6 +304,15 @@ func TestServerGracefulDrainNoLostResponses(t *testing.T) {
 	if _, err := nc.Write(out); err != nil {
 		t.Fatal(err)
 	}
+	// The contract covers admitted requests: a shutdown that wins the
+	// race against the reader goroutine legally cuts the whole burst
+	// before admission, so wait until the server has taken it in.
+	for deadline := time.Now().Add(2 * time.Second); srv.Metrics().Accepted < n; {
+		if time.Now().After(deadline) {
+			t.Fatalf("server admitted %d of %d requests", srv.Metrics().Accepted, n)
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
 	sdErr := make(chan error, 1)
 	go func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
@@ -327,11 +336,7 @@ func TestServerGracefulDrainNoLostResponses(t *testing.T) {
 	if err := <-sdErr; err != nil {
 		t.Fatalf("shutdown: %v", err)
 	}
-	// Zero lost: every request written before shutdown was either
-	// answered or the whole tail was cut before admission — but a
-	// single TCP write of a pipelined burst is admitted atomically
-	// enough that all must be answered (the read side is half-closed,
-	// not discarded).
+	// Zero lost: every request admitted before shutdown is answered.
 	if len(seen) != n {
 		t.Fatalf("lost responses: got %d of %d", len(seen), n)
 	}
@@ -400,10 +405,9 @@ func TestServerScanLimitZeroRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { _ = nc.Close() }()
-	// Limit 0 used to mean "unlimited" to Store.Scan: one tiny frame
-	// snapshotting the whole store into a response bigger than
-	// wire.MaxFrame. It must be answered StatusBadRequest instead.
-	frame := wire.AppendRequest(nil, &wire.Request{ID: 9, Op: wire.OpScan, Key: 0, Limit: 0})
+	// Limit 0 means "unlimited" to Store.Range: one tiny frame asking
+	// for the whole store. It must be answered StatusBadRequest instead.
+	frame := wire.AppendRequest(nil, &wire.Request{ID: 9, Op: wire.OpRange, Key: 0, Limit: 0})
 	if _, err := nc.Write(frame); err != nil {
 		t.Fatal(err)
 	}
@@ -438,19 +442,39 @@ func TestServerFrameBudget(t *testing.T) {
 	defer func() { _ = c.Close() }()
 	ctx := context.Background()
 
-	t.Run("scan-truncates", func(t *testing.T) {
-		entries, err := c.Scan(ctx, 1, len(keys))
+	t.Run("range-truncates", func(t *testing.T) {
+		var first []wire.Entry
+		err := c.RangeChunks(ctx, 1, len(keys), func(entries []wire.Entry, more bool) bool {
+			if !more {
+				t.Fatal("truncated chunk did not report more=true")
+			}
+			first = entries
+			return false
+		})
 		if err != nil {
-			t.Fatalf("scan: %v", err)
+			t.Fatalf("range: %v", err)
 		}
 		// Fewer than asked — the server truncated at the frame budget —
 		// but not empty, and the frame made it through ReadFrame intact.
-		if len(entries) == 0 || len(entries) >= len(keys) {
+		if len(first) == 0 || len(first) >= len(keys) {
 			t.Fatalf("got %d entries, want 0 < n < %d (frame-budget truncation)",
-				len(entries), len(keys))
+				len(first), len(keys))
 		}
-		if !bytes.Equal(entries[0].Value, val) {
-			t.Fatal("scan entry value corrupted")
+		if !bytes.Equal(first[0].Value, val) {
+			t.Fatal("range entry value corrupted")
+		}
+		// The continuation delivers the whole store across frames.
+		all, err := c.Range(ctx, 1, len(keys))
+		if err != nil {
+			t.Fatalf("full-store range: %v", err)
+		}
+		if len(all) != len(keys) {
+			t.Fatalf("full-store range delivered %d entries, want %d", len(all), len(keys))
+		}
+		for i, e := range all {
+			if e.Key != keys[i] || !bytes.Equal(e.Value, val) {
+				t.Fatalf("full-store range entry %d = key %d, want %d with the stored value", i, e.Key, keys[i])
+			}
 		}
 	})
 
@@ -698,19 +722,5 @@ func TestServerRangeCursorContinuation(t *testing.T) {
 		if got[i] >= 5000 && got[i] < 5100 {
 			t.Fatalf("deleted key %d delivered", got[i])
 		}
-	}
-}
-
-// TestServerRangeUnsupportedIndex checks the honest refusal: an index
-// without scan support answers StatusUnsupported, not garbage.
-func TestServerRangeUnsupportedIndex(t *testing.T) {
-	_, _, addr := startServer(t, "cceh", Config{})
-	c, err := client.Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = c.Close() }()
-	if _, err := c.Range(context.Background(), 0, 100); !errors.Is(err, wire.ErrUnsupported) {
-		t.Fatalf("range on hash index: %v, want wire.ErrUnsupported", err)
 	}
 }

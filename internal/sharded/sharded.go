@@ -45,7 +45,7 @@ type Index struct {
 	boundaries []uint64 // shard i covers [boundaries[i-1], boundaries[i])
 	shards     []*shard
 	name       string
-	scannable  bool // all shards implement index.Scanner (one factory => uniform)
+	scannable  bool // all shards implement index.Ranger (one factory => uniform)
 }
 
 // shard is one partition. seq and active are the read-protocol state
@@ -131,13 +131,13 @@ func New(factory func() index.Index, boundaries []uint64) *Index {
 		s.shards = append(s.shards, &shard{idx: factory()})
 	}
 	s.name = s.shards[0].idx.Name() + "+sharded"
-	_, s.scannable = s.shards[0].idx.(index.Scanner)
+	_, s.scannable = s.shards[0].idx.(index.Ranger)
 	return s
 }
 
 // Caps implements index.Capser, which is what lets the wrapper *mask*
 // capabilities instead of over-promising them: the wrapper's methods
-// exist unconditionally (Scan, Delete, ... no-op politely when the inner
+// exist unconditionally (Range, Delete, ... no-op politely when the inner
 // type lacks them), so plain interface probing would report every
 // capability as present. The descriptor advertises the wrapper's own
 // surface (bulk, upsert, concurrent access) and defers the rest to a
@@ -145,10 +145,9 @@ func New(factory func() index.Index, boundaries []uint64) *Index {
 func (s *Index) Caps() index.Caps {
 	inner := index.CapsOf(s.shards[0].idx)
 	return index.Caps{
-		Bulk:             true, // per-shard bulk load with insert fallback
-		Upsert:           true, // check+insert under the shard writer role
-		Scan:             s.scannable,
-		Range:            s.scannable, // per-shard pulls via inner Ranger or Scan fallback
+		Bulk:             true,        // per-shard bulk load with insert fallback
+		Upsert:           true,        // check+insert under the shard writer role
+		Range:            s.scannable, // per-shard pulls through the inner Ranger
 		Delete:           inner.Delete,
 		Sized:            inner.Sized,
 		Depth:            inner.Depth,
@@ -378,80 +377,6 @@ func (s *Index) loadShard(i int, keys, values []uint64, offset int) error {
 	return nil
 }
 
-// kv is one collected scan entry.
-type kv struct {
-	k, v uint64
-}
-
-// collectShard snapshots one shard's entries with key >= start (at most
-// need when need > 0) under the read protocol, appending to buf.
-func collectShard(sh *shard, stripe, start uint64, need int, buf []kv) []kv {
-	snap := func() {
-		sh.idx.(index.Scanner).Scan(start, 0, func(k, v uint64) bool {
-			buf = append(buf, kv{k, v})
-			return need <= 0 || len(buf) < need
-		})
-	}
-	epoch.ReadAttempt(stripe)
-	for try := 0; try < optimisticRetries; try++ {
-		if sh.beginRead() {
-			snap()
-			sh.endRead()
-			return buf
-		}
-		epoch.ReadRetry(stripe)
-		runtime.Gosched()
-	}
-	epoch.ReadFallback(stripe)
-	sh.mu.Lock()
-	snap()
-	sh.mu.Unlock()
-	return buf
-}
-
-// Scan visits entries with key >= start in ascending order across
-// shards. Each shard's entries are snapshotted under a short read
-// registration and the caller's fn runs on the snapshot *outside* any
-// shard state — so a slow consumer never blocks writers, and a shard is
-// held only for the time it takes to copy out (at most) the remaining
-// n entries. The scan is not atomic with respect to concurrent writers
-// across shards. When the inner index type does not support scans
-// (Caps masks Scan) the scan visits nothing — callers such as
-// viper.Store.Scan consult index.CapsOf(s).Scan first and surface an
-// error, instead of silently stopping mid-scan at the first
-// unscannable shard.
-func (s *Index) Scan(start uint64, n int, fn func(key, value uint64) bool) {
-	if !s.scannable {
-		return
-	}
-	count := 0
-	from := sort.Search(len(s.boundaries), func(i int) bool { return s.boundaries[i] > start })
-	var buf []kv
-	for i := from; i < len(s.shards); i++ {
-		// Done before touching the next shard: when count hit n exactly
-		// as a shard's buffer ran out, need would be 0 below — which
-		// collectShard reads as unlimited, snapshotting a whole shard
-		// (stalling its writers) only to discard every entry.
-		if n > 0 && count >= n {
-			return
-		}
-		need := 0
-		if n > 0 {
-			need = n - count
-		}
-		buf = collectShard(s.shards[i], uint64(i), start, need, buf[:0])
-		for _, e := range buf {
-			if n > 0 && count >= n {
-				return
-			}
-			if !fn(e.k, e.v) {
-				return
-			}
-			count++
-		}
-	}
-}
-
 // cursor streams the sharded index in boundary order. Shards own
 // disjoint ascending key ranges, so the k-way merge of per-shard
 // cursors degenerates to concatenation: drain shard i, step to i+1.
@@ -468,8 +393,10 @@ type cursor struct {
 
 var cursorPool = sync.Pool{New: func() any { return new(cursor) }}
 
-// Range implements index.Ranger. Like Scan, it visits nothing when the
-// inner index type cannot scan (Caps masks Range then).
+// Range implements index.Ranger. The scan is not atomic with respect
+// to concurrent writers across shards. When the inner index type cannot
+// scan (Caps masks Range) the cursor is empty — callers such as
+// viper.Store.Range consult Caps first and surface an error.
 func (s *Index) Range(start uint64) index.Cursor {
 	if !s.scannable {
 		return index.NewSliceCursor(nil, nil, 0, false)
@@ -485,7 +412,7 @@ func (s *Index) Range(start uint64) index.Cursor {
 // Next fills the destination slices with the next entries in global
 // key order. Not hotpath-marked: the per-shard pull goes through the
 // index.Cursor interface, which the call-graph analyzer cannot
-// resolve; the walk itself allocates nothing on the Ranger path.
+// resolve; the walk itself allocates nothing.
 func (c *cursor) Next(keys, vals []uint64) int {
 	n := 0
 	for n < len(keys) && !c.done {
@@ -511,23 +438,13 @@ func (c *cursor) Next(keys, vals []uint64) int {
 }
 
 // fillFromShard pulls up to len(keys) entries >= c.key from sh under
-// the optimistic read protocol (mutex fallback after retries), using
-// the inner index's own cursor when it has one and a bounded Scan
-// otherwise.
+// the optimistic read protocol (mutex fallback after retries) through
+// the inner index's own cursor.
 func (c *cursor) fillFromShard(sh *shard, stripe uint64, keys, vals []uint64) int {
 	pull := func() int {
-		if rg, ok := sh.idx.(index.Ranger); ok {
-			cur := rg.Range(c.key)
-			n := cur.Next(keys, vals)
-			cur.Close()
-			return n
-		}
-		n := 0
-		sh.idx.(index.Scanner).Scan(c.key, len(keys), func(k, v uint64) bool {
-			keys[n], vals[n] = k, v
-			n++
-			return n < len(keys)
-		})
+		cur := sh.idx.(index.Ranger).Range(c.key)
+		n := cur.Next(keys, vals)
+		cur.Close()
 		return n
 	}
 	epoch.ReadAttempt(stripe)

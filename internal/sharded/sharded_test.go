@@ -75,7 +75,7 @@ func TestConcurrentWriters(t *testing.T) {
 	// Global scan order across shards.
 	prev := uint64(0)
 	n := 0
-	s.Scan(0, 0, func(k, v uint64) bool {
+	index.Scan(s, 0, 0, func(k, v uint64) bool {
 		if n > 0 && k <= prev {
 			t.Fatalf("scan out of order at %d", k)
 		}
@@ -133,7 +133,7 @@ func TestOptimisticReadersUnderWriters(t *testing.T) {
 		for !stop.Load() {
 			prev := uint64(0)
 			n := 0
-			s.Scan(keys[0], 64, func(k, v uint64) bool {
+			index.Scan(s, keys[0], 64, func(k, v uint64) bool {
 				if n > 0 && k <= prev {
 					t.Errorf("scan out of order at %d", k)
 					return false
@@ -186,7 +186,7 @@ func TestScanStopsAtExactShardBoundary(t *testing.T) {
 	}
 	before := epoch.GlobalStats().ReadAttempts
 	var got []uint64
-	s.Scan(0, 10, func(k, v uint64) bool {
+	index.Scan(s, 0, 10, func(k, v uint64) bool {
 		got = append(got, k)
 		return true
 	})

@@ -135,22 +135,6 @@ func (l *List) Delete(key uint64) bool {
 	return true
 }
 
-// Scan visits entries with key >= start in order.
-func (l *List) Scan(start uint64, n int, fn func(key, value uint64) bool) {
-	x := l.findPrev(start, nil)
-	count := 0
-	for x != nil {
-		if n > 0 && count >= n {
-			return
-		}
-		if !fn(x.key, x.val) {
-			return
-		}
-		count++
-		x = x.next[0]
-	}
-}
-
 // cursor streams the level-0 linked list from a positioned node. The
 // tower descent happens once in Range; every Next is a plain pointer
 // walk, which is exactly the access pattern the skiplist was built for.
@@ -161,9 +145,8 @@ type cursor struct {
 var cursorPool = sync.Pool{New: func() any { return new(cursor) }}
 
 // Range implements index.Ranger: one findPrev descent positions at the
-// first node with key >= start, then Next follows next[0] links. The
-// cursor observes the list under the same contract as Scan — no
-// mutation while it is open.
+// first node with key >= start, then Next follows next[0] links. No
+// mutation while the cursor is open.
 func (l *List) Range(start uint64) index.Cursor {
 	c := cursorPool.Get().(*cursor)
 	c.x = l.findPrev(start, nil)

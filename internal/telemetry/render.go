@@ -173,10 +173,10 @@ func (sn Snapshot) WriteText(w io.Writer) {
 }
 
 // capsString is the compact capability legend used in the index table:
-// one letter per capability (Bulk Scan Cursor-range/desc Delete Upsert
-// sIzed dePth Retrain Async-retrain / concurrent r/w), '-' when absent.
+// one letter per capability (Bulk Cursor-range/desc Delete Upsert sIzed
+// dePth Retrain Async-retrain / concurrent r/w), '-' when absent.
 func capsString(c index.Caps) string {
-	out := make([]byte, 0, 12)
+	out := make([]byte, 0, 11)
 	mark := func(on bool, ch byte) {
 		if on {
 			out = append(out, ch)
@@ -185,7 +185,6 @@ func capsString(c index.Caps) string {
 		}
 	}
 	mark(c.Bulk, 'B')
-	mark(c.Scan, 'S')
 	mark(c.Range, 'C')
 	mark(c.RangeDesc, 'c')
 	mark(c.Delete, 'D')

@@ -38,8 +38,8 @@ func TestCloseFencesOperations(t *testing.T) {
 	if _, err := s.Delete(1); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Delete after Close = %v, want ErrClosed", err)
 	}
-	if err := s.Scan(0, 10, func(uint64, []byte) bool { return true }); !errors.Is(err, ErrClosed) {
-		t.Fatalf("Scan after Close = %v, want ErrClosed", err)
+	if err := s.Range(0, 10, func(uint64, []byte) bool { return true }); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Range after Close = %v, want ErrClosed", err)
 	}
 	if err := s.BulkPut([]uint64{10, 20}, nil); !errors.Is(err, ErrClosed) {
 		t.Fatalf("BulkPut after Close = %v, want ErrClosed", err)
@@ -111,9 +111,9 @@ func TestTypedErrorClassification(t *testing.T) {
 		t.Fatalf("oversized value = %v, want ErrValueSize", err)
 	}
 
-	// CCEH is unsorted: Scan is unsupported.
+	// CCEH is unsorted: Range is unsupported.
 	h := Open(pmem.NewRegion(8<<20, pmem.None()), cceh.New())
-	if err := h.Scan(0, 1, func(uint64, []byte) bool { return true }); !errors.Is(err, ErrUnsupported) {
+	if err := h.Range(0, 1, func(uint64, []byte) bool { return true }); !errors.Is(err, ErrUnsupported) {
 		t.Fatalf("hash scan = %v, want ErrUnsupported", err)
 	}
 	_ = h.Close()

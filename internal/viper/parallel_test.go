@@ -322,8 +322,8 @@ func TestScanCapabilityError(t *testing.T) {
 	if err := s.Put(42, []byte("v")); err != nil {
 		t.Fatal(err)
 	}
-	err := s.Scan(0, 10, func(uint64, []byte) bool { t.Fatal("scan visited an entry"); return false })
+	err := s.Range(0, 10, func(uint64, []byte) bool { t.Fatal("scan visited an entry"); return false })
 	if err == nil {
-		t.Fatal("Scan over unscannable sharded index returned nil error")
+		t.Fatal("Range over unscannable sharded index returned nil error")
 	}
 }

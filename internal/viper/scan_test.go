@@ -2,16 +2,82 @@ package viper
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"sort"
 	"testing"
 
 	"learnedpieces/internal/btree"
+	"learnedpieces/internal/cceh"
 	"learnedpieces/internal/dataset"
+	"learnedpieces/internal/index"
 	"learnedpieces/internal/learned/alex"
 	"learnedpieces/internal/learned/pgm"
+	"learnedpieces/internal/learned/rmi"
 	"learnedpieces/internal/pmem"
 	"learnedpieces/internal/telemetry"
 )
+
+// scanDir names one scan direction of the store and the index the
+// direction-agnostic tests run it on: leaves link forward only in the
+// B+tree, so the descending runs use ALEX.
+type scanDir struct {
+	name string
+	desc bool
+	mk   func() index.Index
+}
+
+var scanDirs = []scanDir{
+	{"asc", false, func() index.Index { return btree.New() }},
+	{"desc", true, func() index.Index { return alex.New(alex.DefaultConfig()) }},
+}
+
+// scan runs Range or RangeDesc, by direction.
+func (d scanDir) scan(s *Store, start uint64, n int, fn func(uint64, []byte) bool) error {
+	if d.desc {
+		return s.RangeDesc(start, n, fn)
+	}
+	return s.Range(start, n, fn)
+}
+
+// origin is the start that covers the whole key space in d's direction.
+func (d scanDir) origin() uint64 {
+	if d.desc {
+		return ^uint64(0)
+	}
+	return 0
+}
+
+// expect returns the first n (all when n <= 0) of the sorted keys a
+// scan from start must deliver in d's direction.
+func (d scanDir) expect(sorted []uint64, start uint64, n int) []uint64 {
+	var out []uint64
+	if d.desc {
+		hi := sort.Search(len(sorted), func(i int) bool { return sorted[i] > start })
+		for i := hi - 1; i >= 0; i-- {
+			out = append(out, sorted[i])
+		}
+	} else {
+		out = sorted[sort.Search(len(sorted), func(i int) bool { return sorted[i] >= start }):]
+	}
+	if n > 0 && len(out) > n {
+		out = out[:n]
+	}
+	return out
+}
+
+// mustDeliver fails unless a scan delivered exactly the keys in want.
+func mustDeliver(t *testing.T, what string, got, want []uint64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: delivered %d entries, want %d", what, len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("%s: entry %d = %d, want %d", what, i, got[i], want[i])
+		}
+	}
+}
 
 // TestScanLimitIgnoresTombstones is the limit-semantics regression
 // test: the caller's n counts *delivered live* entries, so index
@@ -21,44 +87,42 @@ import (
 // (append a delete marker, then point an index entry at it), which is
 // exactly the state the scan's defensive skip guards against.
 func TestScanLimitIgnoresTombstones(t *testing.T) {
-	for _, batch := range []int{1, 7, 0} { // legacy, multi-round, default
-		t.Run(fmt.Sprintf("batch=%d", batch), func(t *testing.T) {
-			s := newStore(btree.New())
-			s.SetScanBatch(batch)
-			for k := uint64(0); k < 100; k += 2 {
-				if err := s.Put(k, value(k)); err != nil {
-					t.Fatal(err)
+	for _, dir := range scanDirs {
+		for _, batch := range []int{1, 7, 0} { // per-entry rounds, multi-round, default
+			t.Run(fmt.Sprintf("%s/batch=%d", dir.name, batch), func(t *testing.T) {
+				s := newStore(dir.mk())
+				s.SetScanBatch(batch)
+				var live []uint64
+				for k := uint64(0); k < 100; k += 2 {
+					if err := s.Put(k, value(k)); err != nil {
+						t.Fatal(err)
+					}
+					live = append(live, k)
 				}
-			}
-			for k := uint64(1); k < 100; k += 2 {
-				off, err := s.appendRecord(k, nil, flagDeleted)
+				for k := uint64(1); k < 100; k += 2 {
+					off, err := s.appendRecord(k, nil, flagDeleted)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := s.Index().Insert(k, uint64(off)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				var got []uint64
+				err := dir.scan(s, dir.origin(), 25, func(k uint64, v []byte) bool {
+					if !bytes.Equal(v, value(k)) {
+						t.Fatalf("value mismatch at %d", k)
+					}
+					got = append(got, k)
+					return true
+				})
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := s.Index().Insert(k, uint64(off)); err != nil {
-					t.Fatal(err)
-				}
-			}
-			var got []uint64
-			err := s.Scan(0, 25, func(k uint64, v []byte) bool {
-				if !bytes.Equal(v, value(k)) {
-					t.Fatalf("value mismatch at %d", k)
-				}
-				got = append(got, k)
-				return true
+				// A short delivery means tombstones consumed the limit.
+				mustDeliver(t, "limit 25", got, dir.expect(live, dir.origin(), 25))
 			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(got) != 25 {
-				t.Fatalf("delivered %d entries, want 25 (tombstones consumed the limit)", len(got))
-			}
-			for i, k := range got {
-				if k != uint64(2*i) {
-					t.Fatalf("entry %d = %d, want %d", i, k, 2*i)
-				}
-			}
-		})
+		}
 	}
 }
 
@@ -81,7 +145,7 @@ func TestScanLimitWithInterleavedDeletes(t *testing.T) {
 			}
 		}
 		var got []uint64
-		err := s.Scan(0, 200, func(k uint64, _ []byte) bool {
+		err := s.Range(0, 200, func(k uint64, _ []byte) bool {
 			got = append(got, k)
 			return true
 		})
@@ -104,118 +168,182 @@ func TestScanLimitWithInterleavedDeletes(t *testing.T) {
 	}
 }
 
-// TestRangeBatchedMatchesLegacy runs the same scans through the
-// batched cursor path and the per-entry legacy path and requires
-// identical results, on indexes with different cursor shapes.
-func TestRangeBatchedMatchesLegacy(t *testing.T) {
-	cases := []struct {
-		name string
-		mk   func() *Store
+// TestRangeMatchesOracle runs both scan directions at several round
+// sizes, on indexes with different cursor shapes, against a sorted-map
+// oracle: overwrites (offsets out of key order), deletes, limits, early
+// stop, and starts at both ends of the key space — whose keys are
+// loaded too, so a round that delivers the last key of its direction
+// must stop rather than wrap.
+func TestRangeMatchesOracle(t *testing.T) {
+	indexes := []struct {
+		name     string
+		mk       func() index.Index
+		readOnly bool
 	}{
-		{"btree", func() *Store { return newStore(btree.New()) }},
-		{"pgm", func() *Store { return newStore(pgm.New(pgm.DefaultConfig())) }},
-		{"alex", func() *Store { return newStore(alex.New(alex.DefaultConfig())) }},
+		{"btree", func() index.Index { return btree.New() }, false},
+		{"pgm", func() index.Index { return pgm.New(pgm.DefaultConfig()) }, false},
+		{"alex", func() index.Index { return alex.New(alex.DefaultConfig()) }, false},
+		{"rmi", func() index.Index { return rmi.New(rmi.DefaultConfig()) }, true},
 	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			s := tc.mk()
-			keys := dataset.Generate(dataset.YCSBUniform, 4000, 7)
+	keys := append(dataset.Generate(dataset.YCSBUniform, 4000, 7), 0, ^uint64(0))
+	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	mid := keys[len(keys)/2]
+	for _, ix := range indexes {
+		s := newStore(ix.mk())
+		oracle := map[uint64][]byte{}
+		if !ix.readOnly {
+			for _, k := range keys {
+				oracle[k] = value(k)
+			}
+			// Updates and deletes so the delta layers are populated and
+			// offsets are out of key order.
+			for i := 0; i < len(keys); i += 3 {
+				oracle[keys[i]] = value(keys[i] + 1)
+			}
 			for _, k := range keys {
 				if err := s.Put(k, value(k)); err != nil {
 					t.Fatal(err)
 				}
 			}
-			// Updates and deletes so the delta layers are populated and
-			// offsets are out of key order.
 			for i := 0; i < len(keys); i += 3 {
-				if err := s.Put(keys[i], value(keys[i]+1)); err != nil {
+				if err := s.Put(keys[i], oracle[keys[i]]); err != nil {
 					t.Fatal(err)
 				}
 			}
-			for i := 0; i < len(keys); i += 5 {
+			for i := 1; i < len(keys); i += 5 {
 				if _, err := s.Delete(keys[i]); err != nil {
 					t.Fatal(err)
 				}
+				delete(oracle, keys[i])
 			}
-			collect := func(batch int, start uint64, n int) []uint64 {
-				s.SetScanBatch(batch)
-				var got []uint64
-				if err := s.Scan(start, n, func(k uint64, v []byte) bool {
-					if len(v) == 0 {
-						t.Fatalf("empty value at %d", k)
+		} else {
+			// One bulk load, one shared payload.
+			if err := s.BulkPut(keys, value(1)); err != nil {
+				t.Fatal(err)
+			}
+			for _, k := range keys {
+				oracle[k] = value(1)
+			}
+		}
+		sorted := make([]uint64, 0, len(oracle))
+		for k := range oracle {
+			sorted = append(sorted, k)
+		}
+		sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+
+		for _, dir := range scanDirs {
+			if dir.desc && !s.Caps().RangeDesc {
+				t.Run(ix.name+"/"+dir.name, func(t *testing.T) {
+					err := s.RangeDesc(^uint64(0), 1, func(uint64, []byte) bool { return true })
+					if !errors.Is(err, ErrUnsupported) {
+						t.Fatalf("RangeDesc = %v, want ErrUnsupported", err)
 					}
-					got = append(got, k)
-					return true
-				}); err != nil {
-					t.Fatal(err)
-				}
-				return got
+				})
+				continue
 			}
-			for _, win := range []struct {
-				start uint64
-				n     int
-			}{{0, 0}, {0, 100}, {keys[len(keys)/2], 250}, {^uint64(0), 10}} {
-				legacy := collect(1, win.start, win.n)
-				batched := collect(64, win.start, win.n)
-				if len(legacy) != len(batched) {
-					t.Fatalf("start=%d n=%d: legacy %d entries, batched %d",
-						win.start, win.n, len(legacy), len(batched))
-				}
-				for i := range legacy {
-					if legacy[i] != batched[i] {
-						t.Fatalf("start=%d n=%d: entry %d differs: %d vs %d",
-							win.start, win.n, i, legacy[i], batched[i])
+			for _, batch := range []int{1, 7, 64, 0} {
+				t.Run(fmt.Sprintf("%s/%s/batch=%d", ix.name, dir.name, batch), func(t *testing.T) {
+					s.SetScanBatch(batch)
+					for _, win := range []struct {
+						start uint64
+						n     int
+						stop  int // callback returns false after this many (0 = never)
+					}{{dir.origin(), 0, 0}, {dir.origin(), 100, 0}, {mid, 250, 0}, {mid + 1, 0, 9},
+						{^dir.origin(), 10, 0}, {1 << 63, 1, 0}} {
+						want := dir.expect(sorted, win.start, win.n)
+						if win.stop > 0 {
+							want = want[:win.stop]
+						}
+						var got []uint64
+						err := dir.scan(s, win.start, win.n, func(k uint64, v []byte) bool {
+							if !bytes.Equal(v, oracle[k]) {
+								t.Fatalf("start=%d n=%d: value mismatch at %d", win.start, win.n, k)
+							}
+							got = append(got, k)
+							return len(got) != win.stop
+						})
+						if err != nil {
+							t.Fatal(err)
+						}
+						mustDeliver(t, fmt.Sprintf("start=%d n=%d stop=%d", win.start, win.n, win.stop), got, want)
 					}
-				}
+				})
 			}
-		})
+		}
+	}
+}
+
+// TestScanUnsupported: an index without a cursor refuses scans in both
+// directions instead of visiting nothing.
+func TestScanUnsupported(t *testing.T) {
+	h := Open(pmem.NewRegion(8<<20, pmem.None()), cceh.New())
+	if err := h.Put(1, value(1)); err != nil {
+		t.Fatal(err)
+	}
+	for _, dir := range scanDirs {
+		err := dir.scan(h, dir.origin(), 0, func(uint64, []byte) bool { t.Fatal("scan visited an entry"); return false })
+		if !errors.Is(err, ErrUnsupported) {
+			t.Fatalf("%s scan on cceh = %v, want ErrUnsupported", dir.name, err)
+		}
 	}
 }
 
 // TestRangeReseeksAcrossCompact drives a Compact from inside a scan
-// callback: at the next pin-yield the batched path must notice the
-// displaced view, reopen the cursor at the resume key against the new
-// index, and still deliver every key exactly once in order.
+// callback: at the next pin-yield the scan must notice the displaced
+// view, reopen the cursor at the resume key against the new index, and
+// still deliver every key exactly once in order — in either direction.
+// The "edge" case compacts while delivering the last key of the key
+// space at the end of a full round: there is no resume key past it, so
+// the scan must end there instead of wrapping around and reseeking to
+// the far end.
 func TestRangeReseeksAcrossCompact(t *testing.T) {
-	sink := telemetry.New()
-	s := Open(pmem.NewRegion(64<<20, pmem.None()), btree.New(), WithTelemetry(sink))
-	s.SetScanBatch(16)
-	keys := dataset.Generate(dataset.Sequential, 2000, 0)
-	for _, k := range keys {
-		if err := s.Put(k, value(k)); err != nil {
-			t.Fatal(err)
+	edgeKeys := []uint64{0, 1, 2, 3, ^uint64(0) - 3, ^uint64(0) - 2, ^uint64(0) - 1, ^uint64(0)}
+	for _, dir := range scanDirs {
+		for _, tc := range []struct {
+			name      string
+			keys      []uint64
+			batch     int
+			compactAt int // delivered entries when the callback compacts
+			reseeks   bool
+		}{
+			{"mid", dataset.Generate(dataset.Sequential, 2000, 0), 16, 100, true},
+			{"edge", edgeKeys, 4, len(edgeKeys), false},
+		} {
+			t.Run(dir.name+"/"+tc.name, func(t *testing.T) {
+				sink := telemetry.New()
+				s := Open(pmem.NewRegion(64<<20, pmem.None()), dir.mk(), WithTelemetry(sink))
+				s.SetScanBatch(tc.batch)
+				for _, k := range tc.keys {
+					if err := s.Put(k, value(k)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				compacted := false
+				var got []uint64
+				err := dir.scan(s, dir.origin(), 0, func(k uint64, v []byte) bool {
+					if !bytes.Equal(v, value(k)) {
+						t.Fatalf("value mismatch at %d", k)
+					}
+					got = append(got, k)
+					if !compacted && len(got) == tc.compactAt {
+						compacted = true
+						if _, err := s.Compact(dir.mk()); err != nil {
+							t.Fatal(err)
+						}
+					}
+					return true
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				mustDeliver(t, "across compact", got, dir.expect(tc.keys, dir.origin(), 0))
+				if n := s.met.ScanReseeks.Load(); tc.reseeks != (n >= 1) {
+					t.Fatalf("ScanReseeks = %d, want reseek = %v", n, tc.reseeks)
+				}
+				if n := s.met.ScanPinYields.Load(); n < 1 {
+					t.Fatalf("ScanPinYields = %d, want >= 1", n)
+				}
+			})
 		}
-	}
-	compacted := false
-	var got []uint64
-	err := s.Scan(0, 0, func(k uint64, v []byte) bool {
-		if !bytes.Equal(v, value(k)) {
-			t.Fatalf("value mismatch at %d", k)
-		}
-		got = append(got, k)
-		if !compacted && len(got) == 100 {
-			compacted = true
-			if _, err := s.Compact(btree.New()); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return true
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(keys) {
-		t.Fatalf("delivered %d entries, want %d", len(got), len(keys))
-	}
-	for i, k := range got {
-		if k != keys[i] {
-			t.Fatalf("entry %d = %d, want %d", i, k, keys[i])
-		}
-	}
-	if n := s.met.ScanReseeks.Load(); n < 1 {
-		t.Fatalf("ScanReseeks = %d, want >= 1", n)
-	}
-	if n := s.met.ScanPinYields.Load(); n < 1 {
-		t.Fatalf("ScanPinYields = %d, want >= 1", n)
 	}
 }

@@ -55,7 +55,7 @@ type page struct {
 // Compact, DropIndex) build a fresh view copy-on-write and publish it
 // with one atomic store; the displaced view is retired through the
 // epoch manager. Readers load the view exactly once per operation, so
-// every probe inside one Get/MultiGet/Scan sees one consistent
+// every probe inside one Get/MultiGet/Range sees one consistent
 // (index, caps, seams) triple even across a concurrent install.
 type storeView struct {
 	idx  index.Index
@@ -63,7 +63,7 @@ type storeView struct {
 	seam index.Seam
 }
 
-// Store is the KV store. Get/MultiGet/Scan are lock-free: they pin an
+// Store is the KV store. Get/MultiGet/Range are lock-free: they pin an
 // epoch, load the atomically published storeView, and never touch a
 // mutex. Put appends without a lock except at page rollover. Put is
 // safe for concurrent use exactly when the volatile index supports
@@ -94,9 +94,8 @@ type Store struct {
 	// (<= 1 routes every batch through the kernel, the default).
 	batchFloor atomic.Int32
 
-	// scanBatch is the number of index entries a batched range scan
-	// pulls per cursor round (0 = DefaultScanBatch; 1 disables batching
-	// and routes scans through the legacy per-entry path).
+	// scanBatch is the number of index entries a range scan pulls per
+	// cursor round (0 = DefaultScanBatch).
 	scanBatch atomic.Int32
 
 	cur     atomic.Pointer[page]
@@ -351,9 +350,7 @@ const DefaultScanBatch = 256
 // index cursor per round before touching PMem. Within one round the
 // record reads are issued in ascending offset order (the MultiGet
 // aggregation trick), so larger rounds buy more device-buffer
-// locality; each round runs under its own epoch pin. n == 1 disables
-// batching: scans walk the index's callback Scan seam entry-by-entry
-// (the pre-cursor behavior, kept for comparison). n <= 0 restores
+// locality; each round runs under its own epoch pin. n <= 0 restores
 // DefaultScanBatch. The adapt controller raises the batch in scan
 // phases.
 func (s *Store) SetScanBatch(n int) {
@@ -852,69 +849,24 @@ func (s *Store) Delete(key uint64) (bool, error) {
 	return true, nil
 }
 
-// Scan visits live entries with key >= start in ascending key order,
+// Range visits live entries with key >= start in ascending key order,
 // reading each value from PMem. n > 0 caps the number of entries
 // *delivered*: tombstoned records — deleted keys whose index entry
 // still lingers in a delta layer — never consume the caller's limit,
-// only the store can tell them apart. The index must support ordered
-// scans (CapsOf(idx).Scan, which folds in dynamic checks such as a
-// sharded wrapper's hash-layout refusal). Scan is Range under its
-// historical name.
-func (s *Store) Scan(start uint64, n int, fn func(key uint64, value []byte) bool) error {
-	return s.Range(start, n, fn)
-}
-
-// Range visits live entries with key >= start in ascending key order.
-// When the index exposes a streaming cursor (Caps.Range) and the scan
-// batch is > 1, it runs the batched fast path: pull a batch of index
-// entries per round, read their records in ascending PMem offset order
-// (the MultiGet aggregation trick — near-sequential header+value reads
-// maximise the simulated device's block-buffer hit rate), then re-emit
-// in key order. Each round runs under its own epoch pin, released
-// between rounds so a long scan never stalls Compact's deferred page
-// reclamation; if an index install races the scan across a yield, the
-// cursor is reopened from the new view at the next key (counted as a
-// reseek). Without a cursor — or with SetScanBatch(1) — entries stream
-// through the index's callback Scan seam one at a time.
+// only the store can tell them apart. The index must expose a streaming
+// cursor (Caps.Range, which folds in dynamic checks such as a sharded
+// wrapper's hash-layout refusal); otherwise Range returns
+// ErrUnsupported. See scanRounds for the round structure.
 func (s *Store) Range(start uint64, n int, fn func(key uint64, value []byte) bool) error {
-	if s.closed.Load() {
-		return ErrClosed
-	}
-	sp := s.met.StartScan(stripe(start))
-	defer sp.Done()
-	if s.ScanBatch() > 1 {
-		return s.rangeBatched(start, n, fn)
-	}
-	return s.scanLegacy(start, n, fn)
+	return s.scanRounds(start, n, false, fn)
 }
 
-// scanLegacy is the per-entry scan path: one index callback per entry,
-// records read in key (not offset) order. Kept both as the fallback
-// for cursor-less indexes and as the baseline the scan benchmark
-// compares against (SetScanBatch(1)).
-func (s *Store) scanLegacy(start uint64, n int, fn func(key uint64, value []byte) bool) error {
-	g := epoch.Enter(stripe(start))
-	defer g.Exit()
-	v := s.view.Load()
-	if v.seam.Scan == nil || !v.caps.Scan {
-		return fmt.Errorf("%w: index %s cannot scan", ErrUnsupported, v.idx.Name())
-	}
-	count := 0
-	// The index scan runs unbounded: only the store can see which
-	// offsets are tombstones, and those must not eat the caller's limit.
-	v.seam.Scan.Scan(start, 0, func(k, off uint64) bool {
-		hdr := s.region.ReadNoCopy(int64(off), recordHeader)
-		vlen := binary.LittleEndian.Uint32(hdr[8:12])
-		if hdr[12]&flagDeleted != 0 {
-			return true
-		}
-		if !fn(k, s.region.ReadNoCopy(int64(off)+recordHeader, int(vlen))) {
-			return false
-		}
-		count++
-		return n <= 0 || count < n
-	})
-	return nil
+// RangeDesc visits live entries with key <= start in descending key
+// order; start == ^uint64(0) scans from the maximum key. Only indexes
+// whose layout permits reverse iteration expose it (Caps.RangeDesc);
+// the others return ErrUnsupported.
+func (s *Store) RangeDesc(start uint64, n int, fn func(key uint64, value []byte) bool) error {
+	return s.scanRounds(start, n, true, fn)
 }
 
 // readLive resolves one record, nil for a tombstone. Caller holds an
@@ -1035,13 +987,35 @@ func (s *Store) readLiveSpans(offs []uint64, ord []int, vals [][]byte) {
 	}
 }
 
-// rangeBatched is the cursor fast path of Range; see Range for the
-// round structure and the pin-yield/reseek rules.
-func (s *Store) rangeBatched(start uint64, n int, fn func(key uint64, value []byte) bool) error {
-	batch := s.ScanBatch()
-	if batch > maxScanBatch {
-		batch = maxScanBatch
+// openCursor opens v's index cursor at from in the given direction, nil
+// when the index has none.
+func (v *storeView) openCursor(from uint64, desc bool) index.Cursor {
+	switch {
+	case !desc && v.seam.Range != nil && v.caps.Range:
+		return v.seam.Range.Range(from)
+	case desc && v.seam.RangeDesc != nil && v.caps.RangeDesc:
+		return v.seam.RangeDesc.RangeDesc(from)
 	}
+	return nil
+}
+
+// scanRounds is the one scan engine, serving Range and RangeDesc. Each
+// round pulls a batch of index entries from the cursor, reads their
+// records in ascending PMem offset order (the MultiGet aggregation
+// trick — near-sequential header+value reads maximise the simulated
+// device's block-buffer hit rate), then re-emits them in key order.
+// Each round runs under its own epoch pin, released between rounds so a
+// long scan never stalls Compact's deferred page reclamation; if an
+// index install races the scan across a yield, the cursor is reopened
+// from the new view at the next key (counted as a reseek).
+func (s *Store) scanRounds(start uint64, n int, desc bool, fn func(key uint64, value []byte) bool) error {
+	if s.closed.Load() {
+		return ErrClosed
+	}
+	sp := s.met.StartScan(stripe(start))
+	defer sp.Done()
+
+	batch := min(s.ScanBatch(), maxScanBatch)
 	sc := scanPool.Get().(*scanScratch)
 	if cap(sc.keys) < batch {
 		sc.keys = make([]uint64, batch)
@@ -1058,10 +1032,12 @@ func (s *Store) rangeBatched(start uint64, n int, fn func(key uint64, value []by
 		scanPool.Put(sc)
 	}()
 
-	// Each round holds its own epoch pin: Enter at the top, Exit before
-	// every way out — the pin-yield between rounds is the iteration
-	// boundary itself, so Compact's deferred frees proceed while a long
-	// scan runs.
+	// edge is the last key of the key space in the scan's direction: a
+	// round that delivers it has nowhere left to resume from.
+	edge := ^uint64(0)
+	if desc {
+		edge = 0
+	}
 	var v *storeView
 	var cur index.Cursor
 	from := start
@@ -1078,199 +1054,71 @@ func (s *Store) rangeBatched(start uint64, n int, fn func(key uint64, value []by
 				s.met.ScanReseek()
 			}
 			v = v2
-			if v.seam.Range == nil || !v.caps.Range {
+			if cur = v.openCursor(from, desc); cur == nil {
 				g.Exit()
-				rem := 0
-				if n > 0 {
-					rem = n - count
+				if desc {
+					return fmt.Errorf("%w: index %s cannot scan descending", ErrUnsupported, v.idx.Name())
 				}
-				return s.scanLegacy(from, rem, fn)
+				return fmt.Errorf("%w: index %s cannot scan", ErrUnsupported, v.idx.Name())
 			}
-			cur = v.seam.Range.Range(from)
 		}
 		// Clamp the pull to the caller's remaining limit: a scan of 10
 		// must not read a full batch of records from PMem. Tombstones in
 		// the pull don't count as delivered, so a later round tops up.
 		pull := batch
 		if n > 0 {
-			if rem := n - count; rem < pull {
-				pull = rem
-			}
+			pull = min(pull, n-count)
 		}
 		m := cur.Next(keys[:pull], offs[:pull])
-		if m == 0 {
-			cur.Close()
-			g.Exit()
-			return nil
-		}
-		// Issue the record reads in ascending offset order. Freshly
-		// bulk-loaded stores are already offset-ordered (appends followed
-		// key order), so detect that and skip the sort — the telemetry
-		// ratio shows how much reordering the workload's updates caused.
-		presorted := true
-		for i := 1; i < m; i++ {
-			if offs[i] < offs[i-1] {
-				presorted = false
-				break
+		more := m == pull // a short pull exhausted the range
+		if m > 0 {
+			// Issue the record reads in ascending offset order. Freshly
+			// bulk-loaded stores scanned forward are already offset-ordered
+			// (appends followed key order), so detect that and skip the
+			// sort — the telemetry ratio shows how much reordering the
+			// workload's updates (or a descending walk) caused.
+			presorted := true
+			for i := 1; i < m; i++ {
+				if offs[i] < offs[i-1] {
+					presorted = false
+					break
+				}
+			}
+			s.met.ScanBatchPulled(m, presorted)
+			ord := order[:m]
+			if presorted {
+				for i := range ord {
+					ord[i] = i
+				}
+			} else {
+				sortByOffset(offs[:m], ord, sc.pack)
+			}
+			s.readLiveSpans(offs[:m], ord, vals)
+			// Re-emit in key order; tombstones never consume the limit.
+			for i := 0; i < m; i++ {
+				if vals[i] == nil {
+					continue
+				}
+				count++
+				if !fn(keys[i], vals[i]) || (n > 0 && count >= n) {
+					more = false
+					break
+				}
+			}
+			if last := keys[m-1]; last == edge {
+				more = false
+			} else if desc {
+				from = last - 1
+			} else {
+				from = last + 1
 			}
 		}
-		s.met.ScanBatchPulled(m, presorted)
-		ord := order[:m]
-		if presorted {
-			for i := range ord {
-				ord[i] = i
-			}
-		} else {
-			sortByOffset(offs[:m], ord, sc.pack)
-		}
-		s.readLiveSpans(offs[:m], ord, vals)
-		// Re-emit in key order; tombstones never consume the limit.
-		for i := 0; i < m; i++ {
-			if vals[i] == nil {
-				continue
-			}
-			if !fn(keys[i], vals[i]) {
-				cur.Close()
-				g.Exit()
-				return nil
-			}
-			count++
-			if n > 0 && count >= n {
-				cur.Close()
-				g.Exit()
-				return nil
-			}
-		}
-		last := keys[m-1]
-		if m < pull || last == ^uint64(0) {
-			cur.Close()
-			g.Exit()
-			return nil
-		}
-		from = last + 1
+		// The pin-yield between rounds is the iteration boundary itself.
 		g.Exit()
-		s.met.ScanPinYield()
-	}
-}
-
-// RangeDesc visits live entries with key <= start in descending key
-// order, under the same batched round structure as Range: pull a batch
-// of index entries, read records in ascending PMem offset order, re-emit
-// in (descending) key order, pin-yield between rounds. Only indexes
-// whose layout permits reverse iteration expose it (Caps.RangeDesc);
-// there is no per-entry fallback, so unsupported indexes return
-// ErrUnsupported. start == ^uint64(0) scans from the maximum key.
-func (s *Store) RangeDesc(start uint64, n int, fn func(key uint64, value []byte) bool) error {
-	if s.closed.Load() {
-		return ErrClosed
-	}
-	sp := s.met.StartScan(stripe(start))
-	defer sp.Done()
-
-	batch := s.ScanBatch()
-	if batch < 2 {
-		batch = DefaultScanBatch
-	}
-	if batch > maxScanBatch {
-		batch = maxScanBatch
-	}
-	sc := scanPool.Get().(*scanScratch)
-	if cap(sc.keys) < batch {
-		sc.keys = make([]uint64, batch)
-		sc.offs = make([]uint64, batch)
-		sc.vals = make([][]byte, batch)
-		sc.order = make([]int, batch)
-		sc.pack = make([]uint64, batch)
-	}
-	keys, offs, vals := sc.keys[:batch], sc.offs[:batch], sc.vals[:batch]
-	defer func() {
-		for i := range sc.vals {
-			sc.vals[i] = nil // drop region aliases before pooling
-		}
-		scanPool.Put(sc)
-	}()
-
-	// Same per-round pin scoping as the forward path: Enter at the top
-	// of each round, Exit on every way out, yield at the iteration
-	// boundary.
-	var v *storeView
-	var cur index.Cursor
-	from := start
-	count := 0
-	for {
-		g := epoch.Enter(stripe(from))
-		if v2 := s.view.Load(); cur == nil || v2 != v {
-			if cur != nil {
-				// View displaced while the pin was down: the cursor walks
-				// retired structures. Reopen against the new view.
-				cur.Close()
-				s.met.ScanReseek()
-			}
-			v = v2
-			if v.seam.RangeDesc == nil || !v.caps.RangeDesc {
-				g.Exit()
-				return fmt.Errorf("%w: index %s cannot scan descending", ErrUnsupported, v.idx.Name())
-			}
-			cur = v.seam.RangeDesc.RangeDesc(from)
-		}
-		// Same pull clamp as the forward path: never read more records
-		// than the caller's remaining limit can deliver.
-		pull := batch
-		if n > 0 {
-			if rem := n - count; rem < pull {
-				pull = rem
-			}
-		}
-		m := cur.Next(keys[:pull], offs[:pull])
-		if m == 0 {
+		if !more {
 			cur.Close()
-			g.Exit()
 			return nil
 		}
-		// Descending batches arrive in reverse key order, so offsets of a
-		// freshly bulk-loaded store are exactly backwards — never presorted
-		// ascending. The offset sort is the whole point here.
-		presorted := true
-		for i := 1; i < m; i++ {
-			if offs[i] < offs[i-1] {
-				presorted = false
-				break
-			}
-		}
-		s.met.ScanBatchPulled(m, presorted)
-		ord := sc.order[:m]
-		if presorted {
-			for i := range ord {
-				ord[i] = i
-			}
-		} else {
-			sortByOffset(offs[:m], ord, sc.pack)
-		}
-		s.readLiveSpans(offs[:m], ord, vals)
-		for i := 0; i < m; i++ {
-			if vals[i] == nil {
-				continue
-			}
-			if !fn(keys[i], vals[i]) {
-				cur.Close()
-				g.Exit()
-				return nil
-			}
-			count++
-			if n > 0 && count >= n {
-				cur.Close()
-				g.Exit()
-				return nil
-			}
-		}
-		last := keys[m-1]
-		if m < pull || last == 0 {
-			cur.Close()
-			g.Exit()
-			return nil
-		}
-		from = last - 1
-		g.Exit()
 		s.met.ScanPinYield()
 	}
 }

@@ -79,7 +79,7 @@ func TestScanReadsValues(t *testing.T) {
 		}
 	}
 	var visited []uint64
-	err := s.Scan(100, 50, func(k uint64, v []byte) bool {
+	err := s.Range(100, 50, func(k uint64, v []byte) bool {
 		if !bytes.Equal(v, value(k)) {
 			t.Fatalf("scan value mismatch at %d", k)
 		}

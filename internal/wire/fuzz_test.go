@@ -19,18 +19,18 @@ func FuzzDecodeFrame(f *testing.F) {
 		AppendRequest(nil, &Request{ID: 2, Op: OpGet, Key: 3}),
 		AppendRequest(nil, &Request{ID: 3, Op: OpDelete, Key: 4}),
 		AppendRequest(nil, &Request{ID: 4, Op: OpMultiGet, Keys: []uint64{5, 6}}),
-		AppendRequest(nil, &Request{ID: 5, Op: OpScan, Key: 7, Limit: 8}),
+		AppendRequest(nil, &Request{ID: 5, Op: OpRange, Key: 7, Limit: 8}),
 		AppendRequest(nil, &Request{ID: 6, Op: OpStats}),
 		AppendRequest(nil, &Request{ID: 7, Op: OpDrain}),
 		AppendResponse(nil, &Response{ID: 8, Status: StatusOK, Value: []byte("v")}),
 		AppendResponse(nil, &Response{ID: 9, Status: StatusOK, Values: [][]byte{[]byte("a"), nil}}),
-		AppendResponse(nil, &Response{ID: 10, Status: StatusOK, Entries: []Entry{{Key: 1, Value: []byte("x")}}}),
+		AppendResponse(nil, &Response{ID: 10, Status: StatusOK, Cursor: true, More: true, ResumeKey: 2, Entries: []Entry{{Key: 1, Value: []byte("x")}}}),
 		AppendResponse(nil, &Response{ID: 11, Status: StatusBackpressure}),
 	}
 	for _, s := range seed {
 		f.Add(s)
 	}
-	ops := []Op{OpPut, OpGet, OpDelete, OpMultiGet, OpScan, OpStats, OpDrain}
+	ops := []Op{OpPut, OpGet, OpDelete, OpMultiGet, Op(5), OpStats, OpDrain, OpRange}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Through the framed reader: must terminate with a frame or error,
 		// never panic, even on garbage prefixes.

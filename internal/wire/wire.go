@@ -41,8 +41,8 @@ const (
 	MaxValue = 1 << 20
 	// MaxKeys is the largest MultiGet batch.
 	MaxKeys = 4096
-	// MaxScanLimit is the largest Scan entry count. It also bounds the
-	// total a Range cursor delivers across its continuation frames.
+	// MaxScanLimit is the largest Range entry count: it bounds the total
+	// a Range cursor delivers across its continuation frames.
 	MaxScanLimit = 65536
 	// MaxRangeChunk is the most entries one Range response frame
 	// carries; a longer range continues in follow-up requests resuming
@@ -69,7 +69,9 @@ const (
 	OpGet
 	OpDelete
 	OpMultiGet
-	OpScan
+	// Code 5 was the one-frame scan that OpRange replaced. It stays
+	// unassigned so every other op keeps its number; decoders reject it.
+	_
 	OpStats
 	OpDrain
 	// OpCoalesce is the admin op that toggles the server's read
@@ -79,8 +81,8 @@ const (
 	// OpRange is the cursor-continuation scan: the server answers with
 	// at most MaxRangeChunk entries plus a continuation header (More,
 	// ResumeKey); the client resumes the range by issuing another
-	// OpRange starting at ResumeKey. Unlike OpScan, one logical range
-	// can span many frames without any frame nearing MaxFrame.
+	// OpRange starting at ResumeKey, so one logical range can span many
+	// frames without any frame nearing MaxFrame.
 	OpRange
 	opMax // sentinel: first invalid op
 )
@@ -96,8 +98,6 @@ func (o Op) String() string {
 		return "delete"
 	case OpMultiGet:
 		return "multiget"
-	case OpScan:
-		return "scan"
 	case OpStats:
 		return "stats"
 	case OpDrain:
@@ -208,8 +208,7 @@ var (
 //	OpGet      Key
 //	OpDelete   Key
 //	OpMultiGet Keys
-//	OpScan     Key (start), Limit (1..MaxScanLimit; 0 is invalid)
-//	OpRange    Key (start), Limit (remaining entries wanted, 1..MaxScanLimit)
+//	OpRange    Key (start), Limit (remaining entries wanted, 1..MaxScanLimit; 0 is invalid)
 //	OpStats    —
 //	OpDrain    —
 //	OpCoalesce Key (0 = off, nonzero = on)
@@ -222,7 +221,7 @@ type Request struct {
 	Limit uint32
 }
 
-// Entry is one key/value pair in a Scan response.
+// Entry is one key/value pair in a Range response.
 type Entry struct {
 	Key   uint64
 	Value []byte
@@ -233,7 +232,6 @@ type Entry struct {
 //	Get       Value (OK only)
 //	Delete    Existed
 //	MultiGet  Values (nil element = key absent)
-//	Scan      Entries
 //	Range     Entries, Cursor (true), More, ResumeKey
 //	Stats     Value (JSON snapshot bytes)
 //	Put/Drain —
@@ -295,7 +293,7 @@ func AppendRequest(dst []byte, r *Request) []byte {
 			for _, k := range r.Keys {
 				b = appendU64(b, k)
 			}
-		case OpScan, OpRange:
+		case OpRange:
 			b = appendU64(b, r.Key)
 			b = appendU32(b, r.Limit)
 		}
@@ -334,13 +332,6 @@ func AppendResponse(dst []byte, r *Response) []byte {
 				}
 				b = appendU32(b, uint32(len(v)))
 				b = append(b, v...)
-			}
-		case r.Entries != nil:
-			b = appendU32(b, uint32(len(r.Entries)))
-			for _, e := range r.Entries {
-				b = appendU64(b, e.Key)
-				b = appendU32(b, uint32(len(e.Value)))
-				b = append(b, e.Value...)
 			}
 		case r.Existed:
 			b = append(b, 1)
@@ -494,7 +485,7 @@ func DecodeRequest(b []byte) (Request, error) {
 		for i := range r.Keys {
 			r.Keys[i], _ = c.u64()
 		}
-	case OpScan, OpRange:
+	case OpRange:
 		if r.Key, err = c.u64(); err != nil {
 			return Request{}, err
 		}
@@ -503,9 +494,9 @@ func DecodeRequest(b []byte) (Request, error) {
 		}
 		// Zero is rejected, not "unlimited": an unbounded scan would let
 		// one 21-byte frame snapshot the whole store and build a
-		// response past MaxFrame. For OpRange the same cap bounds the
-		// total across continuation frames, so one cursor cannot be
-		// asked to stream the whole store either.
+		// response past MaxFrame. The cap bounds the total across
+		// continuation frames, so one cursor cannot be asked to stream
+		// the whole store either.
 		if r.Limit == 0 || r.Limit > MaxScanLimit {
 			return Request{}, fmt.Errorf("%w: scan limit %d", ErrBadPayload, r.Limit)
 		}
@@ -589,23 +580,21 @@ func DecodeResponse(op Op, b []byte) (Response, error) {
 				return Response{}, err
 			}
 		}
-	case OpScan, OpRange:
-		if op == OpRange {
-			r.Cursor = true
-			more, err := c.u8()
-			if err != nil {
-				return Response{}, err
-			}
-			r.More = more != 0
-			if r.ResumeKey, err = c.u64(); err != nil {
-				return Response{}, err
-			}
+	case OpRange:
+		r.Cursor = true
+		more, err := c.u8()
+		if err != nil {
+			return Response{}, err
+		}
+		r.More = more != 0
+		if r.ResumeKey, err = c.u64(); err != nil {
+			return Response{}, err
 		}
 		n, err := c.u32()
 		if err != nil {
 			return Response{}, err
 		}
-		if n > MaxScanLimit || (op == OpRange && n > MaxRangeChunk) {
+		if n > MaxRangeChunk {
 			return Response{}, fmt.Errorf("%w: %d entries", ErrBadPayload, n)
 		}
 		// Pre-size conservatively: each entry needs at least 12 bytes, so

@@ -32,7 +32,6 @@ func TestRequestRoundTrip(t *testing.T) {
 		{ID: 4, Op: OpDelete, Key: 7},
 		{ID: 5, Op: OpMultiGet, Keys: []uint64{1, 2, 3, 1 << 40}},
 		{ID: 6, Op: OpMultiGet, Keys: []uint64{}},
-		{ID: 7, Op: OpScan, Key: 100, Limit: 25},
 		{ID: 8, Op: OpStats},
 		{ID: 9, Op: OpDrain},
 		{ID: 10, Op: OpCoalesce, Key: 1}, // admin toggle on
@@ -77,9 +76,6 @@ func TestResponseRoundTrip(t *testing.T) {
 		{"multiget", OpMultiGet, Response{ID: 8, Status: StatusOK,
 			Values: [][]byte{[]byte("a"), nil, []byte("ccc")}}},
 		{"multiget-empty", OpMultiGet, Response{ID: 9, Status: StatusOK, Values: [][]byte{}}},
-		{"scan", OpScan, Response{ID: 10, Status: StatusOK,
-			Entries: []Entry{{Key: 1, Value: []byte("x")}, {Key: 2, Value: []byte("yy")}}}},
-		{"scan-empty", OpScan, Response{ID: 11, Status: StatusOK, Entries: []Entry{}}},
 		{"stats", OpStats, Response{ID: 12, Status: StatusOK, Value: []byte(`{"ok":true}`)}},
 		{"drain", OpDrain, Response{ID: 13, Status: StatusOK}},
 		{"backpressure", OpGet, Response{ID: 14, Status: StatusBackpressure}},
@@ -196,19 +192,16 @@ func TestDecodeRequestHostile(t *testing.T) {
 			b = binary.BigEndian.AppendUint32(b, 10) // promises 80 bytes
 			return append(b, 1, 2, 3)
 		}(), ErrBadPayload},
-		{"scan-over-limit", func() []byte {
-			b := append(make([]byte, 8), byte(OpScan))
+		{"retired-op-5", func() []byte {
+			// Code 5 was the one-frame scan; a well-formed scan payload
+			// under it must be refused, not routed anywhere.
+			b := append(make([]byte, 8), 5)
 			b = binary.BigEndian.AppendUint64(b, 1)
-			return binary.BigEndian.AppendUint32(b, MaxScanLimit+1)
-		}(), ErrBadPayload},
-		{"scan-zero-limit", func() []byte {
+			return binary.BigEndian.AppendUint32(b, 10)
+		}(), ErrBadOp},
+		{"range-zero-limit", func() []byte {
 			// Limit 0 would mean "unlimited" to the store: one 21-byte
 			// frame snapshotting everything. Must be rejected.
-			b := append(make([]byte, 8), byte(OpScan))
-			b = binary.BigEndian.AppendUint64(b, 1)
-			return binary.BigEndian.AppendUint32(b, 0)
-		}(), ErrBadPayload},
-		{"range-zero-limit", func() []byte {
 			b := append(make([]byte, 8), byte(OpRange))
 			b = binary.BigEndian.AppendUint64(b, 1)
 			return binary.BigEndian.AppendUint32(b, 0)
@@ -251,17 +244,19 @@ func TestDecodeResponseHostile(t *testing.T) {
 			b := append(make([]byte, 8), byte(StatusOK))
 			return binary.BigEndian.AppendUint32(b, MaxKeys+1)
 		}(), ErrBadPayload},
-		{"scan-huge-count", OpScan, func() []byte {
-			b := append(make([]byte, 8), byte(StatusOK))
-			return binary.BigEndian.AppendUint32(b, MaxScanLimit)
+		{"range-huge-count", OpRange, func() []byte {
+			b := append(make([]byte, 8), byte(StatusOK), 0)
+			b = binary.BigEndian.AppendUint64(b, 1)
+			return binary.BigEndian.AppendUint32(b, MaxRangeChunk)
 		}(), ErrTruncated},
+		{"retired-op-5", Op(5), append(make([]byte, 8), byte(StatusOK)), ErrBadOp},
 		{"delete-trailing-garbage", OpDelete,
 			append(append(make([]byte, 8), byte(StatusOK)), 1, 0xFF), ErrBadPayload},
 		{"range-cut-header", OpRange,
 			append(make([]byte, 8), byte(StatusOK), 1), ErrTruncated},
 		{"range-over-chunk", OpRange, func() []byte {
 			// A Range frame promising more entries than MaxRangeChunk is
-			// malformed even though the same count is legal for OpScan.
+			// malformed.
 			b := append(make([]byte, 8), byte(StatusOK), 0)
 			b = binary.BigEndian.AppendUint64(b, 1)
 			return binary.BigEndian.AppendUint32(b, MaxRangeChunk+1)
