@@ -18,8 +18,9 @@ import (
 	"time"
 )
 
-// LatencyModel is the extra delay injected per access, roughly one cache
-// line granular. Zero values disable injection on that path.
+// LatencyModel is the extra delay injected per access, at the
+// granularity of the device's 256-byte blocks (not CPU cache lines).
+// Zero values disable injection on that path.
 type LatencyModel struct {
 	// ReadNs is added per started 256-byte block read.
 	ReadNs int64
@@ -42,9 +43,10 @@ const blockSize = 256
 // block are free, as on real Optane).
 //
 // Concurrency: Alloc, Free, FreeChunks, Snapshot and Restore are fully
-// synchronized. Read, ReadNoCopy, Write and Flush are safe to call
-// concurrently as long as no Write overlaps a concurrent Read/ReadNoCopy
-// of the same byte range — the discipline the Viper store upholds (every
+// synchronized. Read, ReadNoCopy, Write, WriteGather and Flush are safe
+// to call concurrently as long as no write overlaps a concurrent read of
+// the same bytes (a ReadNoCopy view only reads what its holder
+// dereferences) — the discipline the Viper store upholds (every
 // record slot is claimed by exactly one appender and only read after its
 // index entry is published), and what lets its recovery, compaction and
 // bulk-load paths fan out across cores without a region lock. All access
@@ -178,7 +180,11 @@ func blocks(n int) int64 {
 // charge accounts the 256-byte lines [off, off+n) touches and pays the
 // injected latency, skipping the stall when the access stays inside the
 // most recently touched block (block-buffer hit) or the model is
-// disabled — lines are counted either way, stall only when paid.
+// disabled — lines are counted either way, stall only when paid. An
+// access that spans several blocks pays every one of them, even when the
+// first is the buffered block: reading a record as header-then-value
+// therefore pays the header's block twice whenever the value straddles,
+// which is why the store reads (and writes) a record in one access.
 //
 //pieces:hotpath
 func (r *Region) charge(off int64, n int, perBlock int64, write bool) {
@@ -228,10 +234,19 @@ func (r *Region) ReadNoCopy(off int64, n int) []byte {
 // Write stores data at off, paying write latency.
 //
 //pieces:hotpath
-func (r *Region) Write(off int64, data []byte) {
+func (r *Region) Write(off int64, data []byte) { r.WriteGather(off, data, nil) }
+
+// WriteGather stores head immediately followed by tail at off as one
+// device access: one write, charged exactly as a single Write of the
+// concatenation, without the caller staging the two parts into one
+// buffer first.
+//
+//pieces:hotpath
+func (r *Region) WriteGather(off int64, head, tail []byte) {
 	r.writes.Add(1)
-	r.charge(off, len(data), r.lat.WriteNs, true)
-	copy(r.data[off:], data)
+	r.charge(off, len(head)+len(tail), r.lat.WriteNs, true)
+	n := copy(r.data[off:], head)
+	copy(r.data[off+int64(n):], tail)
 }
 
 // Flush records a persistence barrier (clwb/sfence equivalent).

@@ -1,6 +1,7 @@
 package pmem
 
 import (
+	"bytes"
 	"sync"
 	"testing"
 	"time"
@@ -142,5 +143,55 @@ func TestConcurrentDisjointAccess(t *testing.T) {
 	reads, writes, flushes := r.Stats()
 	if reads == 0 || writes == 0 || flushes == 0 {
 		t.Fatalf("counters not advancing: %d %d %d", reads, writes, flushes)
+	}
+}
+
+// TestWriteGatherMatchesWrite: a gather write is one device write that
+// charges the lines and stall of, and leaves the same bytes as, a single
+// Write of the concatenation — including the block-buffer hit when
+// consecutive writes stay inside one block.
+func TestWriteGatherMatchesWrite(t *testing.T) {
+	lat := LatencyModel{ReadNs: 3, WriteNs: 7}
+	whole := NewRegion(1<<12, lat)
+	gather := NewRegion(1<<12, lat)
+	payload := make([]byte, 700)
+	for i := range payload {
+		payload[i] = byte(i*7 + 1)
+	}
+	cases := []struct {
+		off        int64
+		head, tail int
+		lines      int64
+		hit        bool // stays in the block the previous write ended in
+	}{
+		{0, 13, 200, 1, false},
+		{250, 13, 200, 2, false},  // header straddles a boundary
+		{470, 13, 0, 1, true},     // tombstone shape: empty tail
+		{483, 0, 5, 1, true},      // empty head
+		{490, 13, 600, 4, false},  // several blocks, the first one buffered: all paid
+		{1300, 13, 200, 1, false}, // a fresh block
+		{1500, 4, 4, 1, true},
+		{2048, 4, 4, 1, false},
+	}
+	for _, c := range cases {
+		before := gather.AccessStats()
+		whole.Write(c.off, payload[:c.head+c.tail])
+		gather.WriteGather(c.off, payload[:c.head], payload[c.head:c.head+c.tail])
+		got := gather.AccessStats()
+		want := before
+		want.Writes++
+		want.LineWrites += c.lines
+		if !c.hit {
+			want.WriteStallNs += c.lines * lat.WriteNs
+		}
+		if got != want {
+			t.Fatalf("off %d head %d tail %d: charged %+v, want %+v", c.off, c.head, c.tail, got, want)
+		}
+		if w := whole.AccessStats(); w != got {
+			t.Fatalf("off %d: Write charged %+v, WriteGather %+v", c.off, w, got)
+		}
+	}
+	if !bytes.Equal(whole.Snapshot(), gather.Snapshot()) {
+		t.Fatal("gather writes left different bytes than contiguous writes")
 	}
 }

@@ -29,6 +29,14 @@ func benchRegion() *pmem.Region {
 	return pmem.NewRegion(512<<20, pmem.Optane())
 }
 
+// reportDevice publishes what the benchmark's ops cost the device (a
+// deviceDelta) as accesses and 256-byte lines read per op. Both are exact
+// counters, the same on every machine.
+func reportDevice(b *testing.B, d pmem.AccessStats) {
+	b.ReportMetric(float64(d.Reads)/float64(b.N), "reads/op")
+	b.ReportMetric(float64(d.LineReads)/float64(b.N), "lines/op")
+}
+
 // benchModes pins the worker count per sub-benchmark.
 func benchModes() []struct {
 	name    string
@@ -53,11 +61,13 @@ func BenchmarkRecover(b *testing.B) {
 		b.Run(m.name, func(b *testing.B) {
 			defer parallel.SetWorkers(parallel.SetWorkers(m.workers))
 			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := s.Recover(rs.New(rs.DefaultConfig())); err != nil {
-					b.Fatal(err)
+			reportDevice(b, deviceDelta(s.Region(), func() {
+				for i := 0; i < b.N; i++ {
+					if err := s.Recover(rs.New(rs.DefaultConfig())); err != nil {
+						b.Fatal(err)
+					}
 				}
-			}
+			}))
 		})
 	}
 }
@@ -86,6 +96,7 @@ func BenchmarkCompact(b *testing.B) {
 	for _, m := range benchModes() {
 		b.Run(m.name, func(b *testing.B) {
 			defer parallel.SetWorkers(parallel.SetWorkers(m.workers))
+			var dev pmem.AccessStats
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
@@ -94,10 +105,15 @@ func BenchmarkCompact(b *testing.B) {
 					b.Fatal(err)
 				}
 				b.StartTimer()
-				if _, err := s.Compact(btree.New()); err != nil {
-					b.Fatal(err)
-				}
+				d := deviceDelta(s.Region(), func() {
+					if _, err := s.Compact(btree.New()); err != nil {
+						b.Fatal(err)
+					}
+				})
+				dev.Reads += d.Reads
+				dev.LineReads += d.LineReads
 			}
+			reportDevice(b, dev)
 		})
 	}
 }
@@ -117,16 +133,18 @@ func BenchmarkMultiGet(b *testing.B) {
 	runBatch := func(s *Store, batch int) func(b *testing.B) {
 		return func(b *testing.B) {
 			buf := make([]uint64, batch)
-			for i := 0; i < b.N; i += batch {
-				base := i % (n - batch)
-				copy(buf, stream[base:base+batch])
-				vals := s.MultiGet(buf)
-				for _, v := range vals {
-					if v == nil {
-						b.Fatal("missing key")
+			reportDevice(b, deviceDelta(s.Region(), func() {
+				for i := 0; i < b.N; i += batch {
+					base := i % (n - batch)
+					copy(buf, stream[base:base+batch])
+					vals := s.MultiGet(buf)
+					for _, v := range vals {
+						if v == nil {
+							b.Fatal("missing key")
+						}
 					}
 				}
-			}
+			}))
 		}
 	}
 	for _, mode := range []struct {
@@ -139,11 +157,13 @@ func BenchmarkMultiGet(b *testing.B) {
 				b.Fatal(err)
 			}
 			b.Run("get", func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if _, ok := s.Get(stream[i%n]); !ok {
-						b.Fatal("missing key")
+				reportDevice(b, deviceDelta(s.Region(), func() {
+					for i := 0; i < b.N; i++ {
+						if _, ok := s.Get(stream[i%n]); !ok {
+							b.Fatal("missing key")
+						}
 					}
-				}
+				}))
 			})
 			for _, batch := range []int{8, 64, 256} {
 				b.Run(fmt.Sprintf("keyloop-%d", batch), func(b *testing.B) {

@@ -1,0 +1,343 @@
+package viper
+
+import (
+	"bytes"
+	"encoding/binary"
+	"math/rand"
+	"reflect"
+	"testing"
+
+	"learnedpieces/internal/adapt"
+	"learnedpieces/internal/btree"
+	"learnedpieces/internal/pmem"
+)
+
+// spanLines is the number of 256-byte device lines [off, off+n) touches.
+func spanLines(off int64, n int) int64 {
+	return (off+int64(n)-1)/256 - off/256 + 1
+}
+
+// deviceDelta runs fn and returns what it cost the region.
+func deviceDelta(r *pmem.Region, fn func()) pmem.AccessStats {
+	b := r.AccessStats()
+	fn()
+	a := r.AccessStats()
+	return pmem.AccessStats{
+		Reads: a.Reads - b.Reads, Writes: a.Writes - b.Writes, Flushes: a.Flushes - b.Flushes,
+		LineReads: a.LineReads - b.LineReads, LineWrites: a.LineWrites - b.LineWrites,
+	}
+}
+
+// offsetOf resolves key's record offset through the index (no device access).
+func offsetOf(t *testing.T, s *Store, key uint64) int64 {
+	t.Helper()
+	off, ok := s.Index().Get(key)
+	if !ok {
+		t.Fatalf("key %d not indexed", key)
+	}
+	return int64(off)
+}
+
+// padPage appends filler records until exactly remaining bytes are left
+// in the store's current page. Filler keys count up from *next.
+func padPage(t *testing.T, s *Store, remaining int, next *uint64) {
+	t.Helper()
+	if s.cur.Load() == nil { // open the first page
+		if err := s.Put(*next, value(*next)); err != nil {
+			t.Fatal(err)
+		}
+		*next++
+	}
+	full := recordHeader + s.valueSize
+	for {
+		gap := PageSize - int(s.cur.Load().pos.Load()) - remaining
+		if gap == 0 {
+			return
+		}
+		vlen := s.valueSize
+		if gap < 2*full {
+			vlen = gap - recordHeader // the last filler lands exactly
+		}
+		if err := s.Put(*next, make([]byte, vlen)); err != nil {
+			t.Fatal(err)
+		}
+		*next++
+	}
+}
+
+// TestOneAccessPerRecord pins the store's device contract with exact
+// counters: every point read of a record is one device read of the lines
+// the record access spans, every append is one write and one flush.
+func TestOneAccessPerRecord(t *testing.T) {
+	const recLen = recordHeader + DefaultValueSize
+	region := pmem.NewRegion(8<<20, pmem.None())
+	s := Open(region, btree.New())
+
+	// Put: one write, one flush, the lines the record spans. Keys 1..40
+	// are 6 keys apart in the log (filler in between), so a Range over
+	// them finds no neighbour within a span's reach.
+	filler := uint64(1 << 32)
+	for k := uint64(1); k <= 40; k++ {
+		d := deviceDelta(region, func() {
+			if err := s.Put(k, value(k)); err != nil {
+				t.Fatal(err)
+			}
+		})
+		off := offsetOf(t, s, k)
+		if d.Writes != 1 || d.Flushes != 1 || d.Reads != 0 || d.LineWrites != spanLines(off, recLen) {
+			t.Fatalf("Put(%d) at %d cost %+v, want 1 write, 1 flush, %d lines", k, off, d, spanLines(off, recLen))
+		}
+		for i := 0; i < 5; i++ {
+			if err := s.Put(filler, value(filler)); err != nil {
+				t.Fatal(err)
+			}
+			filler++
+		}
+	}
+
+	// Get hit: one read.
+	for k := uint64(1); k <= 40; k++ {
+		var got []byte
+		d := deviceDelta(region, func() { got, _ = s.Get(k) })
+		off := offsetOf(t, s, k)
+		if !bytes.Equal(got, value(k)) {
+			t.Fatalf("Get(%d) returned wrong bytes", k)
+		}
+		if d.Reads != 1 || d.LineReads != spanLines(off, recLen) {
+			t.Fatalf("Get(%d) at %d cost %+v, want 1 read of %d lines", k, off, d, spanLines(off, recLen))
+		}
+	}
+
+	// MultiGet: one read per distinct key.
+	batch := []uint64{7, 3, 29, 11, 40, 1, 18, 22}
+	var wantLines int64
+	for _, k := range batch {
+		wantLines += spanLines(offsetOf(t, s, k), recLen)
+	}
+	var vals [][]byte
+	d := deviceDelta(region, func() { vals = s.MultiGet(batch) })
+	for i, k := range batch {
+		if !bytes.Equal(vals[i], value(k)) {
+			t.Fatalf("MultiGet key %d returned wrong bytes", k)
+		}
+	}
+	if d.Reads != int64(len(batch)) || d.LineReads != wantLines {
+		t.Fatalf("MultiGet of %d cost %+v, want %d reads of %d lines", len(batch), d, len(batch), wantLines)
+	}
+
+	// Scattered Range entries: one read each (no span can join them).
+	wantLines = 0
+	for k := uint64(5); k < 15; k++ {
+		wantLines += spanLines(offsetOf(t, s, k), recLen)
+	}
+	seen := 0
+	d = deviceDelta(region, func() {
+		err := s.Range(5, 10, func(k uint64, v []byte) bool {
+			if !bytes.Equal(v, value(k)) {
+				t.Errorf("Range key %d returned wrong bytes", k)
+			}
+			seen++
+			return true
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	})
+	if seen != 10 || d.Reads != 10 || d.LineReads != wantLines {
+		t.Fatalf("Range delivered %d entries for %+v, want 10 entries, 10 reads, %d lines", seen, d, wantLines)
+	}
+
+	// Delete: the tombstone is one write of the header's lines, one flush.
+	tombAt := int64(s.cur.Load().off + s.cur.Load().pos.Load())
+	d = deviceDelta(region, func() {
+		if ok, err := s.Delete(40); !ok || err != nil {
+			t.Fatalf("Delete(40) = %v, %v", ok, err)
+		}
+	})
+	if d.Writes != 1 || d.Flushes != 1 || d.Reads != 0 || d.LineWrites != spanLines(tombAt, recordHeader) {
+		t.Fatalf("Delete cost %+v, want 1 write, 1 flush, %d lines", d, spanLines(tombAt, recordHeader))
+	}
+
+	// A value longer than ValueSize: the declared length falls short, so
+	// the value costs a second read; the bytes are still right.
+	long := bytes.Repeat([]byte("0123456789"), 70)
+	if err := s.Put(100, long); err != nil {
+		t.Fatal(err)
+	}
+	var got []byte
+	d = deviceDelta(region, func() { got, _ = s.Get(100) })
+	if d.Reads != 2 || !bytes.Equal(got, long) {
+		t.Fatalf("Get of a %d-byte value: %d reads, bytes equal %v; want 2 reads", len(long), d.Reads, bytes.Equal(got, long))
+	}
+
+	// A shorter value: still one read, of the declared length.
+	if err := s.Put(101, []byte("short")); err != nil {
+		t.Fatal(err)
+	}
+	d = deviceDelta(region, func() { got, _ = s.Get(101) })
+	if off := offsetOf(t, s, 101); d.Reads != 1 || d.LineReads != spanLines(off, recLen) || string(got) != "short" {
+		t.Fatalf("Get of a short value at %d: %+v, %q; want 1 read of %d lines", off, d, got, spanLines(off, recLen))
+	}
+
+	// Shadow-cache hit: the same single read, no index walk.
+	hk := adapt.NewHotKeys(16)
+	hk.SetEnabled(true)
+	s.SetHotKeys(hk)
+	if n := s.PromoteHot([]uint64{9}); n != 1 {
+		t.Fatalf("PromoteHot = %d, want 1", n)
+	}
+	hits := hk.Stats().Hits
+	d = deviceDelta(region, func() { got, _ = s.Get(9) })
+	if hk.Stats().Hits != hits+1 {
+		t.Fatal("Get(9) did not hit the shadow cache")
+	}
+	if off := offsetOf(t, s, 9); d.Reads != 1 || d.LineReads != spanLines(off, recLen) || !bytes.Equal(got, value(9)) {
+		t.Fatalf("cached Get at %d cost %+v, want 1 read of %d lines", off, d, spanLines(off, recLen))
+	}
+
+	t.Run("region end", clampsAtRegionEnd)
+}
+
+// clampsAtRegionEnd: records that end exactly at the last byte of the
+// region are read with the access clamped, never past it.
+func clampsAtRegionEnd(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		vlen int // 0 = tombstone
+	}{
+		{"full record", DefaultValueSize},
+		{"short record", 100},
+		{"tombstone", 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			region := pmem.NewRegion(PageSize, pmem.None())
+			s := Open(region, btree.New())
+			next := uint64(1000)
+			padPage(t, s, recordHeader+tc.vlen, &next)
+			off := int64(PageSize - recordHeader - tc.vlen)
+
+			if tc.vlen == 0 {
+				if ok, err := s.Delete(1000); !ok || err != nil {
+					t.Fatalf("Delete = %v, %v", ok, err)
+				}
+				var live bool
+				d := deviceDelta(region, func() { _, live = s.readRecord(off) })
+				if live || d.Reads != 1 || d.LineReads != 1 {
+					t.Fatalf("tombstone at the region end: live=%v, %+v; want dead, 1 read of 1 line", live, d)
+				}
+				return
+			}
+			want := bytes.Repeat([]byte{0xAB}, tc.vlen)
+			if err := s.Put(1, want); err != nil {
+				t.Fatal(err)
+			}
+			if got := offsetOf(t, s, 1); got != off {
+				t.Fatalf("last record at %d, want %d", got, off)
+			}
+			var got []byte
+			d := deviceDelta(region, func() { got, _ = s.Get(1) })
+			if !bytes.Equal(got, want) || d.Reads != 1 || d.LineReads != spanLines(off, recordHeader+tc.vlen) {
+				t.Fatalf("Get at the region end: %+v, bytes equal %v; want 1 read of %d lines",
+					d, bytes.Equal(got, want), spanLines(off, recordHeader+tc.vlen))
+			}
+		})
+	}
+}
+
+// scanPagesPerRecord is the walk scanPages replaced: one 13-byte device
+// access per record header, every length trusted. It stays here as the
+// reference the page-granular scan is checked against.
+func scanPagesPerRecord(s *Store, pages []int64) map[uint64]entry {
+	live := make(map[uint64]entry)
+	for _, page := range pages {
+		for pos := 0; pos+recordHeader <= PageSize; {
+			off := page + int64(pos)
+			hdr := s.region.ReadNoCopy(off, recordHeader)
+			key := binary.LittleEndian.Uint64(hdr[0:8])
+			vlen := binary.LittleEndian.Uint32(hdr[8:12])
+			if key == 0 && vlen == 0 && hdr[12] == 0 {
+				break
+			}
+			live[key] = entry{uint64(off), hdr[12]&flagDeleted != 0}
+			pos += recordHeader + int(vlen)
+		}
+	}
+	return live
+}
+
+// TestScanPagesMatchesPerRecordWalk: on logs with updates, tombstones,
+// revived keys, mixed record lengths and abandoned page tails, the
+// page-granular scan finds exactly the per-record walk's newest
+// versions, serially and fanned out, with one device read per page.
+func TestScanPagesMatchesPerRecordWalk(t *testing.T) {
+	check := func(t *testing.T, s *Store) {
+		t.Helper()
+		want := scanPagesPerRecord(s, s.pages)
+		for _, workers := range []int{1, 3} {
+			forceWorkers(t, workers)
+			var got map[uint64]entry
+			d := deviceDelta(s.region, func() { got = s.scanPages(s.pages) })
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%d workers: page scan found %d keys, per-record walk %d, or versions differ", workers, len(got), len(want))
+			}
+			if d.Reads != int64(len(s.pages)) {
+				t.Fatalf("%d workers: %d device reads for %d pages", workers, d.Reads, len(s.pages))
+			}
+		}
+	}
+	t.Run("fixed", func(t *testing.T) {
+		s, _ := buildMultiPageStore(t, pmem.NewRegion(64<<20, pmem.None()))
+		check(t, s)
+	})
+	for seed := int64(1); seed <= 3; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		s := Open(pmem.NewRegion(64<<20, pmem.None()), btree.New())
+		for i := 0; i < 12_000; i++ {
+			key := uint64(rng.Intn(1500)) + 1
+			if rng.Intn(5) == 0 {
+				if _, err := s.Delete(key); err != nil {
+					t.Fatal(err)
+				}
+				continue
+			}
+			if err := s.Put(key, make([]byte, 1+rng.Intn(600))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if len(s.pages) < 3 {
+			t.Fatalf("seed %d: want a multi-page log, got %d pages", seed, len(s.pages))
+		}
+		check(t, s)
+	}
+}
+
+// TestScanPagesRejectsOverlongRecord: a header whose length would run
+// past the page ends that page's scan instead of being indexed.
+func TestScanPagesRejectsOverlongRecord(t *testing.T) {
+	region := pmem.NewRegion(4*PageSize, pmem.None())
+	s := Open(region, btree.New())
+	for k := uint64(1); k <= 10; k++ {
+		if err := s.Put(k, value(k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var torn [recordHeader]byte
+	binary.LittleEndian.PutUint64(torn[0:8], 99)
+	binary.LittleEndian.PutUint32(torn[8:12], PageSize)
+	region.Write(s.cur.Load().off+s.cur.Load().pos.Load(), torn[:])
+
+	if err := s.Recover(btree.New()); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := s.Get(99); ok {
+		t.Fatal("a record running past its page was recovered")
+	}
+	if s.Len() != 10 {
+		t.Fatalf("Len = %d after recovery, want 10", s.Len())
+	}
+	for k := uint64(1); k <= 10; k++ {
+		if v, ok := s.Get(k); !ok || !bytes.Equal(v, value(k)) {
+			t.Fatalf("key %d lost", k)
+		}
+	}
+}

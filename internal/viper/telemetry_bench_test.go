@@ -37,11 +37,13 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.Run("get/"+m.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, ok := s.Get(keys[i%n]); !ok {
-					b.Fatal("missing key")
+			reportDevice(b, deviceDelta(s.Region(), func() {
+				for i := 0; i < b.N; i++ {
+					if _, ok := s.Get(keys[i%n]); !ok {
+						b.Fatal("missing key")
+					}
 				}
-			}
+			}))
 		})
 		b.Run("put/"+m.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {

@@ -130,8 +130,11 @@ func WithTelemetry(sink *telemetry.Sink) Option {
 
 // WithValueSize declares the nominal record payload in bytes (the paper
 // uses 200). It sizes the shared payload BulkPut synthesises when called
-// with a nil value and is reported by ValueSize; explicit values of any
-// length remain accepted. n <= 0 keeps DefaultValueSize.
+// with a nil value, is reported by ValueSize, and is the length of the
+// one device access a point read issues per record (readRecord):
+// explicit values of any length remain accepted, but a longer one costs
+// a second access and a much shorter one over-reads — by at most one
+// 256-byte block at the default size. n <= 0 keeps DefaultValueSize.
 func WithValueSize(n int) Option {
 	return func(s *Store) {
 		if n > 0 {
@@ -537,7 +540,8 @@ func (s *Store) claim(n int) (int64, error) {
 	}
 }
 
-// appendRecord writes one record and returns its offset.
+// appendRecord writes one record — header and value in a single device
+// write, then the record's flush — and returns its offset.
 func (s *Store) appendRecord(key uint64, value []byte, flags byte) (int64, error) {
 	n := recordHeader + len(value)
 	off, err := s.claim(n)
@@ -548,12 +552,38 @@ func (s *Store) appendRecord(key uint64, value []byte, flags byte) (int64, error
 	binary.LittleEndian.PutUint64(hdr[0:8], key)
 	binary.LittleEndian.PutUint32(hdr[8:12], uint32(len(value)))
 	hdr[12] = flags
-	s.region.Write(off, hdr[:])
-	if len(value) > 0 {
-		s.region.Write(off+recordHeader, value)
-	}
+	s.region.WriteGather(off, hdr[:], value)
 	s.region.Flush(off, n)
 	return off, nil
+}
+
+// readRecord is the one point read of a record, shared by Get, MultiGet,
+// scattered Range entries and Compact's copy: a single device access of
+// recordHeader+ValueSize bytes at off (clamped to the region end, as
+// readLiveSpans clamps its spans), with flags and length parsed out of
+// that view. Reading the header and then the value would pay the
+// header's block twice whenever the value straddles a block boundary
+// (pmem.Region.charge bills every block of a multi-block access). Only a
+// value longer than the declared ValueSize costs a second access. The
+// view may extend past the record into a neighbour's bytes; they are
+// never dereferenced. live is false for a tombstone. Caller holds an
+// epoch pin.
+//
+//pieces:hotpath
+func (s *Store) readRecord(off int64) (val []byte, live bool) {
+	n := recordHeader + s.valueSize
+	if rest := s.region.Size() - int(off); n > rest {
+		n = rest
+	}
+	rec := s.region.ReadNoCopy(off, n)
+	if rec[12]&flagDeleted != 0 {
+		return nil, false
+	}
+	end := recordHeader + int(binary.LittleEndian.Uint32(rec[8:12]))
+	if end > len(rec) {
+		return s.region.ReadNoCopy(off+recordHeader, end-recordHeader), true
+	}
+	return rec[recordHeader:end], true
 }
 
 // Put stores value under key (insert or update). Concurrent Puts are
@@ -633,10 +663,7 @@ func (s *Store) Get(key uint64) ([]byte, bool) {
 			// protects index-resolved ones — Compact bumps the cache
 			// generation before it retires pages, so a hit either
 			// pre-dates the retire (pin defers the free) or misses.
-			hdr := s.region.ReadNoCopy(int64(off), recordHeader)
-			if hdr[12]&flagDeleted == 0 {
-				vlen := binary.LittleEndian.Uint32(hdr[8:12])
-				val := s.region.ReadNoCopy(int64(off)+recordHeader, int(vlen))
+			if val, live := s.readRecord(int64(off)); live {
 				g.Exit()
 				sp.Done()
 				return val, true
@@ -655,18 +682,13 @@ func (s *Store) Get(key uint64) ([]byte, bool) {
 		sp.Done()
 		return nil, false
 	}
-	hdr := s.region.ReadNoCopy(int64(off), recordHeader)
-	vlen := binary.LittleEndian.Uint32(hdr[8:12])
-	if hdr[12]&flagDeleted != 0 {
-		g.Exit()
-		s.met.GetMiss()
-		sp.Done()
-		return nil, false
-	}
-	val := s.region.ReadNoCopy(int64(off)+recordHeader, int(vlen))
+	val, live := s.readRecord(int64(off))
 	g.Exit()
+	if !live {
+		s.met.GetMiss()
+	}
 	sp.Done()
-	return val, true
+	return val, live
 }
 
 // MultiGet resolves the whole batch of keys against the volatile index
@@ -773,19 +795,14 @@ func (s *Store) MultiGet(keys []uint64) [][]byte {
 	// the same offset is the same record snapshot — resolve it once and
 	// share the view. Under skewed (YCSB-Zipfian) request streams a
 	// coalesced batch is full of hot-key duplicates, so this skips their
-	// header+value reads (and the simulated NVM stalls) entirely —
-	// an aggregation win per-key Gets cannot express.
+	// record reads (and the simulated NVM stalls) entirely — an
+	// aggregation win per-key Gets cannot express.
 	for i, h := range hits {
 		if i > 0 && h.off == hits[i-1].off {
 			out[h.pos] = out[hits[i-1].pos]
 			continue
 		}
-		hdr := s.region.ReadNoCopy(h.off, recordHeader)
-		if hdr[12]&flagDeleted != 0 {
-			continue
-		}
-		vlen := binary.LittleEndian.Uint32(hdr[8:12])
-		out[h.pos] = s.region.ReadNoCopy(h.off+recordHeader, int(vlen))
+		out[h.pos], _ = s.readRecord(h.off)
 	}
 	sc.hits = hits[:0]
 	mgPool.Put(sc)
@@ -869,19 +886,6 @@ func (s *Store) RangeDesc(start uint64, n int, fn func(key uint64, value []byte)
 	return s.scanRounds(start, n, true, fn)
 }
 
-// readLive resolves one record, nil for a tombstone. Caller holds an
-// epoch pin.
-//
-//pieces:hotpath
-func (s *Store) readLive(off uint64) []byte {
-	hdr := s.region.ReadNoCopy(int64(off), recordHeader)
-	if hdr[12]&flagDeleted != 0 {
-		return nil
-	}
-	vlen := binary.LittleEndian.Uint32(hdr[8:12])
-	return s.region.ReadNoCopy(int64(off)+recordHeader, int(vlen))
-}
-
 // scanScratch holds the batched scan's per-round working state; the
 // pool keeps steady-state rounds allocation-free.
 type scanScratch struct {
@@ -901,9 +905,9 @@ const maxScanBatch = 1 << 20
 // spanBridge is the largest hole (in bytes) between two consecutive
 // offset-sorted records that a coalesced span read will cover rather
 // than splitting the span. On a block-granular device a cold record
-// access pays ~2 fresh 256-byte blocks (header + value straddle), so
-// bridging up to two blocks of stale bytes is never dearer than
-// breaking the sequential walk.
+// access pays ~2 fresh 256-byte blocks (a 213-byte record straddles a
+// boundary five times in six), so bridging up to two blocks of stale
+// bytes is never dearer than breaking the sequential walk.
 const spanBridge = 512
 
 // sortByOffset fills ord with batch positions ordered by ascending
@@ -941,9 +945,10 @@ func sortByOffset(offs []uint64, ord []int, pack []uint64) {
 // nil for tombstones — back to its batch position in vals. Consecutive
 // offsets within spanBridge of one record's extent coalesce into a
 // single span read, so an offset-ordered round over a dense log region
-// costs one near-sequential device walk instead of two ReadNoCopy
-// calls per record; stale records inside a span are never parsed, just
-// skipped by offset arithmetic. Caller holds an epoch pin.
+// costs one near-sequential device walk instead of one access per
+// record; stale records inside a span are never parsed, just skipped by
+// offset arithmetic. A record with no neighbour in reach goes through
+// readRecord. Caller holds an epoch pin.
 //
 //pieces:hotpath
 func (s *Store) readLiveSpans(offs []uint64, ord []int, vals [][]byte) {
@@ -956,7 +961,7 @@ func (s *Store) readLiveSpans(offs []uint64, ord []int, vals [][]byte) {
 			runEnd++
 		}
 		if runEnd-j < 2 {
-			vals[ord[j]] = s.readLive(offs[ord[j]])
+			vals[ord[j]], _ = s.readRecord(int64(offs[ord[j]]))
 			j++
 			continue
 		}
@@ -982,7 +987,7 @@ func (s *Store) readLiveSpans(offs []uint64, ord []int, vals [][]byte) {
 			}
 			// An oversized value or a span clamped at the region end:
 			// the straggler reads individually, over already-warm blocks.
-			vals[i] = s.readLive(offs[i])
+			vals[i], _ = s.readRecord(int64(offs[i]))
 		}
 	}
 }
@@ -1002,7 +1007,7 @@ func (v *storeView) openCursor(from uint64, desc bool) index.Cursor {
 // scanRounds is the one scan engine, serving Range and RangeDesc. Each
 // round pulls a batch of index entries from the cursor, reads their
 // records in ascending PMem offset order (the MultiGet aggregation
-// trick — near-sequential header+value reads maximise the simulated
+// trick — near-sequential record reads maximise the simulated
 // device's block-buffer hit rate), then re-emits them in key order.
 // Each round runs under its own epoch pin, released between rounds so a
 // long scan never stalls Compact's deferred page reclamation; if an
@@ -1191,21 +1196,28 @@ type entry struct {
 // is the record that appears last in (page allocation order, offset
 // within page), and that total order is respected first within chunks,
 // then across the ordered merge.
+//
+// Each page is one sequential device read parsed in memory, not one
+// access per record header. A page's walk ends at the zeroed header that
+// follows its last record, or at a length that would run past the page
+// (which no appended record has, so it is not trusted to be one).
 func (s *Store) scanPages(pages []int64) map[uint64]entry {
 	scanChunk := func(pages []int64, live map[uint64]entry) {
 		for _, page := range pages {
-			pos := 0
-			for pos+recordHeader <= PageSize {
-				off := page + int64(pos)
-				hdr := s.region.ReadNoCopy(off, recordHeader)
-				key := binary.LittleEndian.Uint64(hdr[0:8])
-				vlen := binary.LittleEndian.Uint32(hdr[8:12])
-				flags := hdr[12]
+			buf := s.region.ReadNoCopy(page, PageSize)
+			for pos := 0; pos+recordHeader <= PageSize; {
+				key := binary.LittleEndian.Uint64(buf[pos : pos+8])
+				vlen := binary.LittleEndian.Uint32(buf[pos+8 : pos+12])
+				flags := buf[pos+12]
 				if key == 0 && vlen == 0 && flags == 0 {
 					break // end of page
 				}
-				live[key] = entry{uint64(off), flags&flagDeleted != 0}
-				pos += recordHeader + int(vlen)
+				end := pos + recordHeader + int(vlen)
+				if end > PageSize {
+					break
+				}
+				live[key] = entry{uint64(page) + uint64(pos), flags&flagDeleted != 0}
+				pos = end
 			}
 		}
 	}
@@ -1304,10 +1316,7 @@ func (s *Store) Compact(fresh index.Index) (int64, error) {
 	workers := s.workerCount(len(keys) / bulkMinPerWorker)
 	err := parallel.ForErr(workers, len(keys), func(_, lo, hi int) error {
 		for i := lo; i < hi; i++ {
-			src := int64(srcs[i])
-			hdr := s.region.ReadNoCopy(src, recordHeader)
-			vlen := int(binary.LittleEndian.Uint32(hdr[8:12]))
-			val := s.region.ReadNoCopy(src+recordHeader, vlen)
+			val, _ := s.readRecord(int64(srcs[i])) // live: the scan dropped tombstones
 			off, err := s.appendRecord(keys[i], val, 0)
 			if err != nil {
 				return err
