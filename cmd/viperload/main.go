@@ -9,12 +9,6 @@
 //
 //	viperload -addr 127.0.0.1:7070 -n 100000 -ops 200000 -clients 16
 //
-// Self-contained benchmark (spawns an in-process server, runs the
-// workload with the read coalescer on and then off, writes the
-// comparison as JSON):
-//
-//	viperload -spawn -out BENCH_PR7.json
-//
 // -strict exits non-zero when any run lost or duplicated a response,
 // which is what the CI e2e smoke gates on.
 package main
@@ -24,34 +18,19 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"net"
 	"os"
 	"runtime"
-	"sort"
 	"time"
 
-	"learnedpieces/internal/core"
 	"learnedpieces/internal/load"
-	"learnedpieces/internal/pmem"
-	"learnedpieces/internal/server"
-	"learnedpieces/internal/telemetry"
 	"learnedpieces/internal/viper"
 )
 
-type runReport struct {
-	load.Result
-	// KopsSamples holds every repeat's throughput (the run shown is the
-	// median by kops); a single-run report omits it.
-	KopsSamples []float64                `json:"kops_samples,omitempty"`
-	Server      telemetry.ServerSnapshot `json:"server"`
-}
-
 type report struct {
-	Title       string      `json:"title"`
-	Environment environment `json:"environment"`
-	Workload    string      `json:"workload"`
-	Runs        []runReport `json:"runs"`
-	Finding     string      `json:"finding,omitempty"`
+	Title       string        `json:"title"`
+	Environment environment   `json:"environment"`
+	Workload    string        `json:"workload"`
+	Runs        []load.Result `json:"runs"`
 }
 
 type environment struct {
@@ -82,10 +61,6 @@ func main() {
 		drainEvery = flag.Int("drainevery", 0, "issue a graceful drain every n ops per worker (0 = never)")
 		strict     = flag.Bool("strict", false, "exit non-zero on any lost or duplicated response")
 		out        = flag.String("out", "", "write the JSON report here instead of stdout")
-		spawn      = flag.Bool("spawn", false, "spawn an in-process server and compare coalescing on vs off")
-		indexName  = flag.String("index", "xindex", "index for -spawn mode")
-		pmemLat    = flag.Bool("pmem", false, "-spawn: simulate NVM latency (the paper's device model)")
-		repeat     = flag.Int("repeat", 1, "-spawn: run each mode this many times, report the median-throughput run")
 	)
 	flag.Parse()
 
@@ -117,14 +92,14 @@ func main() {
 	}
 
 	rep := report{
-		Title: "vipersrv service front end: pipelined wire protocol + cross-connection read coalescing",
+		Title: "vipersrv service front end: pipelined wire protocol, one burst one write",
 		Environment: environment{
 			CPUs: runtime.NumCPU(),
 			GOOS: runtime.GOOS,
 			Arch: runtime.GOARCH,
 			Note: "loopback TCP on a shared CI box; wall-clock drifts between runs. " +
-				"The machine-independent signals are the zero lost/dup columns and the " +
-				"coalescer batch shape; kops on 1 CPU measures protocol overhead, not index scaling.",
+				"The machine-independent signals are the zero lost/dup columns; " +
+				"kops on a small box measures protocol overhead, not index scaling.",
 		},
 		Workload: fmt.Sprintf("preload %d keys (%dB values), %d ops x %d clients over %d conns: "+
 			"%.0f%% reads / %.0f%% updates / %.0f%% inserts / %.0f%% scans (len<=%d %s), "+
@@ -134,51 +109,12 @@ func main() {
 			*scanLen, *scanDist, *dist),
 	}
 
-	ctx := context.Background()
-	if *spawn {
-		if *repeat < 1 {
-			*repeat = 1
-		}
-		for _, mode := range []struct {
-			label string
-			batch int
-		}{
-			{"coalesce-on", server.DefaultCoalesceBatch},
-			{"coalesce-off", 1},
-		} {
-			runs := make([]runReport, 0, *repeat)
-			for r := 0; r < *repeat; r++ {
-				run, err := spawnAndRun(ctx, *indexName, mode.batch, *pmemLat, cfg)
-				if err != nil {
-					fmt.Fprintln(os.Stderr, err)
-					os.Exit(1)
-				}
-				run.Label = mode.label
-				runs = append(runs, run)
-			}
-			sort.Slice(runs, func(i, j int) bool { return runs[i].Kops < runs[j].Kops })
-			med := runs[len(runs)/2]
-			if *repeat > 1 {
-				for _, r := range runs {
-					med.KopsSamples = append(med.KopsSamples, r.Kops)
-				}
-			}
-			rep.Runs = append(rep.Runs, med)
-		}
-		on, off := rep.Runs[0], rep.Runs[1]
-		rep.Finding = fmt.Sprintf(
-			"coalesce-on %.1f kops (batch p50 %d, p99 %d) vs coalesce-off %.1f kops; "+
-				"lost %d/%d, dup %d/%d",
-			on.Kops, on.Server.BatchP50, on.Server.BatchP99, off.Kops,
-			on.Lost, off.Lost, on.Dup, off.Dup)
-	} else {
-		res, err := load.Run(ctx, cfg)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		rep.Runs = append(rep.Runs, runReport{Result: res})
+	res, err := load.Run(context.Background(), cfg)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
+	rep.Runs = append(rep.Runs, res)
 
 	w := os.Stdout
 	if *out != "" {
@@ -215,56 +151,4 @@ func main() {
 		fmt.Fprintln(os.Stderr, "FAIL: lost, duplicated, or misordered responses detected")
 		os.Exit(1)
 	}
-}
-
-// spawnAndRun boots an in-process server over a fresh store, preloads
-// the keyspace, runs the workload, gracefully drains, and returns the
-// run with the server's own counters attached.
-func spawnAndRun(ctx context.Context, indexName string, batch int, pmemLat bool, cfg load.Config) (runReport, error) {
-	entry, ok := core.Lookup(indexName)
-	if !ok {
-		return runReport{}, fmt.Errorf("unknown index %q", indexName)
-	}
-	lat := pmem.None()
-	if pmemLat {
-		lat = pmem.Optane()
-	}
-	sink := telemetry.New()
-	store := viper.Open(pmem.NewRegion(1<<30, lat), entry.New(),
-		viper.WithTelemetry(sink),
-		viper.WithRetrainMode(viper.RetrainAsync),
-		viper.WithValueSize(cfg.ValueSize))
-	keys := make([]uint64, cfg.Keyspace)
-	for i := range keys {
-		keys[i] = uint64(i + 1)
-	}
-	if err := store.BulkPut(keys, nil); err != nil {
-		return runReport{}, fmt.Errorf("preload: %w", err)
-	}
-	srv, err := server.New(server.Config{Store: store, CoalesceBatch: batch, Sink: sink})
-	if err != nil {
-		return runReport{}, err
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return runReport{}, err
-	}
-	go func() { _ = srv.Serve(ln) }()
-	cfg.Addr = ln.Addr().String()
-
-	res, runErr := load.Run(ctx, cfg)
-	snap := sink.Snapshot().Server
-
-	sctx, cancel := context.WithTimeout(ctx, 30*time.Second)
-	defer cancel()
-	if err := srv.Shutdown(sctx); err != nil {
-		return runReport{}, fmt.Errorf("shutdown: %w", err)
-	}
-	if err := store.Close(); err != nil {
-		return runReport{}, fmt.Errorf("store close: %w", err)
-	}
-	if runErr != nil {
-		return runReport{}, runErr
-	}
-	return runReport{Result: res, Server: snap}, nil
 }

@@ -1,14 +1,15 @@
 // Command vipersrv serves a Viper store over TCP with the wire
 // package's pipelined binary protocol: the repo's KV engine turned
-// into a network service, with read coalescing across connections,
-// bounded in-flight admission, and graceful drain on SIGINT/SIGTERM.
+// into a network service. Each connection's pipelined burst is executed
+// in order and answered in one write, memory per connection is bounded
+// by the in-flight window, and SIGINT/SIGTERM drain gracefully.
 //
 //	vipersrv -addr :7070 -index xindex -preload 1000000 -obs :6060
 //
 // The -obs endpoint mounts the shared telemetry handler (expvar,
 // pprof, /telemetry JSON, /telemetry/table), which now includes the
-// "network server" section: connections, in-flight, backpressure
-// rejections, and the coalescer's batch-size percentiles.
+// "network server" section: connections, in-flight, bad frames, and
+// the Get-run length percentiles.
 package main
 
 import (
@@ -31,20 +32,18 @@ import (
 
 func main() {
 	var (
-		addr         = flag.String("addr", "127.0.0.1:7070", "listen address")
-		indexName    = flag.String("index", "xindex", "volatile index (see libench -list)")
-		size         = flag.Int("mem", 512<<20, "simulated PMem bytes")
-		latency      = flag.Bool("pmem", false, "simulate NVM latency")
-		retrainF     = flag.String("retrain", "async", "retrain pipeline mode: inline|sync|async")
-		obs          = flag.String("obs", "", "serve expvar, pprof and /telemetry on this address (e.g. :6060)")
-		window       = flag.Int("window", server.DefaultMaxInFlight, "per-connection in-flight admission window")
-		coalesce     = flag.Int("coalesce", server.DefaultCoalesceBatch, "coalescer batch size (<=1 disables read coalescing)")
-		coalesceWait = flag.Duration("coalescewait", server.DefaultCoalesceWait, "max wait for batch mates after a read arrives")
-		preload      = flag.Int("preload", 0, "bulk-load keys 1..n before serving")
-		valueSize    = flag.Int("valuesize", viper.DefaultValueSize, "nominal value payload bytes")
-		drainWait    = flag.Duration("drainwait", 30*time.Second, "graceful shutdown budget before force-close")
-		adaptOn      = flag.Bool("adapt", false, "run the closed-loop adapt controller (flips search policy, retrain mode, coalescing, hot-key cache)")
-		adaptEvery   = flag.Duration("adaptevery", 500*time.Millisecond, "adapt controller sampling interval")
+		addr       = flag.String("addr", "127.0.0.1:7070", "listen address")
+		indexName  = flag.String("index", "xindex", "volatile index (see libench -list)")
+		size       = flag.Int("mem", 512<<20, "simulated PMem bytes")
+		latency    = flag.Bool("pmem", false, "simulate NVM latency")
+		retrainF   = flag.String("retrain", "async", "retrain pipeline mode: inline|sync|async")
+		obs        = flag.String("obs", "", "serve expvar, pprof and /telemetry on this address (e.g. :6060)")
+		window     = flag.Int("window", server.DefaultMaxInFlight, "per-connection in-flight window: responses held before a write is forced")
+		preload    = flag.Int("preload", 0, "bulk-load keys 1..n before serving")
+		valueSize  = flag.Int("valuesize", viper.DefaultValueSize, "nominal value payload bytes")
+		drainWait  = flag.Duration("drainwait", 30*time.Second, "graceful shutdown budget before force-close")
+		adaptOn    = flag.Bool("adapt", false, "run the closed-loop adapt controller (flips search policy, retrain mode, hot-key cache)")
+		adaptEvery = flag.Duration("adaptevery", 500*time.Millisecond, "adapt controller sampling interval")
 	)
 	flag.Parse()
 
@@ -99,12 +98,10 @@ func main() {
 	}
 
 	srv, err := server.New(server.Config{
-		Addr:          *addr,
-		Store:         store,
-		MaxInFlight:   *window,
-		CoalesceBatch: *coalesce,
-		CoalesceWait:  *coalesceWait,
-		Sink:          sink,
+		Addr:        *addr,
+		Store:       store,
+		MaxInFlight: *window,
+		Sink:        sink,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -130,9 +127,6 @@ func main() {
 				}
 			}
 		}
-		if *coalesce > 1 {
-			knobs.Coalesce = func(on bool) { srv.SetCoalesce(on) }
-		}
 		if store.Caps().ConcurrentWrites {
 			// PromoteHot probes the index from the controller goroutine
 			// while server writers run, so the cache knobs are only wired
@@ -155,8 +149,8 @@ func main() {
 	signal.Notify(sigc, syscall.SIGINT, syscall.SIGTERM)
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe() }()
-	fmt.Printf("vipersrv: %s index, %d MB simulated PMem, retrain %s, window %d, coalesce %d/%v, listening on %s\n",
-		*indexName, *size>>20, *retrainF, *window, *coalesce, *coalesceWait, *addr)
+	fmt.Printf("vipersrv: %s index, %d MB simulated PMem, retrain %s, window %d, listening on %s\n",
+		*indexName, *size>>20, *retrainF, *window, *addr)
 
 	select {
 	case sig := <-sigc:

@@ -2,9 +2,8 @@
 // is that no single recombination of the four design dimensions wins
 // across workloads, so the winning configuration is workload-dependent
 // — and everything this repo built so far (telemetry snapshots,
-// runtime-switchable search kernels, retrain modes, batch routing, the
-// server's read coalescer) exists as a knob an operator sets per
-// deployment. The adapt controller turns those static guesses into a
+// runtime-switchable search kernels, retrain modes, batch routing)
+// exists as a knob an operator sets per deployment. The adapt controller turns those static guesses into a
 // sampling feedback loop: it periodically diffs telemetry snapshots,
 // classifies the workload phase, and flips the live knobs without
 // stopping traffic.
@@ -67,8 +66,6 @@ type Knobs struct {
 	// pulls (and offset-sorts) per cursor round; n <= 0 restores the
 	// configured default (see viper.Store.SetScanBatch).
 	ScanBatch func(n int)
-	// Coalesce switches the server's cross-connection read coalescer.
-	Coalesce func(on bool)
 	// CacheEnable switches the hot-key shadow cache.
 	CacheEnable func(on bool)
 	// Promote publishes the given hot keys into the shadow cache
@@ -112,7 +109,6 @@ type knobState struct {
 	threshold int
 	floor     int
 	scanBatch int
-	coalesce  bool
 	cache     bool
 }
 
@@ -229,11 +225,10 @@ func (c *Controller) apply(ph Phase, d Delta) {
 		want.async = true
 		want.threshold = c.cfg.InsertThreshold
 		want.floor = 0
-		want.coalesce = false
 		want.cache = false
 	case PhaseScan:
-		// Range scans stream through the sorted space; coalescing and
-		// the point cache only help point reads. Deepen the cursor batch:
+		// Range scans stream through the sorted space; the point cache
+		// only helps point reads. Deepen the cursor batch:
 		// when scans dominate, longer offset-sorted rounds amortise the
 		// per-round epoch pin and sort further with no point-read tail
 		// latency to protect.
@@ -242,11 +237,10 @@ func (c *Controller) apply(ph Phase, d Delta) {
 		want.threshold = c.cfg.ReadThreshold
 		want.floor = 0
 		want.scanBatch = 1024
-		want.coalesce = false
 		want.cache = false
 	case PhaseSkew:
 		// Reads concentrate on few keys: shadow cache in front of the
-		// index, coalescer on (duplicate hot gets share one index walk).
+		// index.
 		// The rebuild threshold stays at the insert size: a skewed phase
 		// carries an update tail that lands on the *hot* keys, so a small
 		// buffer rebuilds continuously for reads the cache already
@@ -255,18 +249,16 @@ func (c *Controller) apply(ph Phase, d Delta) {
 		want.async = true
 		want.threshold = c.cfg.InsertThreshold
 		want.floor = 8
-		want.coalesce = true
 		want.cache = true
 	default: // PhaseRead
 		// Uniform reads: flush delta buffers early (small threshold,
 		// inline retrain — there is no write tail to protect and no
-		// background CPU stolen from readers), coalesce concurrent
-		// gets, route only real batches to the batch kernel.
+		// background CPU stolen from readers), route only real batches
+		// to the batch kernel.
 		want.policy = pickReadPolicy(d)
 		want.async = false
 		want.threshold = c.cfg.ReadThreshold
 		want.floor = 8
-		want.coalesce = true
 		want.cache = false
 	}
 
@@ -289,10 +281,6 @@ func (c *Controller) apply(ph Phase, d Delta) {
 	}
 	if k.ScanBatch != nil && (!last.valid || want.scanBatch != last.scanBatch) {
 		k.ScanBatch(want.scanBatch)
-		c.flips.Add(1)
-	}
-	if k.Coalesce != nil && (!last.valid || want.coalesce != last.coalesce) {
-		k.Coalesce(want.coalesce)
 		c.flips.Add(1)
 	}
 	if k.CacheEnable != nil && (!last.valid || want.cache != last.cache) {

@@ -44,7 +44,6 @@ type flipRecorder struct {
 	thresholds []int
 	floors     []int
 	scanBatch  []int
-	coalesces  []bool
 	caches     []bool
 	promotes   int
 }
@@ -56,7 +55,6 @@ func (r *flipRecorder) knobs() Knobs {
 		RetrainThreshold: func(n int) { r.thresholds = append(r.thresholds, n) },
 		BatchFloor:       func(n int) { r.floors = append(r.floors, n) },
 		ScanBatch:        func(n int) { r.scanBatch = append(r.scanBatch, n) },
-		Coalesce:         func(on bool) { r.coalesces = append(r.coalesces, on) },
 		CacheEnable:      func(on bool) { r.caches = append(r.caches, on) },
 		Promote:          func(keys []uint64) { r.promotes++ },
 	}
@@ -128,8 +126,8 @@ func TestControllerConfirmHysteresis(t *testing.T) {
 	if rec.thresholds[len(rec.thresholds)-1] != 8192 {
 		t.Errorf("insert threshold = %d, want 8192", rec.thresholds[len(rec.thresholds)-1])
 	}
-	if last(rec.coalesces) || last(rec.caches) {
-		t.Error("insert posture left coalesce/cache on")
+	if last(rec.caches) {
+		t.Error("insert posture left the cache on")
 	}
 }
 

@@ -107,10 +107,6 @@ type Delta struct {
 	// EpochRetryRate is the window's optimistic-read retry fraction.
 	EpochRetryRate float64
 
-	// CoalesceBatchP50 is the server's current coalesce batch median
-	// (0 when no server is attached).
-	CoalesceBatchP50 int64
-
 	// SkewShare is the frequency sketch's top-k share for this window
 	// (0 without a sketch).
 	SkewShare float64
@@ -126,19 +122,17 @@ func (d Delta) Ops() int64 {
 // the zero Snapshot (first tick).
 func ComputeDelta(prev, cur telemetry.Snapshot, skew float64) Delta {
 	d := Delta{
-		Gets:     cur.Store.Get.Ops - prev.Store.Get.Ops,
-		Puts:     cur.Store.Put.Ops - prev.Store.Put.Ops,
-		Deletes:  cur.Store.Delete.Ops - prev.Store.Delete.Ops,
-		Scans:    cur.Store.Scan.Ops - prev.Store.Scan.Ops,
-		Batches:  cur.Store.MultiGet.Ops - prev.Store.MultiGet.Ops,
-		GetKeys:  (cur.Store.Get.Ops + cur.Store.MultiGetKeys) - (prev.Store.Get.Ops + prev.Store.MultiGetKeys),
+		Gets:      cur.Store.Get.Ops - prev.Store.Get.Ops,
+		Puts:      cur.Store.Put.Ops - prev.Store.Put.Ops,
+		Deletes:   cur.Store.Delete.Ops - prev.Store.Delete.Ops,
+		Scans:     cur.Store.Scan.Ops - prev.Store.Scan.Ops,
+		Batches:   cur.Store.MultiGet.Ops - prev.Store.MultiGet.Ops,
+		GetKeys:   (cur.Store.Get.Ops + cur.Store.MultiGetKeys) - (prev.Store.Get.Ops + prev.Store.MultiGetKeys),
 		SkewShare: skew,
 
 		RetrainQueue:        cur.Retrain.QueueDepth,
 		RetrainSubmitted:    cur.Retrain.Submitted - prev.Retrain.Submitted,
 		RetrainForegroundNs: cur.Retrain.ForegroundNs - prev.Retrain.ForegroundNs,
-
-		CoalesceBatchP50: cur.Server.BatchP50,
 	}
 	d.WriteOps = d.Puts + d.Deletes
 

@@ -39,7 +39,6 @@ func TestComputeDeltaDiffsWindows(t *testing.T) {
 	cur.Search = []search.KernelStats{
 		{Kernel: "binary", Searches: 300, Probes: 2400},
 	}
-	cur.Server.BatchP50 = 7
 
 	d := ComputeDelta(prev, cur, 0.55)
 	want := []struct {
@@ -57,7 +56,6 @@ func TestComputeDeltaDiffsWindows(t *testing.T) {
 		{"retrainSubmitted", d.RetrainSubmitted, 6},
 		{"retrainQueue", d.RetrainQueue, 4}, // gauge, not differenced
 		{"retrainForegroundNs", d.RetrainForegroundNs, 4e6},
-		{"coalesceP50", d.CoalesceBatchP50, 7}, // gauge, not differenced
 		{"ops", d.Ops(), 960},
 	}
 	for _, w := range want {

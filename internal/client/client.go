@@ -3,9 +3,9 @@
 // A Conn multiplexes any number of goroutines over one TCP connection:
 // each request gets a fresh ID, registers a completion channel, and is
 // written framed onto the shared socket; a single reader goroutine
-// routes responses — which arrive in whatever order the server
-// completed them — back by ID. That pipelining is what lets the
-// server-side coalescer see concurrent reads on one connection.
+// routes responses back by ID. Requests that reach the server together
+// are executed in the order they were written and answered in one
+// socket write, so concurrent callers share round trips.
 //
 // A Pool spreads that over several connections round-robin, which is
 // how a load generator saturates a server without one socket becoming
@@ -109,7 +109,9 @@ func (c *Conn) readLoop() {
 			c.fail(err)
 			return
 		}
-		buf = body[:0]
+		if len(body)+4 > br.Size() {
+			buf = body[:0] // too large for br, so ReadFrame copied it here; keep it
+		}
 		id := wire.PeekID(body)
 		c.mu.Lock()
 		w, ok := c.waiters[id]
@@ -350,17 +352,6 @@ func (c *Conn) Stats(ctx context.Context) ([]byte, error) {
 // Drain asks the server to drain its store's background retrains.
 func (c *Conn) Drain(ctx context.Context) error {
 	_, err := c.roundTrip(ctx, &wire.Request{Op: wire.OpDrain})
-	return err
-}
-
-// SetCoalesce toggles the server's read coalescer at runtime. Servers
-// configured without a coalescer refuse with StatusUnsupported.
-func (c *Conn) SetCoalesce(ctx context.Context, on bool) error {
-	var key uint64
-	if on {
-		key = 1
-	}
-	_, err := c.roundTrip(ctx, &wire.Request{Op: wire.OpCoalesce, Key: key})
 	return err
 }
 

@@ -88,7 +88,7 @@ type Result struct {
 	// across chunk boundaries. Must be zero.
 	ScanViolations int64   `json:"scan_violations"`
 	Errors         int64   `json:"errors"`
-	Rejected       int64   `json:"rejected"` // backpressure rejections (retried)
+	Rejected       int64   `json:"rejected"` // answers with the reserved backpressure status; vipersrv sends none
 	Lost           int64   `json:"lost"`     // sent, never answered
 	Dup            int64   `json:"dup"`      // answered more than once (stray IDs)
 	OpenLag        int64   `json:"open_lag"` // open-loop ops fired behind schedule
@@ -309,14 +309,6 @@ func Run(ctx context.Context, cfg Config) (Result, error) {
 				case err == nil:
 					acked.Add(1)
 					lat.Record(time.Since(t0).Nanoseconds())
-				case errors.Is(err, wire.ErrBackpressure):
-					// Rejected is a response too: the server answered "try
-					// later" (sent/acked stay balanced). Retry the slot
-					// after a short yield.
-					acked.Add(1)
-					rejects.Add(1)
-					i--
-					time.Sleep(50 * time.Microsecond)
 				case isConnLoss(err):
 					// The wait ended without a response: genuinely lost
 					// unless the drain accounting explains it.
@@ -325,6 +317,9 @@ func Run(ctx context.Context, cfg Config) (Result, error) {
 					// Typed server error (full, unsupported...): answered.
 					acked.Add(1)
 					errs.Add(1)
+					if errors.Is(err, wire.ErrBackpressure) {
+						rejects.Add(1)
+					}
 				}
 			}
 		}(w)

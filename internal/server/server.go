@@ -1,39 +1,34 @@
 // Package server is the network front end over a viper.Store: a TCP
 // service speaking the wire package's pipelined binary protocol.
 //
-// Architecture, per connection:
+// One goroutine per connection runs each burst to completion: it
+// decodes every frame already in its read buffer, executes the frames
+// in arrival order, appends every response to one reused buffer and
+// issues one socket write when the input is drained. A run of
+// consecutive Gets becomes one Store.MultiGet (a run of one, a plain
+// Store.Get); any other op ends the run. There is no goroutine shared
+// between connections and no queue between reading and writing, so a
+// request crosses no scheduler hand-off on its way through the server.
 //
-//   - A reader goroutine decodes frames and admits requests against a
-//     bounded in-flight window. A full window answers with
-//     StatusBackpressure instead of queueing — the server's memory is
-//     bounded by design, not by hoping clients behave.
-//   - Admitted point Gets are handed to the shared coalescer; every
-//     other op executes on the reader goroutine (writes serialised with
-//     a mutex when the index lacks concurrent-write support).
-//   - A writer goroutine drains a bounded response queue into a
-//     buffered socket writer, flushing when the queue goes idle — so a
-//     pipelined burst is written back in large socket writes. Writes
-//     run under a deadline: a client that stops reading turns into a
-//     write error, and the connection is dropped rather than letting a
-//     dead socket wedge the writer with window slots held.
+// Four invariants hold by construction:
 //
-// The coalescer is one goroutine for the whole server. It collects
-// concurrent point reads — across connections — into a batch, waiting
-// at most CoalesceWait after the first get and flushing early when the
-// batch reaches CoalesceBatch, then resolves the batch with one
-// Store.MultiGet. That turns N scattered index probes + N scattered
-// PMem reads into one offset-ordered batch, which is exactly the
-// amortisation MultiGet exists for; the batch-size histogram in
-// telemetry shows whether it is actually happening. The coalescer
-// never blocks on any one connection: a connection whose response
-// queue is full (a stalled client) is dropped, so one misbehaving
-// client cannot halt the shared read path.
+//   - Bounded memory. A connection holds its read buffer, one frame
+//     body and a response buffer that is written out once it passes
+//     flushBytes or holds MaxInFlight responses. Nothing is ever
+//     refused: the window is enforced by writing, not by rejecting.
+//   - A client that stops reading only hurts itself. Its connection's
+//     goroutine blocks in its own write for at most WriteTimeout and
+//     then drops the connection; nobody else waits on it.
+//   - Region aliases never outlive their epoch pin: values are copied
+//     into the response buffer inside the pin that covers the store
+//     call.
+//   - Program order per connection: a pipelined Put(k), Get(k),
+//     Delete(k), Get(k) observes its own writes.
 //
-// Graceful drain never drops an admitted request: Shutdown stops the
-// accept loop, half-closes every connection's read side (in-flight
-// frames already received still execute), waits for each connection's
-// admitted requests to be answered and written, then stops the
-// coalescer and drains the store's retrain pipeline.
+// Graceful drain never drops a received request: Shutdown stops the
+// accept loop and half-closes every connection's read side; each
+// connection finishes the frames it already received, writes, and
+// exits on EOF; then the store's retrain pipeline is drained.
 package server
 
 import (
@@ -44,7 +39,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -56,27 +50,24 @@ import (
 	"learnedpieces/internal/wire"
 )
 
-// Defaults.
 const (
-	// DefaultMaxInFlight is the per-connection admission window.
+	// DefaultMaxInFlight is the per-connection in-flight window.
 	DefaultMaxInFlight = 128
-	// DefaultCoalesceWait is how long the coalescer holds a batch open
-	// after its first get. Two hundred microseconds is invisible next
-	// to a network round trip but long enough for concurrent clients'
-	// reads to pile into one batch.
-	DefaultCoalesceWait = 200 * time.Microsecond
-	// DefaultCoalesceBatch flushes a batch early at this size; it also
-	// bounds the MultiGet fan-in (and stays under wire.MaxKeys).
-	DefaultCoalesceBatch = 256
 	// DefaultWriteTimeout bounds one socket write. A client that stops
-	// reading responses stalls its connection's writer against a full
-	// TCP buffer; the deadline turns that stall into a write error that
-	// tears the connection down instead of holding its queue (and its
-	// admitted window slots) forever.
+	// reading responses stalls its connection against a full TCP buffer;
+	// the deadline turns that stall into a write error that tears the
+	// connection down.
 	DefaultWriteTimeout = 30 * time.Second
-	// outSlack is response-queue headroom beyond the admission window,
-	// reserved for backpressure replies (which bypass the window).
-	outSlack = 64
+	// readBufBytes is the per-connection read buffer: the most input one
+	// burst is decoded from without another socket read.
+	readBufBytes = 64 << 10
+	// flushBytes is the response-buffer size that forces a write even
+	// though more input is waiting.
+	flushBytes = 64 << 10
+	// retainBytes is the largest buffer a connection keeps between
+	// bursts; one that a large response or request grew past it is
+	// released after use.
+	retainBytes = 1 << 20
 )
 
 // Config parameterises a Server. Store is required; everything else
@@ -87,20 +78,14 @@ type Config struct {
 	// Store is the backing key-value store. The server never closes it;
 	// lifecycle stays with the caller.
 	Store *viper.Store
-	// MaxInFlight bounds admitted-but-unanswered requests per
-	// connection; 0 means DefaultMaxInFlight.
+	// MaxInFlight is the most received-but-unanswered requests a
+	// connection holds: once that many responses are buffered they are
+	// written before another frame is read. 0 means DefaultMaxInFlight.
 	MaxInFlight int
-	// CoalesceWait bounds how long a point read waits for batch mates;
-	// 0 means DefaultCoalesceWait.
-	CoalesceWait time.Duration
-	// CoalesceBatch flushes a batch at this size; 0 means
-	// DefaultCoalesceBatch, and any value <= 1 disables coalescing
-	// (every get becomes its own store call).
-	CoalesceBatch int
-	// WriteTimeout bounds one socket write (Write or Flush) to a
-	// connection; a write that exceeds it fails and the connection is
-	// dropped. 0 means DefaultWriteTimeout; negative disables deadlines
-	// (tests with deadline-free shims).
+	// WriteTimeout bounds one socket write to a connection; a write that
+	// exceeds it fails and the connection is dropped. 0 means
+	// DefaultWriteTimeout; negative disables deadlines (tests with
+	// deadline-free shims).
 	WriteTimeout time.Duration
 	// Sink receives the server's counters via SetServerProbe; nil
 	// leaves server telemetry disabled.
@@ -108,47 +93,29 @@ type Config struct {
 }
 
 // metrics is the server's counter block; read by the telemetry probe.
+// Per-request counts are added once per socket write, not per request.
 type metrics struct {
 	connsOpen telemetry.Gauge
-	inFlight  telemetry.Gauge
 
 	connsTotal telemetry.Counter
 	accepted   telemetry.Counter
-	rejected   telemetry.Counter
 	badFrames  telemetry.Counter
 	bytesIn    telemetry.Counter
 	bytesOut   telemetry.Counter
+	writes     telemetry.Counter // socket writes
+	drains     telemetry.Counter
 
-	coalesceBatches telemetry.Counter
-	coalescedGets   telemetry.Counter
-	flushFull       telemetry.Counter
-	flushTimer      telemetry.Counter
-	stalledConns    telemetry.Counter
-	drains          telemetry.Counter
+	// Get runs of two or more (one MultiGet each): how many, the Gets in
+	// them, their lengths, and what ended them — a limit (runFull) or
+	// the input (runInput).
+	runs     telemetry.Counter
+	runGets  telemetry.Counter
+	runFull  telemetry.Counter
+	runInput telemetry.Counter
+	runLen   *stats.Histogram
 
-	batch *stats.Histogram
-}
-
-func (m *metrics) snapshot() telemetry.ServerSnapshot {
-	return telemetry.ServerSnapshot{
-		ConnsOpen:       m.connsOpen.Load(),
-		ConnsTotal:      m.connsTotal.Load(),
-		InFlight:        m.inFlight.Load(),
-		Accepted:        m.accepted.Load(),
-		Rejected:        m.rejected.Load(),
-		BadFrames:       m.badFrames.Load(),
-		BytesIn:         m.bytesIn.Load(),
-		BytesOut:        m.bytesOut.Load(),
-		CoalesceBatches: m.coalesceBatches.Load(),
-		CoalescedGets:   m.coalescedGets.Load(),
-		BatchP50:        m.batch.Percentile(50),
-		BatchP99:        m.batch.Percentile(99),
-		BatchMax:        m.batch.Max(),
-		FlushFull:       m.flushFull.Load(),
-		FlushTimer:      m.flushTimer.Load(),
-		StalledConns:    m.stalledConns.Load(),
-		Drains:          m.drains.Load(),
-	}
+	// outMax is the largest response buffer any connection has written.
+	outMax atomic.Int64
 }
 
 // Server serves the wire protocol over TCP.
@@ -160,69 +127,44 @@ type Server struct {
 	// opMu serialises store calls the index cannot take concurrently.
 	// Three tiers by capability: ConcurrentWrites — no locking at all;
 	// ConcurrentReads only — writes take the write lock, reads share
-	// the read lock; neither — every op takes the write lock. The
-	// coalescer takes its read lock once per batch, which turns the
-	// lock itself into something coalescing amortises.
+	// the read lock; neither — every op takes the write lock. A Get run
+	// takes its lock once.
 	opMu           sync.RWMutex
 	lockWrites     bool
 	lockReads      bool
 	readsExclusive bool
-	statsSource    func() []byte
 
-	// coalesceOn is the runtime gate in front of the read coalescer:
-	// the adapt controller (or an OpCoalesce admin request) flips it
-	// while traffic runs. Off routes point gets straight through
-	// execute on the reader goroutine; the coalescer goroutine keeps
-	// running either way so a flip is a single atomic store with no
-	// lifecycle work. It only matters when cfg.CoalesceBatch > 1 —
-	// with batching configured off there is nothing to gate.
-	coalesceOn atomic.Bool
-
-	lnMu     sync.Mutex
-	ln       net.Listener
-	getc     chan getReq
-	stopc    chan struct{} // closed to stop the coalescer
-	closed   atomic.Bool
-	connMu   sync.Mutex
-	conns    map[*conn]struct{}
-	connWG   sync.WaitGroup // live connection writer goroutines
-	coalesce sync.WaitGroup // the coalescer goroutine
+	lnMu   sync.Mutex
+	ln     net.Listener
+	closed atomic.Bool
+	connMu sync.Mutex
+	conns  map[*conn]struct{}
+	connWG sync.WaitGroup // live connection goroutines
 }
 
-// getReq is one admitted point read travelling to the coalescer.
-type getReq struct {
-	c   *conn
-	id  uint64
-	key uint64
-}
-
-// connBatch accumulates one connection's encoded responses for one
-// coalesced batch.
-type connBatch struct {
-	buf []byte
-	n   int
-}
-
-// outMsg is one or more encoded responses travelling to a connection's
-// writer. admitted counts how many window-holding responses the buffer
-// carries (the writer releases that many in-flight slots); rejections
-// and error replies ride with admitted == 0.
-type outMsg struct {
-	buf      []byte
-	admitted int
-}
-
-// conn is one accepted connection's state.
+// conn is one accepted connection's state. Everything but inFlight is
+// touched only by the connection's own goroutine.
 type conn struct {
-	s        *Server
-	raw      net.Conn
-	nc       *net.TCPConn // raw when it is TCP; enables read-side half-close
-	out      chan outMsg
+	s   *Server
+	raw net.Conn
+	nc  *net.TCPConn // raw when it is TCP; enables read-side half-close
+
+	// inFlight counts requests received and not yet written back: the
+	// pending Get run plus the responses in out.
 	inFlight atomic.Int64
-	// reqWG tracks requests handed to the coalescer; the reader waits
-	// for it before closing out, so the coalescer never sends on a
-	// closed channel.
-	reqWG sync.WaitGroup
+
+	// The pending run of consecutive Gets, in arrival order.
+	ids  []uint64
+	keys []uint64
+
+	out     []byte        // encoded responses awaiting the next write
+	resps   int           // how many responses out holds
+	resp    wire.Response // scratch for execute
+	entries []wire.Entry  // scratch for Range
+
+	// Counted here, added to the server's metrics at each write.
+	accepted int64
+	bytesIn  int64
 }
 
 // New builds a server over cfg, applying defaults. It does not listen
@@ -234,15 +176,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.MaxInFlight <= 0 {
 		cfg.MaxInFlight = DefaultMaxInFlight
 	}
-	if cfg.CoalesceWait <= 0 {
-		cfg.CoalesceWait = DefaultCoalesceWait
-	}
-	if cfg.CoalesceBatch == 0 {
-		cfg.CoalesceBatch = DefaultCoalesceBatch
-	}
-	if cfg.CoalesceBatch > wire.MaxKeys {
-		cfg.CoalesceBatch = wire.MaxKeys
-	}
 	if cfg.WriteTimeout == 0 {
 		cfg.WriteTimeout = DefaultWriteTimeout
 	}
@@ -250,16 +183,12 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:            cfg,
 		store:          cfg.Store,
-		met:            &metrics{batch: stats.NewHistogram()},
+		met:            &metrics{runLen: stats.NewHistogram()},
 		lockWrites:     !caps.ConcurrentWrites,
 		lockReads:      !caps.ConcurrentWrites, // a write may be in flight
 		readsExclusive: !caps.ConcurrentReads,
-		getc:           make(chan getReq, 4*wire.MaxKeys),
-		stopc:          make(chan struct{}),
 		conns:          make(map[*conn]struct{}),
 	}
-	s.statsSource = s.statsJSON
-	s.coalesceOn.Store(cfg.CoalesceBatch > 1)
 	if cfg.Sink != nil {
 		cfg.Sink.SetServerProbe(s.Metrics)
 	}
@@ -268,29 +197,31 @@ func New(cfg Config) (*Server, error) {
 
 // Metrics digests the server's own counters (also reachable through a
 // sink's server probe; this accessor serves embedders without one).
+// Rejected is always zero: this server never refuses a request.
 func (s *Server) Metrics() telemetry.ServerSnapshot {
-	sn := s.met.snapshot()
-	sn.CoalesceOn = s.CoalesceEnabled()
-	return sn
-}
-
-// SetCoalesce flips the read coalescer's runtime gate. Safe under live
-// traffic from any goroutine: requests already handed to the coalescer
-// finish there, new point gets route per the new setting. A server
-// configured with CoalesceBatch <= 1 has no coalescer to enable, so the
-// call reports false and changes nothing.
-func (s *Server) SetCoalesce(on bool) bool {
-	if s.cfg.CoalesceBatch <= 1 {
-		return false
+	m := s.met
+	sn := telemetry.ServerSnapshot{
+		ConnsOpen:       m.connsOpen.Load(),
+		ConnsTotal:      m.connsTotal.Load(),
+		Accepted:        m.accepted.Load(),
+		BadFrames:       m.badFrames.Load(),
+		BytesIn:         m.bytesIn.Load(),
+		BytesOut:        m.bytesOut.Load(),
+		CoalesceBatches: m.runs.Load(),
+		CoalescedGets:   m.runGets.Load(),
+		BatchP50:        m.runLen.Percentile(50),
+		BatchP99:        m.runLen.Percentile(99),
+		BatchMax:        m.runLen.Max(),
+		FlushFull:       m.runFull.Load(),
+		FlushTimer:      m.runInput.Load(),
+		Drains:          m.drains.Load(),
 	}
-	s.coalesceOn.Store(on)
-	return true
-}
-
-// CoalesceEnabled reports whether point gets currently route through
-// the shared coalescer.
-func (s *Server) CoalesceEnabled() bool {
-	return s.cfg.CoalesceBatch > 1 && s.coalesceOn.Load()
+	s.connMu.Lock()
+	for c := range s.conns {
+		sn.InFlight += c.inFlight.Load()
+	}
+	s.connMu.Unlock()
+	return sn
 }
 
 // Addr returns the bound listen address (nil before Serve).
@@ -324,8 +255,6 @@ func (s *Server) Serve(ln net.Listener) error {
 		_ = ln.Close()
 		return net.ErrClosed
 	}
-	s.coalesce.Add(1)
-	go s.runCoalescer()
 	for {
 		nc, err := ln.Accept()
 		if err != nil {
@@ -334,12 +263,7 @@ func (s *Server) Serve(ln net.Listener) error {
 		// Non-TCP listeners (tests use in-memory shims) still work; they
 		// just lose the half-close drain nicety.
 		tc, _ := nc.(*net.TCPConn)
-		c := &conn{
-			s:   s,
-			raw: nc,
-			nc:  tc,
-			out: make(chan outMsg, s.cfg.MaxInFlight+outSlack),
-		}
+		c := &conn{s: s, raw: nc, nc: tc}
 		s.connMu.Lock()
 		if s.closed.Load() {
 			s.connMu.Unlock()
@@ -351,14 +275,13 @@ func (s *Server) Serve(ln net.Listener) error {
 		s.met.connsTotal.Inc()
 		s.met.connsOpen.Add(1)
 		s.connWG.Add(1)
-		go c.writeLoop(nc)
-		go c.readLoop(nc)
+		go c.serve()
 	}
 }
 
 // Shutdown gracefully drains the server: stop accepting, half-close
-// every connection's read side, answer everything already admitted,
-// then stop the coalescer and drain the store's retrain pipeline. The
+// every connection's read side, let each connection answer everything
+// it already received, then drain the store's retrain pipeline. The
 // context bounds the wait; on expiry remaining connections are
 // force-closed and ctx.Err() is returned.
 func (s *Server) Shutdown(ctx context.Context) error {
@@ -401,11 +324,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		<-done
 	}
 
-	// All connections are gone, so no gets can be in the coalescer's
-	// queue (each held its connection open via reqWG until answered).
-	close(s.stopc)
-	s.coalesce.Wait()
-
 	s.met.drains.Inc()
 	s.store.DrainRetrains()
 	if s.cfg.Sink != nil {
@@ -416,147 +334,196 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	return err
 }
 
-// readLoop is the per-connection reader: frame → decode → admit →
-// dispatch. It owns connection teardown: on exit it waits for
-// coalesced requests, closes out (stopping the writer) and releases
-// the server's connection bookkeeping.
-func (c *conn) readLoop(nc net.Conn) {
+// serve is the connection's only goroutine: read a burst, execute it in
+// order, write it once. It writes whenever its read buffer runs empty,
+// so it parks in a read holding answers only while the rest of a frame
+// it has begun to receive is on its way, and it parks in a write for at
+// most WriteTimeout.
+func (c *conn) serve() {
 	s := c.s
+	defer s.connWG.Done()
 	defer func() {
-		c.reqWG.Wait()
-		close(c.out)
+		_ = c.raw.Close()
 		s.connMu.Lock()
 		delete(s.conns, c)
 		s.connMu.Unlock()
 		s.met.connsOpen.Add(-1)
 	}()
-	br := bufio.NewReaderSize(nc, 64<<10)
-	var buf []byte
+	br := bufio.NewReaderSize(c.raw, readBufBytes)
+	var big []byte // bodies of frames larger than the read buffer
 	for {
-		body, err := wire.ReadFrame(br, buf)
+		body, err := wire.ReadFrame(br, big)
 		if err != nil {
-			if err != io.EOF && !errors.Is(err, net.ErrClosed) {
+			// A cut or oversized frame is a protocol error; a reset, a
+			// close or a drain's half-close is not. Either way the frames
+			// received before it are answered first.
+			if errors.Is(err, wire.ErrFrameTooBig) || errors.Is(err, io.ErrUnexpectedEOF) {
 				s.met.badFrames.Inc()
 			}
+			if c.runGets(false) == nil {
+				_ = c.write()
+			}
 			return
 		}
-		buf = body[:0] // reuse the (possibly grown) buffer next frame
-		s.met.bytesIn.Add(int64(len(body)) + 4)
+		if len(body)+4 > readBufBytes && len(body) <= retainBytes {
+			big = body[:0] // ReadFrame copied it there; keep it for the next one
+		}
+		c.bytesIn += int64(len(body)) + 4
 		req, err := wire.DecodeRequest(body)
 		if err != nil {
+			// The stream may be desynchronised after a malformed frame:
+			// answer the frames before it, then this one if its ID was
+			// readable, and drop the connection.
 			s.met.badFrames.Inc()
-			// The stream may be desynchronised after a malformed frame;
-			// answer if the ID was readable, then drop the connection.
-			if len(body) >= 8 {
-				id := binary.BigEndian.Uint64(body[:8])
-				c.send(&wire.Response{ID: id, Status: wire.StatusBadRequest}, false)
+			if c.runGets(false) != nil {
+				return
 			}
+			if len(body) >= 8 {
+				c.resp = wire.Response{ID: binary.BigEndian.Uint64(body), Status: wire.StatusBadRequest}
+				c.out = wire.AppendResponse(c.out, &c.resp)
+			}
+			_ = c.write()
 			return
 		}
-		// Admission: backpressure rejections bypass the window, so a
-		// client that overruns it keeps getting told, not blocked.
-		if c.inFlight.Load() >= int64(s.cfg.MaxInFlight) {
-			s.met.rejected.Inc()
-			c.send(&wire.Response{ID: req.ID, Status: wire.StatusBackpressure}, false)
-			continue
+		c.accepted++
+		held := int(c.inFlight.Add(1))
+		if req.Op == wire.OpGet {
+			c.ids = append(c.ids, req.ID)
+			c.keys = append(c.keys, req.Key)
+		} else {
+			if c.runGets(false) != nil {
+				return
+			}
+			c.execute(&req)
 		}
-		c.inFlight.Add(1)
-		s.met.inFlight.Add(1)
-		s.met.accepted.Inc()
-		if req.Op == wire.OpGet && s.cfg.CoalesceBatch > 1 && s.coalesceOn.Load() {
-			c.reqWG.Add(1)
-			s.getc <- getReq{c: c, id: req.ID, key: req.Key}
-			continue
+		drained := br.Buffered() == 0
+		limit := held >= s.cfg.MaxInFlight || len(c.out) >= flushBytes
+		if drained || limit || len(c.keys) == wire.MaxKeys {
+			if c.runGets(!drained) != nil {
+				return
+			}
 		}
-		c.sendBuf(s.executeFrame(&req), 1)
+		if (drained || limit) && c.write() != nil {
+			return
+		}
 	}
 }
 
-// writeLoop drains the response queue into a buffered socket writer,
-// flushing whenever the queue goes idle. In-flight accounting is
-// released here — after the response is on its way out — so the window
-// measures genuinely unanswered requests.
-//
-// Every socket write runs under cfg.WriteTimeout: a client that stops
-// reading responses would otherwise park this goroutine on a full TCP
-// buffer forever, with its admitted window slots held and its queue
-// filling behind it. On the first write failure the connection is
-// closed (unblocking the reader) and the loop keeps draining the queue
-// without writing, so accounting still settles and the reader's
-// teardown is never wedged behind a dead socket.
-func (c *conn) writeLoop(nc net.Conn) {
-	s := c.s
-	defer s.connWG.Done()
-	defer func() { _ = nc.Close() }()
-	bw := bufio.NewWriterSize(nc, 64<<10)
-	dead := false
-	write := func(p []byte) {
-		if dead {
-			return
-		}
-		if s.cfg.WriteTimeout > 0 {
-			_ = nc.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
-		}
-		if _, err := bw.Write(p); err != nil {
-			dead = true
-			_ = nc.Close()
-			return
-		}
-		s.met.bytesOut.Add(int64(len(p)))
+// write sends the buffered responses in one socket write and settles
+// the accounting for them. An error means the connection is dead.
+func (c *conn) write() error {
+	m := c.s.met
+	m.accepted.Add(c.accepted)
+	m.bytesIn.Add(c.bytesIn)
+	c.accepted, c.bytesIn = 0, 0
+	if len(c.out) == 0 {
+		return nil
 	}
-	flush := func() {
-		if dead {
-			return
-		}
-		if s.cfg.WriteTimeout > 0 {
-			_ = nc.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
-		}
-		if err := bw.Flush(); err != nil {
-			dead = true
-			_ = nc.Close()
-		}
+	if c.s.cfg.WriteTimeout > 0 {
+		_ = c.raw.SetWriteDeadline(time.Now().Add(c.s.cfg.WriteTimeout))
 	}
-	for msg := range c.out {
-		for {
-			write(msg.buf)
-			if msg.admitted > 0 {
-				c.inFlight.Add(-int64(msg.admitted))
-				s.met.inFlight.Add(-int64(msg.admitted))
-			}
-			// Opportunistically drain without flushing between messages.
-			select {
-			case m, ok := <-c.out:
-				if !ok {
-					flush()
-					return
-				}
-				msg = m
-				continue
-			default:
-			}
+	n, err := c.raw.Write(c.out)
+	m.writes.Inc()
+	m.bytesOut.Add(int64(n))
+	for size := int64(len(c.out)); ; {
+		max := m.outMax.Load()
+		if size <= max || m.outMax.CompareAndSwap(max, size) {
 			break
 		}
-		flush()
+	}
+	c.inFlight.Add(-int64(c.resps))
+	c.resps = 0
+	if cap(c.out) > retainBytes {
+		c.out, c.entries = nil, nil
+	} else {
+		c.out = c.out[:0]
+	}
+	return err
+}
+
+// runGets answers the pending run of Gets. cut says a limit ended the
+// run (wire.MaxKeys keys, the in-flight window, a full buffer) rather
+// than the input (a frame of another op, or nothing more buffered). A
+// run whose values overflow the response buffer is answered in several
+// rounds with a write between them, so the buffer's bound holds for any
+// value size; the error is that write's.
+func (c *conn) runGets(cut bool) error {
+	if len(c.keys) == 0 {
+		return nil
+	}
+	if n := len(c.keys); n > 1 {
+		m := c.s.met
+		m.runs.Inc()
+		m.runGets.Add(int64(n))
+		m.runLen.Record(int64(n))
+		if cut {
+			m.runFull.Inc()
+		} else {
+			m.runInput.Inc()
+		}
+	}
+	ids, keys := c.ids, c.keys
+	c.ids, c.keys = c.ids[:0], c.keys[:0]
+	for {
+		n := c.getRound(ids, keys)
+		ids, keys = ids[n:], keys[n:]
+		if len(keys) == 0 {
+			return nil
+		}
+		if err := c.write(); err != nil {
+			return err
+		}
 	}
 }
 
-// send encodes r and queues it for the writer. Blocking here is
-// deliberate: the queue is sized so admitted responses always fit, and
-// a reader blocked on its own rejection replies just stops reading —
-// which is backpressure doing its job. Only the connection's own
-// reader may block here; the shared coalescer uses trySend.
-func (c *conn) send(r *wire.Response, admitted bool) {
-	n := 0
-	if admitted {
-		n = 1
+// getRound reads keys with one store call — Get for one key, MultiGet
+// for more — and encodes responses until all are encoded or the buffer
+// passes flushBytes; it returns how many it encoded. The values alias
+// the PMem region, so the store call and the encode share one epoch
+// pin: a concurrent Compact's page frees are deferred past the copy.
+func (c *conn) getRound(ids, keys []uint64) int {
+	s := c.s
+	g := epoch.Enter(keys[0])
+	defer g.Exit()
+	var one [1][]byte
+	vals := one[:]
+	s.lockRead()
+	if len(keys) == 1 {
+		vals[0], _ = s.store.Get(keys[0])
+	} else {
+		vals = s.store.MultiGet(keys)
 	}
-	c.sendBuf(wire.AppendResponse(nil, r), n)
+	s.unlockRead()
+	for i, v := range vals {
+		c.resp = wire.Response{ID: ids[i], Value: v}
+		if v == nil {
+			c.resp.Status = wire.StatusNotFound
+		}
+		c.out = wire.AppendResponse(c.out, &c.resp)
+		c.resps++
+		if len(c.out) >= flushBytes {
+			return i + 1
+		}
+	}
+	return len(vals)
 }
 
-// sendBuf queues an already-encoded buffer carrying admitted
-// window-holding responses.
-func (c *conn) sendBuf(buf []byte, admitted int) {
-	c.out <- outMsg{buf: buf, admitted: admitted}
+// lockRead takes opMu as a store read needs it on this index;
+// unlockRead releases it.
+func (s *Server) lockRead() {
+	if s.readsExclusive {
+		s.opMu.Lock()
+	} else if s.lockReads {
+		s.opMu.RLock()
+	}
+}
+
+func (s *Server) unlockRead() {
+	if s.readsExclusive {
+		s.opMu.Unlock()
+	} else if s.lockReads {
+		s.opMu.RUnlock()
+	}
 }
 
 // Response frame budget bookkeeping, in body bytes: a response body is
@@ -570,51 +537,39 @@ const (
 	rangeHeaderBytes = 1 + 8 // Range continuation header: more flag + resume key
 )
 
-// executeFrame runs one non-coalesced request and returns its encoded
-// response frame. Read results (Get/MultiGet/Range values) alias the
-// PMem region, so for read ops the store call and the encode both
-// happen under one epoch pin: a concurrent Compact's page frees are
-// deferred past the encode, upholding viper's rule that region aliases
-// must not be retained unpinned.
-func (s *Server) executeFrame(req *wire.Request) []byte {
-	if reads(req.Op) {
+// execute runs one request other than a Get and appends its response.
+// MultiGet and Range results alias the PMem region, so for them the
+// store call and the encode both happen under one epoch pin (see
+// getRound).
+func (c *conn) execute(req *wire.Request) {
+	if req.Op == wire.OpMultiGet || req.Op == wire.OpRange {
 		g := epoch.Enter(req.Key)
 		defer g.Exit()
 	}
-	return wire.AppendResponse(nil, s.execute(req))
+	c.resp = wire.Response{ID: req.ID}
+	c.call(req)
+	c.out = wire.AppendResponse(c.out, &c.resp)
+	c.resps++
 }
 
-// execute runs one non-coalesced request against the store and builds
-// its response. Runs on the reader goroutine (or under opMu when the
-// index needs serialisation). Callers encoding read responses must
-// hold an epoch pin across the call and the encode (see executeFrame).
-func (s *Server) execute(req *wire.Request) *wire.Response {
-	resp := &wire.Response{ID: req.ID}
-	switch {
-	case writes(req.Op):
+// call runs req against the store, under opMu when the index needs
+// serialisation, and fills c.resp. The lock is released before the
+// encode; the caller's epoch pin is what the encode needs.
+func (c *conn) call(req *wire.Request) {
+	s, resp := c.s, &c.resp
+	switch req.Op {
+	case wire.OpPut, wire.OpDelete:
 		if s.lockWrites {
 			s.opMu.Lock()
 			defer s.opMu.Unlock()
 		}
-	case reads(req.Op):
-		if s.readsExclusive {
-			s.opMu.Lock()
-			defer s.opMu.Unlock()
-		} else if s.lockReads {
-			s.opMu.RLock()
-			defer s.opMu.RUnlock()
-		}
+	case wire.OpMultiGet, wire.OpRange:
+		s.lockRead()
+		defer s.unlockRead()
 	}
 	switch req.Op {
 	case wire.OpPut:
 		resp.Status = statusOf(s.store.Put(req.Key, req.Value))
-	case wire.OpGet:
-		// Only reached with coalescing disabled (or lockReads).
-		if v, ok := s.store.Get(req.Key); ok {
-			resp.Value = v
-		} else {
-			resp.Status = wire.StatusNotFound
-		}
 	case wire.OpDelete:
 		existed, err := s.store.Delete(req.Key)
 		resp.Status = statusOf(err)
@@ -641,16 +596,13 @@ func (s *Server) execute(req *wire.Request) *wire.Response {
 		// a continuation costs nothing to hold open and survives the
 		// store retraining or compacting between frames.
 		// DecodeRequest already rejects these limits; kept for direct
-		// callers so execute never passes n=0 (unlimited) to Store.Range.
+		// callers so call never passes n=0 (unlimited) to Store.Range.
 		if req.Limit == 0 || req.Limit > wire.MaxScanLimit {
 			resp.Status = wire.StatusBadRequest
 			break
 		}
-		chunk := int(req.Limit)
-		if chunk > wire.MaxRangeChunk {
-			chunk = wire.MaxRangeChunk
-		}
-		entries := make([]wire.Entry, 0, chunk)
+		chunk := min(int(req.Limit), wire.MaxRangeChunk)
+		es := c.entries[:0]
 		truncated := false
 		// A chunk carries *up to* Limit entries, so the frame budget is
 		// enforced by truncation: stop before the entry that would push
@@ -662,17 +614,18 @@ func (s *Server) execute(req *wire.Request) *wire.Response {
 				return false
 			}
 			body += scanEntryBytes + len(v)
-			entries = append(entries, wire.Entry{Key: k, Value: v})
+			es = append(es, wire.Entry{Key: k, Value: v})
 			return true
 		})
+		c.entries = es
 		if resp.Status = statusOf(err); resp.Status != wire.StatusOK {
 			break
 		}
 		resp.Cursor = true
-		resp.Entries = entries
+		resp.Entries = es
 		resp.ResumeKey = req.Key
-		if n := len(entries); n > 0 {
-			last := entries[n-1].Key
+		if n := len(es); n > 0 {
+			last := es[n-1].Key
 			// A full chunk (or a frame-budget stop) means the range may
 			// continue past the last delivered key — unless that key is
 			// the top of the key space, where there is nowhere to resume.
@@ -682,33 +635,13 @@ func (s *Server) execute(req *wire.Request) *wire.Response {
 			}
 		}
 	case wire.OpStats:
-		resp.Value = s.statsSource()
+		resp.Value = s.statsJSON()
 	case wire.OpDrain:
 		s.store.DrainRetrains()
 		s.met.drains.Inc()
-	case wire.OpCoalesce:
-		// Admin toggle for the read coalescer; Key 0 = off, nonzero =
-		// on. Refused (not silently ignored) when there is no coalescer
-		// configured to gate.
-		if !s.SetCoalesce(req.Key != 0) {
-			resp.Status = wire.StatusUnsupported
-		}
 	default:
 		resp.Status = wire.StatusBadRequest
 	}
-	return resp
-}
-
-// writes reports whether op mutates the store.
-func writes(op wire.Op) bool {
-	return op == wire.OpPut || op == wire.OpDelete
-}
-
-// reads reports whether op probes the index (and so must exclude
-// writers on indexes without concurrent-write support).
-func reads(op wire.Op) bool {
-	return op == wire.OpGet || op == wire.OpMultiGet ||
-		op == wire.OpRange
 }
 
 // statusOf maps the store's typed error sentinels to wire statuses —
@@ -748,137 +681,4 @@ type bytesBuffer struct{ data []byte }
 func (b *bytesBuffer) Write(p []byte) (int, error) {
 	b.data = append(b.data, p...)
 	return len(p), nil
-}
-
-// runCoalescer is the shared read-aggregation loop: collect point gets
-// (across connections) for at most CoalesceWait after the first one,
-// flush early at CoalesceBatch, resolve with one MultiGet, answer each
-// origin connection.
-func (s *Server) runCoalescer() {
-	defer s.coalesce.Done()
-	maxBatch := s.cfg.CoalesceBatch
-	if maxBatch < 1 {
-		maxBatch = 1
-	}
-	reqs := make([]getReq, 0, maxBatch)
-	keys := make([]uint64, 0, maxBatch)
-	groups := make(map[*conn]connBatch)
-	for {
-		// Wait for the batch opener.
-		select {
-		case r := <-s.getc:
-			reqs = append(reqs, r)
-		case <-s.stopc:
-			// Connections are all drained before stopc closes, so the
-			// queue is empty; nothing to flush.
-			return
-		}
-		// Group-commit fill: drain everything already queued, yield one
-		// scheduling quantum so readers mid-frame land their enqueues,
-		// drain again, flush. Exactly one yield per batch — repeated
-		// yields lockstep with the readers on few cores and pay a full
-		// context switch per get, and blocking on a timer convoys
-		// closed-loop clients (every outstanding get is in this batch,
-		// so nobody can send another until we answer). CoalesceWait
-		// bounds the hold time when the queue keeps supplying.
-		opened := time.Now()
-		yielded := false
-		for len(reqs) < maxBatch && time.Since(opened) < s.cfg.CoalesceWait {
-			select {
-			case r := <-s.getc:
-				reqs = append(reqs, r)
-				continue
-			default:
-			}
-			if yielded {
-				break
-			}
-			yielded = true
-			runtime.Gosched()
-		}
-		full := len(reqs) >= maxBatch
-		keys = keys[:0]
-		for _, r := range reqs {
-			keys = append(keys, r.key)
-		}
-		// Pin an epoch across the store call AND the encode below: the
-		// returned values alias the PMem region, and the pin defers a
-		// concurrent Compact's page frees until the encode is done.
-		g := epoch.Enter(0)
-		var vals [][]byte
-		switch {
-		case s.readsExclusive:
-			s.opMu.Lock()
-			vals = s.store.MultiGet(keys)
-			s.opMu.Unlock()
-		case s.lockReads:
-			s.opMu.RLock()
-			vals = s.store.MultiGet(keys)
-			s.opMu.RUnlock()
-		default:
-			vals = s.store.MultiGet(keys)
-		}
-		// Encode immediately, still under the epoch pin (the returned
-		// values alias the PMem region and must not outlive it),
-		// grouping responses by origin connection: one writer handoff
-		// per connection per batch, not one per get — most of the
-		// coalescer's per-op overhead is that channel hop. First pass
-		// sizes each connection's buffer exactly (frame prefix + id +
-		// status + value) so the encode pass never grows a slice
-		// mid-batch; b.n holds the byte total during sizing, then
-		// becomes the response count the writer releases.
-		for i, r := range reqs {
-			b := groups[r.c]
-			b.n += 4 + 8 + 1 + len(vals[i])
-			groups[r.c] = b
-		}
-		for c, b := range groups {
-			b.buf = make([]byte, 0, b.n)
-			b.n = 0
-			groups[c] = b
-		}
-		for i, r := range reqs {
-			resp := wire.Response{ID: r.id}
-			if vals[i] != nil {
-				resp.Value = vals[i]
-			} else {
-				resp.Status = wire.StatusNotFound
-			}
-			b := groups[r.c]
-			b.buf = wire.AppendResponse(b.buf, &resp)
-			b.n++
-			groups[r.c] = b
-		}
-		g.Exit()
-		// Deliver without ever blocking: this goroutine is shared by
-		// every connection, so a blocking send here would let one
-		// stalled client (full response queue behind a writer that is
-		// not draining) halt coalesced reads for the whole server. A
-		// full queue means the connection is already past backpressure
-		// — its writer is stalled and its reader is parked on its own
-		// rejections — so drop it: settle its accounting here and close
-		// the socket, which unblocks its writer and reader to tear the
-		// rest down.
-		for c, b := range groups {
-			select {
-			case c.out <- outMsg{buf: b.buf, admitted: b.n}:
-			default:
-				s.met.stalledConns.Inc()
-				c.inFlight.Add(-int64(b.n))
-				s.met.inFlight.Add(-int64(b.n))
-				_ = c.raw.Close()
-			}
-			c.reqWG.Add(-b.n)
-			delete(groups, c)
-		}
-		s.met.coalesceBatches.Inc()
-		s.met.coalescedGets.Add(int64(len(reqs)))
-		s.met.batch.Record(int64(len(reqs)))
-		if full {
-			s.met.flushFull.Inc()
-		} else {
-			s.met.flushTimer.Inc()
-		}
-		reqs = reqs[:0]
-	}
 }

@@ -22,7 +22,7 @@ import (
 // startServer boots a server over a fresh store on a loopback listener
 // and returns it with its address. The cleanup shuts the server down
 // and closes the store.
-func startServer(t *testing.T, index string, cfg Config) (*Server, *viper.Store, string) {
+func startServer(t testing.TB, index string, cfg Config) (*Server, *viper.Store, string) {
 	t.Helper()
 	region := pmem.NewRegion(64<<20, pmem.None())
 	b, ok := core.Lookup(index)
@@ -167,120 +167,8 @@ func TestServerClosedStoreMapsToStatusClosed(t *testing.T) {
 	}
 }
 
-func TestServerCoalescesConcurrentGets(t *testing.T) {
-	sink := telemetry.New()
-	srv, store, addr := startServer(t, "xindex", Config{
-		Sink:         sink,
-		CoalesceWait: 2 * time.Millisecond,
-	})
-	keys := make([]uint64, 10000)
-	for i := range keys {
-		keys[i] = uint64(i + 1)
-	}
-	if err := store.BulkPut(keys, nil); err != nil {
-		t.Fatal(err)
-	}
-	pool, err := client.DialPool(addr, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = pool.Close() }()
-	ctx := context.Background()
-
-	const clients = 16
-	const perClient = 500
-	var wg sync.WaitGroup
-	errc := make(chan error, clients)
-	for w := 0; w < clients; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < perClient; i++ {
-				k := uint64(w*perClient+i)%10000 + 1
-				_, ok, err := pool.Get(ctx, k)
-				if err != nil {
-					errc <- err
-					return
-				}
-				if !ok {
-					errc <- errors.New("unexpected miss")
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	select {
-	case err := <-errc:
-		t.Fatal(err)
-	default:
-	}
-	sn := srv.met.snapshot()
-	if sn.CoalesceBatches == 0 {
-		t.Fatal("no coalesce batches recorded")
-	}
-	if sn.CoalescedGets != clients*perClient {
-		t.Fatalf("coalesced gets %d != issued %d", sn.CoalescedGets, clients*perClient)
-	}
-	// With 16 concurrent clients the median batch must exceed one get —
-	// the acceptance bar for the aggregation layer actually aggregating.
-	if sn.BatchP50 <= 1 {
-		t.Fatalf("batch p50 = %d, want > 1 (mean %.1f)", sn.BatchP50,
-			float64(sn.CoalescedGets)/float64(sn.CoalesceBatches))
-	}
-	if pool.Strays() != 0 {
-		t.Fatalf("stray responses: %d", pool.Strays())
-	}
-}
-
-func TestServerBackpressure(t *testing.T) {
-	_, store, addr := startServer(t, "xindex", Config{
-		MaxInFlight: 4,
-		// A long wait holds coalesced gets in flight so the window fills.
-		CoalesceWait:  50 * time.Millisecond,
-		CoalesceBatch: wire.MaxKeys,
-	})
-	if err := store.BulkPut([]uint64{1, 2, 3}, nil); err != nil {
-		t.Fatal(err)
-	}
-	nc, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = nc.Close() }()
-	// Blast 32 raw gets without reading: only 4 can be admitted at
-	// once; the rest must be answered StatusBackpressure, not queued.
-	var out []byte
-	for i := uint64(1); i <= 32; i++ {
-		out = wire.AppendRequest(out, &wire.Request{ID: i, Op: wire.OpGet, Key: 1})
-	}
-	if _, err := nc.Write(out); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	_ = nc.SetReadDeadline(deadline)
-	br := newBufReader(nc)
-	statuses := make(map[wire.Status]int)
-	for n := 0; n < 32; n++ {
-		body, err := wire.ReadFrame(br, nil)
-		if err != nil {
-			t.Fatalf("response %d: %v", n, err)
-		}
-		if len(body) < 9 {
-			t.Fatalf("short body")
-		}
-		statuses[wire.Status(body[8])]++
-	}
-	if statuses[wire.StatusBackpressure] == 0 {
-		t.Fatalf("no backpressure rejections: %v", statuses)
-	}
-	if statuses[wire.StatusOK] == 0 {
-		t.Fatalf("no admitted gets completed: %v", statuses)
-	}
-}
-
 func TestServerGracefulDrainNoLostResponses(t *testing.T) {
-	srv, store, addr := startServer(t, "xindex", Config{CoalesceWait: 5 * time.Millisecond})
+	srv, store, addr := startServer(t, "xindex", Config{})
 	keys := make([]uint64, 1000)
 	for i := range keys {
 		keys[i] = uint64(i + 1)
@@ -304,9 +192,9 @@ func TestServerGracefulDrainNoLostResponses(t *testing.T) {
 	if _, err := nc.Write(out); err != nil {
 		t.Fatal(err)
 	}
-	// The contract covers admitted requests: a shutdown that wins the
-	// race against the reader goroutine legally cuts the whole burst
-	// before admission, so wait until the server has taken it in.
+	// The contract covers received requests: a shutdown that wins the
+	// race against the connection's goroutine legally cuts the whole
+	// burst before it is read, so wait until the server has taken it in.
 	for deadline := time.Now().Add(2 * time.Second); srv.Metrics().Accepted < n; {
 		if time.Now().After(deadline) {
 			t.Fatalf("server admitted %d of %d requests", srv.Metrics().Accepted, n)
@@ -492,158 +380,8 @@ func TestServerFrameBudget(t *testing.T) {
 	})
 }
 
-// TestCoalescerDropsStalledConn drives the shared coalescer against a
-// connection whose response queue is full and whose writer is not
-// draining — the one-bad-client scenario. The coalescer must never
-// block on it: the batch completes (reqWG settles), the stalled
-// connection is dropped, and its in-flight accounting is released.
-func TestCoalescerDropsStalledConn(t *testing.T) {
-	region := pmem.NewRegion(16<<20, pmem.None())
-	b, ok := core.Lookup("xindex")
-	if !ok {
-		t.Fatal("unknown index xindex")
-	}
-	store := viper.Open(region, b.New())
-	defer func() { _ = store.Close() }()
-	if err := store.Put(1, []byte("v")); err != nil {
-		t.Fatal(err)
-	}
-	srv, err := New(Config{Store: store, CoalesceWait: time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv.coalesce.Add(1)
-	go srv.runCoalescer()
-	defer func() {
-		close(srv.stopc)
-		srv.coalesce.Wait()
-	}()
-
-	p1, p2 := net.Pipe()
-	defer func() { _ = p2.Close() }()
-	stalled := &conn{s: srv, raw: p1, out: make(chan outMsg, 1)}
-	stalled.out <- outMsg{} // queue full, nobody draining
-	stalled.inFlight.Add(1)
-	srv.met.inFlight.Add(1)
-	stalled.reqWG.Add(1)
-	srv.getc <- getReq{c: stalled, id: 7, key: 1}
-
-	done := make(chan struct{})
-	go func() { stalled.reqWG.Wait(); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("coalescer blocked on a stalled connection")
-	}
-	// The stalled peer was disconnected (read unblocks with an error).
-	_ = p2.SetReadDeadline(time.Now().Add(5 * time.Second))
-	if _, err := p2.Read(make([]byte, 1)); err == nil {
-		t.Fatal("stalled connection was not closed")
-	}
-	if got := srv.met.stalledConns.Load(); got != 1 {
-		t.Fatalf("stalled conns counter = %d, want 1", got)
-	}
-	if got := srv.met.inFlight.Load(); got != 0 {
-		t.Fatalf("in-flight gauge leaked: %d", got)
-	}
-}
-
-// TestWriteLoopDropsStalledWriter parks a connection's writer against a
-// peer that never reads (net.Pipe is unbuffered). The write deadline
-// must turn the stall into a teardown: the loop exits, releasing its
-// in-flight accounting, instead of holding the goroutine forever.
-func TestWriteLoopDropsStalledWriter(t *testing.T) {
-	region := pmem.NewRegion(16<<20, pmem.None())
-	b, ok := core.Lookup("xindex")
-	if !ok {
-		t.Fatal("unknown index xindex")
-	}
-	store := viper.Open(region, b.New())
-	defer func() { _ = store.Close() }()
-	srv, err := New(Config{Store: store, WriteTimeout: 50 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p1, p2 := net.Pipe()
-	defer func() { _ = p2.Close() }()
-	c := &conn{s: srv, raw: p1, out: make(chan outMsg, 4)}
-	c.inFlight.Add(1)
-	srv.met.inFlight.Add(1)
-	srv.connWG.Add(1)
-	go c.writeLoop(p1)
-	c.out <- outMsg{buf: make([]byte, 1024), admitted: 1}
-	close(c.out)
-	done := make(chan struct{})
-	go func() { srv.connWG.Wait(); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("writeLoop wedged on a stalled socket")
-	}
-	if got := srv.met.inFlight.Load(); got != 0 {
-		t.Fatalf("in-flight gauge leaked: %d", got)
-	}
-}
-
 // newBufReader builds the bufio.Reader ReadFrame wants from a net.Conn.
 func newBufReader(nc net.Conn) *bufio.Reader { return bufio.NewReader(nc) }
-
-// TestServerCoalesceToggle flips the read coalescer's runtime gate over
-// the wire and verifies the admin op is refused (not silently ignored)
-// on a server configured without a coalescer.
-func TestServerCoalesceToggle(t *testing.T) {
-	srv, store, addr := startServer(t, "xindex", Config{CoalesceWait: time.Millisecond})
-	if err := store.Put(1, []byte("v")); err != nil {
-		t.Fatal(err)
-	}
-	c, err := client.Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = c.Close() }()
-	ctx := context.Background()
-
-	if !srv.CoalesceEnabled() {
-		t.Fatal("coalescer configured but gate starts off")
-	}
-	if err := c.SetCoalesce(ctx, false); err != nil {
-		t.Fatalf("disable: %v", err)
-	}
-	if srv.CoalesceEnabled() {
-		t.Fatal("gate still on after OpCoalesce off")
-	}
-	// Point gets keep working with the gate in either position.
-	if v, ok, err := c.Get(ctx, 1); err != nil || !ok || !bytes.Equal(v, []byte("v")) {
-		t.Fatalf("get with coalescer off: %q %v %v", v, ok, err)
-	}
-	if err := c.SetCoalesce(ctx, true); err != nil {
-		t.Fatalf("enable: %v", err)
-	}
-	if !srv.CoalesceEnabled() {
-		t.Fatal("gate still off after OpCoalesce on")
-	}
-	if sn := srv.Metrics(); !sn.CoalesceOn {
-		t.Fatal("telemetry does not report the re-enabled gate")
-	}
-	if v, ok, err := c.Get(ctx, 1); err != nil || !ok || !bytes.Equal(v, []byte("v")) {
-		t.Fatalf("get with coalescer back on: %q %v %v", v, ok, err)
-	}
-
-	// CoalesceBatch 1 disables the coalescer entirely; the toggle must
-	// refuse rather than pretend.
-	srv2, _, addr2 := startServer(t, "xindex", Config{CoalesceBatch: 1})
-	c2, err := client.Dial(addr2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = c2.Close() }()
-	if err := c2.SetCoalesce(ctx, true); !errors.Is(err, wire.ErrUnsupported) {
-		t.Fatalf("SetCoalesce on uncoalesced server: %v, want ErrUnsupported", err)
-	}
-	if srv2.CoalesceEnabled() {
-		t.Fatal("refused toggle still enabled the gate")
-	}
-}
 
 // TestServerRangeCursorContinuation drives a range long enough to need
 // several continuation frames (limit > wire.MaxRangeChunk) and checks

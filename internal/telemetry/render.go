@@ -90,19 +90,17 @@ func (sn Snapshot) WriteText(w io.Writer) {
 		st.AddRow("conns total", sv.ConnsTotal)
 		st.AddRow("in-flight", sv.InFlight)
 		st.AddRow("accepted", sv.Accepted)
-		st.AddRow("rejected (backpressure)", sv.Rejected)
+		st.AddRow("rejected", sv.Rejected)
 		st.AddRow("bad frames", sv.BadFrames)
 		st.AddRow("bytes in", sv.BytesIn)
 		st.AddRow("bytes out", sv.BytesOut)
-		st.AddRow("coalesce on", sv.CoalesceOn)
-		st.AddRow("coalesce batches", sv.CoalesceBatches)
-		st.AddRow("coalesced gets", sv.CoalescedGets)
-		st.AddRow("batch size p50", sv.BatchP50)
-		st.AddRow("batch size p99", sv.BatchP99)
-		st.AddRow("batch size max", sv.BatchMax)
-		st.AddRow("flushes (batch full)", sv.FlushFull)
-		st.AddRow("flushes (timer)", sv.FlushTimer)
-		st.AddRow("stalled conns dropped", sv.StalledConns)
+		st.AddRow("get runs (one MultiGet each)", sv.CoalesceBatches)
+		st.AddRow("gets in runs", sv.CoalescedGets)
+		st.AddRow("run length p50", sv.BatchP50)
+		st.AddRow("run length p99", sv.BatchP99)
+		st.AddRow("run length max", sv.BatchMax)
+		st.AddRow("runs cut by a limit", sv.FlushFull)
+		st.AddRow("runs ended by the input", sv.FlushTimer)
 		st.AddRow("drains", sv.Drains)
 		fmt.Fprintln(w)
 		st.Render(w)

@@ -107,33 +107,35 @@ func (r RetrainSnapshot) add(o RetrainSnapshot) RetrainSnapshot {
 }
 
 // ServerSnapshot is the network-front-end section of a Snapshot: the
-// vipersrv connection/admission state and the read-coalescer's batch
-// shape — the ops surface that shows whether concurrent point reads are
-// actually being aggregated into MultiGet batches (batch p50 > 1) and
-// whether the in-flight window is pushing back (rejections). It doubles
-// as the value type server probes return to the sink.
+// vipersrv connection state and the shape of its Get runs — whether
+// pipelined point reads reach the store as MultiGet batches (batch
+// p50 > 1). It doubles as the value type server probes return to the
+// sink.
 type ServerSnapshot struct {
 	// ConnsOpen / ConnsTotal count currently open and lifetime-accepted
 	// connections.
 	ConnsOpen  int64 `json:"conns_open"`
 	ConnsTotal int64 `json:"conns_total"`
-	// InFlight is the number of admitted requests not yet answered,
+	// InFlight is the number of received requests not yet answered,
 	// summed over connections.
 	InFlight int64 `json:"in_flight"`
-	// Accepted / Rejected split admission decisions: Rejected counts
-	// requests refused with a backpressure status because the
-	// connection's in-flight window was full.
+	// Accepted counts requests received and executed. Rejected counted
+	// requests refused over a full in-flight window; the server holds
+	// the window by writing instead, so it stays in the schema at 0.
 	Accepted int64 `json:"accepted"`
 	Rejected int64 `json:"rejected"`
-	// BadFrames counts undecodable or oversized frames (the connection
-	// is dropped after each).
+	// BadFrames counts undecodable, cut or oversized frames (the
+	// connection is dropped after each); transport errors are not
+	// counted.
 	BadFrames int64 `json:"bad_frames"`
 	// BytesIn / BytesOut are wire bytes after framing.
 	BytesIn  int64 `json:"bytes_in"`
 	BytesOut int64 `json:"bytes_out"`
-	// Coalescer shape: batches flushed, point gets they carried, and the
-	// batch-size distribution. FlushFull counts size-triggered flushes,
-	// FlushTimer wait-triggered ones.
+	// Get runs: a connection's consecutive pipelined Gets execute as one
+	// MultiGet. Runs of two or more, the Gets they carried, and the run
+	// length distribution. FlushFull counts runs cut by a limit (the run
+	// cap, the in-flight window, a full response buffer), FlushTimer runs
+	// ended by the input (another op, or nothing more buffered).
 	CoalesceBatches int64 `json:"coalesce_batches"`
 	CoalescedGets   int64 `json:"coalesced_gets"`
 	BatchP50        int64 `json:"batch_p50"`
@@ -141,16 +143,9 @@ type ServerSnapshot struct {
 	BatchMax        int64 `json:"batch_max"`
 	FlushFull       int64 `json:"flush_full"`
 	FlushTimer      int64 `json:"flush_timer"`
-	// StalledConns counts connections dropped because their response
-	// queue was full when the coalescer tried to deliver — a client
-	// that stopped reading its responses.
-	StalledConns int64 `json:"stalled_conns"`
 	// Drains counts graceful drains served (OpDrain requests plus
 	// shutdown drains).
 	Drains int64 `json:"drains"`
-	// CoalesceOn is the runtime state of the read coalescer's toggle
-	// (the adapt controller and the OpCoalesce admin op flip it).
-	CoalesceOn bool `json:"coalesce_on"`
 }
 
 func (s ServerSnapshot) add(o ServerSnapshot) ServerSnapshot {
@@ -171,11 +166,7 @@ func (s ServerSnapshot) add(o ServerSnapshot) ServerSnapshot {
 	}
 	s.FlushFull += o.FlushFull
 	s.FlushTimer += o.FlushTimer
-	s.StalledConns += o.StalledConns
 	s.Drains += o.Drains
-	// Instantaneous toggle state: the most recently folded observation
-	// wins (the live probe is always folded last at snapshot time).
-	s.CoalesceOn = o.CoalesceOn
 	return s
 }
 

@@ -30,7 +30,7 @@ func FuzzDecodeFrame(f *testing.F) {
 	for _, s := range seed {
 		f.Add(s)
 	}
-	ops := []Op{OpPut, OpGet, OpDelete, OpMultiGet, Op(5), OpStats, OpDrain, OpRange}
+	ops := []Op{OpPut, OpGet, OpDelete, OpMultiGet, Op(5), OpStats, OpDrain, Op(8), OpRange}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Through the framed reader: must terminate with a frame or error,
 		// never panic, even on garbage prefixes.

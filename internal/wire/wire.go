@@ -2,11 +2,10 @@
 // frames carrying a request ID, an op code and an op-specific payload.
 //
 // The protocol is pipelined by construction. A client may have any
-// number of requests outstanding on one connection; the server answers
-// in whatever order operations complete and the request ID — chosen by
-// the client, echoed verbatim by the server — is the only correlation.
-// That is what lets the server pull concurrent point reads out of
-// arrival order and coalesce them into MultiGet batches.
+// number of requests outstanding on one connection; the request ID —
+// chosen by the client, echoed verbatim by the server — is the only
+// correlation. The server executes one connection's requests in arrival
+// order, so a pipelined Put(k), Get(k) observes its own write.
 //
 // Frame layout (both directions, all integers big-endian):
 //
@@ -74,10 +73,9 @@ const (
 	_
 	OpStats
 	OpDrain
-	// OpCoalesce is the admin op that toggles the server's read
-	// coalescer at runtime (Key: 0 = off, nonzero = on) — the adapt
-	// controller's remote knob.
-	OpCoalesce
+	// Code 8 was an admin toggle for a server mechanism that no longer
+	// exists; like code 5 it stays unassigned and rejected.
+	_
 	// OpRange is the cursor-continuation scan: the server answers with
 	// at most MaxRangeChunk entries plus a continuation header (More,
 	// ResumeKey); the client resumes the range by issuing another
@@ -102,8 +100,6 @@ func (o Op) String() string {
 		return "stats"
 	case OpDrain:
 		return "drain"
-	case OpCoalesce:
-		return "coalesce"
 	case OpRange:
 		return "range"
 	}
@@ -124,6 +120,9 @@ const (
 	StatusUnsupported
 	StatusValueSize
 	StatusBadRequest
+	// StatusBackpressure is reserved: servers that refused requests over
+	// a full in-flight window sent it. This server holds the window by
+	// writing, not refusing, and never emits it; it stays decodable.
 	StatusBackpressure
 	StatusInternal
 	statusMax // sentinel: first invalid status
@@ -211,7 +210,6 @@ var (
 //	OpRange    Key (start), Limit (remaining entries wanted, 1..MaxScanLimit; 0 is invalid)
 //	OpStats    —
 //	OpDrain    —
-//	OpCoalesce Key (0 = off, nonzero = on)
 type Request struct {
 	ID    uint64
 	Op    Op
@@ -286,7 +284,7 @@ func AppendRequest(dst []byte, r *Request) []byte {
 		case OpPut:
 			b = appendU64(b, r.Key)
 			b = append(b, r.Value...)
-		case OpGet, OpDelete, OpCoalesce:
+		case OpGet, OpDelete:
 			b = appendU64(b, r.Key)
 		case OpMultiGet:
 			b = appendU32(b, uint32(len(r.Keys)))
@@ -342,27 +340,44 @@ func AppendResponse(dst []byte, r *Response) []byte {
 	})
 }
 
-// ReadFrame reads one length-prefixed frame body from br, reusing buf
-// when it is large enough. It returns the body (ID + op + payload,
-// prefix stripped). io.EOF is returned unwrapped on a clean EOF before
-// any prefix byte, so callers can distinguish "connection done" from a
-// mid-frame cut (io.ErrUnexpectedEOF).
+// ReadFrame reads one length-prefixed frame body (ID + op + payload,
+// prefix stripped) from br. A frame that fits br's buffer is returned as
+// a view of that buffer, with no copy; a larger one is copied into buf,
+// which is grown when it is too small. Either way the body is valid
+// only until the next read from br. io.EOF is returned unwrapped on a
+// clean EOF before any prefix byte, so callers can distinguish
+// "connection done" from a mid-frame cut (io.ErrUnexpectedEOF).
 func ReadFrame(br *bufio.Reader, buf []byte) ([]byte, error) {
-	var prefix [4]byte
-	if _, err := io.ReadFull(br, prefix[:1]); err != nil {
-		return nil, err // clean EOF stays io.EOF
-	}
-	if _, err := io.ReadFull(br, prefix[1:]); err != nil {
-		if err == io.EOF {
+	prefix, err := br.Peek(4)
+	if err != nil {
+		if err == io.EOF && len(prefix) > 0 {
 			err = io.ErrUnexpectedEOF
 		}
 		return nil, err
 	}
-	n := binary.BigEndian.Uint32(prefix[:])
+	n := int(binary.BigEndian.Uint32(prefix))
 	if n < minBody || n > MaxFrame {
 		return nil, fmt.Errorf("%w: %d", ErrFrameTooBig, n)
 	}
-	if cap(buf) < int(n) {
+	if 4+n <= br.Size() {
+		frame, err := br.Peek(4 + n)
+		if err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return nil, err
+		}
+		if _, err := br.Discard(4 + n); err != nil {
+			return nil, err
+		}
+		// The capacity stops at the frame: a caller that recycles the body
+		// as its next buf can never have br's own buffer filled from br.
+		return frame[4 : 4+n : 4+n], nil
+	}
+	if _, err := br.Discard(4); err != nil {
+		return nil, err
+	}
+	if cap(buf) < n {
 		buf = make([]byte, n)
 	}
 	buf = buf[:n]
@@ -466,7 +481,7 @@ func DecodeRequest(b []byte) (Request, error) {
 		if len(r.Value) > MaxValue {
 			return Request{}, fmt.Errorf("%w: value %d bytes", ErrBadPayload, len(r.Value))
 		}
-	case OpGet, OpDelete, OpCoalesce:
+	case OpGet, OpDelete:
 		if r.Key, err = c.u64(); err != nil {
 			return Request{}, err
 		}
@@ -618,7 +633,7 @@ func DecodeResponse(op Op, b []byte) (Response, error) {
 				return Response{}, err
 			}
 		}
-	case OpPut, OpDrain, OpCoalesce:
+	case OpPut, OpDrain:
 		// No payload.
 	default:
 		return Response{}, fmt.Errorf("%w: %d", ErrBadOp, uint8(op))

@@ -34,8 +34,6 @@ func TestRequestRoundTrip(t *testing.T) {
 		{ID: 6, Op: OpMultiGet, Keys: []uint64{}},
 		{ID: 8, Op: OpStats},
 		{ID: 9, Op: OpDrain},
-		{ID: 10, Op: OpCoalesce, Key: 1}, // admin toggle on
-		{ID: 11, Op: OpCoalesce, Key: 0}, // admin toggle off
 		{ID: 12, Op: OpRange, Key: 500, Limit: MaxScanLimit},
 		{ID: 13, Op: OpRange, Key: 0, Limit: 1},
 	}
@@ -80,8 +78,6 @@ func TestResponseRoundTrip(t *testing.T) {
 		{"drain", OpDrain, Response{ID: 13, Status: StatusOK}},
 		{"backpressure", OpGet, Response{ID: 14, Status: StatusBackpressure}},
 		{"closed", OpPut, Response{ID: 15, Status: StatusClosed}},
-		{"coalesce-ok", OpCoalesce, Response{ID: 16, Status: StatusOK}},
-		{"coalesce-unsupported", OpCoalesce, Response{ID: 17, Status: StatusUnsupported}},
 		{"range-more", OpRange, Response{ID: 18, Status: StatusOK, Cursor: true,
 			More: true, ResumeKey: 3,
 			Entries: []Entry{{Key: 1, Value: []byte("x")}, {Key: 2, Value: []byte("yy")}}}},
@@ -169,6 +165,72 @@ func TestReadFrameHostile(t *testing.T) {
 	}
 }
 
+// TestReadFrameViewMatchesCopy feeds one byte stream through readers of
+// three sizes, so the same frames come back as views of the read buffer
+// (whole, or straddling a refill) from one reader and through the copy
+// path (frame larger than the buffer) from another. Every reader must
+// yield the encoded bodies and the same final error.
+func TestReadFrameViewMatchesCopy(t *testing.T) {
+	reqs := []Request{
+		{ID: 1, Op: OpGet, Key: 7},
+		{ID: 2, Op: OpPut, Key: 8, Value: bytes.Repeat([]byte("v"), 200)},
+		{ID: 3, Op: OpDrain},                                                  // smallest legal body: fits even the 16-byte reader
+		{ID: 4, Op: OpPut, Key: 9, Value: bytes.Repeat([]byte{0xC3}, 70<<10)}, // larger than every reader
+		{ID: 5, Op: OpMultiGet, Keys: make([]uint64, 600)},                    // 4.8 KiB: over the 4 KiB reader
+		{ID: 6, Op: OpGet, Key: 10},
+		{ID: 7, Op: OpPut, Key: 11, Value: bytes.Repeat([]byte("w"), 3000)},
+		{ID: 8, Op: OpGet, Key: 12},
+	}
+	var stream []byte
+	var starts []int
+	for i := range reqs {
+		starts = append(starts, len(stream))
+		stream = AppendRequest(stream, &reqs[i])
+	}
+	body := func(i int) []byte {
+		end := len(stream)
+		if i+1 < len(starts) {
+			end = starts[i+1]
+		}
+		return stream[starts[i]+4 : end]
+	}
+	last := len(reqs) - 1
+	cases := []struct {
+		name   string
+		stream []byte
+		frames int   // whole frames before the error
+		end    error // what the read after them returns
+	}{
+		{"whole", stream, len(reqs), io.EOF},
+		{"cut-in-prefix", stream[:starts[last]+2], last, io.ErrUnexpectedEOF},
+		{"cut-in-body", stream[:len(stream)-3], last, io.ErrUnexpectedEOF},
+		{"cut-in-large-body", stream[:starts[3]+40<<10], 3, io.ErrUnexpectedEOF},
+		{"oversize-prefix", append(stream[:starts[last]:starts[last]], 0xFF, 0xFF, 0xFF, 0xFF), last, ErrFrameTooBig},
+		{"undersize-prefix", append(stream[:starts[last]:starts[last]], 0, 0, 0, 8), last, ErrFrameTooBig},
+	}
+	for _, tc := range cases {
+		for _, size := range []int{16, 4 << 10, 64 << 10} {
+			br := bufio.NewReaderSize(bytes.NewReader(tc.stream), size)
+			var buf []byte
+			for i := 0; ; i++ {
+				got, err := ReadFrame(br, buf)
+				if err != nil {
+					if i != tc.frames || !errors.Is(err, tc.end) {
+						t.Fatalf("%s, %d-byte reader: %v after %d frames, want %v after %d",
+							tc.name, size, err, i, tc.end, tc.frames)
+					}
+					break
+				}
+				if i >= tc.frames || !bytes.Equal(got, body(i)) {
+					t.Fatalf("%s, %d-byte reader: frame %d (%d bytes) is not the encoded body",
+						tc.name, size, i, len(got))
+				}
+				buf = got[:0] // the callers' recycling pattern
+			}
+		}
+	}
+}
+
 func TestDecodeRequestHostile(t *testing.T) {
 	mk := func(r Request) []byte {
 		return AppendRequest(nil, &r)[4:]
@@ -198,6 +260,11 @@ func TestDecodeRequestHostile(t *testing.T) {
 			b := append(make([]byte, 8), 5)
 			b = binary.BigEndian.AppendUint64(b, 1)
 			return binary.BigEndian.AppendUint32(b, 10)
+		}(), ErrBadOp},
+		{"retired-op-8", func() []byte {
+			// Code 8 was an admin toggle carrying one key; refused like 5.
+			b := append(make([]byte, 8), 8)
+			return binary.BigEndian.AppendUint64(b, 1)
 		}(), ErrBadOp},
 		{"range-zero-limit", func() []byte {
 			// Limit 0 would mean "unlimited" to the store: one 21-byte
@@ -250,6 +317,7 @@ func TestDecodeResponseHostile(t *testing.T) {
 			return binary.BigEndian.AppendUint32(b, MaxRangeChunk)
 		}(), ErrTruncated},
 		{"retired-op-5", Op(5), append(make([]byte, 8), byte(StatusOK)), ErrBadOp},
+		{"retired-op-8", Op(8), append(make([]byte, 8), byte(StatusOK)), ErrBadOp},
 		{"delete-trailing-garbage", OpDelete,
 			append(append(make([]byte, 8), byte(StatusOK)), 1, 0xFF), ErrBadPayload},
 		{"range-cut-header", OpRange,
