@@ -85,6 +85,29 @@ func BenchmarkFig10ReadOnly(b *testing.B) {
 	}
 }
 
+// BenchmarkCursorOpen is the index share of a short scan, for every
+// registered index with a cursor: open at a start drawn uniformly from
+// 750k loaded OSM-like keys (the benchmark's data set) and pull 50.
+func BenchmarkCursorOpen(b *testing.B) {
+	keys := dataset.Generate(dataset.OSMLike, 750_000, 1)
+	starts := dataset.Shuffled(keys, 2)
+	ks, vs := make([]uint64, 50), make([]uint64, 50)
+	for _, e := range core.Registry() {
+		if !index.CapsOf(e.New()).Range {
+			continue
+		}
+		r := index.Seams(loadedIndex(b, e.Name, keys)).Range
+		b.Run(e.Name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				cur := r.Range(starts[i%len(starts)])
+				cur.Next(ks, vs)
+				cur.Close()
+			}
+		})
+	}
+}
+
 // BenchmarkKernelLastMile crosses the last-mile kernel policies with
 // the paper's uniform and OSM-like key distributions on two spline
 // indexes. PolicyBinary is the pre-kernel behavior (the hand-rolled

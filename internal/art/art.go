@@ -269,8 +269,14 @@ func addChild(n interface{}, b byte, c interface{}) interface{} {
 		return addChild(g, b, c)
 	case *node48:
 		if x.n < 48 {
-			x.children[x.n] = c
-			x.idx[b] = int8(x.n)
+			// A delete leaves its hole anywhere in children, so slot n
+			// may be live: take the first free one.
+			i := 0
+			for x.children[i] != nil {
+				i++
+			}
+			x.children[i] = c
+			x.idx[b] = int8(i)
 			x.n++
 			return x
 		}

@@ -80,3 +80,29 @@ func TestAvgDepthShallow(t *testing.T) {
 		t.Fatalf("implausible ART depth %f", d)
 	}
 }
+
+// TestNode48ReinsertAfterDelete: a node48 that lost a child from the
+// middle of its child array takes the next insert in the freed slot, not
+// on top of a live sibling.
+func TestNode48ReinsertAfterDelete(t *testing.T) {
+	tr := New()
+	for b := uint64(0); b < 30; b++ { // one node48 under a 7-byte prefix
+		if err := tr.Insert(b, b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !tr.Delete(5) {
+		t.Fatal("delete(5) = false")
+	}
+	if err := tr.Insert(100, 100); err != nil {
+		t.Fatal(err)
+	}
+	for b := uint64(0); b < 30; b++ {
+		if v, ok := tr.Get(b); ok != (b != 5) || (ok && v != b) {
+			t.Fatalf("get(%d) = %d,%v after delete(5) and insert(100)", b, v, ok)
+		}
+	}
+	if v, ok := tr.Get(100); !ok || v != 100 {
+		t.Fatalf("get(100) = %d,%v", v, ok)
+	}
+}

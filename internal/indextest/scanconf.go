@@ -2,6 +2,7 @@ package indextest
 
 import (
 	"fmt"
+	"math/rand"
 	"sort"
 	"testing"
 
@@ -14,11 +15,11 @@ import (
 // raw with several buffer sizes, or driven through index.Scan — with
 // the sorted live set loadConformance returns: ascending order,
 // start-boundary inclusion, exact-limit stop, empty ranges, resume at
-// lastKey+1, and descending iteration. Every check is gated on the
-// capability descriptor, so the suite runs against every index and
-// exercises exactly the surface it advertises. Pulling with several
-// buffer sizes also exercises, under -race, the pooled cursors' reuse
-// across opens.
+// lastKey+1, a differential open at every key after a delete history,
+// and descending iteration. Every check is gated on the capability
+// descriptor, so the suite runs against every index and exercises
+// exactly the surface it advertises. Pulling with several buffer sizes
+// also exercises, under -race, the pooled cursors' reuse across opens.
 func RunScanConformance(t *testing.T, name string, f Factory) {
 	caps := index.CapsOf(f())
 	if !caps.Range {
@@ -32,6 +33,7 @@ func RunScanConformance(t *testing.T, name string, f Factory) {
 	t.Run(name+"/scan-limit", func(t *testing.T) { testScanLimit(t, f) })
 	t.Run(name+"/scan-empty", func(t *testing.T) { testScanEmpty(t, f) })
 	t.Run(name+"/cursor-resume", func(t *testing.T) { testCursorResume(t, f) })
+	t.Run(name+"/cursor-open", func(t *testing.T) { testCursorOpen(t, f) })
 	if caps.RangeDesc {
 		t.Run(name+"/cursor-desc", func(t *testing.T) { testCursorDesc(t, f) })
 	}
@@ -298,6 +300,101 @@ func testCursorDesc(t *testing.T, f Factory) {
 		for i := 0; i < m; i++ {
 			if keys[i] != want[at-i] || vals[i] != keys[i] {
 				t.Fatalf("desc cursor from %d: entry %d = (%d,%d), want key %d", start, i, keys[i], vals[i], want[at-i])
+			}
+		}
+	}
+}
+
+// testCursorOpen is the differential open check. Opening is where a
+// node-based cursor does more than walk: it seeks inside the node the
+// descent found, and the seek's corner cases are shapes only a delete
+// history leaves. On top of loadConformance's history, runs of
+// consecutive keys are deleted, long enough that whatever the node size
+// some node loses its head (its first live key now sits behind a run of
+// gaps), some node its tail (a seek past its last live key must move on
+// to the next node) and the nodes in between every key (emptied nodes in
+// the middle of the chain, one of which gets a single key back); the
+// second pass also deletes both ends of the key space, 0 and 2^64-1
+// included. Random deletes and re-inserts follow. Then a cursor is opened
+// at every key that was ever present, live or deleted, and at both its
+// neighbours, and what it yields first is compared with the sorted
+// oracle — ascending and, where advertised, descending. Indexes that
+// cannot delete or insert get the same opens over what they can hold.
+func testCursorOpen(t *testing.T, f Factory) {
+	for _, ends := range []bool{false, true} {
+		idx := f()
+		caps := index.CapsOf(idx)
+		ever := loadConformance(t, idx)
+		n := len(ever)
+		live := make(map[uint64]bool, n)
+		for _, k := range ever {
+			live[k] = true
+		}
+		if del, ok := idx.(index.Deleter); ok && caps.Delete {
+			runs := [][2]int{{n / 8, n/8 + 900}, {n / 2, n/2 + 300}, {3 * n / 4, 3*n/4 + 40}}
+			if ends {
+				runs = append(runs, [2]int{0, 200}, [2]int{n - 200, n})
+			}
+			for _, r := range runs {
+				for _, k := range ever[r[0]:r[1]] {
+					if !del.Delete(k) {
+						t.Fatalf("delete(%d) = false", k)
+					}
+					delete(live, k)
+				}
+			}
+			back := ever[n/8+450]
+			mustInsert(t, idx, back, back)
+			live[back] = true
+			rng := rand.New(rand.NewSource(91))
+			for i := 0; i < 600; i++ {
+				k := ever[rng.Intn(n)]
+				if live[k] {
+					del.Delete(k)
+					delete(live, k)
+				} else {
+					mustInsert(t, idx, k, k)
+					live[k] = true
+				}
+			}
+		}
+		want := sortedKeys(live)
+		r := idx.(index.Ranger)
+		rr, _ := idx.(index.ReverseRanger)
+		keys, vals := make([]uint64, 4), make([]uint64, 4)
+		// pull drains cur's first entries: count remain in its direction,
+		// the i-th of them is wantAt(i).
+		pull := func(what string, start uint64, cur index.Cursor, count int, wantAt func(i int) uint64) {
+			m := cur.Next(keys, vals)
+			cur.Close()
+			if m != min(count, len(keys)) {
+				t.Fatalf("ends=%v: %s opened at %d yielded %d entries, want %d", ends, what, start, m, min(count, len(keys)))
+			}
+			for i := 0; i < m; i++ {
+				if keys[i] != wantAt(i) || vals[i] != keys[i] {
+					t.Fatalf("ends=%v: %s opened at %d: entry %d = (%d,%d), want key %d", ends, what, start, i, keys[i], vals[i], wantAt(i))
+				}
+			}
+		}
+		check := func(start uint64) {
+			exp := suffixFrom(want, start)
+			pull("cursor", start, r.Range(start), len(exp), func(i int) uint64 { return exp[i] })
+			if !caps.RangeDesc {
+				return
+			}
+			le := len(want) - len(exp) // entries with key <= start
+			if le < len(want) && want[le] == start {
+				le++
+			}
+			pull("desc cursor", start, rr.RangeDesc(start), le, func(i int) uint64 { return want[le-1-i] })
+		}
+		for _, k := range ever {
+			if k > 0 {
+				check(k - 1)
+			}
+			check(k)
+			if k < ^uint64(0) {
+				check(k + 1)
 			}
 		}
 	}

@@ -699,11 +699,10 @@ func (ix *Index) Delete(key uint64) bool {
 	return true
 }
 
+// lastKey returns the largest live key of a node, 0 when it holds none.
 func lastKey(d *dataNode) uint64 {
-	for i := d.g.Capacity() - 1; i >= 0; i-- {
-		if d.g.Used[i] {
-			return d.g.Keys[i]
-		}
+	if i := d.g.SeekLE(^uint64(0)); i >= 0 {
+		return d.g.Keys[i]
 	}
 	return 0
 }
@@ -711,10 +710,8 @@ func lastKey(d *dataNode) uint64 {
 // firstKeyOf returns the smallest live key of a node, ok=false when the
 // node holds no live entries.
 func firstKeyOf(d *dataNode) (uint64, bool) {
-	for i := 0; i < d.g.Capacity(); i++ {
-		if d.g.Used[i] {
-			return d.g.Keys[i], true
-		}
+	if i := d.g.SeekGE(0); i < d.g.Capacity() {
+		return d.g.Keys[i], true
 	}
 	return 0, false
 }
@@ -729,7 +726,8 @@ type cursor struct {
 var cursorPool = sync.Pool{New: func() any { return new(cursor) }}
 
 // Range implements index.Ranger: one model descent locates the data
-// node, then the pooled cursor walks the gapped arrays.
+// node and the node's own model seeks the first slot, as a Get would;
+// the pooled cursor then walks the gapped arrays from there.
 func (ix *Index) Range(start uint64) index.Cursor {
 	d := ix.descend(start)
 	// The model may land us one node ahead of the true successor chain
@@ -738,18 +736,13 @@ func (ix *Index) Range(start uint64) index.Cursor {
 		d = d.prev
 	}
 	c := cursorPool.Get().(*cursor)
-	c.d, c.i, c.desc = d, 0, false
-	// Skip to the first live slot with key >= start; the descent can
-	// also land early, in which case leading in-node keys are below it.
-	for c.d != nil {
-		m := c.d.g.Capacity()
-		for c.i < m {
-			if c.d.g.Used[c.i] && c.d.g.Keys[c.i] >= start {
-				return c
-			}
-			c.i++
+	c.desc = false
+	// The descent can also land early — on a node whose live keys are all
+	// below start, or an emptied one: the successor is in a later node.
+	for c.d = d; c.d != nil; c.d = c.d.next {
+		if c.i = c.d.g.SeekGE(start); c.i < c.d.g.Capacity() {
+			break
 		}
-		c.d, c.i = c.d.next, 0
 	}
 	return c
 }
@@ -760,7 +753,7 @@ func (ix *Index) RangeDesc(start uint64) index.Cursor {
 	d := ix.descend(start)
 	// The descent can land on either side of the true position: move
 	// right while a later node still starts at or below start (empty
-	// nodes are stepped over), then the slot skip below walks left.
+	// nodes are stepped over), then the seek below walks left.
 	for d.next != nil {
 		k, ok := firstKeyOf(d.next)
 		if !ok || k <= start {
@@ -770,18 +763,10 @@ func (ix *Index) RangeDesc(start uint64) index.Cursor {
 		break
 	}
 	c := cursorPool.Get().(*cursor)
-	c.d, c.i, c.desc = d, d.g.Capacity()-1, true
-	// Skip to the last live slot with key <= start.
-	for c.d != nil {
-		for c.i >= 0 {
-			if c.d.g.Used[c.i] && c.d.g.Keys[c.i] <= start {
-				return c
-			}
-			c.i--
-		}
-		c.d = c.d.prev
-		if c.d != nil {
-			c.i = c.d.g.Capacity() - 1
+	c.desc = true
+	for c.d = d; c.d != nil; c.d = c.d.prev {
+		if c.i = c.d.g.SeekLE(start); c.i >= 0 {
+			break
 		}
 	}
 	return c

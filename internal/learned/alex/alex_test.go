@@ -200,6 +200,26 @@ func BenchmarkGet(b *testing.B) {
 	}
 }
 
+// BenchmarkRangeOpen is a short scan's index share: open a cursor at a
+// start drawn uniformly from the loaded keys and pull 50 entries.
+func BenchmarkRangeOpen(b *testing.B) {
+	ix := New(DefaultConfig())
+	keys := dataset.Generate(dataset.OSMLike, 1_000_000, 1)
+	if err := ix.BulkLoad(keys, keys); err != nil {
+		b.Fatal(err)
+	}
+	starts := dataset.Shuffled(keys, 2)
+	ks, vs := make([]uint64, 50), make([]uint64, 50)
+	ix.Range(0).Close() // the pooled cursor exists before the clock starts
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cur := ix.Range(starts[i%len(starts)])
+		cur.Next(ks, vs)
+		cur.Close()
+	}
+}
+
 func BenchmarkInsert(b *testing.B) {
 	keys := dataset.Generate(dataset.YCSBNormal, 2_000_000, 3)
 	load, ins := dataset.Split(keys, 1_000_000)

@@ -610,21 +610,26 @@ func (ix *Index) Delete(key uint64) bool {
 type cursor struct {
 	ix        *Index
 	pos, slot int
-	start     uint64
 }
 
 var cursorPool = sync.Pool{New: func() any { return new(cursor) }}
 
 // Range implements index.Ranger: one directory probe locates the node
-// covering start, then Next walks the gapped nodes in directory order.
-// No mutation while the cursor is open.
+// covering start and that node's model seeks the first slot with a key
+// >= start, as Insert does; Next walks the gapped nodes in directory
+// order from there. No mutation while the cursor is open.
 func (ix *Index) Range(start uint64) index.Cursor {
 	c := cursorPool.Get().(*cursor)
-	c.ix, c.pos, c.slot, c.start = ix, ix.locate(start), 0, start
+	c.ix, c.pos, c.slot = ix, ix.locate(start), 0
+	if len(ix.metas) > 0 {
+		c.slot = ix.searchGE(ix.metas[c.pos], start)
+	}
 	return c
 }
 
 // Next fills the destination slices with the next entries in key order.
+// Keys never decrease along a node's slots (gap slots copy their left
+// neighbour), so from the seek onwards every occupied slot is in range.
 func (c *cursor) Next(keys, vals []uint64) int {
 	ix := c.ix
 	n := 0
@@ -634,12 +639,7 @@ func (c *cursor) Next(keys, vals []uint64) int {
 			if !ix.usedAt(m, c.slot) {
 				continue
 			}
-			// Only the first node can hold keys below start.
-			k := ix.keyAt(m, c.slot)
-			if k < c.start {
-				continue
-			}
-			keys[n], vals[n] = k, ix.valAt(m, c.slot)
+			keys[n], vals[n] = ix.keyAt(m, c.slot), ix.valAt(m, c.slot)
 			n++
 		}
 		if c.slot == nodeCapacity {

@@ -95,5 +95,6 @@ func FuzzGappedNode(f *testing.F) {
 				t.Fatalf("live key %d unreachable", k)
 			}
 		}
+		checkSeeks(t, g)
 	})
 }

@@ -132,6 +132,32 @@ func (g *GappedNode) SlotOf(key uint64) (int, bool) {
 	return -1, false
 }
 
+// SeekGE returns the first occupied slot whose key is >= key, or
+// Capacity() when the node holds none: where an ascending scan from key
+// starts. The leftmost slot holding a given key is its occupied original
+// (a gap copy equals its left neighbour), so the exponential search lands
+// on the answer; only key 0 can land in the leading run of zeroed gaps,
+// which the loop steps over.
+func (g *GappedNode) SeekGE(key uint64) int {
+	i := g.lowerBound(key)
+	for i < len(g.Keys) && !g.Used[i] {
+		i++
+	}
+	return i
+}
+
+// SeekLE returns the last occupied slot whose key is <= key, or -1 when
+// the node holds none: where a descending scan from key starts. The
+// rightmost slot with a key <= key may be a gap copy; its original is the
+// first occupied slot to its left, one gap run away.
+func (g *GappedNode) SeekLE(key uint64) int {
+	i := g.upperBound(key) - 1
+	for i >= 0 && !g.Used[i] {
+		i--
+	}
+	return i
+}
+
 // lowerBound returns the leftmost slot whose key is >= key, using
 // exponential search from the model's prediction.
 //

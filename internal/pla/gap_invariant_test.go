@@ -74,6 +74,7 @@ func TestGapInsertRemoveInvariant(t *testing.T) {
 		}
 		if op%100 == 0 {
 			checkGapInvariant(t, g)
+			checkSeeks(t, g)
 			for rk, rv := range ref {
 				slot, ok := g.SlotOf(rk)
 				if !ok || g.Values[slot] != rv {
@@ -131,4 +132,73 @@ func TestGapInsertBelowAllKeys(t *testing.T) {
 			t.Fatalf("key %d lost", k)
 		}
 	}
+}
+
+// checkSeeks compares SeekGE and SeekLE with a slot-by-slot walk of the
+// occupied slots, from both ends of the key space and at, just below and
+// just above every slot's key (live keys and the gap copies alike).
+func checkSeeks(t *testing.T, g *GappedNode) {
+	t.Helper()
+	probes := []uint64{0, 1, ^uint64(0) - 1, ^uint64(0)}
+	for _, k := range g.Keys {
+		probes = append(probes, k-1, k, k+1) // wraps at the ends on purpose
+	}
+	for _, key := range probes {
+		ge, le := g.Capacity(), -1
+		for i, used := range g.Used {
+			if used && g.Keys[i] >= key && ge == g.Capacity() {
+				ge = i
+			}
+			if used && g.Keys[i] <= key {
+				le = i
+			}
+		}
+		if got := g.SeekGE(key); got != ge {
+			t.Fatalf("SeekGE(%d) = %d, want %d (keys %v used %v)", key, got, ge, g.Keys, g.Used)
+		}
+		if got := g.SeekLE(key); got != le {
+			t.Fatalf("SeekLE(%d) = %d, want %d (keys %v used %v)", key, got, le, g.Keys, g.Used)
+		}
+	}
+}
+
+// TestGapSeek: the seeks a cursor opens with land on occupied slots on
+// nodes with leading, interior and trailing gap runs, with key 0 live or
+// deleted (its copies are indistinguishable from never-filled leading
+// gaps), on a full, a single-key, an emptied and a zero-capacity node.
+func TestGapSeek(t *testing.T) {
+	remove := func(g *GappedNode, keys ...uint64) {
+		for _, k := range keys {
+			slot, ok := g.SlotOf(k)
+			if !ok {
+				t.Fatalf("key %d not found", k)
+			}
+			g.Remove(slot)
+		}
+	}
+	keys := []uint64{0, 10, 20, 30, 40, 50, 60, 70, 80, ^uint64(0)}
+	for _, tc := range []struct {
+		name    string
+		density float64
+		dead    []uint64
+	}{
+		{"as built, key 0 live", 0.4, nil},
+		{"packed", 1, nil},
+		{"leading run: head deleted", 0.4, []uint64{0, 10, 20}},
+		{"interior run", 0.4, []uint64{30, 40, 50}},
+		{"interior run, packed", 1, []uint64{30, 40, 50}},
+		{"trailing run: tail deleted", 0.4, []uint64{70, 80, ^uint64(0)}},
+		{"all three", 0.4, []uint64{0, 10, 40, 50, 80, ^uint64(0)}},
+		{"one key left", 0.4, keys[:9]},
+		{"only key 0 left", 0.4, keys[1:]},
+		{"emptied", 0.4, keys},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g := BuildLSAGap(keys, keys, tc.density)
+			remove(g, tc.dead...)
+			checkGapInvariant(t, g)
+			checkSeeks(t, g)
+		})
+	}
+	checkSeeks(t, BuildLSAGap(nil, nil, 0.7))
 }

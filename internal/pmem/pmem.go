@@ -4,7 +4,8 @@
 // delay on the exact code paths that would touch the NVM device — the
 // property the paper's end-to-end question depends on ("is the
 // bottleneck the NVM or the index?"). Latency can be disabled for
-// functional tests.
+// functional tests. A stall is accounted as the nanoseconds asked; the
+// busy-wait that pays it costs asked plus about one clock read.
 //
 // Persistence semantics: everything written is durable (CPU-cache
 // volatility is not modelled); Flush is an accounted no-op so stores can
@@ -43,16 +44,16 @@ const blockSize = 256
 // block are free, as on real Optane).
 //
 // Concurrency: Alloc, Free, FreeChunks, Snapshot and Restore are fully
-// synchronized. Read, ReadNoCopy, Write, WriteGather and Flush are safe
-// to call concurrently as long as no write overlaps a concurrent read of
-// the same bytes (a ReadNoCopy view only reads what its holder
-// dereferences) — the discipline the Viper store upholds (every
-// record slot is claimed by exactly one appender and only read after its
-// index entry is published), and what lets its recovery, compaction and
-// bulk-load paths fan out across cores without a region lock. All access
-// counters and the block buffer are atomics, so the latency model stays
-// race-free under any interleaving. SetLatency must not run concurrently
-// with accesses.
+// synchronized. Read, ReadNoCopy, Prefetch, Write, WriteGather and Flush
+// are safe to call concurrently as long as no write overlaps a concurrent
+// read of the same bytes (a ReadNoCopy view only reads what its holder
+// dereferences, a Prefetch reads its one byte) — the discipline the Viper
+// store upholds (every record slot is claimed by exactly one appender and
+// only read after its index entry is published), and what lets its
+// recovery, compaction and bulk-load paths fan out across cores without a
+// region lock. All access counters and the block buffer are atomics, so
+// the latency model stays race-free under any interleaving. SetLatency
+// must not run concurrently with accesses.
 type Region struct {
 	mu   sync.Mutex
 	data []byte
@@ -66,9 +67,11 @@ type Region struct {
 	writes  atomic.Int64
 	flushes atomic.Int64
 	// Device-level accounting: 256-byte lines touched and injected stall
-	// nanoseconds actually paid. All counters are region-local; an
-	// observability sink pulls them through AccessStats rather than being
-	// pushed per access, so accounting costs one uncontended atomic add.
+	// nanoseconds asked of spin on accesses that were not block-buffer
+	// hits (the wall clock pays a little more, see spin). All counters
+	// are region-local; an observability sink pulls them through
+	// AccessStats rather than being pushed per access, so accounting
+	// costs one uncontended atomic add.
 	lineReads    atomic.Int64
 	lineWrites   atomic.Int64
 	readStallNs  atomic.Int64
@@ -160,21 +163,24 @@ func (r *Region) FreeChunks(size int) int {
 	return len(r.free[size])
 }
 
+// clockBase anchors spin's clock: time.Since of a Time that carries a
+// monotonic reading is one monotonic clock read, where time.Now reads the
+// wall clock as well.
+var clockBase = time.Now()
+
 // spin busy-waits for d nanoseconds to emulate a device stall; sleeping
-// would let the scheduler hide the latency being modelled.
+// would let the scheduler hide the latency being modelled. It reads the
+// clock once to set a deadline and once per iteration against it, so a
+// stall costs the d asked plus about one clock read.
 //
 //pieces:hotpath meter
 func spin(d int64) {
 	if d <= 0 {
 		return
 	}
-	start := time.Now()
-	for time.Since(start).Nanoseconds() < d {
+	deadline := time.Since(clockBase) + time.Duration(d)
+	for time.Since(clockBase) < deadline {
 	}
-}
-
-func blocks(n int) int64 {
-	return int64((n + blockSize - 1) / blockSize)
 }
 
 // charge accounts the 256-byte lines [off, off+n) touches and pays the
@@ -230,6 +236,18 @@ func (r *Region) ReadNoCopy(off int64, n int) []byte {
 	r.charge(off, n, r.lat.ReadNs, false)
 	return r.data[off : off+int64(n)]
 }
+
+// Prefetch hints that the bytes at off are about to be read. Go exposes
+// no prefetch instruction, so it loads one byte: the CPU starts fetching
+// the cache line and its page translation and goes on, and several such
+// loads in a row overlap their misses. It is not a device access — it
+// counts nothing and charges no stall, the modelled device still serves
+// every read in turn — and the byte it returns exists only so that the
+// compiler keeps the load: callers drop it.
+//
+//pieces:hotpath
+//go:noinline
+func (r *Region) Prefetch(off int64) byte { return r.data[off] }
 
 // Write stores data at off, paying write latency.
 //

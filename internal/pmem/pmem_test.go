@@ -2,6 +2,7 @@ package pmem
 
 import (
 	"bytes"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -97,12 +98,40 @@ func TestSnapshotRestore(t *testing.T) {
 	}
 }
 
-func TestBlocksRounding(t *testing.T) {
-	cases := map[int]int64{0: 0, 1: 1, 256: 1, 257: 2, 512: 2, 513: 3}
-	for n, want := range cases {
-		if got := blocks(n); got != want {
-			t.Errorf("blocks(%d) = %d, want %d", n, got, want)
-		}
+// TestPrefetchIsNotAnAccess: the prefetch hint moves no counter field,
+// pays no stall and leaves the modelled block buffer where it was.
+func TestPrefetchIsNotAnAccess(t *testing.T) {
+	r := NewRegion(1<<12, LatencyModel{ReadNs: 3, WriteNs: 7})
+	r.Write(0, []byte{42})
+	r.ReadNoCopy(0, 1) // the block buffer now holds block 0
+	before := r.AccessStats()
+	if b := r.Prefetch(0); b != 42 {
+		t.Fatalf("Prefetch(0) loaded %d, want the stored 42", b)
+	}
+	r.Prefetch(1024)
+	if got := r.AccessStats(); got != before {
+		t.Fatalf("Prefetch changed the device accounting: %+v, was %+v", got, before)
+	}
+	r.ReadNoCopy(8, 1) // still a block-buffer hit: counted, not stalled
+	want := before
+	want.Reads++
+	want.LineReads++
+	if got := r.AccessStats(); got != want {
+		t.Fatalf("read after Prefetch charged %+v, want %+v", got, want)
+	}
+}
+
+// BenchmarkSpinOvershoot reports what a stall costs beyond the
+// nanoseconds asked: AccessStats counts stall asked, the wall clock pays
+// asked + overshoot on every charged access.
+func BenchmarkSpinOvershoot(b *testing.B) {
+	for _, ask := range []int64{90, 170, 340} {
+		b.Run(fmt.Sprintf("ask=%dns", ask), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				spin(ask)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)-float64(ask), "overshoot-ns/op")
+		})
 	}
 }
 

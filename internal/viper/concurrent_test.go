@@ -20,11 +20,83 @@ func shardedBTree(sample []uint64) index.Index {
 	return sharded.New(func() index.Index { return btree.New() }, sharded.BoundariesFromSample(sample, 8))
 }
 
+// startReaders runs four goroutines on the lock-free read paths until the
+// returned function is called: each draws a preloaded key and in turn
+// Gets it, MultiGets it in a batch of 16 that names it twice, and Ranges
+// 300 entries (two cursor rounds) from it. Every value must equal its
+// key-derived content byte for byte, no preloaded key may be missing, and
+// a Range must deliver the preloaded keys from its start in order with
+// none skipped; keys the test's writer adds sort above them and are
+// ignored. keys is sorted.
+func startReaders(t *testing.T, s *Store, keys []uint64, during string) (stop func()) {
+	var stopped atomic.Bool
+	var wg sync.WaitGroup
+	check := func(k uint64, v []byte) bool {
+		if v == nil {
+			t.Errorf("key %d vanished during %s", k, during)
+			return false
+		}
+		if !bytes.Equal(v, value(k)) {
+			t.Errorf("key %d: corrupt value during %s", k, during)
+			return false
+		}
+		return true
+	}
+	last := keys[len(keys)-1]
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func(x uint64) {
+			defer wg.Done()
+			batch := make([]uint64, 16)
+			for op := 0; !stopped.Load(); op++ {
+				x = x*6364136223846793005 + 1442695040888963407
+				at := int(x % uint64(len(keys)))
+				switch op % 3 {
+				case 0:
+					if v, _ := s.Get(keys[at]); !check(keys[at], v) {
+						return
+					}
+				case 1:
+					for i := range batch {
+						batch[i] = keys[(at+i*97)%len(keys)]
+					}
+					batch[15] = batch[0]
+					for i, v := range s.MultiGet(batch) {
+						if !check(batch[i], v) {
+							return
+						}
+					}
+				case 2:
+					next, good := at, true
+					err := s.Range(keys[at], 300, func(k uint64, v []byte) bool {
+						if k > last {
+							return false // the writer's keys
+						}
+						good = next < len(keys) && k == keys[next] && check(k, v)
+						next++
+						return good
+					})
+					if want := min(at+300, len(keys)); err != nil || !good || next != want {
+						t.Errorf("Range from %d during %s: %d preloaded entries, the last one right: %v, want %d (err %v)",
+							keys[at], during, next-at, good, want-at, err)
+						return
+					}
+				}
+			}
+		}(uint64(r + 1))
+	}
+	return func() {
+		stopped.Store(true)
+		wg.Wait()
+	}
+}
+
 // TestConcurrentGetDuringRollover drives readers through the lock-free
-// Get path while a writer forces page rollovers (each rollover takes
-// s.mu and installs a fresh current page): the readers must never see a
-// missing or corrupt value for the preloaded keys. Run under -race this
-// is the property test for the view/pin protocol on the append path.
+// Get, MultiGet and Range paths while a writer forces page rollovers
+// (each rollover takes s.mu and installs a fresh current page): the
+// readers must never see a missing or corrupt value for the preloaded
+// keys. Run under -race this is the property test for the view/pin
+// protocol on the append path.
 func TestConcurrentGetDuringRollover(t *testing.T) {
 	keys := dataset.Generate(dataset.YCSBUniform, 4000, 11)
 	s := Open(pmem.NewRegion(256<<20, pmem.None()), shardedBTree(keys))
@@ -34,29 +106,7 @@ func TestConcurrentGetDuringRollover(t *testing.T) {
 		}
 	}
 
-	var stop atomic.Bool
-	var wg sync.WaitGroup
-	readers := 4
-	for r := 0; r < readers; r++ {
-		wg.Add(1)
-		go func(seed uint64) {
-			defer wg.Done()
-			x := seed
-			for !stop.Load() {
-				x = x*6364136223846793005 + 1442695040888963407
-				k := keys[x%uint64(len(keys))]
-				v, ok := s.Get(k)
-				if !ok {
-					t.Errorf("key %d vanished during rollover", k)
-					return
-				}
-				if !bytes.Equal(v, value(k)) {
-					t.Errorf("key %d: corrupt value during rollover", k)
-					return
-				}
-			}
-		}(uint64(r + 1))
-	}
+	stop := startReaders(t, s, keys, "rollover")
 
 	// Writer: fresh keys with values big enough that every few Puts roll
 	// a 1 MB page over.
@@ -66,8 +116,7 @@ func TestConcurrentGetDuringRollover(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	stop.Store(true)
-	wg.Wait()
+	stop()
 
 	if got := s.Metrics(); got != nil {
 		t.Fatal("telemetry disabled in this test") // guard against accidental setup drift
@@ -75,7 +124,7 @@ func TestConcurrentGetDuringRollover(t *testing.T) {
 }
 
 // TestConcurrentGetDuringCompact is the reclamation property test:
-// readers stay on the lock-free Get path while Compact swaps the view
+// readers stay on the lock-free read paths while Compact swaps the view
 // and retires the old pages. The epoch manager must keep every old page
 // alive until the pinned readers are done — premature reuse would
 // corrupt the values the readers verify (and -race would flag the
@@ -94,34 +143,12 @@ func TestConcurrentGetDuringCompact(t *testing.T) {
 		}
 	}
 
-	var stop atomic.Bool
-	var wg sync.WaitGroup
-	for r := 0; r < 4; r++ {
-		wg.Add(1)
-		go func(seed uint64) {
-			defer wg.Done()
-			x := seed
-			for !stop.Load() {
-				x = x*6364136223846793005 + 1442695040888963407
-				k := keys[x%uint64(len(keys))]
-				v, ok := s.Get(k)
-				if !ok {
-					t.Errorf("key %d vanished during compaction", k)
-					return
-				}
-				if !bytes.Equal(v, value(k)) {
-					t.Errorf("key %d: corrupt value during compaction", k)
-					return
-				}
-			}
-		}(uint64(r + 1))
-	}
+	stop := startReaders(t, s, keys, "compaction")
 
 	if _, err := s.Compact(shardedBTree(keys)); err != nil {
 		t.Fatal(err)
 	}
-	stop.Store(true)
-	wg.Wait()
+	stop()
 
 	// With the readers gone the grace period can end: the retired pages
 	// must reach the allocator.

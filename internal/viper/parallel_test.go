@@ -166,6 +166,19 @@ func TestMultiGet(t *testing.T) {
 			t.Fatalf("MultiGet disagrees with Get at key %d", k)
 		}
 	}
+	// A batch with more positions than the offset sort's packed words
+	// hold is answered in pieces: results stay aligned across the cut.
+	huge := make([]uint64, maxScanBatch+len(keys))
+	copy(huge[maxScanBatch-5:], keys)
+	all = s.MultiGet(huge)
+	if len(all) != len(huge) {
+		t.Fatalf("MultiGet of %d keys returned %d results", len(huge), len(all))
+	}
+	for i := maxScanBatch - 6; i < len(huge); i++ { // the padding before is key 0, absent
+		if got, _ := s.Get(huge[i]); !bytes.Equal(all[i], got) {
+			t.Fatalf("huge batch: position %d (key %d) disagrees with Get", i, huge[i])
+		}
+	}
 }
 
 // contents captures the full logical state of the store.

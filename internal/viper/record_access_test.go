@@ -125,6 +125,36 @@ func TestOneAccessPerRecord(t *testing.T) {
 		t.Fatalf("MultiGet of %d cost %+v, want %d reads of %d lines", len(batch), d, len(batch), wantLines)
 	}
 
+	// MultiGet runs on the engine Range rounds use. Duplicate keys are
+	// equal offsets, which share one read; the first filler behind key
+	// k's record (fillerOf) is its log neighbour, and the two are one
+	// span read, not two reads.
+	fillerOf := func(k uint64) uint64 { return 1<<32 + (k-1)*5 }
+	for _, tc := range []struct {
+		name  string
+		batch []uint64
+		reads int64
+		spans [][2]uint64 // first key and record count of each expected read
+	}{
+		{"duplicates", []uint64{7, 3, 7, 29, 3, 7}, 3, [][2]uint64{{7, 1}, {3, 1}, {29, 1}}},
+		{"log neighbours", []uint64{18, fillerOf(9), 9}, 2, [][2]uint64{{18, 1}, {9, 2}}},
+		{"neighbours and duplicates", []uint64{fillerOf(9) + 1, 9, 9, fillerOf(9), 33}, 2, [][2]uint64{{9, 3}, {33, 1}}},
+	} {
+		wantLines = 0
+		for _, sp := range tc.spans {
+			wantLines += spanLines(offsetOf(t, s, sp[0]), int(sp[1])*recLen)
+		}
+		d = deviceDelta(region, func() { vals = s.MultiGet(tc.batch) })
+		for i, k := range tc.batch {
+			if !bytes.Equal(vals[i], value(k)) {
+				t.Fatalf("MultiGet with %s: key %d returned wrong bytes", tc.name, k)
+			}
+		}
+		if d.Reads != tc.reads || d.LineReads != wantLines {
+			t.Fatalf("MultiGet with %s cost %+v, want %d reads of %d lines", tc.name, d, tc.reads, wantLines)
+		}
+	}
+
 	// Scattered Range entries: one read each (no span can join them).
 	wantLines = 0
 	for k := uint64(5); k < 15; k++ {
@@ -145,6 +175,29 @@ func TestOneAccessPerRecord(t *testing.T) {
 	})
 	if seen != 10 || d.Reads != 10 || d.LineReads != wantLines {
 		t.Fatalf("Range delivered %d entries for %+v, want 10 entries, 10 reads, %d lines", seen, d, wantLines)
+	}
+
+	// Range over log neighbours: the five fillers behind key 9 are one
+	// span read, and so are the ten behind keys 9 and 10 with key 10's
+	// own record bridged between them.
+	for _, n := range []int{5, 10} {
+		records := n + n/10 // the bridged record of key 10
+		seen = 0
+		d = deviceDelta(region, func() {
+			err := s.Range(fillerOf(9), n, func(k uint64, v []byte) bool {
+				if k != fillerOf(9)+uint64(seen) || !bytes.Equal(v, value(k)) {
+					t.Errorf("Range entry %d: key %d or its bytes are wrong", seen, k)
+				}
+				seen++
+				return true
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
+		if want := spanLines(offsetOf(t, s, fillerOf(9)), records*recLen); seen != n || d.Reads != 1 || d.LineReads != want {
+			t.Fatalf("Range over %d log neighbours delivered %d for %+v, want 1 read of %d lines", n, seen, d, want)
+		}
 	}
 
 	// Delete: the tombstone is one write of the header's lines, one flush.
@@ -193,6 +246,24 @@ func TestOneAccessPerRecord(t *testing.T) {
 	}
 	if off := offsetOf(t, s, 9); d.Reads != 1 || d.LineReads != spanLines(off, recLen) || !bytes.Equal(got, value(9)) {
 		t.Fatalf("cached Get at %d cost %+v, want 1 read of %d lines", off, d, spanLines(off, recLen))
+	}
+
+	// A batch mixing shadow-cache hits (one of them twice) with index
+	// hits: the same one read per distinct record.
+	mixed := []uint64{18, 9, 25, 9}
+	wantLines = 0
+	for _, k := range mixed[:3] {
+		wantLines += spanLines(offsetOf(t, s, k), recLen)
+	}
+	hits = hk.Stats().Hits
+	d = deviceDelta(region, func() { vals = s.MultiGet(mixed) })
+	for i, k := range mixed {
+		if !bytes.Equal(vals[i], value(k)) {
+			t.Fatalf("MultiGet over cache and index: key %d returned wrong bytes", k)
+		}
+	}
+	if hk.Stats().Hits != hits+2 || d.Reads != 3 || d.LineReads != wantLines {
+		t.Fatalf("MultiGet over cache and index: %d cache hits, %+v; want 2 hits, 3 reads of %d lines", hk.Stats().Hits-hits, d, wantLines)
 	}
 
 	t.Run("region end", clampsAtRegionEnd)

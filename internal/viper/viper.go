@@ -692,19 +692,31 @@ func (s *Store) Get(key uint64) ([]byte, bool) {
 }
 
 // MultiGet resolves the whole batch of keys against the volatile index
-// first and only then touches PMem, reading the matching records in
-// ascending offset order. Separating the two phases amortises the
-// simulated NVM latency: offset-ordered reads maximise the device
-// block-buffer hit rate, where per-key Gets interleave index probes with
-// scattered record reads. Indexes exposing the BatchGetter seam resolve
-// the index phase with interleaved last-mile searches (the batch's
-// cache misses overlap); the rest fall back to key-at-a-time Gets.
-// out[i] is nil when keys[i] is absent or deleted; returned slices
-// alias the region and must not be modified. MultiGet is as safe for
-// concurrent use as Get.
+// first and only then touches PMem, through the read engine a Range round
+// uses: sortByOffset orders the hits by record offset and readLiveSpans
+// reads them, so duplicate keys (equal offsets) and log neighbours
+// coalesce into one span read and the batch's record lines are touched
+// ahead of its stalls. Separating the two phases amortises the simulated
+// NVM latency: offset-ordered reads maximise the device block-buffer hit
+// rate, where per-key Gets interleave index probes with scattered record
+// reads. Indexes exposing the BatchGetter seam resolve the index phase
+// with interleaved last-mile searches (the batch's cache misses overlap);
+// the rest fall back to key-at-a-time Gets. out[i] is nil when keys[i] is
+// absent or deleted; returned slices alias the region and must not be
+// modified. MultiGet is as safe for concurrent use as Get.
 func (s *Store) MultiGet(keys []uint64) [][]byte {
 	if s.closed.Load() {
 		return make([][]byte, len(keys))
+	}
+	if len(keys) > maxScanBatch {
+		// Batch positions must fit sortByOffset's packed sort words.
+		out := make([][]byte, 0, len(keys))
+		for len(keys) > 0 {
+			n := min(len(keys), maxScanBatch)
+			out = append(out, s.MultiGet(keys[:n])...)
+			keys = keys[n:]
+		}
+		return out
 	}
 	sp := s.met.StartMultiGet(len(keys))
 	defer sp.Done()
@@ -713,119 +725,65 @@ func (s *Store) MultiGet(keys []uint64) [][]byte {
 	v := s.view.Load()
 	out := make([][]byte, len(keys))
 	sc := mgPool.Get().(*mgScratch)
-	hits := sc.hits[:0]
-	// Shadow-cache pre-pass: cached keys go straight to the PMem phase;
-	// only the remainder pays an index walk. lane[i] maps the compacted
-	// sub-batch back to batch positions (nil = identity, cache absent).
-	lookup, lane := keys, []int(nil)
+	sc.grow(len(keys))
+	offs, found := sc.offs[:len(keys)], sc.found[:len(keys)]
+	// Shadow-cache pre-pass: a cached key already knows its offset; only
+	// the remainder pays an index walk, as a compacted sub-batch whose
+	// lane[j] is its position in the batch (no cache: the batch itself).
+	lookup, subOffs, subFound, lane := keys, offs, found, []int(nil)
 	if hk := s.hot.Load(); hk != nil {
-		if cap(sc.subK) < len(keys) {
-			sc.subK = make([]uint64, len(keys))
-			sc.lane = make([]int, len(keys))
-		}
-		subK, ln := sc.subK[:0], sc.lane[:0]
+		lookup, lane = sc.subK[:0], sc.lane[:0]
 		for i, k := range keys {
 			hk.Observe(k)
-			if off, hot := hk.Lookup(k); hot {
-				hits = append(hits, hit{i, int64(off)})
-				continue
+			if offs[i], found[i] = hk.Lookup(k); !found[i] {
+				lookup, lane = append(lookup, k), append(lane, i)
 			}
-			subK = append(subK, k)
-			ln = append(ln, i)
 		}
-		lookup, lane = subK, ln
+		subOffs, subFound = sc.subOffs[:len(lookup)], sc.subFound[:len(lookup)]
 	}
 	// Batch routing: the interleaved kernel only pays for itself on
 	// real batches; below the (adapt-tunable) floor, per-key probes win.
-	floor := int(s.batchFloor.Load())
-	if v.seam.Batch != nil && len(lookup) > 0 && len(lookup) >= floor {
-		if cap(sc.offs) < len(lookup) {
-			sc.offs = make([]uint64, len(keys))
-			sc.found = make([]bool, len(keys))
-		}
-		offs, found := sc.offs[:len(lookup)], sc.found[:len(lookup)]
-		v.seam.Batch.GetBatch(lookup, offs, found)
-		for i := range lookup {
-			if found[i] {
-				pos := i
-				if lane != nil {
-					pos = lane[i]
-				}
-				hits = append(hits, hit{pos, int64(offs[i])})
-			}
-		}
+	if floor := int(s.batchFloor.Load()); v.seam.Batch != nil && len(lookup) > 0 && len(lookup) >= floor {
+		v.seam.Batch.GetBatch(lookup, subOffs, subFound)
 	} else {
-		for i, k := range lookup {
-			if off, ok := v.idx.Get(k); ok {
-				pos := i
-				if lane != nil {
-					pos = lane[i]
-				}
-				hits = append(hits, hit{pos, int64(off)})
-			}
+		for j, k := range lookup {
+			subOffs[j], subFound[j] = v.idx.Get(k)
 		}
 	}
-	// Small batches sort inline — an insertion sort over a handful of
-	// hits beats the generic sort's per-compare closure call. Larger
-	// batches use slices.SortFunc: unlike sort.Slice there is no
-	// reflective swap in this batch hot path.
-	if len(hits) <= 32 {
-		for i := 1; i < len(hits); i++ {
-			h := hits[i]
-			j := i - 1
-			for j >= 0 && hits[j].off > h.off {
-				hits[j+1] = hits[j]
-				j--
-			}
-			hits[j+1] = h
-		}
-	} else {
-		slices.SortFunc(hits, func(a, b hit) int {
-			switch {
-			case a.off < b.off:
-				return -1
-			case a.off > b.off:
-				return 1
-			default:
-				return 0
-			}
-		})
+	for j, i := range lane {
+		offs[i], found[i] = subOffs[j], subFound[j]
 	}
-	// Offset order makes duplicate keys adjacent, and within one batch
-	// the same offset is the same record snapshot — resolve it once and
-	// share the view. Under skewed (YCSB-Zipfian) request streams a
-	// coalesced batch is full of hot-key duplicates, so this skips their
-	// record reads (and the simulated NVM stalls) entirely — an
-	// aggregation win per-key Gets cannot express.
-	for i, h := range hits {
-		if i > 0 && h.off == hits[i-1].off {
-			out[h.pos] = out[hits[i-1].pos]
-			continue
+	ord := sc.order[:0]
+	for i, ok := range found {
+		if ok {
+			ord = append(ord, i)
 		}
-		out[h.pos], _ = s.readRecord(h.off)
 	}
-	sc.hits = hits[:0]
+	sortByOffset(offs, ord, sc.pack)
+	s.readLiveSpans(offs, ord, out)
 	mgPool.Put(sc)
 	return out
 }
 
-// hit pairs a resolved key's batch position with its record offset so
-// the PMem phase of MultiGet can visit records in offset order.
-type hit struct {
-	pos int
-	off int64
+// mgScratch holds MultiGet's per-call working state, every slice as long
+// as the largest batch seen. Pooling it keeps the batched read path
+// allocation-free apart from the returned slice.
+type mgScratch struct {
+	offs, pack    []uint64 // record offset per batch position; sort words
+	found         []bool
+	order         []int
+	subK, subOffs []uint64 // cache-miss keys, compacted, and their index answers
+	subFound      []bool
+	lane          []int // their positions in the batch
 }
 
-// mgScratch holds MultiGet's per-call working state. Pooling it keeps
-// the batched read path allocation-free apart from the returned slice:
-// the index-phase offs/found buffers and the hit list are reused across
-// calls and goroutines.
-type mgScratch struct {
-	offs  []uint64
-	found []bool
-	hits  []hit
-	subK  []uint64 // cache-miss keys, compacted
-	lane  []int    // their positions in the original batch
+func (sc *mgScratch) grow(n int) {
+	if cap(sc.offs) >= n {
+		return
+	}
+	sc.offs, sc.pack, sc.subK, sc.subOffs = make([]uint64, n), make([]uint64, n), make([]uint64, n), make([]uint64, n)
+	sc.found, sc.subFound = make([]bool, n), make([]bool, n)
+	sc.order, sc.lane = make([]int, n), make([]int, n)
 }
 
 var mgPool = sync.Pool{New: func() interface{} { return new(mgScratch) }}
@@ -910,16 +868,18 @@ const maxScanBatch = 1 << 20
 // bytes is never dearer than breaking the sequential walk.
 const spanBridge = 512
 
-// sortByOffset fills ord with batch positions ordered by ascending
-// offs: insertion sort for small rounds, otherwise a packed-primitive
-// sort (offset<<20 | position) so pdqsort runs on a []uint64 without a
+// touchAhead caps how many of a round's records readLiveSpans prefetches
+// before it reads any: 256 header lines are 16 KB, inside any L1, where
+// the lines of a maxScanBatch round would evict one another unread.
+const touchAhead = 256
+
+// sortByOffset orders the batch positions in ord by ascending offs:
+// insertion sort for small rounds, otherwise a packed-primitive sort
+// (offset<<20 | position) so pdqsort runs on a []uint64 without a
 // closure comparator in the comparison loop.
 func sortByOffset(offs []uint64, ord []int, pack []uint64) {
 	m := len(ord)
 	if m <= 32 {
-		for i := range ord {
-			ord[i] = i
-		}
 		for i := 1; i < m; i++ {
 			x := ord[i]
 			j := i - 1
@@ -931,8 +891,8 @@ func sortByOffset(offs []uint64, ord []int, pack []uint64) {
 		}
 		return
 	}
-	for i := 0; i < m; i++ {
-		pack[i] = offs[i]<<20 | uint64(i)
+	for i, p := range ord {
+		pack[i] = offs[p]<<20 | uint64(p)
 	}
 	slices.Sort(pack[:m])
 	for i, p := range pack[:m] {
@@ -948,10 +908,16 @@ func sortByOffset(offs []uint64, ord []int, pack []uint64) {
 // costs one near-sequential device walk instead of one access per
 // record; stale records inside a span are never parsed, just skipped by
 // offset arithmetic. A record with no neighbour in reach goes through
-// readRecord. Caller holds an epoch pin.
+// readRecord. Before any of that the header line of each record (up to
+// touchAhead of them) is prefetched, so the round's cache and TLB misses
+// overlap instead of each waiting behind the previous record's stall;
+// the device accesses themselves stay serial. Caller holds an epoch pin.
 //
 //pieces:hotpath
 func (s *Store) readLiveSpans(offs []uint64, ord []int, vals [][]byte) {
+	for _, i := range ord[:min(len(ord), touchAhead)] {
+		s.region.Prefetch(int64(offs[i]))
+	}
 	maxGap := uint64(recordHeader + s.valueSize + spanBridge)
 	size := uint64(s.region.Size())
 	m := len(ord)
@@ -1091,11 +1057,10 @@ func (s *Store) scanRounds(start uint64, n int, desc bool, fn func(key uint64, v
 			}
 			s.met.ScanBatchPulled(m, presorted)
 			ord := order[:m]
-			if presorted {
-				for i := range ord {
-					ord[i] = i
-				}
-			} else {
+			for i := range ord {
+				ord[i] = i
+			}
+			if !presorted {
 				sortByOffset(offs[:m], ord, sc.pack)
 			}
 			s.readLiveSpans(offs[:m], ord, vals)
