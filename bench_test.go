@@ -108,6 +108,49 @@ func BenchmarkCursorOpen(b *testing.B) {
 	}
 }
 
+// BenchmarkUpsert is the index share of a Put, as a table: every
+// writable registry index x {a key it holds, a key it does not} x two
+// sizes of the benchmark's OSM-like data set, the larger past the caches.
+// "new" draws from a held-out quarter and reloads the index, off the
+// clock, whenever that runs out. With -benchmem: alex allocates nothing
+// on either path.
+func BenchmarkUpsert(b *testing.B) {
+	for _, n := range []int{50_000, 750_000} {
+		load, held := dataset.Split(dataset.Generate(dataset.OSMLike, n+n/4, 1), n/4)
+		hot, held := dataset.Shuffled(load, 2), dataset.Shuffled(held, 3)
+		for _, e := range core.Registry() {
+			if _, err := e.New().InsertReplace(0, 0); err == index.ErrReadOnly {
+				continue
+			}
+			b.Run(fmt.Sprintf("%s/existing/%dk", e.Name, n/1000), func(b *testing.B) {
+				idx := loadedIndex(b, e.Name, load)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if existed, err := idx.InsertReplace(hot[i%len(hot)], uint64(i)); err != nil || !existed {
+						b.Fatalf("InsertReplace(loaded key) = %v,%v", existed, err)
+					}
+				}
+			})
+			b.Run(fmt.Sprintf("%s/new/%dk", e.Name, n/1000), func(b *testing.B) {
+				var idx index.Index
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					j := i % len(held)
+					if j == 0 {
+						b.StopTimer()
+						idx = loadedIndex(b, e.Name, load)
+						b.StartTimer()
+					}
+					if existed, err := idx.InsertReplace(held[j], uint64(i)); err != nil || existed {
+						b.Fatalf("InsertReplace(held-out key) = %v,%v", existed, err)
+					}
+				}
+			})
+		}
+	}
+}
+
 // BenchmarkKernelLastMile crosses the last-mile kernel policies with
 // the paper's uniform and OSM-like key distributions on two spline
 // indexes. PolicyBinary is the pre-kernel behavior (the hand-rolled

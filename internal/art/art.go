@@ -139,8 +139,16 @@ func (t *Tree) Get(key uint64) (uint64, bool) {
 
 // Insert stores value under key, replacing any existing value.
 func (t *Tree) Insert(key, value uint64) error {
+	_, err := t.InsertReplace(key, value)
+	return err
+}
+
+// InsertReplace implements index.Upserter: the descent either overwrote
+// a leaf or added one, so the length says which.
+func (t *Tree) InsertReplace(key, value uint64) (bool, error) {
+	before := t.length
 	t.root = t.insert(t.root, keyBytes(key), 0, key, value)
-	return nil
+	return t.length == before, nil
 }
 
 func commonPrefixLen(a, b []byte) int {

@@ -229,13 +229,11 @@ func (l *lockedIndex) Insert(key, value uint64) error {
 }
 
 // InsertReplace keeps the store's live count exact under concurrent
-// writers: existence is derived under the same critical section as the
-// insert (satisfying index.Upserter).
+// writers: the inner upsert runs inside the critical section.
 func (l *lockedIndex) InsertReplace(key, value uint64) (bool, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	_, existed := l.Index.Get(key)
-	return existed, l.Index.Insert(key, value)
+	return l.Index.InsertReplace(key, value)
 }
 
 func (l *lockedIndex) Name() string { return l.Index.Name() + "+lock" }

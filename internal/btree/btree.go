@@ -209,6 +209,14 @@ func minOf(n interface{}) (uint64, uint64, bool) {
 
 // Insert stores value under key, replacing any existing value.
 func (t *BTree) Insert(key, value uint64) error {
+	_, err := t.InsertReplace(key, value)
+	return err
+}
+
+// InsertReplace implements index.Upserter: the leaf either overwrote a
+// slot or grew by one, so the length says which.
+func (t *BTree) InsertReplace(key, value uint64) (bool, error) {
+	before := t.length
 	midKey, newRight := t.insert(t.root, t.height, key, value)
 	if newRight != nil {
 		r := &inner{n: 1}
@@ -219,7 +227,7 @@ func (t *BTree) Insert(key, value uint64) error {
 		t.height++
 		t.inners++
 	}
-	return nil
+	return t.length == before, nil
 }
 
 // insert descends to the leaf; on split it returns the separator key and

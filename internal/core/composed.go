@@ -42,7 +42,7 @@ func (s Inplace) reserve() int {
 
 // Prepare implements InsertStrategy.
 func (s Inplace) Prepare(l *Leaf) {
-	if l.Used != nil {
+	if l.Occ != nil {
 		return // gapped leaves have their own reserve
 	}
 	if cap(l.Keys) > len(l.Keys) {
@@ -124,7 +124,7 @@ func (s GapInsert) upper() float64 {
 
 // Prepare implements InsertStrategy.
 func (s GapInsert) Prepare(l *Leaf) {
-	if l.Used != nil {
+	if l.Occ != nil {
 		return
 	}
 	// Packed leaf composed with gap insertion: re-lay it out gapped. This
@@ -134,21 +134,13 @@ func (s GapInsert) Prepare(l *Leaf) {
 }
 
 // Insert implements InsertStrategy: ALEX's model-based gap insertion
-// (pla.GappedNode.Insert) applied to a composed leaf.
+// (pla.GappedNode.InsertReplace) applied to a composed leaf.
 func (s GapInsert) Insert(l *Leaf, key, value uint64) (bool, bool) {
 	if len(l.Keys) == 0 || l.NumKeys >= len(l.Keys) {
 		return false, true
 	}
-	g := pla.GappedNode{
-		FirstKey:  l.FirstKey,
-		Slope:     l.Slope,
-		Intercept: l.Intercept,
-		Keys:      l.Keys,
-		Values:    l.Vals,
-		Used:      l.Used,
-		NumKeys:   l.NumKeys,
-	}
-	if !g.Insert(key, value) {
+	g := l.gapped()
+	if _, ok := g.InsertReplace(key, value, nil); !ok {
 		return false, true
 	}
 	l.NumKeys = g.NumKeys
@@ -172,17 +164,9 @@ func gapErr(g *pla.GappedNode, key uint64) int {
 
 // regap converts a leaf's live entries into a gapped layout.
 func regap(l *Leaf, density float64) {
-	keys, vals := l.live()
-	g := pla.BuildLSAGap(keys, vals, density)
-	l.FirstKey = g.FirstKey
-	l.Slope = g.Slope
-	l.Intercept = g.Intercept
-	l.Keys = g.Keys
-	l.Vals = g.Values
-	l.Used = g.Used
-	l.NumKeys = g.NumKeys
+	keys, vals := l.entries()
 	l.BufK, l.BufV = nil, nil
-	l.remeasure()
+	l.setGapped(pla.BuildLSAGap(keys, vals, density))
 }
 
 // InsertStrategies returns the insertion dimension's catalogue.
@@ -238,17 +222,8 @@ func (p ExpandOrSplit) Retrain(a Approximator, keys, vals []uint64) []*Leaf {
 func gappedWhole(keys, vals []uint64) []*Leaf {
 	// Expanded nodes are rebuilt at ALEX's lower density bound (0.6) so
 	// each retrain buys several times its cost in future gap inserts.
-	g := pla.BuildLSAGap(keys, vals, 0.6)
-	l := &Leaf{
-		FirstKey:  g.FirstKey,
-		Slope:     g.Slope,
-		Intercept: g.Intercept,
-		Keys:      g.Keys,
-		Vals:      g.Values,
-		Used:      g.Used,
-		NumKeys:   g.NumKeys,
-	}
-	l.remeasure()
+	l := new(Leaf)
+	l.setGapped(pla.BuildLSAGap(keys, vals, 0.6))
 	return []*Leaf{l}
 }
 
@@ -348,17 +323,24 @@ func (c *Composed) Get(key uint64) (uint64, bool) {
 
 // Insert stores value under key, replacing any existing value.
 func (c *Composed) Insert(key, value uint64) error {
+	_, err := c.InsertReplace(key, value)
+	return err
+}
+
+// InsertReplace implements index.Upserter: the leaf search that decides
+// between replace and insert is the existence answer.
+func (c *Composed) InsertReplace(key, value uint64) (bool, error) {
 	li := c.structure.Locate(key)
 	l := c.leaves[li]
 	if at, ok := l.find(key); ok {
 		l.Vals[at] = value
-		return nil
+		return true, nil
 	}
 	if len(l.BufK) > 0 {
 		i := sort.Search(len(l.BufK), func(j int) bool { return l.BufK[j] >= key })
 		if i < len(l.BufK) && l.BufK[i] == key {
 			l.BufV[i] = value
-			return nil
+			return true, nil
 		}
 	}
 	inserted, retrain := c.strategy.Insert(l, key, value)
@@ -371,14 +353,14 @@ func (c *Composed) Insert(key, value uint64) error {
 			c.length++
 		}
 	}
-	return nil
+	return false, nil
 }
 
 // retrainLeaf rebuilds leaf li via the policy, splicing the replacements
 // into the leaf list and rebuilding the structure.
 func (c *Composed) retrainLeaf(li int, l *Leaf, key, value uint64, keyIncluded bool) {
 	start := time.Now()
-	keys, vals := l.live()
+	keys, vals := l.entries()
 	if !keyIncluded {
 		at := sort.Search(len(keys), func(j int) bool { return keys[j] >= key })
 		keys = append(keys, 0)
@@ -402,10 +384,8 @@ func (c *Composed) retrainLeaf(li int, l *Leaf, key, value uint64, keyIncluded b
 func (c *Composed) Delete(key uint64) bool {
 	l := c.leaves[c.structure.Locate(key)]
 	if at, ok := l.find(key); ok {
-		if l.Used != nil {
-			g := pla.GappedNode{
-				Keys: l.Keys, Values: l.Vals, Used: l.Used, NumKeys: l.NumKeys,
-			}
+		if l.Occ != nil {
+			g := l.gapped()
 			g.Remove(at)
 			l.NumKeys = g.NumKeys
 			c.length--
@@ -458,8 +438,8 @@ func (cur *cursor) Next(keys, vals []uint64) int {
 	n := 0
 	for n < len(keys) && cur.li < len(cur.leaves) {
 		l := cur.leaves[cur.li]
-		for cur.i < len(l.Keys) && l.Used != nil && !l.Used[cur.i] {
-			cur.i++ // gap slot
+		if l.Occ != nil {
+			cur.i = l.Occ.NextSet(cur.i, len(l.Keys)) // step over the gap run
 		}
 		base, buf := cur.i < len(l.Keys), cur.j < len(l.BufK)
 		var k, v uint64

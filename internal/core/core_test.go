@@ -227,8 +227,8 @@ func TestGapInsertStrategyKeepsOrder(t *testing.T) {
 	}
 	prev := uint64(0)
 	n := 0
-	for i, used := range l.Used {
-		if !used {
+	for i := range l.Keys {
+		if !l.Occ.Has(i) {
 			continue
 		}
 		if n > 0 && l.Keys[i] <= prev {

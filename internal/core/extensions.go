@@ -182,7 +182,7 @@ func (s AppendInsert) Prepare(l *Leaf) {}
 
 // Insert implements InsertStrategy.
 func (s AppendInsert) Insert(l *Leaf, key, value uint64) (bool, bool) {
-	if l.Used == nil && s.isAppend(l, key) {
+	if l.Occ == nil && s.isAppend(l, key) {
 		l.Keys = append(l.Keys, key)
 		l.Vals = append(l.Vals, value)
 		l.NumKeys++

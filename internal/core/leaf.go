@@ -15,7 +15,7 @@ import (
 )
 
 // Leaf is one leaf node of a composed index: a linear model over either a
-// packed sorted run or a gapped array (Used != nil). Leaves are the unit
+// packed sorted run or a gapped array (Occ != nil). Leaves are the unit
 // the approximation algorithms produce and the insertion/retraining
 // strategies operate on.
 type Leaf struct {
@@ -25,7 +25,7 @@ type Leaf struct {
 	MaxErr    int
 	Keys      []uint64
 	Vals      []uint64
-	Used      []bool // nil for packed leaves
+	Occ       pla.Bitmap // occupancy of a gapped leaf; nil for packed leaves
 	NumKeys   int
 	// Buffer strategy: sorted side buffer.
 	BufK, BufV []uint64
@@ -52,17 +52,11 @@ func (l *Leaf) predict(key uint64) int {
 // remeasure recomputes MaxErr against the leaf-local model.
 func (l *Leaf) remeasure() {
 	l.MaxErr = 0
-	pos := 0
 	for i, k := range l.Keys {
-		if l.Used != nil {
-			if !l.Used[i] {
-				continue
-			}
-			pos = i
-		} else {
-			pos = i
+		if !l.live(i) {
+			continue
 		}
-		e := l.predict(k) - pos
+		e := l.predict(k) - i
 		if e < 0 {
 			e = -e
 		}
@@ -78,7 +72,7 @@ func (l *Leaf) Find(key uint64) (int, bool) { return l.find(key) }
 
 // find returns the slot of key, or (insertionSlot, false).
 func (l *Leaf) find(key uint64) (int, bool) {
-	if l.Used != nil {
+	if l.Occ != nil {
 		return l.findGapped(key)
 	}
 	n := len(l.Keys)
@@ -111,18 +105,34 @@ func (l *Leaf) find(key uint64) (int, bool) {
 	return at, false
 }
 
-func (l *Leaf) findGapped(key uint64) (int, bool) {
-	// Constructed by value so the call stays allocation-free (the pointer
-	// does not escape SlotOf).
-	g := pla.GappedNode{
+// gapped views a gapped leaf as the pla node its operations live on. By
+// value, so a call through it stays allocation-free (the pointer does not
+// escape); writers copy NumKeys back.
+func (l *Leaf) gapped() pla.GappedNode {
+	return pla.GappedNode{
 		FirstKey:  l.FirstKey,
 		Slope:     l.Slope,
 		Intercept: l.Intercept,
 		Keys:      l.Keys,
 		Values:    l.Vals,
-		Used:      l.Used,
+		Occ:       l.Occ,
 		NumKeys:   l.NumKeys,
 	}
+}
+
+// setGapped makes l the gapped leaf g lays out.
+func (l *Leaf) setGapped(g *pla.GappedNode) {
+	l.FirstKey, l.Slope, l.Intercept = g.FirstKey, g.Slope, g.Intercept
+	l.Keys, l.Vals, l.Occ, l.NumKeys = g.Keys, g.Values, g.Occ, g.NumKeys
+	l.remeasure()
+}
+
+// live reports whether base slot i holds an entry (every slot of a packed
+// leaf does).
+func (l *Leaf) live(i int) bool { return l.Occ == nil || l.Occ.Has(i) }
+
+func (l *Leaf) findGapped(key uint64) (int, bool) {
+	g := l.gapped()
 	s, ok := g.SlotOf(key)
 	if ok {
 		return s, true
@@ -143,7 +153,7 @@ func (l *Leaf) iterate(fn func(k, v uint64) bool) bool {
 		return true
 	}
 	for i, k := range l.Keys {
-		if l.Used != nil && !l.Used[i] {
+		if !l.live(i) {
 			continue
 		}
 		if !emitBuf(k, false) {
@@ -156,8 +166,8 @@ func (l *Leaf) iterate(fn func(k, v uint64) bool) bool {
 	return emitBuf(^uint64(0), true)
 }
 
-// live returns the sorted live keys/values including the buffer.
-func (l *Leaf) live() ([]uint64, []uint64) {
+// entries returns the sorted live keys/values including the buffer.
+func (l *Leaf) entries() ([]uint64, []uint64) {
 	keys := make([]uint64, 0, l.NumKeys+len(l.BufK))
 	vals := make([]uint64, 0, l.NumKeys+len(l.BufK))
 	l.iterate(func(k, v uint64) bool {
@@ -264,17 +274,8 @@ func (a LSAGap) Build(keys, vals []uint64) []*Leaf {
 		if vals != nil {
 			vs = vals[start:end]
 		}
-		g := pla.BuildLSAGap(keys[start:end], vs, density)
-		l := &Leaf{
-			FirstKey:  g.FirstKey,
-			Slope:     g.Slope,
-			Intercept: g.Intercept,
-			Keys:      g.Keys,
-			Vals:      g.Values,
-			Used:      g.Used,
-			NumKeys:   g.NumKeys,
-		}
-		l.remeasure()
+		l := new(Leaf)
+		l.setGapped(pla.BuildLSAGap(keys[start:end], vs, density))
 		leaves = append(leaves, l)
 	}
 	if leaves == nil {
@@ -326,16 +327,10 @@ func LeafMetrics(leaves []*Leaf) pla.Metrics {
 	var total int
 	for _, l := range leaves {
 		for i, k := range l.Keys {
-			if l.Used != nil && !l.Used[i] {
+			if !l.live(i) {
 				continue
 			}
-			var pos int
-			if l.Used != nil {
-				pos = i
-			} else {
-				pos = i
-			}
-			e := l.predict(k) - pos
+			e := l.predict(k) - i
 			if e < 0 {
 				e = -e
 			}
@@ -355,5 +350,5 @@ func LeafMetrics(leaves []*Leaf) pla.Metrics {
 // String renders a leaf for debugging.
 func (l *Leaf) String() string {
 	return fmt.Sprintf("leaf{first=%d n=%d cap=%d gapped=%v err<=%d buf=%d}",
-		l.FirstKey, l.NumKeys, len(l.Keys), l.Used != nil, l.MaxErr, len(l.BufK))
+		l.FirstKey, l.NumKeys, len(l.Keys), l.Occ != nil, l.MaxErr, len(l.BufK))
 }

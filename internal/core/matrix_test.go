@@ -6,7 +6,21 @@ import (
 
 	"learnedpieces/internal/dataset"
 	"learnedpieces/internal/index"
+	"learnedpieces/internal/indextest"
 )
+
+// TestRegistryUpsert: every registry entry — the delta wrappers, which no
+// package-level conformance run covers, included — answers InsertReplace
+// exactly (the read-only pair with ErrReadOnly) and reports Caps.Upsert,
+// so the store can call it without a capability check.
+func TestRegistryUpsert(t *testing.T) {
+	for _, e := range Registry() {
+		if !index.CapsOf(e.New()).Upsert {
+			t.Fatalf("%s does not report Caps.Upsert", e.Name)
+		}
+		indextest.RunUpsert(t, e.Name, e.New)
+	}
+}
 
 // TestIndexDatasetMatrix runs every registry index against every key
 // distribution: bulk load (or insert), point lookups, negative lookups,

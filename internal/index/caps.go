@@ -21,7 +21,8 @@ type Caps struct {
 	RangeDesc bool
 	// Delete: keys can be removed.
 	Delete bool
-	// Upsert: InsertReplace reports prior existence atomically.
+	// Upsert: InsertReplace reports prior existence atomically. Every
+	// Index has it.
 	Upsert bool
 	// BatchGet: GetBatch resolves whole lookup batches with interleaved
 	// last-mile searches.
@@ -60,7 +61,7 @@ func CapsOf(idx Index) Caps {
 	_, caps.Range = idx.(Ranger)
 	_, caps.RangeDesc = idx.(ReverseRanger)
 	_, caps.Delete = idx.(Deleter)
-	_, caps.Upsert = idx.(Upserter)
+	caps.Upsert = true
 	_, caps.BatchGet = idx.(BatchGetter)
 	_, caps.Sized = idx.(Sized)
 	_, caps.Depth = idx.(DepthReporter)

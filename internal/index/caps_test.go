@@ -10,20 +10,21 @@ func (fakeBase) Get(uint64) (uint64, bool)      { return 0, false }
 func (fakeBase) Insert(key, value uint64) error { return nil }
 func (fakeBase) Len() int                       { return 0 }
 
+func (fakeBase) InsertReplace(k, v uint64) (bool, error) { return false, nil }
+
 // fakeFull implements every optional interface.
 type fakeFull struct {
 	fakeBase
 }
 
-func (fakeFull) BulkLoad(keys, values []uint64) error    { return nil }
-func (fakeFull) Range(uint64) Cursor                     { return NewSliceCursor(nil, nil, 0, false) }
-func (fakeFull) Delete(uint64) bool                      { return false }
-func (fakeFull) InsertReplace(k, v uint64) (bool, error) { return false, nil }
-func (fakeFull) Sizes() Sizes                            { return Sizes{Structure: 1} }
-func (fakeFull) AvgDepth() float64                       { return 2 }
-func (fakeFull) RetrainStats() (int64, int64)            { return 3, 4 }
-func (fakeFull) ConcurrentReads() bool                   { return true }
-func (fakeFull) ConcurrentWrites() bool                  { return false }
+func (fakeFull) BulkLoad(keys, values []uint64) error { return nil }
+func (fakeFull) Range(uint64) Cursor                  { return NewSliceCursor(nil, nil, 0, false) }
+func (fakeFull) Delete(uint64) bool                   { return false }
+func (fakeFull) Sizes() Sizes                         { return Sizes{Structure: 1} }
+func (fakeFull) AvgDepth() float64                    { return 2 }
+func (fakeFull) RetrainStats() (int64, int64)         { return 3, 4 }
+func (fakeFull) ConcurrentReads() bool                { return true }
+func (fakeFull) ConcurrentWrites() bool               { return false }
 
 // fakeCapser overrides interface probing entirely.
 type fakeCapser struct{ fakeFull }
@@ -31,8 +32,8 @@ type fakeCapser struct{ fakeFull }
 func (fakeCapser) Caps() Caps { return Caps{Range: true} }
 
 func TestCapsOfBase(t *testing.T) {
-	if got := CapsOf(fakeBase{}); got != (Caps{}) {
-		t.Fatalf("CapsOf(base) = %+v, want zero", got)
+	if got := CapsOf(fakeBase{}); got != (Caps{Upsert: true}) {
+		t.Fatalf("CapsOf(base) = %+v, want Upsert alone", got)
 	}
 }
 

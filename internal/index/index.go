@@ -16,11 +16,13 @@ var ErrReadOnly = errors.New("index: read-only index does not support insert")
 
 // Index is the operation set shared by all indexes. Keys and values are
 // uint64 (values are typically offsets into the KV store's storage).
-// Insert is an upsert: existing keys have their value replaced.
+// Insert is an upsert: existing keys have their value replaced; it is
+// InsertReplace for callers that do not need the existence answer.
 type Index interface {
 	Name() string
 	Get(key uint64) (uint64, bool)
 	Insert(key, value uint64) error
+	Upserter
 	Len() int
 }
 
@@ -82,11 +84,13 @@ type BatchGetter interface {
 	GetBatch(keys []uint64, vals []uint64, found []bool)
 }
 
-// Upserter is implemented by indexes that can report, atomically with
-// the insert itself, whether the key already existed. Concurrent-write
-// stores need this to keep derived counters (such as the KV store's live
-// length) exact: a separate Get-then-Insert pair races when two writers
-// insert the same new key simultaneously.
+// Upserter is the write every index performs: an insert that reports,
+// from the descent it makes anyway, whether the key already existed. The
+// KV store keeps its live-key count from that answer, so a Put costs one
+// descent, and under concurrent writers the answer is atomic with the
+// insert — a separate Get-then-Insert pair races when two writers insert
+// the same new key. Read-only indexes return ErrReadOnly. It is part of
+// Index; the name remains for the Seam field that dispatches it.
 type Upserter interface {
 	InsertReplace(key, value uint64) (existed bool, err error)
 }

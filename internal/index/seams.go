@@ -3,8 +3,8 @@ package index
 // Seam is the typed dispatch surface of an index: the optional-interface
 // values a store's hot paths call through after resolving them exactly
 // once per index swap. Fields are nil when the index lacks the
-// capability; callers gate on the matching Caps field (or a nil check)
-// before dispatching.
+// capability (Upsert never is: it is part of Index); callers gate on the
+// matching Caps field (or a nil check) before dispatching.
 //
 // Seam exists so the rest of the repository never type-asserts against
 // the optional interfaces ad hoc — the caps-discipline analyzer
@@ -26,7 +26,7 @@ type Seam struct {
 // the result, and dispatch through its fields.
 func Seams(idx Index) Seam {
 	var s Seam
-	s.Upsert, _ = idx.(Upserter)
+	s.Upsert = idx
 	s.Delete, _ = idx.(Deleter)
 	s.Range, _ = idx.(Ranger)
 	s.RangeDesc, _ = idx.(ReverseRanger)

@@ -28,8 +28,8 @@ func (r *recBulk) BulkLoad(keys, values []uint64) error {
 }
 
 func TestSeamsResolution(t *testing.T) {
-	if s := Seams(fakeBase{}); s.Upsert != nil || s.Delete != nil || s.Range != nil || s.Bulk != nil {
-		t.Fatalf("Seams(base) = %+v, want all nil", s)
+	if s := Seams(fakeBase{}); s.Upsert == nil || s.Delete != nil || s.Range != nil || s.Bulk != nil {
+		t.Fatalf("Seams(base) = %+v, want Upsert alone", s)
 	}
 	s := Seams(fakeFull{})
 	if s.Upsert == nil || s.Delete == nil || s.Range == nil || s.Bulk == nil {

@@ -24,6 +24,7 @@ func RunAll(t *testing.T, name string, f Factory) {
 	t.Run(name+"/empty", func(t *testing.T) { testEmpty(t, f) })
 	t.Run(name+"/insert-get", func(t *testing.T) { testInsertGet(t, f) })
 	t.Run(name+"/update", func(t *testing.T) { testUpdate(t, f) })
+	RunUpsert(t, name, f)
 	t.Run(name+"/random-model", func(t *testing.T) { testRandomModel(t, f) })
 	t.Run(name+"/caps", func(t *testing.T) { testCaps(t, f) })
 	caps := index.CapsOf(f())
@@ -51,6 +52,7 @@ func RunReadOnly(t *testing.T, name string, f Factory) {
 			t.Fatalf("Insert on read-only index returned %v, want ErrReadOnly", err)
 		}
 	})
+	RunUpsert(t, name, f)
 	t.Run(name+"/bulk-get-all-kinds", func(t *testing.T) {
 		for _, kind := range dataset.Kinds() {
 			idx := f()
@@ -159,18 +161,8 @@ func testCaps(t *testing.T, f Factory) {
 		t.Fatal("caps report Range but index.Ranger is not implemented")
 	}
 
-	if caps.Upsert {
-		up, ok := idx.(index.Upserter)
-		if !ok {
-			t.Fatal("caps report Upsert but index.Upserter is not implemented")
-		}
-		existed, err := up.InsertReplace(keys[0], 12345)
-		if err != nil || !existed {
-			t.Fatalf("InsertReplace(existing) = %v,%v", existed, err)
-		}
-		if v, _ := idx.Get(keys[0]); v != 12345 {
-			t.Fatalf("InsertReplace did not replace: %d", v)
-		}
+	if !caps.Upsert {
+		t.Fatal("InsertReplace is part of index.Index but caps mask Upsert")
 	}
 
 	if caps.Delete {
@@ -316,6 +308,98 @@ func testUpdate(t *testing.T, f Factory) {
 	}
 }
 
+// RunUpsert checks InsertReplace, the write a store's Put is made of: an
+// absent key reports false and grows Len by one, a present key reports
+// true and leaves Len alone, either way the new value is what Get,
+// GetBatch and a cursor opened at the key then see, and a deleted key is
+// absent again. The key set is clustered (OSM-like) and includes both
+// ends of the key space. Read-only indexes must refuse with ErrReadOnly.
+func RunUpsert(t *testing.T, name string, f Factory) {
+	t.Run(name+"/upsert", func(t *testing.T) { testUpsert(t, f) })
+}
+
+func testUpsert(t *testing.T, f Factory) {
+	idx := f()
+	if existed, err := f().InsertReplace(1, 1); err == index.ErrReadOnly {
+		if existed {
+			t.Fatal("read-only InsertReplace reported an existing key")
+		}
+		return
+	}
+	caps, seam := index.CapsOf(idx), index.Seams(idx)
+	keys := dataset.SortedUnique(append(dataset.Generate(dataset.OSMLike, 900, 91), 0, ^uint64(0)))
+	// Every third key goes in through the load path; the rest, both ends
+	// of the key space among them, arrive as upserts of absent keys.
+	var load []uint64
+	for i := 1; i < len(keys); i += 3 {
+		load = append(load, keys[i])
+	}
+	if err := index.LoadSorted(idx, load, load); err != nil {
+		t.Fatalf("load: %v", err)
+	}
+	visible := func(k, want uint64) {
+		t.Helper()
+		if v, ok := idx.Get(k); !ok || v != want {
+			t.Fatalf("Get(%d) = %d,%v after upsert, want %d", k, v, ok, want)
+		}
+		if caps.BatchGet {
+			probe, vals, found := []uint64{k ^ 1, k, k}, make([]uint64, 3), make([]bool, 3)
+			seam.Batch.GetBatch(probe, vals, found)
+			if !found[1] || vals[1] != want || !found[2] || vals[2] != want {
+				t.Fatalf("GetBatch(%d) = %v,%v after upsert, want %d", k, vals, found, want)
+			}
+		}
+		if caps.Range {
+			ck, cv := make([]uint64, 1), make([]uint64, 1)
+			cur := seam.Range.Range(k)
+			n := cur.Next(ck, cv)
+			cur.Close()
+			if n != 1 || ck[0] != k || cv[0] != want {
+				t.Fatalf("cursor at %d yields (%d,%d) n=%d after upsert, want value %d", k, ck[0], cv[0], n, want)
+			}
+		}
+	}
+	upsert := func(k, v uint64, wantExisted bool) {
+		t.Helper()
+		before := idx.Len()
+		existed, err := idx.InsertReplace(k, v)
+		if err != nil || existed != wantExisted {
+			t.Fatalf("InsertReplace(%d) = %v,%v, want existed=%v", k, existed, err, wantExisted)
+		}
+		if want := before + 1; !existed && idx.Len() != want {
+			t.Fatalf("InsertReplace(%d) of an absent key: Len %d -> %d", k, before, idx.Len())
+		}
+		if existed && idx.Len() != before {
+			t.Fatalf("InsertReplace(%d) of a present key: Len %d -> %d", k, before, idx.Len())
+		}
+		visible(k, v)
+	}
+	for _, k := range dataset.Shuffled(keys, 92) {
+		upsert(k, k^0x5A5A, contains(load, k))
+	}
+	if idx.Len() != len(keys) {
+		t.Fatalf("Len = %d after upserting every key, want %d", idx.Len(), len(keys))
+	}
+	for _, k := range dataset.Shuffled(keys, 93) {
+		upsert(k, k+7, true)
+	}
+	if !caps.Delete {
+		return
+	}
+	for i, k := range keys {
+		if i%4 != 0 && i != len(keys)-1 {
+			continue
+		}
+		if !seam.Delete.Delete(k) {
+			t.Fatalf("Delete(%d) = false", k)
+		}
+		upsert(k, k+9, false)
+	}
+	if idx.Len() != len(keys) {
+		t.Fatalf("Len = %d after delete/upsert rounds, want %d", idx.Len(), len(keys))
+	}
+}
+
 func testBulkLoad(t *testing.T, f Factory) {
 	for _, n := range []int{0, 1, 2, 63, 64, 65, 5000} {
 		idx := f()
@@ -434,10 +518,17 @@ func testRandomModel(t *testing.T, f Factory) {
 	for op := 0; op < 20000; op++ {
 		k := keyspace[rng.Intn(len(keyspace))]
 		switch rng.Intn(4) {
-		case 0, 1: // insert/update
+		case 0: // insert/update
 			v := rng.Uint64()
 			if err := idx.Insert(k, v); err != nil {
 				t.Fatalf("op %d: insert: %v", op, err)
+			}
+			ref[k] = v
+		case 1: // the same write, asking whether the key existed
+			v := rng.Uint64()
+			existed, err := idx.InsertReplace(k, v)
+			if _, want := ref[k]; err != nil || existed != want {
+				t.Fatalf("op %d: InsertReplace(%d) = %v,%v, want existed=%v", op, k, existed, err, want)
 			}
 			ref[k] = v
 		case 2: // get

@@ -132,6 +132,9 @@ type Index struct {
 	retrainNs atomic.Int64
 	expands   atomic.Int64
 	splits    atomic.Int64
+	// work counts what the gap inserts did, in slots. Plain ints on the
+	// writer's timeline, like length.
+	work pla.InsertWork
 }
 
 // deposit is one finished background expand: a replacement gapped array
@@ -177,6 +180,11 @@ func (ix *Index) RetrainStats() (int64, int64) {
 func (ix *Index) ExpandSplitCounts() (expands, splits int64) {
 	return ix.expands.Load(), ix.splits.Load()
 }
+
+// InsertWork reports what the foreground half of the inserts cost, in
+// slots searched and shifted: the Put tail as exact work instead of a
+// timing. Like writes, it must be called from the writer's timeline.
+func (ix *Index) InsertWork() pla.InsertWork { return ix.work }
 
 // SetRetrainPool implements index.AsyncRetrainer: subsequent node
 // expands rebuild their gapped arrays on the pool.
@@ -333,8 +341,11 @@ func maxRun(bounds []int) int {
 	return m
 }
 
-// pathEntry records the descent for split handling.
-type pathEntry struct {
+// parentSlot is where a descent left the inner nodes: the data node's
+// parent and the child slot taken (in == nil when the root is the data
+// node). It is all a split reads of the route, and a plain value, so a
+// write's descent allocates nothing.
+type parentSlot struct {
 	in   *innerNode
 	slot int
 }
@@ -353,18 +364,18 @@ func (ix *Index) descend(key uint64) *dataNode {
 	}
 }
 
-// descendPath is descend for mutators: it appends the visited inner
-// nodes and slots to path for split handling.
-func (ix *Index) descendPath(key uint64, path *[]pathEntry) *dataNode {
+// descendParent is descend for mutators: it also reports where the
+// data node hangs, for split handling.
+func (ix *Index) descendParent(key uint64) (*dataNode, parentSlot) {
 	n := ix.root
+	var p parentSlot
 	for {
 		switch x := n.(type) {
 		case *innerNode:
-			s := x.childSlot(key)
-			*path = append(*path, pathEntry{x, s})
-			n = x.children[s]
+			p = parentSlot{x, x.childSlot(key)}
+			n = x.children[p.slot]
 		case *dataNode:
-			return x
+			return x, p
 		}
 	}
 }
@@ -424,54 +435,59 @@ func (ix *Index) GetBatch(keys []uint64, vals []uint64, found []bool) {
 // batchLanes sizes GetBatch's lockstep descent groups.
 const batchLanes = 16
 
-// Insert stores value under key, replacing any existing value. The
-// model-based gap insertion itself lives in pla.GappedNode.Insert; this
-// method handles the tree plumbing: descent, density-triggered
-// retraining, and retry after an expand/split made room.
+// Insert stores value under key, replacing any existing value.
 func (ix *Index) Insert(key, value uint64) error {
+	_, err := ix.InsertReplace(key, value)
+	return err
+}
+
+// InsertReplace implements index.Upserter. The model-based gap insertion
+// and the existence answer both come from pla.GappedNode.InsertReplace,
+// one search of one node; this method handles the tree plumbing: the
+// descent, density-triggered retraining, and retry after an expand or
+// split made room.
+func (ix *Index) InsertReplace(key, value uint64) (bool, error) {
 	ix.installDeposits()
 	for {
-		var path []pathEntry
-		d := ix.descendPath(key, &path)
-		if slot, ok := d.g.SlotOf(key); ok {
-			d.g.Values[slot] = value
-			ix.logOp(d, key, value, false)
-			return nil
-		}
+		d, parent := ix.descendParent(key)
 		if d.g.Capacity() == 0 {
 			*d.g = *pla.BuildLSAGap([]uint64{key}, []uint64{value}, ix.cfg.Density)
 			ix.length++
-			return nil
+			return false, nil
 		}
-		if d.g.Insert(key, value) {
+		existed, ok := d.g.InsertReplace(key, value, &ix.work)
+		if !ok {
+			// Completely full: retrain (expand or split), then retry. This
+			// runs inline even in async mode — the node has no gap left, so
+			// the next attempt needs the new array now. An in-flight expand
+			// for this node is invalidated by the generation bump.
+			ix.retrain(d, parent)
+			continue
+		}
+		ix.logOp(d, key, value, false)
+		if !existed {
 			ix.length++
-			ix.logOp(d, key, value, false)
 			if float64(d.g.NumKeys)/float64(d.g.Capacity()) >= ix.cfg.UpperDensity {
-				ix.maybeRetrain(d, path)
+				ix.maybeRetrain(d, parent)
 			}
-			return nil
 		}
-		// Completely full: retrain (expand or split), then retry. This
-		// runs inline even in async mode — the node has no gap left, so
-		// the next attempt needs the new array now. An in-flight expand
-		// for this node is invalidated by the generation bump.
-		ix.retrain(d, path)
+		return existed, nil
 	}
 }
 
 // maybeRetrain routes a density-triggered retrain: inline when no pool
 // is attached or the node is past the split threshold, to the pool when
 // a plain expand suffices and none is already in flight.
-func (ix *Index) maybeRetrain(d *dataNode, path []pathEntry) {
+func (ix *Index) maybeRetrain(d *dataNode, parent parentSlot) {
 	if ix.pool == nil {
-		ix.retrain(d, path)
+		ix.retrain(d, parent)
 		return
 	}
 	if d.retraining {
 		return
 	}
 	if d.g.NumKeys > ix.cfg.MaxLeafKeys {
-		ix.retrain(d, path)
+		ix.retrain(d, parent)
 		return
 	}
 	ix.scheduleExpand(d)
@@ -520,9 +536,9 @@ func (ix *Index) installDeposits() bool {
 
 // replay applies one op-logged write to a freshly installed array. The
 // array was built at 0.6 density from a snapshot taken moments ago, so
-// insert failure is rare; when it happens the node is rebuilt inline
-// with the key folded in (oversized nodes are split by the next
-// foreground trigger).
+// finding it full is rare; when it happens the node is expanded inline
+// first (oversized nodes are split by the next foreground trigger). The
+// foreground already counted this write's work on the array it replaced.
 func (ix *Index) replay(d *dataNode, op wop) {
 	if op.del {
 		if slot, ok := d.g.SlotOf(op.key); ok {
@@ -530,21 +546,11 @@ func (ix *Index) replay(d *dataNode, op wop) {
 		}
 		return
 	}
-	if slot, ok := d.g.SlotOf(op.key); ok {
-		d.g.Values[slot] = op.val
+	if _, ok := d.g.InsertReplace(op.key, op.val, nil); ok {
 		return
 	}
-	if d.g.Insert(op.key, op.val) {
-		return
-	}
-	keys, vals := snapshotNode(d.g)
-	at := sort.Search(len(keys), func(i int) bool { return keys[i] >= op.key })
-	keys = append(keys, 0)
-	vals = append(vals, 0)
-	copy(keys[at+1:], keys[at:])
-	copy(vals[at+1:], vals[at:])
-	keys[at], vals[at] = op.key, op.val
-	d.g = pla.BuildLSAGap(keys, vals, 0.6)
+	d.g = d.g.Expanded(0.6)
+	d.g.InsertReplace(op.key, op.val, nil)
 	d.gen++
 	ix.expands.Add(1)
 	ix.retrains.Add(1)
@@ -573,36 +579,37 @@ func (ix *Index) takeOplog(d *dataNode) []wop {
 	return mine
 }
 
-// snapshotNode copies a gapped node's live entries in key order.
+// snapshotNode copies a gapped node's live entries in key order: what a
+// background expand may read while the node keeps taking writes, and what
+// a split partitions.
 func snapshotNode(g *pla.GappedNode) (keys, vals []uint64) {
 	keys = make([]uint64, 0, g.NumKeys)
 	vals = make([]uint64, 0, g.NumKeys)
-	for i, used := range g.Used {
-		if used {
-			keys = append(keys, g.Keys[i])
-			vals = append(vals, g.Values[i])
-		}
+	n := g.Capacity()
+	for i := g.Occ.NextSet(0, n); i < n; i = g.Occ.NextSet(i+1, n) {
+		keys = append(keys, g.Keys[i])
+		vals = append(vals, g.Values[i])
 	}
 	return keys, vals
 }
 
 // retrain expands or splits a data node that exceeded its density bound.
-func (ix *Index) retrain(d *dataNode, path []pathEntry) {
+func (ix *Index) retrain(d *dataNode, parent parentSlot) {
 	start := time.Now()
 	d.gen++ // invalidate any in-flight background expand of this node
 	if d.retraining {
 		d.retraining = false
 		ix.takeOplog(d) // the live array already holds these writes
 	}
-	keys, vals := snapshotNode(d.g)
-	if len(keys) <= ix.cfg.MaxLeafKeys {
+	if d.g.NumKeys <= ix.cfg.MaxLeafKeys {
 		// Expand: rebuild at the lower density bound (ALEX's 0.6) with a
 		// fresh model, buying UpperDensity-0.6 of the capacity in future
 		// gap inserts per retrain.
-		d.g = pla.BuildLSAGap(keys, vals, 0.6)
+		d.g = d.g.Expanded(0.6)
 		ix.expands.Add(1)
 	} else {
-		ix.split(d, keys, vals, path)
+		keys, vals := snapshotNode(d.g)
+		ix.split(d, keys, vals, parent)
 		ix.splits.Add(1)
 	}
 	ix.retrains.Add(1)
@@ -613,8 +620,8 @@ func (ix *Index) retrain(d *dataNode, path []pathEntry) {
 // slot in its parent, the slot range is halved at the model boundary
 // (sideways split); otherwise a new subtree replaces it (downward split,
 // which is what makes the tree asymmetric).
-func (ix *Index) split(d *dataNode, keys, vals []uint64, path []pathEntry) {
-	if len(path) == 0 {
+func (ix *Index) split(d *dataNode, keys, vals []uint64, pe parentSlot) {
+	if pe.in == nil {
 		// The root is the data node: grow a tree above it.
 		prev := d.prev
 		sub := ix.build(keys, vals, &prev)
@@ -622,7 +629,6 @@ func (ix *Index) split(d *dataNode, keys, vals []uint64, path []pathEntry) {
 		ix.setRoot(sub)
 		return
 	}
-	pe := path[len(path)-1]
 	lo, hi := pe.slot, pe.slot+1
 	for lo > 0 && pe.in.children[lo-1] == d {
 		lo--
@@ -780,12 +786,12 @@ func (c *cursor) Next(keys, vals []uint64) int {
 	d, i := c.d, c.i
 	if c.desc {
 		for d != nil && n < len(keys) {
-			for i >= 0 && n < len(keys) {
-				if d.g.Used[i] {
-					keys[n] = d.g.Keys[i]
-					vals[n] = d.g.Values[i]
-					n++
+			for n < len(keys) {
+				if i = d.g.Occ.PrevSet(i); i < 0 {
+					break
 				}
+				keys[n], vals[n] = d.g.Keys[i], d.g.Values[i]
+				n++
 				i--
 			}
 			if i < 0 {
@@ -798,12 +804,12 @@ func (c *cursor) Next(keys, vals []uint64) int {
 	} else {
 		for d != nil && n < len(keys) {
 			m := d.g.Capacity()
-			for i < m && n < len(keys) {
-				if d.g.Used[i] {
-					keys[n] = d.g.Keys[i]
-					vals[n] = d.g.Values[i]
-					n++
+			for n < len(keys) {
+				if i = d.g.Occ.NextSet(i, m); i >= m {
+					break
 				}
+				keys[n], vals[n] = d.g.Keys[i], d.g.Values[i]
+				n++
 				i++
 			}
 			if i >= m {
@@ -862,8 +868,10 @@ func (ix *Index) LeafCount() int {
 }
 
 // Sizes reports the footprint. ALEX's structure is tiny (Table III lists
-// 129KB for 200M keys) because data-node models are the only per-leaf
-// metadata; the gapped arrays dominate and are charged to keys/values.
+// 129KB for 200M keys) because data-node models and occupancy maps are
+// the only per-leaf metadata; the gapped arrays dominate and are charged
+// to keys/values, gap slots included. The occupancy map is charged at the
+// words it holds: one bit per slot.
 func (ix *Index) Sizes() index.Sizes {
 	var structure, slots int64
 	var walk func(n interface{})
@@ -884,7 +892,7 @@ func (ix *Index) Sizes() index.Sizes {
 				return
 			}
 			seen[x] = true
-			structure += 48 + int64(x.g.Capacity()) // model + used bitmap
+			structure += 48 + int64(len(x.g.Occ))*8 // model + occupancy words
 			slots += int64(x.g.Capacity())
 		}
 	}

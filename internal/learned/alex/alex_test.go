@@ -1,11 +1,13 @@
 package alex
 
 import (
+	"runtime"
 	"testing"
 
 	"learnedpieces/internal/dataset"
 	"learnedpieces/internal/index"
 	"learnedpieces/internal/indextest"
+	"learnedpieces/internal/pla"
 )
 
 func TestConformance(t *testing.T) {
@@ -184,6 +186,40 @@ func TestDeleteThenReinsertIntoGaps(t *testing.T) {
 		if v, ok := ix.Get(k); !ok || v != want {
 			t.Fatalf("get(%d) = %d,%v want %d", k, v, ok, want)
 		}
+	}
+}
+
+// TestInsertWorkPinned is the Put tail counted instead of timed (Fig 13
+// and Fig 18(a) in work units): 500 k OSM-like keys bulk-loaded, the 312 k
+// held-out keys between them inserted in random order. On clustered data
+// model-based placement packs long runs, so the mean shift is tens of
+// slots and the worst one most of a node; the counters are exact and
+// repeat to the digit, which a p99 on this box does not.
+func TestInsertWorkPinned(t *testing.T) {
+	keys := dataset.Generate(dataset.OSMLike, 812_000, 7)
+	load, ins := dataset.Split(keys, 312_000)
+	ix := New(DefaultConfig())
+	if err := ix.BulkLoad(load, load); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range dataset.Shuffled(ins, 8) {
+		if existed, err := ix.InsertReplace(k, k); err != nil || existed {
+			t.Fatalf("InsertReplace(%d) = %v,%v", k, existed, err)
+		}
+	}
+	got := ix.InsertWork()
+	expands, splits := ix.ExpandSplitCounts()
+	t.Logf("inserts %d: %.2f slots shifted per insert (max %d), %.2f searched for a gap; %d expands, %d splits",
+		got.Inserts, float64(got.Shifted)/float64(got.Inserts), got.MaxShift,
+		float64(got.GapSearch)/float64(got.Inserts), expands, splits)
+	if runtime.GOARCH != "amd64" {
+		// Fused multiply-add rounds the model fit differently, and a slot
+		// prediction that moves by one moves the counts.
+		t.Skip("pinned on amd64")
+	}
+	want := pla.InsertWork{Inserts: 312_000, Shifted: 27_070_839, MaxShift: 4505, GapSearch: 92_187_138}
+	if got != want || expands != 509 || splits != 17 {
+		t.Fatalf("insert work %+v, %d expands, %d splits; want %+v", got, expands, splits, want)
 	}
 }
 

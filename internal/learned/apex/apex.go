@@ -205,11 +205,10 @@ func (ix *Index) allocNode(g *pla.GappedNode) (*nodeMeta, error) {
 		binary.LittleEndian.PutUint64(buf[i*8:], g.Keys[i])
 	}
 	ix.region.Write(ix.keysOff(m), buf)
-	words := make([]byte, (nodeCapacity+63)/64*8)
-	for i := 0; i < nodeCapacity; i++ {
-		if g.Used[i] {
-			words[i/8] |= 1 << (uint(i) % 8)
-		}
+	// The staging node's occupancy words are the node format's bitmap.
+	words := make([]byte, len(g.Occ)*8)
+	for i, w := range g.Occ {
+		binary.LittleEndian.PutUint64(words[i*8:], w)
 	}
 	ix.region.Write(ix.usedOff(m), words)
 	for i := 0; i < nodeCapacity; i++ {
@@ -375,7 +374,7 @@ func (ix *Index) BulkLoad(keys, values []uint64) error {
 
 // appendNode gap-lays a run into a fresh fixed-capacity node.
 func (ix *Index) appendNode(keys, vals []uint64) error {
-	g := buildFixed(keys, vals)
+	g := pla.BuildGapped(keys, vals, nodeCapacity)
 	m, err := ix.allocNode(g)
 	if err != nil {
 		return err
@@ -385,80 +384,39 @@ func (ix *Index) appendNode(keys, vals []uint64) error {
 	return nil
 }
 
-// buildFixed is BuildLSAGap pinned to nodeCapacity slots.
-func buildFixed(keys, vals []uint64) *pla.GappedNode {
-	g := pla.BuildLSAGap(keys, vals, float64(len(keys))/float64(nodeCapacity))
-	if g.Capacity() == nodeCapacity {
-		return g
-	}
-	// Re-lay into exactly nodeCapacity slots.
-	out := &pla.GappedNode{
-		Keys:   make([]uint64, nodeCapacity),
-		Values: make([]uint64, nodeCapacity),
-		Used:   make([]bool, nodeCapacity),
-	}
-	if len(keys) == 0 {
-		return out
-	}
-	fit := pla.FitLinear(keys, 0, len(keys))
-	scale := float64(nodeCapacity) / float64(len(keys))
-	out.FirstKey = keys[0]
-	out.Slope = fit.Slope * scale
-	out.Intercept = (fit.Intercept - float64(fit.Start)) * scale
-	out.NumKeys = len(keys)
-	next := 0
-	for i, k := range keys {
-		s := out.PredictSlot(k)
-		if s < next {
-			s = next
-		}
-		if max := nodeCapacity - (len(keys) - i); s > max {
-			s = max
-		}
-		out.Keys[s] = k
-		if vals != nil {
-			out.Values[s] = vals[i]
-		}
-		out.Used[s] = true
-		next = s + 1
-	}
-	var last uint64
-	for i := range out.Keys {
-		if out.Used[i] {
-			last = out.Keys[i]
-		} else {
-			out.Keys[i] = last
-		}
-	}
-	return out
+// Insert stores value under key, replacing any existing value.
+func (ix *Index) Insert(key, value uint64) error {
+	_, err := ix.InsertReplace(key, value)
+	return err
 }
 
-// Insert stores value under key, replacing any existing value. A full
-// node splits into two fresh PMem nodes.
-func (ix *Index) Insert(key, value uint64) error {
+// InsertReplace implements index.Upserter: the slot probe that decides
+// between overwrite and gap insert is the existence answer. A full node
+// splits into two fresh PMem nodes.
+func (ix *Index) InsertReplace(key, value uint64) (bool, error) {
 	if len(ix.metas) == 0 {
 		if err := ix.appendNode([]uint64{key}, []uint64{value}); err != nil {
-			return err
+			return false, err
 		}
 		ix.length++
-		return nil
+		return false, nil
 	}
 	pos := ix.locate(key)
 	m := ix.metas[pos]
 	if slot, ok := ix.slotOf(m, key); ok {
 		ix.setVal(m, slot, value)
-		return nil
+		return true, nil
 	}
 	if m.numKeys >= nodeCapacity*9/10 {
 		if err := ix.split(pos); err != nil {
-			return err
+			return false, err
 		}
 		pos = ix.locate(key)
 		m = ix.metas[pos]
 	}
 	ix.insertIntoNode(m, key, value)
 	ix.length++
-	return nil
+	return false, nil
 }
 
 // insertIntoNode is the ALEX-style gap insert over PMem slots.
@@ -558,8 +516,8 @@ func (ix *Index) split(pos int) error {
 	old := ix.metas[pos]
 	keys, vals := ix.loadNode(old)
 	mid := len(keys) / 2
-	gl := buildFixed(keys[:mid], vals[:mid])
-	gr := buildFixed(keys[mid:], vals[mid:])
+	gl := pla.BuildGapped(keys[:mid], vals[:mid], nodeCapacity)
+	gr := pla.BuildGapped(keys[mid:], vals[mid:], nodeCapacity)
 	ml, err := ix.allocNode(gl)
 	if err != nil {
 		return err

@@ -263,6 +263,12 @@ func (ix *Index) Insert(key, value uint64) error {
 	return nil
 }
 
+// InsertReplace implements index.Upserter: existence is read under the
+// bin lock the write holds, so it is atomic with the insert.
+func (ix *Index) InsertReplace(key, value uint64) (bool, error) {
+	return ix.upsert(key, value, false), nil
+}
+
 // Delete removes key (tombstone in a bin when the key lives in the base).
 func (ix *Index) Delete(key uint64) bool {
 	return ix.upsert(key, 0, true)

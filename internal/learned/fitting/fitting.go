@@ -303,8 +303,18 @@ func bufSearch(buf []uint64, key uint64) (int, bool) {
 
 // Insert stores value under key, replacing any existing value.
 func (ix *Index) Insert(key, value uint64) error {
+	_, err := ix.InsertReplace(key, value)
+	return err
+}
+
+// InsertReplace implements index.Upserter: a counted insert either
+// overwrote an entry (leaf or buffer) or added one, so the length says
+// which.
+func (ix *Index) InsertReplace(key, value uint64) (bool, error) {
 	ix.installDeposits()
-	return ix.insert(key, value, true)
+	before := ix.length
+	err := ix.insert(key, value, true)
+	return ix.length == before, err
 }
 
 // insert is the write path shared by Insert and op-log replay. counted

@@ -253,6 +253,13 @@ func (ix *Index) GetBatch(keys []uint64, vals []uint64, found []bool) {
 
 // Insert stores value under key, replacing any existing value.
 func (ix *Index) Insert(key, value uint64) error {
+	_, err := ix.InsertReplace(key, value)
+	return err
+}
+
+// InsertReplace implements index.Upserter: the precise-position descent
+// ends on the key's own entry, an empty slot or a conflict.
+func (ix *Index) InsertReplace(key, value uint64) (bool, error) {
 	var path []*node
 	nd := ix.root
 	for {
@@ -264,11 +271,11 @@ func (ix *Index) Insert(key, value uint64) error {
 			*e = entry{kind: entryData, key: key, val: value}
 			ix.length++
 			ix.maybeRebuild(path)
-			return nil
+			return false, nil
 		case entryData:
 			if e.key == key {
 				e.val = value
-				return nil
+				return true, nil
 			}
 			// Conflict: both keys move into a fresh child node.
 			ka, va := e.key, e.val
@@ -282,7 +289,7 @@ func (ix *Index) Insert(key, value uint64) error {
 			nd.conflicts++
 			ix.length++
 			ix.maybeRebuild(path)
-			return nil
+			return false, nil
 		case entryChild:
 			nd = e.child
 		}

@@ -98,20 +98,29 @@ func (s *Static) SegmentCount() int {
 	return len(s.levels[0])
 }
 
-// find locates key's position in the key array.
+// find locates key's position in the key array. A miss is settled where
+// it happens: a run whose key range excludes the key is not searched, and
+// a window whose neighbours straddle the key proves it absent, so a
+// lookup that ends in an older run pays one window in each run above it,
+// not a whole-array search.
 func (s *Static) find(key uint64) (int, bool) {
-	if len(s.keys) == 0 {
+	if s.excludes(key) {
 		return 0, false
 	}
-	lo, hi := s.window(key)
-	if i, ok := search.FindBounded(s.keys, key, lo, hi); ok {
-		return i, true
-	}
-	// Safety net against boundary rounding: widen once.
-	if i, ok := search.Find(s.keys, key); ok {
-		return i, true
-	}
-	return 0, false
+	pos := s.lowerBound(key)
+	return pos, pos < len(s.keys) && s.keys[pos] == key
+}
+
+// excludes reports whether key lies outside the run's key range.
+func (s *Static) excludes(key uint64) bool {
+	n := len(s.keys)
+	return n == 0 || key < s.keys[0] || key > s.keys[n-1]
+}
+
+// brackets reports whether pos is key's lower bound in the whole array:
+// its neighbours straddle the key, so no wider search can disagree.
+func (s *Static) brackets(pos int, key uint64) bool {
+	return (pos == 0 || s.keys[pos-1] < key) && (pos == len(s.keys) || s.keys[pos] >= key)
 }
 
 // window runs the internal-level descent for key and returns the
@@ -172,8 +181,7 @@ type Index struct {
 	bufV   []uint64
 	bufD   []bool
 	runs   []*Static // runs[i] capacity = BaseSize << i; nil = empty
-	length int
-	dirty  bool
+	length int       // live entries; every write knows whether it added or removed one
 
 	// Background flushing (index.AsyncRetrainer): a full buffer is
 	// frozen and handed to the pool, which merges it with a snapshot of
@@ -249,7 +257,6 @@ func (ix *Index) BulkLoad(keys, values []uint64) error {
 	ix.runs = nil
 	ix.bufK, ix.bufV, ix.bufD = nil, nil, nil
 	ix.length = len(keys)
-	ix.dirty = false
 	if len(keys) == 0 {
 		return nil
 	}
@@ -265,14 +272,30 @@ func (ix *Index) bufSearch(key uint64) (int, bool) {
 }
 
 // bufUpsert writes (key,value,dead) into the sorted buffer, flushing to
-// the runs when it reaches BaseSize.
-func (ix *Index) bufUpsert(key, value uint64, dead bool) {
-	ix.dirty = true
+// the runs when it reaches BaseSize, and reports whether key was live
+// before. The buffer answers that itself for a key it already holds;
+// only a key new to it asks the layers below. A tombstone for a key that
+// is not live is not written.
+func (ix *Index) bufUpsert(key, value uint64, dead bool) bool {
 	i, ok := ix.bufSearch(key)
+	var wasLive bool
+	if ok {
+		wasLive = !ix.bufD[i]
+	} else {
+		_, wasLive = ix.getBelow(key)
+	}
+	switch {
+	case dead && !wasLive:
+		return false
+	case dead:
+		ix.length--
+	case !wasLive:
+		ix.length++
+	}
 	if ok {
 		ix.bufV[i] = value
 		ix.bufD[i] = dead
-		return
+		return wasLive
 	}
 	ix.bufK = append(ix.bufK, 0)
 	ix.bufV = append(ix.bufV, 0)
@@ -286,6 +309,7 @@ func (ix *Index) bufUpsert(key, value uint64, dead bool) {
 	if len(ix.bufK) >= ix.cfg.BaseSize {
 		ix.scheduleFlush()
 	}
+	return wasLive
 }
 
 // scheduleFlush routes a full buffer to the pool when one is attached,
@@ -335,6 +359,12 @@ func (ix *Index) Get(key uint64) (uint64, bool) {
 		}
 		return ix.bufV[i], true
 	}
+	return ix.getBelow(key)
+}
+
+// getBelow resolves key in the layers under the live buffer: the frozen
+// buffer of an in-flight flush, then the runs newest first.
+func (ix *Index) getBelow(key uint64) (uint64, bool) {
 	if i, ok := search.Find(ix.frozenK, key); ok {
 		if ix.frozenD[i] {
 			return 0, false
@@ -393,7 +423,7 @@ func (ix *Index) GetBatch(keys []uint64, vals []uint64, found []bool) {
 			var b search.Batch
 			var lane [search.MaxLanes]int
 			for l, key := range chunk {
-				if done[l] || len(r.keys) == 0 {
+				if done[l] || r.excludes(key) {
 					continue
 				}
 				lo, hi := r.window(key)
@@ -407,8 +437,8 @@ func (ix *Index) GetBatch(keys []uint64, vals []uint64, found []bool) {
 			for x := 0; x < b.Len(); x++ {
 				l := lane[x]
 				i, ok := b.Pos(x), b.Found(x)
-				if !ok {
-					// Same widen-once safety net as Static.find.
+				if !ok && !r.brackets(i, chunk[l]) {
+					// Same widen-once safety net as Static.lowerBound.
 					i, ok = search.Find(r.keys, chunk[l])
 				}
 				if !ok {
@@ -429,20 +459,20 @@ func (ix *Index) GetBatch(keys []uint64, vals []uint64, found []bool) {
 
 // Insert stores value under key, replacing any existing value.
 func (ix *Index) Insert(key, value uint64) error {
+	_, err := ix.InsertReplace(key, value)
+	return err
+}
+
+// InsertReplace implements index.Upserter.
+func (ix *Index) InsertReplace(key, value uint64) (bool, error) {
 	ix.install()
-	ix.bufUpsert(key, value, false)
-	return nil
+	return ix.bufUpsert(key, value, false), nil
 }
 
 // Delete inserts a tombstone and reports whether the key was live.
 func (ix *Index) Delete(key uint64) bool {
 	ix.install()
-	_, ok := ix.Get(key)
-	if !ok {
-		return false
-	}
-	ix.bufUpsert(key, 0, true)
-	return true
+	return ix.bufUpsert(key, 0, true)
 }
 
 // flush merges the buffer plus the occupied prefix of runs into the
@@ -550,17 +580,8 @@ func dropDead(mk, mv []uint64, md []bool) ([]uint64, []uint64, []bool) {
 	return mk[:out], mv[:out], md[:out]
 }
 
-// Len returns the number of live entries (cached between mutations).
-func (ix *Index) Len() int {
-	if !ix.dirty {
-		return ix.length
-	}
-	n := 0
-	index.Scan(ix, 0, 0, func(_, _ uint64) bool { n++; return true })
-	ix.length = n
-	ix.dirty = false
-	return n
-}
+// Len returns the number of live entries.
+func (ix *Index) Len() int { return ix.length }
 
 // lowerBound locates the first position with keys[pos] >= key via the
 // internal-level descent, falling back to a whole-array kernel search
@@ -578,7 +599,7 @@ func (s *Static) lowerBound(key uint64) int {
 		hi = n
 	}
 	pos := search.LowerBound(s.keys, key, lo, hi)
-	if (pos == 0 || s.keys[pos-1] < key) && (pos == n || s.keys[pos] >= key) {
+	if s.brackets(pos, key) {
 		return pos
 	}
 	return search.LowerBound(s.keys, key, 0, n)

@@ -71,8 +71,7 @@ type Index struct {
 	bufV []uint64
 	bufD []bool
 
-	length int
-	dirty  bool
+	length int // live entries; every write knows whether it added or removed one
 
 	// Background rebuilds (index.AsyncRetrainer): the full buffer is
 	// frozen, the pool merges it with the base arrays and bulk-loads a
@@ -172,37 +171,53 @@ func (ix *Index) BulkLoad(keys, values []uint64) error {
 	ix.bufK, ix.bufV, ix.bufD = nil, nil, nil
 	ix.baseK, ix.baseV = keys, values
 	ix.length = len(keys)
-	ix.dirty = false
 	ix.inner = ix.newInner()
 	return ix.inner.BulkLoad(keys, values)
 }
 
 // Insert stores value under key, replacing any existing value.
 func (ix *Index) Insert(key, value uint64) error {
+	_, err := ix.InsertReplace(key, value)
+	return err
+}
+
+// InsertReplace implements index.Upserter.
+func (ix *Index) InsertReplace(key, value uint64) (bool, error) {
 	ix.install()
-	ix.bufUpsert(key, value, false)
-	return nil
+	return ix.bufUpsert(key, value, false), nil
 }
 
 // Delete inserts a tombstone and reports whether the key was live.
 func (ix *Index) Delete(key uint64) bool {
 	ix.install()
-	if _, ok := ix.Get(key); !ok {
-		return false
-	}
-	ix.bufUpsert(key, 0, true)
-	return true
+	return ix.bufUpsert(key, 0, true)
 }
 
 // bufUpsert writes (key,value,dead) into the sorted buffer, scheduling
-// a rebuild when it reaches Threshold.
-func (ix *Index) bufUpsert(key, value uint64, dead bool) {
-	ix.dirty = true
+// a rebuild when it reaches Threshold, and reports whether key was live
+// before. The buffer answers that itself for a key it already holds;
+// only a key new to it asks the layers below. A tombstone for a key that
+// is not live is not written.
+func (ix *Index) bufUpsert(key, value uint64, dead bool) bool {
 	i, ok := search.Find(ix.bufK, key)
+	var wasLive bool
+	if ok {
+		wasLive = !ix.bufD[i]
+	} else {
+		_, wasLive = ix.getBelow(key)
+	}
+	switch {
+	case dead && !wasLive:
+		return false
+	case dead:
+		ix.length--
+	case !wasLive:
+		ix.length++
+	}
 	if ok {
 		ix.bufV[i] = value
 		ix.bufD[i] = dead
-		return
+		return wasLive
 	}
 	ix.bufK = append(ix.bufK, 0)
 	ix.bufV = append(ix.bufV, 0)
@@ -216,6 +231,7 @@ func (ix *Index) bufUpsert(key, value uint64, dead bool) {
 	if int64(len(ix.bufK)) >= ix.threshold.Load() {
 		ix.scheduleRebuild()
 	}
+	return wasLive
 }
 
 // scheduleRebuild routes the full rebuild to the pool when one is
@@ -302,6 +318,12 @@ func (ix *Index) Get(key uint64) (uint64, bool) {
 		}
 		return ix.bufV[i], true
 	}
+	return ix.getBelow(key)
+}
+
+// getBelow resolves key in the layers under the live buffer: the frozen
+// buffer of an in-flight rebuild, then the inner index.
+func (ix *Index) getBelow(key uint64) (uint64, bool) {
 	if i, ok := search.Find(ix.frozenK, key); ok {
 		if ix.frozenD[i] {
 			return 0, false
@@ -351,17 +373,8 @@ func (ix *Index) GetBatch(keys []uint64, vals []uint64, found []bool) {
 	}
 }
 
-// Len returns the number of live entries (cached between mutations).
-func (ix *Index) Len() int {
-	if !ix.dirty {
-		return ix.length
-	}
-	n := 0
-	index.Scan(ix, 0, 0, func(_, _ uint64) bool { n++; return true })
-	ix.length = n
-	ix.dirty = false
-	return n
-}
+// Len returns the number of live entries.
+func (ix *Index) Len() int { return ix.length }
 
 // Range implements index.Ranger with a pooled merge cursor over the
 // three layers (buffer, frozen buffer, base arrays, newest shadowing

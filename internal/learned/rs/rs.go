@@ -60,6 +60,9 @@ func (ix *Index) ConcurrentReads() bool { return true }
 // Insert is unsupported: RadixSpline is a read-only learned index.
 func (ix *Index) Insert(key, value uint64) error { return index.ErrReadOnly }
 
+// InsertReplace implements index.Upserter: read-only as well.
+func (ix *Index) InsertReplace(key, value uint64) (bool, error) { return false, index.ErrReadOnly }
+
 // BulkLoad builds the spline and radix table in one pass over the keys.
 func (ix *Index) BulkLoad(keys, values []uint64) error {
 	t0 := time.Now()

@@ -43,56 +43,138 @@ func FuzzOptPLABound(f *testing.F) {
 	})
 }
 
+// gapOps encodes an op stream for FuzzGappedNode: nine bytes per op, the
+// key then the op selector.
+func gapOps(ops ...[2]uint64) []byte {
+	buf := make([]byte, 0, 9*len(ops))
+	for _, o := range ops {
+		buf = binary.LittleEndian.AppendUint64(buf, o[0])
+		buf = append(buf, byte(o[1]))
+	}
+	return buf
+}
+
+func keyBytes(keys ...uint64) []byte {
+	buf := make([]byte, 0, 8*len(keys))
+	for _, k := range keys {
+		buf = binary.LittleEndian.AppendUint64(buf, k)
+	}
+	return buf
+}
+
+const (
+	gapUpsert = iota // InsertReplace, live or not
+	gapRemove
+)
+
+// checkBitmapScans compares the four word-at-a-time scans with a slot by
+// slot walk of Has, at every slot and one past either end.
+func checkBitmapScans(t *testing.T, b Bitmap, n int) {
+	t.Helper()
+	nextSet, nextClear := n, n
+	for i := n; i >= -1; i-- {
+		if i >= 0 && i < n {
+			if b.Has(i) {
+				nextSet = i
+			} else {
+				nextClear = i
+			}
+		}
+		if got := b.NextSet(max(i, 0), n); got != nextSet {
+			t.Fatalf("NextSet(%d) = %d, want %d (%b)", i, got, nextSet, b)
+		}
+		if got := b.NextClear(max(i, 0), n); got != nextClear {
+			t.Fatalf("NextClear(%d) = %d, want %d (%b)", i, got, nextClear, b)
+		}
+	}
+	prevSet, prevClear := -1, -1
+	for i := -1; i < n; i++ {
+		if i >= 0 {
+			if b.Has(i) {
+				prevSet = i
+			} else {
+				prevClear = i
+			}
+		}
+		if got := b.PrevSet(i); got != prevSet {
+			t.Fatalf("PrevSet(%d) = %d, want %d (%b)", i, got, prevSet, b)
+		}
+		if got := b.PrevClear(i); got != prevClear {
+			t.Fatalf("PrevClear(%d) = %d, want %d (%b)", i, got, prevClear, b)
+		}
+	}
+}
+
 // FuzzGappedNode fuzzes the ALEX gap representation: build from a key
-// set, apply an op stream (inserts/removes), and check the invariant
-// plus lookups throughout.
+// set, apply an op stream (upserts and removes), and check the
+// bitmap scans after every op and the invariant plus lookups at the end.
 func FuzzGappedNode(f *testing.F) {
-	f.Add([]byte{8, 0, 0, 0, 0, 0, 0, 0, 32, 0, 0, 0, 0, 0, 0, 0}, []byte{1, 2, 3})
+	f.Add(keyBytes(8, 32), []byte{1, 2, 3})
+	// A 300-slot fully packed run (the far key flattens the model, so the
+	// cluster lands on consecutive slots up to the node's end) with an
+	// insert in its middle: the memmove path, 151 slots to the gap on the
+	// left.
+	packed := make([]uint64, 0, 301)
+	for i := uint64(0); i < 300; i++ {
+		packed = append(packed, 1000+2*i)
+	}
+	f.Add(keyBytes(append(packed, 1<<40)...), gapOps([2]uint64{1301, gapUpsert}, [2]uint64{1299, gapUpsert}))
+	// {10, 20, 30} builds into slots 0, 2, 4 of 6. Emptying slot 0 and
+	// filling 1, 3, 5 leaves the only gap at slot 0: the last insert shifts
+	// the whole node left.
+	f.Add(keyBytes(10, 20, 30), gapOps([2]uint64{10, gapRemove}, [2]uint64{15, gapUpsert},
+		[2]uint64{25, gapUpsert}, [2]uint64{35, gapUpsert}, [2]uint64{40, gapUpsert}))
+	// Filling 1 and 3 leaves the only gap at the last slot: inserting below
+	// every key shifts the whole node right.
+	f.Add(keyBytes(10, 20, 30), gapOps([2]uint64{15, gapUpsert}, [2]uint64{25, gapUpsert}, [2]uint64{5, gapUpsert}))
+	// Key 0 shares its value with the never-filled leading gaps.
+	f.Add(keyBytes(0, 7, 90), gapOps([2]uint64{0, gapUpsert}, [2]uint64{0, gapRemove}, [2]uint64{0, gapRemove},
+		[2]uint64{0, gapUpsert}, [2]uint64{3, gapUpsert}, [2]uint64{0, gapRemove}, [2]uint64{0, gapUpsert}))
 	f.Fuzz(func(t *testing.T, data []byte, ops []byte) {
 		keys := decodeKeys(data)
 		if len(keys) == 0 || len(keys) > 512 {
 			return
 		}
 		g := BuildLSAGap(keys, keys, 0.6)
-		live := make(map[uint64]bool, len(keys))
+		checkBitmapScans(t, g.Occ, g.Capacity())
+		live := make(map[uint64]uint64, len(keys))
 		for _, k := range keys {
-			live[k] = true
+			live[k] = k
 		}
+		var work InsertWork
 		for i := 0; i+8 < len(ops); i += 9 {
 			k := binary.LittleEndian.Uint64(ops[i:])
-			if ops[i+8]%2 == 0 && !live[k] && g.NumKeys < g.Capacity() {
-				if g.Insert(k, k) {
-					live[k] = true
+			v := k ^ uint64(i)
+			_, isLive := live[k]
+			switch ops[i+8] % 2 {
+			case gapUpsert:
+				existed, ok := g.InsertReplace(k, v, &work)
+				if existed != isLive || ok != (isLive || len(live) < g.Capacity()) {
+					t.Fatalf("InsertReplace(%d) = %v,%v with live=%v, %d/%d slots", k, existed, ok, isLive, len(live), g.Capacity())
 				}
-			} else if live[k] {
-				if slot, ok := g.SlotOf(k); ok {
-					g.Remove(slot)
-					delete(live, k)
-				} else {
-					t.Fatalf("live key %d not found", k)
+				if ok {
+					live[k] = v
 				}
+			case gapRemove:
+				slot, ok := g.SlotOf(k)
+				if ok != isLive {
+					t.Fatalf("SlotOf(%d) = %v, live %v", k, ok, isLive)
+				}
+				g.Remove(slot)
+				delete(live, k)
 			}
+			checkBitmapScans(t, g.Occ, g.Capacity())
 		}
-		// Invariant: sorted, copies correct, count matches.
-		count := 0
-		var last uint64
-		for i := range g.Keys {
-			if i > 0 && g.Keys[i] < g.Keys[i-1] {
-				t.Fatalf("keys not sorted at %d", i)
-			}
-			if g.Used[i] {
-				count++
-				last = g.Keys[i]
-			} else if g.Keys[i] != last {
-				t.Fatalf("gap copy wrong at %d", i)
-			}
+		checkGapInvariant(t, g)
+		if g.NumKeys != len(live) {
+			t.Fatalf("counts diverge: NumKeys %d, ref %d", g.NumKeys, len(live))
 		}
-		if count != g.NumKeys || count != len(live) {
-			t.Fatalf("counts diverge: bitmap %d, NumKeys %d, ref %d", count, g.NumKeys, len(live))
+		if work.MaxShift >= int64(g.Capacity()) || work.Shifted > work.GapSearch {
+			t.Fatalf("work %+v on %d slots", work, g.Capacity())
 		}
-		for k := range live {
-			if _, ok := g.SlotOf(k); !ok {
-				t.Fatalf("live key %d unreachable", k)
+		for k, v := range live {
+			if slot, ok := g.SlotOf(k); !ok || g.Values[slot] != v {
+				t.Fatalf("live key %d -> (%d,%v), want value %d", k, slot, ok, v)
 			}
 		}
 		checkSeeks(t, g)

@@ -1,6 +1,10 @@
 package pla
 
-import "learnedpieces/internal/search"
+import (
+	"math/bits"
+
+	"learnedpieces/internal/search"
+)
 
 // LSA-gap: the approximation algorithm of ALEX. Instead of passively
 // approximating the CDF of the stored keys, it first fits a least-squares
@@ -15,20 +19,42 @@ import "learnedpieces/internal/search"
 // of the nearest occupied slot to its left (leading gaps hold 0). The key
 // array is therefore plain sorted-with-duplicates, so searches are
 // branch-light binary/exponential searches that never consult the
-// occupancy bitmap; the bitmap is only checked to confirm the final
-// match.
+// occupancy bitmap. The bitmap (one bit per slot, 64 to a word) serves
+// the writers and the scans: nearest gap, nearest neighbour, next live
+// slot, each one word operation per 64 slots.
 
 // GappedNode is a model-based gapped array of keys (and optional values).
-// Slot i is occupied iff Used[i]; unoccupied slots hold the left
-// neighbour's key so Keys is globally non-decreasing.
+// Slot i is occupied iff Occ.Has(i); unoccupied slots hold the left
+// neighbour's key so Keys is globally non-decreasing. Keys and values sit
+// in separate arrays: a lookup touches keys only, and a shift is one
+// memmove per array.
 type GappedNode struct {
 	FirstKey  uint64
 	Slope     float64 // model: slot ~= Slope*(key-FirstKey) + Intercept
 	Intercept float64
 	Keys      []uint64
 	Values    []uint64
-	Used      []bool
+	Occ       Bitmap
 	NumKeys   int
+}
+
+// InsertWork counts what gap insertion did, in slots: the exact,
+// seed-stable form of the Put tail (Fig 13, Fig 18(a)), where a timing
+// moves 2x between identical runs. Plain ints — the node's single writer
+// owns them and reads them on its own timeline.
+type InsertWork struct {
+	Inserts   int64 // keys placed
+	Shifted   int64 // slots moved one over to open a gap, summed
+	MaxShift  int64 // the longest single shift
+	GapSearch int64 // slots from the insertion point to the nearest gap, both sides summed
+}
+
+func (w *InsertWork) shift(moved, searched int) {
+	w.Shifted += int64(moved)
+	w.GapSearch += int64(searched)
+	if int64(moved) > w.MaxShift {
+		w.MaxShift = int64(moved)
+	}
 }
 
 // Capacity returns the number of slots (occupied + gaps).
@@ -56,94 +82,139 @@ func (g *GappedNode) PredictSlot(key uint64) int {
 // a gapped array of capacity ~ len(keys)/density using a least-squares
 // model scaled to the capacity. density must be in (0, 1]; ALEX uses ~0.7.
 func BuildLSAGap(keys, values []uint64, density float64) *GappedNode {
-	n := len(keys)
+	return BuildGapped(keys, values, gappedCapacity(len(keys), density))
+}
+
+func gappedCapacity(n int, density float64) int {
 	if n == 0 {
-		return &GappedNode{Keys: []uint64{}, Values: []uint64{}, Used: []bool{}}
+		return 0
 	}
 	if density <= 0 || density > 1 {
 		density = 0.7
 	}
-	capacity := int(float64(n)/density) + 1
-	if capacity < n {
-		capacity = n
-	}
+	return max(int(float64(n)/density)+1, n)
+}
 
-	// Least-squares fit of rank over key, anchored at the first key.
-	base := fitLeastSquares(keys, 0, n)
-	scale := float64(capacity) / float64(n)
-	g := &GappedNode{
-		FirstKey:  keys[0],
-		Slope:     base.Slope * scale,
-		Intercept: (base.Intercept - float64(base.Start)) * scale,
+// BuildGapped is BuildLSAGap into exactly capacity slots (capacity >=
+// len(keys)), for nodes whose size is fixed by their storage format.
+func BuildGapped(keys, values []uint64, capacity int) *GappedNode {
+	var fit lsq
+	for i, k := range keys {
+		fit.add(k, float64(i))
+	}
+	b := newGapBuilder(len(keys), capacity, &fit)
+	for i, k := range keys {
+		var v uint64
+		if values != nil {
+			v = values[i]
+		}
+		b.place(k, v)
+	}
+	return b.finish()
+}
+
+// Expanded returns a fresh node over g's live entries at the given
+// density, with a retrained model: ALEX's expand. It fits and places
+// straight from the occupied slots, so nothing but the new arrays is
+// allocated.
+func (g *GappedNode) Expanded(density float64) *GappedNode {
+	var fit lsq
+	rank := 0
+	for w, word := range g.Occ {
+		for ; word != 0; word &= word - 1 {
+			fit.add(g.Keys[w<<6+bits.TrailingZeros64(word)], float64(rank))
+			rank++
+		}
+	}
+	b := newGapBuilder(g.NumKeys, gappedCapacity(g.NumKeys, density), &fit)
+	for w, word := range g.Occ {
+		for ; word != 0; word &= word - 1 {
+			i := w<<6 + bits.TrailingZeros64(word)
+			b.place(g.Keys[i], g.Values[i])
+		}
+	}
+	return b.finish()
+}
+
+// gapBuilder performs model-based placement of n ascending keys into a
+// fresh node: each key goes to its predicted slot, or to the next free
+// slot to the right when that would break ordering, always leaving room
+// for the keys still to come; the gaps it steps over are filled with
+// left-neighbour copies on the way (leading gaps stay 0).
+type gapBuilder struct {
+	g    *GappedNode
+	next int    // first slot not yet written
+	last uint64 // key of the last placed slot
+	left int    // keys still to place
+}
+
+// newGapBuilder sizes the node for n keys and scales their rank model
+// to its capacity.
+func newGapBuilder(n, capacity int, fit *lsq) gapBuilder {
+	slope, intercept := fit.line()
+	scale := float64(capacity) / float64(max(n, 1))
+	return gapBuilder{left: n, g: &GappedNode{
+		FirstKey:  fit.x0,
+		Slope:     slope * scale,
+		Intercept: intercept * scale,
 		Keys:      make([]uint64, capacity),
 		Values:    make([]uint64, capacity),
-		Used:      make([]bool, capacity),
+		Occ:       NewBitmap(capacity),
 		NumKeys:   n,
-	}
+	}}
+}
 
-	// Model-based placement: each key goes to its predicted slot, or to the
-	// next free slot to the right when that would break ordering.
-	next := 0
-	for i, k := range keys {
-		s := g.PredictSlot(k)
-		if s < next {
-			s = next
-		}
-		// Leave room for the remaining keys.
-		maxSlot := capacity - (n - i)
-		if s > maxSlot {
-			s = maxSlot
-		}
-		g.Keys[s] = k
-		if values != nil {
-			g.Values[s] = values[i]
-		}
-		g.Used[s] = true
-		next = s + 1
+func (b *gapBuilder) place(key, value uint64) {
+	g := b.g
+	s := max(g.PredictSlot(key), b.next)
+	s = min(s, len(g.Keys)-b.left)
+	for i := b.next; i < s; i++ {
+		g.Keys[i] = b.last
 	}
-	// Fill gaps with left-neighbour copies (leading gaps stay 0).
-	var last uint64
-	for i := range g.Keys {
-		if g.Used[i] {
-			last = g.Keys[i]
-		} else {
-			g.Keys[i] = last
-		}
+	g.Keys[s], g.Values[s] = key, value
+	g.Occ.Set(s)
+	b.next, b.last, b.left = s+1, key, b.left-1
+}
+
+func (b *gapBuilder) finish() *GappedNode {
+	for i := b.next; i < len(b.g.Keys); i++ {
+		b.g.Keys[i] = b.last
 	}
-	return g
+	return b.g
 }
 
 // SlotOf returns the occupied slot holding key via exponential search
 // around the model prediction, or (-1, false) if key is absent.
 func (g *GappedNode) SlotOf(key uint64) (int, bool) {
-	n := len(g.Keys)
-	if n == 0 {
-		return -1, false
-	}
-	j := g.lowerBound(key)
-	// j is the leftmost slot with Keys >= key; the occupied original of a
-	// duplicate run is its leftmost slot, except for the all-zero leading
-	// run, which we skip over.
-	for ; j < n && g.Keys[j] == key; j++ {
-		if g.Used[j] {
-			return j, true
-		}
+	j := g.seek(key)
+	if j < len(g.Keys) && g.Keys[j] == key {
+		return j, true
 	}
 	return -1, false
 }
 
+// seek returns key's own slot when it is present, and otherwise the
+// occupied slot of its successor (Capacity() when it has none). The
+// leftmost slot holding a non-zero key is its occupied original (a gap
+// copy equals its left neighbour), so the search alone answers; only key
+// 0 shares its value with the never-filled leading gaps and asks the
+// bitmap where the first occupied slot is.
+//
+//pieces:hotpath
+func (g *GappedNode) seek(key uint64) int {
+	if key == 0 {
+		return g.Occ.NextSet(0, len(g.Keys))
+	}
+	return g.lowerBound(key)
+}
+
 // SeekGE returns the first occupied slot whose key is >= key, or
 // Capacity() when the node holds none: where an ascending scan from key
-// starts. The leftmost slot holding a given key is its occupied original
-// (a gap copy equals its left neighbour), so the exponential search lands
-// on the answer; only key 0 can land in the leading run of zeroed gaps,
-// which the loop steps over.
+// starts. The exponential search lands on the answer for every key but
+// 0, which can land in the leading run of zeroed gaps; the bitmap steps
+// over it.
 func (g *GappedNode) SeekGE(key uint64) int {
-	i := g.lowerBound(key)
-	for i < len(g.Keys) && !g.Used[i] {
-		i++
-	}
-	return i
+	return g.Occ.NextSet(g.lowerBound(key), len(g.Keys))
 }
 
 // SeekLE returns the last occupied slot whose key is <= key, or -1 when
@@ -151,11 +222,7 @@ func (g *GappedNode) SeekGE(key uint64) int {
 // rightmost slot with a key <= key may be a gap copy; its original is the
 // first occupied slot to its left, one gap run away.
 func (g *GappedNode) SeekLE(key uint64) int {
-	i := g.upperBound(key) - 1
-	for i >= 0 && !g.Used[i] {
-		i--
-	}
-	return i
+	return g.Occ.PrevSet(g.upperBound(key) - 1)
 }
 
 // lowerBound returns the leftmost slot whose key is >= key, using
@@ -211,67 +278,66 @@ func (g *GappedNode) expBound(bound uint64) int {
 	return search.LowerBound(g.Keys, bound, lo, hi)
 }
 
-// Insert performs ALEX's model-based insert: place key in a gap between
-// its sorted neighbours, shifting the short run toward the nearest gap
-// when the neighbours are adjacent. The key must not be present and the
-// node must have at least one free slot.
-func (g *GappedNode) Insert(key, value uint64) bool {
+// InsertReplace is the upsert a Put needs, from one search: it stores
+// value under key and reports whether key was already there. A new key
+// gets ALEX's model-based insert: a slot in the gap between its sorted
+// neighbours, or, when they are adjacent, the slot freed by shifting the
+// packed run toward the nearest gap. ok is false when key is absent and
+// the node has no free slot; nothing changed. w, when non-nil,
+// accumulates the work.
+func (g *GappedNode) InsertReplace(key, value uint64, w *InsertWork) (existed, ok bool) {
+	rn := g.seek(key)
+	if rn < len(g.Keys) && g.Keys[rn] == key {
+		g.Values[rn] = value
+		return true, true
+	}
+	if g.NumKeys >= len(g.Keys) {
+		return false, false
+	}
+	g.insertBefore(rn, key, value, w)
+	return false, true
+}
+
+// insertBefore places an absent key given rn, the occupied slot of its
+// successor (Capacity() when it has none). The node has a free slot.
+func (g *GappedNode) insertBefore(rn int, key, value uint64, w *InsertWork) {
 	n := len(g.Keys)
-	if g.NumKeys >= n {
-		return false
+	if w != nil {
+		w.Inserts++
 	}
-	// rn = leftmost occupied slot with key > target (gap copies equal
-	// their left original, so the leftmost slot holding a greater key is
-	// always the occupied original).
-	rn := g.upperBound(key)
-	// ln = rightmost occupied slot left of rn (its key is < target since
-	// the target is absent).
-	ln := rn - 1
-	for ln >= 0 && !g.Used[ln] {
-		ln--
-	}
+	// ln = rightmost occupied slot left of rn: the predecessor.
+	ln := g.Occ.PrevSet(rn - 1)
 	if rn-ln > 1 {
-		// A gap exists between the neighbours.
-		at := g.PredictSlot(key)
-		if at <= ln {
-			at = ln + 1
+		// A gap run lies between the neighbours: take the predicted slot
+		// inside it and refresh the copies to its right.
+		at := min(max(g.PredictSlot(key), ln+1), rn-1)
+		g.Keys[at], g.Values[at] = key, value
+		g.Occ.Set(at)
+		g.NumKeys++
+		for i := at + 1; i < rn; i++ {
+			g.Keys[i] = key
 		}
-		if at >= rn {
-			at = rn - 1
-		}
-		g.place(at, rn, key, value)
-		return true
+		return
 	}
-	// Neighbours adjacent: find the nearest gap on either side.
-	left := ln
-	for left >= 0 && g.Used[left] {
-		left--
+	// Neighbours adjacent: move the packed run between the insertion
+	// point and the nearest gap one slot toward that gap.
+	left, right := g.Occ.PrevClear(ln), g.Occ.NextClear(rn, n)
+	at, moved := rn, right-rn
+	if left >= 0 && (right >= n || ln-left <= right-rn) {
+		at, moved = ln, ln-left
+		copy(g.Keys[left:ln], g.Keys[left+1:ln+1])
+		copy(g.Values[left:ln], g.Values[left+1:ln+1])
+		g.Occ.Set(left)
+	} else {
+		copy(g.Keys[rn+1:right+1], g.Keys[rn:right])
+		copy(g.Values[rn+1:right+1], g.Values[rn:right])
+		g.Occ.Set(right)
 	}
-	right := rn
-	for right < n && g.Used[right] {
-		right++
+	g.Keys[at], g.Values[at] = key, value
+	g.NumKeys++
+	if w != nil {
+		w.shift(moved, ln-left+right-rn)
 	}
-	switch {
-	case left < 0 && right >= n:
-		return false
-	case left >= 0 && (right >= n || ln-left <= right-rn):
-		// Shift occupied run (left, ln] one slot left; ln frees up.
-		for i := left; i < ln; i++ {
-			g.Keys[i] = g.Keys[i+1]
-			g.Values[i] = g.Values[i+1]
-			g.Used[i] = true
-		}
-		g.place(ln, rn, key, value)
-	default:
-		// Shift occupied run [rn, right) one slot right; rn frees up.
-		for i := right; i > rn; i-- {
-			g.Keys[i] = g.Keys[i-1]
-			g.Values[i] = g.Values[i-1]
-			g.Used[i] = true
-		}
-		g.place(rn, rn+1, key, value)
-	}
-	return true
 }
 
 // upperBound returns the leftmost slot with key strictly greater than
@@ -285,37 +351,20 @@ func (g *GappedNode) upperBound(key uint64) int {
 	return g.expBound(key + 1)
 }
 
-// place stores key at the gap slot `at` and refreshes the copies in the
-// gap run (at, nextOccupied).
-func (g *GappedNode) place(at, nextOccupied int, key, value uint64) {
-	g.Keys[at] = key
-	g.Values[at] = value
-	g.Used[at] = true
-	g.NumKeys++
-	for i := at + 1; i < nextOccupied && i < len(g.Keys); i++ {
-		if g.Used[i] {
-			break
-		}
-		g.Keys[i] = key
-	}
-}
-
 // Remove clears the occupied slot `at`, turning it into a gap and
 // refreshing the copies through the following gap run.
 func (g *GappedNode) Remove(at int) {
-	if at < 0 || at >= len(g.Keys) || !g.Used[at] {
+	n := len(g.Keys)
+	if at < 0 || at >= n || !g.Occ.Has(at) {
 		return
 	}
-	g.Used[at] = false
+	g.Occ.Clear(at)
 	g.NumKeys--
 	var left uint64
-	for i := at - 1; i >= 0; i-- {
-		if g.Used[i] {
-			left = g.Keys[i]
-			break
-		}
+	if p := g.Occ.PrevSet(at - 1); p >= 0 {
+		left = g.Keys[p]
 	}
-	for i := at; i < len(g.Keys) && !g.Used[i]; i++ {
+	for i, end := at, g.Occ.NextSet(at+1, n); i < end; i++ {
 		g.Keys[i] = left
 	}
 }
@@ -328,10 +377,8 @@ func EvaluateGapped(g *GappedNode) Metrics {
 		return m
 	}
 	var sum float64
-	for i, used := range g.Used {
-		if !used {
-			continue
-		}
+	n := len(g.Keys)
+	for i := g.Occ.NextSet(0, n); i < n; i = g.Occ.NextSet(i+1, n) {
 		p := g.PredictSlot(g.Keys[i])
 		e := p - i
 		if e < 0 {

@@ -6,6 +6,12 @@ import (
 	"testing"
 )
 
+// insert adds an absent key; false means the node is full.
+func insert(g *GappedNode, key, value uint64) bool {
+	_, ok := g.InsertReplace(key, value, nil)
+	return ok
+}
+
 // checkGapInvariant verifies the ALEX gap representation: Keys is
 // non-decreasing, every gap slot holds a copy of the nearest occupied key
 // to its left (0 for leading gaps), and NumKeys matches the bitmap.
@@ -14,7 +20,7 @@ func checkGapInvariant(t *testing.T, g *GappedNode) {
 	var last uint64
 	count := 0
 	for i := range g.Keys {
-		if g.Used[i] {
+		if g.Occ.Has(i) {
 			if count > 0 && g.Keys[i] <= last && last != 0 {
 				// Occupied keys must be strictly increasing.
 				t.Fatalf("slot %d: occupied key %d <= previous %d", i, g.Keys[i], last)
@@ -61,7 +67,7 @@ func TestGapInsertRemoveInvariant(t *testing.T) {
 	for op := 0; op < 3000; op++ {
 		k := uint64(rng.Intn(200000) + 1)
 		if _, exists := ref[k]; !exists && rng.Intn(2) == 0 && g.NumKeys < g.Capacity() {
-			if g.Insert(k, k*3) {
+			if insert(g, k, k*3) {
 				ref[k] = k * 3
 			}
 		} else if exists := ref[k]; exists != 0 && rng.Intn(4) == 0 {
@@ -104,13 +110,13 @@ func TestGapInsertFillsToCapacity(t *testing.T) {
 	cap := g.Capacity()
 	next := uint64(1000)
 	for g.NumKeys < cap {
-		if !g.Insert(next, next) {
+		if !insert(g, next, next) {
 			t.Fatalf("insert failed with %d/%d filled", g.NumKeys, cap)
 		}
 		checkGapInvariant(t, g)
 		next += 10
 	}
-	if g.Insert(9999999, 1) {
+	if insert(g, 9999999, 1) {
 		t.Fatal("insert succeeded on a full node")
 	}
 }
@@ -119,7 +125,7 @@ func TestGapInsertFillsToCapacity(t *testing.T) {
 func TestGapInsertBelowAllKeys(t *testing.T) {
 	keys := []uint64{1000, 2000, 3000}
 	g := BuildLSAGap(keys, keys, 0.5)
-	if !g.Insert(5, 55) {
+	if !insert(g, 5, 55) {
 		t.Fatal("insert below all keys failed")
 	}
 	checkGapInvariant(t, g)
@@ -145,19 +151,20 @@ func checkSeeks(t *testing.T, g *GappedNode) {
 	}
 	for _, key := range probes {
 		ge, le := g.Capacity(), -1
-		for i, used := range g.Used {
-			if used && g.Keys[i] >= key && ge == g.Capacity() {
+		for i, k := range g.Keys {
+			used := g.Occ.Has(i)
+			if used && k >= key && ge == g.Capacity() {
 				ge = i
 			}
-			if used && g.Keys[i] <= key {
+			if used && k <= key {
 				le = i
 			}
 		}
 		if got := g.SeekGE(key); got != ge {
-			t.Fatalf("SeekGE(%d) = %d, want %d (keys %v used %v)", key, got, ge, g.Keys, g.Used)
+			t.Fatalf("SeekGE(%d) = %d, want %d (keys %v occ %b)", key, got, ge, g.Keys, g.Occ)
 		}
 		if got := g.SeekLE(key); got != le {
-			t.Fatalf("SeekLE(%d) = %d, want %d (keys %v used %v)", key, got, le, g.Keys, g.Used)
+			t.Fatalf("SeekLE(%d) = %d, want %d (keys %v occ %b)", key, got, le, g.Keys, g.Occ)
 		}
 	}
 }

@@ -124,31 +124,49 @@ func FitLinear(keys []uint64, start, end int) Segment {
 	return fitLeastSquares(keys, start, end)
 }
 
+// lsq accumulates an ordinary least-squares fit y = slope*(key-x0) +
+// intercept, anchored at the first key added so the sums keep float64
+// precision across the uint64 range. Keys must be added in ascending
+// order.
+type lsq struct {
+	x0                  uint64
+	n, sx, sy, sxx, sxy float64
+}
+
+func (a *lsq) add(key uint64, y float64) {
+	if a.n == 0 {
+		a.x0 = key
+	}
+	x := float64(key - a.x0)
+	a.n++
+	a.sx += x
+	a.sy += y
+	a.sxx += x * x
+	a.sxy += x * y
+}
+
+// line returns the fitted model; a single point (or keys too close for
+// float64 to separate) fits a flat line through the mean.
+func (a *lsq) line() (slope, intercept float64) {
+	if a.n == 0 {
+		return 0, 0
+	}
+	if denom := a.n*a.sxx - a.sx*a.sx; denom != 0 {
+		slope = (a.n*a.sxy - a.sx*a.sy) / denom
+	}
+	return slope, (a.sy - slope*a.sx) / a.n
+}
+
 // fitLeastSquares fits y = slope*(x-x0) + intercept over keys[start:end]
-// with y the global position, and measures the max error.
+// with y the global position, and measures the max error — a second pass
+// only the packed layouts read (the gapped build fits with lsq alone).
 func fitLeastSquares(keys []uint64, start, end int) Segment {
-	n := end - start
-	x0 := keys[start]
-	if n == 1 {
-		return Segment{FirstKey: x0, Slope: 0, Intercept: float64(start), Start: start, End: end}
-	}
-	var sx, sy, sxx, sxy float64
+	var fit lsq
 	for i := start; i < end; i++ {
-		x := float64(keys[i] - x0)
-		y := float64(i)
-		sx += x
-		sy += y
-		sxx += x * x
-		sxy += x * y
+		fit.add(keys[i], float64(i))
 	}
-	fn := float64(n)
-	denom := fn*sxx - sx*sx
-	var slope float64
-	if denom != 0 {
-		slope = (fn*sxy - sx*sy) / denom
-	}
-	intercept := (sy - slope*sx) / fn
-	seg := Segment{FirstKey: x0, Slope: slope, Intercept: intercept, Start: start, End: end}
+	slope, intercept := fit.line()
+	seg := Segment{FirstKey: fit.x0, Slope: slope, Intercept: intercept, Start: start, End: end}
 	for i := start; i < end; i++ {
 		e := seg.Predict(keys[i]) - i
 		if e < 0 {

@@ -228,8 +228,8 @@ func TestBuildLSAGapPlacement(t *testing.T) {
 	// Occupied keys appear in sorted order and all are findable.
 	prev := uint64(0)
 	count := 0
-	for i, used := range g.Used {
-		if !used {
+	for i := range g.Keys {
+		if !g.Occ.Has(i) {
 			continue
 		}
 		if count > 0 && g.Keys[i] <= prev {

@@ -146,7 +146,7 @@ func (s *Index) Caps() index.Caps {
 	inner := index.CapsOf(s.shards[0].idx)
 	return index.Caps{
 		Bulk:             true,        // per-shard bulk load with insert fallback
-		Upsert:           true,        // check+insert under the shard writer role
+		Upsert:           true,        // the inner upsert, under the shard writer role
 		Range:            s.scannable, // per-shard pulls through the inner Ranger
 		Delete:           inner.Delete,
 		Sized:            inner.Sized,
@@ -297,24 +297,18 @@ func (s *Index) getSlow(sh *shard, stripe, key uint64) (uint64, bool) {
 // Insert stores value under key; writers to different shards run in
 // parallel.
 func (s *Index) Insert(key, value uint64) error {
-	sh := s.shards[s.shardIdx(key)]
-	sh.lockWrite()
-	defer sh.unlockWrite()
-	return sh.idx.Insert(key, value)
+	_, err := s.InsertReplace(key, value)
+	return err
 }
 
-// InsertReplace implements index.Upserter: the existence check and the
-// insert run under the same shard writer role, so concurrent writers of
-// the same new key cannot both observe it as absent.
+// InsertReplace implements index.Upserter: the inner index's upsert runs
+// under the shard writer role, so concurrent writers of the same new key
+// cannot both observe it as absent.
 func (s *Index) InsertReplace(key, value uint64) (bool, error) {
 	sh := s.shards[s.shardIdx(key)]
 	sh.lockWrite()
 	defer sh.unlockWrite()
-	if up, ok := sh.idx.(index.Upserter); ok {
-		return up.InsertReplace(key, value)
-	}
-	_, existed := sh.idx.Get(key)
-	return existed, sh.idx.Insert(key, value)
+	return sh.idx.InsertReplace(key, value)
 }
 
 // Delete removes key if the inner index supports deletion.

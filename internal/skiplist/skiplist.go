@@ -94,6 +94,13 @@ func (l *List) Get(key uint64) (uint64, bool) {
 
 // Insert stores value under key, replacing any existing value.
 func (l *List) Insert(key, value uint64) error {
+	_, err := l.InsertReplace(key, value)
+	return err
+}
+
+// InsertReplace implements index.Upserter: the predecessor search that
+// finds the splice point finds an existing node too.
+func (l *List) InsertReplace(key, value uint64) (bool, error) {
 	var prev [maxLevel]*node
 	for i := range prev {
 		prev[i] = l.head
@@ -101,7 +108,7 @@ func (l *List) Insert(key, value uint64) error {
 	n := l.findPrev(key, prev[:])
 	if n != nil && n.key == key {
 		n.val = value
-		return nil
+		return true, nil
 	}
 	lvl := l.randLevel()
 	if lvl > l.level {
@@ -113,7 +120,7 @@ func (l *List) Insert(key, value uint64) error {
 		prev[i].next[i] = nn
 	}
 	l.length++
-	return nil
+	return false, nil
 }
 
 // Delete removes key and reports whether it was present.

@@ -179,6 +179,8 @@ func (fakeIdx) AvgDepth() float64            { return 1.5 }
 func (fakeIdx) RetrainStats() (int64, int64) { return 2, 300 }
 func (fakeIdx) Sizes() index.Sizes           { return index.Sizes{Structure: 8, Keys: 56} }
 
+func (fakeIdx) InsertReplace(k, v uint64) (bool, error) { return false, nil }
+
 // TestSnapshotRoundTrip: Snapshot -> JSON -> Snapshot is lossless.
 func TestSnapshotRoundTrip(t *testing.T) {
 	s := New()

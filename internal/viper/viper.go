@@ -589,11 +589,11 @@ func (s *Store) readRecord(off int64) (val []byte, live bool) {
 // Put stores value under key (insert or update). Concurrent Puts are
 // safe iff the index supports concurrent writes.
 //
-// Existence (for the live-key counter) is derived atomically with the
-// insert when the index implements index.Upserter; the Get-then-Insert
-// fallback is only exact for single-writer indexes, which is the only
-// place it is used — every concurrent-write index in the repository
-// (sharded, CCEH, XIndex) implements Upserter.
+// A Put is one record append and one index descent: InsertReplace
+// installs the new offset and reports, from that same descent, whether
+// the key already existed, which is all the live-key counter needs. No
+// existence probe precedes it, so the count is exact under concurrent
+// writers too.
 func (s *Store) Put(key uint64, value []byte) error {
 	if s.closed.Load() {
 		return ErrClosed
@@ -602,20 +602,15 @@ func (s *Store) Put(key uint64, value []byte) error {
 		return ErrEmptyValue
 	}
 	sp := s.met.StartPut(stripe(key))
-	defer sp.Done()
 	off, err := s.appendRecord(key, value, 0)
 	if err != nil {
+		sp.Done()
 		return err
 	}
-	var existed bool
 	v := s.view.Load()
-	if v.seam.Upsert != nil {
-		existed, err = v.seam.Upsert.InsertReplace(key, uint64(off))
-	} else {
-		_, existed = v.idx.Get(key)
-		err = v.idx.Insert(key, uint64(off))
-	}
+	existed, err := v.idx.InsertReplace(key, uint64(off))
 	if err != nil {
+		sp.Done()
 		return fmt.Errorf("viper: index insert: %w", err)
 	}
 	// Fix the shadow cache after the index update. Single-writer stores
@@ -635,6 +630,7 @@ func (s *Store) Put(key uint64, value []byte) error {
 		s.liveLen.Add(1)
 		s.met.LiveDelta(1)
 	}
+	sp.Done()
 	return nil
 }
 

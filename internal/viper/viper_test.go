@@ -325,3 +325,81 @@ func TestPageRollover(t *testing.T) {
 		t.Fatalf("recovered %d", s.Len())
 	}
 }
+
+// probeCounter counts the index calls a store makes. It forwards Delete
+// (an embedded index.Index would hide it) so the store can delete.
+type probeCounter struct {
+	index.Index
+	gets, inserts, upserts int
+}
+
+func (c *probeCounter) Get(key uint64) (uint64, bool) {
+	c.gets++
+	return c.Index.Get(key)
+}
+
+func (c *probeCounter) Insert(key, value uint64) error {
+	c.inserts++
+	return c.Index.Insert(key, value)
+}
+
+func (c *probeCounter) InsertReplace(key, value uint64) (bool, error) {
+	c.upserts++
+	return c.Index.InsertReplace(key, value)
+}
+
+func (c *probeCounter) Delete(key uint64) bool { return index.Seams(c.Index).Delete.Delete(key) }
+
+// TestPutDescendsOnce: a Put is one InsertReplace and nothing else — no
+// existence probe before it, no plain Insert — on the primary index and
+// on two that had no upsert of their own before, and the live count it
+// keeps from the answers stays exact through inserts, updates, deletes
+// and re-inserts.
+func TestPutDescendsOnce(t *testing.T) {
+	for name, idx := range map[string]index.Index{
+		"alex":  alex.New(alex.DefaultConfig()),
+		"pgm":   pgm.New(pgm.DefaultConfig()),
+		"btree": btree.New(),
+	} {
+		t.Run(name, func(t *testing.T) {
+			c := &probeCounter{Index: idx}
+			s := newStore(c)
+			keys := dataset.Generate(dataset.OSMLike, 3000, 5)
+			puts := 0
+			put := func(k uint64) {
+				t.Helper()
+				before := *c
+				if err := s.Put(k, value(k)); err != nil {
+					t.Fatal(err)
+				}
+				puts++
+				if c.upserts != before.upserts+1 || c.gets != before.gets || c.inserts != before.inserts {
+					t.Fatalf("Put(%d) made %d InsertReplace, %d Get, %d Insert calls; want 1, 0, 0",
+						k, c.upserts-before.upserts, c.gets-before.gets, c.inserts-before.inserts)
+				}
+			}
+			live := make(map[uint64]bool)
+			for i, k := range dataset.Shuffled(keys, 6) {
+				put(k)
+				live[k] = true
+				switch i % 5 {
+				case 1: // update, or insert early, another key
+					put(keys[i/2])
+					live[keys[i/2]] = true
+				case 3: // delete one, sometimes an absent one
+					d := keys[(i*7)%len(keys)]
+					if ok, err := s.Delete(d); err != nil || ok != live[d] {
+						t.Fatalf("Delete(%d) = %v,%v with live=%v", d, ok, err, live[d])
+					}
+					delete(live, d)
+				}
+				if s.Len() != len(live) {
+					t.Fatalf("after %d puts: Len = %d, want %d", puts, s.Len(), len(live))
+				}
+			}
+			if c.upserts != puts {
+				t.Fatalf("%d InsertReplace calls for %d puts", c.upserts, puts)
+			}
+		})
+	}
+}
