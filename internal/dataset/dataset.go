@@ -7,6 +7,7 @@ package dataset
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 )
 
@@ -244,7 +245,7 @@ func thin(keys []uint64, n int) []uint64 {
 
 // SortedUnique sorts keys ascending and removes duplicates in place.
 func SortedUnique(keys []uint64) []uint64 {
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	slices.Sort(keys)
 	out := keys[:0]
 	var prev uint64
 	for i, k := range keys {

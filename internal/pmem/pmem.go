@@ -128,9 +128,7 @@ func (r *Region) Alloc(size int) (int64, error) {
 		r.free[size] = list[:len(list)-1]
 		r.mu.Unlock()
 		// Zero the chunk so page scans see a clean terminator.
-		for i := off; i < off+int64(size); i++ {
-			r.data[i] = 0
-		}
+		clear(r.data[off : off+int64(size)])
 		return off, nil
 	}
 	r.mu.Unlock()
@@ -293,10 +291,5 @@ func (r *Region) Snapshot() []byte {
 func (r *Region) Restore(snap []byte) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	copy(r.data, snap)
-	if len(snap) < len(r.data) {
-		for i := len(snap); i < len(r.data); i++ {
-			r.data[i] = 0
-		}
-	}
+	clear(r.data[copy(r.data, snap):])
 }

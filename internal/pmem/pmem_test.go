@@ -98,6 +98,37 @@ func TestSnapshotRestore(t *testing.T) {
 	}
 }
 
+// TestAllocReuseIsZeroed: a freed chunk comes back from Alloc all zero (a
+// page scan ends at the zeroed header behind the last record), and Restore
+// of a snapshot shorter than the region zeroes what lies behind it.
+func TestAllocReuseIsZeroed(t *testing.T) {
+	r := NewRegion(4096, None())
+	if _, err := r.Alloc(512); err != nil {
+		t.Fatal(err)
+	}
+	off, err := r.Alloc(1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dirty := bytes.Repeat([]byte{0xEE}, 4096-int(off))
+	r.Write(off, dirty) // the chunk and everything behind it
+	r.Free(off, 1024)
+	if got, err := r.Alloc(1024); err != nil || got != off {
+		t.Fatalf("Alloc = %d, %v; want the freed chunk at %d", got, err, off)
+	}
+	if !bytes.Equal(r.ReadNoCopy(off, 1024), make([]byte, 1024)) {
+		t.Fatal("reused chunk is not zeroed")
+	}
+	if !bytes.Equal(r.ReadNoCopy(off+1024, len(dirty)-1024), dirty[1024:]) || r.ReadNoCopy(off-1, 1)[0] != 0 {
+		t.Fatal("zeroing the reused chunk touched its neighbours")
+	}
+
+	r.Restore([]byte("short"))
+	if want := append([]byte("short"), make([]byte, 4096-5)...); !bytes.Equal(r.ReadNoCopy(0, 4096), want) {
+		t.Fatal("Restore of a short snapshot left bytes behind it")
+	}
+}
+
 // TestPrefetchIsNotAnAccess: the prefetch hint moves no counter field,
 // pays no stall and leaves the modelled block buffer where it was.
 func TestPrefetchIsNotAnAccess(t *testing.T) {

@@ -1,0 +1,179 @@
+package viper
+
+import (
+	"bytes"
+	"errors"
+	"slices"
+	"testing"
+
+	"learnedpieces/internal/btree"
+	"learnedpieces/internal/epoch"
+	"learnedpieces/internal/pmem"
+)
+
+// The fuzz stream is a sequence of three-byte operations: an opcode and
+// two arguments. Keys come from a table of 256 spread over the key space,
+// ends included; values reach a few KiB, so pages roll over within a few
+// hundred operations and a 16-page region fills up. A stream is cut after
+// fzMaxOps operations: the mutator grows inputs to a megabyte.
+const fzMaxOps = 1000
+
+const (
+	fzPut = iota
+	fzDelete
+	fzGet
+	fzRange
+	fzBulkPut
+	fzCompact
+	fzRecover
+	fzOps
+)
+
+func fzKey(b byte) uint64 {
+	if b == 255 {
+		return ^uint64(0)
+	}
+	return uint64(b)<<56 | uint64(b)
+}
+
+// fzValue is a payload that differs between any two operations of a stream.
+func fzValue(op int, n int) []byte {
+	v := make([]byte, n)
+	for i := range v {
+		v[i] = byte(op + i)
+	}
+	v[0] = byte(op >> 8)
+	return v
+}
+
+// FuzzStoreOps drives a btree-backed store with Put, Delete, Get, Range,
+// BulkPut, Compact and DropIndex+Recover against a map oracle, checking
+// Len after every operation and the whole key table, forwards through
+// Range and again after a recovery, at the end. A BulkPut replaces the
+// index (the bulk-load contract is an empty index), so the operation is
+// the sequence that is meaningful on a non-empty store: drop the index,
+// load, recover — after which the log's earlier keys must be back.
+func FuzzStoreOps(f *testing.F) {
+	f.Add([]byte{fzPut, 7, 3, fzDelete, 7, 0, fzBulkPut, 5, 4, fzGet, 7, 0, fzRecover, 0, 0}) // tombstone, then BulkPut of the same key
+	f.Add([]byte{fzPut, 1, 200, fzPut, 2, 200, fzPut, 1, 9, fzCompact, 0, 0, fzPut, 2, 1, fzRecover, 0, 0})
+	f.Add([]byte{fzPut, 0, 1, fzDelete, 0, 0, fzPut, 0, 2, fzBulkPut, 0, 0, fzDelete, 0, 0, fzRange, 0, 0, fzPut, 255, 5, fzRecover, 0, 0}) // key 0 and the largest key
+	f.Add(bytes.Repeat([]byte{fzBulkPut, 0, 255, fzPut, 9, 255, fzCompact, 0, 0}, 12))                                                      // enough pages to fill the region
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		data = data[:min(len(data), 3*fzMaxOps)]
+		s := Open(pmem.NewRegion(16*PageSize, pmem.None()), btree.New())
+		oracle := make(map[uint64][]byte)
+		recoverNow := func() {
+			s.DropIndex(btree.New())
+			if err := s.Recover(btree.New()); err != nil {
+				t.Fatalf("recover: %v", err)
+			}
+		}
+		sortedFrom := func(start uint64) []uint64 {
+			var keys []uint64
+			for k := range oracle {
+				if k >= start {
+					keys = append(keys, k)
+				}
+			}
+			slices.Sort(keys)
+			return keys
+		}
+		checkRange := func(op int, start uint64, n int) {
+			want := sortedFrom(start)
+			if n > 0 && len(want) > n {
+				want = want[:n]
+			}
+			i := 0
+			err := s.Range(start, n, func(k uint64, v []byte) bool {
+				if i >= len(want) || k != want[i] || !bytes.Equal(v, oracle[k]) {
+					t.Fatalf("op %d: Range(%d, %d) entry %d is key %d, want one of %v with its value", op, start, n, i, k, want)
+				}
+				i++
+				return true
+			})
+			if err != nil || i != len(want) {
+				t.Fatalf("op %d: Range(%d, %d) delivered %d entries, %v; want %d", op, start, n, i, err, len(want))
+			}
+		}
+
+	stream:
+		for op := 0; len(data) >= 3; op, data = op+1, data[3:] {
+			a, b := data[1], data[2]
+			key := fzKey(a)
+			var err error
+			switch data[0] % fzOps {
+			case fzPut:
+				v := fzValue(op, 1+int(b)*24)
+				if err = s.Put(key, v); err == nil {
+					oracle[key] = v
+				}
+			case fzDelete:
+				var ok bool
+				_, want := oracle[key]
+				if ok, err = s.Delete(key); err == nil && ok != want {
+					t.Fatalf("op %d: Delete(%d) = %v, want %v", op, key, ok, want)
+				}
+				if err == nil {
+					delete(oracle, key)
+				}
+			case fzGet:
+				got, ok := s.Get(key)
+				if want, has := oracle[key]; ok != has || !bytes.Equal(got, want) {
+					t.Fatalf("op %d: Get(%d) = %d bytes, %v; want %d bytes, %v", op, key, len(got), ok, len(want), has)
+				}
+			case fzRange:
+				checkRange(op, key, int(b)%40)
+			case fzBulkPut:
+				var keys []uint64
+				for k := int(a); k <= min(int(a)+int(b), 255); k++ {
+					keys = append(keys, fzKey(byte(k)))
+				}
+				v := fzValue(op, 1+int(b)*16)
+				s.DropIndex(btree.New())
+				if err = s.BulkPut(keys, v); err == nil {
+					if s.Len() != len(keys) {
+						t.Fatalf("op %d: Len = %d after a BulkPut of %d keys", op, s.Len(), len(keys))
+					}
+					for _, k := range keys {
+						oracle[k] = v
+					}
+				}
+				recoverNow()
+			case fzCompact:
+				if _, err = s.Compact(btree.New()); err == nil {
+					// Let the retired pages be freed, so later rollovers
+					// reuse them (zeroed, and out of offset order).
+					for i := 0; i < 3; i++ {
+						epoch.Advance()
+					}
+				}
+			case fzRecover:
+				recoverNow()
+			}
+			if errors.Is(err, ErrFull) {
+				break stream // a refused operation changed nothing: the final check still holds
+			}
+			if err != nil {
+				t.Fatalf("op %d (%d): %v", op, data[0]%fzOps, err)
+			}
+			if s.Len() != len(oracle) {
+				t.Fatalf("op %d (%d): Len = %d, oracle holds %d", op, data[0]%fzOps, s.Len(), len(oracle))
+			}
+		}
+
+		for pass := 0; pass < 2; pass++ {
+			if s.Len() != len(oracle) {
+				t.Fatalf("final pass %d: Len = %d, oracle holds %d", pass, s.Len(), len(oracle))
+			}
+			for b := 0; b < 256; b++ {
+				got, ok := s.Get(fzKey(byte(b)))
+				if want, has := oracle[fzKey(byte(b))]; ok != has || !bytes.Equal(got, want) {
+					t.Fatalf("final pass %d: Get(%d) = %d bytes, %v; want %d bytes, %v", pass, fzKey(byte(b)), len(got), ok, len(want), has)
+				}
+			}
+			checkRange(-1, 0, 0)
+			recoverNow()
+		}
+	})
+}

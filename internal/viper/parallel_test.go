@@ -2,8 +2,10 @@ package viper
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -284,8 +286,8 @@ func TestCompactSerialParallelEquivalence(t *testing.T) {
 	compareContents(t, want, contents(t, s2, keys), "recovery after parallel compaction")
 }
 
-// TestBulkPutParallelEquivalence checks the worker-pool append path
-// against the serial one.
+// TestBulkPutParallelEquivalence checks the worker-pool load against the
+// serial one.
 func TestBulkPutParallelEquivalence(t *testing.T) {
 	keys := dataset.Generate(dataset.OSMLike, 20000, 4)
 	v := value(7)
@@ -303,14 +305,106 @@ func TestBulkPutParallelEquivalence(t *testing.T) {
 	if par.Len() != len(keys) {
 		t.Fatalf("Len = %d", par.Len())
 	}
-	// Parallel appends land at interleaved offsets; recovery must still
-	// resolve every key.
+	// Whole pages went to different workers; recovery must still resolve
+	// every key.
 	forceWorkers(t, 6)
 	if err := par.Recover(btree.New()); err != nil {
 		t.Fatal(err)
 	}
 	if par.Len() != len(keys) {
 		t.Fatalf("recovered Len = %d", par.Len())
+	}
+}
+
+// TestBulkPutLayout pins what BulkPut puts on the device: page p of a load
+// holds keys[p·perPage : (p+1)·perPage] back to back, written with one
+// device write and one flush per page, the same bytes at the same offsets
+// for any worker count, and the log goes on right behind the last record.
+func TestBulkPutLayout(t *testing.T) {
+	const recLen = recordHeader + DefaultValueSize
+	const perPage = PageSize / recLen
+	keys := dataset.Generate(dataset.OSMLike, 3*perPage+1234, 4)
+	nPages := (len(keys) + perPage - 1) / perPage
+	v := value(7)
+	load := func(workers int) (*Store, pmem.AccessStats) {
+		forceWorkers(t, workers)
+		s := newStore(btree.New())
+		d := deviceDelta(s.region, func() {
+			if err := s.BulkPut(keys, v); err != nil {
+				t.Fatal(err)
+			}
+		})
+		return s, d
+	}
+	s, d := load(1)
+	par, dPar := load(6)
+
+	if got, want := s.region.Allocated(), int64(nPages)*PageSize; got != want || len(s.pages) != nPages {
+		t.Fatalf("allocated %d bytes in %d pages, want %d in %d", got, len(s.pages), want, nPages)
+	}
+	if !slices.Equal(s.pages, par.pages) || !bytes.Equal(s.region.Snapshot()[:s.region.Allocated()], par.region.Snapshot()[:par.region.Allocated()]) {
+		t.Fatal("loads with 1 and with 6 workers differ in pages or bytes")
+	}
+	var wantLines int64
+	for i, k := range keys {
+		off := offsetOf(t, s, k)
+		if want := s.pages[i/perPage] + int64(i%perPage)*recLen; off != want || offsetOf(t, par, k) != want {
+			t.Fatalf("key %d of the load at %d (6 workers: %d), want %d", i, off, offsetOf(t, par, k), want)
+		}
+		if i%perPage == perPage-1 || i == len(keys)-1 {
+			wantLines += spanLines(0, (i%perPage+1)*recLen)
+		}
+	}
+	for _, d := range []pmem.AccessStats{d, dPar} {
+		if d.Writes != int64(nPages) || d.Flushes != int64(nPages) || d.LineWrites != wantLines || d.Reads != 0 {
+			t.Fatalf("BulkPut cost %+v, want %d writes, %d flushes, %d lines, no read", d, nPages, nPages, wantLines)
+		}
+	}
+
+	// The next Put lands directly behind the last loaded record.
+	if err := s.Put(1, v); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := offsetOf(t, s, 1), offsetOf(t, s, keys[len(keys)-1])+recLen; got != want {
+		t.Fatalf("first Put after BulkPut at %d, want %d", got, want)
+	}
+
+	if err := s.BulkPut(keys, make([]byte, PageSize)); !errors.Is(err, ErrValueTooBig) {
+		t.Fatalf("BulkPut of a value longer than a page = %v, want ErrValueTooBig", err)
+	}
+
+	// A load into a non-empty store goes behind what the log holds: the
+	// earlier records stay where they were, and recovery finds both.
+	s = newStore(btree.New())
+	early := []uint64{3, 9, 27}
+	earlyOffs := make([]int64, len(early))
+	for i, k := range early {
+		if err := s.Put(k, value(k)); err != nil {
+			t.Fatal(err)
+		}
+		earlyOffs[i] = offsetOf(t, s, k)
+	}
+	if err := s.BulkPut(keys, v); err != nil {
+		t.Fatal(err)
+	}
+	for i, k := range early {
+		if got, live := s.readRecord(earlyOffs[i]); !live || !bytes.Equal(got, value(k)) {
+			t.Fatalf("record of key %d changed under a later BulkPut", k)
+		}
+	}
+	if err := s.Recover(btree.New()); err != nil {
+		t.Fatal(err)
+	}
+	if s.Len() != len(keys)+len(early) {
+		t.Fatalf("recovered %d keys, want %d", s.Len(), len(keys)+len(early))
+	}
+	for i, k := range early {
+		if got := offsetOf(t, s, k); got != earlyOffs[i] {
+			t.Fatalf("recovered key %d at %d, want %d", k, got, earlyOffs[i])
+		}
+	}
+	if got, ok := s.Get(keys[len(keys)/2]); !ok || !bytes.Equal(got, v) {
+		t.Fatal("a loaded key is lost after recovery")
 	}
 }
 

@@ -4,11 +4,12 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math/rand"
-	"reflect"
+	"slices"
 	"testing"
 
 	"learnedpieces/internal/adapt"
 	"learnedpieces/internal/btree"
+	"learnedpieces/internal/epoch"
 	"learnedpieces/internal/pmem"
 )
 
@@ -315,11 +316,15 @@ func clampsAtRegionEnd(t *testing.T) {
 	}
 }
 
-// scanPagesPerRecord is the walk scanPages replaced: one 13-byte device
-// access per record header, every length trusted. It stays here as the
-// reference the page-granular scan is checked against.
-func scanPagesPerRecord(s *Store, pages []int64) map[uint64]entry {
-	live := make(map[uint64]entry)
+// scanPagesPerRecord is the reference scanLive is checked against: the
+// serial replay of the log, one 13-byte device access per record header,
+// every length trusted, the newest version of each key kept in a map.
+func scanPagesPerRecord(s *Store, pages []int64) (keys, offs []uint64) {
+	type version struct {
+		off  uint64
+		dead bool
+	}
+	newest := make(map[uint64]version)
 	for _, page := range pages {
 		for pos := 0; pos+recordHeader <= PageSize; {
 			off := page + int64(pos)
@@ -329,27 +334,37 @@ func scanPagesPerRecord(s *Store, pages []int64) map[uint64]entry {
 			if key == 0 && vlen == 0 && hdr[12] == 0 {
 				break
 			}
-			live[key] = entry{uint64(off), hdr[12]&flagDeleted != 0}
+			newest[key] = version{uint64(off), hdr[12]&flagDeleted != 0}
 			pos += recordHeader + int(vlen)
 		}
 	}
-	return live
+	for k, v := range newest {
+		if !v.dead {
+			keys = append(keys, k)
+		}
+	}
+	slices.Sort(keys)
+	for _, k := range keys {
+		offs = append(offs, newest[k].off)
+	}
+	return keys, offs
 }
 
-// TestScanPagesMatchesPerRecordWalk: on logs with updates, tombstones,
-// revived keys, mixed record lengths and abandoned page tails, the
-// page-granular scan finds exactly the per-record walk's newest
-// versions, serially and fanned out, with one device read per page.
-func TestScanPagesMatchesPerRecordWalk(t *testing.T) {
+// TestScanLiveMatchesReference: on logs with updates, tombstones, revived
+// keys, keys 0 and 2⁶⁴−1, mixed record lengths, abandoned page tails,
+// bulk-loaded (already sorted) stretches and pages reused out of offset
+// order, the slice scan finds exactly the serial replay's newest versions
+// for every worker count, with one device read per page.
+func TestScanLiveMatchesReference(t *testing.T) {
 	check := func(t *testing.T, s *Store) {
 		t.Helper()
-		want := scanPagesPerRecord(s, s.pages)
-		for _, workers := range []int{1, 3} {
+		wantKeys, wantOffs := scanPagesPerRecord(s, s.pages)
+		for workers := 1; workers <= 6; workers++ {
 			forceWorkers(t, workers)
-			var got map[uint64]entry
-			d := deviceDelta(s.region, func() { got = s.scanPages(s.pages) })
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%d workers: page scan found %d keys, per-record walk %d, or versions differ", workers, len(got), len(want))
+			var keys, offs []uint64
+			d := deviceDelta(s.region, func() { keys, offs = s.scanLive(s.pages) })
+			if !slices.Equal(keys, wantKeys) || !slices.Equal(offs, wantOffs) {
+				t.Fatalf("%d workers: scanLive found %d keys, the serial replay %d, or versions differ", workers, len(keys), len(wantKeys))
 			}
 			if d.Reads != int64(len(s.pages)) {
 				t.Fatalf("%d workers: %d device reads for %d pages", workers, d.Reads, len(s.pages))
@@ -360,23 +375,81 @@ func TestScanPagesMatchesPerRecordWalk(t *testing.T) {
 		s, _ := buildMultiPageStore(t, pmem.NewRegion(64<<20, pmem.None()))
 		check(t, s)
 	})
-	for seed := int64(1); seed <= 3; seed++ {
+	// The first key's only live record sits in the first page, its
+	// tombstone in the last: with two or more workers the two are seen by
+	// different chunks. The bulk-loaded pages in between are the sorted
+	// fast path; the pages around them are not.
+	t.Run("tombstone in a later chunk", func(t *testing.T) {
+		s := Open(pmem.NewRegion(16<<20, pmem.None()), btree.New())
+		if err := s.Put(5, value(5)); err != nil {
+			t.Fatal(err)
+		}
+		bulk := make([]uint64, 12_000)
+		for i := range bulk {
+			bulk[i] = 100 + 2*uint64(i)
+		}
+		if err := s.BulkPut(bulk, value(0)); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Recover(btree.New()); err != nil { // key 5 back in the index
+			t.Fatal(err)
+		}
+		for k := uint64(101); k < 12_000; k += 2 {
+			if err := s.Put(k, value(k)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if ok, err := s.Delete(5); !ok || err != nil {
+			t.Fatalf("Delete(5) = %v, %v", ok, err)
+		}
+		if len(s.pages) < 5 {
+			t.Fatalf("want the log to span 5 pages, got %d", len(s.pages))
+		}
+		check(t, s)
+		if keys, _ := s.scanLive(s.pages); keys[0] == 5 {
+			t.Fatal("key 5 survived its tombstone")
+		}
+	})
+	for seed := int64(1); seed <= 4; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		s := Open(pmem.NewRegion(64<<20, pmem.None()), btree.New())
+		key := func() uint64 {
+			switch k := uint64(rng.Intn(1500)); k {
+			case 0:
+				return 0
+			case 1:
+				return ^uint64(0)
+			default:
+				return k
+			}
+		}
 		for i := 0; i < 12_000; i++ {
-			key := uint64(rng.Intn(1500)) + 1
+			if i == 6000 && seed%2 == 0 {
+				// Compact and let the retired pages be freed: the log's
+				// later pages now sit at lower offsets than its earlier.
+				if _, err := s.Compact(btree.New()); err != nil {
+					t.Fatal(err)
+				}
+				for j := 0; j < 3; j++ {
+					epoch.Advance()
+				}
+			}
+			k := key()
 			if rng.Intn(5) == 0 {
-				if _, err := s.Delete(key); err != nil {
+				if _, err := s.Delete(k); err != nil {
 					t.Fatal(err)
 				}
 				continue
 			}
-			if err := s.Put(key, make([]byte, 1+rng.Intn(600))); err != nil {
+			if err := s.Put(k, make([]byte, 1+rng.Intn(1200))); err != nil {
 				t.Fatal(err)
 			}
 		}
 		if len(s.pages) < 3 {
 			t.Fatalf("seed %d: want a multi-page log, got %d pages", seed, len(s.pages))
+		}
+		if seed%2 == 0 && slices.IsSorted(s.pages) {
+			t.Fatalf("seed %d: no page was reused out of offset order", seed)
 		}
 		check(t, s)
 	}

@@ -11,11 +11,11 @@
 package viper
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -1089,23 +1089,33 @@ func (s *Store) scanRounds(start uint64, n int, desc bool, fn func(key uint64, v
 	}
 }
 
-// bulkMinPerWorker is the smallest record batch worth a goroutine in the
-// bulk append paths (BulkPut, Compact's copy phase).
+// bulkMinPerWorker is the smallest record batch worth a goroutine in
+// Compact's copy phase.
 const bulkMinPerWorker = 4096
 
 // BulkPut loads sorted distinct keys with a shared value payload through
 // the index's bulk path — the store initialisation the paper uses before
 // its read-only experiments. A nil value synthesises a zeroed payload of
-// the configured ValueSize. The PMem appends fan out across a worker
-// pool (keys are distinct, so the physical append order is irrelevant
-// for recovery's newest-version-wins rule); the index bulk-load then
-// runs once over the full sorted array.
+// the configured ValueSize.
+//
+// The records are fixed-size, so the layout is settled before anything is
+// written: page p of the load holds keys[p·perPage : (p+1)·perPage]. The
+// pages are allocated up front and join the log behind whatever it holds
+// (a previous current page is sealed where it stands; its zeroed tail ends
+// its scan), and the last becomes the current page, positioned behind the
+// last loaded record, where the next Put lands. Workers then fill whole
+// pages, a pageWriter each: which worker fills which page changes no byte.
+// The index bulk-load runs once over the full sorted array.
 func (s *Store) BulkPut(keys []uint64, value []byte) error {
 	if value == nil {
 		value = make([]byte, s.valueSize)
 	}
 	if len(value) == 0 {
 		return ErrEmptyValue
+	}
+	recLen := recordHeader + len(value)
+	if recLen > PageSize {
+		return ErrValueTooBig
 	}
 	if s.closed.Load() {
 		return ErrClosed
@@ -1115,21 +1125,34 @@ func (s *Store) BulkPut(keys []uint64, value []byte) error {
 		return fmt.Errorf("%w: index %s cannot bulk load", ErrUnsupported, v.idx.Name())
 	}
 	t0 := time.Now()
-	offs := make([]uint64, len(keys))
-	workers := s.workerCount(len(keys) / bulkMinPerWorker)
-	err := parallel.ForErr(workers, len(keys), func(_, lo, hi int) error {
-		for i := lo; i < hi; i++ {
-			off, err := s.appendRecord(keys[i], value, 0)
-			if err != nil {
-				return err
-			}
-			offs[i] = uint64(off)
+	perPage := PageSize / recLen
+	nPages := (len(keys) + perPage - 1) / perPage
+	pages := make([]int64, nPages)
+	s.mu.Lock()
+	for i := range pages {
+		var err error
+		if pages[i], err = s.allocPage(); err != nil {
+			s.mu.Unlock()
+			freePages(s.region, pages[:i])
+			return err
 		}
-		return nil
-	})
-	if err != nil {
-		return err
 	}
+	if nPages > 0 {
+		s.pages = append(s.pages, pages...)
+		last := &page{off: pages[nPages-1]}
+		last.pos.Store(int64((len(keys) - (nPages-1)*perPage) * recLen))
+		s.cur.Store(last)
+	}
+	s.mu.Unlock()
+	offs := make([]uint64, len(keys))
+	parallel.For(s.workerCount(nPages), nPages, func(_, lo, hi int) {
+		p := lo
+		w := s.newPageWriter(func() (int64, error) { p++; return pages[p-1], nil })
+		for i := lo * perPage; i < min(hi*perPage, len(keys)); i++ {
+			offs[i], _ = w.append(keys[i], value) // cannot fail: the record fits a page and next has one
+		}
+		w.commit()
+	})
 	if err := v.seam.Bulk.BulkLoad(keys, offs); err != nil {
 		return err
 	}
@@ -1141,31 +1164,38 @@ func (s *Store) BulkPut(keys []uint64, value []byte) error {
 	return nil
 }
 
-// entry is the newest observed version of a key during a page scan.
-type entry struct {
-	off  uint64
-	dead bool
-}
+// scanEntry is one record a page scan saw. seq places it in the log: the
+// index of its page in the scanned list, below that its position inside the
+// page and, in the lowest bit, its flagDeleted. The newest version of a key
+// is its entry with the largest seq.
+type scanEntry struct{ key, seq uint64 }
 
-// scanPages replays the given pages and returns the newest version of
-// every key. Pages fan out across workers in contiguous chunks of the
-// allocation order; each worker scans its chunk serially (so within a
-// chunk, later records win) and the per-worker maps are then merged in
-// chunk order (so records from later chunks win over earlier ones).
-// Chunking the *allocation order* contiguously is what preserves the
-// serial scan's newest-version-wins rule exactly: the winner for any key
-// is the record that appears last in (page allocation order, offset
-// within page), and that total order is respected first within chunks,
-// then across the ordered merge.
+// seqPosBits is the width of seq's position and flag: PageSize is 1<<20.
+const seqPosBits = 21
+
+// scanLive replays the given pages and returns the surviving keys
+// (tombstones dropped) in sorted order with the offsets of their newest
+// records: for each key the record that appears last in (position of its
+// page in pages, offset within the page), the order a serial replay of the
+// log applies.
 //
-// Each page is one sequential device read parsed in memory, not one
-// access per record header. A page's walk ends at the zeroed header that
-// follows its last record, or at a length that would run past the page
-// (which no appended record has, so it is not trusted to be one).
-func (s *Store) scanPages(pages []int64) map[uint64]entry {
-	scanChunk := func(pages []int64, live map[uint64]entry) {
-		for _, page := range pages {
-			buf := s.region.ReadNoCopy(page, PageSize)
+// Pages fan out across workers in contiguous chunks of that order. Each
+// page is one sequential device read parsed in memory, not one access per
+// record header; its walk ends at the zeroed header that follows its last
+// record, or at a length that would run past the page (which no written
+// record has, so it is not trusted to be one). A chunk whose keys came out
+// strictly increasing — every never-updated bulk load — is done; any other
+// is sorted by key, newest first within a key, and the first entry of each
+// equal-key run kept. The chunks, now sorted with distinct keys, merge
+// pairwise in chunk order, the later chunk (its seqs are larger) winning.
+func (s *Store) scanLive(pages []int64) (keys, offs []uint64) {
+	workers := s.workerCount(len(pages))
+	chunks := make([][]scanEntry, workers)
+	parallel.For(workers, len(pages), func(w, lo, hi int) {
+		es := make([]scanEntry, 0, (hi-lo)*(PageSize/(recordHeader+s.valueSize)+1))
+		sorted := true
+		for p := lo; p < hi; p++ {
+			buf := s.region.ReadNoCopy(pages[p], PageSize)
 			for pos := 0; pos+recordHeader <= PageSize; {
 				key := binary.LittleEndian.Uint64(buf[pos : pos+8])
 				vlen := binary.LittleEndian.Uint32(buf[pos+8 : pos+12])
@@ -1177,53 +1207,66 @@ func (s *Store) scanPages(pages []int64) map[uint64]entry {
 				if end > PageSize {
 					break
 				}
-				live[key] = entry{uint64(page) + uint64(pos), flags&flagDeleted != 0}
+				sorted = sorted && (len(es) == 0 || es[len(es)-1].key < key)
+				es = append(es, scanEntry{key, uint64(p)<<seqPosBits | uint64(pos)<<1 | uint64(flags&flagDeleted)})
 				pos = end
 			}
 		}
-	}
-	workers := s.workerCount(len(pages))
-	if workers <= 1 {
-		live := make(map[uint64]entry)
-		scanChunk(pages, live)
-		return live
-	}
-	partial := make([]map[uint64]entry, workers)
-	parallel.For(workers, len(pages), func(w, lo, hi int) {
-		live := make(map[uint64]entry)
-		scanChunk(pages[lo:hi], live)
-		partial[w] = live
+		if !sorted {
+			slices.SortFunc(es, func(a, b scanEntry) int {
+				if c := cmp.Compare(a.key, b.key); c != 0 {
+					return c
+				}
+				return cmp.Compare(b.seq, a.seq)
+			})
+			es = slices.CompactFunc(es, func(a, b scanEntry) bool { return a.key == b.key })
+		}
+		chunks[w] = es
 	})
-	live := partial[0]
-	for _, p := range partial[1:] {
-		for k, e := range p {
-			live[k] = e
+	for len(chunks) > 1 {
+		for i := 0; i+1 < len(chunks); i += 2 {
+			chunks[i/2] = mergeNewest(chunks[i], chunks[i+1])
 		}
-	}
-	return live
-}
-
-// liveSorted extracts the surviving keys (tombstones dropped) in sorted
-// order with their record offsets.
-func liveSorted(live map[uint64]entry) (keys, offs []uint64) {
-	keys = make([]uint64, 0, len(live))
-	for k, e := range live {
-		if !e.dead {
-			keys = append(keys, k)
+		if odd := len(chunks) - 1; odd%2 == 0 {
+			chunks[odd/2] = chunks[odd]
 		}
+		chunks = chunks[:(len(chunks)+1)/2]
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	offs = make([]uint64, len(keys))
-	for i, k := range keys {
-		offs[i] = live[k].off
+	keys = make([]uint64, 0, len(chunks[0]))
+	offs = make([]uint64, 0, len(chunks[0]))
+	for _, e := range chunks[0] {
+		if e.seq&flagDeleted == 0 {
+			keys = append(keys, e.key)
+			offs = append(offs, uint64(pages[e.seq>>seqPosBits])+(e.seq&(1<<seqPosBits-1))>>1)
+		}
 	}
 	return keys, offs
+}
+
+// mergeNewest merges two key-sorted runs of distinct keys; a key both hold
+// keeps newer's entry.
+func mergeNewest(older, newer []scanEntry) []scanEntry {
+	if len(older) == 0 || len(newer) == 0 || older[len(older)-1].key < newer[0].key {
+		return append(older, newer...)
+	}
+	out := make([]scanEntry, 0, len(older)+len(newer))
+	for len(older) > 0 && len(newer) > 0 {
+		switch a, b := older[0], newer[0]; {
+		case a.key < b.key:
+			out, older = append(out, a), older[1:]
+		case a.key > b.key:
+			out, newer = append(out, b), newer[1:]
+		default:
+			out, older, newer = append(out, b), older[1:], newer[1:]
+		}
+	}
+	return append(append(out, older...), newer...)
 }
 
 // Recover rebuilds the volatile index from the PMem pages after a
 // (simulated) crash: it scans every record, keeps the newest version per
 // key, drops tombstones, and bulk-loads the index. The page scan runs
-// page-parallel (see scanPages) and the index's own bulk-load path may
+// page-parallel (see scanLive) and the index's own bulk-load path may
 // fan out further. The caller provides a fresh index instance.
 func (s *Store) Recover(fresh index.Index) error {
 	if s.closed.Load() {
@@ -1232,7 +1275,7 @@ func (s *Store) Recover(fresh index.Index) error {
 	t0 := time.Now()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	keys, offs := liveSorted(s.scanPages(s.pages))
+	keys, offs := s.scanLive(s.pages)
 	if err := index.LoadSorted(fresh, keys, offs); err != nil {
 		return err
 	}
@@ -1254,10 +1297,13 @@ func (s *Store) Recover(fresh index.Index) error {
 // is deferred by the grace period).
 //
 // Both heavy phases run multi-core: the old pages are scanned with the
-// same page-parallel pass as recovery, and the live records are copied
-// by concurrent appenders that claim disjoint slots through the
-// lock-free claim path (keys are distinct after the scan, so the
-// physical order of the copies does not matter).
+// same page-parallel pass as recovery, and the key-sorted live records are
+// copied in contiguous key ranges, a worker and a pageWriter per range,
+// each taking fresh pages as it fills them. The new log lists the workers'
+// pages in range order — key-ordered throughout — and its last page, behind
+// the largest key, becomes the current page; every other worker leaves at
+// most one partly filled page. On an error the fresh pages are freed and
+// the store keeps its old log.
 func (s *Store) Compact(fresh index.Index) (int64, error) {
 	if s.closed.Load() {
 		return 0, ErrClosed
@@ -1265,39 +1311,47 @@ func (s *Store) Compact(fresh index.Index) (int64, error) {
 	t0 := time.Now()
 	s.mu.Lock()
 	oldPages := s.pages
-	s.pages = nil
-	s.cur.Store(nil)
 	s.mu.Unlock()
 
 	// Newest version per key, exactly like recovery.
-	keys, srcs := liveSorted(s.scanPages(oldPages))
+	keys, srcs := s.scanLive(oldPages)
 
 	// Copy live records into fresh pages.
 	offs := make([]uint64, len(keys))
 	workers := s.workerCount(len(keys) / bulkMinPerWorker)
-	err := parallel.ForErr(workers, len(keys), func(_, lo, hi int) error {
+	filled := make([][]int64, workers) // each worker's pages, in fill order
+	var cur *page                      // the last range's last page: the log goes on behind the largest key
+	err := parallel.ForErr(workers, len(keys), func(w, lo, hi int) (err error) {
+		pw := s.newPageWriter(s.allocPage)
+		defer func() { filled[w] = pw.pages }()
 		for i := lo; i < hi; i++ {
 			val, _ := s.readRecord(int64(srcs[i])) // live: the scan dropped tombstones
-			off, err := s.appendRecord(keys[i], val, 0)
-			if err != nil {
+			if offs[i], err = pw.append(keys[i], val); err != nil {
 				return err
 			}
-			offs[i] = uint64(off)
+		}
+		pw.commit()
+		if hi == len(keys) {
+			cur = &page{off: pw.pages[len(pw.pages)-1]}
+			cur.pos.Store(int64(pw.used))
 		}
 		return nil
 	})
+	newPages := slices.Concat(filled...)
+	if err == nil {
+		err = index.LoadSorted(fresh, keys, offs)
+	}
 	if err != nil {
+		freePages(s.region, newPages)
 		return 0, err
 	}
 
-	// Install the rebuilt index.
-	if err := index.LoadSorted(fresh, keys, offs); err != nil {
-		return 0, err
-	}
+	// Install the new log and the rebuilt index.
 	s.mu.Lock()
+	s.pages = newPages
+	s.cur.Store(cur)
 	s.setIndex(fresh)
 	prev := s.liveLen.Swap(int64(len(keys)))
-	newPages := int64(len(s.pages))
 	s.mu.Unlock()
 	s.met.LiveDelta(int64(len(keys)) - prev)
 
@@ -1307,16 +1361,12 @@ func (s *Store) Compact(fresh index.Index) (int64, error) {
 	// re-zeroed with plain writes. The epoch manager runs the frees once
 	// every such pin has ended (two full epoch advances).
 	if len(oldPages) > 0 {
-		region := s.region
-		epoch.RetireFunc(func() {
-			for _, p := range oldPages {
-				region.Free(p, PageSize)
-			}
-		})
+		region := s.region // the deferred free must not keep the store alive
+		epoch.RetireFunc(func() { freePages(region, oldPages) })
 		epoch.Advance()
 	}
 	s.met.ObserveCompaction(time.Since(t0))
-	return int64(len(oldPages))*PageSize - newPages*PageSize, nil
+	return int64(len(oldPages)-len(newPages)) * PageSize, nil
 }
 
 // DropIndex simulates the crash: the DRAM index is discarded while the
