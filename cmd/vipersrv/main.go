@@ -21,10 +21,8 @@ import (
 	"syscall"
 	"time"
 
-	"learnedpieces/internal/adapt"
 	"learnedpieces/internal/core"
 	"learnedpieces/internal/pmem"
-	"learnedpieces/internal/search"
 	"learnedpieces/internal/server"
 	"learnedpieces/internal/telemetry"
 	"learnedpieces/internal/viper"
@@ -32,18 +30,16 @@ import (
 
 func main() {
 	var (
-		addr       = flag.String("addr", "127.0.0.1:7070", "listen address")
-		indexName  = flag.String("index", "xindex", "volatile index (see libench -list)")
-		size       = flag.Int("mem", 512<<20, "simulated PMem bytes")
-		latency    = flag.Bool("pmem", false, "simulate NVM latency")
-		retrainF   = flag.String("retrain", "async", "retrain pipeline mode: inline|sync|async")
-		obs        = flag.String("obs", "", "serve expvar, pprof and /telemetry on this address (e.g. :6060)")
-		window     = flag.Int("window", server.DefaultMaxInFlight, "per-connection in-flight window: responses held before a write is forced")
-		preload    = flag.Int("preload", 0, "bulk-load keys 1..n before serving")
-		valueSize  = flag.Int("valuesize", viper.DefaultValueSize, "nominal value payload bytes")
-		drainWait  = flag.Duration("drainwait", 30*time.Second, "graceful shutdown budget before force-close")
-		adaptOn    = flag.Bool("adapt", false, "run the closed-loop adapt controller (flips search policy, retrain mode, hot-key cache)")
-		adaptEvery = flag.Duration("adaptevery", 500*time.Millisecond, "adapt controller sampling interval")
+		addr      = flag.String("addr", "127.0.0.1:7070", "listen address")
+		indexName = flag.String("index", "xindex", "volatile index (see libench -list)")
+		size      = flag.Int("mem", 512<<20, "simulated PMem bytes")
+		latency   = flag.Bool("pmem", false, "simulate NVM latency")
+		retrainF  = flag.String("retrain", "async", "retrain pipeline mode: inline|sync|async")
+		obs       = flag.String("obs", "", "serve expvar, pprof and /telemetry on this address (e.g. :6060)")
+		window    = flag.Int("window", server.DefaultMaxInFlight, "per-connection in-flight window: responses held before a write is forced")
+		preload   = flag.Int("preload", 0, "bulk-load keys 1..n before serving")
+		valueSize = flag.Int("valuesize", viper.DefaultValueSize, "nominal value payload bytes")
+		drainWait = flag.Duration("drainwait", 30*time.Second, "graceful shutdown budget before force-close")
 	)
 	flag.Parse()
 
@@ -71,19 +67,10 @@ func main() {
 		defer func() { _ = osrv.Close() }()
 		fmt.Printf("observability on http://%s/telemetry (also /telemetry/table, /debug/vars, /debug/pprof)\n", *obs)
 	}
-	storeOpts := []viper.Option{
+	store := viper.Open(pmem.NewRegion(*size, lat), entry.New(),
 		viper.WithTelemetry(sink),
 		viper.WithRetrainMode(rmode),
-		viper.WithValueSize(*valueSize),
-	}
-	var hk *adapt.HotKeys
-	if *adaptOn {
-		// The sampler rides along even when the cache stays gated off
-		// (locking index tiers): skew detection only needs Observe.
-		hk = adapt.NewHotKeys(0)
-		storeOpts = append(storeOpts, viper.WithHotKeys(hk))
-	}
-	store := viper.Open(pmem.NewRegion(*size, lat), entry.New(), storeOpts...)
+		viper.WithValueSize(*valueSize))
 	if *preload > 0 {
 		keys := make([]uint64, *preload)
 		for i := range keys {
@@ -108,43 +95,6 @@ func main() {
 		os.Exit(1)
 	}
 
-	var ctrl *adapt.Controller
-	if *adaptOn {
-		knobs := adapt.Knobs{
-			SearchPolicy:     search.SetPolicy,
-			RetrainThreshold: func(n int) { store.SetRetrainThreshold(n) },
-			BatchFloor:       store.SetBatchFloor,
-			ScanBatch:        store.SetScanBatch,
-		}
-		if rmode == viper.RetrainAsync {
-			// Live sync/async routing needs the background pool; stores
-			// opened inline or sync have nothing to route to.
-			knobs.RetrainAsync = func(on bool) {
-				if on {
-					store.SetRetrainMode(viper.RetrainAsync)
-				} else {
-					store.SetRetrainMode(viper.RetrainSync)
-				}
-			}
-		}
-		if store.Caps().ConcurrentWrites {
-			// PromoteHot probes the index from the controller goroutine
-			// while server writers run, so the cache knobs are only wired
-			// on the lock-free tier; elsewhere the cache stays off.
-			knobs.CacheEnable = hk.SetEnabled
-			knobs.Promote = func(keys []uint64) { store.PromoteHot(keys) }
-		}
-		ctrl = adapt.NewController(adapt.Config{
-			Snapshot: sink.Snapshot,
-			Hot:      hk,
-			Knobs:    knobs,
-		})
-		sink.SetAdaptProbe(ctrl.Probe)
-		ctrl.Start(*adaptEvery)
-		fmt.Printf("adapt controller on (interval %v, cache %v)\n",
-			*adaptEvery, store.Caps().ConcurrentWrites)
-	}
-
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, syscall.SIGINT, syscall.SIGTERM)
 	errc := make(chan error, 1)
@@ -155,9 +105,6 @@ func main() {
 	select {
 	case sig := <-sigc:
 		fmt.Printf("signal %v: draining...\n", sig)
-		if ctrl != nil {
-			ctrl.Stop()
-		}
 		ctx, cancel := context.WithTimeout(context.Background(), *drainWait)
 		err := srv.Shutdown(ctx)
 		cancel()

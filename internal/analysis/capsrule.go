@@ -20,7 +20,6 @@ var capsInterfaces = map[string]bool{
 	"Upserter":         true,
 	"BatchGetter":      true,
 	"AsyncRetrainer":   true,
-	"RetrainTuner":     true,
 	"Sized":            true,
 	"DepthReporter":    true,
 	"RetrainReporter":  true,

@@ -13,7 +13,7 @@ func Resolve(idx index.Index) bool {
 }
 
 // Late covers the capabilities added after the analyzer was written:
-// reverse cursors, batch lookups, background retraining and its tuner.
+// reverse cursors, batch lookups and background retraining.
 func Late(idx index.Index) int {
 	n := 0
 	if _, ok := idx.(index.ReverseRanger); ok { // want "type assertion to index.ReverseRanger"
@@ -24,8 +24,6 @@ func Late(idx index.Index) int {
 	}
 	switch idx.(type) {
 	case index.AsyncRetrainer: // want "type switch case on index.AsyncRetrainer"
-		n++
-	case index.RetrainTuner: // want "type switch case on index.RetrainTuner"
 		n++
 	}
 	return n

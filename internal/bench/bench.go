@@ -120,7 +120,6 @@ func All() []Experiment {
 		{"retrain", "Extension: background retraining: insert-heavy Put tail, sync vs async", RunRetrain},
 		{"scale", "Extension: lock-free read path: thread scaling, pure reads & 10% writer mix", RunScale},
 		{"net", "Extension: vipersrv service front end over loopback TCP, per index", RunNet},
-		{"adapt", "Extension: closed-loop adaptation: phase-changing workload, adaptive vs static", RunAdapt},
 	}
 }
 

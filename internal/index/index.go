@@ -140,15 +140,6 @@ type AsyncRetrainer interface {
 	DrainRetrains()
 }
 
-// RetrainTuner is implemented by indexes whose retraining trigger (the
-// delta-buffer size that forces a rebuild) can be retuned at runtime.
-// Implementations must make the knob safe to flip concurrently with the
-// writer — the adapt controller calls it from its own goroutine while
-// traffic keeps flowing. n <= 0 restores the configured default.
-type RetrainTuner interface {
-	SetRetrainThreshold(n int)
-}
-
 // ConcurrentReads marks indexes whose Get is safe to call concurrently
 // with other Gets (all static/bulk-loaded structures qualify).
 type ConcurrentReads interface {

@@ -18,7 +18,6 @@ type Seam struct {
 	Bulk         Bulk
 	Batch        BatchGetter
 	AsyncRetrain AsyncRetrainer
-	Tune         RetrainTuner
 }
 
 // Seams resolves idx's hot-path dispatch surface. This is the one
@@ -33,7 +32,6 @@ func Seams(idx Index) Seam {
 	s.Bulk, _ = idx.(Bulk)
 	s.Batch, _ = idx.(BatchGetter)
 	s.AsyncRetrain, _ = idx.(AsyncRetrainer)
-	s.Tune, _ = idx.(RetrainTuner)
 	return s
 }
 

@@ -568,16 +568,26 @@ func mergeRuns(nk, nv []uint64, nd []bool, old *Static) ([]uint64, []uint64, []b
 	return mk, mv, md
 }
 
+// dropDead returns the triple without its tombstones. It never writes to
+// its input: a background flush that merged nothing is handed the frozen
+// buffer itself, which lookups keep searching until the result installs.
 func dropDead(mk, mv []uint64, md []bool) ([]uint64, []uint64, []bool) {
-	out := 0
-	for i := range mk {
-		if md[i] {
-			continue
+	live := 0
+	for _, d := range md {
+		if !d {
+			live++
 		}
-		mk[out], mv[out], md[out] = mk[i], mv[i], false
-		out++
 	}
-	return mk[:out], mv[:out], md[:out]
+	if live == len(mk) {
+		return mk, mv, md
+	}
+	lk, lv := make([]uint64, 0, live), make([]uint64, 0, live)
+	for i, d := range md {
+		if !d {
+			lk, lv = append(lk, mk[i]), append(lv, mv[i])
+		}
+	}
+	return lk, lv, make([]bool, live)
 }
 
 // Len returns the number of live entries.

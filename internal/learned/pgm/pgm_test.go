@@ -1,11 +1,13 @@
 package pgm
 
 import (
+	"slices"
 	"testing"
 
 	"learnedpieces/internal/dataset"
 	"learnedpieces/internal/index"
 	"learnedpieces/internal/indextest"
+	"learnedpieces/internal/retrain"
 )
 
 func TestConformance(t *testing.T) {
@@ -98,6 +100,37 @@ func TestTombstoneAcrossMerges(t *testing.T) {
 		if _, ok := ix.Get(k); !ok {
 			t.Fatalf("live key %d lost", k)
 		}
+	}
+}
+
+// TestBackgroundFlushLeavesFrozenBufferIntact: a flush into an empty
+// index merges nothing, so the tombstones it drops are the frozen
+// buffer's own, and lookups keep reading that buffer until the result
+// installs: a scan in between must still see each key once.
+func TestBackgroundFlushLeavesFrozenBufferIntact(t *testing.T) {
+	pool := retrain.NewPool(1, 0)
+	defer pool.Close()
+	ix := New(Config{BaseSize: 4})
+	ix.SetRetrainPool(pool)
+	for _, k := range []uint64{1, 2, 3} {
+		ix.Insert(k, k*10)
+	}
+	ix.Delete(2)
+	ix.Insert(4, 40) // the buffer is full: frozen and flushed on the pool
+	pool.Drain()     // the flush has run; nothing has installed it yet
+	var got []uint64
+	index.Scan(ix, 0, 0, func(k, v uint64) bool {
+		if v != k*10 {
+			t.Errorf("key %d carries %d", k, v)
+		}
+		got = append(got, k)
+		return true
+	})
+	if !slices.Equal(got, []uint64{1, 3, 4}) {
+		t.Fatalf("scan before the install = %v, want [1 3 4]", got)
+	}
+	if _, ok := ix.Get(2); ok {
+		t.Fatal("deleted key 2 readable before the install")
 	}
 }
 

@@ -57,13 +57,6 @@ type Index struct {
 	newInner func() Inner
 	inner    Inner
 
-	// threshold is the live rebuild trigger. It starts at cfg.Threshold
-	// and can be retuned at runtime (index.RetrainTuner) by the adapt
-	// controller while the writer goroutine is mid-workload, so both
-	// sides go through the atomic — the writer's read in bufUpsert and
-	// the controller's SetRetrainThreshold store.
-	threshold atomic.Int64
-
 	baseK []uint64
 	baseV []uint64
 
@@ -103,24 +96,8 @@ type result struct {
 // index is constructed on demand, so its own Name is not reused).
 func New(name string, cfg Config, newInner func() Inner) *Index {
 	cfg.normalize()
-	ix := &Index{name: name, cfg: cfg, newInner: newInner, inner: newInner()}
-	ix.threshold.Store(int64(cfg.Threshold))
-	return ix
+	return &Index{name: name, cfg: cfg, newInner: newInner, inner: newInner()}
 }
-
-// SetRetrainThreshold implements index.RetrainTuner: it retunes the
-// delta-buffer size that triggers a rebuild, effective from the next
-// buffered write. n <= 0 restores the configured value. Safe to call
-// concurrently with the writer.
-func (ix *Index) SetRetrainThreshold(n int) {
-	if n <= 0 {
-		n = ix.cfg.Threshold
-	}
-	ix.threshold.Store(int64(n))
-}
-
-// RetrainThreshold reports the live rebuild trigger.
-func (ix *Index) RetrainThreshold() int { return int(ix.threshold.Load()) }
 
 // Name implements index.Index.
 func (ix *Index) Name() string { return ix.name }
@@ -228,7 +205,7 @@ func (ix *Index) bufUpsert(key, value uint64, dead bool) bool {
 	ix.bufK[i] = key
 	ix.bufV[i] = value
 	ix.bufD[i] = dead
-	if int64(len(ix.bufK)) >= ix.threshold.Load() {
+	if len(ix.bufK) >= ix.cfg.Threshold {
 		ix.scheduleRebuild()
 	}
 	return wasLive

@@ -1,11 +1,13 @@
 package rebuild
 
 import (
-	"sync"
-	"sync/atomic"
+	"fmt"
 	"testing"
 
+	"learnedpieces/internal/index"
+	"learnedpieces/internal/indextest"
 	"learnedpieces/internal/learned/rmi"
+	"learnedpieces/internal/learned/rs"
 )
 
 func newIx(threshold int) *Index {
@@ -13,80 +15,47 @@ func newIx(threshold int) *Index {
 		func() Inner { return rmi.New(rmi.Config{NumLeaves: 4}) })
 }
 
-// TestSetRetrainThresholdLive retunes the rebuild trigger on a running
-// index and checks the new value takes effect from the next buffered
-// write, and that n <= 0 restores the configured threshold.
-func TestSetRetrainThresholdLive(t *testing.T) {
-	ix := newIx(1024)
-	for k := uint64(1); k <= 10; k++ {
-		if err := ix.Insert(k, k*10); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if n, _ := ix.RetrainStats(); n != 0 {
-		t.Fatalf("retrained %d times under threshold 1024 after 10 inserts", n)
-	}
-
-	ix.SetRetrainThreshold(4)
-	if got := ix.RetrainThreshold(); got != 4 {
-		t.Fatalf("RetrainThreshold = %d, want 4", got)
-	}
-	// The buffer already holds 10 entries, past the new trigger: the
-	// next write must flush it.
-	if err := ix.Insert(100, 1000); err != nil {
-		t.Fatal(err)
-	}
-	if n, _ := ix.RetrainStats(); n != 1 {
-		t.Fatalf("retrains after lowering threshold = %d, want 1", n)
-	}
-	for k := uint64(1); k <= 10; k++ {
-		if v, ok := ix.Get(k); !ok || v != k*10 {
-			t.Fatalf("key %d after retune rebuild: (%d,%v)", k, v, ok)
-		}
-	}
-
-	ix.SetRetrainThreshold(0) // restore configured value
-	if got := ix.RetrainThreshold(); got != 1024 {
-		t.Fatalf("RetrainThreshold after reset = %d, want configured 1024", got)
-	}
+// TestConformance runs the full suite over both inner indexes with a
+// threshold small enough that every case crosses many rebuilds; the
+// registry's 4096 rarely fills on the suite's datasets.
+func TestConformance(t *testing.T) {
+	indextest.RunAll(t, "rmi-delta", func() index.Index { return newIx(16) })
+	indextest.RunAll(t, "rs-delta", func() index.Index {
+		return New("rs-delta", Config{Threshold: 16},
+			func() Inner { return rs.New(rs.DefaultConfig()) })
+	})
 }
 
-// TestSetRetrainThresholdConcurrentWithWriter is the -race coverage for
-// the adapt controller's usage: a tuner goroutine flips the threshold
-// while the single writer streams inserts. The index must absorb every
-// write and serve it back regardless of where the trigger lands.
-func TestSetRetrainThresholdConcurrentWithWriter(t *testing.T) {
-	ix := newIx(64)
-	var done atomic.Bool
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		n := 16
-		for !done.Load() {
-			ix.SetRetrainThreshold(n)
-			if n *= 2; n > 1<<20 {
-				n = 16
+// TestThresholdTriggersRebuild: the configured threshold is the buffer
+// size at which the first rebuild runs, and Threshold <= 0 picks 4096.
+func TestThresholdTriggersRebuild(t *testing.T) {
+	for _, tc := range []struct{ cfg, want int }{
+		{1, 1}, {4, 4}, {64, 64}, {0, 4096}, {-3, 4096},
+	} {
+		t.Run(fmt.Sprintf("threshold=%d", tc.cfg), func(t *testing.T) {
+			ix := newIx(tc.cfg)
+			for k := uint64(1); k < uint64(tc.want); k++ {
+				if err := ix.Insert(k, k*10); err != nil {
+					t.Fatal(err)
+				}
 			}
-		}
-	}()
-
-	const keys = 5000
-	for k := uint64(1); k <= keys; k++ {
-		if err := ix.Insert(k, k+7); err != nil {
-			t.Fatal(err)
-		}
-	}
-	done.Store(true)
-	wg.Wait()
-
-	ix.DrainRetrains()
-	if got := ix.Len(); got != keys {
-		t.Fatalf("Len = %d, want %d", got, keys)
-	}
-	for k := uint64(1); k <= keys; k++ {
-		if v, ok := ix.Get(k); !ok || v != k+7 {
-			t.Fatalf("key %d: (%d,%v), want (%d,true)", k, v, ok, k+7)
-		}
+			if n, _ := ix.RetrainStats(); n != 0 {
+				t.Fatalf("%d rebuilds with %d of %d buffered", n, tc.want-1, tc.want)
+			}
+			if err := ix.Insert(uint64(tc.want), uint64(tc.want)*10); err != nil {
+				t.Fatal(err)
+			}
+			if n, _ := ix.RetrainStats(); n != 1 {
+				t.Fatalf("%d rebuilds once the buffer reached %d, want 1", n, tc.want)
+			}
+			if ix.Len() != tc.want {
+				t.Fatalf("Len = %d, want %d", ix.Len(), tc.want)
+			}
+			for k := uint64(1); k <= uint64(tc.want); k++ {
+				if v, ok := ix.Get(k); !ok || v != k*10 {
+					t.Fatalf("key %d after the rebuild: (%d,%v)", k, v, ok)
+				}
+			}
+		})
 	}
 }

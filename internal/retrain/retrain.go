@@ -59,14 +59,6 @@ type Pool struct {
 	workers  int
 	queueCap int
 
-	// inlineMode forces Submit to run tasks on the submitting goroutine
-	// even when workers exist. It is the live sync<->async switch for the
-	// adapt controller: flipping it re-routes future submissions without
-	// re-attaching pools to indexes (index-held pool pointers are plain
-	// fields installed at attach time, so swapping pools under live
-	// writers would race; a routing bit inside the pool does not).
-	inlineMode atomic.Bool
-
 	submitted    atomic.Int64
 	coalesced    atomic.Int64
 	executed     atomic.Int64
@@ -123,35 +115,6 @@ func NewPool(workers, queueCap int) *Pool {
 	return p
 }
 
-// SetInline routes future Submits to the submitting goroutine (true)
-// or back to the background workers (false). Tasks already queued keep
-// draining in the background either way, so there is no ordering cliff
-// at the flip. Nil-safe; a no-worker pool is always inline regardless.
-func (p *Pool) SetInline(on bool) {
-	if p == nil {
-		return
-	}
-	p.inlineMode.Store(on)
-}
-
-// Inline reports whether Submit currently runs tasks on the submitting
-// goroutine: true for no-worker pools and for pools switched by
-// SetInline. Nil-safe.
-func (p *Pool) Inline() bool {
-	if p == nil {
-		return true
-	}
-	return p.workers == 0 || p.inlineMode.Load()
-}
-
-// Workers reports the pool's worker count (0 in sync mode). Nil-safe.
-func (p *Pool) Workers() int {
-	if p == nil {
-		return 0
-	}
-	return p.workers
-}
-
 // Submit schedules fn to retrain the structure identified by key. If a
 // task for key is already queued (not yet running), fn replaces it and
 // the older closure is dropped. In sync mode, on a closed pool, or when
@@ -162,7 +125,7 @@ func (p *Pool) Submit(key any, fn Task) {
 		return
 	}
 	p.submitted.Add(1)
-	if p.workers == 0 || p.inlineMode.Load() {
+	if p.workers == 0 {
 		p.runForeground(fn)
 		return
 	}

@@ -18,9 +18,6 @@ func TestNilPool(t *testing.T) {
 	if s := p.Stats(); s != (Stats{}) {
 		t.Fatalf("nil pool stats = %+v, want zeros", s)
 	}
-	if p.Workers() != 0 {
-		t.Fatal("nil pool reports workers != 0")
-	}
 }
 
 func TestSyncModeRunsInline(t *testing.T) {

@@ -74,11 +74,10 @@ func ParsePolicy(s string) (Policy, bool) {
 	return PolicyAuto, false
 }
 
-// policy is the process-wide kernel selection. It used to be a plain
-// variable under a set-then-run contract (written once at startup); the
-// adapt controller now flips it under live readers, so both sides go
-// through atomics. A search reads it exactly once per entry point — one
-// relaxed-cost atomic load, invisible next to the probe loop it gates.
+// policy is the process-wide kernel selection. Both sides go through
+// atomics so SetPolicy is safe while searches run. A search reads it
+// exactly once per entry point — one relaxed-cost atomic load,
+// invisible next to the probe loop it gates.
 var policy atomic.Uint32
 
 // SetPolicy installs the process-wide kernel selection. Safe to call at

@@ -310,8 +310,7 @@ func FuzzLowerBound(f *testing.F) {
 }
 
 // TestSetPolicyConcurrentWithSearches flips the process-wide policy
-// while readers search — the adapt controller does exactly this against
-// live traffic. Every result must stay correct under every
+// while readers search. Every result must stay correct under every
 // interleaving, and -race checks the policy cell's memory model.
 func TestSetPolicyConcurrentWithSearches(t *testing.T) {
 	old := CurrentPolicy()

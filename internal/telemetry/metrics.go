@@ -255,8 +255,6 @@ type Sink struct {
 	retrainProbe func() RetrainSnapshot
 	server       ServerSnapshot // folded totals of retired servers
 	serverProbe  func() ServerSnapshot
-	adapt        AdaptSnapshot // folded totals of retired controllers
-	adaptProbe   func() AdaptSnapshot
 }
 
 // New returns an enabled sink. Attaching a sink also switches on the
@@ -339,26 +337,6 @@ func (s *Sink) SetServerProbe(p func() ServerSnapshot) {
 		final.ConnsOpen, final.InFlight = 0, 0
 		s.mu.Lock()
 		s.server = s.server.add(final)
-		s.mu.Unlock()
-	}
-}
-
-// SetAdaptProbe installs the live adapt-controller probe. The previous
-// probe, if any, is read one final time and folded into the sink's
-// cumulative adapt totals, so flip counts aggregate across controller
-// generations. Safe on a nil sink.
-func (s *Sink) SetAdaptProbe(p func() AdaptSnapshot) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	old := s.adaptProbe
-	s.adaptProbe = p
-	s.mu.Unlock()
-	if old != nil {
-		final := old()
-		s.mu.Lock()
-		s.adapt = s.adapt.add(final)
 		s.mu.Unlock()
 	}
 }

@@ -106,24 +106,6 @@ func (sn Snapshot) WriteText(w io.Writer) {
 		st.Render(w)
 	}
 
-	if ad := sn.Adapt; ad.Ticks > 0 || ad.Flips > 0 {
-		at := stats.NewTable("adapt (closed-loop controller)", "metric", "value")
-		at.AddRow("phase", ad.Phase)
-		at.AddRow("ticks", ad.Ticks)
-		at.AddRow("phase changes", ad.PhaseChanges)
-		at.AddRow("knob flips", ad.Flips)
-		at.AddRow("skew share (top-k)", fmt.Sprintf("%.3f", ad.SkewShare))
-		at.AddRow("cache enabled", ad.CacheEnabled)
-		at.AddRow("cache hits", ad.CacheHits)
-		at.AddRow("cache misses", ad.CacheMisses)
-		at.AddRow("cache hit rate", fmt.Sprintf("%.3f", ad.CacheHitRate))
-		at.AddRow("promotions", ad.Promotions)
-		at.AddRow("refreshes", ad.Refreshes)
-		at.AddRow("invalidations", ad.Invalidations)
-		fmt.Fprintln(w)
-		at.Render(w)
-	}
-
 	if len(sn.Search) > 0 {
 		sk := stats.NewTable("last-mile search (policy: "+sn.SearchKernel+")",
 			"kernel", "searches", "probes", "probes/search")

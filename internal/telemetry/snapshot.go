@@ -170,54 +170,6 @@ func (s ServerSnapshot) add(o ServerSnapshot) ServerSnapshot {
 	return s
 }
 
-// AdaptSnapshot is the closed-loop controller's section of a Snapshot:
-// what phase the workload was last classified as, how many knob flips
-// the controller has committed, and the hot-key shadow cache's hit
-// shape. It doubles as the value type adapt probes return to the sink.
-type AdaptSnapshot struct {
-	// Phase is the currently applied workload classification
-	// ("idle", "read", "insert", "scan", "skew").
-	Phase string `json:"phase"`
-	// Ticks counts sampling windows examined; PhaseChanges counts
-	// committed phase transitions; Flips counts individual knob changes
-	// (several knobs can flip at one phase change).
-	Ticks        int64 `json:"ticks"`
-	Flips        int64 `json:"flips"`
-	PhaseChanges int64 `json:"phase_changes"`
-	// SkewShare is the frequency sketch's last top-k share estimate.
-	SkewShare float64 `json:"skew_share"`
-	// Shadow-cache shape. CacheHitRate is hits/(hits+misses) over the
-	// cache's lifetime.
-	CacheEnabled  bool    `json:"cache_enabled"`
-	CacheHits     int64   `json:"cache_hits"`
-	CacheMisses   int64   `json:"cache_misses"`
-	CacheHitRate  float64 `json:"cache_hit_rate"`
-	Promotions    int64   `json:"promotions"`
-	Refreshes     int64   `json:"refreshes"`
-	Invalidations int64   `json:"invalidations"`
-}
-
-func (a AdaptSnapshot) add(o AdaptSnapshot) AdaptSnapshot {
-	// The live probe's view of the instantaneous state (phase, skew,
-	// cache switch, hit rate) wins when it has run at all; the counters
-	// aggregate across controller generations.
-	if o.Ticks > 0 {
-		a.Phase = o.Phase
-		a.SkewShare = o.SkewShare
-		a.CacheEnabled = o.CacheEnabled
-		a.CacheHitRate = o.CacheHitRate
-	}
-	a.Ticks += o.Ticks
-	a.Flips += o.Flips
-	a.PhaseChanges += o.PhaseChanges
-	a.CacheHits += o.CacheHits
-	a.CacheMisses += o.CacheMisses
-	a.Promotions += o.Promotions
-	a.Refreshes += o.Refreshes
-	a.Invalidations += o.Invalidations
-	return a
-}
-
 func (p PMemSnapshot) add(o PMemSnapshot) PMemSnapshot {
 	p.Reads += o.Reads
 	p.Writes += o.Writes
@@ -242,11 +194,8 @@ type Snapshot struct {
 	Retrain RetrainSnapshot `json:"retrain"`
 	// Server is the network front end's digest; the zero value means no
 	// server ever attached (the text renderer omits the table then).
-	Server ServerSnapshot `json:"server"`
-	// Adapt is the closed-loop controller's digest; the zero value means
-	// no controller ever attached (the text renderer omits the table).
-	Adapt   AdaptSnapshot `json:"adapt"`
-	Indexes []IndexStats  `json:"indexes"`
+	Server  ServerSnapshot `json:"server"`
+	Indexes []IndexStats   `json:"indexes"`
 	// SearchKernel is the process-wide last-mile kernel policy
 	// (libench -searchkernel); Search carries the per-kernel search and
 	// probe counters. Both are process-global like the policy itself:
@@ -274,11 +223,9 @@ func (s *Sink) Snapshot() Snapshot {
 	pmemProbe := s.pmemProbe
 	retrainProbe := s.retrainProbe
 	serverProbe := s.serverProbe
-	adaptProbe := s.adaptProbe
 	pm := s.pmem
 	rt := s.retrain
 	sv := s.server
-	ad := s.adapt
 	s.mu.Unlock()
 	if probe != nil {
 		s.record(probe())
@@ -291,9 +238,6 @@ func (s *Sink) Snapshot() Snapshot {
 	}
 	if serverProbe != nil {
 		sv = sv.add(serverProbe())
-	}
-	if adaptProbe != nil {
-		ad = ad.add(adaptProbe())
 	}
 
 	m := s.Store
@@ -322,7 +266,6 @@ func (s *Sink) Snapshot() Snapshot {
 		PMem:         pm,
 		Retrain:      rt,
 		Server:       sv,
-		Adapt:        ad,
 		SearchKernel: search.CurrentPolicy().String(),
 		Search:       search.StatsSnapshot(),
 		Epoch:        epoch.GlobalStats(),

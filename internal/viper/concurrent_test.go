@@ -2,6 +2,7 @@ package viper
 
 import (
 	"bytes"
+	"encoding/binary"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -88,6 +89,123 @@ func startReaders(t *testing.T, s *Store, keys []uint64, during string) (stop fu
 	return func() {
 		stopped.Store(true)
 		wg.Wait()
+	}
+}
+
+// stamped is a record value whose first 16 bytes name its key and version.
+func stamped(key, ver uint64) []byte {
+	v := make([]byte, DefaultValueSize)
+	binary.LittleEndian.PutUint64(v[0:8], key)
+	binary.LittleEndian.PutUint64(v[8:16], ver)
+	return v
+}
+
+// TestConcurrentUpdatesServeOwnKey is the cross-key oracle for the read
+// paths under updates: two writers rewrite alternate preloaded keys with
+// rising versions, rolling pages as they go, while four readers Get,
+// MultiGet 16 keys (one of them twice) and Range 300 entries. Every value
+// must carry its own key's stamp, and no reader may see a key's version
+// go backwards. Afterwards every key reads its last version.
+func TestConcurrentUpdatesServeOwnKey(t *testing.T) {
+	keys := dataset.Generate(dataset.YCSBUniform, 4000, 23)
+	s := Open(pmem.NewRegion(64<<20, pmem.None()), shardedBTree(keys))
+	for _, k := range keys {
+		if err := s.Put(k, stamped(k, 0)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const writers, versions = 2, 8
+
+	var stopped atomic.Bool
+	var readers sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		readers.Add(1)
+		go func(x uint64) {
+			defer readers.Done()
+			seen := make([]uint64, len(keys)) // per key position, the newest version read
+			check := func(op string, i int, v []byte) bool {
+				if v == nil {
+					t.Errorf("%s: key %d vanished", op, keys[i])
+					return false
+				}
+				k, ver := binary.LittleEndian.Uint64(v[0:8]), binary.LittleEndian.Uint64(v[8:16])
+				if k != keys[i] {
+					t.Errorf("%s: key %d served key %d's record", op, keys[i], k)
+					return false
+				}
+				if ver < seen[i] {
+					t.Errorf("%s: key %d read version %d after %d", op, k, ver, seen[i])
+					return false
+				}
+				seen[i] = ver
+				return true
+			}
+			batch, pos := make([]uint64, 16), make([]int, 16)
+			for op := 0; !stopped.Load(); op++ {
+				x = x*6364136223846793005 + 1442695040888963407
+				at := int(x % uint64(len(keys)))
+				switch op % 3 {
+				case 0:
+					if v, _ := s.Get(keys[at]); !check("Get", at, v) {
+						return
+					}
+				case 1:
+					for i := range pos {
+						pos[i] = (at + i*97) % len(keys)
+					}
+					pos[15] = pos[0]
+					for i, p := range pos {
+						batch[i] = keys[p]
+					}
+					for i, v := range s.MultiGet(batch) {
+						if !check("MultiGet", pos[i], v) {
+							return
+						}
+					}
+				case 2:
+					next, good := at, true
+					err := s.Range(keys[at], 300, func(k uint64, v []byte) bool {
+						good = next < len(keys) && k == keys[next] && check("Range", next, v)
+						next++
+						return good
+					})
+					if want := min(at+300, len(keys)); err != nil || !good || next != want {
+						t.Errorf("Range from %d: %d entries, the last one right: %v, want %d (err %v)",
+							keys[at], next-at, good, want-at, err)
+						return
+					}
+				}
+			}
+		}(uint64(r + 1))
+	}
+
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for ver := uint64(1); ver <= versions; ver++ {
+				for i := w; i < len(keys); i += writers {
+					if err := s.Put(keys[i], stamped(keys[i], ver)); err != nil {
+						t.Errorf("Put(%d): %v", keys[i], err)
+						return
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	stopped.Store(true)
+	readers.Wait()
+
+	if len(s.pages) < 4 {
+		t.Fatalf("the writers filled %d pages, want a few rollovers", len(s.pages))
+	}
+	for _, k := range keys {
+		v, ok := s.Get(k)
+		if !ok || binary.LittleEndian.Uint64(v[0:8]) != k || binary.LittleEndian.Uint64(v[8:16]) != versions {
+			t.Fatalf("key %d after the writers: want its own record at version %d", k, versions)
+		}
 	}
 }
 

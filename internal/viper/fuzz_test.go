@@ -8,6 +8,8 @@ import (
 
 	"learnedpieces/internal/btree"
 	"learnedpieces/internal/epoch"
+	"learnedpieces/internal/index"
+	"learnedpieces/internal/learned/pgm"
 	"learnedpieces/internal/pmem"
 )
 
@@ -26,8 +28,19 @@ const (
 	fzBulkPut
 	fzCompact
 	fzRecover
+	fzDrain
 	fzOps
 )
+
+// fzIndex is the index kind the stream runs on: a btree store, or (odd
+// kind) a pgm store with a tiny buffer whose flushes, cascades included,
+// run on the background pool of a RetrainAsync store.
+func fzIndex(kind byte) (fresh func() index.Index, opts []Option) {
+	if kind%2 == 0 {
+		return func() index.Index { return btree.New() }, nil
+	}
+	return func() index.Index { return pgm.New(pgm.Config{BaseSize: 8}) }, []Option{WithRetrainMode(RetrainAsync)}
+}
 
 func fzKey(b byte) uint64 {
 	if b == 255 {
@@ -46,26 +59,47 @@ func fzValue(op int, n int) []byte {
 	return v
 }
 
-// FuzzStoreOps drives a btree-backed store with Put, Delete, Get, Range,
-// BulkPut, Compact and DropIndex+Recover against a map oracle, checking
-// Len after every operation and the whole key table, forwards through
-// Range and again after a recovery, at the end. A BulkPut replaces the
-// index (the bulk-load contract is an empty index), so the operation is
-// the sequence that is meaningful on a non-empty store: drop the index,
-// load, recover — after which the log's earlier keys must be back.
-func FuzzStoreOps(f *testing.F) {
-	f.Add([]byte{fzPut, 7, 3, fzDelete, 7, 0, fzBulkPut, 5, 4, fzGet, 7, 0, fzRecover, 0, 0}) // tombstone, then BulkPut of the same key
-	f.Add([]byte{fzPut, 1, 200, fzPut, 2, 200, fzPut, 1, 9, fzCompact, 0, 0, fzPut, 2, 1, fzRecover, 0, 0})
-	f.Add([]byte{fzPut, 0, 1, fzDelete, 0, 0, fzPut, 0, 2, fzBulkPut, 0, 0, fzDelete, 0, 0, fzRange, 0, 0, fzPut, 255, 5, fzRecover, 0, 0}) // key 0 and the largest key
-	f.Add(bytes.Repeat([]byte{fzBulkPut, 0, 255, fzPut, 9, 255, fzCompact, 0, 0}, 12))                                                      // enough pages to fill the region
+// fzPuts is a stream putting keys lo..hi with small values.
+func fzPuts(lo, hi byte) []byte {
+	var ops []byte
+	for k := lo; k <= hi; k++ {
+		ops = append(ops, fzPut, k, 1)
+	}
+	return ops
+}
 
-	f.Fuzz(func(t *testing.T, data []byte) {
+// FuzzStoreOps drives a store with Put, Delete, Get, Range, BulkPut,
+// Compact, DropIndex+Recover and DrainRetrains against a map oracle,
+// checking Len after every operation and the whole key table, forwards
+// through Range and again after a recovery, at the end. kind selects the
+// index (fzIndex); every index the stream installs is a fresh one of that
+// kind. A BulkPut replaces the index (the bulk-load contract is an empty
+// index), so the operation is the sequence that is meaningful on a
+// non-empty store: drop the index, load, recover — after which the log's
+// earlier keys must be back.
+func FuzzStoreOps(f *testing.F) {
+	f.Add(byte(0), []byte{fzPut, 7, 3, fzDelete, 7, 0, fzBulkPut, 5, 4, fzGet, 7, 0, fzRecover, 0, 0}) // tombstone, then BulkPut of the same key
+	f.Add(byte(0), []byte{fzPut, 1, 200, fzPut, 2, 200, fzPut, 1, 9, fzCompact, 0, 0, fzPut, 2, 1, fzRecover, 0, 0})
+	f.Add(byte(0), []byte{fzPut, 0, 1, fzDelete, 0, 0, fzPut, 0, 2, fzBulkPut, 0, 0, fzDelete, 0, 0, fzRange, 0, 0, fzPut, 255, 5, fzRecover, 0, 0}) // key 0 and the largest key
+	f.Add(byte(0), bytes.Repeat([]byte{fzBulkPut, 0, 255, fzPut, 9, 255, fzCompact, 0, 0}, 12))                                                      // enough pages to fill the region
+	// pgm: the second flush cascades into run 1 and may still be in flight
+	// at the Compact; the fresh index cascades again into run 2.
+	f.Add(byte(1), slices.Concat(fzPuts(1, 16), []byte{fzCompact, 0, 0}, fzPuts(17, 32),
+		[]byte{fzRange, 0, 0, fzDrain, 0, 0, fzGet, 20, 0, fzRecover, 0, 0}))
+	// pgm: the Delete's tombstone completes the buffer, so it is frozen
+	// (and being flushed) when Recover drops the index.
+	f.Add(byte(1), slices.Concat(fzPuts(1, 8), []byte{fzDrain, 0, 0}, fzPuts(9, 15),
+		[]byte{fzDelete, 3, 0, fzGet, 3, 0, fzRecover, 0, 0, fzGet, 3, 0, fzRange, 0, 0}))
+
+	f.Fuzz(func(t *testing.T, kind byte, data []byte) {
 		data = data[:min(len(data), 3*fzMaxOps)]
-		s := Open(pmem.NewRegion(16*PageSize, pmem.None()), btree.New())
+		fresh, opts := fzIndex(kind)
+		s := Open(pmem.NewRegion(16*PageSize, pmem.None()), fresh(), opts...)
+		defer func() { _ = s.Close() }()
 		oracle := make(map[uint64][]byte)
 		recoverNow := func() {
-			s.DropIndex(btree.New())
-			if err := s.Recover(btree.New()); err != nil {
+			s.DropIndex(fresh())
+			if err := s.Recover(fresh()); err != nil {
 				t.Fatalf("recover: %v", err)
 			}
 		}
@@ -130,7 +164,7 @@ func FuzzStoreOps(f *testing.F) {
 					keys = append(keys, fzKey(byte(k)))
 				}
 				v := fzValue(op, 1+int(b)*16)
-				s.DropIndex(btree.New())
+				s.DropIndex(fresh())
 				if err = s.BulkPut(keys, v); err == nil {
 					if s.Len() != len(keys) {
 						t.Fatalf("op %d: Len = %d after a BulkPut of %d keys", op, s.Len(), len(keys))
@@ -141,7 +175,7 @@ func FuzzStoreOps(f *testing.F) {
 				}
 				recoverNow()
 			case fzCompact:
-				if _, err = s.Compact(btree.New()); err == nil {
+				if _, err = s.Compact(fresh()); err == nil {
 					// Let the retired pages be freed, so later rollovers
 					// reuse them (zeroed, and out of offset order).
 					for i := 0; i < 3; i++ {
@@ -150,6 +184,8 @@ func FuzzStoreOps(f *testing.F) {
 				}
 			case fzRecover:
 				recoverNow()
+			case fzDrain:
+				s.DrainRetrains()
 			}
 			if errors.Is(err, ErrFull) {
 				break stream // a refused operation changed nothing: the final check still holds

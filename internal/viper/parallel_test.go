@@ -13,6 +13,9 @@ import (
 	"learnedpieces/internal/cceh"
 	"learnedpieces/internal/dataset"
 	"learnedpieces/internal/index"
+	"learnedpieces/internal/learned/alex"
+	"learnedpieces/internal/learned/pgm"
+	"learnedpieces/internal/learned/xindex"
 	"learnedpieces/internal/parallel"
 	"learnedpieces/internal/pmem"
 	"learnedpieces/internal/sharded"
@@ -180,6 +183,55 @@ func TestMultiGet(t *testing.T) {
 		if got, _ := s.Get(huge[i]); !bytes.Equal(all[i], got) {
 			t.Fatalf("huge batch: position %d (key %d) disagrees with Get", i, huge[i])
 		}
+	}
+}
+
+// TestMultiGetBothIndexPaths: MultiGet agrees with Get whether the index
+// resolves the batch through its GetBatch seam (btree, alex, pgm with a
+// flush in flight) or key by key (xindex, sharded btree), on a batch
+// with duplicates, deleted and absent keys.
+func TestMultiGetBothIndexPaths(t *testing.T) {
+	keys := dataset.Generate(dataset.OSMLike, 2000, 8)
+	for _, tc := range []struct {
+		name  string
+		idx   index.Index
+		opts  []Option
+		batch bool
+	}{
+		{"btree", btree.New(), nil, true},
+		{"alex", alex.New(alex.DefaultConfig()), nil, true},
+		{"pgm-async", pgm.New(pgm.Config{BaseSize: 8}), []Option{WithRetrainMode(RetrainAsync)}, true},
+		{"xindex", xindex.New(xindex.DefaultConfig()), nil, false},
+		{"sharded", shardedBTree(keys), nil, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if _, ok := tc.idx.(index.BatchGetter); ok != tc.batch {
+				t.Fatalf("index has the batch seam = %v, want %v", ok, tc.batch)
+			}
+			s := Open(pmem.NewRegion(32<<20, pmem.None()), tc.idx, tc.opts...)
+			defer s.Close()
+			for _, k := range keys {
+				if err := s.Put(k, value(k)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, k := range keys[:200] {
+				if _, err := s.Delete(k); err != nil {
+					t.Fatal(err)
+				}
+			}
+			batch := append([]uint64{keys[500], 0xffff_ffff_ffff_fff0, keys[500]}, dataset.Shuffled(keys, 9)...)
+			vals := s.MultiGet(batch)
+			for i, k := range batch {
+				got, ok := s.Get(k)
+				if ok != (vals[i] != nil) || !bytes.Equal(got, vals[i]) {
+					t.Fatalf("position %d (key %d): MultiGet %q, Get %q,%v", i, k, vals[i], got, ok)
+				}
+			}
+			if vals[0] == nil || vals[1] != nil || !bytes.Equal(vals[0], vals[2]) {
+				t.Fatalf("duplicate/absent lanes: %q %q %q", vals[0], vals[1], vals[2])
+			}
+		})
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"slices"
 	"testing"
 
-	"learnedpieces/internal/adapt"
 	"learnedpieces/internal/btree"
 	"learnedpieces/internal/epoch"
 	"learnedpieces/internal/pmem"
@@ -231,40 +230,6 @@ func TestOneAccessPerRecord(t *testing.T) {
 	d = deviceDelta(region, func() { got, _ = s.Get(101) })
 	if off := offsetOf(t, s, 101); d.Reads != 1 || d.LineReads != spanLines(off, recLen) || string(got) != "short" {
 		t.Fatalf("Get of a short value at %d: %+v, %q; want 1 read of %d lines", off, d, got, spanLines(off, recLen))
-	}
-
-	// Shadow-cache hit: the same single read, no index walk.
-	hk := adapt.NewHotKeys(16)
-	hk.SetEnabled(true)
-	s.SetHotKeys(hk)
-	if n := s.PromoteHot([]uint64{9}); n != 1 {
-		t.Fatalf("PromoteHot = %d, want 1", n)
-	}
-	hits := hk.Stats().Hits
-	d = deviceDelta(region, func() { got, _ = s.Get(9) })
-	if hk.Stats().Hits != hits+1 {
-		t.Fatal("Get(9) did not hit the shadow cache")
-	}
-	if off := offsetOf(t, s, 9); d.Reads != 1 || d.LineReads != spanLines(off, recLen) || !bytes.Equal(got, value(9)) {
-		t.Fatalf("cached Get at %d cost %+v, want 1 read of %d lines", off, d, spanLines(off, recLen))
-	}
-
-	// A batch mixing shadow-cache hits (one of them twice) with index
-	// hits: the same one read per distinct record.
-	mixed := []uint64{18, 9, 25, 9}
-	wantLines = 0
-	for _, k := range mixed[:3] {
-		wantLines += spanLines(offsetOf(t, s, k), recLen)
-	}
-	hits = hk.Stats().Hits
-	d = deviceDelta(region, func() { vals = s.MultiGet(mixed) })
-	for i, k := range mixed {
-		if !bytes.Equal(vals[i], value(k)) {
-			t.Fatalf("MultiGet over cache and index: key %d returned wrong bytes", k)
-		}
-	}
-	if hk.Stats().Hits != hits+2 || d.Reads != 3 || d.LineReads != wantLines {
-		t.Fatalf("MultiGet over cache and index: %d cache hits, %+v; want 2 hits, 3 reads of %d lines", hk.Stats().Hits-hits, d, wantLines)
 	}
 
 	t.Run("region end", clampsAtRegionEnd)

@@ -91,7 +91,7 @@ func TestScanLimitIgnoresTombstones(t *testing.T) {
 		for _, batch := range []int{1, 7, 0} { // per-entry rounds, multi-round, default
 			t.Run(fmt.Sprintf("%s/batch=%d", dir.name, batch), func(t *testing.T) {
 				s := newStore(dir.mk())
-				s.SetScanBatch(batch)
+				s.scanBatch = batch
 				var live []uint64
 				for k := uint64(0); k < 100; k += 2 {
 					if err := s.Put(k, value(k)); err != nil {
@@ -243,7 +243,7 @@ func TestRangeMatchesOracle(t *testing.T) {
 			}
 			for _, batch := range []int{1, 7, 64, 0} {
 				t.Run(fmt.Sprintf("%s/%s/batch=%d", ix.name, dir.name, batch), func(t *testing.T) {
-					s.SetScanBatch(batch)
+					s.scanBatch = batch
 					for _, win := range []struct {
 						start uint64
 						n     int
@@ -312,7 +312,7 @@ func TestRangeReseeksAcrossCompact(t *testing.T) {
 			t.Run(dir.name+"/"+tc.name, func(t *testing.T) {
 				sink := telemetry.New()
 				s := Open(pmem.NewRegion(64<<20, pmem.None()), dir.mk(), WithTelemetry(sink))
-				s.SetScanBatch(tc.batch)
+				s.scanBatch = tc.batch
 				for _, k := range tc.keys {
 					if err := s.Put(k, value(k)); err != nil {
 						t.Fatal(err)

@@ -20,7 +20,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"learnedpieces/internal/adapt"
 	"learnedpieces/internal/epoch"
 	"learnedpieces/internal/index"
 	"learnedpieces/internal/parallel"
@@ -74,29 +73,16 @@ type Store struct {
 	view   epoch.Versioned[storeView]
 
 	// Options.
-	maxWorkers int
-	valueSize  int
-	sink       *telemetry.Sink
-	met        *telemetry.StoreMetrics // nil = telemetry disabled
-	pool       *retrain.Pool           // nil unless WithRetrainMode attached one
-
-	// retrainMode is the current retraining routing. It is atomic
-	// because SetRetrainMode flips it from the adapt controller's
-	// goroutine while writers are mid-Put.
-	retrainMode atomic.Int32
-
-	// hot is the optional hot-key sampler and shadow cache
-	// (WithHotKeys / SetHotKeys). Nil means no sketching and no cache.
-	hot atomic.Pointer[adapt.HotKeys]
-
-	// batchFloor is the MultiGet batch size below which keys resolve
-	// one at a time instead of through the index's batch kernel
-	// (<= 1 routes every batch through the kernel, the default).
-	batchFloor atomic.Int32
+	maxWorkers  int
+	valueSize   int
+	sink        *telemetry.Sink
+	met         *telemetry.StoreMetrics // nil = telemetry disabled
+	pool        *retrain.Pool           // nil unless WithRetrainMode attached one
+	retrainMode RetrainMode
 
 	// scanBatch is the number of index entries a range scan pulls per
-	// cursor round (0 = DefaultScanBatch).
-	scanBatch atomic.Int32
+	// cursor round; 0 means DefaultScanBatch. Only the scan tests set it.
+	scanBatch int
 
 	cur     atomic.Pointer[page]
 	mu      sync.Mutex // page rollover, deletes, recovery
@@ -188,19 +174,9 @@ func ParseRetrainMode(s string) (RetrainMode, bool) {
 // WithRetrainMode selects the retraining mode. It only has an effect
 // when the index implements index.AsyncRetrainer (the capability is
 // re-resolved on every index swap, so Recover and Compact keep the
-// chosen mode). Stores opened RetrainAsync can later be re-routed live
-// with SetRetrainMode; RetrainSync and RetrainInline are fixed (their
-// pool has no workers to route to).
+// chosen mode).
 func WithRetrainMode(m RetrainMode) Option {
-	return func(s *Store) { s.retrainMode.Store(int32(m)) }
-}
-
-// WithHotKeys attaches a hot-key sampler and shadow cache: Get feeds
-// the frequency sketch (sampled, within the telemetry budget) and — once
-// the adapt controller enables the cache — hot keys resolve straight to
-// their record offset without walking the index.
-func WithHotKeys(hk *adapt.HotKeys) Option {
-	return func(s *Store) { s.hot.Store(hk) }
+	return func(s *Store) { s.retrainMode = m }
 }
 
 // Typed error sentinels. Every error a Store operation returns wraps
@@ -233,7 +209,7 @@ func Open(region *pmem.Region, idx index.Index, opts ...Option) *Store {
 	for _, o := range opts {
 		o(s)
 	}
-	switch RetrainMode(s.retrainMode.Load()) {
+	switch s.retrainMode {
 	case RetrainSync:
 		s.pool = retrain.NewPool(0, 0)
 	case RetrainAsync:
@@ -278,137 +254,13 @@ func (s *Store) attachPool() {
 	}
 }
 
-// RetrainMode reports the current retraining routing (the mode
-// selected at Open, or the last successful SetRetrainMode).
-func (s *Store) RetrainMode() RetrainMode { return RetrainMode(s.retrainMode.Load()) }
-
-// SetRetrainMode re-routes index retraining live, without stopping
-// traffic or re-attaching pools: RetrainAsync sends future retrains to
-// the background workers, RetrainSync runs them on the submitting
-// goroutine (through the pool's foreground accounting). It reports
-// whether the switch took effect — which requires a store opened with
-// WithRetrainMode(RetrainAsync): only that pool has workers to route
-// between. RetrainInline is not a live target (it means "no pool").
-func (s *Store) SetRetrainMode(m RetrainMode) bool {
-	if s.closed.Load() || s.pool == nil || s.pool.Workers() == 0 {
-		return false
-	}
-	switch m {
-	case RetrainAsync:
-		s.pool.SetInline(false)
-	case RetrainSync:
-		s.pool.SetInline(true)
-	default:
-		return false
-	}
-	s.retrainMode.Store(int32(m))
-	return true
-}
-
-// SetRetrainThreshold adjusts the index's retrain trigger (buffered
-// deltas before a partial rebuild) live, through the RetrainTuner seam.
-// n <= 0 restores the index's configured default. Reports false when
-// the index does not expose the tuning seam.
-func (s *Store) SetRetrainThreshold(n int) bool {
-	v := s.view.Load()
-	if v.seam.Tune == nil {
-		return false
-	}
-	v.seam.Tune.SetRetrainThreshold(n)
-	return true
-}
-
-// SetHotKeys attaches (or, with nil, detaches) the hot-key sampler and
-// shadow cache at runtime. Safe under live readers: the pointer is
-// atomic and every HotKeys method is nil-safe.
-func (s *Store) SetHotKeys(hk *adapt.HotKeys) { s.hot.Store(hk) }
-
-// HotKeys returns the attached sampler/cache, nil when absent.
-func (s *Store) HotKeys() *adapt.HotKeys { return s.hot.Load() }
-
-// SetBatchFloor sets the MultiGet batch size below which keys resolve
-// one at a time instead of through the index's batch kernel. The batch
-// kernel's interleaving only pays for itself on real batches (PR 4
-// measured the crossover around 8 lanes); the adapt controller raises
-// the floor in read phases where coalescing emits many tiny batches.
-// n <= 1 routes everything through the kernel (the default).
-func (s *Store) SetBatchFloor(n int) {
-	if n < 0 {
-		n = 0
-	}
-	s.batchFloor.Store(int32(n))
-}
-
-// BatchFloor reports the current MultiGet routing floor.
-func (s *Store) BatchFloor() int { return int(s.batchFloor.Load()) }
-
-// DefaultScanBatch is the index entries pulled per cursor round when
-// SetScanBatch has not overridden it. 256 entries ≈ 54KB of record
-// reads per round at the default value size — enough offset locality
-// to fill the simulated device's block buffer, short enough that the
-// per-round epoch pin never stalls Compact's reclamation for long.
+// DefaultScanBatch is the number of index entries a range scan pulls
+// from the cursor per round before touching PMem. 256 entries ≈ 54KB
+// of record reads per round at the default value size — enough offset
+// locality to fill the simulated device's block buffer, short enough
+// that the per-round epoch pin never stalls Compact's reclamation for
+// long.
 const DefaultScanBatch = 256
-
-// SetScanBatch sets how many index entries a range scan pulls from the
-// index cursor per round before touching PMem. Within one round the
-// record reads are issued in ascending offset order (the MultiGet
-// aggregation trick), so larger rounds buy more device-buffer
-// locality; each round runs under its own epoch pin. n <= 0 restores
-// DefaultScanBatch. The adapt controller raises the batch in scan
-// phases.
-func (s *Store) SetScanBatch(n int) {
-	if n < 0 {
-		n = 0
-	}
-	s.scanBatch.Store(int32(n))
-}
-
-// ScanBatch reports the current range-scan batch size.
-func (s *Store) ScanBatch() int {
-	if n := int(s.scanBatch.Load()); n > 0 {
-		return n
-	}
-	return DefaultScanBatch
-}
-
-// PromoteHot resolves keys through the current index and publishes
-// them in the shadow cache. It is the controller-side half of the
-// cache's coherence story: after publishing, each key is re-resolved
-// through a freshly loaded view, and a mismatch (the key moved — a
-// concurrent Put, Delete or index install raced the promotion)
-// invalidates the entry again. Combined with the store invalidating on
-// its own write paths, a stale entry never survives both checks.
-// Returns how many keys were promoted and survived the re-check.
-//
-// PromoteHot reads the index from the controller's goroutine, so it
-// requires the same reader-vs-writer safety Get itself needs; under a
-// locking front end (vipersrv's non-concurrent index tiers) it must
-// only be wired up when reads are lock-free.
-func (s *Store) PromoteHot(keys []uint64) int {
-	hk := s.hot.Load()
-	if hk == nil || s.closed.Load() {
-		return 0
-	}
-	n := 0
-	g := epoch.Enter(0)
-	defer g.Exit()
-	for _, key := range keys {
-		v := s.view.Load()
-		off, ok := v.idx.Get(key)
-		if !ok {
-			hk.Invalidate(key)
-			continue
-		}
-		hk.Promote(key, off)
-		v2 := s.view.Load()
-		if off2, ok2 := v2.idx.Get(key); !ok2 || off2 != off {
-			hk.Invalidate(key)
-			continue
-		}
-		n++
-	}
-	return n
-}
 
 // DrainRetrains waits for in-flight background retrains and installs
 // their results. On single-writer indexes it must run from the writer
@@ -461,15 +313,6 @@ func (s *Store) setIndex(idx index.Index) {
 		caps: index.CapsOf(idx),
 		seam: index.Seams(idx),
 	})
-	// Retire the whole shadow cache: an index install re-maps (Compact,
-	// Recover) or forgets (DropIndex) record offsets wholesale. The
-	// generation bump comes strictly AFTER the view publish — a
-	// concurrent promotion that reads the new generation therefore
-	// re-checks its offset against the new view and self-invalidates on
-	// mismatch, so no entry tagged current can carry a dead offset.
-	// Compact's page frees are retired later still, behind the epoch
-	// grace period, which covers readers already inside a cached probe.
-	s.hot.Load().InvalidateAll()
 	s.attachPool() // Recover/Compact/DropIndex keep the retrain mode
 }
 
@@ -613,19 +456,6 @@ func (s *Store) Put(key uint64, value []byte) error {
 		sp.Done()
 		return fmt.Errorf("viper: index insert: %w", err)
 	}
-	// Fix the shadow cache after the index update. Single-writer stores
-	// write the new offset through (the log append above IS the current
-	// offset, so a hot key's entry survives its own updates — exactly
-	// the zipf case where hot keys are also the most-updated); the
-	// promote-side re-check covers the promotion that races this write.
-	// With concurrent writers two racing refreshes could commit out of
-	// index order, so those stores invalidate instead and let the next
-	// promotion re-admit the key.
-	if !v.caps.ConcurrentWrites {
-		s.hot.Load().Refresh(key, uint64(off))
-	} else {
-		s.hot.Load().Invalidate(key)
-	}
 	if !existed {
 		s.liveLen.Add(1)
 		s.met.LiveDelta(1)
@@ -651,25 +481,6 @@ func (s *Store) Get(key uint64) ([]byte, bool) {
 	st := stripe(key)
 	sp := s.met.StartGet(st)
 	g := epoch.Enter(st)
-	if hk := s.hot.Load(); hk != nil {
-		hk.Observe(key)
-		if off, hot := hk.Lookup(key); hot {
-			// Shadow-cache hit: straight to the record, no index walk.
-			// The epoch pin above protects the offset exactly as it
-			// protects index-resolved ones — Compact bumps the cache
-			// generation before it retires pages, so a hit either
-			// pre-dates the retire (pin defers the free) or misses.
-			if val, live := s.readRecord(int64(off)); live {
-				g.Exit()
-				sp.Done()
-				return val, true
-			}
-			// A cached offset never points at a tombstone record
-			// (promotions resolve live index entries); treat it
-			// defensively as stale and fall through to the index.
-			hk.Invalidate(key)
-		}
-	}
 	v := s.view.Load()
 	off, ok := v.idx.Get(key)
 	if !ok {
@@ -723,31 +534,12 @@ func (s *Store) MultiGet(keys []uint64) [][]byte {
 	sc := mgPool.Get().(*mgScratch)
 	sc.grow(len(keys))
 	offs, found := sc.offs[:len(keys)], sc.found[:len(keys)]
-	// Shadow-cache pre-pass: a cached key already knows its offset; only
-	// the remainder pays an index walk, as a compacted sub-batch whose
-	// lane[j] is its position in the batch (no cache: the batch itself).
-	lookup, subOffs, subFound, lane := keys, offs, found, []int(nil)
-	if hk := s.hot.Load(); hk != nil {
-		lookup, lane = sc.subK[:0], sc.lane[:0]
-		for i, k := range keys {
-			hk.Observe(k)
-			if offs[i], found[i] = hk.Lookup(k); !found[i] {
-				lookup, lane = append(lookup, k), append(lane, i)
-			}
-		}
-		subOffs, subFound = sc.subOffs[:len(lookup)], sc.subFound[:len(lookup)]
-	}
-	// Batch routing: the interleaved kernel only pays for itself on
-	// real batches; below the (adapt-tunable) floor, per-key probes win.
-	if floor := int(s.batchFloor.Load()); v.seam.Batch != nil && len(lookup) > 0 && len(lookup) >= floor {
-		v.seam.Batch.GetBatch(lookup, subOffs, subFound)
+	if v.seam.Batch != nil && len(keys) > 0 {
+		v.seam.Batch.GetBatch(keys, offs, found)
 	} else {
-		for j, k := range lookup {
-			subOffs[j], subFound[j] = v.idx.Get(k)
+		for i, k := range keys {
+			offs[i], found[i] = v.idx.Get(k)
 		}
-	}
-	for j, i := range lane {
-		offs[i], found[i] = subOffs[j], subFound[j]
 	}
 	ord := sc.order[:0]
 	for i, ok := range found {
@@ -765,21 +557,17 @@ func (s *Store) MultiGet(keys []uint64) [][]byte {
 // as the largest batch seen. Pooling it keeps the batched read path
 // allocation-free apart from the returned slice.
 type mgScratch struct {
-	offs, pack    []uint64 // record offset per batch position; sort words
-	found         []bool
-	order         []int
-	subK, subOffs []uint64 // cache-miss keys, compacted, and their index answers
-	subFound      []bool
-	lane          []int // their positions in the batch
+	offs, pack []uint64 // record offset per batch position; sort words
+	found      []bool
+	order      []int
 }
 
 func (sc *mgScratch) grow(n int) {
 	if cap(sc.offs) >= n {
 		return
 	}
-	sc.offs, sc.pack, sc.subK, sc.subOffs = make([]uint64, n), make([]uint64, n), make([]uint64, n), make([]uint64, n)
-	sc.found, sc.subFound = make([]bool, n), make([]bool, n)
-	sc.order, sc.lane = make([]int, n), make([]int, n)
+	sc.offs, sc.pack = make([]uint64, n), make([]uint64, n)
+	sc.found, sc.order = make([]bool, n), make([]int, n)
 }
 
 var mgPool = sync.Pool{New: func() interface{} { return new(mgScratch) }}
@@ -806,11 +594,7 @@ func (s *Store) Delete(key uint64) (bool, error) {
 		return false, err
 	}
 	s.met.Tombstone()
-	deleted := v.seam.Delete.Delete(key)
-	// Invalidate after the index delete, win or lose — either way the
-	// key's cached offset (if any) no longer reflects the index.
-	s.hot.Load().Invalidate(key)
-	if !deleted {
+	if !v.seam.Delete.Delete(key) {
 		// A concurrent deleter won the race after our Get; the extra
 		// tombstone is harmless and the loser reports "not present".
 		return false, nil
@@ -982,7 +766,10 @@ func (s *Store) scanRounds(start uint64, n int, desc bool, fn func(key uint64, v
 	sp := s.met.StartScan(stripe(start))
 	defer sp.Done()
 
-	batch := min(s.ScanBatch(), maxScanBatch)
+	batch := DefaultScanBatch
+	if s.scanBatch > 0 {
+		batch = s.scanBatch
+	}
 	sc := scanPool.Get().(*scanScratch)
 	if cap(sc.keys) < batch {
 		sc.keys = make([]uint64, batch)
@@ -1156,8 +943,6 @@ func (s *Store) BulkPut(keys []uint64, value []byte) error {
 	if err := v.seam.Bulk.BulkLoad(keys, offs); err != nil {
 		return err
 	}
-	// Every key's offset was just rewritten; retire the cache wholesale.
-	s.hot.Load().InvalidateAll()
 	prev := s.liveLen.Swap(int64(len(keys)))
 	s.met.LiveDelta(int64(len(keys)) - prev)
 	s.met.ObserveBulkLoad(time.Since(t0))
