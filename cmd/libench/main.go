@@ -23,7 +23,6 @@ import (
 
 	"learnedpieces/internal/bench"
 	"learnedpieces/internal/parallel"
-	"learnedpieces/internal/search"
 	"learnedpieces/internal/telemetry"
 	"learnedpieces/internal/viper"
 )
@@ -43,7 +42,6 @@ func main() {
 		workers  = flag.Int("workers", 0, "worker count for parallel bulk paths (recovery/compaction/bulk-load/training); 0 = all cores")
 		obs      = flag.String("obs", "", "serve expvar, pprof and /telemetry on this address (e.g. :6060)")
 		snapshot = flag.String("snapshot", "", "write the run's JSON telemetry snapshot to this file on exit")
-		kernel   = flag.String("searchkernel", "auto", "last-mile search kernel policy: auto|binary|branchless|interp")
 		retrain  = flag.String("retrain", "inline", "retrain pipeline mode for every store the harness opens: inline|sync|async")
 		list     = flag.Bool("list", false, "list experiments and exit")
 	)
@@ -68,11 +66,6 @@ func main() {
 	if *workers < 0 {
 		fatalf(2, "-workers must be non-negative, got %d", *workers)
 	}
-	pol, ok := search.ParsePolicy(*kernel)
-	if !ok {
-		fatalf(2, "-searchkernel must be one of auto|binary|branchless|interp, got %q", *kernel)
-	}
-	search.SetPolicy(pol)
 	rmode, ok := viper.ParseRetrainMode(*retrain)
 	if !ok {
 		fatalf(2, "-retrain must be one of inline|sync|async, got %q", *retrain)

@@ -48,8 +48,7 @@ type Config struct {
 	// (amortises index lookups and reads PMem in offset order).
 	Batch int
 	// RetrainMode selects where index retrains run for every store the
-	// harness opens (libench -retrain). The retrain experiment sweeps
-	// modes itself and ignores this.
+	// harness opens (libench -retrain).
 	RetrainMode viper.RetrainMode
 	// CSV switches table output to CSV for plotting pipelines.
 	CSV bool
@@ -117,9 +116,6 @@ func All() []Experiment {
 		{"extlipp", "Extension: LIPP (§V-B1 unevaluated design) vs stock", RunExtLIPP},
 		{"extapex", "Extension: APEX persistent index vs Viper+ALEX", RunExtAPEX},
 		{"cross", "Extension: structure x approximation algorithm cross (§IV-C open question)", RunCross},
-		{"retrain", "Extension: background retraining: insert-heavy Put tail, sync vs async", RunRetrain},
-		{"scale", "Extension: lock-free read path: thread scaling, pure reads & 10% writer mix", RunScale},
-		{"net", "Extension: vipersrv service front end over loopback TCP, per index", RunNet},
 	}
 }
 

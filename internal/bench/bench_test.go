@@ -48,8 +48,8 @@ func TestGetExperiment(t *testing.T) {
 	if _, ok := Get("fig99"); ok {
 		t.Fatal("fig99 found")
 	}
-	if len(All()) != 25 {
-		t.Fatalf("expected 25 experiments, got %d", len(All()))
+	if len(All()) != 22 {
+		t.Fatalf("expected 22 experiments, got %d", len(All()))
 	}
 }
 

@@ -22,7 +22,6 @@ import (
 // entries, record reads issued in ascending PMem offset order,
 // re-emitted in key order) across datasets and scan lengths, plus a
 // descending pass where the index layout permits reverse cursors.
-// BENCH_PR10.json keeps the numbers of the deleted per-entry path.
 func RunScan(cfg Config) error {
 	datasets := []struct {
 		label string

@@ -70,7 +70,7 @@ type Config struct {
 	DrainEvery int
 }
 
-// Result is one run's measurement, JSON-shaped for BENCH artifacts.
+// Result is one run's measurement, JSON-shaped for viperload -out.
 type Result struct {
 	Label       string `json:"label"`
 	Clients     int    `json:"clients"`
@@ -88,7 +88,6 @@ type Result struct {
 	// across chunk boundaries. Must be zero.
 	ScanViolations int64   `json:"scan_violations"`
 	Errors         int64   `json:"errors"`
-	Rejected       int64   `json:"rejected"` // answers with the reserved backpressure status; vipersrv sends none
 	Lost           int64   `json:"lost"`     // sent, never answered
 	Dup            int64   `json:"dup"`      // answered more than once (stray IDs)
 	OpenLag        int64   `json:"open_lag"` // open-loop ops fired behind schedule
@@ -164,7 +163,6 @@ func Run(ctx context.Context, cfg Config) (Result, error) {
 		scanChk atomic.Int64
 		scanBad atomic.Int64
 		errs    atomic.Int64
-		rejects atomic.Int64
 		lag     atomic.Int64
 		nextKey atomic.Uint64
 	)
@@ -174,7 +172,6 @@ func Run(ctx context.Context, cfg Config) (Result, error) {
 		value[i] = byte('a' + i%26)
 	}
 
-	perWorker := cfg.Ops / cfg.Clients
 	var interval time.Duration
 	if cfg.Rate > 0 {
 		interval = time.Duration(int64(time.Second) * int64(cfg.Clients) / int64(cfg.Rate))
@@ -184,7 +181,13 @@ func Run(ctx context.Context, cfg Config) (Result, error) {
 	var wg sync.WaitGroup
 	for w := 0; w < cfg.Clients; w++ {
 		wg.Add(1)
-		go func(w int) {
+		// The first Ops%Clients workers issue one op more, so the run
+		// issues exactly Ops.
+		perWorker := cfg.Ops / cfg.Clients
+		if w < cfg.Ops%cfg.Clients {
+			perWorker++
+		}
+		go func(w, perWorker int) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(cfg.Seed + int64(w)*7919))
 			// Same request model as internal/workload: YCSB's scrambled
@@ -317,12 +320,9 @@ func Run(ctx context.Context, cfg Config) (Result, error) {
 					// Typed server error (full, unsupported...): answered.
 					acked.Add(1)
 					errs.Add(1)
-					if errors.Is(err, wire.ErrBackpressure) {
-						rejects.Add(1)
-					}
 				}
 			}
-		}(w)
+		}(w, perWorker)
 	}
 	wg.Wait()
 	res.DurationNs = time.Since(start).Nanoseconds()
@@ -338,7 +338,6 @@ func Run(ctx context.Context, cfg Config) (Result, error) {
 	res.ScanChunks = scanChk.Load()
 	res.ScanViolations = scanBad.Load()
 	res.Errors = errs.Load()
-	res.Rejected = rejects.Load()
 	res.OpenLag = lag.Load()
 	res.Ops = res.Reads + res.Updates + res.Inserts + res.Scans
 	res.Lost = sent.Load() - acked.Load()

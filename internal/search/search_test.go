@@ -1,10 +1,9 @@
 package search
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"testing"
 )
 
@@ -79,8 +78,9 @@ func checkLower(t *testing.T, name string, fn func([]uint64, uint64, int, int) i
 	}
 }
 
-// kernelsUnderTest exposes each unexported kernel through the shared
-// clamped signature.
+// kernelsUnderTest exposes each unexported kernel, and the exported
+// LowerBound that chooses between them, through the shared clamped
+// signature.
 func kernelsUnderTest() map[string]func([]uint64, uint64, int, int) int {
 	wrap := func(k func([]uint64, uint64, int, int) (int, int32)) func([]uint64, uint64, int, int) int {
 		return func(keys []uint64, key uint64, lo, hi int) int {
@@ -90,10 +90,9 @@ func kernelsUnderTest() map[string]func([]uint64, uint64, int, int) int {
 		}
 	}
 	return map[string]func([]uint64, uint64, int, int) int{
-		"classic":    wrap(lowerClassic),
 		"branchless": wrap(lowerBranchless),
 		"linear":     wrap(lowerLinear),
-		"interp":     wrap(lowerInterpolated),
+		"LowerBound": LowerBound,
 	}
 }
 
@@ -117,29 +116,64 @@ func TestKernelsMatchOracle(t *testing.T) {
 	}
 }
 
-func TestExportedEntryPointsAllPolicies(t *testing.T) {
+func TestExportedEntryPoints(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	old := CurrentPolicy()
-	defer SetPolicy(old)
-	for _, p := range []Policy{PolicyAuto, PolicyBinary, PolicyBranchless, PolicyInterp} {
-		SetPolicy(p)
-		for _, keys := range corpora(rng) {
-			for _, q := range probeKeys(keys, rng) {
-				if got, want := LowerBound(keys, q, 0, len(keys)), oracle(keys, q, 0, len(keys)); got != want {
-					t.Fatalf("policy %v: LowerBound(key=%d) = %d, want %d", p, q, got, want)
-				}
-				wantU := sort.Search(len(keys), func(i int) bool { return keys[i] > q })
-				if got := UpperBound(keys, q, 0, len(keys)); got != wantU {
-					t.Fatalf("policy %v: UpperBound(key=%d) = %d, want %d", p, q, got, wantU)
-				}
-				i, ok := Find(keys, q)
-				want := oracle(keys, q, 0, len(keys))
-				wantOK := want < len(keys) && keys[want] == q
-				if i != want || ok != wantOK {
-					t.Fatalf("policy %v: Find(key=%d) = (%d, %v), want (%d, %v)", p, q, i, ok, want, wantOK)
-				}
+	for _, keys := range corpora(rng) {
+		for _, q := range probeKeys(keys, rng) {
+			if got, want := LowerBound(keys, q, 0, len(keys)), oracle(keys, q, 0, len(keys)); got != want {
+				t.Fatalf("LowerBound(key=%d) = %d, want %d", q, got, want)
+			}
+			wantU := sort.Search(len(keys), func(i int) bool { return keys[i] > q })
+			if got := UpperBound(keys, q, 0, len(keys)); got != wantU {
+				t.Fatalf("UpperBound(key=%d) = %d, want %d", q, got, wantU)
+			}
+			i, ok := Find(keys, q)
+			want := oracle(keys, q, 0, len(keys))
+			wantOK := want < len(keys) && keys[want] == q
+			if i != want || ok != wantOK {
+				t.Fatalf("Find(key=%d) = (%d, %v), want (%d, %v)", q, i, ok, want, wantOK)
 			}
 		}
+	}
+}
+
+// TestAutoKernelChoice pins LowerBound's one selection rule through the
+// counters behind search.probes_per_search: which kernel answered a
+// window of each width, and exactly how many slots it probed. The key
+// sits past the window, so the linear scan reads every slot and the
+// halving kernel reads ceil(log2(width)) of them plus its final slot.
+func TestAutoKernelChoice(t *testing.T) {
+	defer EnableStats(false)
+	keys := make([]uint64, 1<<16)
+	for i := range keys {
+		keys[i] = uint64(i)
+	}
+	for _, tc := range []struct {
+		width  int
+		kernel string
+		probes int64
+	}{
+		{0, "linear", 0},
+		{1, "linear", 1},
+		{23, "linear", 23},
+		{24, "linear", 24},
+		{25, "branchless", 6},
+		{64, "branchless", 7},
+		{1 << 16, "branchless", 17},
+	} {
+		t.Run(fmt.Sprintf("w=%d", tc.width), func(t *testing.T) {
+			ResetStats()
+			EnableStats(true)
+			if got := LowerBound(keys, ^uint64(0), 0, tc.width); got != tc.width {
+				t.Fatalf("LowerBound = %d, want %d", got, tc.width)
+			}
+			EnableStats(false)
+			snap := StatsSnapshot()
+			want := []KernelStats{{Kernel: tc.kernel, Searches: 1, Probes: tc.probes}}
+			if fmt.Sprint(snap) != fmt.Sprint(want) {
+				t.Fatalf("StatsSnapshot = %+v, want %+v", snap, want)
+			}
+		})
 	}
 }
 
@@ -244,18 +278,6 @@ func TestStatsAccounting(t *testing.T) {
 	}
 }
 
-func TestParsePolicy(t *testing.T) {
-	for i, name := range []string{"auto", "binary", "branchless", "interp"} {
-		p, ok := ParsePolicy(name)
-		if !ok || p != Policy(i) || p.String() != name {
-			t.Fatalf("ParsePolicy(%q) = (%v, %v)", name, p, ok)
-		}
-	}
-	if _, ok := ParsePolicy("bogus"); ok {
-		t.Fatal("ParsePolicy accepted bogus")
-	}
-}
-
 func TestZeroAlloc(t *testing.T) {
 	keys := make([]uint64, 1<<16)
 	for i := range keys {
@@ -293,7 +315,7 @@ func FuzzLowerBound(f *testing.F) {
 		keys := make([]uint64, 0, len(deltas))
 		v := uint64(0)
 		for _, d := range deltas {
-			v += uint64(d) * uint64(d) // quadratic gaps: skew for interp
+			v += uint64(d) * uint64(d) // quadratic gaps: skewed windows
 			keys = append(keys, v)
 		}
 		for name, fn := range kernelsUnderTest() {
@@ -307,51 +329,4 @@ func FuzzLowerBound(f *testing.F) {
 			t.Fatalf("batch Pos = %d, oracle %d", b.Pos(0), want)
 		}
 	})
-}
-
-// TestSetPolicyConcurrentWithSearches flips the process-wide policy
-// while readers search. Every result must stay correct under every
-// interleaving, and -race checks the policy cell's memory model.
-func TestSetPolicyConcurrentWithSearches(t *testing.T) {
-	old := CurrentPolicy()
-	defer SetPolicy(old)
-	keys := make([]uint64, 1024)
-	for i := range keys {
-		keys[i] = uint64(i)*3 + 1
-	}
-
-	var flip, readers sync.WaitGroup
-	var done atomic.Bool
-	flip.Add(1)
-	go func() {
-		defer flip.Done()
-		policies := []Policy{PolicyAuto, PolicyBinary, PolicyBranchless, PolicyInterp}
-		for i := 0; !done.Load(); i++ {
-			SetPolicy(policies[i%len(policies)])
-		}
-	}()
-	for r := 0; r < 4; r++ {
-		readers.Add(1)
-		go func(seed int64) {
-			defer readers.Done()
-			rng := rand.New(rand.NewSource(seed))
-			for i := 0; i < 50_000; i++ {
-				q := uint64(rng.Intn(3 * len(keys)))
-				want := oracle(keys, q, 0, len(keys))
-				if got := LowerBound(keys, q, 0, len(keys)); got != want {
-					t.Errorf("LowerBound(%d) = %d, want %d (mid-flip)", q, got, want)
-					return
-				}
-				j, ok := Find(keys, q)
-				wantOK := want < len(keys) && keys[want] == q
-				if j != want || ok != wantOK {
-					t.Errorf("Find(%d) = (%d,%v), want (%d,%v) (mid-flip)", q, j, ok, want, wantOK)
-					return
-				}
-			}
-		}(int64(r + 1))
-	}
-	readers.Wait()
-	done.Store(true)
-	flip.Wait()
 }

@@ -9,19 +9,15 @@ type Kernel uint8
 const (
 	// KernelLinear is the small-window sequential scan.
 	KernelLinear Kernel = iota
-	// KernelBinary is classic branchy binary search.
-	KernelBinary
 	// KernelBranchless is the cmov-style halving kernel.
 	KernelBranchless
-	// KernelInterp is interpolation-then-sequential.
-	KernelInterp
 	// KernelBatch is the interleaved lockstep kernel.
 	KernelBatch
 	numKernels int = iota
 )
 
 // kernelNames is indexed by Kernel.
-var kernelNames = [numKernels]string{"linear", "binary", "branchless", "interp", "batch"}
+var kernelNames = [numKernels]string{"linear", "branchless", "batch"}
 
 // String returns the kernel's snapshot name.
 func (k Kernel) String() string {
@@ -32,7 +28,7 @@ func (k Kernel) String() string {
 }
 
 // kernelStat is one kernel's counters, padded to a cache line so the
-// five stats never false-share under concurrent lookups.
+// three stats never false-share under concurrent lookups.
 type kernelStat struct {
 	searches atomic.Int64
 	probes   atomic.Int64

@@ -107,7 +107,7 @@ func (sn Snapshot) WriteText(w io.Writer) {
 	}
 
 	if len(sn.Search) > 0 {
-		sk := stats.NewTable("last-mile search (policy: "+sn.SearchKernel+")",
+		sk := stats.NewTable("last-mile search",
 			"kernel", "searches", "probes", "probes/search")
 		for _, ks := range sn.Search {
 			per := float64(0)

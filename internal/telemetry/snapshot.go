@@ -196,12 +196,9 @@ type Snapshot struct {
 	// server ever attached (the text renderer omits the table then).
 	Server  ServerSnapshot `json:"server"`
 	Indexes []IndexStats   `json:"indexes"`
-	// SearchKernel is the process-wide last-mile kernel policy
-	// (libench -searchkernel); Search carries the per-kernel search and
-	// probe counters. Both are process-global like the policy itself:
-	// every sink reports the same kernel state.
-	SearchKernel string               `json:"search_kernel"`
-	Search       []search.KernelStats `json:"search,omitempty"`
+	// Search carries the per-kernel last-mile search and probe counters.
+	// They are process-global: every sink reports the same kernel state.
+	Search []search.KernelStats `json:"search,omitempty"`
 	// Epoch is the reclamation pipeline's digest: the default manager's
 	// clock/advance/retire/free counters plus the optimistic-read
 	// attempt/retry/fallback counters. Process-global like Search — the
@@ -263,12 +260,11 @@ func (s *Sink) Snapshot() Snapshot {
 			Compaction:    m.Compaction.snapshot(),
 			BulkLoad:      m.BulkLoad.snapshot(),
 		},
-		PMem:         pm,
-		Retrain:      rt,
-		Server:       sv,
-		SearchKernel: search.CurrentPolicy().String(),
-		Search:       search.StatsSnapshot(),
-		Epoch:        epoch.GlobalStats(),
+		PMem:    pm,
+		Retrain: rt,
+		Server:  sv,
+		Search:  search.StatsSnapshot(),
+		Epoch:   epoch.GlobalStats(),
 	}
 	s.mu.Lock()
 	for _, st := range s.indexes {
