@@ -31,16 +31,8 @@ func loadedIndex(b *testing.B, name string, keys []uint64) index.Index {
 		b.Fatalf("unknown index %s", name)
 	}
 	idx := e.New()
-	if index.CapsOf(idx).Bulk {
-		if err := idx.(index.Bulk).BulkLoad(keys, keys); err != nil {
-			b.Fatal(err)
-		}
-	} else {
-		for _, k := range keys {
-			if err := idx.Insert(k, k); err != nil {
-				b.Fatal(err)
-			}
-		}
+	if err := idx.BulkLoad(keys, keys); err != nil {
+		b.Fatal(err)
 	}
 	return idx
 }
@@ -245,7 +237,7 @@ func BenchmarkTable3Sizes(b *testing.B) {
 	idx := loadedIndex(b, "alex", keys)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if sz, ok := index.SizesOf(idx); !ok || sz.Total() <= 0 {
+		if idx.Sizes().Total() <= 0 {
 			b.Fatal("bad sizes")
 		}
 	}

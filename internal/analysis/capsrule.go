@@ -10,20 +10,16 @@ import (
 const indexPkgPath = "learnedpieces/internal/index"
 
 // capsInterfaces are the optional capability interfaces of the index
-// package. index.Index itself is mandatory and asserting to it is
-// harmless, so it is not listed.
+// package. index.Index and the interfaces it embeds (Upserter, Bulk,
+// Sized) are mandatory and asserting to them is harmless, so they are
+// not listed.
 var capsInterfaces = map[string]bool{
-	"Bulk":             true,
 	"Ranger":           true,
-	"ReverseRanger":    true,
 	"Deleter":          true,
-	"Upserter":         true,
 	"BatchGetter":      true,
 	"AsyncRetrainer":   true,
-	"Sized":            true,
 	"DepthReporter":    true,
 	"RetrainReporter":  true,
-	"ConcurrentReads":  true,
 	"ConcurrentWrites": true,
 	"Capser":           true,
 }

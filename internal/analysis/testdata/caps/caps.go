@@ -13,12 +13,9 @@ func Resolve(idx index.Index) bool {
 }
 
 // Late covers the capabilities added after the analyzer was written:
-// reverse cursors, batch lookups and background retraining.
+// batch lookups and background retraining.
 func Late(idx index.Index) int {
 	n := 0
-	if _, ok := idx.(index.ReverseRanger); ok { // want "type assertion to index.ReverseRanger"
-		n++
-	}
 	if _, ok := idx.(index.BatchGetter); ok { // want "type assertion to index.BatchGetter"
 		n++
 	}
@@ -38,7 +35,7 @@ func Mask(idx index.Index) bool {
 // Switch hits the type-switch form; anonymous interfaces stay legal.
 func Switch(idx index.Index) int {
 	switch idx.(type) {
-	case index.Bulk: // want "type switch case on index.Bulk"
+	case index.Deleter: // want "type switch case on index.Deleter"
 		return 1
 	case interface{ Flush() error }:
 		return 2

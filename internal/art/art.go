@@ -62,9 +62,6 @@ func (t *Tree) Name() string { return "art" }
 // Len returns the number of stored entries.
 func (t *Tree) Len() int { return t.length }
 
-// ConcurrentReads reports that concurrent Gets are safe.
-func (t *Tree) ConcurrentReads() bool { return true }
-
 func keyBytes(key uint64) [8]byte {
 	var b [8]byte
 	binary.BigEndian.PutUint64(b[:], key)

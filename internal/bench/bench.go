@@ -167,16 +167,7 @@ func (cfg Config) storeOptions() []viper.Option {
 // buildStore creates a Viper store over idx pre-loaded with keys.
 func (cfg Config) buildStore(idx index.Index, keys []uint64) (*viper.Store, error) {
 	s := viper.Open(cfg.regionFor(len(keys)), idx, cfg.storeOptions()...)
-	if s.Caps().Bulk {
-		return s, s.BulkPut(keys, cfg.value())
-	}
-	v := cfg.value()
-	for _, k := range keys {
-		if err := s.Put(k, v); err != nil {
-			return nil, err
-		}
-	}
-	return s, nil
+	return s, s.BulkPut(keys, cfg.value())
 }
 
 // runReads drives a lookup stream against the store on one goroutine,

@@ -68,7 +68,7 @@ func RunTable2(cfg Config) error {
 		row := []interface{}{kind.String()}
 		for _, name := range []string{"rmi", "fiting-buf", "pgm", "alex", "xindex"} {
 			idx := mustEntry(name).New()
-			if err := index.LoadSorted(idx, keys, keys); err != nil {
+			if err := idx.BulkLoad(keys, keys); err != nil {
 				return err
 			}
 			depth, _ := index.DepthOf(idx)
@@ -238,13 +238,14 @@ func (l *lockedIndex) InsertReplace(key, value uint64) (bool, error) {
 
 func (l *lockedIndex) Name() string { return l.Index.Name() + "+lock" }
 
-// Caps implements index.Capser. The embedded field is the narrow
-// index.Index interface, so none of the inner type's optional interfaces
-// are promoted — the wrapper's real surface is exactly point reads
-// (single and batched) and writes, made concurrent-safe (and
-// InsertReplace exact) by the lock.
+// Caps implements index.Capser. The embedded field is the index.Index
+// interface, so none of the inner type's optional interfaces are
+// promoted — beyond what every index does, the wrapper's surface is
+// batched reads and writes made concurrent-safe (and InsertReplace
+// exact) by the lock. Its BulkLoad is the inner one, unlocked: the store
+// preloads before any writer starts.
 func (l *lockedIndex) Caps() index.Caps {
-	return index.Caps{Upsert: true, BatchGet: true, ConcurrentReads: true, ConcurrentWrites: true}
+	return index.Caps{BatchGet: true, ConcurrentWrites: true}
 }
 
 // RunFig14 reproduces Fig 14: multi-threaded write-only. XIndex writes
@@ -415,14 +416,10 @@ func RunFig16(cfg Config) error {
 			idx := e.New()
 			runtime.GC()
 			start = time.Now()
-			var build time.Duration
-			if index.CapsOf(idx).Bulk {
-				if err := index.LoadSorted(idx, keys, offs); err != nil {
-					return err
-				}
-				build = time.Since(start)
+			if err := idx.BulkLoad(keys, offs); err != nil {
+				return err
 			}
-			t.AddRow(name, size, recovery, build)
+			t.AddRow(name, size, recovery, time.Since(start))
 		}
 		_ = base.Close()
 	}

@@ -20,8 +20,7 @@ import (
 // appendix: every ordered index runs the same random-start scans
 // through the store's one scan path (cursor pulls a batch of index
 // entries, record reads issued in ascending PMem offset order,
-// re-emitted in key order) across datasets and scan lengths, plus a
-// descending pass where the index layout permits reverse cursors.
+// re-emitted in key order) across datasets and scan lengths.
 func RunScan(cfg Config) error {
 	datasets := []struct {
 		label string
@@ -32,7 +31,7 @@ func RunScan(cfg Config) error {
 	}
 	names := []string{"rmi-delta", "rs-delta", "fiting-buf", "pgm", "alex", "xindex", "lipp", "finedex", "btree", "skiplist", "art"}
 	t := stats.NewTable(fmt.Sprintf("Range scans: offset-ordered cursor rounds, half-updated stores (n=%d)", cfg.N),
-		"dataset", "index", "scan len", "fwd Me/s", "rev Me/s", "fwd p99.9(us)")
+		"dataset", "index", "scan len", "fwd Me/s", "fwd p99.9(us)")
 	for _, ds := range datasets {
 		keys := dataset.Generate(ds.kind, cfg.N, cfg.Seed)
 		for _, name := range names {
@@ -58,25 +57,16 @@ func RunScan(cfg Config) error {
 				if nScans < 1 {
 					nScans = 1
 				}
-				// Identical start keys for both directions.
 				rng := rand.New(rand.NewSource(cfg.Seed + int64(scanLen)))
 				starts := make([]uint64, nScans)
 				for i := range starts {
 					starts[i] = keys[rng.Intn(len(keys))]
 				}
-				fwd, err := measureScans(s, starts, scanLen, false)
+				fwd, err := measureScans(s, starts, scanLen)
 				if err != nil {
 					return fmt.Errorf("%s: %w", name, err)
 				}
-				rev := "-"
-				if s.Caps().RangeDesc {
-					rm, err := measureScans(s, starts, scanLen, true)
-					if err != nil {
-						return fmt.Errorf("%s desc: %w", name, err)
-					}
-					rev = fmt.Sprintf("%.3f", rm.meps)
-				}
-				t.AddRow(ds.label, name, scanLen, fmt.Sprintf("%.3f", fwd.meps), rev, fwd.p999)
+				t.AddRow(ds.label, name, scanLen, fmt.Sprintf("%.3f", fwd.meps), fwd.p999)
 			}
 			_ = s.Close()
 		}
@@ -92,10 +82,9 @@ type scanRate struct {
 	p999 float64
 }
 
-// measureScans drives one scan per start key through the store's
-// forward (Range) or descending (RangeDesc) path and aggregates the
-// delivered-entry rate.
-func measureScans(s *viper.Store, starts []uint64, scanLen int, desc bool) (scanRate, error) {
+// measureScans drives one scan per start key through Store.Range and
+// aggregates the delivered-entry rate.
+func measureScans(s *viper.Store, starts []uint64, scanLen int) (scanRate, error) {
 	h := stats.NewHistogram()
 	entries := 0
 	cb := func(k uint64, v []byte) bool {
@@ -106,13 +95,7 @@ func measureScans(s *viper.Store, starts []uint64, scanLen int, desc bool) (scan
 	start := time.Now()
 	for _, from := range starts {
 		t0 := time.Now()
-		var err error
-		if desc {
-			err = s.RangeDesc(from, scanLen, cb)
-		} else {
-			err = s.Range(from, scanLen, cb)
-		}
-		if err != nil {
+		if err := s.Range(from, scanLen, cb); err != nil {
 			return scanRate{}, err
 		}
 		h.RecordSince(t0)
@@ -155,12 +138,8 @@ func RunExtLIPP(cfg Config) error {
 		}
 		insMops := float64(len(inserts)) / time.Since(start).Seconds() / 1e6
 		depth, _ := index.DepthOf(s.Index())
-		var structure int64
-		if sz, ok := index.SizesOf(s.Index()); ok {
-			structure = sz.Structure
-		}
 		t.AddRow(name, mops(readSum), usec(readSum.P999Ns), insMops,
-			fmt.Sprintf("%.2f", depth), human(structure))
+			fmt.Sprintf("%.2f", depth), human(s.Index().Sizes().Structure))
 		_ = s.Close()
 		_ = s2.Close()
 	}

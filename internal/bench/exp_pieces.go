@@ -239,7 +239,7 @@ func RunFig18b(cfg Config) error {
 	}
 	for _, name := range []string{"fiting-buf", "pgm", "alex"} {
 		idx := builders[name]()
-		if err := index.LoadSorted(idx, load, load); err != nil {
+		if err := idx.BulkLoad(load, load); err != nil {
 			return err
 		}
 		checkpoints := 4
@@ -302,7 +302,7 @@ func RunFig18d(cfg Config) error {
 		"index", "total", "retrain part", "insert part")
 	for _, name := range []string{"fiting-inp", "fiting-buf", "pgm", "alex"} {
 		idx := mustEntry(name).New()
-		if err := index.LoadSorted(idx, load, load); err != nil {
+		if err := idx.BulkLoad(load, load); err != nil {
 			return err
 		}
 		runtime.GC()

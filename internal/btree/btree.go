@@ -52,9 +52,6 @@ func (t *BTree) Name() string { return "btree" }
 // Len returns the number of stored entries.
 func (t *BTree) Len() int { return t.length }
 
-// ConcurrentReads reports that concurrent Gets are safe.
-func (t *BTree) ConcurrentReads() bool { return true }
-
 // Get returns the value stored under key.
 func (t *BTree) Get(key uint64) (uint64, bool) {
 	n := t.root

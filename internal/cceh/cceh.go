@@ -67,9 +67,6 @@ func (m *Map) Len() int {
 	return m.length
 }
 
-// ConcurrentReads reports that concurrent Gets are safe.
-func (m *Map) ConcurrentReads() bool { return true }
-
 func hash(key uint64) uint64 {
 	h := key * 0x9E3779B97F4A7C15
 	h ^= h >> 29

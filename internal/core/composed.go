@@ -169,11 +169,6 @@ func regap(l *Leaf, density float64) {
 	l.setGapped(pla.BuildLSAGap(keys, vals, density))
 }
 
-// InsertStrategies returns the insertion dimension's catalogue.
-func InsertStrategies() []InsertStrategy {
-	return []InsertStrategy{Inplace{}, BufferInsert{}, GapInsert{}}
-}
-
 // A RetrainPolicy is the retraining dimension (§IV-E): how an over-full
 // leaf is rebuilt.
 type RetrainPolicy interface {
@@ -227,13 +222,6 @@ func gappedWhole(keys, vals []uint64) []*Leaf {
 	return []*Leaf{l}
 }
 
-// RetrainPolicies returns the retraining dimension's catalogue. The
-// paper's third strategy — PGM's LSM-style logarithmic method — is
-// structural rather than per-leaf and lives in internal/learned/pgm.
-func RetrainPolicies() []RetrainPolicy {
-	return []RetrainPolicy{RetrainNode{}, ExpandOrSplit{}}
-}
-
 // Composed is an updatable learned index assembled from one choice per
 // dimension — the artefact the paper argues the dimensions' orthogonality
 // makes possible.
@@ -267,9 +255,6 @@ func (c *Composed) Name() string {
 
 // Len returns the number of stored entries.
 func (c *Composed) Len() int { return c.length }
-
-// ConcurrentReads reports that concurrent Gets are safe between writes.
-func (c *Composed) ConcurrentReads() bool { return true }
 
 // RetrainStats implements index.RetrainReporter.
 func (c *Composed) RetrainStats() (int64, int64) { return c.retrains.Load(), c.retrainNs.Load() }
@@ -471,7 +456,7 @@ func (cur *cursor) Close() {
 // AvgDepth implements index.DepthReporter via the structure piece.
 func (c *Composed) AvgDepth() float64 { return c.structure.Depth() }
 
-// Sizes implements index.Sized.
+// Sizes implements index.Index.
 func (c *Composed) Sizes() index.Sizes {
 	var kb, vb, st int64
 	st = c.structure.SizeBytes() + int64(len(c.leaves))*64

@@ -40,7 +40,7 @@ func TestComposedConformance(t *testing.T) {
 							idx := f()
 							keys := dataset.Generate(dataset.YCSBNormal, 3000, 31)
 							load, ins := dataset.Split(keys, 1000)
-							if err := idx.(index.Bulk).BulkLoad(load, load); err != nil {
+							if err := idx.BulkLoad(load, load); err != nil {
 								t.Fatal(err)
 							}
 							for _, k := range dataset.Shuffled(ins, 32) {
@@ -185,16 +185,8 @@ func TestRegistryConstructorsFunctional(t *testing.T) {
 		e := e
 		t.Run(e.Name, func(t *testing.T) {
 			idx := e.New()
-			if b, ok := idx.(index.Bulk); ok {
-				if err := b.BulkLoad(keys, keys); err != nil {
-					t.Fatal(err)
-				}
-			} else {
-				for _, k := range keys {
-					if err := idx.Insert(k, k); err != nil {
-						t.Fatal(err)
-					}
-				}
+			if err := idx.BulkLoad(keys, keys); err != nil {
+				t.Fatal(err)
 			}
 			for i := 0; i < len(keys); i += 13 {
 				if v, ok := idx.Get(keys[i]); !ok || v != keys[i] {

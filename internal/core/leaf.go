@@ -313,12 +313,6 @@ func packedLeaves(keys, vals []uint64, segs []pla.Segment) []*Leaf {
 	return leaves
 }
 
-// Approximators returns the algorithm dimension's catalogue with default
-// parameters (Fig 17a/b sweeps instantiate them with varying params).
-func Approximators() []Approximator {
-	return []Approximator{LSA{}, OptPLA{}, Greedy{}, LSAGap{}}
-}
-
 // LeafMetrics measures a set of leaves the way Fig 17a/b plots them:
 // leaf count, average model error and maximum error over live keys.
 func LeafMetrics(leaves []*Leaf) pla.Metrics {

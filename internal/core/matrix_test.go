@@ -2,28 +2,54 @@ package core
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
+	"learnedpieces/internal/btree"
 	"learnedpieces/internal/dataset"
 	"learnedpieces/internal/index"
 	"learnedpieces/internal/indextest"
+	"learnedpieces/internal/sharded"
 )
 
 // TestRegistryUpsert: every registry entry — the delta wrappers, which no
 // package-level conformance run covers, included — answers InsertReplace
-// exactly (the read-only pair with ErrReadOnly) and reports Caps.Upsert,
-// so the store can call it without a capability check.
+// exactly (the read-only pair with ErrReadOnly), so the store can call it
+// without a capability check.
 func TestRegistryUpsert(t *testing.T) {
 	for _, e := range Registry() {
-		if !index.CapsOf(e.New()).Upsert {
-			t.Fatalf("%s does not report Caps.Upsert", e.Name)
-		}
 		indextest.RunUpsert(t, e.Name, e.New)
 	}
 }
 
+// TestCapsFieldsVary: every field of index.Caps splits the indexes — at
+// least one reports it and at least one does not. A capability every
+// index has belongs in index.Index, not in the descriptor.
+func TestCapsFieldsVary(t *testing.T) {
+	idxs := []index.Index{sharded.New(func() index.Index { return btree.New() }, []uint64{1 << 63})}
+	for _, e := range Registry() {
+		idxs = append(idxs, e.New())
+	}
+	fields := reflect.TypeOf(index.Caps{})
+	for f := 0; f < fields.NumField(); f++ {
+		t.Run(fields.Field(f).Name, func(t *testing.T) {
+			var with, without []string
+			for _, idx := range idxs {
+				if reflect.ValueOf(index.CapsOf(idx)).Field(f).Bool() {
+					with = append(with, idx.Name())
+				} else {
+					without = append(without, idx.Name())
+				}
+			}
+			if len(with) == 0 || len(without) == 0 {
+				t.Errorf("does not vary: true for %v, false for %v", with, without)
+			}
+		})
+	}
+}
+
 // TestIndexDatasetMatrix runs every registry index against every key
-// distribution: bulk load (or insert), point lookups, negative lookups,
+// distribution: bulk load, point lookups, negative lookups,
 // mid-stream inserts and a bounded ordered scan. This is the robustness
 // net behind the paper's "fair environment" claim — all indexes must be
 // correct on all datasets before their performance is compared.
@@ -37,16 +63,8 @@ func TestIndexDatasetMatrix(t *testing.T) {
 				load, inserts := dataset.Split(keys, n/4)
 				idx := e.New()
 
-				if b, ok := idx.(index.Bulk); ok {
-					if err := b.BulkLoad(load, load); err != nil {
-						t.Fatal(err)
-					}
-				} else {
-					for _, k := range load {
-						if err := idx.Insert(k, k); err != nil {
-							t.Fatal(err)
-						}
-					}
+				if err := idx.BulkLoad(load, load); err != nil {
+					t.Fatal(err)
 				}
 
 				// Point lookups over the loaded set.

@@ -5,10 +5,12 @@ import "testing"
 // fakeBase implements only the mandatory Index interface.
 type fakeBase struct{}
 
-func (fakeBase) Name() string                   { return "fake" }
-func (fakeBase) Get(uint64) (uint64, bool)      { return 0, false }
-func (fakeBase) Insert(key, value uint64) error { return nil }
-func (fakeBase) Len() int                       { return 0 }
+func (fakeBase) Name() string                         { return "fake" }
+func (fakeBase) Get(uint64) (uint64, bool)            { return 0, false }
+func (fakeBase) Insert(key, value uint64) error       { return nil }
+func (fakeBase) Len() int                             { return 0 }
+func (fakeBase) BulkLoad(keys, values []uint64) error { return nil }
+func (fakeBase) Sizes() Sizes                         { return Sizes{Structure: 1} }
 
 func (fakeBase) InsertReplace(k, v uint64) (bool, error) { return false, nil }
 
@@ -17,14 +19,11 @@ type fakeFull struct {
 	fakeBase
 }
 
-func (fakeFull) BulkLoad(keys, values []uint64) error { return nil }
-func (fakeFull) Range(uint64) Cursor                  { return NewSliceCursor(nil, nil, 0, false) }
-func (fakeFull) Delete(uint64) bool                   { return false }
-func (fakeFull) Sizes() Sizes                         { return Sizes{Structure: 1} }
-func (fakeFull) AvgDepth() float64                    { return 2 }
-func (fakeFull) RetrainStats() (int64, int64)         { return 3, 4 }
-func (fakeFull) ConcurrentReads() bool                { return true }
-func (fakeFull) ConcurrentWrites() bool               { return false }
+func (fakeFull) Range(uint64) Cursor          { return NewSliceCursor(nil, nil, 0) }
+func (fakeFull) Delete(uint64) bool           { return false }
+func (fakeFull) AvgDepth() float64            { return 2 }
+func (fakeFull) RetrainStats() (int64, int64) { return 3, 4 }
+func (fakeFull) ConcurrentWrites() bool       { return false }
 
 // fakeCapser overrides interface probing entirely.
 type fakeCapser struct{ fakeFull }
@@ -32,17 +31,16 @@ type fakeCapser struct{ fakeFull }
 func (fakeCapser) Caps() Caps { return Caps{Range: true} }
 
 func TestCapsOfBase(t *testing.T) {
-	if got := CapsOf(fakeBase{}); got != (Caps{Upsert: true}) {
-		t.Fatalf("CapsOf(base) = %+v, want Upsert alone", got)
+	if got := CapsOf(fakeBase{}); got != (Caps{}) {
+		t.Fatalf("CapsOf(base) = %+v, want no capability", got)
 	}
 }
 
 func TestCapsOfFull(t *testing.T) {
 	got := CapsOf(fakeFull{})
 	want := Caps{
-		Bulk: true, Range: true, Delete: true, Upsert: true,
-		Sized: true, Depth: true, Retrain: true,
-		ConcurrentReads: true, ConcurrentWrites: false,
+		Range: true, Delete: true, Depth: true, Retrain: true,
+		ConcurrentWrites: false,
 	}
 	if got != want {
 		t.Fatalf("CapsOf(full) = %+v, want %+v", got, want)
@@ -91,9 +89,6 @@ func TestHelperExtractors(t *testing.T) {
 		t.Fatalf("RetrainStatsOf = %d,%d,%v", c, ns, ok)
 	}
 	base := fakeBase{}
-	if _, ok := SizesOf(base); ok {
-		t.Fatal("SizesOf(base) should report false")
-	}
 	if _, ok := DepthOf(base); ok {
 		t.Fatal("DepthOf(base) should report false")
 	}

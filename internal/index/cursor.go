@@ -9,26 +9,24 @@ import "sync"
 // methods. Positioning (the one model descent / binary search per
 // Range call) stays in the owning index — these helpers only walk.
 
-// sliceCursor streams parallel sorted key/value slices from a
-// caller-located position, ascending or descending.
+// sliceCursor streams parallel sorted key/value slices in ascending
+// order from a caller-located position.
 type sliceCursor struct {
 	keys, vals []uint64
 	pos        int
-	desc       bool
 }
 
 var sliceCursorPool = sync.Pool{New: func() any { return new(sliceCursor) }}
 
 // NewSliceCursor returns a pooled cursor over the parallel sorted
 // slices keys/vals. pos is the caller-located start position (the
-// lower bound of the range start for ascending cursors, the last
-// position <= start for descending ones — out-of-range positions
-// yield an exhausted cursor). vals may be nil for key-only indexes,
-// in which case every value reads as 0. The cursor aliases the
-// slices; they must stay immutable while it is open.
-func NewSliceCursor(keys, vals []uint64, pos int, desc bool) Cursor {
+// lower bound of the range start; a position past the end yields an
+// exhausted cursor). vals may be nil for key-only indexes, in which
+// case every value reads as 0. The cursor aliases the slices; they must
+// stay immutable while it is open.
+func NewSliceCursor(keys, vals []uint64, pos int) Cursor {
 	c := sliceCursorPool.Get().(*sliceCursor)
-	c.keys, c.vals, c.pos, c.desc = keys, vals, pos, desc
+	c.keys, c.vals, c.pos = keys, vals, pos
 	return c
 }
 
@@ -37,18 +35,14 @@ func NewSliceCursor(keys, vals []uint64, pos int, desc bool) Cursor {
 //pieces:hotpath
 func (c *sliceCursor) Next(keys, vals []uint64) int {
 	n := 0
-	step := 1
-	if c.desc {
-		step = -1
-	}
-	for n < len(keys) && c.pos >= 0 && c.pos < len(c.keys) {
+	for n < len(keys) && c.pos < len(c.keys) {
 		keys[n] = c.keys[c.pos]
 		if c.vals != nil {
 			vals[n] = c.vals[c.pos]
 		} else {
 			vals[n] = 0
 		}
-		c.pos += step
+		c.pos++
 		n++
 	}
 	return n

@@ -18,16 +18,21 @@ var ErrReadOnly = errors.New("index: read-only index does not support insert")
 // uint64 (values are typically offsets into the KV store's storage).
 // Insert is an upsert: existing keys have their value replaced; it is
 // InsertReplace for callers that do not need the existence answer.
+// Every index bulk-loads, reports its footprint, and serves Get
+// concurrently with other Gets; what varies between indexes is in Caps.
 type Index interface {
 	Name() string
 	Get(key uint64) (uint64, bool)
 	Insert(key, value uint64) error
 	Upserter
+	Bulk
+	Sized
 	Len() int
 }
 
-// Bulk is implemented by indexes that can be built from sorted, distinct
-// keys with parallel values; this is the paper's build/recovery path.
+// Bulk is the build from sorted, distinct keys with parallel values
+// (values may be nil for key-only loads): the paper's build/recovery
+// path. It is part of Index.
 type Bulk interface {
 	BulkLoad(keys, values []uint64) error
 }
@@ -40,9 +45,8 @@ type Bulk interface {
 // every opened cursor must be closed exactly once.
 //
 // Safety contract: single-writer indexes must not be mutated while a
-// cursor is open; indexes with ConcurrentReads may serve cursors from
-// any goroutine, re-snapshotting internally between Next calls as
-// needed.
+// cursor is open; between writes, cursors may be served from any
+// goroutine, re-snapshotting internally between Next calls as needed.
 type Cursor interface {
 	Next(keys, vals []uint64) int
 	Close()
@@ -56,13 +60,6 @@ type Cursor interface {
 // want callback style drive it through Scan.
 type Ranger interface {
 	Range(start uint64) Cursor
-}
-
-// ReverseRanger is implemented by indexes whose layout permits
-// descending iteration: RangeDesc positions at the last entry with
-// key <= start and streams in descending key order.
-type ReverseRanger interface {
-	RangeDesc(start uint64) Cursor
 }
 
 // Deleter is implemented by indexes supporting removal. It reports
@@ -105,7 +102,7 @@ type Sizes struct {
 // Total returns the full footprint.
 func (s Sizes) Total() int64 { return s.Structure + s.Keys + s.Values }
 
-// Sized is implemented by indexes that report their footprint.
+// Sized is the footprint report. It is part of Index.
 type Sized interface {
 	Sizes() Sizes
 }
@@ -138,12 +135,6 @@ type RetrainReporter interface {
 type AsyncRetrainer interface {
 	SetRetrainPool(p *retrain.Pool)
 	DrainRetrains()
-}
-
-// ConcurrentReads marks indexes whose Get is safe to call concurrently
-// with other Gets (all static/bulk-loaded structures qualify).
-type ConcurrentReads interface {
-	ConcurrentReads() bool
 }
 
 // ConcurrentWrites marks indexes whose Insert is safe to call

@@ -43,13 +43,13 @@ func (r sliceRanger) Range(start uint64) Cursor {
 	for pos < len(r.keys) && r.keys[pos] < start {
 		pos++
 	}
-	return pullSpy{NewSliceCursor(r.keys, r.keys, pos, false), r.maxPull}
+	return pullSpy{NewSliceCursor(r.keys, r.keys, pos), r.maxPull}
 }
 
 // plainRanger hands out the pooled slice cursor itself.
 type plainRanger []uint64
 
-func (r plainRanger) Range(uint64) Cursor { return NewSliceCursor(r, r, 0, false) }
+func (r plainRanger) Range(uint64) Cursor { return NewSliceCursor(r, r, 0) }
 
 func TestScanHelper(t *testing.T) {
 	keys := make([]uint64, 100)

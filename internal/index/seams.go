@@ -14,8 +14,6 @@ type Seam struct {
 	Upsert       Upserter
 	Delete       Deleter
 	Range        Ranger
-	RangeDesc    ReverseRanger
-	Bulk         Bulk
 	Batch        BatchGetter
 	AsyncRetrain AsyncRetrainer
 }
@@ -28,30 +26,11 @@ func Seams(idx Index) Seam {
 	s.Upsert = idx
 	s.Delete, _ = idx.(Deleter)
 	s.Range, _ = idx.(Ranger)
-	s.RangeDesc, _ = idx.(ReverseRanger)
-	s.Bulk, _ = idx.(Bulk)
 	s.Batch, _ = idx.(BatchGetter)
 	s.AsyncRetrain, _ = idx.(AsyncRetrainer)
 	return s
 }
 
-// LoadSorted installs sorted distinct keys (with parallel values; values
-// may be nil for key-only loads) into idx through its bulk path when it
-// has one, falling back to one insert per key. It is the capability-safe
-// replacement for the idx.(Bulk).BulkLoad(...) pattern in build and
-// recovery paths.
-func LoadSorted(idx Index, keys, values []uint64) error {
-	if s := Seams(idx); s.Bulk != nil {
-		return s.Bulk.BulkLoad(keys, values)
-	}
-	for i, k := range keys {
-		var v uint64
-		if values != nil {
-			v = values[i]
-		}
-		if err := idx.Insert(k, v); err != nil {
-			return err
-		}
-	}
-	return nil
-}
+// LoadSorted is idx.BulkLoad, kept because the benchmark module calls
+// it.
+func LoadSorted(idx Index, keys, values []uint64) error { return idx.BulkLoad(keys, values) }

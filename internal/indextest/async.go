@@ -31,7 +31,7 @@ func RunAsyncEquivalence(t *testing.T, name string, f Factory) {
 		if pool != nil {
 			idx.(index.AsyncRetrainer).SetRetrainPool(pool)
 		}
-		if err := idx.(index.Bulk).BulkLoad(load, load); err != nil {
+		if err := idx.BulkLoad(load, load); err != nil {
 			t.Fatal(err)
 		}
 		want := make(map[uint64]uint64, n)
@@ -137,7 +137,7 @@ func RunAsyncEquivalence(t *testing.T, name string, f Factory) {
 		defer pool.Close()
 		idx := f()
 		run(t, idx, pool)
-		if err := idx.(index.Bulk).BulkLoad(load, load); err != nil {
+		if err := idx.BulkLoad(load, load); err != nil {
 			t.Fatal(err)
 		}
 		idx.(index.AsyncRetrainer).DrainRetrains()

@@ -27,18 +27,13 @@ func RunAll(t *testing.T, name string, f Factory) {
 	RunUpsert(t, name, f)
 	t.Run(name+"/random-model", func(t *testing.T) { testRandomModel(t, f) })
 	t.Run(name+"/caps", func(t *testing.T) { testCaps(t, f) })
-	caps := index.CapsOf(f())
-	if caps.Bulk {
-		t.Run(name+"/bulkload", func(t *testing.T) { testBulkLoad(t, f) })
-		t.Run(name+"/bulk-then-insert", func(t *testing.T) { testBulkThenInsert(t, f) })
-	}
+	t.Run(name+"/bulkload", func(t *testing.T) { testBulkLoad(t, f) })
+	t.Run(name+"/bulk-then-insert", func(t *testing.T) { testBulkThenInsert(t, f) })
 	RunScanConformance(t, name, f)
-	if caps.Delete {
+	if index.CapsOf(f()).Delete {
 		t.Run(name+"/delete", func(t *testing.T) { testDelete(t, f) })
 	}
-	if caps.Sized {
-		t.Run(name+"/sizes", func(t *testing.T) { testSizes(t, f) })
-	}
+	t.Run(name+"/sizes", func(t *testing.T) { testSizes(t, f) })
 }
 
 // RunReadOnly runs the conformance tests applicable to read-only indexes
@@ -57,7 +52,7 @@ func RunReadOnly(t *testing.T, name string, f Factory) {
 		for _, kind := range dataset.Kinds() {
 			idx := f()
 			keys := dataset.Generate(kind, 20000, 5)
-			if err := idx.(index.Bulk).BulkLoad(keys, keys); err != nil {
+			if err := idx.BulkLoad(keys, keys); err != nil {
 				t.Fatal(err)
 			}
 			for _, k := range keys {
@@ -78,38 +73,21 @@ func RunReadOnly(t *testing.T, name string, f Factory) {
 		}
 	})
 	t.Run(name+"/caps", func(t *testing.T) { testCaps(t, f) })
-	caps := index.CapsOf(f())
 	RunScanConformance(t, name, f)
-	if caps.Sized {
-		t.Run(name+"/sizes", func(t *testing.T) { testSizes(t, f) })
-	}
+	t.Run(name+"/sizes", func(t *testing.T) { testSizes(t, f) })
 }
 
 // testCaps checks that the capability descriptor matches reality: every
 // capability CapsOf reports true must be backed by a working interface,
 // and a masked Range (reported false while the method exists) must
-// visit nothing instead of returning wrong results.
+// visit nothing instead of returning wrong results. Concurrent Gets,
+// which every index serves, run unconditionally.
 func testCaps(t *testing.T, f Factory) {
 	idx := f()
 	caps := index.CapsOf(idx)
 	keys := dataset.Generate(dataset.YCSBUniform, 1000, 81)
-
-	// Load through the advertised write path.
-	switch {
-	case caps.Bulk:
-		b, ok := idx.(index.Bulk)
-		if !ok {
-			t.Fatal("caps report Bulk but index.Bulk is not implemented")
-		}
-		if err := b.BulkLoad(keys, keys); err != nil {
-			t.Fatalf("advertised bulk load failed: %v", err)
-		}
-	default:
-		for _, k := range keys {
-			if err := idx.Insert(k, k); err != nil {
-				t.Fatalf("insert(%d): %v", k, err)
-			}
-		}
+	if err := idx.BulkLoad(keys, keys); err != nil {
+		t.Fatalf("bulk load failed: %v", err)
 	}
 	for _, k := range keys[:100] {
 		if v, ok := idx.Get(k); !ok || v != k {
@@ -161,10 +139,6 @@ func testCaps(t *testing.T, f Factory) {
 		t.Fatal("caps report Range but index.Ranger is not implemented")
 	}
 
-	if !caps.Upsert {
-		t.Fatal("InsertReplace is part of index.Index but caps mask Upsert")
-	}
-
 	if caps.Delete {
 		d, ok := idx.(index.Deleter)
 		if !ok {
@@ -178,15 +152,6 @@ func testCaps(t *testing.T, f Factory) {
 		}
 	}
 
-	if caps.Sized {
-		sz, ok := index.SizesOf(idx)
-		if !ok {
-			t.Fatal("caps report Sized but SizesOf failed")
-		}
-		if sz.Keys < int64(idx.Len())*8 {
-			t.Fatalf("Keys size %d below raw key bytes", sz.Keys)
-		}
-	}
 	if caps.Depth {
 		if d, ok := index.DepthOf(idx); !ok || d < 0 {
 			t.Fatalf("caps report Depth but DepthOf = %v,%v", d, ok)
@@ -198,19 +163,17 @@ func testCaps(t *testing.T, f Factory) {
 		}
 	}
 
-	if caps.ConcurrentReads {
-		var wg sync.WaitGroup
-		for w := 0; w < 4; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for i := w; i < len(keys); i += 4 {
-					idx.Get(keys[i])
-				}
-			}(w)
-		}
-		wg.Wait()
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := w; i < len(keys); i += 4 {
+				idx.Get(keys[i])
+			}
+		}(w)
 	}
+	wg.Wait()
 	if caps.ConcurrentWrites {
 		fresh := f()
 		var wg sync.WaitGroup
@@ -334,7 +297,7 @@ func testUpsert(t *testing.T, f Factory) {
 	for i := 1; i < len(keys); i += 3 {
 		load = append(load, keys[i])
 	}
-	if err := index.LoadSorted(idx, load, load); err != nil {
+	if err := idx.BulkLoad(load, load); err != nil {
 		t.Fatalf("load: %v", err)
 	}
 	visible := func(k, want uint64) {
@@ -408,7 +371,7 @@ func testBulkLoad(t *testing.T, f Factory) {
 		for i := range vals {
 			vals[i] = uint64(i) + 7
 		}
-		if err := idx.(index.Bulk).BulkLoad(keys, vals); err != nil {
+		if err := idx.BulkLoad(keys, vals); err != nil {
 			t.Fatalf("n=%d: bulk load: %v", n, err)
 		}
 		if idx.Len() != n {
@@ -427,7 +390,7 @@ func testBulkThenInsert(t *testing.T, f Factory) {
 	idx := f()
 	all := dataset.Generate(dataset.YCSBNormal, 4000, 31)
 	load, ins := dataset.Split(all, 1000)
-	if err := idx.(index.Bulk).BulkLoad(load, load); err != nil {
+	if err := idx.BulkLoad(load, load); err != nil {
 		t.Fatalf("bulk load: %v", err)
 	}
 	for _, k := range dataset.Shuffled(ins, 32) {
@@ -486,16 +449,10 @@ func testDelete(t *testing.T, f Factory) {
 func testSizes(t *testing.T, f Factory) {
 	idx := f()
 	keys := dataset.Generate(dataset.YCSBUniform, 2000, 61)
-	if b, ok := idx.(index.Bulk); ok {
-		if err := b.BulkLoad(keys, keys); err != nil {
-			t.Fatal(err)
-		}
-	} else {
-		for _, k := range keys {
-			mustInsert(t, idx, k, k)
-		}
+	if err := idx.BulkLoad(keys, keys); err != nil {
+		t.Fatal(err)
 	}
-	s := idx.(index.Sized).Sizes()
+	s := idx.Sizes()
 	if s.Keys < int64(len(keys))*8 {
 		t.Fatalf("Keys size %d below raw key bytes", s.Keys)
 	}

@@ -15,14 +15,13 @@ import (
 // raw with several buffer sizes, or driven through index.Scan — with
 // the sorted live set loadConformance returns: ascending order,
 // start-boundary inclusion, exact-limit stop, empty ranges, resume at
-// lastKey+1, a differential open at every key after a delete history,
-// and descending iteration. Every check is gated on the capability
-// descriptor, so the suite runs against every index and exercises
-// exactly the surface it advertises. Pulling with several buffer sizes
-// also exercises, under -race, the pooled cursors' reuse across opens.
+// lastKey+1, and a differential open at every key after a delete
+// history. The suite is gated on the capability descriptor, so it runs
+// against every index and exercises exactly the surface it advertises.
+// Pulling with several buffer sizes also exercises, under -race, the
+// pooled cursors' reuse across opens.
 func RunScanConformance(t *testing.T, name string, f Factory) {
-	caps := index.CapsOf(f())
-	if !caps.Range {
+	if !index.CapsOf(f()).Range {
 		t.Run(name+"/scan-unsupported", func(t *testing.T) {
 			// An honest refusal: nothing to conform to.
 			t.Skipf("%s does not advertise Range", name)
@@ -34,9 +33,6 @@ func RunScanConformance(t *testing.T, name string, f Factory) {
 	t.Run(name+"/scan-empty", func(t *testing.T) { testScanEmpty(t, f) })
 	t.Run(name+"/cursor-resume", func(t *testing.T) { testCursorResume(t, f) })
 	t.Run(name+"/cursor-open", func(t *testing.T) { testCursorOpen(t, f) })
-	if caps.RangeDesc {
-		t.Run(name+"/cursor-desc", func(t *testing.T) { testCursorDesc(t, f) })
-	}
 }
 
 // edgeKeys are the keys where model arithmetic and cursor stepping are
@@ -46,10 +42,10 @@ func RunScanConformance(t *testing.T, name string, f Factory) {
 // end, and every one is also a scan start position.
 var edgeKeys = []uint64{0, 1, 1 << 53, 1<<53 + 1, 1 << 63, ^uint64(0) - 1, ^uint64(0)}
 
-// loadConformance fills an index with a reproducible key set — bulk
-// load where supported, inserts otherwise, plus a post-load insert and
-// delete phase where the index is dynamic — and returns the expected
-// sorted live keys (every key maps to itself as value).
+// loadConformance fills an index with a reproducible key set — a bulk
+// load, plus a post-load insert and delete phase where the index is
+// dynamic — and returns the expected sorted live keys (every key maps to
+// itself as value).
 func loadConformance(t *testing.T, idx index.Index) []uint64 {
 	t.Helper()
 	base := dataset.Generate(dataset.YCSBUniform, 4000, 71)
@@ -64,7 +60,7 @@ func loadConformance(t *testing.T, idx index.Index) []uint64 {
 		live[2+i] = true
 		live[^uint64(0)-2-i] = true
 	}
-	loadKeys(t, idx, sortedKeys(live))
+	mustBulkLoad(t, idx, sortedKeys(live))
 	// Dynamic indexes additionally absorb inserts (delta layers, node
 	// splits) and deletes, so the ordered walk crosses layer boundaries.
 	extra := dataset.Generate(dataset.YCSBNormal, 500, 72)
@@ -87,18 +83,11 @@ func loadConformance(t *testing.T, idx index.Index) []uint64 {
 	return sortedKeys(live)
 }
 
-// loadKeys installs sorted keys (value = key) through the bulk path
-// where the index has one, inserts otherwise.
-func loadKeys(t *testing.T, idx index.Index, keys []uint64) {
+// mustBulkLoad installs sorted keys (value = key).
+func mustBulkLoad(t *testing.T, idx index.Index, keys []uint64) {
 	t.Helper()
-	if b, ok := idx.(index.Bulk); ok {
-		if err := b.BulkLoad(keys, keys); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	for _, k := range keys {
-		mustInsert(t, idx, k, k)
+	if err := idx.BulkLoad(keys, keys); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -220,7 +209,7 @@ func testScanEmpty(t *testing.T, f Factory) {
 	}
 	// Nor does a scan from past the largest key.
 	idx := f()
-	loadKeys(t, idx, []uint64{10, 20, 30})
+	mustBulkLoad(t, idx, []uint64{10, 20, 30})
 	for _, start := range []uint64{31, ^uint64(0)} {
 		if g := collectScan(t, idx, start, 10); len(g) != 0 {
 			t.Fatalf("past-the-end scan from %d visited %v", start, g)
@@ -268,43 +257,6 @@ func testCursorResume(t *testing.T, f Factory) {
 	}
 }
 
-func testCursorDesc(t *testing.T, f Factory) {
-	idx := f()
-	want := loadConformance(t, idx)
-	rr := idx.(index.ReverseRanger)
-	// From the maximum key: the exact reverse of the ascending walk.
-	cur := rr.RangeDesc(^uint64(0))
-	got := collectCursor(t, cur, 64)
-	cur.Close()
-	if len(got) != len(want) {
-		t.Fatalf("desc cursor yielded %d entries, want %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[len(want)-1-i] {
-			t.Fatalf("desc order broken at %d: %d != %d", i, got[i], want[len(want)-1-i])
-		}
-	}
-	// Start boundary: from every start position — an existing key, the
-	// gap after it, the edge keys — the walk begins at the last entry
-	// with key <= start and steps down the oracle from there.
-	for _, start := range startPositions(want) {
-		at := sort.Search(len(want), func(i int) bool { return want[i] > start }) - 1
-		cur := rr.RangeDesc(start)
-		keys := make([]uint64, 40)
-		vals := make([]uint64, 40)
-		m := cur.Next(keys, vals)
-		cur.Close()
-		if wantM := min(at+1, len(keys)); m != wantM {
-			t.Fatalf("desc cursor from %d yielded %d entries, want %d", start, m, wantM)
-		}
-		for i := 0; i < m; i++ {
-			if keys[i] != want[at-i] || vals[i] != keys[i] {
-				t.Fatalf("desc cursor from %d: entry %d = (%d,%d), want key %d", start, i, keys[i], vals[i], want[at-i])
-			}
-		}
-	}
-}
-
 // testCursorOpen is the differential open check. Opening is where a
 // node-based cursor does more than walk: it seeks inside the node the
 // descent found, and the seek's corner cases are shapes only a delete
@@ -318,8 +270,8 @@ func testCursorDesc(t *testing.T, f Factory) {
 // included. Random deletes and re-inserts follow. Then a cursor is opened
 // at every key that was ever present, live or deleted, and at both its
 // neighbours, and what it yields first is compared with the sorted
-// oracle — ascending and, where advertised, descending. Indexes that
-// cannot delete or insert get the same opens over what they can hold.
+// oracle. Indexes that cannot delete or insert get the same opens over
+// what they can hold.
 func testCursorOpen(t *testing.T, f Factory) {
 	for _, ends := range []bool{false, true} {
 		idx := f()
@@ -360,33 +312,21 @@ func testCursorOpen(t *testing.T, f Factory) {
 		}
 		want := sortedKeys(live)
 		r := idx.(index.Ranger)
-		rr, _ := idx.(index.ReverseRanger)
 		keys, vals := make([]uint64, 4), make([]uint64, 4)
-		// pull drains cur's first entries: count remain in its direction,
-		// the i-th of them is wantAt(i).
-		pull := func(what string, start uint64, cur index.Cursor, count int, wantAt func(i int) uint64) {
-			m := cur.Next(keys, vals)
-			cur.Close()
-			if m != min(count, len(keys)) {
-				t.Fatalf("ends=%v: %s opened at %d yielded %d entries, want %d", ends, what, start, m, min(count, len(keys)))
-			}
-			for i := 0; i < m; i++ {
-				if keys[i] != wantAt(i) || vals[i] != keys[i] {
-					t.Fatalf("ends=%v: %s opened at %d: entry %d = (%d,%d), want key %d", ends, what, start, i, keys[i], vals[i], wantAt(i))
-				}
-			}
-		}
+		// check drains the first entries of a cursor opened at start.
 		check := func(start uint64) {
 			exp := suffixFrom(want, start)
-			pull("cursor", start, r.Range(start), len(exp), func(i int) uint64 { return exp[i] })
-			if !caps.RangeDesc {
-				return
+			cur := r.Range(start)
+			m := cur.Next(keys, vals)
+			cur.Close()
+			if m != min(len(exp), len(keys)) {
+				t.Fatalf("ends=%v: cursor opened at %d yielded %d entries, want %d", ends, start, m, min(len(exp), len(keys)))
 			}
-			le := len(want) - len(exp) // entries with key <= start
-			if le < len(want) && want[le] == start {
-				le++
+			for i := 0; i < m; i++ {
+				if keys[i] != exp[i] || vals[i] != keys[i] {
+					t.Fatalf("ends=%v: cursor opened at %d: entry %d = (%d,%d), want key %d", ends, start, i, keys[i], vals[i], exp[i])
+				}
 			}
-			pull("desc cursor", start, rr.RangeDesc(start), le, func(i int) uint64 { return want[le-1-i] })
 		}
 		for _, k := range ever {
 			if k > 0 {

@@ -168,9 +168,6 @@ func (ix *Index) Name() string { return "alex" }
 // Len returns the number of stored entries.
 func (ix *Index) Len() int { return ix.length }
 
-// ConcurrentReads reports that concurrent Gets are safe between writes.
-func (ix *Index) ConcurrentReads() bool { return true }
-
 // RetrainStats implements index.RetrainReporter.
 func (ix *Index) RetrainStats() (int64, int64) {
 	return ix.retrains.Load(), ix.retrainNs.Load()
@@ -713,20 +710,10 @@ func lastKey(d *dataNode) uint64 {
 	return 0
 }
 
-// firstKeyOf returns the smallest live key of a node, ok=false when the
-// node holds no live entries.
-func firstKeyOf(d *dataNode) (uint64, bool) {
-	if i := d.g.SeekGE(0); i < d.g.Capacity() {
-		return d.g.Keys[i], true
-	}
-	return 0, false
-}
-
-// cursor streams the doubly linked data-node chain slot-sequentially.
+// cursor streams the data-node chain slot-sequentially.
 type cursor struct {
-	d    *dataNode
-	i    int
-	desc bool
+	d *dataNode
+	i int
 }
 
 var cursorPool = sync.Pool{New: func() any { return new(cursor) }}
@@ -742,36 +729,10 @@ func (ix *Index) Range(start uint64) index.Cursor {
 		d = d.prev
 	}
 	c := cursorPool.Get().(*cursor)
-	c.desc = false
 	// The descent can also land early — on a node whose live keys are all
 	// below start, or an emptied one: the successor is in a later node.
 	for c.d = d; c.d != nil; c.d = c.d.next {
 		if c.i = c.d.g.SeekGE(start); c.i < c.d.g.Capacity() {
-			break
-		}
-	}
-	return c
-}
-
-// RangeDesc implements index.ReverseRanger: the prev links make the
-// descending walk symmetric to Range.
-func (ix *Index) RangeDesc(start uint64) index.Cursor {
-	d := ix.descend(start)
-	// The descent can land on either side of the true position: move
-	// right while a later node still starts at or below start (empty
-	// nodes are stepped over), then the seek below walks left.
-	for d.next != nil {
-		k, ok := firstKeyOf(d.next)
-		if !ok || k <= start {
-			d = d.next
-			continue
-		}
-		break
-	}
-	c := cursorPool.Get().(*cursor)
-	c.desc = true
-	for c.d = d; c.d != nil; c.d = c.d.prev {
-		if c.i = c.d.g.SeekLE(start); c.i >= 0 {
 			break
 		}
 	}
@@ -784,37 +745,18 @@ func (ix *Index) RangeDesc(start uint64) index.Cursor {
 func (c *cursor) Next(keys, vals []uint64) int {
 	n := 0
 	d, i := c.d, c.i
-	if c.desc {
-		for d != nil && n < len(keys) {
-			for n < len(keys) {
-				if i = d.g.Occ.PrevSet(i); i < 0 {
-					break
-				}
-				keys[n], vals[n] = d.g.Keys[i], d.g.Values[i]
-				n++
-				i--
+	for d != nil && n < len(keys) {
+		m := d.g.Capacity()
+		for n < len(keys) {
+			if i = d.g.Occ.NextSet(i, m); i >= m {
+				break
 			}
-			if i < 0 {
-				d = d.prev
-				if d != nil {
-					i = d.g.Capacity() - 1
-				}
-			}
+			keys[n], vals[n] = d.g.Keys[i], d.g.Values[i]
+			n++
+			i++
 		}
-	} else {
-		for d != nil && n < len(keys) {
-			m := d.g.Capacity()
-			for n < len(keys) {
-				if i = d.g.Occ.NextSet(i, m); i >= m {
-					break
-				}
-				keys[n], vals[n] = d.g.Keys[i], d.g.Values[i]
-				n++
-				i++
-			}
-			if i >= m {
-				d, i = d.next, 0
-			}
+		if i >= m {
+			d, i = d.next, 0
 		}
 	}
 	c.d, c.i = d, i

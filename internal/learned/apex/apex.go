@@ -104,9 +104,6 @@ func (ix *Index) Name() string { return "apex" }
 // Len returns the number of stored entries.
 func (ix *Index) Len() int { return ix.length }
 
-// ConcurrentReads reports that concurrent Gets are safe between writes.
-func (ix *Index) ConcurrentReads() bool { return true }
-
 // --- PMem node accessors ---
 
 func nodeBytes(capacity int) int {

@@ -111,9 +111,6 @@ func (ix *Index) Name() string { return "finedex" }
 // Len returns the number of live entries.
 func (ix *Index) Len() int { return int(ix.length.Load()) }
 
-// ConcurrentReads reports that concurrent Gets are safe.
-func (ix *Index) ConcurrentReads() bool { return true }
-
 // ConcurrentWrites reports that concurrent Inserts are safe (the
 // fine-grained bins are FINEdex's whole point).
 func (ix *Index) ConcurrentWrites() bool { return true }

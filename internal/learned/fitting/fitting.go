@@ -171,9 +171,6 @@ func (ix *Index) Name() string {
 // Len returns the number of stored entries.
 func (ix *Index) Len() int { return ix.length }
 
-// ConcurrentReads reports that concurrent Gets are safe between writes.
-func (ix *Index) ConcurrentReads() bool { return true }
-
 // RetrainStats implements index.RetrainReporter.
 func (ix *Index) RetrainStats() (int64, int64) {
 	return ix.retrains.Load(), ix.retrainNs.Load()
@@ -267,15 +264,14 @@ func (ix *Index) newLeaf(keys, values []uint64, s pla.Segment) *segLeaf {
 
 // leafFor locates the leaf whose key range contains key (the leftmost
 // leaf when key precedes every segment). It returns nil only when the
-// index is empty.
+// index has no leaf.
 func (ix *Index) leafFor(key uint64) *segLeaf {
-	if len(ix.leaves) == 0 {
-		return nil
-	}
 	_, id, ok := ix.inner.Floor(key)
 	if !ok {
 		// Key precedes the first segment.
-		_, id, _ = ix.inner.Min()
+		if _, id, ok = ix.inner.Min(); !ok {
+			return nil
+		}
 	}
 	return ix.leaves[id]
 }
@@ -447,12 +443,7 @@ func (ix *Index) scheduleRetrain(l *segLeaf) {
 	gen := ix.gen
 	ix.pool.Submit(l, func() {
 		start := time.Now()
-		var nls []*segLeaf
-		if len(keys) > 0 {
-			for _, s := range ix.segment(keys) {
-				nls = append(nls, ix.newLeaf(keys[s.Start:s.End], vals[s.Start:s.End], s))
-			}
-		}
+		nls := ix.buildLeaves(keys, vals)
 		ix.retrains.Add(1)
 		ix.retrainNs.Add(time.Since(start).Nanoseconds())
 		ix.inbox.Put(deposit{old: l, gen: gen, leaves: nls})
@@ -472,12 +463,7 @@ func (ix *Index) installDeposits() bool {
 		if d.gen != ix.gen {
 			continue
 		}
-		ix.inner.Delete(d.old.firstKey)
-		for _, nl := range d.leaves {
-			ix.leaves = append(ix.leaves, nl)
-			// The inner btree's Insert error is interface-shaped and always nil.
-			_ = ix.inner.Insert(nl.firstKey, uint64(len(ix.leaves)-1))
-		}
+		ix.swapLeaf(d.old, d.leaves)
 		// Replay the writes that hit the old leaf after the snapshot, in
 		// order, against the freshly installed leaves.
 		log := ix.takeOplog(d.old)
@@ -530,16 +516,40 @@ func (ix *Index) retrainLeafWith(l *segLeaf, key, value uint64) {
 // resulting segment leaves into the inner tree ("retrain one node").
 func (ix *Index) replaceLeaf(old *segLeaf, keys, vals []uint64) {
 	start := time.Now()
-	ix.inner.Delete(old.firstKey)
-	segs := ix.segment(keys)
-	for _, s := range segs {
-		nl := ix.newLeaf(keys[s.Start:s.End], vals[s.Start:s.End], s)
-		ix.leaves = append(ix.leaves, nl)
-		// The inner btree's Insert error is interface-shaped and always nil.
-		_ = ix.inner.Insert(s.FirstKey, uint64(len(ix.leaves)-1))
-	}
+	ix.swapLeaf(old, ix.buildLeaves(keys, vals))
 	ix.retrains.Add(1)
 	ix.retrainNs.Add(time.Since(start).Nanoseconds())
+}
+
+// buildLeaves segments sorted keys into fresh leaves (none for no keys).
+func (ix *Index) buildLeaves(keys, vals []uint64) []*segLeaf {
+	if len(keys) == 0 {
+		return nil
+	}
+	segs := ix.segment(keys)
+	nls := make([]*segLeaf, len(segs))
+	for i, s := range segs {
+		nls[i] = ix.newLeaf(keys[s.Start:s.End], vals[s.Start:s.End], s)
+	}
+	return nls
+}
+
+// swapLeaf replaces old by nls in the inner tree. The first replacement
+// takes over old's id, so ix.leaves stops referencing the displaced leaf
+// (its slot is cleared when there is no replacement); the others append.
+func (ix *Index) swapLeaf(old *segLeaf, nls []*segLeaf) {
+	id, _ := ix.inner.Get(old.firstKey)
+	ix.inner.Delete(old.firstKey)
+	ix.leaves[id] = nil
+	for i, nl := range nls {
+		if i > 0 {
+			id = uint64(len(ix.leaves))
+			ix.leaves = append(ix.leaves, nil)
+		}
+		ix.leaves[id] = nl
+		// The inner btree's Insert error is interface-shaped and always nil.
+		_ = ix.inner.Insert(nl.firstKey, id)
+	}
 }
 
 // Delete removes key and reports whether it was present.

@@ -1,11 +1,13 @@
 package fitting
 
 import (
+	"math/rand"
 	"testing"
 
 	"learnedpieces/internal/dataset"
 	"learnedpieces/internal/index"
 	"learnedpieces/internal/indextest"
+	"learnedpieces/internal/retrain"
 )
 
 func TestConformanceInplace(t *testing.T) {
@@ -97,6 +99,53 @@ func TestInplaceReserveExhaustion(t *testing.T) {
 		if _, ok := ix.Get(k); !ok {
 			t.Fatalf("key %d lost", k)
 		}
+	}
+}
+
+// TestRetrainReleasesDisplacedLeaf: a retrain's replacement leaves take
+// over the displaced leaf's slot in ix.leaves, so after many retrains —
+// inline, or built on a pool and installed at the drain — every leaf the
+// slice still holds is one the inner tree reaches.
+func TestRetrainReleasesDisplacedLeaf(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		mode Mode
+		pool *retrain.Pool
+	}{
+		{"inline-inplace", Inplace, nil},
+		{"inline-buffer", Buffer, nil},
+		{"pool-buffer", Buffer, retrain.NewPool(1, 0)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer tc.pool.Close()
+			ix := New(Config{Mode: tc.mode, Eps: 32, Reserve: 64})
+			ix.SetRetrainPool(tc.pool)
+			keys := make([]uint64, 10000)
+			for i := range keys {
+				keys[i] = uint64(i) * 1000
+			}
+			if err := ix.BulkLoad(keys, keys); err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(5))
+			for i := 0; i < 30000; i++ {
+				k := uint64(rng.Int63n(1e7))
+				if err := ix.Insert(k, k); err != nil {
+					t.Fatal(err)
+				}
+			}
+			ix.DrainRetrains()
+			if n, _ := ix.RetrainStats(); n == 0 {
+				t.Fatal("no retrains ran")
+			}
+			reached := map[uint64]bool{}
+			index.Scan(ix.inner, 0, 0, func(_, id uint64) bool { reached[id] = true; return true })
+			for id, l := range ix.leaves {
+				if l != nil && !reached[uint64(id)] {
+					t.Fatalf("ix.leaves[%d] is a displaced leaf (%d slots, %d reached)", id, len(ix.leaves), len(reached))
+				}
+			}
+		})
 	}
 }
 

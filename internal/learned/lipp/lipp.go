@@ -117,9 +117,6 @@ func (ix *Index) Name() string { return "lipp" }
 // Len returns the number of stored entries.
 func (ix *Index) Len() int { return ix.length }
 
-// ConcurrentReads reports that concurrent Gets are safe between writes.
-func (ix *Index) ConcurrentReads() bool { return true }
-
 // RetrainStats implements index.RetrainReporter.
 func (ix *Index) RetrainStats() (int64, int64) { return ix.retrains.Load(), ix.retrainNs.Load() }
 

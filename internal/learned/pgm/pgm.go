@@ -217,9 +217,6 @@ func New(cfg Config) *Index {
 // Name implements index.Index.
 func (ix *Index) Name() string { return "pgm" }
 
-// ConcurrentReads reports that concurrent Gets are safe between writes.
-func (ix *Index) ConcurrentReads() bool { return true }
-
 // RetrainStats implements index.RetrainReporter.
 func (ix *Index) RetrainStats() (int64, int64) {
 	return ix.retrains.Load(), ix.retrainNs.Load()

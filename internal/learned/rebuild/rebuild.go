@@ -19,11 +19,10 @@ import (
 	"learnedpieces/internal/search"
 )
 
-// Inner is the contract the wrapped index must satisfy: point and
-// batch lookups plus bulk loading.
+// Inner is the contract the wrapped index must satisfy: an index with
+// batch lookups.
 type Inner interface {
 	index.Index
-	index.Bulk
 	index.BatchGetter
 }
 
@@ -101,9 +100,6 @@ func New(name string, cfg Config, newInner func() Inner) *Index {
 
 // Name implements index.Index.
 func (ix *Index) Name() string { return ix.name }
-
-// ConcurrentReads reports that concurrent Gets are safe between writes.
-func (ix *Index) ConcurrentReads() bool { return true }
 
 // RetrainStats implements index.RetrainReporter: every full rebuild is
 // one retraining action.
@@ -383,7 +379,7 @@ func (ix *Index) AvgDepth() float64 {
 
 // Sizes reports the inner footprint plus the buffer layers.
 func (ix *Index) Sizes() index.Sizes {
-	s, _ := index.SizesOf(ix.inner)
+	s := ix.inner.Sizes()
 	s.Structure += int64(len(ix.bufD) + len(ix.frozenD))
 	s.Keys += int64(len(ix.bufK)+len(ix.frozenK)) * 8
 	s.Values += int64(len(ix.bufV)+len(ix.frozenV)) * 8

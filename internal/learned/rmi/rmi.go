@@ -57,9 +57,6 @@ func (ix *Index) Name() string { return "rmi" }
 // Len returns the number of stored entries.
 func (ix *Index) Len() int { return len(ix.keys) }
 
-// ConcurrentReads reports that concurrent Gets are safe.
-func (ix *Index) ConcurrentReads() bool { return true }
-
 // Insert is unsupported: RMI is a read-only learned index.
 func (ix *Index) Insert(key, value uint64) error { return index.ErrReadOnly }
 
@@ -321,14 +318,7 @@ func (ix *Index) lowerBound(key uint64) int {
 // Range implements index.Ranger: one model descent locates the lower
 // bound, then the pooled cursor walks the flat sorted array.
 func (ix *Index) Range(start uint64) index.Cursor {
-	return index.NewSliceCursor(ix.keys, ix.vals, ix.lowerBound(start), false)
-}
-
-// RangeDesc implements index.ReverseRanger: the flat array walks
-// backward as cheaply as forward.
-func (ix *Index) RangeDesc(start uint64) index.Cursor {
-	pos := search.UpperBound(ix.keys, start, 0, len(ix.keys)) - 1
-	return index.NewSliceCursor(ix.keys, ix.vals, pos, true)
+	return index.NewSliceCursor(ix.keys, ix.vals, ix.lowerBound(start))
 }
 
 // AvgDepth reports the two model stages (Table II lists RMI as depth 2).

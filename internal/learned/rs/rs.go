@@ -54,9 +54,6 @@ func (ix *Index) Name() string { return "rs" }
 // Len returns the number of stored entries.
 func (ix *Index) Len() int { return len(ix.keys) }
 
-// ConcurrentReads reports that concurrent Gets are safe.
-func (ix *Index) ConcurrentReads() bool { return true }
-
 // Insert is unsupported: RadixSpline is a read-only learned index.
 func (ix *Index) Insert(key, value uint64) error { return index.ErrReadOnly }
 
@@ -215,14 +212,7 @@ func (ix *Index) lowerBound(key uint64) int {
 // Range implements index.Ranger: one radix+spline descent locates the
 // lower bound, then the pooled cursor walks the flat sorted array.
 func (ix *Index) Range(start uint64) index.Cursor {
-	return index.NewSliceCursor(ix.keys, ix.vals, ix.lowerBound(start), false)
-}
-
-// RangeDesc implements index.ReverseRanger: the flat array walks
-// backward as cheaply as forward.
-func (ix *Index) RangeDesc(start uint64) index.Cursor {
-	pos := search.UpperBound(ix.keys, start, 0, len(ix.keys)) - 1
-	return index.NewSliceCursor(ix.keys, ix.vals, pos, true)
+	return index.NewSliceCursor(ix.keys, ix.vals, ix.lowerBound(start))
 }
 
 // AvgDepth reports one table probe plus the spline stage.
@@ -243,9 +233,6 @@ func (ix *Index) Sizes() index.Sizes {
 		Values:    int64(len(ix.vals)) * 8,
 	}
 }
-
-// SplineKnots returns the knot count (for analyses and ablations).
-func (ix *Index) SplineKnots() int { return len(ix.spline) }
 
 // TableWindow returns the average spline-search window width induced by
 // the radix table — the quantity that explodes on FACE-like skew.

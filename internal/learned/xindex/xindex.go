@@ -188,9 +188,6 @@ func (ix *Index) Name() string { return "xindex" }
 // Len returns the number of live entries.
 func (ix *Index) Len() int { return int(ix.length.Load()) }
 
-// ConcurrentReads reports that concurrent Gets are safe.
-func (ix *Index) ConcurrentReads() bool { return true }
-
 // ConcurrentWrites reports that concurrent Inserts are safe — the
 // property only XIndex has among the paper's learned indexes.
 func (ix *Index) ConcurrentWrites() bool { return true }

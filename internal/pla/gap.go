@@ -218,9 +218,9 @@ func (g *GappedNode) SeekGE(key uint64) int {
 }
 
 // SeekLE returns the last occupied slot whose key is <= key, or -1 when
-// the node holds none: where a descending scan from key starts. The
-// rightmost slot with a key <= key may be a gap copy; its original is the
-// first occupied slot to its left, one gap run away.
+// the node holds none. The rightmost slot with a key <= key may be a gap
+// copy; its original is the first occupied slot to its left, one gap run
+// away.
 func (g *GappedNode) SeekLE(key uint64) int {
 	return g.Occ.PrevSet(g.upperBound(key) - 1)
 }

@@ -13,15 +13,10 @@
 // path in the adopting indexes, differing only in where and when the
 // closure runs.
 //
-// Two small helpers cover the publication side:
-//
-//   - Slot is a copy-on-write publication cell (build aside, atomic
-//     pointer swap) for indexes whose readers follow a pointer — readers
-//     never block on a retrain.
-//   - Inbox collects built-aside results for indexes with a
-//     single-writer contract, where the background worker must not touch
-//     the live structure; the owning writer installs deposits on its own
-//     timeline (at the next write, or at Drain).
+// Inbox covers the publication side: it collects built-aside results for
+// indexes with a single-writer contract, where the background worker
+// must not touch the live structure; the owning writer installs deposits
+// on its own timeline (at the next write, or at Drain).
 package retrain
 
 import (
@@ -32,7 +27,7 @@ import (
 
 // Task is one unit of retraining work. It must be self-contained: the
 // closure owns a snapshot of whatever it rebuilds and publishes the
-// result itself (via a Slot swap or an Inbox deposit).
+// result itself (an atomic swap or an Inbox deposit).
 type Task func()
 
 type entry struct {
@@ -244,28 +239,6 @@ func (p *Pool) Stats() Stats {
 		BackgroundNs: p.backgroundNs.Load(),
 		ForegroundNs: p.foregroundNs.Load(),
 	}
-}
-
-// Slot is a copy-on-write publication cell: the background worker
-// builds a replacement structure aside and publishes it with a single
-// atomic pointer swap, so readers never block on a retrain and never
-// observe a half-built structure.
-type Slot[T any] struct {
-	p atomic.Pointer[T]
-}
-
-// Load returns the current published value (nil before the first
-// Publish).
-func (s *Slot[T]) Load() *T { return s.p.Load() }
-
-// Publish swaps in v as the new published value.
-func (s *Slot[T]) Publish(v *T) { s.p.Store(v) }
-
-// CompareAndPublish publishes v only if the slot still holds old,
-// returning whether the swap happened. Lets a background rebuild detect
-// that the structure it snapshotted was replaced underneath it.
-func (s *Slot[T]) CompareAndPublish(old, v *T) bool {
-	return s.p.CompareAndSwap(old, v)
 }
 
 // Inbox hands built-aside results from background workers to an owner

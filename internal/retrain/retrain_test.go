@@ -167,27 +167,6 @@ func TestDrainConcurrentSubmitters(t *testing.T) {
 	}
 }
 
-func TestSlotPublish(t *testing.T) {
-	var s Slot[int]
-	if s.Load() != nil {
-		t.Fatal("fresh slot not nil")
-	}
-	a, b, c := 1, 2, 3
-	s.Publish(&a)
-	if got := s.Load(); got != &a {
-		t.Fatal("Load != last Publish")
-	}
-	if s.CompareAndPublish(&b, &c) {
-		t.Fatal("CompareAndPublish succeeded against wrong old value")
-	}
-	if !s.CompareAndPublish(&a, &b) {
-		t.Fatal("CompareAndPublish failed against current value")
-	}
-	if got := s.Load(); got != &b {
-		t.Fatal("swap not visible")
-	}
-}
-
 func TestInbox(t *testing.T) {
 	var b Inbox[int]
 	if got := b.TakeAll(); got != nil {

@@ -125,14 +125,12 @@ type Server struct {
 	met   *metrics
 
 	// opMu serialises store calls the index cannot take concurrently.
-	// Three tiers by capability: ConcurrentWrites — no locking at all;
-	// ConcurrentReads only — writes take the write lock, reads share
-	// the read lock; neither — every op takes the write lock. A Get run
+	// Two tiers by capability: ConcurrentWrites — no locking at all;
+	// otherwise (lockOps) writes take the write lock and reads share the
+	// read lock, since every index serves concurrent Gets. A Get run
 	// takes its lock once.
-	opMu           sync.RWMutex
-	lockWrites     bool
-	lockReads      bool
-	readsExclusive bool
+	opMu    sync.RWMutex
+	lockOps bool
 
 	lnMu   sync.Mutex
 	ln     net.Listener
@@ -179,15 +177,12 @@ func New(cfg Config) (*Server, error) {
 	if cfg.WriteTimeout == 0 {
 		cfg.WriteTimeout = DefaultWriteTimeout
 	}
-	caps := cfg.Store.Caps()
 	s := &Server{
-		cfg:            cfg,
-		store:          cfg.Store,
-		met:            &metrics{runLen: stats.NewHistogram()},
-		lockWrites:     !caps.ConcurrentWrites,
-		lockReads:      !caps.ConcurrentWrites, // a write may be in flight
-		readsExclusive: !caps.ConcurrentReads,
-		conns:          make(map[*conn]struct{}),
+		cfg:     cfg,
+		store:   cfg.Store,
+		met:     &metrics{runLen: stats.NewHistogram()},
+		lockOps: !cfg.Store.Caps().ConcurrentWrites,
+		conns:   make(map[*conn]struct{}),
 	}
 	if cfg.Sink != nil {
 		cfg.Sink.SetServerProbe(s.Metrics)
@@ -511,17 +506,13 @@ func (c *conn) getRound(ids, keys []uint64) int {
 // lockRead takes opMu as a store read needs it on this index;
 // unlockRead releases it.
 func (s *Server) lockRead() {
-	if s.readsExclusive {
-		s.opMu.Lock()
-	} else if s.lockReads {
+	if s.lockOps {
 		s.opMu.RLock()
 	}
 }
 
 func (s *Server) unlockRead() {
-	if s.readsExclusive {
-		s.opMu.Unlock()
-	} else if s.lockReads {
+	if s.lockOps {
 		s.opMu.RUnlock()
 	}
 }
@@ -559,7 +550,7 @@ func (c *conn) call(req *wire.Request) {
 	s, resp := c.s, &c.resp
 	switch req.Op {
 	case wire.OpPut, wire.OpDelete:
-		if s.lockWrites {
+		if s.lockOps {
 			s.opMu.Lock()
 			defer s.opMu.Unlock()
 		}

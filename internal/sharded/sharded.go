@@ -140,20 +140,16 @@ func New(factory func() index.Index, boundaries []uint64) *Index {
 // exist unconditionally (Range, Delete, ... no-op politely when the inner
 // type lacks them), so plain interface probing would report every
 // capability as present. The descriptor advertises the wrapper's own
-// surface (bulk, upsert, concurrent access) and defers the rest to a
+// surface (scans, concurrent writes) and defers the rest to a
 // probe shard — one factory, so one probe decides for all shards.
 func (s *Index) Caps() index.Caps {
 	inner := index.CapsOf(s.shards[0].idx)
 	return index.Caps{
-		Bulk:             true,        // per-shard bulk load with insert fallback
-		Upsert:           true,        // the inner upsert, under the shard writer role
 		Range:            s.scannable, // per-shard pulls through the inner Ranger
 		Delete:           inner.Delete,
-		Sized:            inner.Sized,
 		Depth:            inner.Depth,
 		Retrain:          inner.Retrain,
 		AsyncRetrain:     inner.AsyncRetrain,
-		ConcurrentReads:  true,
 		ConcurrentWrites: true,
 	}
 }
@@ -356,19 +352,7 @@ func (s *Index) loadShard(i int, keys, values []uint64, offset int) error {
 	if values != nil {
 		vals = values[offset : offset+len(keys)]
 	}
-	if b, ok := sh.idx.(index.Bulk); ok {
-		return b.BulkLoad(keys, vals)
-	}
-	for j, k := range keys {
-		var v uint64
-		if vals != nil {
-			v = vals[j]
-		}
-		if err := sh.idx.Insert(k, v); err != nil {
-			return err
-		}
-	}
-	return nil
+	return sh.idx.BulkLoad(keys, vals)
 }
 
 // cursor streams the sharded index in boundary order. Shards own
@@ -393,7 +377,7 @@ var cursorPool = sync.Pool{New: func() any { return new(cursor) }}
 // viper.Store.Range consult Caps first and surface an error.
 func (s *Index) Range(start uint64) index.Cursor {
 	if !s.scannable {
-		return index.NewSliceCursor(nil, nil, 0, false)
+		return index.NewSliceCursor(nil, nil, 0)
 	}
 	c := cursorPool.Get().(*cursor)
 	c.s = s
@@ -467,19 +451,14 @@ func (c *cursor) Close() {
 func (s *Index) Sizes() index.Sizes {
 	var total index.Sizes
 	for _, sh := range s.shards {
-		if sized, ok := sh.idx.(index.Sized); ok {
-			sz := sized.Sizes()
-			total.Structure += sz.Structure
-			total.Keys += sz.Keys
-			total.Values += sz.Values
-		}
+		sz := sh.idx.Sizes()
+		total.Structure += sz.Structure
+		total.Keys += sz.Keys
+		total.Values += sz.Values
 	}
 	total.Structure += int64(len(s.boundaries)) * 8
 	return total
 }
-
-// ConcurrentReads reports that concurrent Gets are safe.
-func (s *Index) ConcurrentReads() bool { return true }
 
 // ConcurrentWrites reports that concurrent Inserts are safe.
 func (s *Index) ConcurrentWrites() bool { return true }

@@ -45,9 +45,6 @@ func (l *List) Name() string { return "skiplist" }
 // Len returns the number of stored entries.
 func (l *List) Len() int { return l.length }
 
-// ConcurrentReads reports that concurrent Gets are safe.
-func (l *List) ConcurrentReads() bool { return true }
-
 func (l *List) randLevel() int {
 	lvl := 1
 	for lvl < maxLevel {

@@ -228,8 +228,7 @@ type IndexStats struct {
 
 // CollectIndexStats digests idx through the capability API.
 func CollectIndexStats(idx index.Index) IndexStats {
-	st := IndexStats{Name: idx.Name(), Len: idx.Len(), Caps: index.CapsOf(idx)}
-	st.Sizes, _ = index.SizesOf(idx)
+	st := IndexStats{Name: idx.Name(), Len: idx.Len(), Caps: index.CapsOf(idx), Sizes: idx.Sizes()}
 	st.AvgDepth, _ = index.DepthOf(idx)
 	st.RetrainCount, st.RetrainNs, _ = index.RetrainStatsOf(idx)
 	return st

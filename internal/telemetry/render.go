@@ -153,10 +153,10 @@ func (sn Snapshot) WriteText(w io.Writer) {
 }
 
 // capsString is the compact capability legend used in the index table:
-// one letter per capability (Bulk Cursor-range/desc Delete Upsert sIzed
-// dePth Retrain Async-retrain / concurrent r/w), '-' when absent.
+// one letter per capability (Cursor-range Delete dePth Retrain
+// Async-retrain concurrent-writes), '-' when absent.
 func capsString(c index.Caps) string {
-	out := make([]byte, 0, 11)
+	out := make([]byte, 0, 6)
 	mark := func(on bool, ch byte) {
 		if on {
 			out = append(out, ch)
@@ -164,16 +164,11 @@ func capsString(c index.Caps) string {
 			out = append(out, '-')
 		}
 	}
-	mark(c.Bulk, 'B')
 	mark(c.Range, 'C')
-	mark(c.RangeDesc, 'c')
 	mark(c.Delete, 'D')
-	mark(c.Upsert, 'U')
-	mark(c.Sized, 'I')
 	mark(c.Depth, 'P')
 	mark(c.Retrain, 'R')
 	mark(c.AsyncRetrain, 'A')
-	mark(c.ConcurrentReads, 'r')
 	mark(c.ConcurrentWrites, 'w')
 	return string(out)
 }

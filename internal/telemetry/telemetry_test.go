@@ -178,6 +178,7 @@ func (fakeIdx) Len() int                     { return 7 }
 func (fakeIdx) AvgDepth() float64            { return 1.5 }
 func (fakeIdx) RetrainStats() (int64, int64) { return 2, 300 }
 func (fakeIdx) Sizes() index.Sizes           { return index.Sizes{Structure: 8, Keys: 56} }
+func (fakeIdx) BulkLoad(k, v []uint64) error { return nil }
 
 func (fakeIdx) InsertReplace(k, v uint64) (bool, error) { return false, nil }
 

@@ -18,48 +18,10 @@ import (
 	"learnedpieces/internal/telemetry"
 )
 
-// scanDir names one scan direction of the store and the index the
-// direction-agnostic tests run it on: leaves link forward only in the
-// B+tree, so the descending runs use ALEX.
-type scanDir struct {
-	name string
-	desc bool
-	mk   func() index.Index
-}
-
-var scanDirs = []scanDir{
-	{"asc", false, func() index.Index { return btree.New() }},
-	{"desc", true, func() index.Index { return alex.New(alex.DefaultConfig()) }},
-}
-
-// scan runs Range or RangeDesc, by direction.
-func (d scanDir) scan(s *Store, start uint64, n int, fn func(uint64, []byte) bool) error {
-	if d.desc {
-		return s.RangeDesc(start, n, fn)
-	}
-	return s.Range(start, n, fn)
-}
-
-// origin is the start that covers the whole key space in d's direction.
-func (d scanDir) origin() uint64 {
-	if d.desc {
-		return ^uint64(0)
-	}
-	return 0
-}
-
 // expect returns the first n (all when n <= 0) of the sorted keys a
-// scan from start must deliver in d's direction.
-func (d scanDir) expect(sorted []uint64, start uint64, n int) []uint64 {
-	var out []uint64
-	if d.desc {
-		hi := sort.Search(len(sorted), func(i int) bool { return sorted[i] > start })
-		for i := hi - 1; i >= 0; i-- {
-			out = append(out, sorted[i])
-		}
-	} else {
-		out = sorted[sort.Search(len(sorted), func(i int) bool { return sorted[i] >= start }):]
-	}
+// scan from start must deliver.
+func expect(sorted []uint64, start uint64, n int) []uint64 {
+	out := sorted[sort.Search(len(sorted), func(i int) bool { return sorted[i] >= start }):]
 	if n > 0 && len(out) > n {
 		out = out[:n]
 	}
@@ -87,42 +49,40 @@ func mustDeliver(t *testing.T, what string, got, want []uint64) {
 // (append a delete marker, then point an index entry at it), which is
 // exactly the state the scan's defensive skip guards against.
 func TestScanLimitIgnoresTombstones(t *testing.T) {
-	for _, dir := range scanDirs {
-		for _, batch := range []int{1, 7, 0} { // per-entry rounds, multi-round, default
-			t.Run(fmt.Sprintf("%s/batch=%d", dir.name, batch), func(t *testing.T) {
-				s := newStore(dir.mk())
-				s.scanBatch = batch
-				var live []uint64
-				for k := uint64(0); k < 100; k += 2 {
-					if err := s.Put(k, value(k)); err != nil {
-						t.Fatal(err)
-					}
-					live = append(live, k)
+	for _, batch := range []int{1, 7, 0} { // per-entry rounds, multi-round, default
+		t.Run(fmt.Sprintf("batch=%d", batch), func(t *testing.T) {
+			s := newStore(btree.New())
+			s.scanBatch = batch
+			var live []uint64
+			for k := uint64(0); k < 100; k += 2 {
+				if err := s.Put(k, value(k)); err != nil {
+					t.Fatal(err)
 				}
-				for k := uint64(1); k < 100; k += 2 {
-					off, err := s.appendRecord(k, nil, flagDeleted)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if err := s.Index().Insert(k, uint64(off)); err != nil {
-						t.Fatal(err)
-					}
-				}
-				var got []uint64
-				err := dir.scan(s, dir.origin(), 25, func(k uint64, v []byte) bool {
-					if !bytes.Equal(v, value(k)) {
-						t.Fatalf("value mismatch at %d", k)
-					}
-					got = append(got, k)
-					return true
-				})
+				live = append(live, k)
+			}
+			for k := uint64(1); k < 100; k += 2 {
+				off, err := s.appendRecord(k, nil, flagDeleted)
 				if err != nil {
 					t.Fatal(err)
 				}
-				// A short delivery means tombstones consumed the limit.
-				mustDeliver(t, "limit 25", got, dir.expect(live, dir.origin(), 25))
+				if err := s.Index().Insert(k, uint64(off)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var got []uint64
+			err := s.Range(0, 25, func(k uint64, v []byte) bool {
+				if !bytes.Equal(v, value(k)) {
+					t.Fatalf("value mismatch at %d", k)
+				}
+				got = append(got, k)
+				return true
 			})
-		}
+			if err != nil {
+				t.Fatal(err)
+			}
+			// A short delivery means tombstones consumed the limit.
+			mustDeliver(t, "limit 25", got, expect(live, 0, 25))
+		})
 	}
 }
 
@@ -168,12 +128,11 @@ func TestScanLimitWithInterleavedDeletes(t *testing.T) {
 	}
 }
 
-// TestRangeMatchesOracle runs both scan directions at several round
-// sizes, on indexes with different cursor shapes, against a sorted-map
-// oracle: overwrites (offsets out of key order), deletes, limits, early
-// stop, and starts at both ends of the key space — whose keys are
-// loaded too, so a round that delivers the last key of its direction
-// must stop rather than wrap.
+// TestRangeMatchesOracle runs scans at several round sizes, on indexes
+// with different cursor shapes, against a sorted-map oracle: overwrites
+// (offsets out of key order), deletes, limits, early stop, and starts at
+// both ends of the key space — whose keys are loaded too, so a round
+// that delivers the last key must stop rather than wrap.
 func TestRangeMatchesOracle(t *testing.T) {
 	indexes := []struct {
 		name     string
@@ -231,119 +190,103 @@ func TestRangeMatchesOracle(t *testing.T) {
 		}
 		sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
 
-		for _, dir := range scanDirs {
-			if dir.desc && !s.Caps().RangeDesc {
-				t.Run(ix.name+"/"+dir.name, func(t *testing.T) {
-					err := s.RangeDesc(^uint64(0), 1, func(uint64, []byte) bool { return true })
-					if !errors.Is(err, ErrUnsupported) {
-						t.Fatalf("RangeDesc = %v, want ErrUnsupported", err)
+		for _, batch := range []int{1, 7, 64, 0} {
+			t.Run(fmt.Sprintf("%s/batch=%d", ix.name, batch), func(t *testing.T) {
+				s.scanBatch = batch
+				for _, win := range []struct {
+					start uint64
+					n     int
+					stop  int // callback returns false after this many (0 = never)
+				}{{0, 0, 0}, {0, 100, 0}, {mid, 250, 0}, {mid + 1, 0, 9},
+					{^uint64(0), 10, 0}, {1 << 63, 1, 0}} {
+					want := expect(sorted, win.start, win.n)
+					if win.stop > 0 {
+						want = want[:win.stop]
 					}
-				})
-				continue
-			}
-			for _, batch := range []int{1, 7, 64, 0} {
-				t.Run(fmt.Sprintf("%s/%s/batch=%d", ix.name, dir.name, batch), func(t *testing.T) {
-					s.scanBatch = batch
-					for _, win := range []struct {
-						start uint64
-						n     int
-						stop  int // callback returns false after this many (0 = never)
-					}{{dir.origin(), 0, 0}, {dir.origin(), 100, 0}, {mid, 250, 0}, {mid + 1, 0, 9},
-						{^dir.origin(), 10, 0}, {1 << 63, 1, 0}} {
-						want := dir.expect(sorted, win.start, win.n)
-						if win.stop > 0 {
-							want = want[:win.stop]
+					var got []uint64
+					err := s.Range(win.start, win.n, func(k uint64, v []byte) bool {
+						if !bytes.Equal(v, oracle[k]) {
+							t.Fatalf("start=%d n=%d: value mismatch at %d", win.start, win.n, k)
 						}
-						var got []uint64
-						err := dir.scan(s, win.start, win.n, func(k uint64, v []byte) bool {
-							if !bytes.Equal(v, oracle[k]) {
-								t.Fatalf("start=%d n=%d: value mismatch at %d", win.start, win.n, k)
-							}
-							got = append(got, k)
-							return len(got) != win.stop
-						})
-						if err != nil {
-							t.Fatal(err)
-						}
-						mustDeliver(t, fmt.Sprintf("start=%d n=%d stop=%d", win.start, win.n, win.stop), got, want)
+						got = append(got, k)
+						return len(got) != win.stop
+					})
+					if err != nil {
+						t.Fatal(err)
 					}
-				})
-			}
+					mustDeliver(t, fmt.Sprintf("start=%d n=%d stop=%d", win.start, win.n, win.stop), got, want)
+				}
+			})
 		}
 	}
 }
 
-// TestScanUnsupported: an index without a cursor refuses scans in both
-// directions instead of visiting nothing.
+// TestScanUnsupported: an index without a cursor refuses scans instead
+// of visiting nothing.
 func TestScanUnsupported(t *testing.T) {
 	h := Open(pmem.NewRegion(8<<20, pmem.None()), cceh.New())
 	if err := h.Put(1, value(1)); err != nil {
 		t.Fatal(err)
 	}
-	for _, dir := range scanDirs {
-		err := dir.scan(h, dir.origin(), 0, func(uint64, []byte) bool { t.Fatal("scan visited an entry"); return false })
-		if !errors.Is(err, ErrUnsupported) {
-			t.Fatalf("%s scan on cceh = %v, want ErrUnsupported", dir.name, err)
-		}
+	err := h.Range(0, 0, func(uint64, []byte) bool { t.Fatal("scan visited an entry"); return false })
+	if !errors.Is(err, ErrUnsupported) {
+		t.Fatalf("scan on cceh = %v, want ErrUnsupported", err)
 	}
 }
 
 // TestRangeReseeksAcrossCompact drives a Compact from inside a scan
 // callback: at the next pin-yield the scan must notice the displaced
 // view, reopen the cursor at the resume key against the new index, and
-// still deliver every key exactly once in order — in either direction.
-// The "edge" case compacts while delivering the last key of the key
-// space at the end of a full round: there is no resume key past it, so
-// the scan must end there instead of wrapping around and reseeking to
-// the far end.
+// still deliver every key exactly once in order. The "edge" case
+// compacts while delivering the last key of the key space at the end of
+// a full round: there is no resume key past it, so the scan must end
+// there instead of wrapping around and reseeking to the start.
 func TestRangeReseeksAcrossCompact(t *testing.T) {
 	edgeKeys := []uint64{0, 1, 2, 3, ^uint64(0) - 3, ^uint64(0) - 2, ^uint64(0) - 1, ^uint64(0)}
-	for _, dir := range scanDirs {
-		for _, tc := range []struct {
-			name      string
-			keys      []uint64
-			batch     int
-			compactAt int // delivered entries when the callback compacts
-			reseeks   bool
-		}{
-			{"mid", dataset.Generate(dataset.Sequential, 2000, 0), 16, 100, true},
-			{"edge", edgeKeys, 4, len(edgeKeys), false},
-		} {
-			t.Run(dir.name+"/"+tc.name, func(t *testing.T) {
-				sink := telemetry.New()
-				s := Open(pmem.NewRegion(64<<20, pmem.None()), dir.mk(), WithTelemetry(sink))
-				s.scanBatch = tc.batch
-				for _, k := range tc.keys {
-					if err := s.Put(k, value(k)); err != nil {
+	for _, tc := range []struct {
+		name      string
+		keys      []uint64
+		batch     int
+		compactAt int // delivered entries when the callback compacts
+		reseeks   bool
+	}{
+		{"mid", dataset.Generate(dataset.Sequential, 2000, 0), 16, 100, true},
+		{"edge", edgeKeys, 4, len(edgeKeys), false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sink := telemetry.New()
+			s := Open(pmem.NewRegion(64<<20, pmem.None()), btree.New(), WithTelemetry(sink))
+			s.scanBatch = tc.batch
+			for _, k := range tc.keys {
+				if err := s.Put(k, value(k)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			compacted := false
+			var got []uint64
+			err := s.Range(0, 0, func(k uint64, v []byte) bool {
+				if !bytes.Equal(v, value(k)) {
+					t.Fatalf("value mismatch at %d", k)
+				}
+				got = append(got, k)
+				if !compacted && len(got) == tc.compactAt {
+					compacted = true
+					if _, err := s.Compact(btree.New()); err != nil {
 						t.Fatal(err)
 					}
 				}
-				compacted := false
-				var got []uint64
-				err := dir.scan(s, dir.origin(), 0, func(k uint64, v []byte) bool {
-					if !bytes.Equal(v, value(k)) {
-						t.Fatalf("value mismatch at %d", k)
-					}
-					got = append(got, k)
-					if !compacted && len(got) == tc.compactAt {
-						compacted = true
-						if _, err := s.Compact(dir.mk()); err != nil {
-							t.Fatal(err)
-						}
-					}
-					return true
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				mustDeliver(t, "across compact", got, dir.expect(tc.keys, dir.origin(), 0))
-				if n := s.met.ScanReseeks.Load(); tc.reseeks != (n >= 1) {
-					t.Fatalf("ScanReseeks = %d, want reseek = %v", n, tc.reseeks)
-				}
-				if n := s.met.ScanPinYields.Load(); n < 1 {
-					t.Fatalf("ScanPinYields = %d, want >= 1", n)
-				}
+				return true
 			})
-		}
+			if err != nil {
+				t.Fatal(err)
+			}
+			mustDeliver(t, "across compact", got, tc.keys)
+			if n := s.met.ScanReseeks.Load(); tc.reseeks != (n >= 1) {
+				t.Fatalf("ScanReseeks = %d, want reseek = %v", n, tc.reseeks)
+			}
+			if n := s.met.ScanPinYields.Load(); n < 1 {
+				t.Fatalf("ScanPinYields = %d, want >= 1", n)
+			}
+		})
 	}
 }

@@ -7,7 +7,7 @@
 // The index is pluggable through the index.Index interface — exactly the
 // seam the paper added to Viper to host its six learned and six
 // traditional indexes. Recovery rebuilds the DRAM index by scanning the
-// PMem pages, using the index's bulk-load path when available (Fig 16).
+// PMem pages and bulk-loading the index (Fig 16).
 package viper
 
 import (
@@ -73,7 +73,6 @@ type Store struct {
 	view   epoch.Versioned[storeView]
 
 	// Options.
-	maxWorkers  int
 	valueSize   int
 	sink        *telemetry.Sink
 	met         *telemetry.StoreMetrics // nil = telemetry disabled
@@ -93,18 +92,6 @@ type Store struct {
 
 // Option configures a Store at Open time.
 type Option func(*Store)
-
-// WithWorkers caps the fan-out of the store's bulk paths (bulk load,
-// page-parallel recovery scans, compaction copies) at n goroutines.
-// n <= 0 keeps the default (the parallel package's global setting,
-// GOMAXPROCS unless overridden).
-func WithWorkers(n int) Option {
-	return func(s *Store) {
-		if n > 0 {
-			s.maxWorkers = n
-		}
-	}
-}
 
 // WithTelemetry attaches the store, its PMem region and its index to
 // sink: operation latencies and structural events flow into the sink's
@@ -190,7 +177,7 @@ var (
 	// ErrClosed fences every operation after Close.
 	ErrClosed = errors.New("viper: store is closed")
 	// ErrUnsupported means the current index lacks the capability
-	// (delete, scan, bulk load) the operation needs.
+	// (delete, scan) the operation needs.
 	ErrUnsupported = errors.New("viper: operation unsupported by index")
 	// ErrValueSize rejects a value the record format cannot carry.
 	ErrValueSize = errors.New("viper: invalid value size")
@@ -333,15 +320,6 @@ func (s *Store) ValueSize() int { return s.valueSize }
 
 // Len returns the number of live keys.
 func (s *Store) Len() int { return int(s.liveLen.Load()) }
-
-// workerCount is parallel.Workers capped by the WithWorkers option.
-func (s *Store) workerCount(units int) int {
-	w := parallel.Workers(units)
-	if s.maxWorkers > 0 && w > s.maxWorkers {
-		w = s.maxWorkers
-	}
-	return w
-}
 
 // stripe spreads keys across recorder shards: a Fibonacci hash whose top
 // bits (the well-mixed ones) land in the recorder's low mask bits.
@@ -604,26 +582,6 @@ func (s *Store) Delete(key uint64) (bool, error) {
 	return true, nil
 }
 
-// Range visits live entries with key >= start in ascending key order,
-// reading each value from PMem. n > 0 caps the number of entries
-// *delivered*: tombstoned records — deleted keys whose index entry
-// still lingers in a delta layer — never consume the caller's limit,
-// only the store can tell them apart. The index must expose a streaming
-// cursor (Caps.Range, which folds in dynamic checks such as a sharded
-// wrapper's hash-layout refusal); otherwise Range returns
-// ErrUnsupported. See scanRounds for the round structure.
-func (s *Store) Range(start uint64, n int, fn func(key uint64, value []byte) bool) error {
-	return s.scanRounds(start, n, false, fn)
-}
-
-// RangeDesc visits live entries with key <= start in descending key
-// order; start == ^uint64(0) scans from the maximum key. Only indexes
-// whose layout permits reverse iteration expose it (Caps.RangeDesc);
-// the others return ErrUnsupported.
-func (s *Store) RangeDesc(start uint64, n int, fn func(key uint64, value []byte) bool) error {
-	return s.scanRounds(start, n, true, fn)
-}
-
 // scanScratch holds the batched scan's per-round working state; the
 // pool keeps steady-state rounds allocation-free.
 type scanScratch struct {
@@ -738,28 +696,25 @@ func (s *Store) readLiveSpans(offs []uint64, ord []int, vals [][]byte) {
 	}
 }
 
-// openCursor opens v's index cursor at from in the given direction, nil
-// when the index has none.
-func (v *storeView) openCursor(from uint64, desc bool) index.Cursor {
-	switch {
-	case !desc && v.seam.Range != nil && v.caps.Range:
-		return v.seam.Range.Range(from)
-	case desc && v.seam.RangeDesc != nil && v.caps.RangeDesc:
-		return v.seam.RangeDesc.RangeDesc(from)
-	}
-	return nil
-}
-
-// scanRounds is the one scan engine, serving Range and RangeDesc. Each
-// round pulls a batch of index entries from the cursor, reads their
-// records in ascending PMem offset order (the MultiGet aggregation
-// trick — near-sequential record reads maximise the simulated
-// device's block-buffer hit rate), then re-emits them in key order.
-// Each round runs under its own epoch pin, released between rounds so a
-// long scan never stalls Compact's deferred page reclamation; if an
-// index install races the scan across a yield, the cursor is reopened
-// from the new view at the next key (counted as a reseek).
-func (s *Store) scanRounds(start uint64, n int, desc bool, fn func(key uint64, value []byte) bool) error {
+// Range visits live entries with key >= start in ascending key order,
+// reading each value from PMem. n > 0 caps the number of entries
+// *delivered*: tombstoned records — deleted keys whose index entry
+// still lingers in a delta layer — never consume the caller's limit,
+// only the store can tell them apart. The index must expose a streaming
+// cursor (Caps.Range, which folds in dynamic checks such as a sharded
+// wrapper's hash-layout refusal); otherwise Range returns
+// ErrUnsupported.
+//
+// Range is the one scan engine. Each round pulls a batch of index
+// entries from the cursor, reads their records in ascending PMem offset
+// order (the MultiGet aggregation trick — near-sequential record reads
+// maximise the simulated device's block-buffer hit rate), then re-emits
+// them in key order. Each round runs under its own epoch pin, released
+// between rounds so a long scan never stalls Compact's deferred page
+// reclamation; if an index install races the scan across a yield, the
+// cursor is reopened from the new view at the next key (counted as a
+// reseek).
+func (s *Store) Range(start uint64, n int, fn func(key uint64, value []byte) bool) error {
 	if s.closed.Load() {
 		return ErrClosed
 	}
@@ -786,12 +741,6 @@ func (s *Store) scanRounds(start uint64, n int, desc bool, fn func(key uint64, v
 		scanPool.Put(sc)
 	}()
 
-	// edge is the last key of the key space in the scan's direction: a
-	// round that delivers it has nowhere left to resume from.
-	edge := ^uint64(0)
-	if desc {
-		edge = 0
-	}
 	var v *storeView
 	var cur index.Cursor
 	from := start
@@ -808,13 +757,11 @@ func (s *Store) scanRounds(start uint64, n int, desc bool, fn func(key uint64, v
 				s.met.ScanReseek()
 			}
 			v = v2
-			if cur = v.openCursor(from, desc); cur == nil {
+			if v.seam.Range == nil || !v.caps.Range {
 				g.Exit()
-				if desc {
-					return fmt.Errorf("%w: index %s cannot scan descending", ErrUnsupported, v.idx.Name())
-				}
 				return fmt.Errorf("%w: index %s cannot scan", ErrUnsupported, v.idx.Name())
 			}
+			cur = v.seam.Range.Range(from)
 		}
 		// Clamp the pull to the caller's remaining limit: a scan of 10
 		// must not read a full batch of records from PMem. Tombstones in
@@ -827,10 +774,10 @@ func (s *Store) scanRounds(start uint64, n int, desc bool, fn func(key uint64, v
 		more := m == pull // a short pull exhausted the range
 		if m > 0 {
 			// Issue the record reads in ascending offset order. Freshly
-			// bulk-loaded stores scanned forward are already offset-ordered
-			// (appends followed key order), so detect that and skip the
-			// sort — the telemetry ratio shows how much reordering the
-			// workload's updates (or a descending walk) caused.
+			// bulk-loaded stores are already offset-ordered (appends
+			// followed key order), so detect that and skip the sort — the
+			// telemetry ratio shows how much reordering the workload's
+			// updates caused.
 			presorted := true
 			for i := 1; i < m; i++ {
 				if offs[i] < offs[i-1] {
@@ -858,13 +805,9 @@ func (s *Store) scanRounds(start uint64, n int, desc bool, fn func(key uint64, v
 					break
 				}
 			}
-			if last := keys[m-1]; last == edge {
-				more = false
-			} else if desc {
-				from = last - 1
-			} else {
-				from = last + 1
-			}
+			// A round that delivered 2^64-1 has nowhere left to resume from.
+			from = keys[m-1] + 1
+			more = more && from != 0
 		}
 		// The pin-yield between rounds is the iteration boundary itself.
 		g.Exit()
@@ -907,10 +850,6 @@ func (s *Store) BulkPut(keys []uint64, value []byte) error {
 	if s.closed.Load() {
 		return ErrClosed
 	}
-	v := s.view.Load()
-	if v.seam.Bulk == nil {
-		return fmt.Errorf("%w: index %s cannot bulk load", ErrUnsupported, v.idx.Name())
-	}
 	t0 := time.Now()
 	perPage := PageSize / recLen
 	nPages := (len(keys) + perPage - 1) / perPage
@@ -932,7 +871,7 @@ func (s *Store) BulkPut(keys []uint64, value []byte) error {
 	}
 	s.mu.Unlock()
 	offs := make([]uint64, len(keys))
-	parallel.For(s.workerCount(nPages), nPages, func(_, lo, hi int) {
+	parallel.For(parallel.Workers(nPages), nPages, func(_, lo, hi int) {
 		p := lo
 		w := s.newPageWriter(func() (int64, error) { p++; return pages[p-1], nil })
 		for i := lo * perPage; i < min(hi*perPage, len(keys)); i++ {
@@ -940,7 +879,7 @@ func (s *Store) BulkPut(keys []uint64, value []byte) error {
 		}
 		w.commit()
 	})
-	if err := v.seam.Bulk.BulkLoad(keys, offs); err != nil {
+	if err := s.view.Load().idx.BulkLoad(keys, offs); err != nil {
 		return err
 	}
 	prev := s.liveLen.Swap(int64(len(keys)))
@@ -974,7 +913,7 @@ const seqPosBits = 21
 // equal-key run kept. The chunks, now sorted with distinct keys, merge
 // pairwise in chunk order, the later chunk (its seqs are larger) winning.
 func (s *Store) scanLive(pages []int64) (keys, offs []uint64) {
-	workers := s.workerCount(len(pages))
+	workers := parallel.Workers(len(pages))
 	chunks := make([][]scanEntry, workers)
 	parallel.For(workers, len(pages), func(w, lo, hi int) {
 		es := make([]scanEntry, 0, (hi-lo)*(PageSize/(recordHeader+s.valueSize)+1))
@@ -1061,7 +1000,7 @@ func (s *Store) Recover(fresh index.Index) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	keys, offs := s.scanLive(s.pages)
-	if err := index.LoadSorted(fresh, keys, offs); err != nil {
+	if err := fresh.BulkLoad(keys, offs); err != nil {
 		return err
 	}
 	s.setIndex(fresh)
@@ -1103,7 +1042,7 @@ func (s *Store) Compact(fresh index.Index) (int64, error) {
 
 	// Copy live records into fresh pages.
 	offs := make([]uint64, len(keys))
-	workers := s.workerCount(len(keys) / bulkMinPerWorker)
+	workers := parallel.Workers(len(keys) / bulkMinPerWorker)
 	filled := make([][]int64, workers) // each worker's pages, in fill order
 	var cur *page                      // the last range's last page: the log goes on behind the largest key
 	err := parallel.ForErr(workers, len(keys), func(w, lo, hi int) (err error) {
@@ -1124,7 +1063,7 @@ func (s *Store) Compact(fresh index.Index) (int64, error) {
 	})
 	newPages := slices.Concat(filled...)
 	if err == nil {
-		err = index.LoadSorted(fresh, keys, offs)
+		err = fresh.BulkLoad(keys, offs)
 	}
 	if err != nil {
 		freePages(s.region, newPages)
@@ -1165,7 +1104,7 @@ func (s *Store) DropIndex(empty index.Index) {
 // Sizes reports Table III's three footprints for the current state:
 // index structure only, index+keys, and index+keys+values.
 func (s *Store) Sizes() (structure, withKeys, withKV int64) {
-	sz, _ := index.SizesOf(s.view.Load().idx)
+	sz := s.view.Load().idx.Sizes()
 	structure = sz.Structure
 	withKeys = sz.Structure + sz.Keys
 	withKV = withKeys + s.region.Allocated()

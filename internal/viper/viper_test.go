@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"learnedpieces/internal/btree"
+	"learnedpieces/internal/cceh"
 	"learnedpieces/internal/dataset"
 	"learnedpieces/internal/epoch"
 	"learnedpieces/internal/index"
@@ -94,19 +95,26 @@ func TestScanReadsValues(t *testing.T) {
 	}
 }
 
+// freshIndexes returns a constructor for each index kind the store hosts:
+// the tree, the hash map, the learned indexes and the sharded wrapper.
+func freshIndexes() map[string]func() index.Index {
+	return map[string]func() index.Index{
+		"btree":   func() index.Index { return btree.New() },
+		"cceh":    func() index.Index { return cceh.New() },
+		"rmi":     func() index.Index { return rmi.New(rmi.DefaultConfig()) },
+		"rs":      func() index.Index { return rs.New(rs.DefaultConfig()) },
+		"pgm":     func() index.Index { return pgm.New(pgm.DefaultConfig()) },
+		"alex":    func() index.Index { return alex.New(alex.DefaultConfig()) },
+		"xindex":  func() index.Index { return xindex.New(xindex.DefaultConfig()) },
+		"fiting":  func() index.Index { return fitting.New(fitting.DefaultConfig()) },
+		"sharded": func() index.Index { return sharded.New(func() index.Index { return btree.New() }, []uint64{1 << 63}) },
+	}
+}
+
 // TestRecoveryAllIndexes is the Fig 16 mechanism: crash (drop the DRAM
 // index), then rebuild each index type from the PMem pages.
 func TestRecoveryAllIndexes(t *testing.T) {
-	fresh := map[string]func() index.Index{
-		"btree":  func() index.Index { return btree.New() },
-		"rmi":    func() index.Index { return rmi.New(rmi.DefaultConfig()) },
-		"rs":     func() index.Index { return rs.New(rs.DefaultConfig()) },
-		"pgm":    func() index.Index { return pgm.New(pgm.DefaultConfig()) },
-		"alex":   func() index.Index { return alex.New(alex.DefaultConfig()) },
-		"xindex": func() index.Index { return xindex.New(xindex.DefaultConfig()) },
-		"fiting": func() index.Index { return fitting.New(fitting.DefaultConfig()) },
-	}
-	for name, f := range fresh {
+	for name, f := range freshIndexes() {
 		t.Run(name, func(t *testing.T) {
 			s := newStore(btree.New())
 			keys := dataset.Generate(dataset.YCSBNormal, 3000, 5)
@@ -152,20 +160,29 @@ func TestRecoveryAllIndexes(t *testing.T) {
 	}
 }
 
+// TestBulkPut loads every index kind through the store's bulk path: each
+// index bulk-loads, so no kind falls back to per-key inserts or refuses.
 func TestBulkPut(t *testing.T) {
-	s := newStore(rmi.New(rmi.DefaultConfig()))
 	keys := dataset.Generate(dataset.OSMLike, 5000, 9)
-	if err := s.BulkPut(keys, value(7)); err != nil {
-		t.Fatal(err)
-	}
-	for _, k := range keys {
-		if v, ok := s.Get(k); !ok || !bytes.Equal(v, value(7)) {
-			t.Fatalf("get(%d) after bulk", k)
-		}
-	}
-	st, wk, wkv := s.Sizes()
-	if !(st < wk && wk < wkv) {
-		t.Fatalf("sizes not increasing: %d %d %d", st, wk, wkv)
+	for name, f := range freshIndexes() {
+		t.Run(name, func(t *testing.T) {
+			s := newStore(f())
+			if err := s.BulkPut(keys, value(7)); err != nil {
+				t.Fatal(err)
+			}
+			if s.Len() != len(keys) {
+				t.Fatalf("Len = %d after a BulkPut of %d keys", s.Len(), len(keys))
+			}
+			for _, k := range keys {
+				if v, ok := s.Get(k); !ok || !bytes.Equal(v, value(7)) {
+					t.Fatalf("get(%d) after bulk", k)
+				}
+			}
+			st, wk, wkv := s.Sizes()
+			if !(st < wk && wk < wkv) {
+				t.Fatalf("sizes not increasing: %d %d %d", st, wk, wkv)
+			}
+		})
 	}
 }
 
