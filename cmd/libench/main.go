@@ -42,7 +42,7 @@ func main() {
 		workers  = flag.Int("workers", 0, "worker count for parallel bulk paths (recovery/compaction/bulk-load/training); 0 = all cores")
 		obs      = flag.String("obs", "", "serve expvar, pprof and /telemetry on this address (e.g. :6060)")
 		snapshot = flag.String("snapshot", "", "write the run's JSON telemetry snapshot to this file on exit")
-		retrain  = flag.String("retrain", "inline", "retrain pipeline mode for every store the harness opens: inline|sync|async")
+		retrain  = flag.String("retrain", "inline", "retrain pipeline mode for every store the harness opens: inline|async")
 		list     = flag.Bool("list", false, "list experiments and exit")
 	)
 	flag.Parse()
@@ -68,7 +68,7 @@ func main() {
 	}
 	rmode, ok := viper.ParseRetrainMode(*retrain)
 	if !ok {
-		fatalf(2, "-retrain must be one of inline|sync|async, got %q", *retrain)
+		fatalf(2, "-retrain must be one of inline|async, got %q", *retrain)
 	}
 
 	parallel.SetWorkers(*workers)

@@ -33,7 +33,7 @@ func main() {
 		size      = flag.Int("mem", 256<<20, "simulated PMem bytes")
 		latency   = flag.Bool("pmem", false, "simulate NVM latency")
 		obs       = flag.String("obs", "", "serve expvar, pprof and /telemetry on this address (e.g. :6060)")
-		retrainF  = flag.String("retrain", "inline", "retrain pipeline mode: inline|sync|async")
+		retrainF  = flag.String("retrain", "inline", "retrain pipeline mode: inline|async")
 	)
 	flag.Parse()
 
@@ -44,7 +44,7 @@ func main() {
 	}
 	rmode, ok := viper.ParseRetrainMode(*retrainF)
 	if !ok {
-		fmt.Fprintf(os.Stderr, "-retrain must be one of inline|sync|async, got %q\n", *retrainF)
+		fmt.Fprintf(os.Stderr, "-retrain must be one of inline|async, got %q\n", *retrainF)
 		os.Exit(2)
 	}
 	if *size <= 0 {

@@ -34,7 +34,7 @@ func main() {
 		indexName = flag.String("index", "xindex", "volatile index (see libench -list)")
 		size      = flag.Int("mem", 512<<20, "simulated PMem bytes")
 		latency   = flag.Bool("pmem", false, "simulate NVM latency")
-		retrainF  = flag.String("retrain", "async", "retrain pipeline mode: inline|sync|async")
+		retrainF  = flag.String("retrain", "async", "retrain pipeline mode: inline|async")
 		obs       = flag.String("obs", "", "serve expvar, pprof and /telemetry on this address (e.g. :6060)")
 		window    = flag.Int("window", server.DefaultMaxInFlight, "per-connection in-flight window: responses held before a write is forced")
 		preload   = flag.Int("preload", 0, "bulk-load keys 1..n before serving")
@@ -50,7 +50,7 @@ func main() {
 	}
 	rmode, ok := viper.ParseRetrainMode(*retrainF)
 	if !ok {
-		fmt.Fprintf(os.Stderr, "-retrain must be one of inline|sync|async, got %q\n", *retrainF)
+		fmt.Fprintf(os.Stderr, "-retrain must be one of inline|async, got %q\n", *retrainF)
 		os.Exit(2)
 	}
 	lat := pmem.None()

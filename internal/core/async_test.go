@@ -7,7 +7,7 @@ import (
 	"learnedpieces/internal/indextest"
 )
 
-// TestAsyncRetrainEquivalence runs the sync-vs-async retraining
+// TestAsyncRetrainEquivalence runs the inline-vs-async retraining
 // property over every registry index that opts into background
 // retraining: identical reads after identical writes, regardless of
 // where the retrains ran. Indexes without the capability are skipped

@@ -166,9 +166,6 @@ func TestRegistryComplete(t *testing.T) {
 	if _, ok := Lookup("nonesuch"); ok {
 		t.Fatal("Lookup(nonesuch) succeeded")
 	}
-	if len(LearnedNames())+len(TraditionalNames()) != len(reg) {
-		t.Fatal("name partition broken")
-	}
 	// Only XIndex (and the hash and the FINEdex extension) support
 	// concurrent writes (Table I).
 	for _, e := range reg {

@@ -179,25 +179,3 @@ func Lookup(name string) (Entry, bool) {
 	}
 	return Entry{}, false
 }
-
-// LearnedNames returns the learned-index names in registry order.
-func LearnedNames() []string {
-	var out []string
-	for _, e := range Registry() {
-		if e.Learned {
-			out = append(out, e.Name)
-		}
-	}
-	return out
-}
-
-// TraditionalNames returns the traditional-index names in registry order.
-func TraditionalNames() []string {
-	var out []string
-	for _, e := range Registry() {
-		if !e.Learned {
-			out = append(out, e.Name)
-		}
-	}
-	return out
-}

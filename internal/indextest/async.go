@@ -10,9 +10,9 @@ import (
 )
 
 // RunAsyncEquivalence checks the index.AsyncRetrainer contract as a
-// property: the same operation sequence applied with no pool, with a
-// zero-worker (sync) pool, and with a background pool must read back
-// identically once DrainRetrains has run. The async variant interleaves
+// property: the same operation sequence applied with no pool and with a
+// background pool must read back identically once DrainRetrains has
+// run. The async variant interleaves
 // reads with the writes, so under -race this also exercises the
 // readers-never-block claim against the background builders.
 func RunAsyncEquivalence(t *testing.T, name string, f Factory) {
@@ -118,12 +118,6 @@ func RunAsyncEquivalence(t *testing.T, name string, f Factory) {
 		idx := f()
 		check(t, idx, run(t, idx, nil))
 	})
-	t.Run(name+"/sync-pool", func(t *testing.T) {
-		pool := retrain.NewPool(0, 0)
-		defer pool.Close()
-		idx := f()
-		check(t, idx, run(t, idx, pool))
-	})
 	t.Run(name+"/async-pool", func(t *testing.T) {
 		pool := retrain.NewPool(2, 16) // small queue: overflow falls back inline
 		defer pool.Close()
@@ -147,4 +141,51 @@ func RunAsyncEquivalence(t *testing.T, name string, f Factory) {
 		}
 		check(t, idx, want)
 	})
+}
+
+// RunDrainConverges checks that DrainRetrains leaves a bounded buffer
+// however far writes outran the pool: the pool's only worker is held on
+// a blocking task while a single-writer index takes far more writes than
+// its retrain limit, then DrainRetrains must retrain until buffered()
+// (the live buffer's size) is below limit — not install one retrain and
+// return — and every key must still read back.
+func RunDrainConverges(t *testing.T, idx interface {
+	index.Index
+	index.AsyncRetrainer
+}, limit int, buffered func() int) {
+	t.Helper()
+	pool := retrain.NewPool(1, 0)
+	defer pool.Close()
+	gate, started := make(chan struct{}), make(chan struct{})
+	pool.Submit("blocker", func() { close(started); <-gate })
+	<-started
+	idx.SetRetrainPool(pool)
+
+	load, inserts := dataset.Split(dataset.Generate(dataset.YCSBNormal, 40000, 51), 20000)
+	if err := idx.BulkLoad(load, load); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range dataset.Shuffled(inserts, 52) {
+		if err := idx.Insert(k, k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := buffered(); n < 4*limit {
+		t.Fatalf("only %d writes buffered behind a busy pool, want at least %d", n, 4*limit)
+	}
+	close(gate)
+	idx.DrainRetrains()
+	if n := buffered(); n >= limit {
+		t.Fatalf("%d writes still buffered after DrainRetrains, limit %d", n, limit)
+	}
+	if got, want := idx.Len(), len(load)+len(inserts); got != want {
+		t.Fatalf("Len = %d, want %d", got, want)
+	}
+	for _, keys := range [][]uint64{load, inserts} {
+		for _, k := range keys {
+			if v, ok := idx.Get(k); !ok || v != k {
+				t.Fatalf("get(%d) = %d,%v after the drain", k, v, ok)
+			}
+		}
+	}
 }

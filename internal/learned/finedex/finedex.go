@@ -21,6 +21,7 @@ import (
 
 	"learnedpieces/internal/epoch"
 	"learnedpieces/internal/index"
+	"learnedpieces/internal/learned/delta"
 	"learnedpieces/internal/pla"
 	"learnedpieces/internal/retrain"
 	"learnedpieces/internal/search"
@@ -56,12 +57,11 @@ func (c *Config) normalize() {
 	}
 }
 
-// bin is one insert absorber: either a sorted leaf (children == nil) or
-// a router over its children (level bin).
+// bin is one insert absorber: either a leaf holding a sorted run with
+// tombstones (children == nil) or a router over its children (level bin).
 type bin struct {
-	mu       sync.Mutex
-	k, v     []uint64
-	dead     []bool
+	mu sync.Mutex
+	delta.Run
 	children []*bin
 	pivots   []uint64 // children[i] covers [pivots[i-1], pivots[i])
 }
@@ -228,14 +228,10 @@ func descend(b *bin, key uint64) *bin {
 }
 
 // binGet looks key up in the bin tree.
-func binGet(b *bin, key uint64) (uint64, bool, bool) {
+func binGet(b *bin, key uint64) (val uint64, live, found bool) {
 	b = descend(b, key)
 	defer b.mu.Unlock()
-	i := search.LowerBound(b.k, key, 0, len(b.k))
-	if i < len(b.k) && b.k[i] == key {
-		return b.v[i], b.dead[i], true
-	}
-	return 0, false, false
+	return b.Find(key)
 }
 
 // Get returns the value stored under key.
@@ -244,8 +240,8 @@ func (ix *Index) Get(key uint64) (uint64, bool) {
 	defer ix.structMu.RUnlock()
 	seg := ix.tab.Load().locate(key)
 	// Bins are newer than the base.
-	if v, dead, ok := binGet(seg.root, key); ok {
-		return v, !dead && ok
+	if v, live, ok := binGet(seg.root, key); ok {
+		return v, live
 	}
 	if i, ok := seg.baseSearch(key); ok {
 		return seg.vals[i], true
@@ -276,42 +272,23 @@ func (ix *Index) upsert(key, value uint64, dead bool) bool {
 	ix.structMu.RLock()
 	seg := ix.tab.Load().locate(key)
 	b := descend(seg.root, key)
-	i := search.LowerBound(b.k, key, 0, len(b.k))
-	wasLive := false
-	if i < len(b.k) && b.k[i] == key {
-		wasLive = !b.dead[i]
-		if dead && !wasLive {
-			b.mu.Unlock()
-			ix.structMu.RUnlock()
-			return false
-		}
-		b.v[i] = value
-		b.dead[i] = dead
+	i, inBin := b.Pos(key)
+	var wasLive bool
+	if inBin {
+		wasLive = !b.Dead[i]
 	} else {
-		_, inBase := seg.baseSearch(key)
-		wasLive = inBase
-		if dead && !inBase {
-			b.mu.Unlock()
-			ix.structMu.RUnlock()
-			return false
-		}
-		if !dead && inBase {
-			// Pure update of a base key: shadow it in the bin.
-			dead = false
-		}
-		b.k = append(b.k, 0)
-		b.v = append(b.v, 0)
-		b.dead = append(b.dead, false)
-		copy(b.k[i+1:], b.k[i:])
-		copy(b.v[i+1:], b.v[i:])
-		copy(b.dead[i+1:], b.dead[i:])
-		b.k[i] = key
-		b.v[i] = value
-		b.dead[i] = dead
+		_, wasLive = seg.baseSearch(key)
+	}
+	if dead && !wasLive {
+		b.mu.Unlock()
+		ix.structMu.RUnlock()
+		return false
+	}
+	if !inBin {
 		seg.binKeys.Add(1)
 	}
-	full := len(b.k) >= ix.cfg.BinCap
-	if full {
+	b.Set(i, inBin, key, value, dead)
+	if len(b.Keys) >= ix.cfg.BinCap {
 		ix.splitBin(seg, b, key)
 	}
 	b.mu.Unlock()
@@ -340,7 +317,7 @@ func (ix *Index) splitBin(seg *segment, b *bin, key uint64) {
 	if depth > ix.cfg.MaxDepth {
 		return // leave it oversized; retrain will rebuild the segment
 	}
-	n := len(b.k)
+	n := len(b.Keys)
 	fan := ix.cfg.BinFanout
 	children := make([]*bin, fan)
 	pivots := make([]uint64, fan-1)
@@ -354,14 +331,14 @@ func (ix *Index) splitBin(seg *segment, b *bin, key uint64) {
 		if hi > n {
 			hi = n
 		}
-		children[c] = &bin{
-			k:    append([]uint64(nil), b.k[lo:hi]...),
-			v:    append([]uint64(nil), b.v[lo:hi]...),
-			dead: append([]bool(nil), b.dead[lo:hi]...),
-		}
+		children[c] = &bin{Run: delta.Run{
+			Keys: append([]uint64(nil), b.Keys[lo:hi]...),
+			Vals: append([]uint64(nil), b.Vals[lo:hi]...),
+			Dead: append([]bool(nil), b.Dead[lo:hi]...),
+		}}
 		if c < fan-1 {
 			if hi < n {
-				pivots[c] = b.k[hi]
+				pivots[c] = b.Keys[hi]
 			} else {
 				pivots[c] = ^uint64(0)
 			}
@@ -369,7 +346,7 @@ func (ix *Index) splitBin(seg *segment, b *bin, key uint64) {
 	}
 	b.children = children
 	b.pivots = pivots
-	b.k, b.v, b.dead = nil, nil, nil
+	b.Run = delta.Run{}
 }
 
 // binDepth returns the leaf depth on key's path (1 = root is the leaf).
@@ -397,10 +374,10 @@ func (ix *Index) retrainSegment(old *segment) {
 	// Build aside: the base is immutable and the overlay walk takes the
 	// bin locks, so no structure lock is needed here.
 	ovA := old.overlay()
-	keys, vals := mergeBase(old, ovA)
+	m := delta.Merge(ovA, old.base(), false)
 	var repl *table
-	if len(keys) > 0 {
-		repl = buildTable(keys, vals, ix.cfg.Eps)
+	if len(m.Keys) > 0 {
+		repl = buildTable(m.Keys, m.Vals, ix.cfg.Eps)
 	} else {
 		repl = &table{
 			firsts: []uint64{old.firstKey},
@@ -426,14 +403,14 @@ func (ix *Index) retrainSegment(old *segment) {
 	// the current overlay; apply every entry that is new or changed.
 	ovC := old.overlay()
 	ai := 0
-	for _, e := range ovC {
-		for ai < len(ovA) && ovA[ai].k < e.k {
+	for c, k := range ovC.Keys {
+		for ai < len(ovA.Keys) && ovA.Keys[ai] < k {
 			ai++
 		}
-		if ai < len(ovA) && ovA[ai] == e {
+		if ai < len(ovA.Keys) && ovA.Keys[ai] == k && ovA.Vals[ai] == ovC.Vals[c] && ovA.Dead[ai] == ovC.Dead[c] {
 			continue // unchanged since the snapshot; already in the rebuild
 		}
-		ix.binApply(repl.locate(e.k), e)
+		ix.binApply(repl.locate(k), k, ovC.Vals[c], ovC.Dead[c])
 	}
 	nt := &table{
 		firsts: make([]uint64, 0, len(cur.firsts)+len(repl.firsts)-1),
@@ -461,42 +438,25 @@ func (ix *Index) retrainSegment(old *segment) {
 // binApply writes one overlay entry into seg's bin tree, preserving its
 // dead flag. Used by the retrain catch-up replay; the caller holds the
 // structure lock, so the bin locks taken by descend are uncontended.
-func (ix *Index) binApply(seg *segment, e binEntry) {
-	b := descend(seg.root, e.k)
-	i := search.LowerBound(b.k, e.k, 0, len(b.k))
-	if i < len(b.k) && b.k[i] == e.k {
-		b.v[i] = e.v
-		b.dead[i] = e.dead
-	} else {
-		b.k = append(b.k, 0)
-		b.v = append(b.v, 0)
-		b.dead = append(b.dead, false)
-		copy(b.k[i+1:], b.k[i:])
-		copy(b.v[i+1:], b.v[i:])
-		copy(b.dead[i+1:], b.dead[i:])
-		b.k[i] = e.k
-		b.v[i] = e.v
-		b.dead[i] = e.dead
+func (ix *Index) binApply(seg *segment, key, val uint64, dead bool) {
+	b := descend(seg.root, key)
+	i, ok := b.Pos(key)
+	if !ok {
 		seg.binKeys.Add(1)
 	}
-	if len(b.k) >= ix.cfg.BinCap {
-		ix.splitBin(seg, b, e.k)
+	b.Set(i, ok, key, val, dead)
+	if len(b.Keys) >= ix.cfg.BinCap {
+		ix.splitBin(seg, b, key)
 	}
 	b.mu.Unlock()
 }
 
-// binEntry is one overlay entry: a key absorbed by the bins, possibly a
-// tombstone shadowing the base.
-type binEntry struct {
-	k, v uint64
-	dead bool
-}
-
-// overlay returns the segment's bin entries sorted by key (keys are
-// unique across the bin tree: the pivots route each key to exactly one
-// leaf). Safe concurrent with writers — each bin is read under its lock.
-func (s *segment) overlay() []binEntry {
-	var overlay []binEntry
+// overlay returns the segment's bin entries as one run. The pivots
+// route each key to exactly one leaf and order the leaves, so an
+// in-order walk is already sorted. Safe concurrent with writers — each
+// bin is read under its lock.
+func (s *segment) overlay() delta.Run {
+	var ov delta.Run
 	var walk func(b *bin)
 	walk = func(b *bin) {
 		b.mu.Lock()
@@ -507,60 +467,30 @@ func (s *segment) overlay() []binEntry {
 			}
 			return
 		}
-		for i := range b.k {
-			overlay = append(overlay, binEntry{b.k[i], b.v[i], b.dead[i]})
-		}
+		ov.Keys = append(ov.Keys, b.Keys...)
+		ov.Vals = append(ov.Vals, b.Vals...)
+		ov.Dead = append(ov.Dead, b.Dead...)
 	}
 	walk(s.root)
-	sort.Slice(overlay, func(i, j int) bool { return overlay[i].k < overlay[j].k })
-	return overlay
+	return ov
 }
 
-// mergeBase merges the segment's immutable base with an overlay,
-// dropping tombstoned keys.
-func mergeBase(s *segment, overlay []binEntry) ([]uint64, []uint64) {
-	keys := make([]uint64, 0, len(s.keys)+len(overlay))
-	vals := make([]uint64, 0, len(s.keys)+len(overlay))
-	bi, oi := 0, 0
-	for bi < len(s.keys) || oi < len(overlay) {
-		switch {
-		case oi >= len(overlay) || (bi < len(s.keys) && s.keys[bi] < overlay[oi].k):
-			keys = append(keys, s.keys[bi])
-			vals = append(vals, s.vals[bi])
-			bi++
-		case bi >= len(s.keys) || overlay[oi].k < s.keys[bi]:
-			if !overlay[oi].dead {
-				keys = append(keys, overlay[oi].k)
-				vals = append(vals, overlay[oi].v)
-			}
-			oi++
-		default:
-			if !overlay[oi].dead {
-				keys = append(keys, overlay[oi].k)
-				vals = append(vals, overlay[oi].v)
-			}
-			bi++
-			oi++
-		}
-	}
-	return keys, vals
-}
+// base returns the segment's immutable base as a run.
+func (s *segment) base() delta.Run { return delta.Run{Keys: s.keys, Vals: s.vals} }
 
 // merged returns the segment's live entries (base shadowed by bins).
-func (s *segment) merged() ([]uint64, []uint64) {
-	return mergeBase(s, s.overlay())
-}
+func (s *segment) merged() delta.Run { return delta.Merge(s.overlay(), s.base(), false) }
 
 // cursor resumes at a key: segments retrain and tables swap underneath
 // a long scan, so the key space is the only stable coordinate. It
 // caches one segment's merged snapshot (base shadowed by bins) and
 // refills — under the structure read lock — when the cache drains. Entries are emitted in strictly ascending key order.
 type cursor struct {
-	ix     *Index
-	key    uint64
-	done   bool
-	ck, cv []uint64
-	pos    int
+	ix   *Index
+	key  uint64
+	done bool
+	run  delta.Run // the cached segment's live entries
+	pos  int
 }
 
 var cursorPool = sync.Pool{New: func() any { return new(cursor) }}
@@ -571,7 +501,7 @@ var cursorPool = sync.Pool{New: func() any { return new(cursor) }}
 func (ix *Index) Range(start uint64) index.Cursor {
 	c := cursorPool.Get().(*cursor)
 	c.ix, c.key, c.done = ix, start, false
-	c.ck, c.cv, c.pos = nil, nil, 0
+	c.run, c.pos = delta.Run{}, 0
 	return c
 }
 
@@ -581,15 +511,15 @@ func (ix *Index) Range(start uint64) index.Cursor {
 func (c *cursor) Next(keys, vals []uint64) int {
 	n := 0
 	for n < len(keys) && !c.done {
-		if c.pos >= len(c.ck) {
+		if c.pos >= len(c.run.Keys) {
 			if !c.refill() {
 				c.done = true
 				break
 			}
 		}
-		for n < len(keys) && c.pos < len(c.ck) {
-			k := c.ck[c.pos]
-			keys[n], vals[n] = k, c.cv[c.pos]
+		for n < len(keys) && c.pos < len(c.run.Keys) {
+			k := c.run.Keys[c.pos]
+			keys[n], vals[n] = k, c.run.Vals[c.pos]
 			c.pos++
 			n++
 			if k == ^uint64(0) {
@@ -612,10 +542,9 @@ func (c *cursor) refill() bool {
 		si--
 	}
 	for ; si < len(t.segs); si++ {
-		keys, vals := t.segs[si].merged()
-		pos := search.LowerBound(keys, c.key, 0, len(keys))
-		if pos < len(keys) {
-			c.ck, c.cv, c.pos = keys, vals, pos
+		m := t.segs[si].merged()
+		if pos := search.LowerBound(m.Keys, c.key, 0, len(m.Keys)); pos < len(m.Keys) {
+			c.run, c.pos = m, pos
 			return true
 		}
 	}
@@ -623,7 +552,7 @@ func (c *cursor) refill() bool {
 }
 
 func (c *cursor) Close() {
-	c.ix, c.ck, c.cv = nil, nil, nil
+	c.ix, c.run = nil, delta.Run{}
 	cursorPool.Put(c)
 }
 

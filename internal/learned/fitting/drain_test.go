@@ -32,7 +32,9 @@ func TestDrainConverges(t *testing.T) {
 		for _, workers := range []int{0, 1, 4} {
 			cfg := Config{Mode: mode, Eps: 32, Reserve: 64}
 			ix := New(cfg)
-			ix.SetRetrainPool(retrain.NewPool(workers, 0))
+			if workers > 0 {
+				ix.SetRetrainPool(retrain.NewPool(workers, 0))
+			}
 			if err := ix.BulkLoad(load, load); err != nil {
 				t.Fatal(err)
 			}

@@ -20,6 +20,7 @@ import (
 	"learnedpieces/internal/btree"
 	"learnedpieces/internal/epoch"
 	"learnedpieces/internal/index"
+	"learnedpieces/internal/learned/delta"
 	"learnedpieces/internal/pla"
 	"learnedpieces/internal/retrain"
 	"learnedpieces/internal/search"
@@ -355,19 +356,15 @@ func (ix *Index) insert(key, value uint64, counted bool) error {
 		}
 		return nil
 	}
-	// Inplace: shift to open a gap at the insertion point.
+	// Inplace: shift to open a gap at the insertion point. A full leaf
+	// schedules its rebuild first and the key goes to whichever leaf
+	// covers it then: without a pool that is a fresh leaf with its
+	// reserve restored; with one, the old leaf, which keeps absorbing
+	// writes (append regrows the slice) until the rebuild installs and
+	// replays them.
 	if len(l.keys) == cap(l.keys) && !l.retraining {
-		if ix.pool == nil {
-			ix.retrainLeafWith(l, key, value)
-			if counted {
-				ix.length++
-			}
-			return nil
-		}
-		// With a pool attached the leaf keeps absorbing writes (append
-		// regrows the slice past the reserve) and the rebuild — which
-		// will snapshot the new key too — runs aside.
-		defer ix.scheduleRetrain(l)
+		ix.scheduleRetrain(l)
+		l = ix.leafFor(key)
 	}
 	i, _ := l.search(key)
 	// search returns a window-local position for misses; recover the exact
@@ -399,56 +396,27 @@ func (ix *Index) logOp(l *segLeaf, key, val uint64, del bool) {
 	}
 }
 
-// mergedCopy returns a fresh copy of the leaf's base merged with its
-// buffer — the snapshot a background rebuild works from.
-func (l *segLeaf) mergedCopy() ([]uint64, []uint64) {
-	keys := make([]uint64, 0, len(l.keys)+len(l.bufK))
-	vals := make([]uint64, 0, len(l.keys)+len(l.bufK))
-	i, j := 0, 0
-	for i < len(l.keys) || j < len(l.bufK) {
-		if j >= len(l.bufK) || (i < len(l.keys) && l.keys[i] < l.bufK[j]) {
-			keys = append(keys, l.keys[i])
-			vals = append(vals, l.vals[i])
-			i++
-		} else {
-			keys = append(keys, l.bufK[j])
-			vals = append(vals, l.bufV[j])
-			j++
-		}
-	}
-	return keys, vals
-}
-
-// retrainLeaf merges a leaf with its buffer and re-segments it inline.
-func (ix *Index) retrainLeaf(l *segLeaf) {
-	keys, vals := l.mergedCopy()
-	ix.replaceLeaf(l, keys, vals)
-}
-
-// scheduleRetrain hands the leaf's rebuild to the pool: snapshot now (a
-// cheap linear merge, so the background task never reads live leaf
-// state), segment and build replacement leaves aside, deposit for
-// installation on the writer timeline. Without a pool this is today's
-// inline retrain.
+// scheduleRetrain hands the leaf's rebuild to the pool ("retrain one
+// node"): snapshot now (the leaf merged with its buffer, so the task
+// never reads live leaf state), segment and build replacement leaves
+// aside, deposit for installation on the writer timeline. A nil pool
+// runs the task inline, so the rebuild is installed on return.
 func (ix *Index) scheduleRetrain(l *segLeaf) {
-	if ix.pool == nil {
-		ix.retrainLeaf(l)
-		return
-	}
 	if l.retraining {
 		return
 	}
 	l.retraining = true
-	keys, vals := l.mergedCopy()
+	// Buffer keys are never in the base, so the merge drops nothing.
+	m := delta.Merge(delta.Run{Keys: l.bufK, Vals: l.bufV}, delta.Run{Keys: l.keys, Vals: l.vals}, false)
 	gen := ix.gen
 	ix.pool.Submit(l, func() {
 		start := time.Now()
-		nls := ix.buildLeaves(keys, vals)
+		nls := ix.buildLeaves(m.Keys, m.Vals)
 		ix.retrains.Add(1)
 		ix.retrainNs.Add(time.Since(start).Nanoseconds())
 		ix.inbox.Put(deposit{old: l, gen: gen, leaves: nls})
 	})
-	ix.installDeposits() // in sync mode the deposit is already waiting
+	ix.installDeposits() // a task that ran inline has deposited already
 }
 
 // installDeposits swaps finished rebuilds into the inner tree and
@@ -495,30 +463,6 @@ func (ix *Index) takeOplog(l *segLeaf) []wop {
 	}
 	ix.oplog = rest
 	return mine
-}
-
-// retrainLeafWith re-segments a full inplace leaf together with one new
-// key.
-func (ix *Index) retrainLeafWith(l *segLeaf, key, value uint64) {
-	keys := make([]uint64, 0, len(l.keys)+1)
-	vals := make([]uint64, 0, len(l.keys)+1)
-	pos := search.LowerBound(l.keys, key, 0, len(l.keys))
-	keys = append(keys, l.keys[:pos]...)
-	vals = append(vals, l.vals[:pos]...)
-	keys = append(keys, key)
-	vals = append(vals, value)
-	keys = append(keys, l.keys[pos:]...)
-	vals = append(vals, l.vals[pos:]...)
-	ix.replaceLeaf(l, keys, vals)
-}
-
-// replaceLeaf re-runs Opt-PLA over the merged keys and swaps the
-// resulting segment leaves into the inner tree ("retrain one node").
-func (ix *Index) replaceLeaf(old *segLeaf, keys, vals []uint64) {
-	start := time.Now()
-	ix.swapLeaf(old, ix.buildLeaves(keys, vals))
-	ix.retrains.Add(1)
-	ix.retrainNs.Add(time.Since(start).Nanoseconds())
 }
 
 // buildLeaves segments sorted keys into fresh leaves (none for no keys).

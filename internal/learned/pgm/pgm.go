@@ -8,10 +8,9 @@ package pgm
 
 import (
 	"math/bits"
-	"sync/atomic"
-	"time"
 
 	"learnedpieces/internal/index"
+	"learnedpieces/internal/learned/delta"
 	"learnedpieces/internal/parallel"
 	"learnedpieces/internal/pla"
 	"learnedpieces/internal/retrain"
@@ -174,201 +173,21 @@ func (s *Static) Get(key uint64) (val uint64, dead, ok bool) {
 // buffer; a full buffer merges into the first run with room, rebuilding
 // that run's static PGM — the retraining unit the paper measures (one
 // retrain per ~BaseSize inserts, cf. §IV-E "they retrain once for every
-// 500 inserted keys").
+// 500 inserted keys"). With a retrain pool the merge runs in the
+// background while a fresh buffer absorbs writes (delta.Buffer).
 type Index struct {
-	cfg    Config
-	bufK   []uint64
-	bufV   []uint64
-	bufD   []bool
-	runs   []*Static // runs[i] capacity = BaseSize << i; nil = empty
-	length int       // live entries; every write knows whether it added or removed one
-
-	// Background flushing (index.AsyncRetrainer): a full buffer is
-	// frozen and handed to the pool, which merges it with a snapshot of
-	// the runs aside; a fresh buffer absorbs writes meanwhile. Lookups
-	// read buf -> frozen -> runs. The result is deposited in the inbox
-	// and installed on the writer's timeline (the single-writer contract
-	// means the background task must never touch the live structure).
-	pool     *retrain.Pool
-	frozenK  []uint64
-	frozenV  []uint64
-	frozenD  []bool
-	flushing bool
-	gen      uint64 // bumped when a pending deposit becomes invalid (BulkLoad)
-	inbox    retrain.Inbox[flushResult]
-
-	retrains  atomic.Int64
-	retrainNs atomic.Int64
+	cfg Config
+	buf delta.Buffer[runSet]
 }
 
-// flushResult is one background flush: the replacement run set, tagged
-// with the generation it was built from.
-type flushResult struct {
-	gen  uint64
-	runs []*Static
-}
+// runSet is the logarithmic method's runs: runs[i] holds at most
+// BaseSize<<i keys, newer entries in lower levels; nil = empty. A flush
+// replaces the whole set.
+type runSet []*Static
 
-// New returns an empty dynamic PGM-Index.
-func New(cfg Config) *Index {
-	cfg.normalize()
-	return &Index{cfg: cfg}
-}
-
-// Name implements index.Index.
-func (ix *Index) Name() string { return "pgm" }
-
-// RetrainStats implements index.RetrainReporter.
-func (ix *Index) RetrainStats() (int64, int64) {
-	return ix.retrains.Load(), ix.retrainNs.Load()
-}
-
-// SetRetrainPool implements index.AsyncRetrainer: subsequent buffer
-// flushes build their merged runs on the pool.
-func (ix *Index) SetRetrainPool(p *retrain.Pool) { ix.pool = p }
-
-// DrainRetrains implements index.AsyncRetrainer: wait for in-flight
-// flushes, then install their results. Must run on the writer timeline.
-func (ix *Index) DrainRetrains() {
-	ix.pool.Drain()
-	ix.install()
-}
-
-// install applies deposited flush results; stale deposits (the
-// structure was replaced after the snapshot) are dropped.
-func (ix *Index) install() {
-	for _, dep := range ix.inbox.TakeAll() {
-		if dep.gen != ix.gen {
-			continue
-		}
-		ix.runs = dep.runs
-		ix.frozenK, ix.frozenV, ix.frozenD = nil, nil, nil
-		ix.flushing = false
-	}
-}
-
-// BulkLoad places the sorted keys in the smallest run that fits them.
-func (ix *Index) BulkLoad(keys, values []uint64) error {
-	ix.gen++ // a pending flush deposit no longer applies
-	ix.frozenK, ix.frozenV, ix.frozenD = nil, nil, nil
-	ix.flushing = false
-	ix.runs = nil
-	ix.bufK, ix.bufV, ix.bufD = nil, nil, nil
-	ix.length = len(keys)
-	if len(keys) == 0 {
-		return nil
-	}
-	lvl := ix.levelFor(len(keys))
-	ix.runs = make([]*Static, lvl+1)
-	ix.runs[lvl] = NewStatic(keys, values, ix.cfg.Eps, ix.cfg.EpsInternal)
-	return nil
-}
-
-// bufSearch returns the buffer position of key.
-func (ix *Index) bufSearch(key uint64) (int, bool) {
-	return search.Find(ix.bufK, key)
-}
-
-// bufUpsert writes (key,value,dead) into the sorted buffer, flushing to
-// the runs when it reaches BaseSize, and reports whether key was live
-// before. The buffer answers that itself for a key it already holds;
-// only a key new to it asks the layers below. A tombstone for a key that
-// is not live is not written.
-func (ix *Index) bufUpsert(key, value uint64, dead bool) bool {
-	i, ok := ix.bufSearch(key)
-	var wasLive bool
-	if ok {
-		wasLive = !ix.bufD[i]
-	} else {
-		_, wasLive = ix.getBelow(key)
-	}
-	switch {
-	case dead && !wasLive:
-		return false
-	case dead:
-		ix.length--
-	case !wasLive:
-		ix.length++
-	}
-	if ok {
-		ix.bufV[i] = value
-		ix.bufD[i] = dead
-		return wasLive
-	}
-	ix.bufK = append(ix.bufK, 0)
-	ix.bufV = append(ix.bufV, 0)
-	ix.bufD = append(ix.bufD, false)
-	copy(ix.bufK[i+1:], ix.bufK[i:])
-	copy(ix.bufV[i+1:], ix.bufV[i:])
-	copy(ix.bufD[i+1:], ix.bufD[i:])
-	ix.bufK[i] = key
-	ix.bufV[i] = value
-	ix.bufD[i] = dead
-	if len(ix.bufK) >= ix.cfg.BaseSize {
-		ix.scheduleFlush()
-	}
-	return wasLive
-}
-
-// scheduleFlush routes a full buffer to the pool when one is attached,
-// and to the classic inline flush otherwise. While a background flush
-// is in flight the live buffer simply keeps absorbing writes (it grows
-// past BaseSize until the deposit installs) — the index never blocks.
-func (ix *Index) scheduleFlush() {
-	if ix.pool == nil {
-		ix.flush()
-		return
-	}
-	if ix.flushing {
-		return
-	}
-	ix.flushing = true
-	ix.frozenK, ix.frozenV, ix.frozenD = ix.bufK, ix.bufV, ix.bufD
-	ix.bufK, ix.bufV, ix.bufD = nil, nil, nil
-	fk, fv, fd := ix.frozenK, ix.frozenV, ix.frozenD
-	runs := append([]*Static(nil), ix.runs...)
-	gen := ix.gen
-	cfg := ix.cfg
-	ix.pool.Submit(ix, func() {
-		start := time.Now()
-		res := flushInto(cfg, runs, fk, fv, fd)
-		ix.retrains.Add(1)
-		ix.retrainNs.Add(time.Since(start).Nanoseconds())
-		ix.inbox.Put(flushResult{gen: gen, runs: res})
-	})
-	ix.install() // in sync mode the deposit is already waiting
-}
-
-// levelFor returns the smallest run level whose capacity holds n keys.
-func (ix *Index) levelFor(n int) int {
-	if n <= ix.cfg.BaseSize {
-		return 0
-	}
-	q := (n + ix.cfg.BaseSize - 1) / ix.cfg.BaseSize
-	return bits.Len(uint(q - 1))
-}
-
-// Get returns the value stored under key (buffer, then the frozen
-// buffer of an in-flight flush, then newest run).
-func (ix *Index) Get(key uint64) (uint64, bool) {
-	if i, ok := ix.bufSearch(key); ok {
-		if ix.bufD[i] {
-			return 0, false
-		}
-		return ix.bufV[i], true
-	}
-	return ix.getBelow(key)
-}
-
-// getBelow resolves key in the layers under the live buffer: the frozen
-// buffer of an in-flight flush, then the runs newest first.
-func (ix *Index) getBelow(key uint64) (uint64, bool) {
-	if i, ok := search.Find(ix.frozenK, key); ok {
-		if ix.frozenD[i] {
-			return 0, false
-		}
-		return ix.frozenV[i], true
-	}
-	for _, r := range ix.runs {
+// Get resolves key in the runs, newest first.
+func (rs runSet) Get(key uint64) (uint64, bool) {
+	for _, r := range rs {
 		if r == nil {
 			continue
 		}
@@ -382,8 +201,60 @@ func (ix *Index) getBelow(key uint64) (uint64, bool) {
 	return 0, false
 }
 
+// New returns an empty dynamic PGM-Index.
+func New(cfg Config) *Index {
+	cfg.normalize()
+	ix := &Index{cfg: cfg}
+	ix.buf.Init(cfg.BaseSize, func(frozen delta.Run, runs runSet) runSet {
+		// flushInto empties the levels it merges: give it its own slice
+		// (the Statics themselves are immutable).
+		return flushInto(cfg, append(runSet(nil), runs...), frozen)
+	})
+	return ix
+}
+
+// Name implements index.Index.
+func (ix *Index) Name() string { return "pgm" }
+
+// RetrainStats implements index.RetrainReporter.
+func (ix *Index) RetrainStats() (int64, int64) { return ix.buf.RetrainStats() }
+
+// SetRetrainPool implements index.AsyncRetrainer: subsequent buffer
+// flushes build their merged runs on the pool.
+func (ix *Index) SetRetrainPool(p *retrain.Pool) { ix.buf.SetPool(p) }
+
+// DrainRetrains implements index.AsyncRetrainer: wait for in-flight
+// flushes, install them, and flush again until the buffer is below
+// BaseSize. Must run on the writer timeline.
+func (ix *Index) DrainRetrains() { ix.buf.Drain() }
+
+// BulkLoad places the sorted keys in the smallest run that fits them.
+func (ix *Index) BulkLoad(keys, values []uint64) error {
+	var runs runSet
+	if len(keys) > 0 {
+		lvl := ix.levelFor(len(keys))
+		runs = make(runSet, lvl+1)
+		runs[lvl] = NewStatic(keys, values, ix.cfg.Eps, ix.cfg.EpsInternal)
+	}
+	ix.buf.Load(runs, len(keys))
+	return nil
+}
+
+// levelFor returns the smallest run level whose capacity holds n keys.
+func (ix *Index) levelFor(n int) int {
+	if n <= ix.cfg.BaseSize {
+		return 0
+	}
+	q := (n + ix.cfg.BaseSize - 1) / ix.cfg.BaseSize
+	return bits.Len(uint(q - 1))
+}
+
+// Get returns the value stored under key (buffer, then the frozen
+// buffer of an in-flight flush, then newest run).
+func (ix *Index) Get(key uint64) (uint64, bool) { return ix.buf.Get(key) }
+
 // GetBatch implements index.BatchGetter with the same shadowing order
-// as Get — buffer first, then runs newest-first. Within each run the
+// as Get — buffers first, then runs newest-first. Within each run the
 // per-key internal descent (small arrays, cache-resident) runs
 // sequentially, and the level-0 error windows over the run's big key
 // array resolve in interleaved lockstep.
@@ -398,22 +269,9 @@ func (ix *Index) GetBatch(keys []uint64, vals []uint64, found []bool) {
 		// (found, or shadowed by a tombstone).
 		var done [search.MaxLanes]bool
 		for l, key := range chunk {
-			vals[off+l], found[off+l] = 0, false
-			if i, ok := ix.bufSearch(key); ok {
-				done[l] = true
-				if !ix.bufD[i] {
-					vals[off+l], found[off+l] = ix.bufV[i], true
-				}
-				continue
-			}
-			if i, ok := search.Find(ix.frozenK, key); ok {
-				done[l] = true
-				if !ix.frozenD[i] {
-					vals[off+l], found[off+l] = ix.frozenV[i], true
-				}
-			}
+			vals[off+l], found[off+l], done[l] = ix.buf.Find(key)
 		}
-		for _, r := range ix.runs {
+		for _, r := range ix.buf.Base {
 			if r == nil {
 				continue
 			}
@@ -462,52 +320,35 @@ func (ix *Index) Insert(key, value uint64) error {
 
 // InsertReplace implements index.Upserter.
 func (ix *Index) InsertReplace(key, value uint64) (bool, error) {
-	ix.install()
-	return ix.bufUpsert(key, value, false), nil
+	return ix.buf.Upsert(key, value, false), nil
 }
 
 // Delete inserts a tombstone and reports whether the key was live.
-func (ix *Index) Delete(key uint64) bool {
-	ix.install()
-	return ix.bufUpsert(key, 0, true)
-}
+func (ix *Index) Delete(key uint64) bool { return ix.buf.Upsert(key, 0, true) }
 
-// flush merges the buffer plus the occupied prefix of runs into the
-// first run with spare capacity — the logarithmic method. Each flush is
-// one retraining action.
-func (ix *Index) flush() {
-	start := time.Now()
-	mk, mv, md := ix.bufK, ix.bufV, ix.bufD
-	ix.bufK, ix.bufV, ix.bufD = nil, nil, nil
-	ix.runs = flushInto(ix.cfg, ix.runs, mk, mv, md)
-	ix.retrains.Add(1)
-	ix.retrainNs.Add(time.Since(start).Nanoseconds())
-}
-
-// flushInto merges the (mk, mv, md) buffer plus the occupied prefix of
-// runs into the first run with spare capacity, returning the new run
-// set. Pure with respect to the index — callers on a background worker
-// pass a private copy of the runs slice (the Statics themselves are
-// immutable) and install the result on the writer timeline.
-func flushInto(cfg Config, runs []*Static, mk, mv []uint64, md []bool) []*Static {
+// flushInto merges the frozen buffer plus the occupied prefix of runs
+// into the first run with spare capacity — the logarithmic method —
+// returning the new run set. Each flush is one retraining action. It
+// writes only to runs' slots, never to a Static or to the buffer.
+func flushInto(cfg Config, runs runSet, acc delta.Run) runSet {
 	j := 0
 	for ; j < len(runs); j++ {
 		if runs[j] == nil {
 			break
 		}
-		mk, mv, md = mergeRuns(mk, mv, md, runs[j])
+		acc = delta.Merge(acc, runs[j].run(), true)
 		runs[j] = nil
-		if len(mk) <= cfg.BaseSize<<uint(j) {
+		if len(acc.Keys) <= cfg.BaseSize<<uint(j) {
 			// Everything merged so far already fits at this level.
 			break
 		}
 	}
-	for len(mk) > cfg.BaseSize<<uint(j) {
+	for len(acc.Keys) > cfg.BaseSize<<uint(j) {
 		// The merged run outgrew level j: absorb further runs (occupied or
 		// not) until it fits.
 		j++
 		if j < len(runs) && runs[j] != nil {
-			mk, mv, md = mergeRuns(mk, mv, md, runs[j])
+			acc = delta.Merge(acc, runs[j].run(), true)
 			runs[j] = nil
 		}
 	}
@@ -520,75 +361,22 @@ func flushInto(cfg Config, runs []*Static, mk, mv []uint64, md []bool) []*Static
 		}
 	}
 	if last {
-		mk, mv, md = dropDead(mk, mv, md)
+		acc = acc.Live()
 	}
 	for len(runs) <= j {
 		runs = append(runs, nil)
 	}
-	s := NewStatic(mk, mv, cfg.Eps, cfg.EpsInternal)
-	s.dead = md
+	s := NewStatic(acc.Keys, acc.Vals, cfg.Eps, cfg.EpsInternal)
+	s.dead = acc.Dead
 	runs[j] = s
 	return runs
 }
 
-// mergeRuns merges the (newer) triple with an (older) run, newest wins.
-func mergeRuns(nk, nv []uint64, nd []bool, old *Static) ([]uint64, []uint64, []bool) {
-	ok, ov, od := old.keys, old.vals, old.dead
-	mk := make([]uint64, 0, len(nk)+len(ok))
-	mv := make([]uint64, 0, len(nk)+len(ok))
-	md := make([]bool, 0, len(nk)+len(ok))
-	i, j := 0, 0
-	for i < len(nk) || j < len(ok) {
-		switch {
-		case j >= len(ok) || (i < len(nk) && nk[i] < ok[j]):
-			mk = append(mk, nk[i])
-			mv = append(mv, nv[i])
-			md = append(md, nd[i])
-			i++
-		case i >= len(nk) || ok[j] < nk[i]:
-			mk = append(mk, ok[j])
-			if ov != nil {
-				mv = append(mv, ov[j])
-			} else {
-				mv = append(mv, 0)
-			}
-			md = append(md, od != nil && od[j])
-			j++
-		default: // equal: newer shadows older
-			mk = append(mk, nk[i])
-			mv = append(mv, nv[i])
-			md = append(md, nd[i])
-			i++
-			j++
-		}
-	}
-	return mk, mv, md
-}
-
-// dropDead returns the triple without its tombstones. It never writes to
-// its input: a background flush that merged nothing is handed the frozen
-// buffer itself, which lookups keep searching until the result installs.
-func dropDead(mk, mv []uint64, md []bool) ([]uint64, []uint64, []bool) {
-	live := 0
-	for _, d := range md {
-		if !d {
-			live++
-		}
-	}
-	if live == len(mk) {
-		return mk, mv, md
-	}
-	lk, lv := make([]uint64, 0, live), make([]uint64, 0, live)
-	for i, d := range md {
-		if !d {
-			lk, lv = append(lk, mk[i]), append(lv, mv[i])
-		}
-	}
-	return lk, lv, make([]bool, live)
-}
+// run returns the static run's entries for merging.
+func (s *Static) run() delta.Run { return delta.Run{Keys: s.keys, Vals: s.vals, Dead: s.dead} }
 
 // Len returns the number of live entries.
-func (ix *Index) Len() int { return ix.length }
+func (ix *Index) Len() int { return ix.buf.Len() }
 
 // lowerBound locates the first position with keys[pos] >= key via the
 // internal-level descent, falling back to a whole-array kernel search
@@ -617,17 +405,14 @@ func (s *Static) lowerBound(key uint64) int {
 // kernels — then the pooled merge cursor walks them, newer layers
 // shadowing older ones (layers are ordered newest first).
 func (ix *Index) Range(start uint64) index.Cursor {
-	layers := make([]index.MergeLayer, 0, 2+len(ix.runs))
-	add := func(keys, vals []uint64, dead []bool, pos int) {
-		if pos < len(keys) {
-			layers = append(layers, index.MergeLayer{Keys: keys, Vals: vals, Dead: dead, Pos: pos})
+	runs := ix.buf.Base
+	layers := ix.buf.AppendLayers(make([]index.MergeLayer, 0, 2+len(runs)), start)
+	for _, r := range runs {
+		if r == nil {
+			continue
 		}
-	}
-	add(ix.bufK, ix.bufV, ix.bufD, search.LowerBound(ix.bufK, start, 0, len(ix.bufK)))
-	add(ix.frozenK, ix.frozenV, ix.frozenD, search.LowerBound(ix.frozenK, start, 0, len(ix.frozenK)))
-	for _, r := range ix.runs {
-		if r != nil && len(r.keys) > 0 {
-			add(r.keys, r.vals, r.dead, r.lowerBound(start))
+		if pos := r.lowerBound(start); pos < len(r.keys) {
+			layers = append(layers, index.MergeLayer{Keys: r.keys, Vals: r.vals, Dead: r.dead, Pos: pos})
 		}
 	}
 	return index.NewMergeCursor(layers)
@@ -636,7 +421,7 @@ func (ix *Index) Range(start uint64) index.Cursor {
 // AvgDepth reports the model level count of the largest run (Table II).
 func (ix *Index) AvgDepth() float64 {
 	depth := 0
-	for _, r := range ix.runs {
+	for _, r := range ix.buf.Base {
 		if r != nil && r.Levels() > depth {
 			depth = r.Levels()
 		}
@@ -647,7 +432,7 @@ func (ix *Index) AvgDepth() float64 {
 // LeafCount returns the total leaf segment count across runs.
 func (ix *Index) LeafCount() int {
 	n := 0
-	for _, r := range ix.runs {
+	for _, r := range ix.buf.Base {
 		if r != nil {
 			n += r.SegmentCount()
 		}
@@ -658,21 +443,19 @@ func (ix *Index) LeafCount() int {
 // Sizes reports the footprint: all model levels are structure; the
 // insert buffer counts toward keys/values.
 func (ix *Index) Sizes() index.Sizes {
-	st := int64(len(ix.bufD) + len(ix.frozenD))
-	kb := int64(len(ix.bufK)+len(ix.frozenK)) * 8
-	vb := int64(len(ix.bufV)+len(ix.frozenV)) * 8
-	for _, r := range ix.runs {
+	sz := ix.buf.Sizes()
+	for _, r := range ix.buf.Base {
 		if r == nil {
 			continue
 		}
 		for _, lvl := range r.levels {
-			st += int64(len(lvl)) * 56
+			sz.Structure += int64(len(lvl)) * 56
 		}
 		for _, f := range r.firsts {
-			st += int64(len(f)) * 8
+			sz.Structure += int64(len(f)) * 8
 		}
-		kb += int64(len(r.keys)) * 8
-		vb += int64(len(r.vals)) * 8
+		sz.Keys += int64(len(r.keys)) * 8
+		sz.Values += int64(len(r.vals)) * 8
 	}
-	return index.Sizes{Structure: st, Keys: kb, Values: vb}
+	return sz
 }

@@ -43,7 +43,7 @@ func TestLogarithmicMethodRunSizes(t *testing.T) {
 		}
 	}
 	// Invariant: run i holds at most BaseSize<<i keys.
-	for i, r := range ix.runs {
+	for i, r := range ix.buf.Base {
 		if r == nil {
 			continue
 		}
@@ -132,6 +132,13 @@ func TestBackgroundFlushLeavesFrozenBufferIntact(t *testing.T) {
 	if _, ok := ix.Get(2); ok {
 		t.Fatal("deleted key 2 readable before the install")
 	}
+}
+
+// TestDrainConverges: writes that outran a busy pool leave the buffer far
+// past BaseSize, and DrainRetrains flushes until it is below again.
+func TestDrainConverges(t *testing.T) {
+	ix := New(Config{BaseSize: 256})
+	indextest.RunDrainConverges(t, ix, 256, func() int { return len(ix.buf.Live.Keys) })
 }
 
 func BenchmarkStaticFind(b *testing.B) {

@@ -4,10 +4,12 @@ import (
 	"fmt"
 	"testing"
 
+	"learnedpieces/internal/dataset"
 	"learnedpieces/internal/index"
 	"learnedpieces/internal/indextest"
 	"learnedpieces/internal/learned/rmi"
 	"learnedpieces/internal/learned/rs"
+	"learnedpieces/internal/retrain"
 )
 
 func newIx(threshold int) *Index {
@@ -57,5 +59,54 @@ func TestThresholdTriggersRebuild(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestDrainConverges: writes that outran a busy pool leave the buffer far
+// past Threshold, and DrainRetrains rebuilds until it is below again.
+func TestDrainConverges(t *testing.T) {
+	ix := New("rmi-delta", Config{Threshold: 256}, func() Inner { return rmi.New(rmi.DefaultConfig()) })
+	indextest.RunDrainConverges(t, ix, 256, func() int { return len(ix.buf.Live.Keys) })
+}
+
+// TestGetBatchAllocatesNothing: with the live buffer and a frozen one
+// both holding entries (live values, a tombstone, an overwrite of a
+// base key), a batch lookup agrees with Get and allocates nothing.
+func TestGetBatchAllocatesNothing(t *testing.T) {
+	pool := retrain.NewPool(1, 0)
+	defer pool.Close()
+	gate, started := make(chan struct{}), make(chan struct{})
+	pool.Submit("blocker", func() { close(started); <-gate })
+	<-started
+	defer close(gate)
+
+	ix := newIx(16)
+	ix.SetRetrainPool(pool)
+	load, held := dataset.Split(dataset.Generate(dataset.YCSBNormal, 2000, 61), 40)
+	if err := ix.BulkLoad(load, load); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range held { // 16 freeze behind the busy worker, 24 stay live
+		if err := ix.Insert(k, k^1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ix.Delete(held[3])
+	ix.Delete(load[7])
+	if err := ix.Insert(load[9], 9); err != nil {
+		t.Fatal(err)
+	}
+	if len(ix.buf.Live.Keys) == 0 || len(ix.buf.Frozen.Keys) == 0 {
+		t.Fatalf("buffers live=%d frozen=%d, want both non-empty", len(ix.buf.Live.Keys), len(ix.buf.Frozen.Keys))
+	}
+	keys := append(append([]uint64{0, ^uint64(0)}, held...), load[:60]...)
+	vals, found := make([]uint64, len(keys)), make([]bool, len(keys))
+	if n := testing.AllocsPerRun(50, func() { ix.GetBatch(keys, vals, found) }); n != 0 {
+		t.Fatalf("GetBatch allocates %.1f times per call", n)
+	}
+	for i, k := range keys {
+		if v, ok := ix.Get(k); found[i] != ok || vals[i] != v {
+			t.Fatalf("GetBatch(%d) = %d,%v; Get = %d,%v", k, vals[i], found[i], v, ok)
+		}
 	}
 }

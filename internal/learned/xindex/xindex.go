@@ -17,13 +17,13 @@ package xindex
 
 import (
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"learnedpieces/internal/epoch"
 	"learnedpieces/internal/index"
+	"learnedpieces/internal/learned/delta"
 	"learnedpieces/internal/pla"
 	"learnedpieces/internal/retrain"
 	"learnedpieces/internal/search"
@@ -55,59 +55,34 @@ func (c *Config) normalize() {
 	}
 }
 
-// delta is a small sorted buffer with tombstones (dead entries shadow
-// older versions of the key).
-type delta struct {
-	k    []uint64
-	v    []uint64
-	dead []bool
-}
-
-func (d *delta) search(key uint64) (int, bool) {
-	return search.Find(d.k, key)
-}
-
-// upsert inserts or overwrites key.
-func (d *delta) upsert(key, val uint64, dead bool) {
-	i, ok := d.search(key)
-	if ok {
-		d.v[i] = val
-		d.dead[i] = dead
-		return
-	}
-	d.k = append(d.k, 0)
-	d.v = append(d.v, 0)
-	d.dead = append(d.dead, false)
-	copy(d.k[i+1:], d.k[i:])
-	copy(d.v[i+1:], d.v[i:])
-	copy(d.dead[i+1:], d.dead[i:])
-	d.k[i] = key
-	d.v[i] = val
-	d.dead[i] = dead
-}
-
-// groupData is the immutable sorted snapshot of a group.
+// groupData is the immutable sorted snapshot of a group: its entries
+// (no tombstones) and the LSA models over them.
 type groupData struct {
-	keys []uint64
-	vals []uint64
+	delta.Run
 	segs []pla.Segment
 }
 
+func newGroupData(r delta.Run, segLen int) *groupData {
+	return &groupData{Run: r, segs: pla.BuildLSA(r.Keys, segLen)}
+}
+
 func (gd *groupData) search(key uint64) (int, bool) {
-	if len(gd.keys) == 0 {
+	if len(gd.Keys) == 0 {
 		return 0, false
 	}
 	s := pla.FindSegment(gd.segs, key)
 	p := s.Predict(key)
-	return search.FindBounded(gd.keys, key, p-s.MaxErr, p+s.MaxErr+1)
+	return search.FindBounded(gd.Keys, key, p-s.MaxErr, p+s.MaxErr+1)
 }
 
+// group is one group node. buf is its delta buffer (the shared
+// tombstoned run), tmp the one that absorbs writes while compacting.
 type group struct {
 	mu         sync.RWMutex
 	pivot      uint64
 	data       *groupData
-	buf        *delta
-	tmp        *delta // absorbs writes while compacting
+	buf        *delta.Run
+	tmp        *delta.Run
 	compacting bool
 	retired    bool // split away; operations must retry from the root
 }
@@ -116,17 +91,28 @@ type group struct {
 // at least the read lock.
 func (g *group) lookupLocked(key uint64) (val uint64, live, found bool) {
 	if g.compacting && g.tmp != nil {
-		if i, ok := g.tmp.search(key); ok {
-			return g.tmp.v[i], !g.tmp.dead[i], true
+		if v, live, ok := g.tmp.Find(key); ok {
+			return v, live, true
 		}
 	}
-	if i, ok := g.buf.search(key); ok {
-		return g.buf.v[i], !g.buf.dead[i], true
+	if v, live, ok := g.buf.Find(key); ok {
+		return v, live, true
 	}
 	if i, ok := g.data.search(key); ok {
-		return g.data.vals[i], true, true
+		return g.data.Vals[i], true, true
 	}
 	return 0, false, false
+}
+
+// layers returns the group's layers positioned at start, newest first,
+// in the caller's storage. Caller holds at least the read lock.
+func (g *group) layers(ls *[3]index.MergeLayer, start uint64) []index.MergeLayer {
+	layers := ls[:0]
+	if g.compacting && g.tmp != nil {
+		layers = g.tmp.AppendLayer(layers, start)
+	}
+	layers = g.buf.AppendLayer(layers, start)
+	return g.data.AppendLayer(layers, start)
 }
 
 // root is the immutable top structure, swapped atomically on splits.
@@ -177,7 +163,7 @@ type Index struct {
 func New(cfg Config) *Index {
 	cfg.normalize()
 	ix := &Index{cfg: cfg}
-	g := &group{data: &groupData{}, buf: &delta{}}
+	g := &group{data: &groupData{}, buf: &delta.Run{}}
 	ix.root.Store(buildRoot([]*group{g}))
 	return ix
 }
@@ -211,7 +197,7 @@ func (ix *Index) DrainRetrains() { ix.pool.Drain() }
 func (ix *Index) BulkLoad(keys, values []uint64) error {
 	var groups []*group
 	if len(keys) == 0 {
-		groups = []*group{{data: &groupData{}, buf: &delta{}}}
+		groups = []*group{{data: &groupData{}, buf: &delta.Run{}}}
 	}
 	for start := 0; start < len(keys); start += ix.cfg.GroupSize {
 		end := start + ix.cfg.GroupSize
@@ -224,12 +210,8 @@ func (ix *Index) BulkLoad(keys, values []uint64) error {
 		} else {
 			vals = make([]uint64, end-start)
 		}
-		gd := &groupData{
-			keys: append([]uint64(nil), keys[start:end]...),
-			vals: vals,
-		}
-		gd.segs = pla.BuildLSA(gd.keys, ix.cfg.SegLen)
-		groups = append(groups, &group{pivot: keys[start], data: gd, buf: &delta{}})
+		gd := newGroupData(delta.Run{Keys: append([]uint64(nil), keys[start:end]...), Vals: vals}, ix.cfg.SegLen)
+		groups = append(groups, &group{pivot: keys[start], data: gd, buf: &delta.Run{}})
 	}
 	ix.root.Store(buildRoot(groups))
 	ix.length.Store(int64(len(keys)))
@@ -290,9 +272,9 @@ func (ix *Index) upsert(key, value uint64, dead bool) bool {
 			return false
 		}
 		if g.compacting {
-			g.tmp.upsert(key, value, dead)
+			g.tmp.Upsert(key, value, dead)
 		} else {
-			g.buf.upsert(key, value, dead)
+			g.buf.Upsert(key, value, dead)
 		}
 		switch {
 		case dead:
@@ -300,7 +282,7 @@ func (ix *Index) upsert(key, value uint64, dead bool) bool {
 		case !wasLive:
 			ix.length.Add(1)
 		}
-		needCompact := !g.compacting && len(g.buf.k) >= ix.cfg.BufferThreshold
+		needCompact := !g.compacting && len(g.buf.Keys) >= ix.cfg.BufferThreshold
 		if !needCompact {
 			g.mu.Unlock()
 			return wasLive
@@ -309,7 +291,7 @@ func (ix *Index) upsert(key, value uint64, dead bool) bool {
 		// compacting and open the temporary buffer. Concurrent readers
 		// keep seeing data+buf+tmp; concurrent writers land in tmp.
 		g.compacting = true
-		g.tmp = &delta{}
+		g.tmp = &delta.Run{}
 		data, buf := g.data, g.buf
 		g.mu.Unlock()
 		// Phase two — the merge, model retraining and installation —
@@ -326,9 +308,9 @@ func (ix *Index) upsert(key, value uint64, dead bool) bool {
 // retrain the group models, and install the result under the group
 // lock, promoting tmp to buf and splitting the group when it outgrew
 // its bound.
-func (ix *Index) finishCompact(g *group, data *groupData, buf *delta) {
+func (ix *Index) finishCompact(g *group, data *groupData, buf *delta.Run) {
 	start := time.Now()
-	merged := mergeData(data, buf, ix.cfg.SegLen)
+	merged := newGroupData(delta.Merge(*buf, data.Run, false), ix.cfg.SegLen)
 
 	g.mu.Lock()
 	g.data = merged
@@ -339,7 +321,7 @@ func (ix *Index) finishCompact(g *group, data *groupData, buf *delta) {
 	// epoch-pinned readers that may still be walking them.
 	epoch.Retire(data)
 	epoch.Retire(buf)
-	if len(merged.keys) > 2*ix.cfg.GroupSize {
+	if len(merged.Keys) > 2*ix.cfg.GroupSize {
 		ix.splitGroup(g, merged) // releases g.mu
 		ix.retrains.Add(1)
 		ix.retrainNs.Add(time.Since(start).Nanoseconds())
@@ -349,12 +331,12 @@ func (ix *Index) finishCompact(g *group, data *groupData, buf *delta) {
 	// over threshold), go again: without this a backlogged pool leaves
 	// ever-growing buffers behind — Drain must converge to a compacted
 	// index, not just an empty queue.
-	again := len(g.buf.k) >= ix.cfg.BufferThreshold
+	again := len(g.buf.Keys) >= ix.cfg.BufferThreshold
 	var data2 *groupData
-	var buf2 *delta
+	var buf2 *delta.Run
 	if again {
 		g.compacting = true
-		g.tmp = &delta{}
+		g.tmp = &delta.Run{}
 		data2, buf2 = g.data, g.buf
 	}
 	g.mu.Unlock()
@@ -365,36 +347,6 @@ func (ix *Index) finishCompact(g *group, data *groupData, buf *delta) {
 	}
 }
 
-// mergeData merges the immutable data with a delta, dropping tombstoned
-// keys, and retrains the group's models.
-func mergeData(data *groupData, buf *delta, segLen int) *groupData {
-	keys := make([]uint64, 0, len(data.keys)+len(buf.k))
-	vals := make([]uint64, 0, len(data.keys)+len(buf.k))
-	i, j := 0, 0
-	for i < len(data.keys) || j < len(buf.k) {
-		switch {
-		case j >= len(buf.k) || (i < len(data.keys) && data.keys[i] < buf.k[j]):
-			keys = append(keys, data.keys[i])
-			vals = append(vals, data.vals[i])
-			i++
-		case i >= len(data.keys) || buf.k[j] < data.keys[i]:
-			if !buf.dead[j] {
-				keys = append(keys, buf.k[j])
-				vals = append(vals, buf.v[j])
-			}
-			j++
-		default: // same key: buffer wins
-			if !buf.dead[j] {
-				keys = append(keys, buf.k[j])
-				vals = append(vals, buf.v[j])
-			}
-			i++
-			j++
-		}
-	}
-	return &groupData{keys: keys, vals: vals, segs: pla.BuildLSA(keys, segLen)}
-}
-
 // splitGroup divides g back into GroupSize-sized groups and swaps in a
 // new root. The split is k-way, not binary: a backlogged background
 // compaction can hand over a merge many times the bound, and halving it
@@ -402,31 +354,24 @@ func mergeData(data *groupData, buf *delta, segLen int) *groupData {
 // Called with g.mu held; releases it. Lock order is always
 // group -> splitMu.
 func (ix *Index) splitGroup(g *group, merged *groupData) {
-	parts := len(merged.keys) / ix.cfg.GroupSize
+	n := len(merged.Keys)
+	parts := n / ix.cfg.GroupSize
 	if parts < 2 {
 		parts = 2
 	}
-	per := (len(merged.keys) + parts - 1) / parts
+	per := (n + parts - 1) / parts
 	news := make([]*group, 0, parts)
-	for lo := 0; lo < len(merged.keys); lo += per {
-		hi := lo + per
-		if hi > len(merged.keys) {
-			hi = len(merged.keys)
-		}
-		pivot := merged.keys[lo]
+	for lo := 0; lo < n; lo += per {
+		hi := min(lo+per, n)
+		pivot := merged.Keys[lo]
 		if lo == 0 {
 			pivot = g.pivot
 		}
-		ng := &group{
-			pivot: pivot,
-			data:  &groupData{keys: merged.keys[lo:hi], vals: merged.vals[lo:hi]},
-			buf:   &delta{},
-		}
-		ng.data.segs = pla.BuildLSA(ng.data.keys, ix.cfg.SegLen)
-		news = append(news, ng)
+		part := delta.Run{Keys: merged.Keys[lo:hi], Vals: merged.Vals[lo:hi]}
+		news = append(news, &group{pivot: pivot, data: newGroupData(part, ix.cfg.SegLen), buf: &delta.Run{}})
 	}
 	// Distribute the (fresh) buffer by pivot.
-	for i, k := range g.buf.k {
+	for i, k := range g.buf.Keys {
 		dst := news[0]
 		for j := len(news) - 1; j > 0; j-- {
 			if k >= news[j].pivot {
@@ -434,7 +379,7 @@ func (ix *Index) splitGroup(g *group, merged *groupData) {
 				break
 			}
 		}
-		dst.buf.upsert(k, g.buf.v[i], g.buf.dead[i])
+		dst.buf.Upsert(k, g.buf.Vals[i], g.buf.Dead[i])
 	}
 	g.retired = true
 	g.mu.Unlock()
@@ -461,9 +406,9 @@ func (ix *Index) splitGroup(g *group, merged *groupData) {
 	// drain converges to a compacted index.
 	for _, ng := range news {
 		ng.mu.Lock()
-		if !ng.compacting && len(ng.buf.k) >= ix.cfg.BufferThreshold {
+		if !ng.compacting && len(ng.buf.Keys) >= ix.cfg.BufferThreshold {
 			ng.compacting = true
-			ng.tmp = &delta{}
+			ng.tmp = &delta.Run{}
 			data, buf := ng.data, ng.buf
 			ng.mu.Unlock()
 			ix.pool.Submit(ng, func() { ix.finishCompact(ng, data, buf) })
@@ -481,65 +426,10 @@ func groupIndex(r *root, key uint64) int {
 	return j - 1
 }
 
-type kv struct{ k, v uint64 }
-
-// snapshotGroup merges a group's layers into up to `need` live ordered
-// entries >= start. All three layers are sorted,
-// so this is a plain k-way merge with newest-layer-wins on ties — no
-// allocation beyond the result.
-func snapshotGroup(g *group, start uint64, need int) []kv {
-	type cursor struct {
-		k    []uint64
-		v    []uint64
-		dead []bool
-		pos  int
-	}
-	// Newest first: tmp shadows buf shadows data.
-	cs := make([]cursor, 0, 3)
-	if g.compacting && g.tmp != nil {
-		cs = append(cs, cursor{g.tmp.k, g.tmp.v, g.tmp.dead, 0})
-	}
-	cs = append(cs, cursor{g.buf.k, g.buf.v, g.buf.dead, 0})
-	cs = append(cs, cursor{g.data.keys, g.data.vals, nil, 0})
-	for i := range cs {
-		c := &cs[i]
-		c.pos = sort.Search(len(c.k), func(j int) bool { return c.k[j] >= start })
-	}
-	var out []kv
-	for len(out) < need {
-		best := -1
-		var bk uint64
-		for i := range cs {
-			if cs[i].pos >= len(cs[i].k) {
-				continue
-			}
-			k := cs[i].k[cs[i].pos]
-			if best < 0 || k < bk {
-				best, bk = i, k
-			}
-		}
-		if best < 0 {
-			break
-		}
-		c := &cs[best]
-		dead := c.dead != nil && c.dead[c.pos]
-		v := c.v[c.pos]
-		for i := range cs {
-			for cs[i].pos < len(cs[i].k) && cs[i].k[cs[i].pos] == bk {
-				cs[i].pos++
-			}
-		}
-		if !dead {
-			out = append(out, kv{bk, v})
-		}
-	}
-	return out
-}
-
 // cursor resumes at a key rather than a position: groups split and
 // roots swap underneath a long scan, so the only stable coordinate is
 // the key space. Each Next re-resolves the covering group from the
-// current root and snapshots it under its read lock, so a scan is
+// current root and merges its layers under its read lock, so a scan is
 // consistent one group at a time, not atomic with respect to
 // concurrent writers.
 type cursor struct {
@@ -559,9 +449,10 @@ func (ix *Index) Range(start uint64) index.Cursor {
 	return c
 }
 
-// Next fills the destination slices with the next live entries. Not
-// hotpath-marked: the per-group snapshot allocates its merge result,
-// the price of staying consistent under concurrent writers.
+// Next fills the destination slices with the next live entries: each
+// step opens a merge cursor over one group's layers under its read lock
+// and pulls straight into the caller's slices. Not hotpath-marked: the
+// group lock is XIndex's read protocol.
 func (c *cursor) Next(keys, vals []uint64) int {
 	if c.done {
 		return 0
@@ -578,16 +469,19 @@ func (c *cursor) Next(keys, vals []uint64) int {
 			gi = groupIndex(r, c.key)
 			continue
 		}
-		entries := snapshotGroup(g, c.key, len(keys)-n)
+		var ls [3]index.MergeLayer
+		cur := index.NewMergeCursor(g.layers(&ls, c.key))
+		m := cur.Next(keys[n:], vals[n:])
+		cur.Close()
 		g.mu.RUnlock()
-		for _, e := range entries {
-			keys[n], vals[n] = e.k, e.v
-			n++
-			if e.k == ^uint64(0) {
+		if m > 0 {
+			n += m
+			last := keys[n-1]
+			if last == ^uint64(0) {
 				c.done = true
 				return n
 			}
-			c.key = e.k + 1
+			c.key = last + 1
 		}
 		if n < len(keys) {
 			gi++
@@ -620,8 +514,8 @@ func (ix *Index) Sizes() index.Sizes {
 	for _, g := range r.groups {
 		g.mu.RLock()
 		st += int64(len(g.data.segs))*56 + 64
-		kb += int64(len(g.data.keys)+len(g.buf.k)) * 8
-		vb += int64(len(g.data.vals)+len(g.buf.v)) * 8
+		kb += int64(len(g.data.Keys)+len(g.buf.Keys)) * 8
+		vb += int64(len(g.data.Vals)+len(g.buf.Vals)) * 8
 		g.mu.RUnlock()
 	}
 	return index.Sizes{Structure: st, Keys: kb, Values: vb}

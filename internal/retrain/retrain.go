@@ -7,11 +7,10 @@
 // (a segment, node or group pointer); at most one task per key is ever
 // pending, and a newer submission for the same key replaces the queued
 // closure ("newest request wins") — retraining is idempotent-by-rebuild,
-// so only the latest snapshot matters. A pool with zero workers runs
-// every task inline on the submitting goroutine and accounts the time
-// as a foreground stall: "sync mode" and "async mode" are the same code
-// path in the adopting indexes, differing only in where and when the
-// closure runs.
+// so only the latest snapshot matters. A nil pool runs every task inline
+// on the submitting goroutine, so an adopting index has one retrain path
+// whether or not a pool is attached: only where and when the closure
+// runs differs.
 //
 // Inbox covers the publication side: it collects built-aside results for
 // indexes with a single-writer contract, where the background worker
@@ -39,8 +38,9 @@ type entry struct {
 //
 // Submit coalesces by key, Drain blocks until the pool is idle, and
 // Close drains then stops the workers. A nil *Pool is valid: Submit
-// runs the task inline with no accounting, Drain and Close are no-ops —
-// adopting indexes hold a possibly-nil pool and never branch on it.
+// runs the task inline with no accounting (the index's own RetrainStats
+// still time it), Drain and Close are no-ops — adopting indexes hold a
+// possibly-nil pool and never branch on it.
 type Pool struct {
 	mu      sync.Mutex
 	idle    sync.Cond // pending == 0 && running == 0
@@ -68,8 +68,8 @@ type Pool struct {
 // Submitted counts every Submit call. Coalesced counts submissions that
 // replaced an already-queued task for the same key. Executed counts
 // closures actually run (background or inline). Inline counts the
-// executed tasks that ran on the submitting goroutine — all of them in
-// sync mode, overflow fallbacks in async mode. QueueDepth is the number
+// executed tasks that ran on the submitting goroutine: overflow and
+// after-Close fallbacks. QueueDepth is the number
 // of tasks currently queued or running. BackgroundNs/ForegroundNs split
 // the total retraining time by where it was paid: a worker goroutine,
 // or a stalled foreground caller.
@@ -84,15 +84,12 @@ type Stats struct {
 	ForegroundNs int64
 }
 
-// NewPool starts a pool with the given worker count and queue bound.
-// workers == 0 is sync mode: Submit runs every task inline and accounts
-// it as foreground stall time. queueCap <= 0 defaults to 64; when the
-// queue is full a Submit that cannot coalesce falls back to inline
-// execution rather than blocking behind or dropping work.
+// NewPool starts a pool with the given worker count (at least one) and
+// queue bound. queueCap <= 0 defaults to 64; when the queue is full a
+// Submit that cannot coalesce falls back to inline execution rather
+// than blocking behind or dropping work.
 func NewPool(workers, queueCap int) *Pool {
-	if workers < 0 {
-		workers = 0
-	}
+	workers = max(workers, 1)
 	if queueCap <= 0 {
 		queueCap = 64
 	}
@@ -112,18 +109,14 @@ func NewPool(workers, queueCap int) *Pool {
 
 // Submit schedules fn to retrain the structure identified by key. If a
 // task for key is already queued (not yet running), fn replaces it and
-// the older closure is dropped. In sync mode, on a closed pool, or when
-// the queue is full, fn runs inline before Submit returns.
+// the older closure is dropped. On a nil or closed pool, or when the
+// queue is full, fn runs inline before Submit returns.
 func (p *Pool) Submit(key any, fn Task) {
 	if p == nil {
 		fn()
 		return
 	}
 	p.submitted.Add(1)
-	if p.workers == 0 {
-		p.runForeground(fn)
-		return
-	}
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
@@ -194,7 +187,7 @@ func (p *Pool) worker() {
 // Drain blocks until every queued and running task has finished. New
 // submissions during Drain extend the wait. Nil-safe.
 func (p *Pool) Drain() {
-	if p == nil || p.workers == 0 {
+	if p == nil {
 		return
 	}
 	p.mu.Lock()
@@ -208,7 +201,7 @@ func (p *Pool) Drain() {
 // falls back to inline execution, so adopting indexes keep working
 // through shutdown. Nil-safe and idempotent.
 func (p *Pool) Close() {
-	if p == nil || p.workers == 0 {
+	if p == nil {
 		return
 	}
 	p.mu.Lock()

@@ -20,27 +20,6 @@ func TestNilPool(t *testing.T) {
 	}
 }
 
-func TestSyncModeRunsInline(t *testing.T) {
-	p := NewPool(0, 0)
-	defer p.Close()
-	var order []int
-	p.Submit(1, func() { order = append(order, 1) })
-	p.Submit(2, func() { order = append(order, 2) })
-	if len(order) != 2 || order[0] != 1 || order[1] != 2 {
-		t.Fatalf("sync mode order = %v, want [1 2]", order)
-	}
-	s := p.Stats()
-	if s.Submitted != 2 || s.Executed != 2 || s.Inline != 2 {
-		t.Fatalf("sync stats = %+v", s)
-	}
-	if s.ForegroundNs <= 0 {
-		t.Fatalf("sync mode must account foreground stall time, got %d", s.ForegroundNs)
-	}
-	if s.BackgroundNs != 0 {
-		t.Fatalf("sync mode accounted background time %d", s.BackgroundNs)
-	}
-}
-
 func TestAsyncExecutesAll(t *testing.T) {
 	p := NewPool(4, 128)
 	defer p.Close()

@@ -8,7 +8,6 @@ import (
 	"io"
 	"math"
 	"math/bits"
-	"sort"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -287,21 +286,4 @@ func pad(s string, w int) string {
 		return s
 	}
 	return s + strings.Repeat(" ", w-len(s))
-}
-
-// Quantiles returns the requested quantiles (0..1) of a float64 sample.
-// Used by tests and small analyses where a histogram is overkill.
-func Quantiles(sample []float64, qs ...float64) []float64 {
-	if len(sample) == 0 {
-		return make([]float64, len(qs))
-	}
-	s := make([]float64, len(sample))
-	copy(s, sample)
-	sort.Float64s(s)
-	out := make([]float64, len(qs))
-	for i, q := range qs {
-		idx := int(q * float64(len(s)-1))
-		out[i] = s[idx]
-	}
-	return out
 }

@@ -147,17 +147,6 @@ func TestTableRenderCSV(t *testing.T) {
 	}
 }
 
-func TestQuantiles(t *testing.T) {
-	sample := []float64{5, 1, 3, 2, 4}
-	qs := Quantiles(sample, 0, 0.5, 1)
-	if qs[0] != 1 || qs[1] != 3 || qs[2] != 5 {
-		t.Fatalf("got %v", qs)
-	}
-	if got := Quantiles(nil, 0.5); got[0] != 0 {
-		t.Fatalf("empty sample: %v", got)
-	}
-}
-
 func TestHistogramReset(t *testing.T) {
 	h := NewHistogram()
 	h.Record(42)

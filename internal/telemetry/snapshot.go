@@ -83,8 +83,8 @@ type RetrainSnapshot struct {
 	Submitted  int64 `json:"submitted"`
 	Coalesced  int64 `json:"coalesced"`
 	Executed   int64 `json:"executed"`
-	// Inline counts retrains that ran on the submitting goroutine (all
-	// of them in sync mode; queue-overflow fallbacks in async mode).
+	// Inline counts retrains that ran on the submitting goroutine
+	// because the queue was full or the pool closed.
 	Inline int64 `json:"inline"`
 	// BackgroundNs / ForegroundNs split the retrain time by where it was
 	// spent: pool workers vs the submitting (foreground) goroutine.

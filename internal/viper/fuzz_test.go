@@ -9,7 +9,11 @@ import (
 	"learnedpieces/internal/btree"
 	"learnedpieces/internal/epoch"
 	"learnedpieces/internal/index"
+	"learnedpieces/internal/learned/finedex"
 	"learnedpieces/internal/learned/pgm"
+	"learnedpieces/internal/learned/rebuild"
+	"learnedpieces/internal/learned/rmi"
+	"learnedpieces/internal/learned/xindex"
 	"learnedpieces/internal/pmem"
 )
 
@@ -32,14 +36,27 @@ const (
 	fzOps
 )
 
-// fzIndex is the index kind the stream runs on: a btree store, or (odd
-// kind) a pgm store with a tiny buffer whose flushes, cascades included,
-// run on the background pool of a RetrainAsync store.
+// fzIndex is the index kind the stream runs on (kind%5): a btree store;
+// pgm and rmi-delta with tiny buffers, whose flushes (pgm's cascades
+// included) and rebuilds run on the background pool of a RetrainAsync
+// store; xindex and finedex with tiny buffers and bins, compacting and
+// retraining inline.
 func fzIndex(kind byte) (fresh func() index.Index, opts []Option) {
-	if kind%2 == 0 {
-		return func() index.Index { return btree.New() }, nil
+	async := []Option{WithRetrainMode(RetrainAsync)}
+	switch kind % 5 {
+	case 1:
+		return func() index.Index { return pgm.New(pgm.Config{BaseSize: 8}) }, async
+	case 2:
+		return func() index.Index {
+			return rebuild.New("rmi-delta", rebuild.Config{Threshold: 8},
+				func() rebuild.Inner { return rmi.New(rmi.DefaultConfig()) })
+		}, async
+	case 3:
+		return func() index.Index { return xindex.New(xindex.Config{BufferThreshold: 8}) }, nil
+	case 4:
+		return func() index.Index { return finedex.New(finedex.Config{BinCap: 8}) }, nil
 	}
-	return func() index.Index { return pgm.New(pgm.Config{BaseSize: 8}) }, []Option{WithRetrainMode(RetrainAsync)}
+	return func() index.Index { return btree.New() }, nil
 }
 
 func fzKey(b byte) uint64 {
@@ -90,6 +107,19 @@ func FuzzStoreOps(f *testing.F) {
 	// (and being flushed) when Recover drops the index.
 	f.Add(byte(1), slices.Concat(fzPuts(1, 8), []byte{fzDrain, 0, 0}, fzPuts(9, 15),
 		[]byte{fzDelete, 3, 0, fzGet, 3, 0, fzRecover, 0, 0, fzGet, 3, 0, fzRange, 0, 0}))
+	// rmi-delta: a tombstone and an overwrite of keys the first rebuild
+	// holds, read through Range over the buffers, then folded into the
+	// base by a second rebuild that the drain finishes.
+	f.Add(byte(2), slices.Concat(fzPuts(1, 8), []byte{fzDelete, 2, 0, fzPut, 5, 9, fzRange, 0, 0},
+		fzPuts(20, 25), []byte{fzRange, 1, 20, fzDrain, 0, 0, fzGet, 5, 0, fzGet, 2, 0, fzRecover, 0, 0}))
+	// xindex: compactions over a bulk-loaded group, deletes of buffered and
+	// compacted keys, key 2^64-1, a scan across them.
+	f.Add(byte(3), slices.Concat([]byte{fzBulkPut, 0, 40}, fzPuts(100, 130),
+		[]byte{fzDelete, 10, 0, fzDelete, 120, 0, fzPut, 255, 3, fzRange, 5, 0, fzCompact, 0, 0, fzRange, 0, 0}))
+	// finedex: bins split into levels and the segment retrains, with
+	// tombstones over base keys carried through the retrain.
+	f.Add(byte(4), slices.Concat([]byte{fzBulkPut, 0, 60}, fzPuts(61, 120),
+		[]byte{fzDelete, 3, 0, fzDelete, 70, 0, fzGet, 3, 0, fzRange, 0, 0}, fzPuts(121, 200), []byte{fzRange, 60, 30}))
 
 	f.Fuzz(func(t *testing.T, kind byte, data []byte) {
 		data = data[:min(len(data), 3*fzMaxOps)]

@@ -121,37 +121,21 @@ func WithValueSize(n int) Option {
 type RetrainMode int
 
 const (
-	// RetrainInline leaves retrains exactly where the index runs them
-	// today: on the inserting goroutine, with no pool attached. This is
-	// the default.
+	// RetrainInline attaches no pool: every retrain runs on the inserting
+	// goroutine, through the same code the pool would run it with, and
+	// its stall shows in the index's RetrainStats. This is the default.
 	RetrainInline RetrainMode = iota
-	// RetrainSync attaches a zero-worker pool: retrains still run on
-	// the inserting goroutine, but through the pool's accounting, so
-	// telemetry reports the foreground stall they cost.
-	RetrainSync
 	// RetrainAsync attaches a worker pool: retrains run in the
 	// background and are installed copy-on-write, off the Put tail.
 	RetrainAsync
 )
 
-// retrainWorkers sizes RetrainAsync's pool: a small fraction of the
-// machine so background rebuilds never crowd out foreground work.
-func retrainWorkers() int {
-	w := parallel.Workers(8) / 2
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
 // ParseRetrainMode maps the CLI spelling of a retrain mode
-// (inline|sync|async) to its value.
+// (inline or async) to its value.
 func ParseRetrainMode(s string) (RetrainMode, bool) {
 	switch s {
 	case "inline":
 		return RetrainInline, true
-	case "sync":
-		return RetrainSync, true
 	case "async":
 		return RetrainAsync, true
 	}
@@ -196,11 +180,10 @@ func Open(region *pmem.Region, idx index.Index, opts ...Option) *Store {
 	for _, o := range opts {
 		o(s)
 	}
-	switch s.retrainMode {
-	case RetrainSync:
-		s.pool = retrain.NewPool(0, 0)
-	case RetrainAsync:
-		s.pool = retrain.NewPool(retrainWorkers(), 0)
+	if s.retrainMode == RetrainAsync {
+		// A small fraction of the machine (NewPool starts at least one
+		// worker), so background rebuilds never crowd out foreground work.
+		s.pool = retrain.NewPool(parallel.Workers(8)/2, 0)
 	}
 	s.attachPool()
 	if s.sink != nil {

@@ -114,9 +114,6 @@ func NewGenerator(mix Mix, loaded, inserts []uint64, seed int64) *Generator {
 	return g
 }
 
-// Remaining reports how many insert keys are left.
-func (g *Generator) Remaining() int { return len(g.inserts) - g.nextIns }
-
 // pickExisting selects a loaded key per the request distribution.
 func (g *Generator) pickExisting() uint64 {
 	if g.mix.Latest && len(g.recent) > 0 && g.rng.Float64() < 0.8 {

@@ -157,18 +157,8 @@ func TestOpKindStrings(t *testing.T) {
 	}
 }
 
-func TestRemainingCountsDown(t *testing.T) {
+func TestReadStreamIsAllReads(t *testing.T) {
 	loaded := dataset.Generate(dataset.YCSBUniform, 100, 1)
-	ins := []uint64{1, 2, 3, 4, 5}
-	g := NewGenerator(Mix{Name: "w", Insert: 1}, loaded, ins, 3)
-	if g.Remaining() != 5 {
-		t.Fatalf("Remaining = %d", g.Remaining())
-	}
-	g.Next()
-	g.Next()
-	if g.Remaining() != 3 {
-		t.Fatalf("Remaining after 2 inserts = %d", g.Remaining())
-	}
 	ops := ReadStream(loaded, 50, 9)
 	if len(ops) != 50 {
 		t.Fatalf("ReadStream returned %d ops", len(ops))
