@@ -172,9 +172,11 @@ func (l *Loader) load(dir, importPath string) (*Package, error) {
 	return pkg, nil
 }
 
-// sourceFiles lists the non-test Go files of dir in sorted order. Test
-// files are out of scope for pieceslint (the invariants guard production
-// paths; tests probe them deliberately).
+// sourceFiles lists the non-test Go files of dir that the go tool would
+// build for the host platform (file-name GOOS/GOARCH suffixes and
+// //go:build lines, as build.Default.MatchFile reads them), in sorted
+// order. Test files are out of scope for pieceslint (the invariants
+// guard production paths; tests probe them deliberately).
 func sourceFiles(dir string) ([]string, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -183,12 +185,16 @@ func sourceFiles(dir string) ([]string, error) {
 	var names []string
 	for _, e := range entries {
 		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") ||
-			strings.HasSuffix(name, "_test.go") ||
-			strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
+		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
 			continue
 		}
-		names = append(names, name)
+		match, err := build.Default.MatchFile(dir, name)
+		if err != nil {
+			return nil, err
+		}
+		if match {
+			names = append(names, name)
+		}
 	}
 	sort.Strings(names)
 	return names, nil

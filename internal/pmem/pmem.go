@@ -30,7 +30,8 @@ type LatencyModel struct {
 }
 
 // Optane approximates the paper's device relative to DRAM: ~3-4x slower
-// reads, write path buffered but bandwidth-limited.
+// reads, and cheaper writes (the device buffers them). No bandwidth
+// limit is modelled.
 func Optane() LatencyModel { return LatencyModel{ReadNs: 170, WriteNs: 90} }
 
 // None disables latency injection (pure-DRAM baseline / unit tests).
@@ -47,13 +48,15 @@ const blockSize = 256
 // synchronized. Read, ReadNoCopy, Prefetch, Write, WriteGather and Flush
 // are safe to call concurrently as long as no write overlaps a concurrent
 // read of the same bytes (a ReadNoCopy view only reads what its holder
-// dereferences, a Prefetch reads its one byte) — the discipline the Viper
-// store upholds (every record slot is claimed by exactly one appender and
-// only read after its index entry is published), and what lets its
-// recovery, compaction and bulk-load paths fan out across cores without a
-// region lock. All access counters and the block buffer are atomics, so
-// the latency model stays race-free under any interleaving. SetLatency
-// must not run concurrently with accesses.
+// dereferences; a prefetch, Prefetch's or a stalled read's own, is a
+// cache hint that reads nothing, so it overlaps no write) — the
+// discipline the Viper store upholds (every record slot is claimed by
+// exactly one appender and only read after its index entry is
+// published), and what lets its recovery, compaction and bulk-load paths
+// fan out across cores without a region lock. All access counters and
+// the block buffer are atomics, so the latency model stays race-free
+// under any interleaving. SetLatency must not run concurrently with
+// accesses.
 type Region struct {
 	mu   sync.Mutex
 	data []byte
@@ -188,10 +191,20 @@ func spin(d int64) {
 // access that spans several blocks pays every one of them, even when the
 // first is the buffered block: reading a record as header-then-value
 // therefore pays the header's block twice whenever the value straddles,
-// which is why the store reads (and writes) a record in one access.
+// which is why the store reads (and writes) a record in one access. An
+// empty access touches no block: it counts no line, pays no stall and
+// leaves the block buffer where it was.
+//
+// A read that pays a stall first prefetches every host line it covers,
+// so the real cache and TLB misses on the backing bytes overlap the
+// stall that models the device fetching them instead of following it.
+// Writes and block-buffer hits issue nothing.
 //
 //pieces:hotpath
 func (r *Region) charge(off int64, n int, perBlock int64, write bool) {
+	if n <= 0 {
+		return
+	}
 	first := off / blockSize
 	last := (off + int64(n) - 1) / blockSize
 	lines := last - first + 1
@@ -207,6 +220,9 @@ func (r *Region) charge(off int64, n int, perBlock int64, write bool) {
 		return // block-buffer hit
 	}
 	stall := lines * perBlock
+	if !write {
+		prefetch(&r.data[off], n)
+	}
 	spin(stall)
 	r.lastBlock.Store(last + 1)
 	if write {
@@ -235,17 +251,14 @@ func (r *Region) ReadNoCopy(off int64, n int) []byte {
 	return r.data[off : off+int64(n)]
 }
 
-// Prefetch hints that the bytes at off are about to be read. Go exposes
-// no prefetch instruction, so it loads one byte: the CPU starts fetching
-// the cache line and its page translation and goes on, and several such
-// loads in a row overlap their misses. It is not a device access — it
-// counts nothing and charges no stall, the modelled device still serves
-// every read in turn — and the byte it returns exists only so that the
-// compiler keeps the load: callers drop it.
+// Prefetch hints that the bytes at off are about to be read: it issues
+// the prefetch instruction for their cache line, so several calls in a
+// row overlap their host misses. It is not a device access — it counts
+// nothing and charges no stall, the modelled device still serves every
+// read in turn.
 //
 //pieces:hotpath
-//go:noinline
-func (r *Region) Prefetch(off int64) byte { return r.data[off] }
+func (r *Region) Prefetch(off int64) { prefetch(&r.data[off], 1) }
 
 // Write stores data at off, paying write latency.
 //

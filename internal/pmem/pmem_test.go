@@ -130,16 +130,16 @@ func TestAllocReuseIsZeroed(t *testing.T) {
 }
 
 // TestPrefetchIsNotAnAccess: the prefetch hint moves no counter field,
-// pays no stall and leaves the modelled block buffer where it was.
+// pays no stall and leaves the modelled block buffer where it was, up to
+// the region's last byte.
 func TestPrefetchIsNotAnAccess(t *testing.T) {
 	r := NewRegion(1<<12, LatencyModel{ReadNs: 3, WriteNs: 7})
 	r.Write(0, []byte{42})
 	r.ReadNoCopy(0, 1) // the block buffer now holds block 0
 	before := r.AccessStats()
-	if b := r.Prefetch(0); b != 42 {
-		t.Fatalf("Prefetch(0) loaded %d, want the stored 42", b)
+	for _, off := range []int64{0, 1024, int64(r.Size() - 1)} {
+		r.Prefetch(off)
 	}
-	r.Prefetch(1024)
 	if got := r.AccessStats(); got != before {
 		t.Fatalf("Prefetch changed the device accounting: %+v, was %+v", got, before)
 	}
@@ -151,6 +151,83 @@ func TestPrefetchIsNotAnAccess(t *testing.T) {
 		t.Fatalf("read after Prefetch charged %+v, want %+v", got, want)
 	}
 }
+
+// TestEmptyAccessTouchesNoBlock: a zero-length read or write counts its
+// call and nothing else — no line, no stall — and leaves the block buffer
+// on the block the previous access touched, at any offset up to and
+// including the region's end.
+func TestEmptyAccessTouchesNoBlock(t *testing.T) {
+	lat := LatencyModel{ReadNs: 3, WriteNs: 7}
+	const size, buffered = 1 << 12, 5 * blockSize
+	ops := []struct {
+		name  string
+		write bool
+		do    func(r *Region, off int64)
+	}{
+		{"Read", false, func(r *Region, off int64) { r.Read(off, nil) }},
+		{"ReadNoCopy", false, func(r *Region, off int64) {
+			if v := r.ReadNoCopy(off, 0); len(v) != 0 {
+				t.Fatalf("ReadNoCopy(%d, 0) returned %d bytes", off, len(v))
+			}
+		}},
+		{"Write", true, func(r *Region, off int64) { r.Write(off, nil) }},
+		{"WriteGather", true, func(r *Region, off int64) { r.WriteGather(off, nil, []byte{}) }},
+	}
+	for _, op := range ops {
+		for _, off := range []int64{0, 100, blockSize, size} {
+			r := NewRegion(size, lat)
+			r.ReadNoCopy(buffered, 1) // the block buffer now holds block 5
+			before := r.AccessStats()
+			op.do(r, off)
+			want := before
+			if op.write {
+				want.Writes++
+			} else {
+				want.Reads++
+			}
+			if got := r.AccessStats(); got != want {
+				t.Fatalf("%s of 0 bytes at %d charged %+v, want %+v", op.name, off, got, want)
+			}
+			r.ReadNoCopy(buffered+8, 1) // still a block-buffer hit
+			want.Reads++
+			want.LineReads++
+			if got := r.AccessStats(); got != want {
+				t.Fatalf("%s of 0 bytes at %d moved the block buffer: next read charged %+v, want %+v", op.name, off, got, want)
+			}
+		}
+	}
+}
+
+// BenchmarkColdRead is a Get's record read without the store: a 213-byte
+// ReadNoCopy at a random offset of a 64 MiB region under Optane latency,
+// then a touch of the flags byte, the first one readRecord parses.
+// host-ns/op is what the read costs beyond the stall it is billed
+// (ns/op − ReadStallNs/op): spin's clock reads and whatever part of the
+// host's cache and TLB misses on the backing bytes the stall did not
+// already cover.
+func BenchmarkColdRead(b *testing.B) {
+	const size, rec = 64 << 20, 213
+	r := NewRegion(size, Optane())
+	for i := range r.data {
+		r.data[i] = byte(i) // back every page with its own memory
+	}
+	var sink byte
+	x := uint64(0x9E3779B97F4A7C15)
+	before := r.AccessStats()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		sink += r.ReadNoCopy(int64(x%(size-rec)), rec)[12]
+	}
+	b.StopTimer()
+	stall := r.AccessStats().ReadStallNs - before.ReadStallNs
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds()-stall)/float64(b.N), "host-ns/op")
+	coldReadSink = sink
+}
+
+var coldReadSink byte
 
 // BenchmarkSpinOvershoot reports what a stall costs beyond the
 // nanoseconds asked: AccessStats counts stall asked, the wall clock pays
