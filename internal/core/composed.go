@@ -155,7 +155,7 @@ func gapErr(g *pla.GappedNode, key uint64) int {
 	if !ok {
 		return 0
 	}
-	e := s - g.PredictSlot(key)
+	e := s - g.Predict(key, g.Capacity())
 	if e < 0 {
 		e = -e
 	}

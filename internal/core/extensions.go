@@ -189,7 +189,7 @@ func (s AppendInsert) Insert(l *Leaf, key, value uint64) (bool, bool) {
 		// Appends do not move existing keys, so the exact extrapolation
 		// error of the new tail key is the only bound update needed; on
 		// truly sequential data the model extrapolates for free.
-		if e := abs(l.predict(key) - (len(l.Keys) - 1)); e > l.MaxErr {
+		if e := abs(l.Predict(key, len(l.Keys)) - (len(l.Keys) - 1)); e > l.MaxErr {
 			l.MaxErr = e
 		}
 		return true, len(l.Keys) >= s.tailCap() && l.MaxErr > 64

@@ -19,9 +19,7 @@ import (
 // the approximation algorithms produce and the insertion/retraining
 // strategies operate on.
 type Leaf struct {
-	FirstKey  uint64
-	Slope     float64 // key -> slot, anchored at FirstKey
-	Intercept float64
+	pla.Model // key -> slot
 	MaxErr    int
 	Keys      []uint64
 	Vals      []uint64
@@ -31,24 +29,6 @@ type Leaf struct {
 	BufK, BufV []uint64
 }
 
-// predict returns the model's slot estimate, clamped.
-func (l *Leaf) predict(key uint64) int {
-	var d float64
-	if key >= l.FirstKey {
-		d = float64(key - l.FirstKey)
-	} else {
-		d = -float64(l.FirstKey - key)
-	}
-	p := int(l.Slope*d + l.Intercept)
-	if p < 0 {
-		return 0
-	}
-	if p >= len(l.Keys) {
-		return len(l.Keys) - 1
-	}
-	return p
-}
-
 // remeasure recomputes MaxErr against the leaf-local model.
 func (l *Leaf) remeasure() {
 	l.MaxErr = 0
@@ -56,7 +36,7 @@ func (l *Leaf) remeasure() {
 		if !l.live(i) {
 			continue
 		}
-		e := l.predict(k) - i
+		e := l.Predict(k, len(l.Keys)) - i
 		if e < 0 {
 			e = -e
 		}
@@ -79,7 +59,7 @@ func (l *Leaf) find(key uint64) (int, bool) {
 	if n == 0 {
 		return 0, false
 	}
-	p := l.predict(key)
+	p := l.Predict(key, n)
 	lo := p - l.MaxErr
 	hi := p + l.MaxErr + 1
 	if lo < 0 {
@@ -109,21 +89,12 @@ func (l *Leaf) find(key uint64) (int, bool) {
 // value, so a call through it stays allocation-free (the pointer does not
 // escape); writers copy NumKeys back.
 func (l *Leaf) gapped() pla.GappedNode {
-	return pla.GappedNode{
-		FirstKey:  l.FirstKey,
-		Slope:     l.Slope,
-		Intercept: l.Intercept,
-		Keys:      l.Keys,
-		Values:    l.Vals,
-		Occ:       l.Occ,
-		NumKeys:   l.NumKeys,
-	}
+	return pla.GappedNode{Model: l.Model, Keys: l.Keys, Values: l.Vals, Occ: l.Occ, NumKeys: l.NumKeys}
 }
 
 // setGapped makes l the gapped leaf g lays out.
 func (l *Leaf) setGapped(g *pla.GappedNode) {
-	l.FirstKey, l.Slope, l.Intercept = g.FirstKey, g.Slope, g.Intercept
-	l.Keys, l.Vals, l.Occ, l.NumKeys = g.Keys, g.Values, g.Occ, g.NumKeys
+	l.Model, l.Keys, l.Vals, l.Occ, l.NumKeys = g.Model, g.Keys, g.Values, g.Occ, g.NumKeys
 	l.remeasure()
 }
 
@@ -137,7 +108,7 @@ func (l *Leaf) findGapped(key uint64) (int, bool) {
 	if ok {
 		return s, true
 	}
-	return g.PredictSlot(key), false
+	return l.Predict(key, len(l.Keys)), false
 }
 
 // iterate visits live entries in key order, merging the side buffer.
@@ -296,11 +267,9 @@ func packedLeaves(keys, vals []uint64, segs []pla.Segment) []*Leaf {
 	leaves := make([]*Leaf, len(segs))
 	for i, s := range segs {
 		l := &Leaf{
-			FirstKey:  s.FirstKey,
-			Slope:     s.Slope,
-			Intercept: s.Intercept - float64(s.Start),
-			Keys:      append([]uint64(nil), keys[s.Start:s.End]...),
-			NumKeys:   s.End - s.Start,
+			Model:   s.Local(),
+			Keys:    append([]uint64(nil), keys[s.Start:s.End]...),
+			NumKeys: s.End - s.Start,
 		}
 		if vals != nil {
 			l.Vals = append([]uint64(nil), vals[s.Start:s.End]...)
@@ -324,7 +293,7 @@ func LeafMetrics(leaves []*Leaf) pla.Metrics {
 			if !l.live(i) {
 				continue
 			}
-			e := l.predict(k) - i
+			e := l.Predict(k, len(l.Keys)) - i
 			if e < 0 {
 				e = -e
 			}

@@ -165,20 +165,17 @@ func floorWindow(domain []uint64, p, eps int, key uint64) int {
 
 // RMITop is the two-layer RMI structure (XIndex's root).
 type RMITop struct {
-	models int
+	want   int // second-stage model count asked for
 	firsts []uint64
-	// Root linear stage.
-	rootFirst          uint64
-	rootSlope, rootInt float64
+	root   pla.Model // key -> second-stage model
 	// Second stage: per-model linear with error bounds.
-	slopes, ints []float64
-	anchors      []uint64
-	minE, maxE   []int32
-	bounds       []int // model m covers firsts[bounds[m]:bounds[m+1]]
+	models     []pla.Model
+	minE, maxE []int32
+	bounds     []int // model m covers firsts[bounds[m]:bounds[m+1]]
 }
 
 // NewRMITop returns a two-layer RMI; models <= 0 picks len/64.
-func NewRMITop(models int) *RMITop { return &RMITop{models: models} }
+func NewRMITop(models int) *RMITop { return &RMITop{want: models} }
 
 // Name implements Structure.
 func (s *RMITop) Name() string { return "rmi" }
@@ -189,7 +186,7 @@ func (s *RMITop) Build(firsts []uint64) {
 	if len(firsts) == 0 {
 		return
 	}
-	m := s.models
+	m := s.want
 	if m <= 0 {
 		m = len(firsts) / 64
 	}
@@ -198,12 +195,8 @@ func (s *RMITop) Build(firsts []uint64) {
 	}
 	seg := pla.FitLinear(firsts, 0, len(firsts))
 	scale := float64(m) / float64(len(firsts))
-	s.rootFirst = firsts[0]
-	s.rootSlope = seg.Slope * scale
-	s.rootInt = (seg.Intercept - float64(seg.Start)) * scale
-	s.slopes = make([]float64, m)
-	s.ints = make([]float64, m)
-	s.anchors = make([]uint64, m)
+	s.root = pla.Model{FirstKey: firsts[0], Slope: seg.Slope * scale, Intercept: seg.Local().Intercept * scale}
+	s.models = make([]pla.Model, m)
 	s.minE = make([]int32, m)
 	s.maxE = make([]int32, m)
 	s.bounds = make([]int, m+1)
@@ -211,20 +204,17 @@ func (s *RMITop) Build(firsts []uint64) {
 	pos := 0
 	for mi := 0; mi < m; mi++ {
 		s.bounds[mi] = pos
-		for pos < len(firsts) && s.rootModel(firsts[pos], m) <= mi {
+		for pos < len(firsts) && s.root.Predict(firsts[pos], m) <= mi {
 			pos++
 		}
 		lo, hi := s.bounds[mi], pos
-		fit := pla.Segment{Intercept: float64(lo)}
+		s.models[mi] = pla.Model{Intercept: float64(lo)}
 		if lo < hi {
-			fit = pla.FitLinear(firsts, lo, hi)
+			s.models[mi] = pla.FitLinear(firsts, lo, hi).Model
 		}
-		s.slopes[mi] = fit.Slope
-		s.ints[mi] = fit.Intercept
-		s.anchors[mi] = fit.FirstKey
 		var mn, mx int32
 		for i := lo; i < hi; i++ {
-			e := int32(i - s.predict(mi, firsts[i]))
+			e := int32(i - s.models[mi].Predict(firsts[i], len(firsts)))
 			if e < mn {
 				mn = e
 			}
@@ -236,47 +226,13 @@ func (s *RMITop) Build(firsts []uint64) {
 	}
 }
 
-func (s *RMITop) rootModel(key uint64, m int) int {
-	var d float64
-	if key >= s.rootFirst {
-		d = float64(key - s.rootFirst)
-	} else {
-		d = -float64(s.rootFirst - key)
-	}
-	p := int(s.rootSlope*d + s.rootInt)
-	if p < 0 {
-		return 0
-	}
-	if p >= m {
-		return m - 1
-	}
-	return p
-}
-
-func (s *RMITop) predict(mi int, key uint64) int {
-	var d float64
-	if key >= s.anchors[mi] {
-		d = float64(key - s.anchors[mi])
-	} else {
-		d = -float64(s.anchors[mi] - key)
-	}
-	p := int(s.slopes[mi]*d + s.ints[mi])
-	if p < 0 {
-		return 0
-	}
-	if p >= len(s.firsts) {
-		return len(s.firsts) - 1
-	}
-	return p
-}
-
 // Locate implements Structure.
 func (s *RMITop) Locate(key uint64) int {
 	if len(s.firsts) == 0 {
 		return 0
 	}
-	mi := s.rootModel(key, len(s.slopes))
-	p := s.predict(mi, key)
+	mi := s.root.Predict(key, len(s.models))
+	p := s.models[mi].Predict(key, len(s.firsts))
 	return floorWindow(s.firsts, p, int(s.maxE[mi]-s.minE[mi])+1, key)
 }
 
@@ -284,7 +240,7 @@ func (s *RMITop) Locate(key uint64) int {
 func (s *RMITop) Depth() float64 { return 2 }
 
 // SizeBytes implements Structure.
-func (s *RMITop) SizeBytes() int64 { return int64(len(s.slopes))*40 + 32 }
+func (s *RMITop) SizeBytes() int64 { return int64(len(s.models))*40 + 32 }
 
 // ATS is the asymmetric tree structure (ALEX): model-routed inner nodes
 // whose subtrees are deeper exactly where the key distribution is dense.
@@ -298,9 +254,7 @@ type ATS struct {
 type atsNode interface{}
 
 type atsInner struct {
-	firstKey  uint64
-	slope     float64
-	intercept float64
+	pla.Model // key -> child
 	children  []atsNode
 }
 
@@ -357,10 +311,12 @@ func (s *ATS) makeInner(lo, hi, fanout int) (*atsInner, []int, bool) {
 	n := hi - lo
 	fit := pla.FitLinear(s.firsts, lo, hi)
 	in := &atsInner{
-		firstKey:  s.firsts[lo],
-		slope:     fit.Slope * float64(fanout) / float64(n),
-		intercept: (fit.Intercept - float64(fit.Start)) * float64(fanout) / float64(n),
-		children:  make([]atsNode, fanout),
+		Model: pla.Model{
+			FirstKey:  s.firsts[lo],
+			Slope:     fit.Slope * float64(fanout) / float64(n),
+			Intercept: fit.Local().Intercept * float64(fanout) / float64(n),
+		},
+		children: make([]atsNode, fanout),
 	}
 	starts := s.partitionRange(in, lo, hi)
 	if maxRunInts(starts) < n {
@@ -370,9 +326,9 @@ func (s *ATS) makeInner(lo, hi, fanout int) (*atsInner, []int, bool) {
 	// is derived from the model itself so routing and storage agree.
 	mid := lo + n/2
 	in.children = make([]atsNode, 2)
-	in.slope = 1 / float64(s.firsts[mid]-s.firsts[lo])
-	in.intercept = 0
-	if in.childSlot(s.firsts[hi-1]) < 1 {
+	in.Slope = 1 / float64(s.firsts[mid]-s.firsts[lo])
+	in.Intercept = 0
+	if in.Predict(s.firsts[hi-1], len(in.children)) < 1 {
 		// Float rounding defeated the split (pathological spacing): a
 		// plain range leaf is still correct, just slower.
 		return nil, nil, false
@@ -390,7 +346,7 @@ func (s *ATS) partitionRange(in *atsInner, lo, hi int) []int {
 	pos := lo
 	for c := 0; c < fanout; c++ {
 		starts[c] = pos
-		for pos < hi && in.childSlot(s.firsts[pos]) <= c {
+		for pos < hi && in.Predict(s.firsts[pos], fanout) <= c {
 			pos++
 		}
 	}
@@ -407,30 +363,13 @@ func maxRunInts(bounds []int) int {
 	return m
 }
 
-func (in *atsInner) childSlot(key uint64) int {
-	var d float64
-	if key >= in.firstKey {
-		d = float64(key - in.firstKey)
-	} else {
-		d = -float64(in.firstKey - key)
-	}
-	p := int(in.slope*d + in.intercept)
-	if p < 0 {
-		return 0
-	}
-	if p >= len(in.children) {
-		return len(in.children) - 1
-	}
-	return p
-}
-
 // Locate implements Structure.
 func (s *ATS) Locate(key uint64) int {
 	n := s.root
 	for {
 		switch x := n.(type) {
 		case *atsInner:
-			n = x.children[x.childSlot(key)]
+			n = x.children[x.Predict(key, len(x.children))]
 		case atsRange:
 			w := s.firsts[x.lo:x.hi]
 			j := x.lo + sort.Search(len(w), func(i int) bool { return w[i] > key })

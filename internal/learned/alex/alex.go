@@ -60,42 +60,8 @@ func (c *Config) normalize() {
 }
 
 type innerNode struct {
-	firstKey  uint64
-	slope     float64 // key -> child slot
-	intercept float64
+	pla.Model               // key -> child slot
 	children  []interface{} // *innerNode or *dataNode; repeats allowed
-}
-
-func (in *innerNode) childSlot(key uint64) int {
-	var d float64
-	if key >= in.firstKey {
-		d = float64(key - in.firstKey)
-	} else {
-		d = -float64(in.firstKey - key)
-	}
-	s := int(in.slope*d + in.intercept)
-	if s < 0 {
-		return 0
-	}
-	if s >= len(in.children) {
-		return len(in.children) - 1
-	}
-	return s
-}
-
-// keyAtSlot inverts the child model: the smallest key mapping to slot s.
-func (in *innerNode) keyAtSlot(s int) (uint64, bool) {
-	if in.slope <= 0 {
-		return 0, false
-	}
-	d := (float64(s) - in.intercept) / in.slope
-	if d <= 0 {
-		return in.firstKey, true
-	}
-	if d >= float64(^uint64(0)-in.firstKey) {
-		return ^uint64(0), true
-	}
-	return in.firstKey + uint64(d), true
 }
 
 type dataNode struct {
@@ -250,10 +216,12 @@ func (ix *Index) build(keys, vals []uint64, prev **dataNode) interface{} {
 	}
 	seg := pla.FitLinear(keys, 0, len(keys))
 	in := &innerNode{
-		firstKey:  keys[0],
-		slope:     seg.Slope * float64(fanout) / float64(len(keys)),
-		intercept: (seg.Intercept - float64(seg.Start)) * float64(fanout) / float64(len(keys)),
-		children:  make([]interface{}, fanout),
+		Model: pla.Model{
+			FirstKey:  keys[0],
+			Slope:     seg.Slope * float64(fanout) / float64(len(keys)),
+			Intercept: seg.Local().Intercept * float64(fanout) / float64(len(keys)),
+		},
+		children: make([]interface{}, fanout),
 	}
 	// Partition keys into contiguous runs per child slot (predictions are
 	// monotone in the key).
@@ -265,9 +233,8 @@ func (ix *Index) build(keys, vals []uint64, prev **dataNode) interface{} {
 	if maxRun(bounds) == len(keys) {
 		mid := len(keys) / 2
 		in.children = make([]interface{}, 2)
-		in.firstKey = keys[0]
-		in.slope = 1 / float64(keys[mid]-keys[0])
-		in.intercept = 0
+		in.Slope = 1 / float64(keys[mid]-keys[0])
+		in.Intercept = 0
 		bounds = partition(in, keys)
 		if maxRun(bounds) == len(keys) {
 			// Float rounding defeated even the 2-way model (pathological key
@@ -321,7 +288,7 @@ func partition(in *innerNode, keys []uint64) []int {
 	pos := 0
 	for s := 0; s < fanout; s++ {
 		bounds[s] = pos
-		for pos < len(keys) && in.childSlot(keys[pos]) <= s {
+		for pos < len(keys) && in.Predict(keys[pos], fanout) <= s {
 			pos++
 		}
 	}
@@ -354,7 +321,7 @@ func (ix *Index) descend(key uint64) *dataNode {
 	for {
 		switch x := n.(type) {
 		case *innerNode:
-			n = x.children[x.childSlot(key)]
+			n = x.children[x.Predict(key, len(x.children))]
 		case *dataNode:
 			return x
 		}
@@ -369,7 +336,7 @@ func (ix *Index) descendParent(key uint64) (*dataNode, parentSlot) {
 	for {
 		switch x := n.(type) {
 		case *innerNode:
-			p = parentSlot{x, x.childSlot(key)}
+			p = parentSlot{x, x.Predict(key, len(x.children))}
 			n = x.children[p.slot]
 		case *dataNode:
 			return x, p
@@ -408,7 +375,7 @@ func (ix *Index) GetBatch(keys []uint64, vals []uint64, found []bool) {
 			live := false
 			for l := 0; l < m; l++ {
 				if x, ok := node[l].(*innerNode); ok {
-					node[l] = x.children[x.childSlot(keys[off+l])]
+					node[l] = x.children[x.Predict(keys[off+l], len(x.children))]
 					if _, inner := node[l].(*innerNode); inner {
 						live = true
 					}
@@ -636,7 +603,7 @@ func (ix *Index) split(d *dataNode, keys, vals []uint64, pe parentSlot) {
 	// The sideways cut must agree exactly with the parent's child mapping:
 	// keys the model sends to slots < mid go left.
 	mid := (lo + hi) / 2
-	cut := sort.Search(len(keys), func(i int) bool { return pe.in.childSlot(keys[i]) >= mid })
+	cut := sort.Search(len(keys), func(i int) bool { return pe.in.Predict(keys[i], len(pe.in.children)) >= mid })
 	if hi-lo < 2 || cut == 0 || cut == len(keys) {
 		// Downward split: build a subtree over this node's keys. (Also taken
 		// when the model maps every key to one half, where a sideways split

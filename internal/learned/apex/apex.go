@@ -47,11 +47,9 @@ type Config struct {
 }
 
 type nodeMeta struct {
-	off       int64
-	firstKey  uint64
-	slope     float64
-	intercept float64
-	numKeys   int
+	off int64
+	pla.Model
+	numKeys int
 }
 
 // Index is the persistent learned index. The region must be dedicated to
@@ -62,10 +60,10 @@ type Index struct {
 	logCap int
 	logLen int
 
-	// DRAM directory, sorted by firstKey (metadata cache; all key/value
+	// DRAM directory, sorted by FirstKey (metadata cache; all key/value
 	// payloads stay in PMem).
 	metas []*nodeMeta
-	// firsts mirrors metas[i].firstKey in a flat array so locate probes
+	// firsts mirrors metas[i].FirstKey in a flat array so locate probes
 	// contiguous DRAM through the shared search kernel instead of
 	// chasing one pointer per comparison.
 	firsts []uint64
@@ -159,9 +157,9 @@ func (ix *Index) setUsed(m *nodeMeta, slot int, used bool) {
 // writeHeader persists the node metadata (live flag in byte 40).
 func (ix *Index) writeHeader(m *nodeMeta, live bool) {
 	var h [headerSize]byte
-	binary.LittleEndian.PutUint64(h[0:], m.firstKey)
-	binary.LittleEndian.PutUint64(h[8:], math.Float64bits(m.slope))
-	binary.LittleEndian.PutUint64(h[16:], math.Float64bits(m.intercept))
+	binary.LittleEndian.PutUint64(h[0:], m.FirstKey)
+	binary.LittleEndian.PutUint64(h[8:], math.Float64bits(m.Slope))
+	binary.LittleEndian.PutUint64(h[16:], math.Float64bits(m.Intercept))
 	binary.LittleEndian.PutUint32(h[24:], nodeCapacity)
 	binary.LittleEndian.PutUint32(h[28:], uint32(m.numKeys))
 	if live {
@@ -189,13 +187,7 @@ func (ix *Index) allocNode(g *pla.GappedNode) (*nodeMeta, error) {
 	if err != nil {
 		return nil, err
 	}
-	m := &nodeMeta{
-		off:       off,
-		firstKey:  g.FirstKey,
-		slope:     g.Slope,
-		intercept: g.Intercept,
-		numKeys:   g.NumKeys,
-	}
+	m := &nodeMeta{off: off, Model: g.Model, numKeys: g.NumKeys}
 	// Bulk-write the arrays.
 	buf := make([]byte, nodeCapacity*8)
 	for i := 0; i < nodeCapacity; i++ {
@@ -241,7 +233,7 @@ func (ix *Index) locate(key uint64) int {
 	return i - 1
 }
 
-// syncFirsts rebuilds the flat firstKey mirror after any directory
+// syncFirsts rebuilds the flat FirstKey mirror after any directory
 // mutation (bulk load, split, recovery).
 func (ix *Index) syncFirsts() {
 	if cap(ix.firsts) < len(ix.metas) {
@@ -249,25 +241,8 @@ func (ix *Index) syncFirsts() {
 	}
 	ix.firsts = ix.firsts[:len(ix.metas)]
 	for i, m := range ix.metas {
-		ix.firsts[i] = m.firstKey
+		ix.firsts[i] = m.FirstKey
 	}
-}
-
-func (m *nodeMeta) predictSlot(key uint64) int {
-	var d float64
-	if key >= m.firstKey {
-		d = float64(key - m.firstKey)
-	} else {
-		d = -float64(m.firstKey - key)
-	}
-	p := int(m.slope*d + m.intercept)
-	if p < 0 {
-		return 0
-	}
-	if p >= nodeCapacity {
-		return nodeCapacity - 1
-	}
-	return p
 }
 
 // slotOf finds key's occupied slot via exponential search over the PMem
@@ -284,7 +259,7 @@ func (ix *Index) slotOf(m *nodeMeta, key uint64) (int, bool) {
 
 // searchGE returns the leftmost slot with key >= target.
 func (ix *Index) searchGE(m *nodeMeta, key uint64) int {
-	p := m.predictSlot(key)
+	p := m.Predict(key, nodeCapacity)
 	var lo, hi int
 	if ix.keyAt(m, p) >= key {
 		hi = p + 1
@@ -377,7 +352,7 @@ func (ix *Index) appendNode(keys, vals []uint64) error {
 		return err
 	}
 	ix.metas = append(ix.metas, m)
-	ix.firsts = append(ix.firsts, m.firstKey)
+	ix.firsts = append(ix.firsts, m.FirstKey)
 	return nil
 }
 
@@ -439,7 +414,7 @@ func (ix *Index) insertIntoNode(m *nodeMeta, key, value uint64) {
 		ix.persistNumKeys(m)
 	}
 	if rn-ln > 1 {
-		at := m.predictSlot(key)
+		at := m.Predict(key, nodeCapacity)
 		if at <= ln {
 			at = ln + 1
 		}
@@ -476,7 +451,7 @@ func (ix *Index) insertIntoNode(m *nodeMeta, key, value uint64) {
 
 // searchGT returns the leftmost slot with key > target.
 func (ix *Index) searchGT(m *nodeMeta, key uint64) int {
-	p := m.predictSlot(key)
+	p := m.Predict(key, nodeCapacity)
 	var lo, hi int
 	if ix.keyAt(m, p) > key {
 		hi = p + 1
@@ -634,16 +609,18 @@ func Recover(region *pmem.Region) (*Index, error) {
 			continue // retired node
 		}
 		m := &nodeMeta{
-			off:       off,
-			firstKey:  binary.LittleEndian.Uint64(h[0:]),
-			slope:     math.Float64frombits(binary.LittleEndian.Uint64(h[8:])),
-			intercept: math.Float64frombits(binary.LittleEndian.Uint64(h[16:])),
-			numKeys:   int(binary.LittleEndian.Uint32(h[28:])),
+			off: off,
+			Model: pla.Model{
+				FirstKey:  binary.LittleEndian.Uint64(h[0:]),
+				Slope:     math.Float64frombits(binary.LittleEndian.Uint64(h[8:])),
+				Intercept: math.Float64frombits(binary.LittleEndian.Uint64(h[16:])),
+			},
+			numKeys: int(binary.LittleEndian.Uint32(h[28:])),
 		}
 		ix.metas = append(ix.metas, m)
 		ix.length += m.numKeys
 	}
-	sort.Slice(ix.metas, func(i, j int) bool { return ix.metas[i].firstKey < ix.metas[j].firstKey })
+	sort.Slice(ix.metas, func(i, j int) bool { return ix.metas[i].FirstKey < ix.metas[j].FirstKey })
 	ix.syncFirsts()
 	return ix, nil
 }

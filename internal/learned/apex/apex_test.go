@@ -90,7 +90,7 @@ func TestSplitKeepsDirectoryOrdered(t *testing.T) {
 		t.Fatalf("expected many nodes, got %d", ix.NodeCount())
 	}
 	for i := 1; i < len(ix.metas); i++ {
-		if ix.metas[i].firstKey <= ix.metas[i-1].firstKey {
+		if ix.metas[i].FirstKey <= ix.metas[i-1].FirstKey {
 			t.Fatalf("directory out of order at %d", i)
 		}
 	}

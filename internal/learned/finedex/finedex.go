@@ -68,9 +68,7 @@ type bin struct {
 
 // segment is one model over an immutable base run plus its bin tree.
 type segment struct {
-	firstKey   uint64
-	slope      float64
-	intercept  float64
+	pla.Model  // predicts local position in keys
 	maxErr     int
 	keys       []uint64 // immutable base
 	vals       []uint64
@@ -156,15 +154,13 @@ func buildTable(keys, values []uint64, eps int) *table {
 	}
 	for i, s := range plaSegs {
 		seg := &segment{
-			firstKey:  s.FirstKey,
-			slope:     s.Slope,
-			intercept: s.Intercept - float64(s.Start),
-			keys:      append([]uint64(nil), keys[s.Start:s.End]...),
-			vals:      append([]uint64(nil), values[s.Start:s.End]...),
-			root:      &bin{},
+			Model: s.Local(),
+			keys:  append([]uint64(nil), keys[s.Start:s.End]...),
+			vals:  append([]uint64(nil), values[s.Start:s.End]...),
+			root:  &bin{},
 		}
 		for j, k := range seg.keys {
-			e := seg.predict(k) - j
+			e := seg.Predict(k, len(seg.keys)) - j
 			if e < 0 {
 				e = -e
 			}
@@ -178,30 +174,13 @@ func buildTable(keys, values []uint64, eps int) *table {
 	return t
 }
 
-func (s *segment) predict(key uint64) int {
-	var d float64
-	if key >= s.firstKey {
-		d = float64(key - s.firstKey)
-	} else {
-		d = -float64(s.firstKey - key)
-	}
-	p := int(s.slope*d + s.intercept)
-	if p < 0 {
-		return 0
-	}
-	if p >= len(s.keys) {
-		return len(s.keys) - 1
-	}
-	return p
-}
-
 // baseSearch finds key in the immutable base with a bounded search.
 func (s *segment) baseSearch(key uint64) (int, bool) {
 	n := len(s.keys)
 	if n == 0 {
 		return 0, false
 	}
-	p := s.predict(key)
+	p := s.Predict(key, n)
 	return search.FindBounded(s.keys, key, p-s.maxErr, p+s.maxErr+1)
 }
 
@@ -380,8 +359,8 @@ func (ix *Index) retrainSegment(old *segment) {
 		repl = buildTable(m.Keys, m.Vals, ix.cfg.Eps)
 	} else {
 		repl = &table{
-			firsts: []uint64{old.firstKey},
-			segs:   []*segment{{firstKey: old.firstKey, root: &bin{}}},
+			firsts: []uint64{old.FirstKey},
+			segs:   []*segment{{Model: pla.Model{FirstKey: old.FirstKey}, root: &bin{}}},
 		}
 	}
 

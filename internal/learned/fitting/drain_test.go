@@ -45,7 +45,7 @@ func TestDrainConverges(t *testing.T) {
 			}
 			ix.DrainRetrains()
 			for id, l := range ix.leaves {
-				v, ok := ix.inner.Get(l.firstKey)
+				v, ok := ix.inner.Get(l.FirstKey)
 				if !ok || v != uint64(id) {
 					continue // retired leaf, kept only for stable ids
 				}

@@ -36,23 +36,9 @@ const (
 	Buffer
 )
 
-// Algorithm selects the segmentation algorithm.
-type Algorithm int
-
-const (
-	// OptPLA is the improved optimal PLA the paper substitutes for the
-	// original greedy algorithm (§III-A1).
-	OptPLA Algorithm = iota
-	// GreedyFSW is FITing-tree's original feasible-space-window greedy.
-	GreedyFSW
-)
-
 // Config controls segmentation and reserved space.
 type Config struct {
 	Mode Mode
-	// Algorithm picks the segmentation algorithm (default OptPLA, per the
-	// paper's methodology).
-	Algorithm Algorithm
 	// Eps is the maximum segment error; <= 0 picks 32.
 	Eps int
 	// Reserve is the reserved slot count per leaf (Inplace) or the buffer
@@ -73,10 +59,8 @@ func (c *Config) normalize() {
 }
 
 type segLeaf struct {
-	firstKey  uint64
-	slope     float64
-	intercept float64 // predicts local position in keys
-	maxErr    int     // widened by one per in-place insert/delete
+	pla.Model     // predicts local position in keys
+	maxErr    int // widened by one per in-place insert/delete
 	keys      []uint64
 	vals      []uint64
 	// Buffer mode: sorted side buffer.
@@ -89,23 +73,6 @@ type segLeaf struct {
 	retraining bool
 }
 
-func (l *segLeaf) predict(key uint64) int {
-	var d float64
-	if key >= l.firstKey {
-		d = float64(key - l.firstKey)
-	} else {
-		d = -float64(l.firstKey - key)
-	}
-	p := int(l.slope*d + l.intercept)
-	if p < 0 {
-		return 0
-	}
-	if p >= len(l.keys) {
-		return len(l.keys) - 1
-	}
-	return p
-}
-
 // search finds key in the leaf's base array with an error-bounded
 // search around the model prediction; on a miss it returns the
 // insertion point inside the window.
@@ -113,7 +80,7 @@ func (l *segLeaf) search(key uint64) (int, bool) {
 	if len(l.keys) == 0 {
 		return 0, false
 	}
-	p := l.predict(key)
+	p := l.Predict(key, len(l.keys))
 	return search.FindBounded(l.keys, key, p-l.maxErr, p+l.maxErr+1)
 }
 
@@ -203,7 +170,7 @@ func (ix *Index) BulkLoad(keys, values []uint64) error {
 	if len(keys) == 0 {
 		return nil
 	}
-	segs := ix.segment(keys)
+	segs := pla.BuildOptPLA(keys, ix.cfg.Eps)
 	firsts := make([]uint64, len(segs))
 	ids := make([]uint64, len(segs))
 	for i, s := range segs {
@@ -213,14 +180,6 @@ func (ix *Index) BulkLoad(keys, values []uint64) error {
 		ids[i] = uint64(i)
 	}
 	return ix.inner.BulkLoad(firsts, ids)
-}
-
-// segment runs the configured segmentation algorithm.
-func (ix *Index) segment(keys []uint64) []pla.Segment {
-	if ix.cfg.Algorithm == GreedyFSW {
-		return pla.BuildGreedy(keys, ix.cfg.Eps)
-	}
-	return pla.BuildOptPLA(keys, ix.cfg.Eps)
 }
 
 func valSlice(values []uint64, start, end int) []uint64 {
@@ -238,11 +197,9 @@ func (ix *Index) newLeaf(keys, values []uint64, s pla.Segment) *segLeaf {
 		capHint += ix.cfg.Reserve
 	}
 	l := &segLeaf{
-		firstKey:  s.FirstKey,
-		slope:     s.Slope,
-		intercept: s.Intercept - float64(s.Start),
-		keys:      make([]uint64, len(keys), capHint),
-		vals:      make([]uint64, len(keys), capHint),
+		Model: s.Local(),
+		keys:  make([]uint64, len(keys), capHint),
+		vals:  make([]uint64, len(keys), capHint),
 	}
 	copy(l.keys, keys)
 	if values != nil {
@@ -252,7 +209,7 @@ func (ix *Index) newLeaf(keys, values []uint64, s pla.Segment) *segLeaf {
 	// the intercept changes float64 rounding, so the segment's global
 	// MaxErr is not a valid bound for the re-anchored predictions.
 	for i, k := range l.keys {
-		e := l.predict(k) - i
+		e := l.Predict(k, len(l.keys)) - i
 		if e < 0 {
 			e = -e
 		}
@@ -320,7 +277,7 @@ func (ix *Index) InsertReplace(key, value uint64) (bool, error) {
 func (ix *Index) insert(key, value uint64, counted bool) error {
 	l := ix.leafFor(key)
 	if l == nil {
-		seg := pla.Segment{FirstKey: key, Start: 0, End: 1}
+		seg := pla.Segment{Model: pla.Model{FirstKey: key}, End: 1}
 		nl := ix.newLeaf([]uint64{key}, []uint64{value}, seg)
 		ix.leaves = append(ix.leaves, nl)
 		if err := ix.inner.Insert(key, uint64(len(ix.leaves)-1)); err != nil {
@@ -470,7 +427,7 @@ func (ix *Index) buildLeaves(keys, vals []uint64) []*segLeaf {
 	if len(keys) == 0 {
 		return nil
 	}
-	segs := ix.segment(keys)
+	segs := pla.BuildOptPLA(keys, ix.cfg.Eps)
 	nls := make([]*segLeaf, len(segs))
 	for i, s := range segs {
 		nls[i] = ix.newLeaf(keys[s.Start:s.End], vals[s.Start:s.End], s)
@@ -482,8 +439,8 @@ func (ix *Index) buildLeaves(keys, vals []uint64) []*segLeaf {
 // takes over old's id, so ix.leaves stops referencing the displaced leaf
 // (its slot is cleared when there is no replacement); the others append.
 func (ix *Index) swapLeaf(old *segLeaf, nls []*segLeaf) {
-	id, _ := ix.inner.Get(old.firstKey)
-	ix.inner.Delete(old.firstKey)
+	id, _ := ix.inner.Get(old.FirstKey)
+	ix.inner.Delete(old.FirstKey)
 	ix.leaves[id] = nil
 	for i, nl := range nls {
 		if i > 0 {
@@ -492,7 +449,7 @@ func (ix *Index) swapLeaf(old *segLeaf, nls []*segLeaf) {
 		}
 		ix.leaves[id] = nl
 		// The inner btree's Insert error is interface-shaped and always nil.
-		_ = ix.inner.Insert(nl.firstKey, id)
+		_ = ix.inner.Insert(nl.FirstKey, id)
 	}
 }
 

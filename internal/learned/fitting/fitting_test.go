@@ -22,29 +22,6 @@ func TestConformanceBuffer(t *testing.T) {
 	})
 }
 
-func TestConformanceGreedyAlgorithm(t *testing.T) {
-	indextest.RunAll(t, "fiting-greedy", func() index.Index {
-		return New(Config{Mode: Buffer, Algorithm: GreedyFSW, Eps: 16, Reserve: 64})
-	})
-}
-
-// TestGreedyNeverFewerLeaves pins the paper's reason for substituting
-// Opt-PLA: the original greedy algorithm yields at least as many leaves.
-func TestGreedyNeverFewerLeaves(t *testing.T) {
-	keys := dataset.Generate(dataset.OSMLike, 30000, 13)
-	opt := New(Config{Algorithm: OptPLA, Eps: 16})
-	greedy := New(Config{Algorithm: GreedyFSW, Eps: 16})
-	if err := opt.BulkLoad(keys, keys); err != nil {
-		t.Fatal(err)
-	}
-	if err := greedy.BulkLoad(keys, keys); err != nil {
-		t.Fatal(err)
-	}
-	if greedy.LeafCount() < opt.LeafCount() {
-		t.Fatalf("greedy %d leaves < opt-pla %d", greedy.LeafCount(), opt.LeafCount())
-	}
-}
-
 func TestRetrainSplitsLeaf(t *testing.T) {
 	ix := New(Config{Mode: Buffer, Eps: 8, Reserve: 16})
 	keys := dataset.Generate(dataset.OSMLike, 4000, 7)

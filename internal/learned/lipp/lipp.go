@@ -67,31 +67,14 @@ type entry struct {
 }
 
 type node struct {
-	firstKey  uint64
-	slope     float64
-	intercept float64
+	pla.Model // key -> entry
 	entries   []entry
 	// keysAtBuild and conflicts drive the rebuild trigger.
 	keysAtBuild int
 	conflicts   int
 }
 
-func (nd *node) slot(key uint64) int {
-	var d float64
-	if key >= nd.firstKey {
-		d = float64(key - nd.firstKey)
-	} else {
-		d = -float64(nd.firstKey - key)
-	}
-	s := int(nd.slope*d + nd.intercept)
-	if s < 0 {
-		return 0
-	}
-	if s >= len(nd.entries) {
-		return len(nd.entries) - 1
-	}
-	return s
-}
+func (nd *node) slot(key uint64) int { return nd.Predict(key, len(nd.entries)) }
 
 // Index is the LIPP-style index.
 type Index struct {
@@ -145,20 +128,18 @@ func (ix *Index) build(keys, vals []uint64) *node {
 	}
 	fit := pla.FitLinear(keys, 0, n)
 	scale := float64(capacity) / float64(n)
-	nd.firstKey = keys[0]
-	nd.slope = fit.Slope * scale
-	nd.intercept = (fit.Intercept - float64(fit.Start)) * scale
-	if nd.slope <= 0 && n > 1 {
+	nd.Model = pla.Model{FirstKey: keys[0], Slope: fit.Slope * scale, Intercept: fit.Local().Intercept * scale}
+	if nd.Slope <= 0 && n > 1 {
 		// Degenerate fit: spread endpoints linearly so grouping progresses.
-		nd.slope = float64(capacity-1) / float64(keys[n-1]-keys[0])
-		nd.intercept = 0
+		nd.Slope = float64(capacity-1) / float64(keys[n-1]-keys[0])
+		nd.Intercept = 0
 	}
 	// A model that maps every key to one slot makes no progress; replace
 	// it with the endpoint-spread model, which is guaranteed to separate
 	// the first and last keys for capacity >= 3.
 	if n > 1 && nd.slot(keys[0]) == nd.slot(keys[n-1]) {
-		nd.slope = float64(capacity-1) / float64(keys[n-1]-keys[0])
-		nd.intercept = 0
+		nd.Slope = float64(capacity-1) / float64(keys[n-1]-keys[0])
+		nd.Intercept = 0
 	}
 	return ix.buildGrouped(nd, keys, vals)
 }

@@ -8,6 +8,7 @@ import (
 	"learnedpieces/internal/index"
 	"learnedpieces/internal/indextest"
 	"learnedpieces/internal/retrain"
+	"learnedpieces/internal/search"
 )
 
 func TestConformance(t *testing.T) {
@@ -31,6 +32,30 @@ func TestStaticRecursiveLevels(t *testing.T) {
 		if !ok || pos != i {
 			t.Fatalf("find(%d) = %d,%v want %d", k, pos, ok, i)
 		}
+	}
+}
+
+// TestLowerBoundBelowFirstKey: a range that opens below a run's first
+// key is predicted to the run's start at every level, so it costs one
+// window search per level and no whole-array fallback.
+func TestLowerBoundBelowFirstKey(t *testing.T) {
+	keys := dataset.Generate(dataset.OSMLike, 200_000, 3)
+	s := NewStatic(keys, keys, 32, 8)
+	search.EnableStats(true)
+	defer search.EnableStats(false)
+	search.ResetStats()
+	const starts = 1000
+	for i := uint64(0); i < starts; i++ {
+		if pos := s.lowerBound(keys[0] / starts * i); pos != 0 {
+			t.Fatalf("lowerBound below the first key = %d, want 0", pos)
+		}
+	}
+	var searches int64
+	for _, k := range search.StatsSnapshot() {
+		searches += k.Searches
+	}
+	if want := int64(starts * s.Levels()); searches != want {
+		t.Fatalf("%d searches for %d starts over %d levels, want %d", searches, starts, s.Levels(), want)
 	}
 }
 

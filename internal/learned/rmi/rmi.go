@@ -13,6 +13,7 @@ import (
 
 	"learnedpieces/internal/index"
 	"learnedpieces/internal/parallel"
+	"learnedpieces/internal/pla"
 	"learnedpieces/internal/search"
 )
 
@@ -26,11 +27,9 @@ type Config struct {
 func DefaultConfig() Config { return Config{} }
 
 type leafModel struct {
-	slope     float64
-	intercept float64
-	firstKey  uint64
-	minErr    int32 // signed bounds: actual - predicted in [minErr, maxErr]
-	maxErr    int32
+	pla.Model
+	minErr int32 // signed bounds: actual - predicted in [minErr, maxErr]
+	maxErr int32
 }
 
 // Index is the two-stage RMI over a flat sorted array.
@@ -39,10 +38,7 @@ type Index struct {
 	keys   []uint64
 	vals   []uint64
 	leaves []leafModel
-	// Root model maps key -> leaf id, anchored at keys[0].
-	rootSlope     float64
-	rootIntercept float64
-	rootFirst     uint64
+	root   pla.Model // key -> leaf id, anchored at keys[0]
 
 	builds  atomic.Int64
 	buildNs atomic.Int64
@@ -88,7 +84,7 @@ func (ix *Index) BulkLoad(keys, values []uint64) error {
 	// reduce over disjoint key chunks in parallel; per-chunk partials are
 	// combined in chunk order so the result is deterministic for a given
 	// worker count.
-	ix.rootFirst = keys[0]
+	ix.root = pla.Model{FirstKey: keys[0]}
 	const minPerWorker = 16 << 10
 	workers := parallel.Workers(len(keys) / minPerWorker)
 	type sums struct{ sx, sy, sxx, sxy float64 }
@@ -96,7 +92,7 @@ func (ix *Index) BulkLoad(keys, values []uint64) error {
 	parallel.For(workers, len(keys), func(w, lo, hi int) {
 		var p sums
 		for i := lo; i < hi; i++ {
-			x := float64(keys[i] - ix.rootFirst)
+			x := float64(keys[i] - ix.root.FirstKey)
 			y := float64(i) * float64(numLeaves) / float64(len(keys))
 			p.sx += x
 			p.sy += y
@@ -115,9 +111,9 @@ func (ix *Index) BulkLoad(keys, values []uint64) error {
 	fn := float64(len(keys))
 	denom := fn*sxx - sx*sx
 	if denom != 0 {
-		ix.rootSlope = (fn*sxy - sx*sy) / denom
+		ix.root.Slope = (fn*sxy - sx*sy) / denom
 	}
-	ix.rootIntercept = (sy - ix.rootSlope*sx) / fn
+	ix.root.Intercept = (sy - ix.root.Slope*sx) / fn
 
 	// Assign keys to leaves by the root model, then train each leaf on its
 	// assigned range. Root predictions are monotone in the key (the least
@@ -132,11 +128,11 @@ func (ix *Index) BulkLoad(keys, values []uint64) error {
 	}
 	parallel.For(parallel.Workers(leafWorkers), numLeaves, func(_, leafLo, leafHi int) {
 		start := sort.Search(len(keys), func(i int) bool {
-			return ix.predictLeaf(keys[i], numLeaves) >= leafLo
+			return ix.root.Predict(keys[i], numLeaves) >= leafLo
 		})
 		for leafID := leafLo; leafID < leafHi; leafID++ {
 			end := start
-			for end < len(keys) && ix.predictLeaf(keys[end], numLeaves) == leafID {
+			for end < len(keys) && ix.root.Predict(keys[end], numLeaves) == leafID {
 				end++
 			}
 			ix.leaves[leafID] = trainLeaf(keys, start, end)
@@ -146,50 +142,13 @@ func (ix *Index) BulkLoad(keys, values []uint64) error {
 	return nil
 }
 
-func (ix *Index) predictLeaf(key uint64, numLeaves int) int {
-	var d float64
-	if key >= ix.rootFirst {
-		d = float64(key - ix.rootFirst)
-	} else {
-		d = -float64(ix.rootFirst - key)
-	}
-	p := int(ix.rootSlope*d + ix.rootIntercept)
-	if p < 0 {
-		return 0
-	}
-	if p >= numLeaves {
-		return numLeaves - 1
-	}
-	return p
-}
-
 func trainLeaf(keys []uint64, start, end int) leafModel {
 	if start >= end {
-		return leafModel{intercept: float64(start)}
+		return leafModel{Model: pla.Model{Intercept: float64(start)}}
 	}
-	first := keys[start]
-	n := end - start
-	var sx, sy, sxx, sxy float64
+	m := leafModel{Model: pla.FitLinear(keys, start, end).Model, minErr: math.MaxInt32, maxErr: math.MinInt32}
 	for i := start; i < end; i++ {
-		x := float64(keys[i] - first)
-		y := float64(i)
-		sx += x
-		sy += y
-		sxx += x * x
-		sxy += x * y
-	}
-	fn := float64(n)
-	var slope float64
-	if denom := fn*sxx - sx*sx; denom != 0 {
-		slope = (fn*sxy - sx*sy) / denom
-	}
-	intercept := (sy - slope*sx) / fn
-	m := leafModel{slope: slope, intercept: intercept, firstKey: first}
-	m.minErr = math.MaxInt32
-	m.maxErr = math.MinInt32
-	for i := start; i < end; i++ {
-		p := m.predict(keys[i], len(keys))
-		e := int32(i - p)
+		e := int32(i - m.Predict(keys[i], len(keys)))
 		if e < m.minErr {
 			m.minErr = e
 		}
@@ -198,23 +157,6 @@ func trainLeaf(keys []uint64, start, end int) leafModel {
 		}
 	}
 	return m
-}
-
-func (m *leafModel) predict(key uint64, n int) int {
-	var d float64
-	if key >= m.firstKey {
-		d = float64(key - m.firstKey)
-	} else {
-		d = -float64(m.firstKey - key)
-	}
-	p := int(m.slope*d + m.intercept)
-	if p < 0 {
-		return 0
-	}
-	if p >= n {
-		return n - 1
-	}
-	return p
 }
 
 // Get returns the value stored under key using the two model stages and a
@@ -235,8 +177,8 @@ func (ix *Index) find(key uint64) (int, bool) {
 	if n == 0 {
 		return 0, false
 	}
-	leaf := &ix.leaves[ix.predictLeaf(key, len(ix.leaves))]
-	p := leaf.predict(key, n)
+	leaf := &ix.leaves[ix.root.Predict(key, len(ix.leaves))]
+	p := leaf.Predict(key, n)
 	lo := p + int(leaf.minErr)
 	hi := p + int(leaf.maxErr) + 1
 	if lo < 0 {
@@ -267,8 +209,8 @@ func (ix *Index) GetBatch(keys []uint64, vals []uint64, found []bool) {
 				b.Add(nil, key, 0, 0)
 				continue
 			}
-			leaf := &ix.leaves[ix.predictLeaf(key, len(ix.leaves))]
-			p := leaf.predict(key, n)
+			leaf := &ix.leaves[ix.root.Predict(key, len(ix.leaves))]
+			p := leaf.Predict(key, n)
 			b.Add(ix.keys, key, p+int(leaf.minErr), p+int(leaf.maxErr)+1)
 		}
 		b.Run()
@@ -298,8 +240,8 @@ func (ix *Index) lowerBound(key uint64) int {
 	if n == 0 {
 		return 0
 	}
-	leaf := &ix.leaves[ix.predictLeaf(key, len(ix.leaves))]
-	p := leaf.predict(key, n)
+	leaf := &ix.leaves[ix.root.Predict(key, len(ix.leaves))]
+	p := leaf.Predict(key, n)
 	lo := p + int(leaf.minErr)
 	hi := p + int(leaf.maxErr) + 1
 	if lo < 0 {

@@ -22,9 +22,8 @@ func TestLeafAssignmentContiguous(t *testing.T) {
 	// recorded error band must cover its true position (this is the
 	// invariant that makes bounded binary search correct).
 	for i, k := range keys {
-		leafID := ix.predictLeaf(k, len(ix.leaves))
-		m := &ix.leaves[leafID]
-		p := m.predict(k, len(keys))
+		m := &ix.leaves[ix.root.Predict(k, len(ix.leaves))]
+		p := m.Predict(k, len(keys))
 		if i < p+int(m.minErr) || i > p+int(m.maxErr) {
 			t.Fatalf("key %d: position %d outside band [%d,%d]", k, i, p+int(m.minErr), p+int(m.maxErr))
 		}

@@ -2,6 +2,7 @@ package pla
 
 import (
 	"encoding/binary"
+	"math"
 	"testing"
 
 	"learnedpieces/internal/dataset"
@@ -39,6 +40,39 @@ func FuzzOptPLABound(f *testing.F) {
 		}
 		if segs[0].Start != 0 || segs[len(segs)-1].End != len(keys) {
 			t.Fatal("segments do not cover the keys")
+		}
+	})
+}
+
+// FuzzModelPredict fuzzes the one key->position line: every answer is in
+// [0, n), answers never decrease as the key grows when Slope >= 0, and
+// inside the range the answer is the plain int(Slope*d + Intercept).
+func FuzzModelPredict(f *testing.F) {
+	for _, anchor := range []uint64{0, math.MaxUint64} {
+		for _, key := range []uint64{0, math.MaxUint64, 1<<60 + 1, 1<<60 + 2} {
+			f.Add(anchor, 0.5, 3.0, uint16(15), key, key+1)
+			f.Add(anchor, 1e-18, -2.0, uint16(100), key, ^key)
+		}
+	}
+	f.Add(uint64(1000), 0.01, 0.0, uint16(100), uint64(10), uint64(1500))
+	f.Fuzz(func(t *testing.T, anchor uint64, slope, intercept float64, nRaw uint16, k1, k2 uint64) {
+		m := Model{FirstKey: anchor, Slope: slope, Intercept: intercept}
+		n := int(nRaw%1024) + 1
+		p1, p2 := m.Predict(k1, n), m.Predict(k2, n)
+		for _, p := range []int{p1, p2} {
+			if p < 0 || p >= n {
+				t.Fatalf("%+v: prediction %d outside [0, %d)", m, p, n)
+			}
+		}
+		if slope >= 0 && (k1 < k2 && p1 > p2 || k2 < k1 && p2 > p1) {
+			t.Fatalf("%+v, n=%d: key %d -> %d but key %d -> %d", m, n, k1, p1, k2, p2)
+		}
+		d := float64(k1 - anchor)
+		if k1 < anchor {
+			d = -float64(anchor - k1)
+		}
+		if v := slope*d + intercept; v > -1 && v < float64(n) && p1 != int(v) {
+			t.Fatalf("%+v, n=%d: key %d -> %d, want int(%v) = %d", m, n, k1, p1, v, int(v))
 		}
 	})
 }

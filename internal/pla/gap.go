@@ -29,13 +29,11 @@ import (
 // in separate arrays: a lookup touches keys only, and a shift is one
 // memmove per array.
 type GappedNode struct {
-	FirstKey  uint64
-	Slope     float64 // model: slot ~= Slope*(key-FirstKey) + Intercept
-	Intercept float64
-	Keys      []uint64
-	Values    []uint64
-	Occ       Bitmap
-	NumKeys   int
+	Model   // key -> slot
+	Keys    []uint64
+	Values  []uint64
+	Occ     Bitmap
+	NumKeys int
 }
 
 // InsertWork counts what gap insertion did, in slots: the exact,
@@ -59,24 +57,6 @@ func (w *InsertWork) shift(moved, searched int) {
 
 // Capacity returns the number of slots (occupied + gaps).
 func (g *GappedNode) Capacity() int { return len(g.Keys) }
-
-// PredictSlot returns the model's slot estimate for key, clamped.
-func (g *GappedNode) PredictSlot(key uint64) int {
-	var d float64
-	if key >= g.FirstKey {
-		d = float64(key - g.FirstKey)
-	} else {
-		d = -float64(g.FirstKey - key)
-	}
-	p := int(g.Slope*d + g.Intercept)
-	if p < 0 {
-		return 0
-	}
-	if p >= len(g.Keys) {
-		return len(g.Keys) - 1
-	}
-	return p
-}
 
 // BuildLSAGap lays out keys (with parallel values, which may be nil) into
 // a gapped array of capacity ~ len(keys)/density using a least-squares
@@ -154,19 +134,17 @@ func newGapBuilder(n, capacity int, fit *lsq) gapBuilder {
 	slope, intercept := fit.line()
 	scale := float64(capacity) / float64(max(n, 1))
 	return gapBuilder{left: n, g: &GappedNode{
-		FirstKey:  fit.x0,
-		Slope:     slope * scale,
-		Intercept: intercept * scale,
-		Keys:      make([]uint64, capacity),
-		Values:    make([]uint64, capacity),
-		Occ:       NewBitmap(capacity),
-		NumKeys:   n,
+		Model:   Model{FirstKey: fit.x0, Slope: slope * scale, Intercept: intercept * scale},
+		Keys:    make([]uint64, capacity),
+		Values:  make([]uint64, capacity),
+		Occ:     NewBitmap(capacity),
+		NumKeys: n,
 	}}
 }
 
 func (b *gapBuilder) place(key, value uint64) {
 	g := b.g
-	s := max(g.PredictSlot(key), b.next)
+	s := max(g.Predict(key, len(g.Keys)), b.next)
 	s = min(s, len(g.Keys)-b.left)
 	for i := b.next; i < s; i++ {
 		g.Keys[i] = b.last
@@ -244,7 +222,7 @@ func (g *GappedNode) expBound(bound uint64) int {
 	if n == 0 {
 		return 0
 	}
-	p := g.PredictSlot(bound)
+	p := g.Predict(bound, n)
 	var lo, hi int
 	if g.Keys[p] >= bound {
 		// Answer is at or left of p: grow the window leftward.
@@ -310,7 +288,7 @@ func (g *GappedNode) insertBefore(rn int, key, value uint64, w *InsertWork) {
 	if rn-ln > 1 {
 		// A gap run lies between the neighbours: take the predicted slot
 		// inside it and refresh the copies to its right.
-		at := min(max(g.PredictSlot(key), ln+1), rn-1)
+		at := min(max(g.Predict(key, n), ln+1), rn-1)
 		g.Keys[at], g.Values[at] = key, value
 		g.Occ.Set(at)
 		g.NumKeys++
@@ -379,7 +357,7 @@ func EvaluateGapped(g *GappedNode) Metrics {
 	var sum float64
 	n := len(g.Keys)
 	for i := g.Occ.NextSet(0, n); i < n; i = g.Occ.NextSet(i+1, n) {
-		p := g.PredictSlot(g.Keys[i])
+		p := g.Predict(g.Keys[i], n)
 		e := p - i
 		if e < 0 {
 			e = -e

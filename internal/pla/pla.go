@@ -19,30 +19,56 @@ package pla
 
 import "sort"
 
-// Segment is one linear model over a contiguous run of the sorted key
-// array. Predictions are anchored at FirstKey to preserve float64
-// precision across the full uint64 key range.
-type Segment struct {
-	FirstKey  uint64  // smallest key covered by this segment
+// Model is the line from key to position that every learned index here
+// predicts with: position ~= Slope*(key-FirstKey) + Intercept. Anchoring
+// at FirstKey preserves float64 precision across the full uint64 key
+// range.
+type Model struct {
+	FirstKey  uint64  // anchor key
 	Slope     float64 // positions per key unit
-	Intercept float64 // predicted position of FirstKey (global)
-	Start     int     // first covered global position (inclusive)
-	End       int     // last covered global position (exclusive)
-	MaxErr    int     // error bound for Predict within [Start,End)
+	Intercept float64 // predicted position of FirstKey
+}
+
+// Predict returns the model's position for key, clamped to [0, n) for
+// n > 0. The distance to the anchor is taken in uint64 and negated below
+// it, and the clamp happens in float space, before the int conversion
+// (which Go leaves to the platform out of range), so every key gets an
+// answer in range and, for Slope >= 0, the answer never decreases as the
+// key grows.
+func (m Model) Predict(key uint64, n int) int {
+	var d float64
+	if key >= m.FirstKey {
+		d = float64(key - m.FirstKey)
+	} else {
+		d = -float64(m.FirstKey - key)
+	}
+	p := m.Slope*d + m.Intercept
+	if p >= float64(n) {
+		return n - 1
+	}
+	if p >= 0 {
+		return int(p)
+	}
+	return 0 // below the range, or NaN
+}
+
+// Segment is one linear model over a contiguous run of the sorted key
+// array; its Intercept predicts a global position.
+type Segment struct {
+	Model
+	Start  int // first covered global position (inclusive)
+	End    int // last covered global position (exclusive)
+	MaxErr int // error bound for Predict within [Start,End)
 }
 
 // Predict returns the estimated global position of key, clamped to the
 // segment's range.
-func (s Segment) Predict(key uint64) int {
-	d := float64(key - s.FirstKey)
-	p := int(s.Slope*d + s.Intercept)
-	if p < s.Start {
-		return s.Start
-	}
-	if p >= s.End {
-		return s.End - 1
-	}
-	return p
+func (s Segment) Predict(key uint64) int { return max(s.Model.Predict(key, s.End), s.Start) }
+
+// Local returns the segment's model re-anchored to predict positions in
+// its own run, where Start is position 0.
+func (s Segment) Local() Model {
+	return Model{FirstKey: s.FirstKey, Slope: s.Slope, Intercept: s.Intercept - float64(s.Start)}
 }
 
 // Len returns the number of keys the segment covers.
@@ -166,7 +192,7 @@ func fitLeastSquares(keys []uint64, start, end int) Segment {
 		fit.add(keys[i], float64(i))
 	}
 	slope, intercept := fit.line()
-	seg := Segment{FirstKey: fit.x0, Slope: slope, Intercept: intercept, Start: start, End: end}
+	seg := Segment{Model: Model{FirstKey: fit.x0, Slope: slope, Intercept: intercept}, Start: start, End: end}
 	for i := start; i < end; i++ {
 		e := seg.Predict(keys[i]) - i
 		if e < 0 {
@@ -251,7 +277,7 @@ func clampedSegment(keys []uint64, start, end int, slope float64, eps int) Segme
 		}
 	}
 	b := (bLo + bHi) / 2
-	seg := Segment{FirstKey: x0, Slope: slope, Intercept: b, Start: start, End: end}
+	seg := Segment{Model: Model{FirstKey: x0, Slope: slope, Intercept: b}, Start: start, End: end}
 	for i := start; i < end; i++ {
 		e := seg.Predict(keys[i]) - i
 		if e < 0 {

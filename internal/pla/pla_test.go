@@ -1,6 +1,7 @@
 package pla
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -275,10 +276,38 @@ func TestGapBeatsPackedError(t *testing.T) {
 	}
 }
 
+// TestModelPredictCliffs pins predictions far from the anchor: below it
+// the distance must not wrap, and far above it the clamp must come before
+// the int conversion, whose out-of-range result Go leaves to the platform.
+func TestModelPredictCliffs(t *testing.T) {
+	seg := Segment{Model: Model{FirstKey: 1000, Slope: 0.01}, End: 100}
+	dense := BuildLSAGap([]uint64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}, nil, 0.7)
+	if dense.Capacity() != 15 {
+		t.Fatalf("dense node has %d slots, want 15", dense.Capacity())
+	}
+	cases := []struct {
+		name string
+		got  int
+		want int
+	}{
+		{"segment at 1000, key 10", seg.Predict(10), 0},
+		{"segment at 1000, key 1500", seg.Predict(1500), 5},
+		{"dense node, key 100", dense.Predict(100, dense.Capacity()), 14},
+		{"dense node, key 2^63", dense.Predict(1<<63, dense.Capacity()), 14},
+		{"dense node, key 2^64-1", dense.Predict(math.MaxUint64, dense.Capacity()), 14},
+		{"dense node, key 0", dense.Predict(0, dense.Capacity()), 0},
+	}
+	for _, c := range cases {
+		if c.got != c.want {
+			t.Errorf("%s: predicted %d, want %d", c.name, c.got, c.want)
+		}
+	}
+}
+
 func TestEvaluateHandCase(t *testing.T) {
 	// Keys 10,20,30,40 with the exact line pos = (key-10)/10.
 	keys := []uint64{10, 20, 30, 40}
-	segs := []Segment{{FirstKey: 10, Slope: 0.1, Intercept: 0, Start: 0, End: 4}}
+	segs := []Segment{{Model: Model{FirstKey: 10, Slope: 0.1}, End: 4}}
 	m := Evaluate(keys, segs)
 	if m.MaxErr != 0 || m.AvgErr != 0 || m.Segments != 1 {
 		t.Fatalf("got %+v, want zero error", m)
@@ -287,9 +316,9 @@ func TestEvaluateHandCase(t *testing.T) {
 
 func TestFindSegmentBoundaries(t *testing.T) {
 	segs := []Segment{
-		{FirstKey: 10, Start: 0, End: 2},
-		{FirstKey: 30, Start: 2, End: 4},
-		{FirstKey: 50, Start: 4, End: 6},
+		{Model: Model{FirstKey: 10}, Start: 0, End: 2},
+		{Model: Model{FirstKey: 30}, Start: 2, End: 4},
+		{Model: Model{FirstKey: 50}, Start: 4, End: 6},
 	}
 	cases := []struct {
 		key  uint64

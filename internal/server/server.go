@@ -126,9 +126,9 @@ type Server struct {
 
 	// opMu serialises store calls the index cannot take concurrently.
 	// Two tiers by capability: ConcurrentWrites — no locking at all;
-	// otherwise (lockOps) writes take the write lock and reads share the
-	// read lock, since every index serves concurrent Gets. A Get run
-	// takes its lock once.
+	// otherwise (lockOps) writes and drains take the write lock, and reads
+	// and stats probes share the read lock, since every index serves
+	// concurrent Gets. A Get run takes its lock once.
 	opMu    sync.RWMutex
 	lockOps bool
 
@@ -549,12 +549,12 @@ func (c *conn) execute(req *wire.Request) {
 func (c *conn) call(req *wire.Request) {
 	s, resp := c.s, &c.resp
 	switch req.Op {
-	case wire.OpPut, wire.OpDelete:
+	case wire.OpPut, wire.OpDelete, wire.OpDrain:
 		if s.lockOps {
 			s.opMu.Lock()
 			defer s.opMu.Unlock()
 		}
-	case wire.OpMultiGet, wire.OpRange:
+	case wire.OpMultiGet, wire.OpRange, wire.OpStats:
 		s.lockRead()
 		defer s.unlockRead()
 	}

@@ -8,11 +8,15 @@ import (
 	"errors"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"learnedpieces/internal/client"
 	"learnedpieces/internal/core"
+	"learnedpieces/internal/index"
+	"learnedpieces/internal/learned/alex"
+	"learnedpieces/internal/learned/pgm"
 	"learnedpieces/internal/pmem"
 	"learnedpieces/internal/telemetry"
 	"learnedpieces/internal/viper"
@@ -24,12 +28,19 @@ import (
 // and closes the store.
 func startServer(t testing.TB, index string, cfg Config) (*Server, *viper.Store, string) {
 	t.Helper()
-	region := pmem.NewRegion(64<<20, pmem.None())
 	b, ok := core.Lookup(index)
 	if !ok {
 		t.Fatalf("unknown index %q", index)
 	}
-	store := viper.Open(region, b.New(), viper.WithTelemetry(cfg.Sink))
+	return serve(t, b.New(), cfg)
+}
+
+// serve is startServer over an index the caller built, with extra store
+// options.
+func serve(t testing.TB, idx index.Index, cfg Config, opts ...viper.Option) (*Server, *viper.Store, string) {
+	t.Helper()
+	region := pmem.NewRegion(64<<20, pmem.None())
+	store := viper.Open(region, idx, append(opts, viper.WithTelemetry(cfg.Sink))...)
 	cfg.Store = store
 	srv, err := New(cfg)
 	if err != nil {
@@ -128,6 +139,69 @@ func TestServerStatsOp(t *testing.T) {
 	if sn.Server.ConnsTotal == 0 || sn.Server.Accepted == 0 {
 		t.Fatalf("stats snapshot missing server section: %+v", sn.Server)
 	}
+}
+
+// putsBeside runs two connections of Puts beside a third that sends op
+// every `every` requests and Gets otherwise. On a single-writer index op
+// must take the server's lock tier, or the race detector reports it
+// against the Puts.
+func putsBeside(t *testing.T, addr string, every int, op func(context.Context, *client.Conn) error) {
+	t.Helper()
+	ctx := context.Background()
+	var conns [3]*client.Conn
+	for i := range conns {
+		c, err := client.Dial(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer func() { _ = c.Close() }()
+		conns[i] = c
+	}
+	var writers sync.WaitGroup
+	var done atomic.Bool
+	for w := 0; w < 2; w++ {
+		writers.Add(1)
+		go func(c *client.Conn, base uint64) {
+			defer writers.Done()
+			for k := base; k < base+1500; k++ {
+				if err := c.Put(ctx, k, []byte("v")); err != nil {
+					t.Errorf("put %d: %v", k, err)
+					return
+				}
+			}
+		}(conns[w], uint64(w+1)<<32)
+	}
+	go func() { writers.Wait(); done.Store(true) }()
+	for i := 1; !done.Load(); i++ {
+		var err error
+		if i%every == 0 {
+			err = op(ctx, conns[2])
+		} else {
+			_, _, err = conns[2].Get(ctx, 1<<32+uint64(i))
+		}
+		if err != nil {
+			t.Error(err)
+			break
+		}
+	}
+	writers.Wait()
+}
+
+// TestServerDrainTakesWriteTier: a Drain installs retrains into a
+// single-writer index, so it is a write.
+func TestServerDrainTakesWriteTier(t *testing.T) {
+	_, _, addr := serve(t, pgm.New(pgm.Config{BaseSize: 8}), Config{}, viper.WithRetrainMode(viper.RetrainAsync))
+	putsBeside(t, addr, 50, func(ctx context.Context, c *client.Conn) error { return c.Drain(ctx) })
+}
+
+// TestServerStatsTakesReadTier: a Stats probe reads the index's Len and
+// Sizes, so it is a read.
+func TestServerStatsTakesReadTier(t *testing.T) {
+	_, _, addr := serve(t, alex.New(alex.DefaultConfig()), Config{Sink: telemetry.New()})
+	putsBeside(t, addr, 30, func(ctx context.Context, c *client.Conn) error {
+		_, err := c.Stats(ctx)
+		return err
+	})
 }
 
 func TestServerErrorMapping(t *testing.T) {

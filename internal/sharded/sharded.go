@@ -447,11 +447,14 @@ func (c *cursor) Close() {
 	cursorPool.Put(c)
 }
 
-// Sizes sums the shard footprints.
+// Sizes sums the shard footprints. Like AvgDepth it reads under the
+// shard mutex.
 func (s *Index) Sizes() index.Sizes {
 	var total index.Sizes
 	for _, sh := range s.shards {
+		sh.mu.Lock()
 		sz := sh.idx.Sizes()
+		sh.mu.Unlock()
 		total.Structure += sz.Structure
 		total.Keys += sz.Keys
 		total.Values += sz.Values

@@ -165,6 +165,30 @@ func TestOptimisticReadersUnderWriters(t *testing.T) {
 	}
 }
 
+// TestSizesUnderWriter: Sizes walks each shard's structure, so it must
+// exclude that shard's writer, as AvgDepth and RetrainStats do (the race
+// detector is the assertion).
+func TestSizesUnderWriter(t *testing.T) {
+	keys := dataset.Generate(dataset.YCSBUniform, 20000, 7)
+	s := New(func() index.Index { return btree.New() }, BoundariesFromSample(keys, 4))
+	var done atomic.Bool
+	go func() {
+		defer done.Store(true)
+		for _, k := range dataset.Shuffled(keys, 8) {
+			if err := s.Insert(k, k); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	for !done.Load() {
+		s.Sizes()
+	}
+	if sz := s.Sizes(); sz.Keys == 0 {
+		t.Fatal("Sizes after the inserts reports no keys")
+	}
+}
+
 // TestScanStopsAtExactShardBoundary covers the count==n corner: when
 // the limit is satisfied exactly as one shard's entries run out, the
 // scan must not touch the next shard at all. (Before the fix, the next
