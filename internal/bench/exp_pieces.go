@@ -9,9 +9,6 @@ import (
 	"learnedpieces/internal/core"
 	"learnedpieces/internal/dataset"
 	"learnedpieces/internal/index"
-	"learnedpieces/internal/learned/alex"
-	"learnedpieces/internal/learned/fitting"
-	"learnedpieces/internal/learned/pgm"
 	"learnedpieces/internal/stats"
 	"learnedpieces/internal/workload"
 )
@@ -232,13 +229,8 @@ func RunFig18b(cfg Config) error {
 	order := dataset.Shuffled(inserts, cfg.Seed+2)
 	t := stats.NewTable(fmt.Sprintf("Fig 18(b): retraining (load=%d, inserts=%d)", len(load), len(order)),
 		"index", "inserted", "retrains", "avg retrain", "total retrain")
-	builders := map[string]func() index.Index{
-		"fiting-buf": func() index.Index { return fitting.New(fitting.DefaultConfig()) },
-		"pgm":        func() index.Index { return pgm.New(pgm.DefaultConfig()) },
-		"alex":       func() index.Index { return alex.New(alex.DefaultConfig()) },
-	}
 	for _, name := range []string{"fiting-buf", "pgm", "alex"} {
-		idx := builders[name]()
+		idx := mustEntry(name).New()
 		if err := idx.BulkLoad(load, load); err != nil {
 			return err
 		}
@@ -272,7 +264,7 @@ func RunFig18c(cfg Config) error {
 	t := stats.NewTable(fmt.Sprintf("Fig 18(c): buffer size vs retraining (inserts=%d)", len(order)),
 		"buffer", "retrains", "avg retrain", "total retrain")
 	for _, size := range []int{128, 256, 512, 1024} {
-		idx := fitting.New(fitting.Config{Mode: fitting.Buffer, Eps: 32, Reserve: size})
+		idx := core.Compose(core.OptPLA{Eps: 32}, core.NewBTreeTop(), core.BufferInsert{Size: size}, core.RetrainNode{})
 		if err := idx.BulkLoad(load, load); err != nil {
 			return err
 		}

@@ -183,27 +183,6 @@ func maxOf(n interface{}) (uint64, uint64, bool) {
 	return 0, 0, false
 }
 
-// Min returns the entry with the smallest key — where FITing-tree sends
-// a key that precedes every segment start.
-func (t *BTree) Min() (uint64, uint64, bool) { return minOf(t.root) }
-
-// minOf is maxOf's mirror: the leftmost entry of a subtree.
-func minOf(n interface{}) (uint64, uint64, bool) {
-	switch x := n.(type) {
-	case *inner:
-		for i := 0; i <= x.n; i++ {
-			if k, v, ok := minOf(x.kids[i]); ok {
-				return k, v, ok
-			}
-		}
-	case *leaf:
-		if x.n > 0 {
-			return x.keys[0], x.vals[0], true
-		}
-	}
-	return 0, 0, false
-}
-
 // Insert stores value under key, replacing any existing value.
 func (t *BTree) Insert(key, value uint64) error {
 	_, err := t.InsertReplace(key, value)

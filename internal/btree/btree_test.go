@@ -133,11 +133,4 @@ func TestFloorAfterMassDeletion(t *testing.T) {
 	if k, _, ok := tr.Floor(150); !ok || k != 150 {
 		t.Fatalf("Floor(150) = %d,%v", k, ok)
 	}
-	// Min skips the emptied leaves the same way.
-	if k, v, ok := tr.Min(); !ok || k != 101 || v != 101 {
-		t.Fatalf("Min = (%d,%d,%v), want 101", k, v, ok)
-	}
-	if _, _, ok := New().Min(); ok {
-		t.Fatal("Min of an empty tree should fail")
-	}
 }

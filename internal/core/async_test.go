@@ -24,3 +24,48 @@ func TestAsyncRetrainEquivalence(t *testing.T) {
 		})
 	}
 }
+
+// gapCell is an ALEX-like cell: gapped leaves under a B+tree, whose
+// rebuild is in flight while a full leaf is rebuilt on the spot.
+func gapCell() *Composed {
+	return Compose(LSAGap{SegLen: 256}, NewBTreeTop(), GapInsert{}, ExpandOrSplit{MaxLeafKeys: 1024})
+}
+
+func TestAsyncRetrainEquivalenceGapCell(t *testing.T) {
+	indextest.RunAsyncEquivalence(t, "gap-cell", func() index.Index { return gapCell() })
+}
+
+// TestComposedDrainConverges: behind a busy pool each strategy's leaves
+// run past their retrain trigger — a buffer grows past Size, an in-place
+// leaf regrows past its reserve, gapped leaves wait over the density
+// bound — and DrainRetrains must retrain until none does.
+func TestComposedDrainConverges(t *testing.T) {
+	t.Run("fiting-buf", func(t *testing.T) {
+		c := preset("fiting-buf")
+		indextest.RunDrainConverges(t, c, 256, func() int {
+			most := 0
+			for _, l := range c.leaves {
+				most = max(most, len(l.Buf.Keys))
+			}
+			return most
+		})
+	})
+	t.Run("fiting-inp", func(t *testing.T) {
+		// An in-place leaf's window widens by one per absorbed key.
+		c := preset("fiting-inp")
+		indextest.RunDrainConverges(t, c, 256+1, func() int {
+			most := 0
+			for _, l := range c.leaves {
+				most = max(most, l.MaxErr-32)
+			}
+			return most
+		})
+	})
+	t.Run("gap-cell", func(t *testing.T) {
+		// A gapped leaf cannot grow: it absorbs writes into its gaps and is
+		// rebuilt on the spot when full, so what waits on the pool is the
+		// op log of the rebuilds in flight.
+		c := gapCell()
+		indextest.RunDrainConverges(t, c, 1, func() int { return len(c.oplog) })
+	})
+}

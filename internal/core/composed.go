@@ -1,13 +1,15 @@
 package core
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"learnedpieces/internal/index"
+	"learnedpieces/internal/learned/delta"
 	"learnedpieces/internal/pla"
+	"learnedpieces/internal/retrain"
+	"learnedpieces/internal/search"
 )
 
 // An InsertStrategy is the insertion dimension (§IV-D): how a leaf
@@ -16,9 +18,9 @@ type InsertStrategy interface {
 	Name() string
 	// Prepare reserves whatever space the strategy needs in a fresh leaf.
 	Prepare(l *Leaf)
-	// Insert adds key to the leaf. inserted=false means the leaf had no
-	// room (the caller retrains with the pending key); retrain=true asks
-	// for a retrain after a successful insert.
+	// Insert adds a key the leaf does not hold. inserted=false means the
+	// leaf had no room (the caller rebuilds it and retries); retrain=true
+	// asks for a retrain after a successful insert.
 	Insert(l *Leaf, key, value uint64) (inserted, retrain bool)
 }
 
@@ -40,13 +42,11 @@ func (s Inplace) reserve() int {
 	return s.Reserve
 }
 
-// Prepare implements InsertStrategy.
+// Prepare implements InsertStrategy: a packed leaf gets exactly Reserve
+// free slots.
 func (s Inplace) Prepare(l *Leaf) {
 	if l.Occ != nil {
 		return // gapped leaves have their own reserve
-	}
-	if cap(l.Keys) > len(l.Keys) {
-		return // already reserved
 	}
 	keys := make([]uint64, len(l.Keys), len(l.Keys)+s.reserve())
 	vals := make([]uint64, len(l.Vals), len(l.Vals)+s.reserve())
@@ -55,9 +55,10 @@ func (s Inplace) Prepare(l *Leaf) {
 	l.Keys, l.Vals = keys, vals
 }
 
-// Insert implements InsertStrategy.
+// Insert implements InsertStrategy. A leaf whose rebuild is in flight
+// keeps absorbing keys past its reserve (append regrows the arrays).
 func (s Inplace) Insert(l *Leaf, key, value uint64) (bool, bool) {
-	if len(l.Keys) == cap(l.Keys) {
+	if len(l.Keys) == cap(l.Keys) && !l.retraining {
 		return false, true
 	}
 	at, _ := l.find(key)
@@ -92,16 +93,11 @@ func (s BufferInsert) size() int {
 // Prepare implements InsertStrategy.
 func (s BufferInsert) Prepare(l *Leaf) {}
 
-// Insert implements InsertStrategy.
+// Insert implements InsertStrategy. A leaf whose rebuild is in flight
+// keeps buffering past Size.
 func (s BufferInsert) Insert(l *Leaf, key, value uint64) (bool, bool) {
-	i := sort.Search(len(l.BufK), func(j int) bool { return l.BufK[j] >= key })
-	l.BufK = append(l.BufK, 0)
-	l.BufV = append(l.BufV, 0)
-	copy(l.BufK[i+1:], l.BufK[i:])
-	copy(l.BufV[i+1:], l.BufV[i:])
-	l.BufK[i] = key
-	l.BufV[i] = value
-	return true, len(l.BufK) >= s.size()
+	l.buffer(key, value)
+	return true, len(l.Buf.Keys) >= s.size()
 }
 
 // GapInsert is ALEX's model-based in-place gap insertion; the reserved
@@ -164,9 +160,9 @@ func gapErr(g *pla.GappedNode, key uint64) int {
 
 // regap converts a leaf's live entries into a gapped layout.
 func regap(l *Leaf, density float64) {
-	keys, vals := l.entries()
-	l.BufK, l.BufV = nil, nil
-	l.setGapped(pla.BuildLSAGap(keys, vals, density))
+	r := l.snapshot()
+	l.Buf = delta.Run{}
+	l.setGapped(pla.BuildLSAGap(r.Keys, r.Vals, density))
 }
 
 // A RetrainPolicy is the retraining dimension (§IV-E): how an over-full
@@ -225,18 +221,47 @@ func gappedWhole(keys, vals []uint64) []*Leaf {
 // Composed is an updatable learned index assembled from one choice per
 // dimension — the artefact the paper argues the dimensions' orthogonality
 // makes possible.
+//
+// Retraining has one path (index.AsyncRetrainer): a leaf due for a
+// rebuild is snapshotted with its buffer merged in, the policy rebuilds
+// the snapshot as one task on the retrain pool (inline when there is no
+// pool), and the replacements are installed on the writer's timeline,
+// where the writes that hit the leaf meanwhile are replayed from an op
+// log. Composed has a single-writer contract, so the task never touches
+// the live structure.
 type Composed struct {
 	approx    Approximator
 	structure Structure
 	strategy  InsertStrategy
 	policy    RetrainPolicy
+	name      string // a preset's registry name; "" names the dimensions
 
+	// leaves is the leaf table the structure's ids index. The B+tree
+	// keeps ids stable across retrains; the static structures are
+	// rebuilt, and their ids are positions. Leaves are also chained in
+	// key order (Leaf.prev/next) for the cursor.
 	leaves []*Leaf
-	firsts []uint64
 	length int
+
+	pool  *retrain.Pool
+	inbox retrain.Inbox[deposit]
+	oplog []wop
 
 	retrains  atomic.Int64
 	retrainNs atomic.Int64
+}
+
+// deposit is one finished rebuild: the replacements for old.
+type deposit struct {
+	old    *Leaf
+	leaves []*Leaf
+}
+
+// wop is one write logged against a retraining leaf.
+type wop struct {
+	l        *Leaf
+	key, val uint64
+	del      bool
 }
 
 var _ index.Index = (*Composed)(nil)
@@ -248,8 +273,12 @@ func Compose(a Approximator, s Structure, ins InsertStrategy, pol RetrainPolicy)
 	return c
 }
 
-// Name implements index.Index: the dimension choices, joined.
+// Name implements index.Index: a preset's name, else the dimension
+// choices, joined.
 func (c *Composed) Name() string {
+	if c.name != "" {
+		return c.name
+	}
 	return c.structure.Name() + "+" + c.approx.Name() + "+" + c.strategy.Name() + "+" + c.policy.Name()
 }
 
@@ -259,22 +288,48 @@ func (c *Composed) Len() int { return c.length }
 // RetrainStats implements index.RetrainReporter.
 func (c *Composed) RetrainStats() (int64, int64) { return c.retrains.Load(), c.retrainNs.Load() }
 
+// SetRetrainPool implements index.AsyncRetrainer: subsequent leaf
+// rebuilds run on p (nil: inline).
+func (c *Composed) SetRetrainPool(p *retrain.Pool) { c.pool = p }
+
+// DrainRetrains implements index.AsyncRetrainer: wait for the rebuilds
+// in flight and install them, repeating until no install schedules
+// further work. Writer timeline only.
+func (c *Composed) DrainRetrains() {
+	for {
+		c.pool.Drain()
+		if !c.installDeposits() {
+			return
+		}
+	}
+}
+
 // LeafCount returns the current leaf count.
 func (c *Composed) LeafCount() int { return len(c.leaves) }
 
-// Structure exposes the structure piece (for depth/size reporting).
-func (c *Composed) Structure() Structure { return c.structure }
-
-// install swaps in the leaf list and rebuilds the structure. Leaves must
-// already be Prepare'd — only freshly created leaves are prepared, so
-// retrains do not touch unrelated leaves.
+// install makes leaves, in key order, the whole leaf table and rebuilds
+// the structure over them. Leaves must already be Prepare'd.
 func (c *Composed) install(leaves []*Leaf) {
 	c.leaves = leaves
-	c.firsts = make([]uint64, len(leaves))
+	firsts := make([]uint64, len(leaves))
+	var prev *Leaf
 	for i, l := range leaves {
-		c.firsts[i] = l.FirstKey
+		l.id, firsts[i] = i, l.FirstKey
+		link(prev, l)
+		prev = l
 	}
-	c.structure.Build(c.firsts)
+	link(prev, nil)
+	c.structure.Build(firsts)
+}
+
+// link makes b the leaf after a in the chain (either may be the end).
+func link(a, b *Leaf) {
+	if a != nil {
+		a.next = b
+	}
+	if b != nil {
+		b.prev = a
+	}
 }
 
 func (c *Composed) prepare(leaves []*Leaf) []*Leaf {
@@ -284,23 +339,27 @@ func (c *Composed) prepare(leaves []*Leaf) []*Leaf {
 	return leaves
 }
 
-// BulkLoad builds the index over sorted distinct keys.
+// BulkLoad builds the index over sorted distinct keys. A rebuild in
+// flight no longer applies: its leaf has left the table.
 func (c *Composed) BulkLoad(keys, values []uint64) error {
+	c.oplog = nil
 	c.install(c.prepare(c.approx.Build(keys, values)))
 	c.length = len(keys)
 	return nil
 }
 
+// leafFor returns the leaf covering key.
+func (c *Composed) leafFor(key uint64) *Leaf { return c.leaves[c.structure.Locate(key)] }
+
 // Get returns the value stored under key.
 func (c *Composed) Get(key uint64) (uint64, bool) {
-	l := c.leaves[c.structure.Locate(key)]
+	l := c.leafFor(key)
 	if at, ok := l.find(key); ok {
 		return l.Vals[at], true
 	}
-	if len(l.BufK) > 0 {
-		i := sort.Search(len(l.BufK), func(j int) bool { return l.BufK[j] >= key })
-		if i < len(l.BufK) && l.BufK[i] == key {
-			return l.BufV[i], true
+	if len(l.Buf.Keys) > 0 {
+		if v, live, ok := l.Buf.Find(key); ok {
+			return v, live
 		}
 	}
 	return 0, false
@@ -315,154 +374,256 @@ func (c *Composed) Insert(key, value uint64) error {
 // InsertReplace implements index.Upserter: the leaf search that decides
 // between replace and insert is the existence answer.
 func (c *Composed) InsertReplace(key, value uint64) (bool, error) {
-	li := c.structure.Locate(key)
-	l := c.leaves[li]
-	if at, ok := l.find(key); ok {
-		l.Vals[at] = value
-		return true, nil
-	}
-	if len(l.BufK) > 0 {
-		i := sort.Search(len(l.BufK), func(j int) bool { return l.BufK[j] >= key })
-		if i < len(l.BufK) && l.BufK[i] == key {
-			l.BufV[i] = value
-			return true, nil
-		}
-	}
-	inserted, retrain := c.strategy.Insert(l, key, value)
-	if inserted {
-		c.length++
-	}
-	if retrain {
-		c.retrainLeaf(li, l, key, value, inserted)
-		if !inserted {
-			c.length++
-		}
-	}
-	return false, nil
+	c.installDeposits()
+	return c.upsert(key, value, true), nil
 }
 
-// retrainLeaf rebuilds leaf li via the policy, splicing the replacements
-// into the leaf list and rebuilding the structure.
-func (c *Composed) retrainLeaf(li int, l *Leaf, key, value uint64, keyIncluded bool) {
-	start := time.Now()
-	keys, vals := l.entries()
-	if !keyIncluded {
-		at := sort.Search(len(keys), func(j int) bool { return keys[j] >= key })
-		keys = append(keys, 0)
-		vals = append(vals, 0)
-		copy(keys[at+1:], keys[at:])
-		copy(vals[at+1:], vals[at:])
-		keys[at] = key
-		vals[at] = value
+// upsert is the write path shared by InsertReplace and op-log replay.
+// counted is false during replay: the original write already adjusted
+// length, and the replayed one re-applies it to the rebuilt leaves.
+func (c *Composed) upsert(key, value uint64, counted bool) (existed bool) {
+	l, due := c.leafFor(key), false
+	if at, ok := l.find(key); ok {
+		l.Vals[at] = value
+		existed = true
+	} else if i, ok := l.buffered(key); ok {
+		existed = !l.Buf.Dead[i]
+		l.Buf.Set(i, true, key, value, false)
+	} else {
+		l, due = c.insert(l, key, value)
 	}
-	repl := c.prepare(c.policy.Retrain(c.approx, keys, vals))
-	next := make([]*Leaf, 0, len(c.leaves)+len(repl)-1)
-	next = append(next, c.leaves[:li]...)
-	next = append(next, repl...)
-	next = append(next, c.leaves[li+1:]...)
-	c.install(next)
+	if counted && !existed {
+		c.length++
+	}
+	c.logOp(l, key, value, false)
+	if due {
+		c.scheduleRetrain(l) // after the log: the snapshot holds this write
+	}
+	return existed
+}
+
+// insert hands a key no leaf holds to the strategy and returns the leaf
+// that took it, and whether that leaf is due for a rebuild. A leaf that
+// refuses the key schedules its own rebuild without it, and the key goes
+// to whichever leaf covers it then: a fresh one, or — while the rebuild is
+// on the pool — the old leaf, which keeps absorbing writes. A leaf that
+// refuses again (a gapped leaf with no free slot) is rebuilt on the spot
+// with the key; a rebuild of it still in flight then fails the install
+// check. So is an empty leaf, which would come back empty without the key
+// (the strategies that refuse keys never buffer, so NumKeys says so).
+func (c *Composed) insert(l *Leaf, key, value uint64) (*Leaf, bool) {
+	ok, due := c.strategy.Insert(l, key, value)
+	if !ok && !l.retraining && l.NumKeys > 0 {
+		c.scheduleRetrain(l)
+		l = c.leafFor(key)
+		ok, due = c.strategy.Insert(l, key, value)
+	}
+	if !ok {
+		with := delta.Merge(delta.Run{Keys: []uint64{key}, Vals: []uint64{value}}, l.snapshot(), false)
+		c.swap(l, c.rebuild(with))
+		return c.leafFor(key), false
+	}
+	return l, due
+}
+
+// logOp records a write against a retraining leaf for replay at install.
+func (c *Composed) logOp(l *Leaf, key, val uint64, del bool) {
+	if l.retraining {
+		c.oplog = append(c.oplog, wop{l: l, key: key, val: val, del: del})
+	}
+}
+
+// rebuild runs the retrain policy over a leaf's snapshot: the one place a
+// leaf is rebuilt, on the pool or on the writer, and counted.
+func (c *Composed) rebuild(r delta.Run) []*Leaf {
+	start := time.Now()
+	leaves := c.prepare(c.policy.Retrain(c.approx, r.Keys, r.Vals))
 	c.retrains.Add(1)
 	c.retrainNs.Add(time.Since(start).Nanoseconds())
+	return leaves
+}
+
+// scheduleRetrain snapshots l and hands its rebuild to the pool; a nil
+// pool runs it inline, so the rebuild is installed on return.
+func (c *Composed) scheduleRetrain(l *Leaf) {
+	if l.retraining {
+		return
+	}
+	l.retraining = true
+	snap := l.snapshot()
+	c.pool.Submit(l, func() {
+		c.inbox.Put(deposit{old: l, leaves: c.rebuild(snap)})
+	})
+	c.installDeposits() // a task that ran inline has deposited already
+}
+
+// installDeposits swaps finished rebuilds in and replays the writes that
+// hit their leaves meanwhile. A deposit whose leaf has left the table (a
+// BulkLoad, or a rebuild on the spot) is dropped with its log. Writer
+// timeline only; reports whether anything was deposited.
+func (c *Composed) installDeposits() bool {
+	deps := c.inbox.TakeAll()
+	for _, d := range deps {
+		log := c.takeOplog(d.old)
+		if d.old.id >= len(c.leaves) || c.leaves[d.old.id] != d.old {
+			continue
+		}
+		c.swap(d.old, d.leaves)
+		for _, op := range log {
+			if op.del {
+				c.del(op.key, false)
+			} else {
+				c.upsert(op.key, op.val, false)
+			}
+		}
+	}
+	return len(deps) > 0
+}
+
+// takeOplog removes and returns the ops logged against l, in order; ops
+// for other retraining leaves stay queued.
+func (c *Composed) takeOplog(l *Leaf) []wop {
+	var mine []wop
+	rest := c.oplog[:0]
+	for _, op := range c.oplog {
+		if op.l == l {
+			mine = append(mine, op)
+		} else {
+			rest = append(rest, op)
+		}
+	}
+	c.oplog = rest
+	return mine
+}
+
+// swap replaces old by its rebuilt leaves. The B+tree swaps old's first
+// key for theirs: the first replacement takes old's id (so the leftmost
+// leaf keeps id 0) and the others append. A static structure is rebuilt
+// over the spliced leaf list.
+func (c *Composed) swap(old *Leaf, repl []*Leaf) {
+	bt, ok := c.structure.(*BTreeTop)
+	if !ok {
+		next := make([]*Leaf, 0, len(c.leaves)+len(repl)-1)
+		next = append(next, c.leaves[:old.id]...)
+		next = append(next, repl...)
+		c.install(append(next, c.leaves[old.id+1:]...))
+		return
+	}
+	prev := old.prev
+	for i, l := range repl {
+		l.id = old.id
+		if i > 0 {
+			l.id = len(c.leaves)
+			c.leaves = append(c.leaves, nil)
+		}
+		c.leaves[l.id] = l
+		link(prev, l)
+		prev = l
+	}
+	link(prev, old.next)
+	bt.replace(old.FirstKey, repl)
 }
 
 // Delete removes key and reports whether it was present.
 func (c *Composed) Delete(key uint64) bool {
-	l := c.leaves[c.structure.Locate(key)]
+	c.installDeposits()
+	return c.del(key, true)
+}
+
+// del is the removal path shared by Delete and op-log replay.
+func (c *Composed) del(key uint64, counted bool) bool {
+	l := c.leafFor(key)
 	if at, ok := l.find(key); ok {
 		if l.Occ != nil {
 			g := l.gapped()
 			g.Remove(at)
 			l.NumKeys = g.NumKeys
-			c.length--
-			return true
 		} else {
 			copy(l.Keys[at:], l.Keys[at+1:])
 			copy(l.Vals[at:], l.Vals[at+1:])
 			l.Keys = l.Keys[:len(l.Keys)-1]
 			l.Vals = l.Vals[:len(l.Vals)-1]
+			l.NumKeys--
 			l.MaxErr++
 		}
-		l.NumKeys--
+	} else if i, ok := l.buffered(key); ok && !l.Buf.Dead[i] {
+		l.Buf.Set(i, true, key, 0, true)
+	} else {
+		return false
+	}
+	if counted {
 		c.length--
-		return true
 	}
-	if len(l.BufK) > 0 {
-		i := sort.Search(len(l.BufK), func(j int) bool { return l.BufK[j] >= key })
-		if i < len(l.BufK) && l.BufK[i] == key {
-			l.BufK = append(l.BufK[:i], l.BufK[i+1:]...)
-			l.BufV = append(l.BufV[:i], l.BufV[i+1:]...)
-			c.length--
-			return true
-		}
-	}
-	return false
+	c.logOp(l, key, 0, true)
+	return true
 }
 
-// cursor streams the leaves in order, draining each with a two-pointer
-// merge of its (possibly gapped) base array and its sorted side buffer.
+// cursor streams the leaves in key order, draining each with a
+// two-pointer merge of its (possibly gapped) base array and its side
+// buffer, tombstones skipped.
 type cursor struct {
-	leaves []*Leaf
-	li     int // current leaf
-	i, j   int // next base slot / buffer slot of leaves[li]
-	start  uint64
+	l    *Leaf
+	i, j int // next base slot / buffer slot of l
 }
 
 var cursorPool = sync.Pool{New: func() any { return new(cursor) }}
 
 // Range implements index.Ranger: the structure piece locates the leaf
-// covering start, then the walk is leaf-sequential. No mutation while
-// the cursor is open.
+// covering start and both its runs are lower-bounded on start (a gapped
+// array is sorted with duplicates, its gaps copying their left
+// neighbour); every later leaf in the chain starts above start. No
+// mutation while the cursor is open.
 func (c *Composed) Range(start uint64) index.Cursor {
+	l := c.leafFor(start)
 	cur := cursorPool.Get().(*cursor)
-	*cur = cursor{leaves: c.leaves, li: c.structure.Locate(start), start: start}
+	*cur = cursor{l: l, i: search.LowerBound(l.Keys, start, 0, len(l.Keys)), j: search.LowerBound(l.Buf.Keys, start, 0, len(l.Buf.Keys))}
 	return cur
 }
 
 // Next fills the destination slices with the next entries in key order.
 func (cur *cursor) Next(keys, vals []uint64) int {
 	n := 0
-	for n < len(keys) && cur.li < len(cur.leaves) {
-		l := cur.leaves[cur.li]
+	for n < len(keys) && cur.l != nil {
+		l, buf := cur.l, &cur.l.Buf
 		if l.Occ != nil {
 			cur.i = l.Occ.NextSet(cur.i, len(l.Keys)) // step over the gap run
 		}
-		base, buf := cur.i < len(l.Keys), cur.j < len(l.BufK)
-		var k, v uint64
+		inBase, inBuf := cur.i < len(l.Keys), cur.j < len(buf.Keys)
 		switch {
-		case buf && (!base || l.BufK[cur.j] < l.Keys[cur.i]):
-			k, v = l.BufK[cur.j], l.BufV[cur.j]
+		case inBuf && (!inBase || buf.Keys[cur.j] < l.Keys[cur.i]):
+			if !buf.Dead[cur.j] {
+				keys[n], vals[n] = buf.Keys[cur.j], buf.Vals[cur.j]
+				n++
+			}
 			cur.j++
-		case base:
-			k, v = l.Keys[cur.i], l.Vals[cur.i]
+		case inBase:
+			keys[n], vals[n] = l.Keys[cur.i], l.Vals[cur.i]
+			n++
 			cur.i++
 		default:
-			cur.li, cur.i, cur.j = cur.li+1, 0, 0
-			continue
-		}
-		// Only the first leaf can hold keys below start.
-		if k >= cur.start {
-			keys[n], vals[n] = k, v
-			n++
+			cur.l, cur.i, cur.j = l.next, 0, 0
 		}
 	}
 	return n
 }
 
 func (cur *cursor) Close() {
-	cur.leaves = nil
+	cur.l = nil
 	cursorPool.Put(cur)
 }
 
 // AvgDepth implements index.DepthReporter via the structure piece.
 func (c *Composed) AvgDepth() float64 { return c.structure.Depth() }
 
-// Sizes implements index.Index.
+// Sizes implements index.Index: a tombstone flag counts one byte of
+// structure.
 func (c *Composed) Sizes() index.Sizes {
-	var kb, vb, st int64
-	st = c.structure.SizeBytes() + int64(len(c.leaves))*64
+	st := c.structure.SizeBytes() + int64(len(c.leaves))*64
+	var kb, vb int64
 	for _, l := range c.leaves {
-		kb += int64(cap(l.Keys)+len(l.BufK)) * 8
-		vb += int64(cap(l.Vals)+len(l.BufV)) * 8
+		st += int64(len(l.Buf.Dead))
+		kb += int64(cap(l.Keys)+len(l.Buf.Keys)) * 8
+		vb += int64(cap(l.Vals)+len(l.Buf.Vals)) * 8
 	}
 	return index.Sizes{Structure: st, Keys: kb, Values: vb}
 }

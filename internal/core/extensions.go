@@ -15,8 +15,6 @@ package core
 //     densely into a tail leaf, falling back to buffered insertion for
 //     random keys.
 
-import "sort"
-
 // HotATS is an access-aware asymmetric tree: ranges whose access weight
 // is disproportionate to their size are partitioned more aggressively
 // (shallower), cold ranges less (deeper).
@@ -195,14 +193,8 @@ func (s AppendInsert) Insert(l *Leaf, key, value uint64) (bool, bool) {
 		return true, len(l.Keys) >= s.tailCap() && l.MaxErr > 64
 	}
 	// Fallback: buffered insertion.
-	i := sort.Search(len(l.BufK), func(j int) bool { return l.BufK[j] >= key })
-	l.BufK = append(l.BufK, 0)
-	l.BufV = append(l.BufV, 0)
-	copy(l.BufK[i+1:], l.BufK[i:])
-	copy(l.BufV[i+1:], l.BufV[i:])
-	l.BufK[i] = key
-	l.BufV[i] = value
-	return true, len(l.BufK) >= s.bufSize()
+	l.buffer(key, value)
+	return true, len(l.Buf.Keys) >= s.bufSize()
 }
 
 func abs(v int) int {
@@ -218,7 +210,7 @@ func (s AppendInsert) isAppend(l *Leaf, key uint64) bool {
 	if len(l.Keys) > 0 && key <= l.Keys[len(l.Keys)-1] {
 		return false
 	}
-	if len(l.BufK) > 0 && key <= l.BufK[len(l.BufK)-1] {
+	if n := len(l.Buf.Keys); n > 0 && key <= l.Buf.Keys[n-1] {
 		return false
 	}
 	return true

@@ -9,9 +9,10 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
+	"learnedpieces/internal/learned/delta"
 	"learnedpieces/internal/pla"
+	"learnedpieces/internal/search"
 )
 
 // Leaf is one leaf node of a composed index: a linear model over either a
@@ -25,8 +26,17 @@ type Leaf struct {
 	Vals      []uint64
 	Occ       pla.Bitmap // occupancy of a gapped leaf; nil for packed leaves
 	NumKeys   int
-	// Buffer strategy: sorted side buffer.
-	BufK, BufV []uint64
+	// Buf is the side buffer of the buffer strategies: keys absent from
+	// the base, a Delete leaving a tombstone.
+	Buf delta.Run
+
+	// Composed's bookkeeping: the leaf's slot in the leaf table, its
+	// neighbours in key order, whether its rebuild is in flight, and the
+	// buffer insertion point of the last key buffered missed.
+	id         int
+	prev, next *Leaf
+	retraining bool
+	bufAt      int
 }
 
 // remeasure recomputes MaxErr against the leaf-local model.
@@ -60,29 +70,20 @@ func (l *Leaf) find(key uint64) (int, bool) {
 		return 0, false
 	}
 	p := l.Predict(key, n)
-	lo := p - l.MaxErr
-	hi := p + l.MaxErr + 1
-	if lo < 0 {
-		lo = 0
+	at, ok := search.FindBounded(l.Keys, key, p-l.MaxErr, p+l.MaxErr+1)
+	if ok {
+		return at, true
 	}
-	if hi > n {
-		hi = n
-	}
-	w := l.Keys[lo:hi]
-	j := sort.Search(len(w), func(i int) bool { return w[i] >= key })
-	at := lo + j
-	// Window insurance: walk to the true lower bound when the model's
-	// window missed (>= so a landing just past the key walks back onto it).
+	// Window insurance: walk to the true lower bound, so a miss is an
+	// exact insertion rank and a key an appended tail moved out of the
+	// window is still found.
 	for at > 0 && l.Keys[at-1] >= key {
 		at--
 	}
 	for at < n && l.Keys[at] < key {
 		at++
 	}
-	if at < n && l.Keys[at] == key {
-		return at, true
-	}
-	return at, false
+	return at, at < n && l.Keys[at] == key
 }
 
 // gapped views a gapped leaf as the pla node its operations live on. By
@@ -111,42 +112,43 @@ func (l *Leaf) findGapped(key uint64) (int, bool) {
 	return l.Predict(key, len(l.Keys)), false
 }
 
-// iterate visits live entries in key order, merging the side buffer.
-func (l *Leaf) iterate(fn func(k, v uint64) bool) bool {
-	bi := 0
-	emitBuf := func(limit uint64, inclusive bool) bool {
-		for bi < len(l.BufK) && (l.BufK[bi] < limit || (inclusive && l.BufK[bi] == limit)) {
-			if !fn(l.BufK[bi], l.BufV[bi]) {
-				return false
-			}
-			bi++
-		}
-		return true
+// buffered returns the buffer slot holding key, live or a tombstone; an
+// empty buffer is not searched.
+func (l *Leaf) buffered(key uint64) (i int, ok bool) {
+	if len(l.Buf.Keys) > 0 {
+		i, ok = l.Buf.Pos(key)
 	}
-	for i, k := range l.Keys {
-		if !l.live(i) {
-			continue
-		}
-		if !emitBuf(k, false) {
-			return false
-		}
-		if !fn(k, l.Vals[i]) {
-			return false
-		}
-	}
-	return emitBuf(^uint64(0), true)
+	l.bufAt = i
+	return i, ok
 }
 
-// entries returns the sorted live keys/values including the buffer.
-func (l *Leaf) entries() ([]uint64, []uint64) {
-	keys := make([]uint64, 0, l.NumKeys+len(l.BufK))
-	vals := make([]uint64, 0, l.NumKeys+len(l.BufK))
-	l.iterate(func(k, v uint64) bool {
-		keys = append(keys, k)
-		vals = append(vals, v)
-		return true
-	})
-	return keys, vals
+// buffer adds a key to the side buffer: at the insertion point buffered
+// last found, when that still brackets key (so an insert searches the
+// buffer once), else wherever Upsert puts it.
+func (l *Leaf) buffer(key, value uint64) {
+	b, i := &l.Buf, l.bufAt
+	if i > len(b.Keys) || i > 0 && b.Keys[i-1] >= key || i < len(b.Keys) && b.Keys[i] <= key {
+		b.Upsert(key, value, false)
+		return
+	}
+	b.Set(i, false, key, value, false)
+}
+
+// snapshot returns the leaf's live entries, buffer merged in, in fresh
+// arrays: what a retrain rebuilds from, taken on the writer's timeline so
+// the build never reads the live leaf.
+func (l *Leaf) snapshot() delta.Run {
+	base := delta.Run{Keys: l.Keys, Vals: l.Vals}
+	if l.Occ != nil {
+		base = delta.Run{Keys: make([]uint64, 0, l.NumKeys), Vals: make([]uint64, 0, l.NumKeys)}
+		for i, k := range l.Keys {
+			if l.Occ.Has(i) {
+				base.Keys = append(base.Keys, k)
+				base.Vals = append(base.Vals, l.Vals[i])
+			}
+		}
+	}
+	return delta.Merge(l.Buf, base, false)
 }
 
 // An Approximator is the approximation-CDF dimension: it turns a sorted
@@ -259,22 +261,20 @@ func emptyLeaf() *Leaf {
 	return &Leaf{Keys: []uint64{}, Vals: []uint64{}}
 }
 
-// packedLeaves copies segment runs into leaves with re-anchored models.
+// packedLeaves copies segment runs into leaves with re-anchored models,
+// each run in arrays of exactly its length: a strategy's Prepare decides
+// what room a leaf gets.
 func packedLeaves(keys, vals []uint64, segs []pla.Segment) []*Leaf {
 	if len(segs) == 0 {
 		return []*Leaf{emptyLeaf()}
 	}
 	leaves := make([]*Leaf, len(segs))
 	for i, s := range segs {
-		l := &Leaf{
-			Model:   s.Local(),
-			Keys:    append([]uint64(nil), keys[s.Start:s.End]...),
-			NumKeys: s.End - s.Start,
-		}
+		n := s.End - s.Start
+		l := &Leaf{Model: s.Local(), Keys: make([]uint64, n), Vals: make([]uint64, n), NumKeys: n}
+		copy(l.Keys, keys[s.Start:s.End])
 		if vals != nil {
-			l.Vals = append([]uint64(nil), vals[s.Start:s.End]...)
-		} else {
-			l.Vals = make([]uint64, s.End-s.Start)
+			copy(l.Vals, vals[s.Start:s.End])
 		}
 		l.remeasure()
 		leaves[i] = l
@@ -313,5 +313,5 @@ func LeafMetrics(leaves []*Leaf) pla.Metrics {
 // String renders a leaf for debugging.
 func (l *Leaf) String() string {
 	return fmt.Sprintf("leaf{first=%d n=%d cap=%d gapped=%v err<=%d buf=%d}",
-		l.FirstKey, l.NumKeys, len(l.Keys), l.Occ != nil, l.MaxErr, len(l.BufK))
+		l.FirstKey, l.NumKeys, len(l.Keys), l.Occ != nil, l.MaxErr, len(l.Buf.Keys))
 }

@@ -7,7 +7,6 @@ import (
 	"learnedpieces/internal/index"
 	"learnedpieces/internal/learned/alex"
 	"learnedpieces/internal/learned/finedex"
-	"learnedpieces/internal/learned/fitting"
 	"learnedpieces/internal/learned/lipp"
 	"learnedpieces/internal/learned/pgm"
 	"learnedpieces/internal/learned/rebuild"
@@ -87,18 +86,14 @@ func Registry() []Entry {
 			InnerNode: "b+tree", LeafNode: "linear", Error: "maximum",
 			Approximation: "opt-pla (paper §III-A1 substitutes it for greedy)",
 			Insertion:     "inplace", Retraining: "retrain one node",
-			New: func() index.Index {
-				cfg := fitting.DefaultConfig()
-				cfg.Mode = fitting.Inplace
-				return fitting.New(cfg)
-			},
+			New: func() index.Index { return fiting("fiting-inp", Inplace{Reserve: 256}) },
 		},
 		{
 			Name: "fiting-buf", Learned: true,
 			InnerNode: "b+tree", LeafNode: "linear", Error: "maximum",
 			Approximation: "opt-pla (paper §III-A1 substitutes it for greedy)",
 			Insertion:     "offsite buffer", Retraining: "retrain one node",
-			New: func() index.Index { return fitting.New(fitting.DefaultConfig()) },
+			New: func() index.Index { return fiting("fiting-buf", BufferInsert{Size: 256}) },
 		},
 		{
 			Name: "pgm", Learned: true,
@@ -168,6 +163,14 @@ func Registry() []Entry {
 			New:              func() index.Index { return cceh.New() },
 		},
 	}
+}
+
+// fiting is a FITing-tree preset: Opt-PLA leaves at ε 32 under a B+tree,
+// retrained one node at a time, inserting with ins.
+func fiting(name string, ins InsertStrategy) *Composed {
+	c := Compose(OptPLA{Eps: 32}, NewBTreeTop(), ins, RetrainNode{})
+	c.name = name
+	return c
 }
 
 // Lookup returns the registry entry with the given name.

@@ -15,7 +15,8 @@ type Structure interface {
 	// Build (re)constructs the structure over the leaf first keys.
 	Build(firsts []uint64)
 	// Locate returns the index of the last leaf whose first key is <= key
-	// (0 when key precedes every leaf).
+	// (0 when key precedes every leaf): its position among the firsts
+	// last built, or the id BTreeTop.replace filed it under since.
 	Locate(key uint64) int
 	// Depth is the average number of levels traversed per Locate.
 	Depth() float64
@@ -28,7 +29,10 @@ func Structures() []Structure {
 	return []Structure{NewBTreeTop(), NewLRS(8), NewRMITop(0), NewATS(16, 64)}
 }
 
-// BTreeTop is the comparison-based baseline structure (FITing-tree).
+// BTreeTop is the comparison-based baseline structure (FITing-tree). It
+// maps first keys to ids in a composed index's leaf table, so a retrain
+// updates only the entries it replaced (replace) and leaves every other
+// leaf's id alone.
 type BTreeTop struct {
 	t *btree.BTree
 }
@@ -57,6 +61,16 @@ func (s *BTreeTop) Locate(key uint64) int {
 		return 0
 	}
 	return int(id)
+}
+
+// replace swaps old's entry for the replacement leaves', each under the
+// id it already holds: the one B+tree update a leaf retrain makes.
+func (s *BTreeTop) replace(old uint64, repl []*Leaf) {
+	s.t.Delete(old)
+	for _, l := range repl {
+		// The B+tree's Insert error is interface-shaped and always nil.
+		_ = s.t.Insert(l.FirstKey, uint64(l.id))
+	}
 }
 
 // Depth implements Structure.

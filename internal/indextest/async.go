@@ -2,6 +2,7 @@ package indextest
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 
 	"learnedpieces/internal/dataset"
@@ -159,6 +160,8 @@ func RunDrainConverges(t *testing.T, idx interface {
 	gate, started := make(chan struct{}), make(chan struct{})
 	pool.Submit("blocker", func() { close(started); <-gate })
 	<-started
+	var release sync.Once
+	defer release.Do(func() { close(gate) }) // a failure must not leave Close waiting on the blocker
 	idx.SetRetrainPool(pool)
 
 	load, inserts := dataset.Split(dataset.Generate(dataset.YCSBNormal, 40000, 51), 20000)
@@ -173,7 +176,7 @@ func RunDrainConverges(t *testing.T, idx interface {
 	if n := buffered(); n < 4*limit {
 		t.Fatalf("only %d writes buffered behind a busy pool, want at least %d", n, 4*limit)
 	}
-	close(gate)
+	release.Do(func() { close(gate) })
 	idx.DrainRetrains()
 	if n := buffered(); n >= limit {
 		t.Fatalf("%d writes still buffered after DrainRetrains, limit %d", n, limit)

@@ -6,7 +6,7 @@
 // Run is the piece itself — lookup, insert-or-overwrite, a merge-cursor
 // layer, and the newest-wins Merge every adopter retrains with (pgm's
 // level cascade, rebuild's full rebuild, xindex's group compaction,
-// finedex's segment retrain). Buffer (buffer.go) adds the retrain
+// finedex's segment retrain, a core leaf's rebuild). Buffer (buffer.go) adds the retrain
 // protocol of the single-writer adopters: a live run in front of a
 // frozen one, built aside and installed after a generation check.
 package delta

@@ -186,8 +186,19 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.Sink != nil {
 		cfg.Sink.SetServerProbe(s.Metrics)
+		cfg.Sink.SetProbe(s.indexStats)
 	}
 	return s, nil
+}
+
+// indexStats is the sink's index probe while the server serves: it reads
+// the index (Len, Sizes), so it takes the read tier like any other read.
+// It is the only place a snapshot takes it — OpStats reaches it through
+// statsJSON, and a second RLock would deadlock behind a waiting writer.
+func (s *Server) indexStats() telemetry.IndexStats {
+	s.lockRead()
+	defer s.unlockRead()
+	return telemetry.CollectIndexStats(s.store.Index())
 }
 
 // Metrics digests the server's own counters (also reachable through a
@@ -554,7 +565,7 @@ func (c *conn) call(req *wire.Request) {
 			s.opMu.Lock()
 			defer s.opMu.Unlock()
 		}
-	case wire.OpMultiGet, wire.OpRange, wire.OpStats:
+	case wire.OpMultiGet, wire.OpRange:
 		s.lockRead()
 		defer s.unlockRead()
 	}

@@ -204,6 +204,35 @@ func TestServerStatsTakesReadTier(t *testing.T) {
 	})
 }
 
+// TestServerTelemetrySnapshotTakesReadTier: the observability endpoint
+// snapshots the sink from its own goroutine, outside any wire request,
+// and the snapshot's index probe reads Len and Sizes, so the probe itself
+// must take the read tier.
+func TestServerTelemetrySnapshotTakesReadTier(t *testing.T) {
+	sink := telemetry.New()
+	_, _, addr := serve(t, alex.New(alex.DefaultConfig()), Config{Sink: sink})
+	stop := make(chan struct{})
+	var snaps sync.WaitGroup
+	snaps.Add(1)
+	go func() {
+		defer snaps.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				sink.Snapshot()
+			}
+		}
+	}()
+	putsBeside(t, addr, 30, func(ctx context.Context, c *client.Conn) error {
+		_, err := c.Stats(ctx)
+		return err
+	})
+	close(stop)
+	snaps.Wait()
+}
+
 func TestServerErrorMapping(t *testing.T) {
 	// cceh cannot scan → unsupported status → wire.ErrUnsupported.
 	_, _, addr := startServer(t, "cceh", Config{})

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"learnedpieces/internal/btree"
+	"learnedpieces/internal/core"
 	"learnedpieces/internal/epoch"
 	"learnedpieces/internal/index"
 	"learnedpieces/internal/learned/finedex"
@@ -36,14 +37,16 @@ const (
 	fzOps
 )
 
-// fzIndex is the index kind the stream runs on (kind%5): a btree store;
+// fzIndex is the index kind the stream runs on (kind%6): a btree store;
 // pgm and rmi-delta with tiny buffers, whose flushes (pgm's cascades
 // included) and rebuilds run on the background pool of a RetrainAsync
 // store; xindex and finedex with tiny buffers and bins, compacting and
-// retraining inline.
+// retraining inline; the FITing-tree buffer preset with an 8-key leaf
+// buffer, whose leaf rebuilds run on the pool and are installed, with
+// the writes logged meanwhile replayed, at the next write or drain.
 func fzIndex(kind byte) (fresh func() index.Index, opts []Option) {
 	async := []Option{WithRetrainMode(RetrainAsync)}
-	switch kind % 5 {
+	switch kind % 6 {
 	case 1:
 		return func() index.Index { return pgm.New(pgm.Config{BaseSize: 8}) }, async
 	case 2:
@@ -55,6 +58,10 @@ func fzIndex(kind byte) (fresh func() index.Index, opts []Option) {
 		return func() index.Index { return xindex.New(xindex.Config{BufferThreshold: 8}) }, nil
 	case 4:
 		return func() index.Index { return finedex.New(finedex.Config{BinCap: 8}) }, nil
+	case 5:
+		return func() index.Index {
+			return core.Compose(core.OptPLA{Eps: 32}, core.NewBTreeTop(), core.BufferInsert{Size: 8}, core.RetrainNode{})
+		}, async
 	}
 	return func() index.Index { return btree.New() }, nil
 }
@@ -120,6 +127,13 @@ func FuzzStoreOps(f *testing.F) {
 	// tombstones over base keys carried through the retrain.
 	f.Add(byte(4), slices.Concat([]byte{fzBulkPut, 0, 60}, fzPuts(61, 120),
 		[]byte{fzDelete, 3, 0, fzDelete, 70, 0, fzGet, 3, 0, fzRange, 0, 0}, fzPuts(121, 200), []byte{fzRange, 60, 30}))
+
+	// fiting-buf: the eighth Put fills the leaf buffer and hands its
+	// rebuild to the pool; the Deletes that follow (of a buffered key, then
+	// of keys the rebuild folds into the base) hit the leaf while it may
+	// still be retraining, so they are logged and replayed at the install.
+	f.Add(byte(5), slices.Concat(fzPuts(1, 8), []byte{fzDelete, 3, 0, fzGet, 3, 0}, fzPuts(9, 16),
+		[]byte{fzDelete, 1, 0, fzDelete, 12, 0, fzPut, 3, 7, fzRange, 0, 0, fzDrain, 0, 0, fzGet, 12, 0, fzRecover, 0, 0}))
 
 	f.Fuzz(func(t *testing.T, kind byte, data []byte) {
 		data = data[:min(len(data), 3*fzMaxOps)]

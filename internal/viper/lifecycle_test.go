@@ -7,7 +7,6 @@ import (
 
 	"learnedpieces/internal/btree"
 	"learnedpieces/internal/cceh"
-	"learnedpieces/internal/learned/fitting"
 	"learnedpieces/internal/pmem"
 	"learnedpieces/internal/telemetry"
 )
@@ -62,7 +61,7 @@ func TestCloseFencesOperations(t *testing.T) {
 // pending rebuilds and stop its pool workers on Close; the structure
 // stays readable up to the fence and no goroutine survives.
 func TestCloseDrainsRetrains(t *testing.T) {
-	s := Open(pmem.NewRegion(64<<20, pmem.None()), fitting.New(fitting.DefaultConfig()),
+	s := Open(pmem.NewRegion(64<<20, pmem.None()), fitingBuf(),
 		WithRetrainMode(RetrainAsync))
 	for i := uint64(1); i <= 5000; i++ {
 		if err := s.Put(i, value(i)); err != nil {

@@ -5,10 +5,18 @@ import (
 	"fmt"
 	"testing"
 
-	"learnedpieces/internal/learned/fitting"
+	"learnedpieces/internal/core"
+	"learnedpieces/internal/index"
 	"learnedpieces/internal/pmem"
 	"learnedpieces/internal/telemetry"
 )
+
+// fitingBuf is the registry's FITing-tree buffer preset: its leaf
+// rebuilds run on the store's retrain pool in async mode.
+func fitingBuf() index.Index {
+	e, _ := core.Lookup("fiting-buf")
+	return e.New()
+}
 
 // TestRetrainModes runs the same workload under every retrain mode and
 // checks the store reads back identically; async additionally must
@@ -19,7 +27,7 @@ func TestRetrainModes(t *testing.T) {
 		t.Run(fmt.Sprintf("mode-%d", mode), func(t *testing.T) {
 			region := pmem.NewRegion(64<<20, pmem.None())
 			sink := telemetry.New()
-			store := Open(region, fitting.New(fitting.DefaultConfig()),
+			store := Open(region, fitingBuf(),
 				WithRetrainMode(mode), WithTelemetry(sink))
 			ref := make(map[uint64][]byte)
 			for i := uint64(1); i <= 6000; i++ {
@@ -61,7 +69,7 @@ func TestRetrainModes(t *testing.T) {
 // of the dropped index must never surface.
 func TestRecoverWithPendingRetrains(t *testing.T) {
 	region := pmem.NewRegion(64<<20, pmem.None())
-	store := Open(region, fitting.New(fitting.DefaultConfig()),
+	store := Open(region, fitingBuf(),
 		WithRetrainMode(RetrainAsync))
 	ref := make(map[uint64][]byte)
 	for i := uint64(1); i <= 8000; i++ {
@@ -74,8 +82,8 @@ func TestRecoverWithPendingRetrains(t *testing.T) {
 	}
 	// Crash without draining: the DRAM index (and whatever retrains it
 	// still had in flight) is discarded.
-	store.DropIndex(fitting.New(fitting.DefaultConfig()))
-	if err := store.Recover(fitting.New(fitting.DefaultConfig())); err != nil {
+	store.DropIndex(fitingBuf())
+	if err := store.Recover(fitingBuf()); err != nil {
 		t.Fatal(err)
 	}
 	if store.Len() != len(ref) {

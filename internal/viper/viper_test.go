@@ -12,7 +12,6 @@ import (
 	"learnedpieces/internal/epoch"
 	"learnedpieces/internal/index"
 	"learnedpieces/internal/learned/alex"
-	"learnedpieces/internal/learned/fitting"
 	"learnedpieces/internal/learned/pgm"
 	"learnedpieces/internal/learned/rmi"
 	"learnedpieces/internal/learned/rs"
@@ -106,7 +105,7 @@ func freshIndexes() map[string]func() index.Index {
 		"pgm":     func() index.Index { return pgm.New(pgm.DefaultConfig()) },
 		"alex":    func() index.Index { return alex.New(alex.DefaultConfig()) },
 		"xindex":  func() index.Index { return xindex.New(xindex.DefaultConfig()) },
-		"fiting":  func() index.Index { return fitting.New(fitting.DefaultConfig()) },
+		"fiting":  fitingBuf,
 		"sharded": func() index.Index { return sharded.New(func() index.Index { return btree.New() }, []uint64{1 << 63}) },
 	}
 }
