@@ -4,22 +4,16 @@
 // Usage:
 //
 //	go run ./cmd/pieceslint ./...
-//	go run ./cmd/pieceslint -json ./... > pieceslint.json
 //	go run ./cmd/pieceslint -strict -annotate ./...   # CI
-//	go run ./cmd/pieceslint -graph ./internal/viper/...
 //
 // Findings print one per line as path:line:col: analyzer: message.
 // Intentional exceptions live in pieceslint.allow at the module root;
 // stale entries there are warnings, or failures under -strict so the
-// file cannot rot. -json emits every finding (including allowlisted
-// ones, marked) as a machine-readable report; -annotate additionally
-// prints GitHub workflow annotation commands; -graph dumps the
-// interprocedural engine's call graph with per-function summary facts
-// instead of running the suite.
+// file cannot rot. -annotate additionally prints GitHub workflow
+// annotation commands.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -28,24 +22,11 @@ import (
 	"learnedpieces/internal/analysis"
 )
 
-// jsonFinding is one row of the -json report.
-type jsonFinding struct {
-	File        string `json:"file"`
-	Line        int    `json:"line"`
-	Col         int    `json:"col"`
-	Analyzer    string `json:"analyzer"`
-	Message     string `json:"message"`
-	Allowlisted bool   `json:"allowlisted"`
-}
-
 func main() {
-	quiet := flag.Bool("q", false, "suppress the summary line on a clean run")
-	asJSON := flag.Bool("json", false, "emit findings (allowlisted included, marked) as a JSON array on stdout")
 	annotate := flag.Bool("annotate", false, "also emit GitHub workflow annotation commands")
 	strict := flag.Bool("strict", false, "fail (exit 1) on stale allowlist entries instead of warning")
-	graph := flag.Bool("graph", false, "dump the interprocedural call graph with summary facts instead of running the suite")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: pieceslint [-q] [-json] [-annotate] [-strict] [-graph] [pattern ...]\n\npatterns are package directories relative to the module root,\noptionally ending in /... for a recursive walk (default ./...)\n")
+		fmt.Fprintf(os.Stderr, "usage: pieceslint [-annotate] [-strict] [pattern ...]\n\npatterns are package directories relative to the module root,\noptionally ending in /... for a recursive walk (default ./...)\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -60,38 +41,14 @@ func main() {
 		patterns = []string{"./..."}
 	}
 
-	if *graph {
-		if err := analysis.DumpCallGraph(root, patterns, os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "pieceslint:", err)
-			os.Exit(2)
-		}
-		return
-	}
-
 	res, err := analysis.Run(root, patterns)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "pieceslint:", err)
 		os.Exit(2)
 	}
 
-	if *asJSON {
-		report := make([]jsonFinding, 0, len(res.Diags)+len(res.Suppressed))
-		for _, d := range res.Diags {
-			report = append(report, jsonFinding{File: d.Path, Line: d.Line, Col: d.Col, Analyzer: d.Analyzer, Message: d.Message})
-		}
-		for _, d := range res.Suppressed {
-			report = append(report, jsonFinding{File: d.Path, Line: d.Line, Col: d.Col, Analyzer: d.Analyzer, Message: d.Message, Allowlisted: true})
-		}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(report); err != nil {
-			fmt.Fprintln(os.Stderr, "pieceslint:", err)
-			os.Exit(2)
-		}
-	} else {
-		for _, d := range res.Diags {
-			fmt.Println(d)
-		}
+	for _, d := range res.Diags {
+		fmt.Println(d)
 	}
 	if *annotate {
 		for _, d := range res.Diags {
@@ -118,9 +75,7 @@ func main() {
 	if failed {
 		os.Exit(1)
 	}
-	if !*quiet && !*asJSON {
-		fmt.Printf("pieceslint: clean (%d finding(s) suppressed by %s)\n", len(res.Suppressed), analysis.AllowlistFile)
-	}
+	fmt.Printf("pieceslint: clean (%d finding(s) suppressed by %s)\n", len(res.Suppressed), analysis.AllowlistFile)
 }
 
 // findModuleRoot walks up from the working directory to the nearest

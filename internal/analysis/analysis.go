@@ -8,9 +8,6 @@
 //   - pmem-discipline: bytes handed out by pmem.Region stay read-only
 //     views and are never retained, so the latency model and AccessStats
 //     cover every device access.
-//   - atomic-discipline: a field touched through sync/atomic anywhere is
-//     never touched by a plain load or store, and cache-line padded
-//     structs keep their layout.
 //   - hotpath: functions annotated //pieces:hotpath stay free of fmt,
 //     unsanctioned clock reads, locks, channels, defer and obvious
 //     allocation constructs.
@@ -18,26 +15,21 @@
 //   - probe-discipline: telemetry reporter methods (RetrainStats) never
 //     read a plain integer counter field the package also writes, since
 //     probes call them from the snapshot goroutine.
-//   - epoch-discipline: epoch.Enter guards are released on every path
-//     out of the acquiring function and never escape it (no storing,
-//     passing, returning, or cross-goroutine capture of a pin).
 //   - goroutine-lifecycle: every goroutine launch can observe or signal
 //     shutdown somewhere on its call tree (a WaitGroup.Done, a channel
 //     operation, or a close) — no silently immortal goroutines.
-//   - deadline-discipline: socket writes are dominated by a write
-//     deadline; socket reads either carry a read deadline or propagate
-//     their error out of the read loop.
-//   - frame-bounds: in packages that declare a MaxFrame budget, every
-//     slice of a frame buffer and every frame-sized allocation is
-//     dominated by a length check against the declared bound.
 //   - lock-order: the module-wide mutex-acquisition graph (derived from
 //     the call-graph engine's transitive lock sets) is acyclic.
 //
-// The hotpath directive and the four concurrency analyzers are
-// interprocedural: they consume the call-graph engine (engine.go),
-// which computes per-function summary facts and propagates them to a
-// fixpoint over SCCs, so a directive on a function is a guarantee about
-// its whole call tree, not just its own body.
+// hotpath, goroutine-lifecycle and lock-order are interprocedural: they
+// consume the call-graph engine (engine.go), which records per-function
+// summaries and propagates them to a fixpoint over SCCs, so a directive
+// on a function is a guarantee about its whole call tree, not just its
+// own body.
+//
+// The suite keeps only analyzers that catch a planted bug nothing else
+// in the repository catches; DESIGN.md ("Enforced invariants") holds the
+// mutation table that decided it.
 //
 // Everything is built on the standard library only: go/parser for
 // syntax, go/types for semantics, and the stdlib source importer for
@@ -47,7 +39,6 @@ package analysis
 import (
 	"fmt"
 	"go/token"
-	"go/types"
 	"sort"
 )
 
@@ -97,9 +88,6 @@ type Pass struct {
 type ModulePass struct {
 	*Reporter
 	Pkgs []*Package
-	// Sizes is the target platform's layout model, for struct-offset
-	// checks.
-	Sizes types.Sizes
 	// Loader gives engine-backed analyzers the full set of loaded
 	// packages (analyzed targets plus their module-internal deps).
 	Loader *Loader
@@ -108,7 +96,7 @@ type ModulePass struct {
 // Engine returns the interprocedural call-graph engine over every
 // module package the loader has seen — the analyzed targets and the
 // module-internal dependencies pulled in while type-checking them — so
-// summary facts propagate across package boundaries even when only a
+// summaries propagate across package boundaries even when only a
 // subset is being analyzed. Engines are memoized per loader and
 // package set.
 func (mp *ModulePass) Engine() *Engine {
@@ -117,7 +105,7 @@ func (mp *ModulePass) Engine() *Engine {
 
 // Analyzed reports whether pkg is one of the packages this pass was
 // asked to analyze (as opposed to a dependency the engine loaded for
-// fact propagation). Engine-backed analyzers root their checks in
+// propagation). Engine-backed analyzers root their checks in
 // analyzed packages only.
 func (mp *ModulePass) Analyzed(pkg *Package) bool {
 	for _, p := range mp.Pkgs {
@@ -137,19 +125,15 @@ type Analyzer struct {
 	RunModule func(*ModulePass)
 }
 
-// Suite returns the eleven pieceslint analyzers in reporting order.
+// Suite returns the seven pieceslint analyzers in reporting order.
 func Suite() []*Analyzer {
 	return []*Analyzer{
 		CapsDiscipline,
 		PMemDiscipline,
-		AtomicDiscipline,
 		HotPath,
 		UncheckedError,
 		ProbeDiscipline,
-		EpochDiscipline,
 		GoroutineLifecycle,
-		DeadlineDiscipline,
-		FrameBounds,
 		LockOrder,
 	}
 }

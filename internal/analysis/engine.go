@@ -5,20 +5,19 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"io"
 	"sort"
 	"strings"
 )
 
-// The interprocedural engine. The seven original pieceslint analyzers
-// are intraprocedural: each checks one function body against one
-// invariant, which means a directive-carrying function can launder a
-// forbidden construct through a single helper call and pass clean. The
-// engine closes that hole: it builds a module-wide call graph, computes
-// per-function summary facts, and propagates them to a fixpoint over
-// strongly connected components, so analyzers can ask "does anything
-// this function may reach allocate / lock / leak a goroutine?" instead
-// of "does this body?".
+// The interprocedural engine. A check of one function body lets a
+// directive-carrying function launder a forbidden construct through a
+// single helper call and pass clean. The engine closes that hole: it
+// builds a module-wide call graph, records per-function summaries, and
+// propagates them to a fixpoint over strongly connected components, so
+// analyzers can ask "can anything this function may reach lock / signal
+// shutdown?" instead of "does this body?". hotpath walks the graph
+// itself over each body's violations; lock-order reads the transitive
+// lock sets; goroutine-lifecycle reads the transitive shutdown edge.
 //
 // Resolution rules (the over-approximation contract):
 //
@@ -29,24 +28,22 @@ import (
 //     the interface. This over-approximates — the value at the call
 //     site is some one of them — but never misses a module callee.
 //   - Calls through plain func values (fields, parameters, locals) are
-//     not resolved; they contribute no edges. Facts smuggled through a
-//     func value are a documented hole, kept because seam closures are
-//     constructed next to their install sites where the analyzers see
-//     the construction directly.
-//   - Out-of-module (standard library) callees contribute leaf facts by
+//     not resolved; they contribute no edges. What a func value does
+//     is a documented hole, kept because seam closures are constructed
+//     next to their install sites where the analyzers see the
+//     construction directly.
+//   - Out-of-module (standard library) callees are leaves classified by
 //     package rule (fmt → formats, time.Now → reads the clock, sync →
 //     locks) and are never descended into.
 //
 // Function literals are folded into their enclosing declaration: a
-// literal's body contributes facts and edges to the declaring function.
-// That is conservative for facts (the literal is almost always run by
+// literal's body contributes violations and edges to the declaring
+// function. That is conservative (the literal is almost always run by
 // its creator or on its behalf) and exactly right for the closure
 // allocation the literal itself is. Goroutine bodies are the exception:
 // spawn sites record the literal separately so goroutine-lifecycle can
 // judge the spawned body on its own.
 type Engine struct {
-	fset *token.FileSet
-
 	// nodes maps every module function declaration to its graph node.
 	nodes map[*types.Func]*FuncNode
 	// list is nodes in stable (position) order, for deterministic walks.
@@ -57,65 +54,6 @@ type Engine struct {
 	named []*types.Named
 	// dispatch caches implements-matching per (interface, method name).
 	dispatch map[dispatchKey][]*FuncNode
-}
-
-// Fact is one propagated behavior bit.
-type Fact uint16
-
-const (
-	// FactAllocates: make/new/append, slice-map-composite literals,
-	// &composite, closure creation, allocating string conversions.
-	FactAllocates Fact = 1 << iota
-	// FactLocks: any call into package sync (mutexes, WaitGroups, Cond,
-	// Once — all scheduling points).
-	FactLocks
-	// FactChannel: send, receive, select, close, range over a channel.
-	FactChannel
-	// FactDefers: the function (or a folded literal) defers.
-	FactDefers
-	// FactSpawns: launches a goroutine.
-	FactSpawns
-	// FactFmt: calls into package fmt.
-	FactFmt
-	// FactClock: reads the clock (time.Now/Since/Until).
-	FactClock
-	// FactBlocksForever: contains select{} — blocks unconditionally.
-	FactBlocksForever
-	// FactShutdownEdge: the function can observe or signal termination —
-	// a WaitGroup.Done, a channel operation (receive, range, send,
-	// close), or a sync.Cond wait tied to a broadcastable condition.
-	// goroutine-lifecycle demands this fact somewhere on every spawned
-	// call tree.
-	FactShutdownEdge
-)
-
-// factNames renders a fact set for the -graph dump.
-var factNames = []struct {
-	f Fact
-	n string
-}{
-	{FactAllocates, "alloc"},
-	{FactLocks, "lock"},
-	{FactChannel, "chan"},
-	{FactDefers, "defer"},
-	{FactSpawns, "spawn"},
-	{FactFmt, "fmt"},
-	{FactClock, "clock"},
-	{FactBlocksForever, "blocks"},
-	{FactShutdownEdge, "shutdown-edge"},
-}
-
-func (f Fact) String() string {
-	var parts []string
-	for _, fn := range factNames {
-		if f&fn.f != 0 {
-			parts = append(parts, fn.n)
-		}
-	}
-	if len(parts) == 0 {
-		return "-"
-	}
-	return strings.Join(parts, ",")
 }
 
 // violation is one hotpath-relevant construct found in a function body,
@@ -129,13 +67,6 @@ type violation struct {
 	clock bool
 }
 
-// lockSample records one acquisition of a lock identity, for lock-order
-// diagnostics.
-type lockSample struct {
-	pos token.Pos
-	fn  string
-}
-
 // spawnSite is one `go` statement: either a resolved target node, an
 // anonymous literal body, or an unresolvable callee (func value or
 // out-of-module function).
@@ -143,13 +74,6 @@ type spawnSite struct {
 	pos    token.Pos
 	target *FuncNode    // nil when lit or unresolved
 	lit    *ast.FuncLit // nil when target or unresolved
-}
-
-// Edge is one resolved call.
-type Edge struct {
-	pos     token.Pos
-	callee  *FuncNode
-	dynamic bool // resolved by implements-matching, not statically
 }
 
 // FuncNode is one module function in the call graph.
@@ -161,22 +85,24 @@ type FuncNode struct {
 	// Hot and Meter mirror the //pieces:hotpath [meter] directive.
 	Hot, Meter bool
 
-	calls  []Edge
+	calls  []*FuncNode // resolved callees, one per call site
 	spawns []spawnSite
 
-	// local facts (this body only) and viols, the construct positions
-	// backing them.
-	local Fact
+	// viols are the hotpath-relevant constructs in this body.
 	viols []violation
 	// localLocks are the lock identities this body acquires directly.
-	localLocks map[*types.Var]lockSample
+	localLocks map[*types.Var]bool
+	// localShutdown: this body can observe or signal termination — a
+	// WaitGroup.Done, a channel operation (receive, range, send, close).
+	localShutdown bool
 
-	// Summary is the fixpoint: local facts unioned with everything any
-	// resolved callee may do.
-	Summary Fact
+	// Shutdown is the fixpoint of localShutdown: true when this function
+	// or anything it may call has a shutdown edge. goroutine-lifecycle
+	// demands it somewhere on every spawned call tree.
+	Shutdown bool
 	// Locks is the transitive lock set: every lock identity acquired by
 	// this function or anything it may call.
-	Locks map[*types.Var]lockSample
+	Locks map[*types.Var]bool
 
 	// Tarjan bookkeeping.
 	index, lowlink int
@@ -191,15 +117,6 @@ func (n *FuncNode) Name() string {
 		return recv + n.Fn.Name()
 	}
 	return n.Fn.Name()
-}
-
-// QualifiedName prefixes the package path's last element.
-func (n *FuncNode) QualifiedName() string {
-	path := n.Pkg.ImportPath
-	if i := strings.LastIndex(path, "/"); i >= 0 {
-		path = path[i+1:]
-	}
-	return path + "." + n.Name()
 }
 
 type dispatchKey struct {
@@ -229,14 +146,13 @@ func BuildEngine(loader *Loader, pkgs []*Package) *Engine {
 	if e, ok := byKey[key]; ok {
 		return e
 	}
-	e := newEngine(loader.Fset, pkgs)
+	e := newEngine(pkgs)
 	byKey[key] = e
 	return e
 }
 
-func newEngine(fset *token.FileSet, pkgs []*Package) *Engine {
+func newEngine(pkgs []*Package) *Engine {
 	e := &Engine{
-		fset:     fset,
 		nodes:    make(map[*types.Func]*FuncNode),
 		dispatch: make(map[dispatchKey][]*FuncNode),
 	}
@@ -266,7 +182,7 @@ func newEngine(fset *token.FileSet, pkgs []*Package) *Engine {
 				e.nodes[fn] = &FuncNode{
 					Fn: fn, Decl: fd, Pkg: pkg,
 					Hot: hot, Meter: meter,
-					localLocks: make(map[*types.Var]lockSample),
+					localLocks: make(map[*types.Var]bool),
 				}
 			}
 		}
@@ -278,10 +194,10 @@ func newEngine(fset *token.FileSet, pkgs []*Package) *Engine {
 		e.list = append(e.list, n)
 	}
 	sort.Slice(e.list, func(i, j int) bool { return e.list[i].Decl.Pos() < e.list[j].Decl.Pos() })
-	// Pass 2: scan bodies for facts and edges.
+	// Pass 2: scan bodies for violations, locks, shutdown edges and calls.
 	for _, n := range e.list {
 		s := &bodyScanner{engine: e, node: n, info: n.Pkg.Info}
-		s.scan(n.Decl.Body, true)
+		s.scan(n.Decl.Body)
 	}
 	// Pass 3: fixpoint over SCCs.
 	e.propagate()
@@ -330,8 +246,8 @@ func (e *Engine) implementers(iface *types.Interface, name string) []*FuncNode {
 	return out
 }
 
-// bodyScanner walks one declaration body collecting local facts, call
-// edges and spawn sites. Function literals fold into the declaration
+// bodyScanner walks one declaration body collecting violations, call
+// edges, lock acquisitions and spawn sites. Function literals fold into the declaration
 // (see the package comment), except as goroutine bodies.
 type bodyScanner struct {
 	engine *Engine
@@ -343,29 +259,23 @@ type bodyScanner struct {
 	sortCallbacks map[*ast.FuncLit]bool
 }
 
-func (s *bodyScanner) add(f Fact) { s.node.local |= f }
-
 func (s *bodyScanner) violate(pos token.Pos, clock bool, format string, args ...interface{}) {
 	s.node.viols = append(s.node.viols, violation{pos: pos, what: fmt.Sprintf(format, args...), clock: clock})
 }
 
-// scan walks n. top marks the declaration body itself (a literal's
-// creation is an allocation; the declaration's is not).
-func (s *bodyScanner) scan(body *ast.BlockStmt, top bool) {
-	_ = top
+// scan walks one body.
+func (s *bodyScanner) scan(body *ast.BlockStmt) {
 	if s.sortCallbacks == nil {
 		s.sortCallbacks = make(map[*ast.FuncLit]bool)
 	}
 	ast.Inspect(body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.GoStmt:
-			s.add(FactSpawns)
 			s.violate(n.Pos(), false, "goroutine launch")
 			s.spawn(n)
-			// Descend: the spawned body's facts still fold into the
+			// Descend: the spawned body's constructs still fold into the
 			// spawner (it caused them to happen).
 		case *ast.DeferStmt:
-			s.add(FactDefers)
 			s.violate(n.Pos(), false, "defer")
 		case *ast.FuncLit:
 			// A literal handed straight to package sort (sort.Search and
@@ -377,32 +287,26 @@ func (s *bodyScanner) scan(body *ast.BlockStmt, top bool) {
 			if s.sortCallbacks[n] {
 				break
 			}
-			s.add(FactAllocates)
 			s.violate(n.Pos(), false, "function literal (closure allocation)")
 		case *ast.SendStmt:
-			s.add(FactChannel | FactShutdownEdge)
+			s.node.localShutdown = true
 			s.violate(n.Pos(), false, "channel send")
 		case *ast.SelectStmt:
-			s.add(FactChannel)
-			if len(n.Body.List) == 0 {
-				s.add(FactBlocksForever)
-			}
 			s.violate(n.Pos(), false, "select")
 		case *ast.UnaryExpr:
 			if n.Op == token.ARROW {
-				s.add(FactChannel | FactShutdownEdge)
+				s.node.localShutdown = true
 				s.violate(n.Pos(), false, "channel receive")
 			}
 			if n.Op == token.AND {
 				if _, ok := n.X.(*ast.CompositeLit); ok {
-					s.add(FactAllocates)
 					s.violate(n.Pos(), false, "heap allocation (&composite literal)")
 				}
 			}
 		case *ast.RangeStmt:
 			if tv, ok := s.info.Types[n.X]; ok {
 				if _, isChan := tv.Type.Underlying().(*types.Chan); isChan {
-					s.add(FactChannel | FactShutdownEdge)
+					s.node.localShutdown = true
 					s.violate(n.Pos(), false, "channel range")
 				}
 			}
@@ -410,7 +314,6 @@ func (s *bodyScanner) scan(body *ast.BlockStmt, top bool) {
 			if tv, ok := s.info.Types[n]; ok {
 				switch tv.Type.Underlying().(type) {
 				case *types.Slice, *types.Map:
-					s.add(FactAllocates)
 					s.violate(n.Pos(), false, "slice/map literal allocation")
 				}
 			}
@@ -439,10 +342,9 @@ func (s *bodyScanner) call(call *ast.CallExpr) {
 		if b, ok := s.info.Uses[id].(*types.Builtin); ok {
 			switch b.Name() {
 			case "make", "new", "append":
-				s.add(FactAllocates)
 				s.violate(call.Pos(), false, "%s allocates", b.Name())
 			case "close":
-				s.add(FactChannel | FactShutdownEdge)
+				s.node.localShutdown = true
 				s.violate(call.Pos(), false, "channel close")
 			}
 			return
@@ -452,7 +354,6 @@ func (s *bodyScanner) call(call *ast.CallExpr) {
 	if tv, ok := s.info.Types[call.Fun]; ok && tv.IsType() {
 		if len(call.Args) == 1 {
 			if argTV, ok := s.info.Types[call.Args[0]]; ok && allocatingConversion(tv.Type, argTV.Type) {
-				s.add(FactAllocates)
 				s.violate(call.Pos(), false, "string/slice conversion allocates")
 			}
 		}
@@ -464,7 +365,7 @@ func (s *bodyScanner) call(call *ast.CallExpr) {
 		if selection, ok := s.info.Selections[sel]; ok && selection.Kind() == types.MethodVal {
 			if iface, ok := selection.Recv().Underlying().(*types.Interface); ok {
 				for _, impl := range s.engine.implementers(iface, sel.Sel.Name) {
-					s.node.calls = append(s.node.calls, Edge{pos: call.Pos(), callee: impl, dynamic: true})
+					s.node.calls = append(s.node.calls, impl)
 				}
 				return
 			}
@@ -475,10 +376,10 @@ func (s *bodyScanner) call(call *ast.CallExpr) {
 		return // func value or field call: unresolvable, see package comment
 	}
 	if n := s.engine.Node(fn); n != nil {
-		s.node.calls = append(s.node.calls, Edge{pos: call.Pos(), callee: n})
+		s.node.calls = append(s.node.calls, n)
 		return
 	}
-	// External leaf: facts by package rule.
+	// External leaf: classified by package rule.
 	switch fn.Pkg().Path() {
 	case "sort":
 		for _, arg := range call.Args {
@@ -487,22 +388,19 @@ func (s *bodyScanner) call(call *ast.CallExpr) {
 			}
 		}
 	case "fmt":
-		s.add(FactFmt)
 		s.violate(call.Pos(), false, "fmt.%s (formatting allocates and dwarfs the measured op)", fn.Name())
 	case "time":
 		if fn.Name() == "Now" || fn.Name() == "Since" || fn.Name() == "Until" {
-			s.add(FactClock)
 			s.violate(call.Pos(), true, "time.%s", fn.Name())
 		}
 	case "sync":
-		s.add(FactLocks)
 		s.violate(call.Pos(), false, "sync.%s%s", callReceiver(fn), fn.Name())
 		if fn.Name() == "Done" {
-			s.add(FactShutdownEdge)
+			s.node.localShutdown = true
 		}
 		if id := lockIdentity(s.info, call); id != nil {
-			if _, ok := s.node.localLocks[id]; !ok && isAcquire(fn) {
-				s.node.localLocks[id] = lockSample{pos: call.Pos(), fn: s.node.Name()}
+			if isAcquire(fn) {
+				s.node.localLocks[id] = true
 			}
 		}
 	}
@@ -539,8 +437,8 @@ func lockIdentity(info *types.Info, call *ast.CallExpr) *types.Var {
 }
 
 // propagate runs the SCC fixpoint: Tarjan's algorithm condenses the
-// graph, then facts and lock sets flow callee → caller in reverse
-// topological order. Within an SCC every member gets the union (mutual
+// graph, then shutdown edges and lock sets flow callee → caller in
+// reverse topological order. Within an SCC every member gets the union (mutual
 // recursion shares one summary).
 func (e *Engine) propagate() {
 	// Iterative Tarjan (module call chains can be deep).
@@ -567,7 +465,7 @@ func (e *Engine) propagate() {
 			}
 			advanced := false
 			for f.edge < len(n.calls) {
-				callee := n.calls[f.edge].callee
+				callee := n.calls[f.edge]
 				f.edge++
 				if callee.index == 0 {
 					work = append(work, frame{n: callee})
@@ -612,77 +510,42 @@ func (e *Engine) propagate() {
 	// Tarjan emits SCCs in reverse topological order (callees before
 	// callers), so one pass over sccs in emission order is the fixpoint.
 	for _, scc := range sccs {
-		var facts Fact
-		locks := make(map[*types.Var]lockSample)
+		shutdown := false
+		locks := make(map[*types.Var]bool)
 		for _, n := range scc {
-			facts |= n.local
-			for v, smp := range n.localLocks {
-				locks[v] = smp
+			shutdown = shutdown || n.localShutdown
+			for v := range n.localLocks {
+				locks[v] = true
 			}
-			for _, edge := range n.calls {
-				c := edge.callee
+			for _, c := range n.calls {
 				if c.scc == n.scc {
 					continue // within the component; unioned below
 				}
-				facts |= c.Summary
-				for v, smp := range c.Locks {
-					if _, ok := locks[v]; !ok {
-						locks[v] = smp
-					}
+				shutdown = shutdown || c.Shutdown
+				for v := range c.Locks {
+					locks[v] = true
 				}
 			}
 		}
 		for _, n := range scc {
-			n.Summary = facts
+			n.Shutdown = shutdown
 			n.Locks = locks
 		}
 	}
 }
 
-// litFacts computes the transitive fact summary of a function literal's
-// body (a goroutine body): its local facts unioned with the summaries
-// of everything it calls. The literal's node-less body is scanned on a
-// throwaway node.
-func (e *Engine) litFacts(pkg *Package, lit *ast.FuncLit) Fact {
-	tmp := &FuncNode{Pkg: pkg, localLocks: make(map[*types.Var]lockSample)}
+// litShutdown reports whether a function literal's body (a goroutine
+// body) has a shutdown edge on its call tree: in the body itself or in
+// anything it calls. The node-less body is scanned on a throwaway node.
+func (e *Engine) litShutdown(pkg *Package, lit *ast.FuncLit) bool {
+	tmp := &FuncNode{Pkg: pkg, localLocks: make(map[*types.Var]bool)}
 	s := &bodyScanner{engine: e, node: tmp, info: pkg.Info}
-	s.scan(lit.Body, false)
-	facts := tmp.local
-	for _, edge := range tmp.calls {
-		facts |= edge.callee.Summary
+	s.scan(lit.Body)
+	shutdown := tmp.localShutdown
+	for _, c := range tmp.calls {
+		shutdown = shutdown || c.Shutdown
 	}
-	return facts
-}
-
-// Dump writes the call graph with summaries, one node per line, in
-// source order — the -graph debug view.
-func (e *Engine) Dump(w io.Writer, root string) {
-	for _, n := range e.list {
-		pos := e.fset.Position(n.Decl.Pos())
-		fmt.Fprintf(w, "%s:%d: %s local=[%s] summary=[%s]",
-			relPath(root, pos.Filename), pos.Line, n.QualifiedName(), n.local, n.Summary)
-		if len(n.Locks) > 0 {
-			var names []string
-			for v := range n.Locks {
-				names = append(names, lockName(v))
-			}
-			sort.Strings(names)
-			fmt.Fprintf(w, " locks=[%s]", strings.Join(names, ","))
-		}
-		fmt.Fprintln(w)
-		seen := map[string]bool{}
-		for _, edge := range n.calls {
-			tag := ""
-			if edge.dynamic {
-				tag = " (dynamic)"
-			}
-			line := fmt.Sprintf("  -> %s%s", edge.callee.QualifiedName(), tag)
-			if !seen[line] {
-				seen[line] = true
-				fmt.Fprintln(w, line)
-			}
-		}
-	}
+	return shutdown
 }
 
 // lockName renders a lock identity as Owner.field (or the bare name for

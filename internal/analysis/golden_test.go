@@ -96,15 +96,11 @@ func TestGolden(t *testing.T) {
 	cases := []struct{ analyzer, dir string }{
 		{"caps-discipline", "caps"},
 		{"pmem-discipline", "pmem"},
-		{"atomic-discipline", "atomic"},
 		{"hotpath", "hotpath"},
 		{"unchecked-error", "errcheck"},
 		{"probe-discipline", "probe"},
-		{"epoch-discipline", "epoch"},
 		{"hotpath", "hotpathtree"},
 		{"goroutine-lifecycle", "goroutine"},
-		{"deadline-discipline", "deadline"},
-		{"frame-bounds", "framebounds"},
 		{"lock-order", "lockorder"},
 	}
 	loader := testLoader(t)
@@ -187,9 +183,9 @@ func TestRepoClean(t *testing.T) {
 // TestSuiteWiring pins the analyzer set and lookup.
 func TestSuiteWiring(t *testing.T) {
 	want := []string{
-		"caps-discipline", "pmem-discipline", "atomic-discipline", "hotpath",
-		"unchecked-error", "probe-discipline", "epoch-discipline",
-		"goroutine-lifecycle", "deadline-discipline", "frame-bounds", "lock-order",
+		"caps-discipline", "pmem-discipline", "hotpath",
+		"unchecked-error", "probe-discipline",
+		"goroutine-lifecycle", "lock-order",
 	}
 	suite := Suite()
 	if len(suite) != len(want) {

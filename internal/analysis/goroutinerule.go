@@ -8,7 +8,7 @@ package analysis
 // drained, or told to stop: the silent-leak shape that turns a
 // per-connection worker into an unbounded population under churn.
 //
-// The fact is computed by the call-graph engine and propagated through
+// The edge is found by the call-graph engine and propagated through
 // the SCC fixpoint, so a worker that loops calling a helper which
 // ranges over a job channel passes — the edge does not have to be
 // syntactically inside the launched body. Launches whose target cannot
@@ -28,11 +28,11 @@ var GoroutineLifecycle = &Analyzer{
 			for _, sp := range n.spawns {
 				switch {
 				case sp.target != nil:
-					if sp.target.Summary&FactShutdownEdge == 0 {
+					if !sp.target.Shutdown {
 						mp.Reportf(sp.pos, "goroutine %s has no shutdown edge on its call tree (no WaitGroup.Done, channel operation, or close)", sp.target.Name())
 					}
 				case sp.lit != nil:
-					if eng.litFacts(n.Pkg, sp.lit)&FactShutdownEdge == 0 {
+					if !eng.litShutdown(n.Pkg, sp.lit) {
 						mp.Reportf(sp.pos, "goroutine has no shutdown edge on its call tree (no WaitGroup.Done, channel operation, or close)")
 					}
 				default:

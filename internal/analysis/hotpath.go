@@ -95,16 +95,16 @@ func checkHotPathTransitive(mp *ModulePass) {
 				seen[v.pos] = true
 				hits = append(hits, hit{pos: v.pos, what: v.what, fn: n.Name(), root: root.Name()})
 			}
-			for _, e := range n.calls {
-				if e.callee.Hot {
+			for _, c := range n.calls {
+				if c.Hot {
 					continue // trusted boundary: a root of its own check
 				}
-				walk(e.callee)
+				walk(c)
 			}
 		}
-		for _, e := range root.calls {
-			if !e.callee.Hot {
-				walk(e.callee)
+		for _, c := range root.calls {
+			if !c.Hot {
+				walk(c)
 			}
 		}
 	}

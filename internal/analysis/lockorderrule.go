@@ -124,7 +124,7 @@ func collectLockEdges(g *lockGraph, eng *Engine, n *FuncNode) {
 		}
 		// A call while locks are held: everything the callee's tree can
 		// acquire is acquired under the held set. Interface dispatch uses
-		// the engine's implements-matching, same as fact propagation.
+		// the engine's implements-matching, same as propagation.
 		var callees []*FuncNode
 		if c := eng.Node(fn); c != nil {
 			callees = append(callees, c)

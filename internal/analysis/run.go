@@ -1,9 +1,6 @@
 package analysis
 
-import (
-	"io"
-	"path/filepath"
-)
+import "path/filepath"
 
 // AllowlistFile is the committed exception file, at the module root.
 const AllowlistFile = "pieceslint.allow"
@@ -60,24 +57,6 @@ func Run(moduleRoot string, patterns []string) (*Result, error) {
 	return res, nil
 }
 
-// DumpCallGraph loads the packages matching patterns, builds the
-// interprocedural engine over them (plus the module-internal packages
-// they pull in), and writes its call-graph dump — per-function summary
-// facts, call edges, and interface-dispatch fan-out — to w. This is
-// the -graph debugging view of pieceslint.
-func DumpCallGraph(moduleRoot string, patterns []string, w io.Writer) error {
-	loader, err := NewLoader(moduleRoot)
-	if err != nil {
-		return err
-	}
-	if _, err := loader.LoadPatterns(patterns); err != nil {
-		return err
-	}
-	eng := BuildEngine(loader, loader.CachedPackages())
-	eng.Dump(w, moduleRoot)
-	return nil
-}
-
 // RunSuite runs every analyzer over pkgs and returns the raw findings,
 // sorted, with no allowlist filtering.
 func RunSuite(loader *Loader, pkgs []*Package) []Diagnostic {
@@ -94,7 +73,7 @@ func RunAnalyzer(a *Analyzer, loader *Loader, pkgs []*Package) []Diagnostic {
 	var out []Diagnostic
 	rep := &Reporter{analyzer: a.Name, fset: loader.Fset, root: loader.ModuleRoot, out: &out}
 	if a.RunModule != nil {
-		a.RunModule(&ModulePass{Reporter: rep, Pkgs: pkgs, Sizes: loader.Sizes, Loader: loader})
+		a.RunModule(&ModulePass{Reporter: rep, Pkgs: pkgs, Loader: loader})
 	} else {
 		for _, pkg := range pkgs {
 			a.Run(&Pass{Reporter: rep, Pkg: pkg})

@@ -20,8 +20,9 @@
 //     pipeline visible (telemetry's epoch section), so a stalled reader
 //     pinning garbage shows up as a growing deferred-free queue.
 //   - Discipline. Readers that pin an epoch are declaring "I am inside
-//     the read-side critical section"; the pieceslint epoch-discipline
-//     analyzer statically checks Enter/Exit pairing on every path.
+//     the read-side critical section"; the store's and the server's
+//     tests fail when a pin outlives the tests or a stalled socket write
+//     holds one.
 //
 // The protocol is the classic three-generation scheme (Fraser's EBR as
 // used by Harris lists and by HydraList/XIndex for their per-thread
@@ -120,8 +121,8 @@ func NewManager(slots int) *Manager {
 
 // Guard is an active read-side pin. It must be released with Exit on
 // every path out of the critical section and must not be stored in a
-// struct, global, or container — the epoch-discipline analyzer enforces
-// both. The zero Guard is a no-op to Exit.
+// struct, global, or container, where it would outlive it. The zero
+// Guard is a no-op to Exit.
 type Guard struct {
 	s *slot
 }

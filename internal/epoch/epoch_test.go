@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 )
 
 // drainAdvance advances until it succeeds n times (failing the test if
@@ -229,5 +230,27 @@ func TestReadCountersStriped(t *testing.T) {
 	}
 	if d := after.ReadFallbacks - before.ReadFallbacks; d != 1 {
 		t.Fatalf("ReadFallbacks delta = %d, want 1", d)
+	}
+}
+
+// TestPadLayout pins the cache-line pads: each pad ends on a 64-byte
+// boundary and a struct ending in one is a whole number of lines, so a
+// field added beside a pad fails here instead of sharing a line.
+func TestPadLayout(t *testing.T) {
+	var m Manager
+	for _, c := range []struct {
+		name      string
+		got, want uintptr
+	}{
+		{"sizeof slot", unsafe.Sizeof(slot{}), 64},
+		{"sizeof padCounter", unsafe.Sizeof(padCounter{}), 64},
+		{"offsetof Manager.advances", unsafe.Offsetof(m.advances), 64},
+		{"offsetof Manager.retiredN", unsafe.Offsetof(m.retiredN), 128},
+		{"offsetof Manager.freedN", unsafe.Offsetof(m.freedN), 192},
+		{"offsetof Manager.mask", unsafe.Offsetof(m.mask), 256},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s = %d, want %d", c.name, c.got, c.want)
+		}
 	}
 }

@@ -61,7 +61,7 @@ type Region struct {
 	mu   sync.Mutex
 	data []byte
 	lat  LatencyModel
-	head int64           // bump allocator
+	head atomic.Int64    // bump allocator
 	free map[int][]int64 // freed chunks by exact size
 
 	lastBlock atomic.Int64 // most recently touched block + 1 (0 = none)
@@ -101,7 +101,7 @@ func NewRegion(size int, lat LatencyModel) *Region {
 func (r *Region) Size() int { return len(r.data) }
 
 // Allocated returns the bytes handed out by Alloc.
-func (r *Region) Allocated() int64 { return atomic.LoadInt64(&r.head) }
+func (r *Region) Allocated() int64 { return r.head.Load() }
 
 // SetLatency swaps the latency model (used by the ablation bench). It
 // must not be called concurrently with accesses.
@@ -136,11 +136,11 @@ func (r *Region) Alloc(size int) (int64, error) {
 	}
 	r.mu.Unlock()
 	for {
-		cur := atomic.LoadInt64(&r.head)
+		cur := r.head.Load()
 		if cur+int64(size) > int64(len(r.data)) {
 			return 0, ErrOutOfSpace
 		}
-		if atomic.CompareAndSwapInt64(&r.head, cur, cur+int64(size)) {
+		if r.head.CompareAndSwap(cur, cur+int64(size)) {
 			return cur, nil
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
+	"unsafe"
 )
 
 // oracle is the reference lower bound every kernel must match.
@@ -329,4 +330,13 @@ func FuzzLowerBound(f *testing.F) {
 			t.Fatalf("batch Pos = %d, oracle %d", b.Pos(0), want)
 		}
 	})
+}
+
+// TestPadLayout pins the cache-line pads: each pad ends on a 64-byte
+// boundary and a struct ending in one is a whole number of lines, so a
+// field added beside a pad fails here instead of sharing a line.
+func TestPadLayout(t *testing.T) {
+	if got := unsafe.Sizeof(kernelStat{}); got != 64 {
+		t.Errorf("sizeof kernelStat = %d, want 64", got)
+	}
 }

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"learnedpieces/internal/client"
+	"learnedpieces/internal/epoch"
 	"learnedpieces/internal/wire"
 )
 
@@ -390,7 +391,10 @@ func TestPipelineBoundedAndLossless(t *testing.T) {
 }
 
 // TestStalledClientIsDroppedAlone: a client that never reads costs its
-// own connection one WriteTimeout and nobody else anything.
+// own connection one WriteTimeout and nobody else anything — the store's
+// reclamation included: the stalled connection is parked in a socket
+// write, where it must hold no epoch pin, or every page free waits on
+// the slowest reader.
 func TestStalledClientIsDroppedAlone(t *testing.T) {
 	srv, store, addr := startServer(t, "xindex", Config{WriteTimeout: 200 * time.Millisecond})
 	big := bytes.Repeat([]byte{1}, 32<<10)
@@ -428,6 +432,7 @@ func TestStalledClientIsDroppedAlone(t *testing.T) {
 	start := time.Now()
 	var lat []time.Duration
 	ctx := context.Background()
+	advanced := 0 // rounds in which two epoch advances succeeded
 	for srv.Metrics().ConnsOpen > 1 {
 		if time.Since(start) > 2*time.Second {
 			t.Fatalf("stalled connection still open after %v", time.Since(start))
@@ -437,6 +442,12 @@ func TestStalledClientIsDroppedAlone(t *testing.T) {
 			t.Fatalf("neighbour get: %q %v %v", v, ok, err)
 		}
 		lat = append(lat, time.Since(t0))
+		if epoch.Advance() && epoch.Advance() {
+			advanced++
+		}
+	}
+	if advanced*2 < len(lat) {
+		t.Fatalf("epoch advanced in %d of %d rounds while a client stalled: a pin is held across its socket write", advanced, len(lat))
 	}
 	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
 	if p99 := lat[len(lat)*99/100]; p99 >= 200*time.Millisecond {

@@ -4,6 +4,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 
 	"learnedpieces/internal/btree"
 	"learnedpieces/internal/dataset"
@@ -237,6 +238,24 @@ func TestBulkLoadSplitsAtBoundaries(t *testing.T) {
 	for i, sh := range s.shards {
 		if sh.idx.Len() != want[i] {
 			t.Fatalf("shard %d has %d keys, want %d", i, sh.idx.Len(), want[i])
+		}
+	}
+}
+
+// TestPadLayout pins the cache-line pads: each pad ends on a 64-byte
+// boundary and a struct ending in one is a whole number of lines, so a
+// field added beside a pad fails here instead of sharing a line.
+func TestPadLayout(t *testing.T) {
+	var s shard
+	for _, c := range []struct {
+		name      string
+		got, want uintptr
+	}{
+		{"offsetof shard.active", unsafe.Offsetof(s.active), 64},
+		{"offsetof shard.mu", unsafe.Offsetof(s.mu), 128},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s = %d, want %d", c.name, c.got, c.want)
 		}
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"learnedpieces/internal/index"
 )
@@ -348,5 +349,24 @@ func TestHTTPHandler(t *testing.T) {
 	body, _ = get("/debug/pprof/cmdline")
 	if body == "" {
 		t.Fatal("/debug/pprof/cmdline empty")
+	}
+}
+
+// TestPadLayout pins the cache-line pads: each pad ends on a 64-byte
+// boundary and a struct ending in one is a whole number of lines, so a
+// field added beside a pad fails here instead of sharing a line.
+func TestPadLayout(t *testing.T) {
+	var r recorderShard
+	for _, c := range []struct {
+		name      string
+		got, want uintptr
+	}{
+		{"sizeof Counter", unsafe.Sizeof(Counter{}), 64},
+		{"sizeof Gauge", unsafe.Sizeof(Gauge{}), 64},
+		{"offsetof recorderShard.hist", unsafe.Offsetof(r.hist), 64},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s = %d, want %d", c.name, c.got, c.want)
+		}
 	}
 }
