@@ -319,8 +319,8 @@ func BenchmarkFig17dCombos(b *testing.B) {
 		c    *core.Composed
 	}{
 		{"btree+opt-pla", core.Compose(core.OptPLA{Eps: 32}, core.NewBTreeTop(), core.BufferInsert{}, core.RetrainNode{})},
-		{"lrs+opt-pla", core.Compose(core.OptPLA{Eps: 32}, core.NewLRS(8), core.BufferInsert{}, core.RetrainNode{})},
-		{"rmi+lsa", core.Compose(core.LSA{SegLen: 256}, core.NewRMITop(0), core.BufferInsert{}, core.RetrainNode{})},
+		{"lrs+opt-pla", core.Compose(core.OptPLA{Eps: 32}, pla.NewLRS(8), core.BufferInsert{}, core.RetrainNode{})},
+		{"rmi+lsa", core.Compose(core.LSA{SegLen: 256}, pla.NewRMI(0), core.BufferInsert{}, core.RetrainNode{})},
 		{"ats+lsa-gap", core.Compose(core.LSAGap{SegLen: 256}, core.NewATS(16, 64), core.GapInsert{}, core.ExpandOrSplit{})},
 	}
 	for _, cb := range combos {

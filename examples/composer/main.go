@@ -12,6 +12,7 @@ import (
 
 	"learnedpieces/internal/core"
 	"learnedpieces/internal/dataset"
+	"learnedpieces/internal/pla"
 )
 
 func main() {
@@ -27,13 +28,13 @@ func main() {
 		{"FITing-like  (BTREE + Opt-PLA + buffer)", core.Compose(
 			core.OptPLA{Eps: 32}, core.NewBTreeTop(), core.BufferInsert{Size: 256}, core.RetrainNode{})},
 		{"PGM-like     (LRS + Opt-PLA + buffer)", core.Compose(
-			core.OptPLA{Eps: 32}, core.NewLRS(8), core.BufferInsert{Size: 256}, core.RetrainNode{})},
+			core.OptPLA{Eps: 32}, pla.NewLRS(8), core.BufferInsert{Size: 256}, core.RetrainNode{})},
 		{"XIndex-like  (RMI + LSA + buffer)", core.Compose(
-			core.LSA{SegLen: 256}, core.NewRMITop(0), core.BufferInsert{Size: 256}, core.RetrainNode{})},
+			core.LSA{SegLen: 256}, pla.NewRMI(0), core.BufferInsert{Size: 256}, core.RetrainNode{})},
 		{"ALEX-like    (ATS + LSA-gap + gap insert)", core.Compose(
 			core.LSAGap{SegLen: 1024}, core.NewATS(16, 64), core.GapInsert{}, core.ExpandOrSplit{MaxLeafKeys: 4096})},
 		{"§V proposal  (LRS + LSA-gap + gap insert)", core.Compose(
-			core.LSAGap{SegLen: 1024}, core.NewLRS(8), core.GapInsert{}, core.ExpandOrSplit{MaxLeafKeys: 4096})},
+			core.LSAGap{SegLen: 1024}, pla.NewLRS(8), core.GapInsert{}, core.ExpandOrSplit{MaxLeafKeys: 4096})},
 		{"§V-B1 hot    (HotATS + LSA-gap + gap insert)", core.Compose(
 			core.LSAGap{SegLen: 1024}, core.NewHotATS(16, 64), core.GapInsert{}, core.ExpandOrSplit{MaxLeafKeys: 4096})},
 	}

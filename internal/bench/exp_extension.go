@@ -10,6 +10,7 @@ import (
 	"learnedpieces/internal/dataset"
 	"learnedpieces/internal/index"
 	"learnedpieces/internal/learned/apex"
+	"learnedpieces/internal/pla"
 	"learnedpieces/internal/pmem"
 	"learnedpieces/internal/stats"
 	"learnedpieces/internal/viper"
@@ -228,8 +229,8 @@ func RunCross(cfg Config) error {
 	probes := workload.ReadStream(keys, cfg.Ops/2, cfg.Seed+1)
 	structures := map[string]func() core.Structure{
 		"btree": func() core.Structure { return core.NewBTreeTop() },
-		"lrs":   func() core.Structure { return core.NewLRS(8) },
-		"rmi":   func() core.Structure { return core.NewRMITop(0) },
+		"lrs":   func() core.Structure { return pla.NewLRS(8) },
+		"rmi":   func() core.Structure { return pla.NewRMI(0) },
 		"ats":   func() core.Structure { return core.NewATS(16, 64) },
 	}
 	approxes := map[string]core.Approximator{

@@ -9,6 +9,7 @@ import (
 	"learnedpieces/internal/core"
 	"learnedpieces/internal/dataset"
 	"learnedpieces/internal/index"
+	"learnedpieces/internal/pla"
 	"learnedpieces/internal/stats"
 	"learnedpieces/internal/workload"
 )
@@ -130,8 +131,8 @@ func RunFig17d(cfg Config) error {
 		approx    core.Approximator
 	}{
 		{"fiting (BTREE+opt-pla)", core.NewBTreeTop(), core.OptPLA{Eps: 32}},
-		{"pgm (LRS+opt-pla)", core.NewLRS(8), core.OptPLA{Eps: 32}},
-		{"xindex (RMI+lsa)", core.NewRMITop(0), core.LSA{SegLen: 256}},
+		{"pgm (LRS+opt-pla)", pla.NewLRS(8), core.OptPLA{Eps: 32}},
+		{"xindex (RMI+lsa)", pla.NewRMI(0), core.LSA{SegLen: 256}},
 		{"alex (ATS+lsa-gap)", core.NewATS(16, 64), core.LSAGap{SegLen: 256}},
 	}
 	t := stats.NewTable(fmt.Sprintf("Fig 17(d): structure cost vs leaf cost (n=%d)", cfg.N),

@@ -2,11 +2,13 @@ package core
 
 import (
 	"fmt"
+	"sort"
 	"testing"
 
 	"learnedpieces/internal/dataset"
 	"learnedpieces/internal/index"
 	"learnedpieces/internal/indextest"
+	"learnedpieces/internal/pla"
 )
 
 // TestComposedConformance runs the full conformance suite over every
@@ -18,8 +20,8 @@ func TestComposedConformance(t *testing.T) {
 	policies := []RetrainPolicy{RetrainNode{}, ExpandOrSplit{MaxLeafKeys: 512}}
 	structures := []func() Structure{
 		func() Structure { return NewBTreeTop() },
-		func() Structure { return NewLRS(8) },
-		func() Structure { return NewRMITop(0) },
+		func() Structure { return pla.NewLRS(8) },
+		func() Structure { return pla.NewRMI(0) },
 		func() Structure { return NewATS(16, 64) },
 	}
 	for ai, a := range approxes {
@@ -64,45 +66,53 @@ func TestComposedConformance(t *testing.T) {
 	}
 }
 
+// TestStructureLocateFloor checks every structure's Locate against a
+// floor oracle over three key distributions, tiny domains and the ends
+// of the key space: each first key, its neighbours, the midpoint to the
+// next first, and keys 0 and 2^64-1.
 func TestStructureLocateFloor(t *testing.T) {
-	firsts := dataset.Generate(dataset.OSMLike, 5000, 17)
+	const top = ^uint64(0)
+	domains := []struct {
+		name   string
+		firsts []uint64
+	}{
+		{"ycsb", dataset.Generate(dataset.YCSBUniform, 5000, 17)},
+		{"osm", dataset.Generate(dataset.OSMLike, 5000, 17)},
+		{"face", dataset.Generate(dataset.FACELike, 5000, 17)},
+		{"one", []uint64{42}},
+		{"one-zero", []uint64{0}},
+		{"one-max", []uint64{top}},
+		{"two", []uint64{42, 43}},
+		{"two-ends", []uint64{0, top}},
+		{"ends+osm", append(append([]uint64{0}, dataset.Generate(dataset.OSMLike, 3000, 5)...), top)},
+		{"ends+face", append(append([]uint64{0}, dataset.Generate(dataset.FACELike, 3000, 5)...), top)},
+	}
 	for _, s := range Structures() {
-		s := s
-		t.Run(s.Name(), func(t *testing.T) {
-			s.Build(firsts)
-			// Exact firsts locate themselves.
-			for i, f := range firsts {
-				if got := s.Locate(f); got != i {
-					t.Fatalf("Locate(first[%d]) = %d", i, got)
+		for _, d := range domains {
+			firsts := d.firsts
+			t.Run(s.Name()+"/"+d.name, func(t *testing.T) {
+				s.Build(firsts)
+				queries := []uint64{0, 1, top - 1, top}
+				for i, f := range firsts {
+					queries = append(queries, f, f-1, f+1)
+					if i+1 < len(firsts) {
+						queries = append(queries, f+(firsts[i+1]-f)/2)
+					}
 				}
-			}
-			// Keys strictly between firsts floor to the left neighbour.
-			for i := 0; i+1 < len(firsts); i += 97 {
-				mid := firsts[i] + (firsts[i+1]-firsts[i])/2
-				if mid == firsts[i] {
-					continue
+				for _, q := range queries {
+					want := sort.Search(len(firsts), func(i int) bool { return firsts[i] > q }) - 1
+					if want < 0 {
+						want = 0
+					}
+					if got := s.Locate(q); got != want {
+						t.Fatalf("Locate(%d) = %d, want %d", q, got, want)
+					}
 				}
-				if got := s.Locate(mid); got != i {
-					t.Fatalf("Locate(between %d and %d) = %d, want %d", firsts[i], firsts[i+1], got, i)
+				if len(firsts) > 2 && (s.Depth() <= 0 || s.SizeBytes() <= 0) {
+					t.Fatalf("Depth() = %f, SizeBytes() = %d", s.Depth(), s.SizeBytes())
 				}
-			}
-			// Keys before the first leaf clamp to 0.
-			if firsts[0] > 0 {
-				if got := s.Locate(firsts[0] - 1); got != 0 {
-					t.Fatalf("Locate(before all) = %d", got)
-				}
-			}
-			// Keys after the last leaf go to the last leaf.
-			if got := s.Locate(^uint64(0)); got != len(firsts)-1 {
-				t.Fatalf("Locate(max) = %d", got)
-			}
-			if s.Depth() <= 0 {
-				t.Fatalf("Depth() = %f", s.Depth())
-			}
-			if s.SizeBytes() <= 0 {
-				t.Fatalf("SizeBytes() = %d", s.SizeBytes())
-			}
-		})
+			})
+		}
 	}
 }
 

@@ -104,14 +104,7 @@ func (s *HotATS) buildWeighted(lo, hi int) atsNode {
 			fanout *= 2
 		}
 	}
-	in, bounds, ok := a.makeInner(lo, hi, fanout)
-	if !ok {
-		return atsRange{lo, hi}
-	}
-	for c := 0; c < len(in.children); c++ {
-		in.children[c] = s.buildWeighted(bounds[c], bounds[c+1])
-	}
-	return in
+	return a.inner(lo, hi, fanout, s.buildWeighted)
 }
 
 // Locate implements Structure.

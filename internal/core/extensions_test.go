@@ -7,6 +7,7 @@ import (
 	"learnedpieces/internal/dataset"
 	"learnedpieces/internal/index"
 	"learnedpieces/internal/indextest"
+	"learnedpieces/internal/pla"
 )
 
 // zipfWeights builds per-leaf access weights with a few very hot leaves.
@@ -127,7 +128,7 @@ func TestAppendInsertSequentialEfficiency(t *testing.T) {
 // TestAppendInsertMixedStream verifies the fallback path: interleaved
 // random keys go through the buffer and everything stays consistent.
 func TestAppendInsertMixedStream(t *testing.T) {
-	c := Compose(LSA{SegLen: 128}, NewLRS(8), AppendInsert{BufSize: 32, TailCap: 512}, RetrainNode{})
+	c := Compose(LSA{SegLen: 128}, pla.NewLRS(8), AppendInsert{BufSize: 32, TailCap: 512}, RetrainNode{})
 	rng := rand.New(rand.NewSource(36))
 	ref := make(map[uint64]uint64)
 	next := uint64(1_000_000)

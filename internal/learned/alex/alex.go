@@ -200,56 +200,32 @@ func (ix *Index) BulkLoad(keys, values []uint64) error {
 
 // build recursively constructs the tree, threading the leaf chain.
 func (ix *Index) build(keys, vals []uint64, prev **dataNode) interface{} {
-	if len(keys) <= ix.cfg.MaxLeafKeys {
-		d := ix.newDataNode(keys, vals)
-		d.prev = *prev
-		if *prev != nil {
-			(*prev).next = d
+	if len(keys) > ix.cfg.MaxLeafKeys {
+		fanout := 2
+		for fanout < ix.cfg.MaxFanout && len(keys)/fanout > ix.cfg.MaxLeafKeys/2 {
+			fanout *= 2
 		}
-		*prev = d
-		return d
-	}
-	target := ix.cfg.MaxLeafKeys / 2
-	fanout := 2
-	for fanout < ix.cfg.MaxFanout && len(keys)/fanout > target {
-		fanout *= 2
-	}
-	seg := pla.FitLinear(keys, 0, len(keys))
-	in := &innerNode{
-		Model: pla.Model{
-			FirstKey:  keys[0],
-			Slope:     seg.Slope * float64(fanout) / float64(len(keys)),
-			Intercept: seg.Local().Intercept * float64(fanout) / float64(len(keys)),
-		},
-		children: make([]interface{}, fanout),
-	}
-	// Partition keys into contiguous runs per child slot (predictions are
-	// monotone in the key).
-	bounds := partition(in, keys)
-	// Degenerate model: every key in one slot makes no progress — fall
-	// back to a 2-way split with a model anchored at the median key. The
-	// partition is recomputed *from the model* so lookups and storage
-	// always agree.
-	if maxRun(bounds) == len(keys) {
-		mid := len(keys) / 2
-		in.children = make([]interface{}, 2)
-		in.Slope = 1 / float64(keys[mid]-keys[0])
-		in.Intercept = 0
-		bounds = partition(in, keys)
-		if maxRun(bounds) == len(keys) {
-			// Float rounding defeated even the 2-way model (pathological key
-			// spacing): fall back to one oversized data node; a later
-			// retrain will revisit it.
-			d := ix.newDataNode(keys, vals)
-			d.prev = *prev
-			if *prev != nil {
-				(*prev).next = d
-			}
-			*prev = d
-			return d
+		// Not ok only when float rounding defeated even the 2-way split
+		// (pathological key spacing): one oversized data node, which a
+		// later retrain revisits.
+		if m, bounds, ok := pla.FitRouter(keys, 0, len(keys), fanout); ok {
+			return ix.buildInner(m, bounds, keys, vals, prev)
 		}
 	}
-	fanout = len(in.children)
+	d := ix.newDataNode(keys, vals)
+	d.prev = *prev
+	if *prev != nil {
+		(*prev).next = d
+	}
+	*prev = d
+	return d
+}
+
+// buildInner builds the children of an inner node routed by m, child s
+// over keys[bounds[s]:bounds[s+1]].
+func (ix *Index) buildInner(m pla.Model, bounds []int, keys, vals []uint64, prev **dataNode) *innerNode {
+	in := &innerNode{Model: m, children: make([]interface{}, len(bounds)-1)}
+	fanout := len(in.children)
 	for s := 0; s < fanout; s++ {
 		lo, hi := bounds[s], bounds[s+1]
 		if lo == hi {
@@ -277,32 +253,6 @@ func (ix *Index) build(keys, vals []uint64, prev **dataNode) interface{} {
 		}
 	}
 	return in
-}
-
-// partition returns bounds such that child s owns keys[bounds[s]:
-// bounds[s+1]] — exactly the keys the inner model maps to slot s.
-func partition(in *innerNode, keys []uint64) []int {
-	fanout := len(in.children)
-	bounds := make([]int, fanout+1)
-	bounds[fanout] = len(keys)
-	pos := 0
-	for s := 0; s < fanout; s++ {
-		bounds[s] = pos
-		for pos < len(keys) && in.Predict(keys[pos], fanout) <= s {
-			pos++
-		}
-	}
-	return bounds
-}
-
-func maxRun(bounds []int) int {
-	m := 0
-	for i := 0; i+1 < len(bounds); i++ {
-		if w := bounds[i+1] - bounds[i]; w > m {
-			m = w
-		}
-	}
-	return m
 }
 
 // parentSlot is where a descent left the inner nodes: the data node's

@@ -225,13 +225,7 @@ func (ix *Index) retire(m *nodeMeta) {
 // locate returns the directory position of the node covering key.
 //
 //pieces:hotpath
-func (ix *Index) locate(key uint64) int {
-	i := search.UpperBound(ix.firsts, key, 0, len(ix.firsts))
-	if i == 0 {
-		return 0
-	}
-	return i - 1
-}
+func (ix *Index) locate(key uint64) int { return search.Floor(ix.firsts, key, 0, len(ix.firsts)) }
 
 // syncFirsts rebuilds the flat FirstKey mirror after any directory
 // mutation (bulk load, split, recovery).

@@ -14,7 +14,6 @@
 package finedex
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -184,12 +183,9 @@ func (s *segment) baseSearch(key uint64) (int, bool) {
 	return search.FindBounded(s.keys, key, p-s.maxErr, p+s.maxErr+1)
 }
 
+// locate returns the segment covering key.
 func (t *table) locate(key uint64) *segment {
-	i := search.UpperBound(t.firsts, key, 0, len(t.firsts))
-	if i == 0 {
-		return t.segs[0]
-	}
-	return t.segs[i-1]
+	return t.segs[search.Floor(t.firsts, key, 0, len(t.firsts))]
 }
 
 // descend walks the bin levels to the leaf bin responsible for key,
@@ -516,11 +512,7 @@ func (c *cursor) refill() bool {
 	c.ix.structMu.RLock()
 	defer c.ix.structMu.RUnlock()
 	t := c.ix.tab.Load()
-	si := sort.Search(len(t.firsts), func(i int) bool { return t.firsts[i] > c.key })
-	if si > 0 {
-		si--
-	}
-	for ; si < len(t.segs); si++ {
+	for si := search.Floor(t.firsts, c.key, 0, len(t.firsts)); si < len(t.segs); si++ {
 		m := t.segs[si].merged()
 		if pos := search.LowerBound(m.Keys, c.key, 0, len(m.Keys)); pos < len(m.Keys) {
 			c.run, c.pos = m, pos

@@ -43,59 +43,48 @@ func (c *Config) normalize() {
 	}
 }
 
-// Static is an immutable PGM over sorted distinct keys: level 0 segments
-// approximate the key array; level i>0 segments approximate the first
-// keys of level i-1's segments, recursively, until one segment remains.
+// Static is an immutable PGM over sorted distinct keys: level 0
+// segments approximate the key array at eps; the internal levels are an
+// LRS at epsInternal over level 0's first keys.
 type Static struct {
 	keys   []uint64
 	vals   []uint64
 	dead   []bool // tombstones (used by the dynamic wrapper); nil = none
-	levels [][]pla.Segment
-	firsts [][]uint64 // firsts[i][j] = levels[i][j].FirstKey
+	segs   []pla.Segment
+	firsts []uint64 // firsts[j] = segs[j].FirstKey
+	upper  *pla.LRS // empty while level 0 is one segment
 	eps    int
-	epsInt int
 }
 
 // NewStatic builds a static PGM. keys must be sorted and distinct.
 func NewStatic(keys, vals []uint64, eps, epsInternal int) *Static {
-	s := &Static{keys: keys, vals: vals, eps: eps, epsInt: epsInternal}
-	s.build()
+	s := &Static{keys: keys, vals: vals, eps: eps, upper: pla.NewLRS(epsInternal)}
+	if len(keys) == 0 {
+		return s
+	}
+	// Level 0 dominates build time; disjoint key chunks train in parallel
+	// (the internal levels approximate the segment firsts and are tiny).
+	s.segs = pla.BuildOptPLAChunked(keys, eps, parallel.Workers(len(keys)))
+	s.firsts = make([]uint64, len(s.segs))
+	for i := range s.segs {
+		s.firsts[i] = s.segs[i].FirstKey
+	}
+	if len(s.segs) > 1 {
+		s.upper.Build(s.firsts)
+	}
 	return s
 }
 
-func (s *Static) build() {
-	s.levels = nil
-	s.firsts = nil
-	if len(s.keys) == 0 {
-		return
-	}
-	// Level 0 dominates build time; disjoint key chunks train in parallel
-	// (upper levels approximate the segment firsts and are tiny — serial).
-	segs := pla.BuildOptPLAChunked(s.keys, s.eps, parallel.Workers(len(s.keys)))
-	for {
-		s.levels = append(s.levels, segs)
-		firsts := make([]uint64, len(segs))
-		for i := range segs {
-			firsts[i] = segs[i].FirstKey
-		}
-		s.firsts = append(s.firsts, firsts)
-		if len(segs) == 1 {
-			return
-		}
-		segs = pla.BuildOptPLA(firsts, s.epsInt)
-	}
-}
-
 // Levels returns the number of model levels (Table II depth).
-func (s *Static) Levels() int { return len(s.levels) }
-
-// SegmentCount returns the leaf segment count.
-func (s *Static) SegmentCount() int {
-	if len(s.levels) == 0 {
+func (s *Static) Levels() int {
+	if len(s.segs) == 0 {
 		return 0
 	}
-	return len(s.levels[0])
+	return 1 + int(s.upper.Depth())
 }
+
+// SegmentCount returns the leaf segment count.
+func (s *Static) SegmentCount() int { return len(s.segs) }
 
 // find locates key's position in the key array. A miss is settled where
 // it happens: a run whose key range excludes the key is not searched, and
@@ -125,34 +114,8 @@ func (s *Static) brackets(pos int, key uint64) bool {
 // window runs the internal-level descent for key and returns the
 // level-0 error window around the leaf segment's prediction.
 func (s *Static) window(key uint64) (lo, hi int) {
-	segIdx := 0
-	for lvl := len(s.levels) - 1; lvl >= 1; lvl-- {
-		seg := &s.levels[lvl][segIdx]
-		domain := s.firsts[lvl-1]
-		segIdx = floorIn(domain, seg.Predict(key), s.epsInt, key)
-	}
-	seg := &s.levels[0][segIdx]
-	p := seg.Predict(key)
+	p := s.segs[s.upper.Locate(key)].Predict(key)
 	return p - s.eps - 1, p + s.eps + 2
-}
-
-// floorIn returns the index of the greatest domain element <= key,
-// searching an eps window around the predicted position p and adjusting
-// outward if the window missed.
-func floorIn(domain []uint64, p, eps int, key uint64) int {
-	j := search.UpperBound(domain, key, p-eps-1, p+eps+2)
-	// j is the first index in the window with domain[j] > key; adjust for
-	// the (rare) case where the true boundary lies outside the window.
-	for j < len(domain) && domain[j] <= key {
-		j++
-	}
-	for j > 0 && domain[j-1] > key {
-		j--
-	}
-	if j == 0 {
-		return 0
-	}
-	return j - 1
 }
 
 // Get returns the value at key (tombstones count as present-dead).
@@ -448,12 +411,7 @@ func (ix *Index) Sizes() index.Sizes {
 		if r == nil {
 			continue
 		}
-		for _, lvl := range r.levels {
-			sz.Structure += int64(len(lvl)) * 56
-		}
-		for _, f := range r.firsts {
-			sz.Structure += int64(len(f)) * 8
-		}
+		sz.Structure += int64(len(r.segs))*56 + int64(len(r.firsts))*8 + r.upper.SizeBytes()
 		sz.Keys += int64(len(r.keys)) * 8
 		sz.Values += int64(len(r.vals)) * 8
 	}

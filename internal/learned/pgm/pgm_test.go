@@ -2,6 +2,7 @@ package pgm
 
 import (
 	"slices"
+	"sort"
 	"testing"
 
 	"learnedpieces/internal/dataset"
@@ -17,15 +18,30 @@ func TestConformance(t *testing.T) {
 	})
 }
 
+// TestStaticRecursiveLevels checks both halves of the descent against
+// a floor oracle: the internal levels send every query — each segment's
+// first key, its neighbours, the midpoint to the next, and the ends of
+// the key space — to the level-0 segment whose first key is its floor
+// (pla's LRS tests check each internal level on its own), and level 0
+// finds every key at its position.
 func TestStaticRecursiveLevels(t *testing.T) {
 	keys := dataset.Generate(dataset.OSMLike, 100000, 3)
 	s := NewStatic(keys, keys, 32, 8)
 	if s.Levels() < 2 {
 		t.Fatalf("expected recursive levels, got %d", s.Levels())
 	}
-	// Top level must be a single segment.
-	if len(s.levels[s.Levels()-1]) != 1 {
-		t.Fatalf("top level has %d segments", len(s.levels[s.Levels()-1]))
+	queries := []uint64{0, 1, ^uint64(0) - 1, ^uint64(0)}
+	for i, f := range s.firsts {
+		queries = append(queries, f, f-1, f+1)
+		if i+1 < len(s.firsts) {
+			queries = append(queries, f+(s.firsts[i+1]-f)/2)
+		}
+	}
+	for _, q := range queries {
+		want := max(sort.Search(len(s.firsts), func(i int) bool { return s.firsts[i] > q })-1, 0)
+		if got := s.upper.Locate(q); got != want {
+			t.Fatalf("internal levels route %d to segment %d, want %d", q, got, want)
+		}
 	}
 	for i, k := range keys {
 		pos, ok := s.find(k)

@@ -6,13 +6,10 @@
 package rmi
 
 import (
-	"math"
-	"sort"
 	"sync/atomic"
 	"time"
 
 	"learnedpieces/internal/index"
-	"learnedpieces/internal/parallel"
 	"learnedpieces/internal/pla"
 	"learnedpieces/internal/search"
 )
@@ -26,26 +23,19 @@ type Config struct {
 // DefaultConfig returns the configuration used by the benchmarks.
 func DefaultConfig() Config { return Config{} }
 
-type leafModel struct {
-	pla.Model
-	minErr int32 // signed bounds: actual - predicted in [minErr, maxErr]
-	maxErr int32
-}
-
 // Index is the two-stage RMI over a flat sorted array.
 type Index struct {
-	cfg    Config
-	keys   []uint64
-	vals   []uint64
-	leaves []leafModel
-	root   pla.Model // key -> leaf id, anchored at keys[0]
+	cfg   Config
+	keys  []uint64
+	vals  []uint64
+	model *pla.RMI // the two stages over keys
 
 	builds  atomic.Int64
 	buildNs atomic.Int64
 }
 
 // New returns an empty RMI; call BulkLoad before use.
-func New(cfg Config) *Index { return &Index{cfg: cfg} }
+func New(cfg Config) *Index { return &Index{cfg: cfg, model: pla.NewRMI(0)} }
 
 // Name implements index.Index.
 func (ix *Index) Name() string { return "rmi" }
@@ -68,95 +58,13 @@ func (ix *Index) BulkLoad(keys, values []uint64) error {
 	}()
 	ix.keys = keys
 	ix.vals = values
-	if len(keys) == 0 {
-		ix.leaves = nil
-		return nil
-	}
 	numLeaves := ix.cfg.NumLeaves
 	if numLeaves <= 0 {
-		numLeaves = len(keys) / 256
+		numLeaves = max(len(keys)/256, 1)
 	}
-	if numLeaves < 1 {
-		numLeaves = 1
-	}
-
-	// Stage one: least squares of leafID = (i/n)*L over key. The sums
-	// reduce over disjoint key chunks in parallel; per-chunk partials are
-	// combined in chunk order so the result is deterministic for a given
-	// worker count.
-	ix.root = pla.Model{FirstKey: keys[0]}
-	const minPerWorker = 16 << 10
-	workers := parallel.Workers(len(keys) / minPerWorker)
-	type sums struct{ sx, sy, sxx, sxy float64 }
-	partial := make([]sums, workers)
-	parallel.For(workers, len(keys), func(w, lo, hi int) {
-		var p sums
-		for i := lo; i < hi; i++ {
-			x := float64(keys[i] - ix.root.FirstKey)
-			y := float64(i) * float64(numLeaves) / float64(len(keys))
-			p.sx += x
-			p.sy += y
-			p.sxx += x * x
-			p.sxy += x * y
-		}
-		partial[w] = p
-	})
-	var sx, sy, sxx, sxy float64
-	for _, p := range partial {
-		sx += p.sx
-		sy += p.sy
-		sxx += p.sxx
-		sxy += p.sxy
-	}
-	fn := float64(len(keys))
-	denom := fn*sxx - sx*sx
-	if denom != 0 {
-		ix.root.Slope = (fn*sxy - sx*sy) / denom
-	}
-	ix.root.Intercept = (sy - ix.root.Slope*sx) / fn
-
-	// Assign keys to leaves by the root model, then train each leaf on its
-	// assigned range. Root predictions are monotone in the key (the least
-	// squares slope over co-sorted x and y is never negative), so each
-	// leaf owns a contiguous run and a worker can locate the start of its
-	// leaf range by binary search instead of replaying the whole scan —
-	// which is what lets disjoint leaf ranges train in parallel.
-	ix.leaves = make([]leafModel, numLeaves)
-	leafWorkers := len(keys) / minPerWorker
-	if leafWorkers > numLeaves {
-		leafWorkers = numLeaves
-	}
-	parallel.For(parallel.Workers(leafWorkers), numLeaves, func(_, leafLo, leafHi int) {
-		start := sort.Search(len(keys), func(i int) bool {
-			return ix.root.Predict(keys[i], numLeaves) >= leafLo
-		})
-		for leafID := leafLo; leafID < leafHi; leafID++ {
-			end := start
-			for end < len(keys) && ix.root.Predict(keys[end], numLeaves) == leafID {
-				end++
-			}
-			ix.leaves[leafID] = trainLeaf(keys, start, end)
-			start = end
-		}
-	})
+	ix.model = pla.NewRMI(numLeaves)
+	ix.model.Build(keys)
 	return nil
-}
-
-func trainLeaf(keys []uint64, start, end int) leafModel {
-	if start >= end {
-		return leafModel{Model: pla.Model{Intercept: float64(start)}}
-	}
-	m := leafModel{Model: pla.FitLinear(keys, start, end).Model, minErr: math.MaxInt32, maxErr: math.MinInt32}
-	for i := start; i < end; i++ {
-		e := int32(i - m.Predict(keys[i], len(keys)))
-		if e < m.minErr {
-			m.minErr = e
-		}
-		if e > m.maxErr {
-			m.maxErr = e
-		}
-	}
-	return m
 }
 
 // Get returns the value stored under key using the two model stages and a
@@ -177,10 +85,7 @@ func (ix *Index) find(key uint64) (int, bool) {
 	if n == 0 {
 		return 0, false
 	}
-	leaf := &ix.leaves[ix.root.Predict(key, len(ix.leaves))]
-	p := leaf.Predict(key, n)
-	lo := p + int(leaf.minErr)
-	hi := p + int(leaf.maxErr) + 1
+	lo, hi := ix.model.Window(key)
 	if lo < 0 {
 		lo = 0
 	}
@@ -209,9 +114,8 @@ func (ix *Index) GetBatch(keys []uint64, vals []uint64, found []bool) {
 				b.Add(nil, key, 0, 0)
 				continue
 			}
-			leaf := &ix.leaves[ix.root.Predict(key, len(ix.leaves))]
-			p := leaf.Predict(key, n)
-			b.Add(ix.keys, key, p+int(leaf.minErr), p+int(leaf.maxErr)+1)
+			lo, hi := ix.model.Window(key)
+			b.Add(ix.keys, key, lo, hi)
 		}
 		b.Run()
 		for l := 0; l < b.Len(); l++ {
@@ -240,10 +144,7 @@ func (ix *Index) lowerBound(key uint64) int {
 	if n == 0 {
 		return 0
 	}
-	leaf := &ix.leaves[ix.root.Predict(key, len(ix.leaves))]
-	p := leaf.Predict(key, n)
-	lo := p + int(leaf.minErr)
-	hi := p + int(leaf.maxErr) + 1
+	lo, hi := ix.model.Window(key)
 	if lo < 0 {
 		lo = 0
 	}
@@ -277,20 +178,8 @@ func (ix *Index) RetrainStats() (count, totalNs int64) {
 // are keys/values.
 func (ix *Index) Sizes() index.Sizes {
 	return index.Sizes{
-		Structure: int64(len(ix.leaves))*32 + 24,
+		Structure: ix.model.SizeBytes(),
 		Keys:      int64(len(ix.keys)) * 8,
 		Values:    int64(len(ix.vals)) * 8,
 	}
-}
-
-// MaxLeafError returns the largest leaf error band width; RMI has no
-// a-priori bound (paper: "Unfixed"), this is the measured value.
-func (ix *Index) MaxLeafError() int {
-	worst := 0
-	for i := range ix.leaves {
-		if w := int(ix.leaves[i].maxErr) - int(ix.leaves[i].minErr); w > worst {
-			worst = w
-		}
-	}
-	return worst
 }

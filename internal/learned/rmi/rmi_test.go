@@ -22,10 +22,8 @@ func TestLeafAssignmentContiguous(t *testing.T) {
 	// recorded error band must cover its true position (this is the
 	// invariant that makes bounded binary search correct).
 	for i, k := range keys {
-		m := &ix.leaves[ix.root.Predict(k, len(ix.leaves))]
-		p := m.Predict(k, len(keys))
-		if i < p+int(m.minErr) || i > p+int(m.maxErr) {
-			t.Fatalf("key %d: position %d outside band [%d,%d]", k, i, p+int(m.minErr), p+int(m.maxErr))
+		if lo, hi := ix.model.Window(k); i < lo || i >= hi {
+			t.Fatalf("key %d: position %d outside band [%d,%d)", k, i, lo, hi)
 		}
 	}
 }
@@ -53,7 +51,7 @@ func TestMaxLeafErrorUnbounded(t *testing.T) {
 	if err := ix.BulkLoad(keys, keys); err != nil {
 		t.Fatal(err)
 	}
-	if ix.MaxLeafError() == 0 {
+	if ix.model.MaxLeafError() == 0 {
 		t.Fatal("expected nonzero leaf error on OSM-like keys with 4 leaves")
 	}
 }

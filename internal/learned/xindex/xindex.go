@@ -1,9 +1,8 @@
 // Package xindex implements XIndex (Tang et al.), the only learned index
 // in the paper's evaluation that supports concurrent writes (Table I).
 //
-// Structure: a root model over group pivots (the paper's two-layer RMI,
-// realised here as a trained linear stage with an error-bounded pivot
-// search) above group nodes. Each group holds an immutable sorted data
+// Structure: the paper's two-layer RMI over the group pivots (pla.RMI,
+// the same piece core composes) above group nodes. Each group holds an immutable sorted data
 // array approximated by fixed-partition least-squares models (LSA), plus
 // a sorted delta buffer for inserts and a temporary buffer that absorbs
 // writes while a two-phase compaction is merging buffer and data — the
@@ -115,37 +114,25 @@ func (g *group) layers(ls *[3]index.MergeLayer, start uint64) []index.MergeLayer
 	return g.data.AppendLayer(layers, start)
 }
 
-// root is the immutable top structure, swapped atomically on splits.
+// root is the immutable top structure, swapped atomically on splits:
+// a two-stage RMI over the group pivots.
 type root struct {
 	pivots []uint64
 	groups []*group
-	model  pla.Segment // trained over pivots; MaxErr bounds the search
+	rmi    *pla.RMI
 }
 
 func buildRoot(groups []*group) *root {
-	r := &root{groups: groups, pivots: make([]uint64, len(groups))}
+	r := &root{groups: groups, pivots: make([]uint64, len(groups)), rmi: pla.NewRMI(0)}
 	for i, g := range groups {
 		r.pivots[i] = g.pivot
 	}
-	r.model = pla.FitLinear(r.pivots, 0, len(r.pivots))
+	r.rmi.Build(r.pivots)
 	return r
 }
 
 // groupFor returns the group whose range contains key.
-func (r *root) groupFor(key uint64) *group {
-	p := r.model.Predict(key)
-	j := search.UpperBound(r.pivots, key, p-r.model.MaxErr-1, p+r.model.MaxErr+2)
-	for j < len(r.pivots) && r.pivots[j] <= key {
-		j++
-	}
-	for j > 0 && r.pivots[j-1] > key {
-		j--
-	}
-	if j == 0 {
-		return r.groups[0]
-	}
-	return r.groups[j-1]
-}
+func (r *root) groupFor(key uint64) *group { return r.groups[r.rmi.Locate(key)] }
 
 // Index is the XIndex.
 type Index struct {
@@ -418,14 +405,6 @@ func (ix *Index) splitGroup(g *group, merged *groupData) {
 	}
 }
 
-func groupIndex(r *root, key uint64) int {
-	j := search.UpperBound(r.pivots, key, 0, len(r.pivots))
-	if j == 0 {
-		return 0
-	}
-	return j - 1
-}
-
 // cursor resumes at a key rather than a position: groups split and
 // roots swap underneath a long scan, so the only stable coordinate is
 // the key space. Each Next re-resolves the covering group from the
@@ -459,14 +438,14 @@ func (c *cursor) Next(keys, vals []uint64) int {
 	}
 	n := 0
 	r := c.ix.root.Load()
-	gi := groupIndex(r, c.key)
+	gi := r.rmi.Locate(c.key)
 	for n < len(keys) && gi < len(r.groups) {
 		g := r.groups[gi]
 		g.mu.RLock()
 		if g.retired {
 			g.mu.RUnlock()
 			r = c.ix.root.Load()
-			gi = groupIndex(r, c.key)
+			gi = r.rmi.Locate(c.key)
 			continue
 		}
 		var ls [3]index.MergeLayer
@@ -498,8 +477,8 @@ func (c *cursor) Close() {
 	cursorPool.Put(c)
 }
 
-// AvgDepth reports the two root model stages (Table II).
-func (ix *Index) AvgDepth() float64 { return 2 }
+// AvgDepth reports the root RMI's two stages (Table II).
+func (ix *Index) AvgDepth() float64 { return ix.root.Load().rmi.Depth() }
 
 // GroupCount returns the current number of groups.
 func (ix *Index) GroupCount() int { return len(ix.root.Load().groups) }
@@ -510,7 +489,7 @@ func (ix *Index) GroupCount() int { return len(ix.root.Load().groups) }
 func (ix *Index) Sizes() index.Sizes {
 	r := ix.root.Load()
 	var st, kb, vb int64
-	st += int64(len(r.pivots))*8 + 56
+	st += int64(len(r.pivots))*8 + r.rmi.SizeBytes()
 	for _, g := range r.groups {
 		g.mu.RLock()
 		st += int64(len(g.data.segs))*56 + 64

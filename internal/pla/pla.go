@@ -1,5 +1,6 @@
 // Package pla implements the approximation-CDF algorithms that form the
-// leaf-model dimension of learned indexes (paper §IV-A):
+// leaf-model dimension of learned indexes (paper §IV-A), and the
+// structure pieces built from them (§IV-B). The algorithms:
 //
 //   - LSA: fixed-length segments, least-squares fit per segment (XIndex).
 //   - OptPLA: optimal streaming piecewise-linear approximation with a
@@ -15,6 +16,16 @@
 // All algorithms map a sorted key array to positions; a Segment predicts
 // the global position of a key and records its guaranteed or measured
 // maximum error so lookups can bound their final binary search.
+//
+// The structure pieces (structure.go) locate the element of a sorted
+// domain — a key array, or the first keys of leaves — that covers a
+// key. Each is written once, so the structure core composes and §IV
+// times is the one the hand-written indexes run:
+//
+//   - LRS: PGM-Index's recursive Opt-PLA levels (pgm's internal levels).
+//   - RMI: the two-stage recursive model index (rmi, xindex's root).
+//   - FitRouter: the inner node of ALEX's asymmetric tree (alex, and
+//     core's ATS and HotATS).
 package pla
 
 import "sort"

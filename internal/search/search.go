@@ -80,6 +80,24 @@ func UpperBound(keys []uint64, key uint64, lo, hi int) int {
 	return LowerBound(keys, key+1, lo, hi)
 }
 
+// Floor returns the index of the greatest key <= key, or 0 when key
+// precedes every key (and for an empty slice). The window [lo, hi) is
+// only a hint — a structure's predicted position ± its error — searched
+// first and then walked outward, so a window that missed the answer
+// costs steps, never correctness.
+//
+//pieces:hotpath
+func Floor(keys []uint64, key uint64, lo, hi int) int {
+	j := UpperBound(keys, key, lo, hi)
+	for j < len(keys) && keys[j] <= key {
+		j++
+	}
+	for j > 0 && keys[j-1] > key {
+		j--
+	}
+	return max(j-1, 0)
+}
+
 // Find locates key in the sorted slice: (index, true) when present,
 // (insertion point, false) otherwise. Drop-in for the hand-rolled
 // sort.Search loops the indexes used to carry.

@@ -44,7 +44,8 @@ func corpora(rng *rand.Rand) [][]uint64 {
 	for i := range allEqual {
 		allEqual[i] = 42
 	}
-	out := [][]uint64{nil, {7}, allEqual, uniformDense, uniformSparse, skewed, plateaus}
+	extremes := []uint64{0, 0, 1, 1 << 63, ^uint64(0) - 1, ^uint64(0), ^uint64(0)}
+	out := [][]uint64{nil, {7}, allEqual, uniformDense, uniformSparse, skewed, plateaus, extremes}
 	for _, s := range out {
 		sort.Slice(s, func(a, b int) bool { return s[a] < s[b] })
 	}
@@ -97,6 +98,32 @@ func kernelsUnderTest() map[string]func([]uint64, uint64, int, int) int {
 	}
 }
 
+// floorOracle is the reference floor: the last index whose key is <=
+// key, 0 when there is none.
+func floorOracle(keys []uint64, key uint64) int {
+	return max(sort.Search(len(keys), func(i int) bool { return keys[i] > key })-1, 0)
+}
+
+// checkFloor runs Floor over hint windows placed around the answer a:
+// inside it, wholly left and wholly right of it, empty, clamped at either
+// end, and the extra windows given.
+func checkFloor(t *testing.T, keys []uint64, key uint64, extra ...[2]int) {
+	t.Helper()
+	a, n := floorOracle(keys, key), len(keys)
+	windows := append([][2]int{
+		{a, a + 1}, {a - 3, a + 4}, // inside
+		{0, a}, {a - 9, a}, // left
+		{a + 1, n}, {a + 1, a + 9}, // right
+		{a, a}, {n, 0}, // empty
+		{-5, 3}, {n - 3, n + 5}, {-1, n + 1}, // clamped
+	}, extra...)
+	for _, w := range windows {
+		if got := Floor(keys, key, w[0], w[1]); got != a {
+			t.Fatalf("Floor(len=%d, key=%d, lo=%d, hi=%d) = %d, oracle %d", n, key, w[0], w[1], got, a)
+		}
+	}
+}
+
 func TestKernelsMatchOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	kernels := kernelsUnderTest()
@@ -113,6 +140,9 @@ func TestKernelsMatchOracle(t *testing.T) {
 					checkLower(t, name, fn, keys, q, w[0], w[1])
 				}
 			}
+		}
+		for _, q := range probeKeys(keys, rng) {
+			checkFloor(t, keys, q, windows...)
 		}
 	}
 }
@@ -287,6 +317,7 @@ func TestZeroAlloc(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() {
 		Find(keys, 12345)
 		LowerBound(keys, 777, 100, 60000)
+		Floor(keys, 777, 1000, 1100)
 	}); n != 0 {
 		t.Fatalf("point kernels allocate %v/op", n)
 	}
@@ -305,9 +336,9 @@ func TestZeroAlloc(t *testing.T) {
 	}
 }
 
-// FuzzLowerBound cross-checks every kernel against the oracle on fuzzed
-// key material: bytes decode to deltas (so the slice is sorted by
-// construction, including zero deltas for duplicates).
+// FuzzLowerBound cross-checks every kernel and Floor against the
+// oracles on fuzzed key material: bytes decode to deltas (so the slice
+// is sorted by construction, including zero deltas for duplicates).
 func FuzzLowerBound(f *testing.F) {
 	f.Add([]byte{}, uint64(0))
 	f.Add([]byte{0, 0, 0, 0}, uint64(42))
@@ -323,6 +354,7 @@ func FuzzLowerBound(f *testing.F) {
 			checkLower(t, name, fn, keys, key, 0, len(keys))
 			checkLower(t, name, fn, keys, key, len(keys)/3, 2*len(keys)/3)
 		}
+		checkFloor(t, keys, key, [2]int{0, len(keys)}, [2]int{len(keys) / 3, 2 * len(keys) / 3})
 		var b Batch
 		b.Add(keys, key, 0, len(keys))
 		b.Run()
