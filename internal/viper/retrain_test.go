@@ -18,6 +18,26 @@ func fitingBuf() index.Index {
 	return e.New()
 }
 
+// TestParseRetrainMode: every spelling the CLIs' -retrain flag accepts
+// parses to its mode, and any other is refused.
+func TestParseRetrainMode(t *testing.T) {
+	for _, c := range []struct {
+		in   string
+		want RetrainMode
+		ok   bool
+	}{
+		{"inline", RetrainInline, true},
+		{"async", RetrainAsync, true},
+		{"", RetrainInline, false},
+		{"Async", RetrainInline, false},
+		{"background", RetrainInline, false},
+	} {
+		if got, ok := ParseRetrainMode(c.in); got != c.want || ok != c.ok {
+			t.Errorf("ParseRetrainMode(%q) = %v, %v; want %v, %v", c.in, got, ok, c.want, c.ok)
+		}
+	}
+}
+
 // TestRetrainModes runs the same workload under every retrain mode and
 // checks the store reads back identically; async additionally must
 // report background executions in the pool stats.

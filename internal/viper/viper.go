@@ -103,8 +103,8 @@ func WithTelemetry(sink *telemetry.Sink) Option {
 
 // WithValueSize declares the nominal record payload in bytes (the paper
 // uses 200). It sizes the shared payload BulkPut synthesises when called
-// with a nil value, is reported by ValueSize, and is the length of the
-// one device access a point read issues per record (readRecord):
+// with a nil value and is the length of the one device access a point
+// read issues per record (readRecord):
 // explicit values of any length remain accepted, but a longer one costs
 // a second access and a much shorter one over-reads — by at most one
 // 256-byte block at the default size. n <= 0 keeps DefaultValueSize.
@@ -297,9 +297,6 @@ func (s *Store) Region() *pmem.Region { return s.region }
 
 // Metrics returns the store's telemetry, nil when disabled.
 func (s *Store) Metrics() *telemetry.StoreMetrics { return s.met }
-
-// ValueSize reports the nominal record payload configured at Open.
-func (s *Store) ValueSize() int { return s.valueSize }
 
 // Len returns the number of live keys.
 func (s *Store) Len() int { return int(s.liveLen.Load()) }
