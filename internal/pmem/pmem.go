@@ -4,12 +4,18 @@
 // delay on the exact code paths that would touch the NVM device — the
 // property the paper's end-to-end question depends on ("is the
 // bottleneck the NVM or the index?"). Latency can be disabled for
-// functional tests. A stall is accounted as the nanoseconds asked; the
-// busy-wait that pays it costs asked plus about one clock read. On Linux
-// the region is advised to 2 MiB pages, as DAX maps Optane, so a record
-// access pays no 4 KiB page walk the model does not bill; the read
-// prefetch stays for the cache miss. A freed region's memory stays so
-// advised; the traced index.get_ns shows the index gained nothing by it.
+// functional tests. A stall is accounted as the nanoseconds asked. An
+// access reads the clock once when it is issued, does the simulator's own
+// work (counters, block buffer, prefetch, a write's copy) and then waits
+// for that clock plus its stall; a Round of reads waits once for the sum
+// of its stalls. The wait ends at the first clock read past the deadline:
+// on a 2-vCPU x86-64 VM whose clock read is ~50 ns, a lone access pays
+// 89–100 ns beyond its ask and an access of a 16-read round 10–12 ns
+// (BenchmarkSpinOvershoot). On Linux the region is advised to 2 MiB
+// pages, as DAX maps Optane, so a record access pays no 4 KiB page walk
+// the model does not bill; the read prefetch stays for the cache miss. A
+// freed region's memory stays so advised; the traced index.get_ns shows
+// the index gained nothing by it.
 //
 // Persistence semantics: everything written is durable (CPU-cache
 // volatility is not modelled); Flush is an accounted no-op so stores can
@@ -74,8 +80,8 @@ type Region struct {
 	writes  atomic.Int64
 	flushes atomic.Int64
 	// Device-level accounting: 256-byte lines touched and injected stall
-	// nanoseconds asked of spin on accesses that were not block-buffer
-	// hits (the wall clock pays a little more, see spin). All counters
+	// nanoseconds asked on accesses that were not block-buffer hits (the
+	// wall clock pays a little more, see spinUntil). All counters
 	// are region-local; an observability sink pulls them through
 	// AccessStats rather than being pushed per access, so accounting
 	// costs one uncontended atomic add.
@@ -171,72 +177,120 @@ func (r *Region) FreeChunks(size int) int {
 	return len(r.free[size])
 }
 
-// clockBase anchors spin's clock: time.Since of a Time that carries a
+// clockBase anchors the stall clock: time.Since of a Time that carries a
 // monotonic reading is one monotonic clock read, where time.Now reads the
 // wall clock as well.
 var clockBase = time.Now()
 
-// spin busy-waits for d nanoseconds to emulate a device stall; sleeping
-// would let the scheduler hide the latency being modelled. It reads the
-// clock once to set a deadline and once per iteration against it, so a
-// stall costs the d asked plus about one clock read.
+// clock is the stall clock, in nanoseconds since clockBase.
 //
 //pieces:hotpath meter
-func spin(d int64) {
-	if d <= 0 {
+func clock() int64 { return int64(time.Since(clockBase)) }
+
+// spinUntil busy-waits until the stall clock reaches deadline, to emulate
+// a device stall; sleeping would let the scheduler hide the latency being
+// modelled. A zero deadline asks no stall and returns at once. The wait
+// ends at the first clock read past the deadline, so with the read that
+// set the deadline a bare wait costs the ask plus about two clock reads:
+// 65–108 ns on a 2-vCPU x86-64 VM with a ~50 ns clock read
+// (BenchmarkSpinOvershoot).
+//
+//pieces:hotpath meter
+func spinUntil(deadline int64) {
+	if deadline == 0 {
 		return
 	}
-	deadline := time.Since(clockBase) + time.Duration(d)
-	for time.Since(clockBase) < deadline {
+	for clock() < deadline {
 	}
 }
 
-// charge accounts the 256-byte lines [off, off+n) touches and pays the
+// Round is a read round: device reads issued back to back whose stalls
+// are paid by one wait at the end, for the first stalled access's clock
+// plus the sum of every stall the round asked. No stall overlaps
+// another; only the round's own work between its accesses runs inside
+// them. Each access is charged exactly as the same access made alone
+// (counters, block buffer, prefetch). The zero Round is empty; it is a
+// small stack value used by one goroutine, and its views must not reach
+// a caller before Wait.
+type Round struct {
+	deadline int64 // stall clock at which the round's stalls are paid; 0 = none asked yet
+}
+
+// ReadNoCopy is r.ReadNoCopy(off, n) as one access of the round: charged
+// the same, its stall added to the round's. On a nil round it is a lone
+// access, which pays its own stall before it returns.
+//
+//pieces:hotpath
+func (rd *Round) ReadNoCopy(r *Region, off int64, n int) []byte {
+	r.reads.Add(1)
+	spinUntil(r.charge(off, n, r.lat.ReadNs, false, rd))
+	return r.data[off : off+int64(n)]
+}
+
+// Wait pays the round's summed stall and empties the round.
+//
+//pieces:hotpath
+func (rd *Round) Wait() {
+	spinUntil(rd.deadline)
+	rd.deadline = 0
+}
+
+// charge accounts the 256-byte lines [off, off+n) touches and the
 // injected latency, skipping the stall when the access stays inside the
 // most recently touched block (block-buffer hit) or the model is
-// disabled — lines are counted either way, stall only when paid. An
+// disabled — lines are counted either way, stall only when asked. An
 // access that spans several blocks pays every one of them, even when the
 // first is the buffered block: reading a record as header-then-value
 // therefore pays the header's block twice whenever the value straddles,
 // which is why the store reads (and writes) a record in one access. An
-// empty access touches no block: it counts no line, pays no stall and
+// empty access touches no block: it counts no line, asks no stall and
 // leaves the block buffer where it was.
 //
-// A read that pays a stall first prefetches every host line it covers,
-// so the real cache and TLB misses on the backing bytes overlap the
-// stall that models the device fetching them instead of following it.
-// Writes and block-buffer hits issue nothing.
+// charge reads the stall clock once, when a stalled access is issued,
+// and does not wait. A lone access (rd nil) gets back the deadline its
+// caller waits for once its own work is done — 0 when no stall is asked
+// — so the counter adds, the block buffer, the prefetch and a write's
+// copy run inside the stall rather than after it. An access of a round
+// adds its stall to the round's deadline instead, setting it from the
+// clock at the round's first stalled access, and returns 0.
+//
+// A read that asks a stall prefetches every host line it covers, so the
+// real cache and TLB misses on the backing bytes overlap the stall that
+// models the device fetching them instead of following it. Writes and
+// block-buffer hits issue nothing.
 //
 //pieces:hotpath
-func (r *Region) charge(off int64, n int, perBlock int64, write bool) {
+func (r *Region) charge(off int64, n int, perBlock int64, write bool, rd *Round) (deadline int64) {
 	if n <= 0 {
-		return
+		return 0
 	}
 	first := off / blockSize
 	last := (off + int64(n) - 1) / blockSize
 	lines := last - first + 1
+	lineCount, stallCount := &r.lineReads, &r.readStallNs
 	if write {
-		r.lineWrites.Add(lines)
-	} else {
-		r.lineReads.Add(lines)
+		lineCount, stallCount = &r.lineWrites, &r.writeStallNs
 	}
-	if perBlock <= 0 {
-		return
-	}
-	if first == last && r.lastBlock.Load() == first+1 {
-		return // block-buffer hit
+	if perBlock <= 0 || (first == last && r.lastBlock.Load() == first+1) {
+		lineCount.Add(lines) // disabled model or block-buffer hit: counted, not stalled
+		return 0
 	}
 	stall := lines * perBlock
+	switch {
+	case rd == nil:
+		deadline = clock() + stall
+	case rd.deadline == 0:
+		rd.deadline = clock() + stall
+	default:
+		rd.deadline += stall
+	}
+	lineCount.Add(lines)
+	stallCount.Add(stall)
 	if !write {
 		prefetch(&r.data[off], n)
 	}
-	spin(stall)
 	r.lastBlock.Store(last + 1)
-	if write {
-		r.writeStallNs.Add(stall)
-	} else {
-		r.readStallNs.Add(stall)
-	}
+	return deadline
 }
 
 // Read copies len(buf) bytes at off into buf, paying read latency.
@@ -244,8 +298,9 @@ func (r *Region) charge(off int64, n int, perBlock int64, write bool) {
 //pieces:hotpath
 func (r *Region) Read(off int64, buf []byte) {
 	r.reads.Add(1)
-	r.charge(off, len(buf), r.lat.ReadNs, false)
+	deadline := r.charge(off, len(buf), r.lat.ReadNs, false, nil)
 	copy(buf, r.data[off:off+int64(len(buf))])
+	spinUntil(deadline)
 }
 
 // ReadNoCopy returns a view of the stored bytes, paying read latency.
@@ -253,9 +308,8 @@ func (r *Region) Read(off int64, buf []byte) {
 //
 //pieces:hotpath
 func (r *Region) ReadNoCopy(off int64, n int) []byte {
-	r.reads.Add(1)
-	r.charge(off, n, r.lat.ReadNs, false)
-	return r.data[off : off+int64(n)]
+	var lone *Round
+	return lone.ReadNoCopy(r, off, n)
 }
 
 // Prefetch hints that the bytes at off are about to be read: it issues
@@ -280,9 +334,10 @@ func (r *Region) Write(off int64, data []byte) { r.WriteGather(off, data, nil) }
 //pieces:hotpath
 func (r *Region) WriteGather(off int64, head, tail []byte) {
 	r.writes.Add(1)
-	r.charge(off, len(head)+len(tail), r.lat.WriteNs, true)
+	deadline := r.charge(off, len(head)+len(tail), r.lat.WriteNs, true, nil)
 	n := copy(r.data[off:], head)
 	copy(r.data[off+int64(n):], tail)
+	spinUntil(deadline)
 }
 
 // Flush records a persistence barrier (clwb/sfence equivalent).

@@ -198,6 +198,82 @@ func TestEmptyAccessTouchesNoBlock(t *testing.T) {
 	}
 }
 
+// roundAccesses covers a round's cases: a stalled read, a block-buffer
+// hit, a zero-length access, a multi-block span whose first block is the
+// buffered one, a hit on that span's last block and a fresh block.
+var roundAccesses = []struct {
+	off int64
+	n   int
+}{{0, 1}, {8, 4}, {100, 0}, {200, 700}, {900, 10}, {5000, 1}, {5010, 0}, {4096, 300}}
+
+// TestRoundChargesAsLoneAccesses is the invariant a read round rests on:
+// N accesses made as one Round leave the device accounting (counters,
+// stall asked, block buffer) exactly where the same N accesses made one
+// at a time on a fresh region leave it, and return the same bytes, under
+// a stalling model and under None().
+func TestRoundChargesAsLoneAccesses(t *testing.T) {
+	for _, lat := range []LatencyModel{{ReadNs: 3, WriteNs: 7}, None()} {
+		lone, round := NewRegion(1<<13, lat), NewRegion(1<<13, lat)
+		for i := range lone.data {
+			lone.data[i], round.data[i] = byte(i*7), byte(i*7)
+		}
+		var rd Round
+		for _, a := range roundAccesses {
+			want := lone.ReadNoCopy(a.off, a.n)
+			if got := rd.ReadNoCopy(round, a.off, a.n); !bytes.Equal(got, want) {
+				t.Fatalf("%+v: round read of %d bytes at %d returned other bytes", lat, a.n, a.off)
+			}
+			if got, want := round.AccessStats(), lone.AccessStats(); got != want {
+				t.Fatalf("%+v: after %d bytes at %d the round charged %+v, lone accesses %+v", lat, a.n, a.off, got, want)
+			}
+		}
+		rd.Wait()
+		// The block buffer ended on the same block: the next read is a
+		// hit on both regions, or a miss on both.
+		lone.ReadNoCopy(4390, 1)
+		rd.ReadNoCopy(round, 4390, 1)
+		if got, want := round.AccessStats(), lone.AccessStats(); got != want {
+			t.Fatalf("%+v: the round left the block buffer elsewhere: %+v, lone %+v", lat, got, want)
+		}
+		rd.Wait()
+	}
+}
+
+// TestRoundPaysItsStall: a round's Wait returns no earlier than the
+// stall its accesses asked, counted from before the first of them, and a
+// lone access returns no earlier than its own. Only lower bounds are
+// asserted: the wall clock may always pay more.
+func TestRoundPaysItsStall(t *testing.T) {
+	r := NewRegion(1<<13, LatencyModel{ReadNs: 20_000, WriteNs: 10_000})
+	for rep := 0; rep < 2; rep++ { // a waited round is empty and reusable
+		var rd Round
+		before := r.AccessStats()
+		start := time.Now()
+		for _, a := range roundAccesses {
+			rd.ReadNoCopy(r, a.off, a.n)
+		}
+		rd.Wait()
+		elapsed := time.Since(start)
+		if asked := r.AccessStats().ReadStallNs - before.ReadStallNs; asked == 0 || elapsed < time.Duration(asked) {
+			t.Fatalf("round %d asked %d ns of stall and returned after %v", rep, asked, elapsed)
+		}
+	}
+	for _, access := range []func(){
+		func() { r.ReadNoCopy(6000, 600) },
+		func() { r.Read(200, make([]byte, 300)) },
+		func() { r.WriteGather(3000, make([]byte, 13), make([]byte, 700)) },
+	} {
+		before := r.AccessStats()
+		start := time.Now()
+		access()
+		elapsed := time.Since(start)
+		after := r.AccessStats()
+		if asked := after.ReadStallNs + after.WriteStallNs - before.ReadStallNs - before.WriteStallNs; asked == 0 || elapsed < time.Duration(asked) {
+			t.Fatalf("a lone access asked %d ns of stall and returned after %v", asked, elapsed)
+		}
+	}
+}
+
 // BenchmarkCold prices a store's record access without the store, at a
 // random offset of a 64 MiB region under Optane latency. Read is a Get's
 // read: a 213-byte ReadNoCopy, then a touch of the flags byte, the first
@@ -246,16 +322,45 @@ var coldReadSink byte
 
 // BenchmarkSpinOvershoot reports what a stall costs beyond the
 // nanoseconds asked: AccessStats counts stall asked, the wall clock pays
-// asked + overshoot on every charged access.
+// asked + overshoot. The ask=… cases time the bare wait of a lone access
+// (issue clock plus spinUntil). The access=… cases time 16 ReadNoCopy
+// calls on 16 distinct blocks under a 170 ns model — lone, each waiting
+// for its own stall, or as one Round with one wait — and report the
+// overshoot per access, the simulator's own work included.
 func BenchmarkSpinOvershoot(b *testing.B) {
 	for _, ask := range []int64{90, 170, 340} {
 		b.Run(fmt.Sprintf("ask=%dns", ask), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				spin(ask)
+				spinUntil(clock() + ask)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)-float64(ask), "overshoot-ns/op")
 		})
 	}
+	const accesses, ask = 16, 170
+	r := NewRegion(accesses*blockSize, LatencyModel{ReadNs: ask})
+	var sink byte
+	for _, round := range []bool{false, true} {
+		name := "access=lone"
+		if round {
+			name = "access=round16"
+		}
+		b.Run(name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				var rd Round
+				for a := int64(0); a < accesses; a++ {
+					if round {
+						sink += rd.ReadNoCopy(r, a*blockSize, 1)[0]
+					} else {
+						sink += r.ReadNoCopy(a*blockSize, 1)[0]
+					}
+				}
+				rd.Wait()
+			}
+			perAccess := float64(b.Elapsed().Nanoseconds()) / float64(b.N*accesses)
+			b.ReportMetric(perAccess-ask, "overshoot-ns/access")
+		})
+	}
+	coldReadSink = sink
 }
 
 // TestSetLatency: under None() an access still counts its lines but asks

@@ -34,6 +34,7 @@ const (
 	fzCompact
 	fzRecover
 	fzDrain
+	fzMultiGet
 	fzOps
 )
 
@@ -73,6 +74,19 @@ func fzKey(b byte) uint64 {
 	return uint64(b)<<56 | uint64(b)
 }
 
+// fzBatch is a MultiGet batch: 1 + b%15 table keys from a on, b>>4+1
+// apart, then a repeat of the first and a key outside the table (the
+// first with bit 40 flipped: bits 8-55 of a table key are all clear or
+// all set).
+func fzBatch(a, b byte) []uint64 {
+	n, stride := 1+int(b)%15, 1+int(b>>4)
+	keys := make([]uint64, 0, n+2)
+	for i := 0; i < n; i++ {
+		keys = append(keys, fzKey(byte(int(a)+i*stride)))
+	}
+	return append(keys, keys[0], fzKey(a)^1<<40)
+}
+
 // fzValue is a payload that differs between any two operations of a stream.
 func fzValue(op int, n int) []byte {
 	v := make([]byte, n)
@@ -92,15 +106,19 @@ func fzPuts(lo, hi byte) []byte {
 	return ops
 }
 
-// FuzzStoreOps drives a store with Put, Delete, Get, Range, BulkPut,
-// Compact, DropIndex+Recover and DrainRetrains against a map oracle,
+// FuzzStoreOps drives a store with Put, Delete, Get, MultiGet, Range,
+// BulkPut, Compact, DropIndex+Recover and DrainRetrains against a map
+// oracle,
 // checking Len after every operation and the whole key table, forwards
 // through Range and again after a recovery, at the end. kind selects the
 // index (fzIndex); every index the stream installs is a fresh one of that
 // kind. A BulkPut replaces the index (the bulk-load contract is an empty
 // index), so the operation is the sequence that is meaningful on a
 // non-empty store: drop the index, load, recover — after which the log's
-// earlier keys must be back.
+// earlier keys must be back. A MultiGet batch (fzBatch) holds up to 16
+// table keys, one of them repeated, and one key outside the table; values
+// longer than the store's declared size make it read stragglers inside
+// its read round.
 func FuzzStoreOps(f *testing.F) {
 	f.Add(byte(0), []byte{fzPut, 7, 3, fzDelete, 7, 0, fzBulkPut, 5, 4, fzGet, 7, 0, fzRecover, 0, 0}) // tombstone, then BulkPut of the same key
 	f.Add(byte(0), []byte{fzPut, 1, 200, fzPut, 2, 200, fzPut, 1, 9, fzCompact, 0, 0, fzPut, 2, 1, fzRecover, 0, 0})
@@ -134,6 +152,10 @@ func FuzzStoreOps(f *testing.F) {
 	// still be retraining, so they are logged and replayed at the install.
 	f.Add(byte(5), slices.Concat(fzPuts(1, 8), []byte{fzDelete, 3, 0, fzGet, 3, 0}, fzPuts(9, 16),
 		[]byte{fzDelete, 1, 0, fzDelete, 12, 0, fzPut, 3, 7, fzRange, 0, 0, fzDrain, 0, 0, fzGet, 12, 0, fzRecover, 0, 0}))
+	// MultiGet over log neighbours whose values run past the declared size
+	// (stragglers inside a span), a tombstone and a scattered overwrite.
+	f.Add(byte(0), slices.Concat([]byte{fzPut, 1, 1, fzPut, 2, 40, fzPut, 3, 1, fzPut, 4, 90, fzPut, 5, 1, fzDelete, 3, 0},
+		fzPuts(20, 40), []byte{fzPut, 2, 200, fzMultiGet, 1, 14, fzCompact, 0, 0, fzMultiGet, 0, 31}))
 
 	f.Fuzz(func(t *testing.T, kind byte, data []byte) {
 		data = data[:min(len(data), 3*fzMaxOps)]
@@ -230,6 +252,14 @@ func FuzzStoreOps(f *testing.F) {
 				recoverNow()
 			case fzDrain:
 				s.DrainRetrains()
+			case fzMultiGet:
+				batch := fzBatch(a, b)
+				got := s.MultiGet(batch)
+				for i, k := range batch {
+					if want, has := oracle[k]; (got[i] != nil) != has || !bytes.Equal(got[i], want) {
+						t.Fatalf("op %d: MultiGet position %d (key %d) = %d bytes, want %d bytes, %v", op, i, k, len(got[i]), len(want), has)
+					}
+				}
 			}
 			if errors.Is(err, ErrFull) {
 				break stream // a refused operation changed nothing: the final check still holds

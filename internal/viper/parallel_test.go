@@ -440,7 +440,7 @@ func TestBulkPutLayout(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, k := range early {
-		if got, live := s.readRecord(earlyOffs[i]); !live || !bytes.Equal(got, value(k)) {
+		if got, live := s.readRecord(nil, earlyOffs[i]); !live || !bytes.Equal(got, value(k)) {
 			t.Fatalf("record of key %d changed under a later BulkPut", k)
 		}
 	}

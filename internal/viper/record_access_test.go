@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+	"time"
 
 	"learnedpieces/internal/btree"
 	"learnedpieces/internal/epoch"
@@ -258,7 +259,7 @@ func clampsAtRegionEnd(t *testing.T) {
 					t.Fatalf("Delete = %v, %v", ok, err)
 				}
 				var live bool
-				d := deviceDelta(region, func() { _, live = s.readRecord(off) })
+				d := deviceDelta(region, func() { _, live = s.readRecord(nil, off) })
 				if live || d.Reads != 1 || d.LineReads != 1 {
 					t.Fatalf("tombstone at the region end: live=%v, %+v; want dead, 1 read of 1 line", live, d)
 				}
@@ -447,6 +448,76 @@ func TestScanPagesRejectsOverlongRecord(t *testing.T) {
 	for k := uint64(1); k <= 10; k++ {
 		if v, ok := s.Get(k); !ok || !bytes.Equal(v, value(k)) {
 			t.Fatalf("key %d lost", k)
+		}
+	}
+}
+
+// TestBatchReadsPayTheirStall: a batch's record reads are one pmem.Round
+// that waits once for the sum of their stalls, and no value may reach the
+// caller before that wait. At every Range callback the time since the
+// call is at least the read stall charged since it, and MultiGet returns
+// no earlier than the stall it charged. The batches mix log neighbours
+// (span reads), scattered records, oversized values (straggler reads
+// inside a span) and tombstones. Only lower bounds are asserted.
+func TestBatchReadsPayTheirStall(t *testing.T) {
+	region := pmem.NewRegion(8<<20, pmem.Optane())
+	s := Open(region, btree.New())
+	s.scanBatch = 16
+	put := func(k uint64, v []byte) {
+		t.Helper()
+		if err := s.Put(k, v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := make(map[uint64][]byte)
+	filler := uint64(1 << 32)
+	for _, p := range rand.New(rand.NewSource(7)).Perm(64) {
+		k := uint64(p + 1)
+		want[k] = value(k)
+		if k%7 == 0 {
+			want[k] = bytes.Repeat(want[k], 4) // longer than the declared value size
+		}
+		put(k, want[k])
+		if k%5 == 0 { // the next record has no log neighbour within a span's reach
+			for i := 0; i < 8; i++ {
+				put(filler, value(filler))
+				filler++
+			}
+		}
+	}
+	for k := uint64(3); k <= 64; k += 11 {
+		if ok, err := s.Delete(k); !ok || err != nil {
+			t.Fatalf("Delete(%d) = %v, %v", k, ok, err)
+		}
+		delete(want, k)
+	}
+	readStall := func() int64 { return region.AccessStats().ReadStallNs }
+
+	before, start := readStall(), time.Now()
+	delivered := 0
+	err := s.Range(1, len(want), func(k uint64, v []byte) bool {
+		if elapsed, asked := time.Since(start), readStall()-before; elapsed < time.Duration(asked) {
+			t.Fatalf("Range delivered key %d after %v, before the %d ns of stall charged so far", k, elapsed, asked)
+		}
+		if !bytes.Equal(v, want[k]) {
+			t.Fatalf("Range delivered key %d with the wrong value", k)
+		}
+		delivered++
+		return true
+	})
+	if err != nil || delivered != len(want) {
+		t.Fatalf("Range delivered %d entries, %v; want %d", delivered, err, len(want))
+	}
+
+	batch := []uint64{9, 1 << 40, 14, 3, 64, 9, 35, 21, 2, 63, 28, 1, 49, 50, 33, 7}
+	before, start = readStall(), time.Now()
+	vals := s.MultiGet(batch)
+	if elapsed, asked := time.Since(start), readStall()-before; asked == 0 || elapsed < time.Duration(asked) {
+		t.Fatalf("MultiGet returned after %v, before the %d ns of stall it charged", elapsed, asked)
+	}
+	for i, k := range batch {
+		if w, ok := want[k]; (vals[i] != nil) != ok || !bytes.Equal(vals[i], w) {
+			t.Fatalf("MultiGet position %d (key %d): %d bytes, want %d", i, k, len(vals[i]), len(w))
 		}
 	}
 }

@@ -362,7 +362,9 @@ func (s *Store) appendRecord(key uint64, value []byte, flags byte) (int64, error
 // scattered Range entries and Compact's copy: a single device access of
 // recordHeader+ValueSize bytes at off (clamped to the region end, as
 // readLiveSpans clamps its spans), with flags and length parsed out of
-// that view. Reading the header and then the value would pay the
+// that view. rd is nil for a lone read, which has paid its stall before
+// it parses; a batch passes its read round, which pays at the batch's end
+// (readLiveSpans). Reading the header and then the value would pay the
 // header's block twice whenever the value straddles a block boundary
 // (pmem.Region.charge bills every block of a multi-block access). Only a
 // value longer than the declared ValueSize costs a second access. The
@@ -371,18 +373,18 @@ func (s *Store) appendRecord(key uint64, value []byte, flags byte) (int64, error
 // epoch pin.
 //
 //pieces:hotpath
-func (s *Store) readRecord(off int64) (val []byte, live bool) {
+func (s *Store) readRecord(rd *pmem.Round, off int64) (val []byte, live bool) {
 	n := recordHeader + s.valueSize
 	if rest := s.region.Size() - int(off); n > rest {
 		n = rest
 	}
-	rec := s.region.ReadNoCopy(off, n)
+	rec := rd.ReadNoCopy(s.region, off, n)
 	if rec[12]&flagDeleted != 0 {
 		return nil, false
 	}
 	end := recordHeader + int(binary.LittleEndian.Uint32(rec[8:12]))
 	if end > len(rec) {
-		return s.region.ReadNoCopy(off+recordHeader, end-recordHeader), true
+		return rd.ReadNoCopy(s.region, off+recordHeader, end-recordHeader), true
 	}
 	return rec[recordHeader:end], true
 }
@@ -447,7 +449,7 @@ func (s *Store) Get(key uint64) ([]byte, bool) {
 		sp.Done()
 		return nil, false
 	}
-	val, live := s.readRecord(int64(off))
+	val, live := s.readRecord(nil, int64(off))
 	g.Exit()
 	if !live {
 		s.met.GetMiss()
@@ -618,7 +620,7 @@ func sortByOffset(offs []uint64, ord []int, pack []uint64) {
 	}
 }
 
-// readLiveSpans resolves the round's records in ascending offset order
+// readLiveSpans resolves the batch's records in ascending offset order
 // (ord holds batch positions sorted by offs) and writes each value —
 // nil for tombstones — back to its batch position in vals. Consecutive
 // offsets within spanBridge of one record's extent coalesce into a
@@ -627,15 +629,20 @@ func sortByOffset(offs []uint64, ord []int, pack []uint64) {
 // record; stale records inside a span are never parsed, just skipped by
 // offset arithmetic. A record with no neighbour in reach goes through
 // readRecord. Before any of that the header line of each record (up to
-// touchAhead of them) is prefetched, so the round's cache and TLB misses
-// overlap instead of each waiting behind the previous record's stall;
-// the device accesses themselves stay serial. Caller holds an epoch pin.
+// touchAhead of them) is prefetched, so the batch's cache and TLB misses
+// overlap instead of each waiting behind the previous record's stall.
+// Every span and straggler read is one access of a single pmem.Round:
+// each is charged as if made alone, and the batch waits once, at the end,
+// for the sum of their stalls, so no value reaches the caller before its
+// stall is paid and the parsing in between runs inside it. Caller holds
+// an epoch pin.
 //
 //pieces:hotpath
 func (s *Store) readLiveSpans(offs []uint64, ord []int, vals [][]byte) {
 	for _, i := range ord[:min(len(ord), touchAhead)] {
 		s.region.Prefetch(int64(offs[i]))
 	}
+	var rd pmem.Round
 	maxGap := uint64(recordHeader + s.valueSize + spanBridge)
 	size := uint64(s.region.Size())
 	m := len(ord)
@@ -645,7 +652,7 @@ func (s *Store) readLiveSpans(offs []uint64, ord []int, vals [][]byte) {
 			runEnd++
 		}
 		if runEnd-j < 2 {
-			vals[ord[j]], _ = s.readRecord(int64(offs[ord[j]]))
+			vals[ord[j]], _ = s.readRecord(&rd, int64(offs[ord[j]]))
 			j++
 			continue
 		}
@@ -654,7 +661,7 @@ func (s *Store) readLiveSpans(offs []uint64, ord []int, vals [][]byte) {
 		if first+spanLen > size {
 			spanLen = size - first
 		}
-		span := s.region.ReadNoCopy(int64(first), int(spanLen))
+		span := rd.ReadNoCopy(s.region, int64(first), int(spanLen))
 		for ; j < runEnd; j++ {
 			i := ord[j]
 			rel := offs[i] - first
@@ -671,9 +678,10 @@ func (s *Store) readLiveSpans(offs []uint64, ord []int, vals [][]byte) {
 			}
 			// An oversized value or a span clamped at the region end:
 			// the straggler reads individually, over already-warm blocks.
-			vals[i], _ = s.readRecord(int64(offs[i]))
+			vals[i], _ = s.readRecord(&rd, int64(offs[i]))
 		}
 	}
+	rd.Wait()
 }
 
 // Range visits live entries with key >= start in ascending key order,
@@ -1029,7 +1037,7 @@ func (s *Store) Compact(fresh index.Index) (int64, error) {
 		pw := s.newPageWriter(s.allocPage)
 		defer func() { filled[w] = pw.pages }()
 		for i := lo; i < hi; i++ {
-			val, _ := s.readRecord(int64(srcs[i])) // live: the scan dropped tombstones
+			val, _ := s.readRecord(nil, int64(srcs[i])) // live: the scan dropped tombstones
 			if offs[i], err = pw.append(keys[i], val); err != nil {
 				return err
 			}
