@@ -2,7 +2,6 @@ package core
 
 import (
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"learnedpieces/internal/index"
@@ -20,8 +19,10 @@ type InsertStrategy interface {
 	Prepare(l *Leaf)
 	// Insert adds a key the leaf does not hold. inserted=false means the
 	// leaf had no room (the caller rebuilds it and retries); retrain=true
-	// asks for a retrain after a successful insert.
-	Insert(l *Leaf, key, value uint64) (inserted, retrain bool)
+	// asks for a retrain after a successful insert. inFlight says the
+	// leaf's rebuild is on the retrain pool: a strategy that can grow the
+	// leaf past its bound does, so the leaf keeps absorbing writes.
+	Insert(l *Leaf, key, value uint64, inFlight bool) (inserted, retrain bool)
 }
 
 // Inplace reserves free slots at the end of each packed leaf and shifts
@@ -57,8 +58,8 @@ func (s Inplace) Prepare(l *Leaf) {
 
 // Insert implements InsertStrategy. A leaf whose rebuild is in flight
 // keeps absorbing keys past its reserve (append regrows the arrays).
-func (s Inplace) Insert(l *Leaf, key, value uint64) (bool, bool) {
-	if len(l.Keys) == cap(l.Keys) && !l.retraining {
+func (s Inplace) Insert(l *Leaf, key, value uint64, inFlight bool) (bool, bool) {
+	if len(l.Keys) == cap(l.Keys) && !inFlight {
 		return false, true
 	}
 	at, _ := l.find(key)
@@ -95,7 +96,7 @@ func (s BufferInsert) Prepare(l *Leaf) {}
 
 // Insert implements InsertStrategy. A leaf whose rebuild is in flight
 // keeps buffering past Size.
-func (s BufferInsert) Insert(l *Leaf, key, value uint64) (bool, bool) {
+func (s BufferInsert) Insert(l *Leaf, key, value uint64, _ bool) (bool, bool) {
 	l.buffer(key, value)
 	return true, len(l.Buf.Keys) >= s.size()
 }
@@ -131,7 +132,7 @@ func (s GapInsert) Prepare(l *Leaf) {
 
 // Insert implements InsertStrategy: ALEX's model-based gap insertion
 // (pla.GappedNode.InsertReplace) applied to a composed leaf.
-func (s GapInsert) Insert(l *Leaf, key, value uint64) (bool, bool) {
+func (s GapInsert) Insert(l *Leaf, key, value uint64, _ bool) (bool, bool) {
 	if len(l.Keys) == 0 || l.NumKeys >= len(l.Keys) {
 		return false, true
 	}
@@ -222,13 +223,13 @@ func gappedWhole(keys, vals []uint64) []*Leaf {
 // dimension — the artefact the paper argues the dimensions' orthogonality
 // makes possible.
 //
-// Retraining has one path (index.AsyncRetrainer): a leaf due for a
-// rebuild is snapshotted with its buffer merged in, the policy rebuilds
-// the snapshot as one task on the retrain pool (inline when there is no
-// pool), and the replacements are installed on the writer's timeline,
-// where the writes that hit the leaf meanwhile are replayed from an op
-// log. Composed has a single-writer contract, so the task never touches
-// the live structure.
+// Retraining has one path (index.AsyncRetrainer, through retrain.Aside):
+// a leaf due for a rebuild is snapshotted with its buffer merged in, the
+// policy rebuilds the snapshot as one task on the retrain pool (inline
+// when there is no pool), and the replacements are installed on the
+// writer's timeline, where the writes that hit the leaf meanwhile are
+// replayed from an op log. Composed has a single-writer contract, so the
+// task never touches the live structure.
 type Composed struct {
 	approx    Approximator
 	structure Structure
@@ -243,25 +244,7 @@ type Composed struct {
 	leaves []*Leaf
 	length int
 
-	pool  *retrain.Pool
-	inbox retrain.Inbox[deposit]
-	oplog []wop
-
-	retrains  atomic.Int64
-	retrainNs atomic.Int64
-}
-
-// deposit is one finished rebuild: the replacements for old.
-type deposit struct {
-	old    *Leaf
-	leaves []*Leaf
-}
-
-// wop is one write logged against a retraining leaf.
-type wop struct {
-	l        *Leaf
-	key, val uint64
-	del      bool
+	aside retrain.Aside[*Leaf, []*Leaf]
 }
 
 var _ index.Index = (*Composed)(nil)
@@ -269,6 +252,7 @@ var _ index.Index = (*Composed)(nil)
 // Compose assembles an index from the four dimensions.
 func Compose(a Approximator, s Structure, ins InsertStrategy, pol RetrainPolicy) *Composed {
 	c := &Composed{approx: a, structure: s, strategy: ins, policy: pol}
+	c.aside.Init(c.apply)
 	c.install(c.prepare([]*Leaf{emptyLeaf()}))
 	return c
 }
@@ -286,23 +270,16 @@ func (c *Composed) Name() string {
 func (c *Composed) Len() int { return c.length }
 
 // RetrainStats implements index.RetrainReporter.
-func (c *Composed) RetrainStats() (int64, int64) { return c.retrains.Load(), c.retrainNs.Load() }
+func (c *Composed) RetrainStats() (int64, int64) { return c.aside.RetrainStats() }
 
 // SetRetrainPool implements index.AsyncRetrainer: subsequent leaf
 // rebuilds run on p (nil: inline).
-func (c *Composed) SetRetrainPool(p *retrain.Pool) { c.pool = p }
+func (c *Composed) SetRetrainPool(p *retrain.Pool) { c.aside.SetPool(p) }
 
 // DrainRetrains implements index.AsyncRetrainer: wait for the rebuilds
 // in flight and install them, repeating until no install schedules
 // further work. Writer timeline only.
-func (c *Composed) DrainRetrains() {
-	for {
-		c.pool.Drain()
-		if !c.installDeposits() {
-			return
-		}
-	}
-}
+func (c *Composed) DrainRetrains() { c.aside.Drain() }
 
 // LeafCount returns the current leaf count.
 func (c *Composed) LeafCount() int { return len(c.leaves) }
@@ -342,7 +319,7 @@ func (c *Composed) prepare(leaves []*Leaf) []*Leaf {
 // BulkLoad builds the index over sorted distinct keys. A rebuild in
 // flight no longer applies: its leaf has left the table.
 func (c *Composed) BulkLoad(keys, values []uint64) error {
-	c.oplog = nil
+	c.aside.Reset()
 	c.install(c.prepare(c.approx.Build(keys, values)))
 	c.length = len(keys)
 	return nil
@@ -374,7 +351,7 @@ func (c *Composed) Insert(key, value uint64) error {
 // InsertReplace implements index.Upserter: the leaf search that decides
 // between replace and insert is the existence answer.
 func (c *Composed) InsertReplace(key, value uint64) (bool, error) {
-	c.installDeposits()
+	c.aside.Install()
 	return c.upsert(key, value, true), nil
 }
 
@@ -395,7 +372,7 @@ func (c *Composed) upsert(key, value uint64, counted bool) (existed bool) {
 	if counted && !existed {
 		c.length++
 	}
-	c.logOp(l, key, value, false)
+	c.aside.Log(l, key, value, false)
 	if due {
 		c.scheduleRetrain(l) // after the log: the snapshot holds this write
 	}
@@ -408,92 +385,57 @@ func (c *Composed) upsert(key, value uint64, counted bool) (existed bool) {
 // to whichever leaf covers it then: a fresh one, or — while the rebuild is
 // on the pool — the old leaf, which keeps absorbing writes. A leaf that
 // refuses again (a gapped leaf with no free slot) is rebuilt on the spot
-// with the key; a rebuild of it still in flight then fails the install
-// check. So is an empty leaf, which would come back empty without the key
-// (the strategies that refuse keys never buffer, so NumKeys says so).
+// with the key, which voids a rebuild of it still in flight. So is an
+// empty leaf, which would come back empty without the key (the strategies
+// that refuse keys never buffer, so NumKeys says so).
 func (c *Composed) insert(l *Leaf, key, value uint64) (*Leaf, bool) {
-	ok, due := c.strategy.Insert(l, key, value)
-	if !ok && !l.retraining && l.NumKeys > 0 {
+	inFlight := c.aside.InFlight(l)
+	ok, due := c.strategy.Insert(l, key, value, inFlight)
+	if !ok && !inFlight && l.NumKeys > 0 {
 		c.scheduleRetrain(l)
 		l = c.leafFor(key)
-		ok, due = c.strategy.Insert(l, key, value)
+		ok, due = c.strategy.Insert(l, key, value, c.aside.InFlight(l))
 	}
 	if !ok {
+		c.aside.Forget(l)
 		with := delta.Merge(delta.Run{Keys: []uint64{key}, Vals: []uint64{value}}, l.snapshot(), false)
-		c.swap(l, c.rebuild(with))
+		start := time.Now()
+		repl := c.rebuild(with)
+		c.aside.Count(start)
+		c.swap(l, repl)
 		return c.leafFor(key), false
 	}
 	return l, due
 }
 
-// logOp records a write against a retraining leaf for replay at install.
-func (c *Composed) logOp(l *Leaf, key, val uint64, del bool) {
-	if l.retraining {
-		c.oplog = append(c.oplog, wop{l: l, key: key, val: val, del: del})
-	}
-}
-
 // rebuild runs the retrain policy over a leaf's snapshot: the one place a
-// leaf is rebuilt, on the pool or on the writer, and counted.
+// leaf is rebuilt, on the pool or on the writer.
 func (c *Composed) rebuild(r delta.Run) []*Leaf {
-	start := time.Now()
-	leaves := c.prepare(c.policy.Retrain(c.approx, r.Keys, r.Vals))
-	c.retrains.Add(1)
-	c.retrainNs.Add(time.Since(start).Nanoseconds())
-	return leaves
+	return c.prepare(c.policy.Retrain(c.approx, r.Keys, r.Vals))
 }
 
-// scheduleRetrain snapshots l and hands its rebuild to the pool; a nil
-// pool runs it inline, so the rebuild is installed on return.
+// scheduleRetrain snapshots l and builds its rebuild aside, unless one is
+// in flight; a nil pool runs it inline, so the rebuild is installed on
+// return.
 func (c *Composed) scheduleRetrain(l *Leaf) {
-	if l.retraining {
+	if c.aside.InFlight(l) {
 		return
 	}
-	l.retraining = true
 	snap := l.snapshot()
-	c.pool.Submit(l, func() {
-		c.inbox.Put(deposit{old: l, leaves: c.rebuild(snap)})
-	})
-	c.installDeposits() // a task that ran inline has deposited already
+	c.aside.Submit(l, func() []*Leaf { return c.rebuild(snap) })
 }
 
-// installDeposits swaps finished rebuilds in and replays the writes that
-// hit their leaves meanwhile. A deposit whose leaf has left the table (a
-// BulkLoad, or a rebuild on the spot) is dropped with its log. Writer
-// timeline only; reports whether anything was deposited.
-func (c *Composed) installDeposits() bool {
-	deps := c.inbox.TakeAll()
-	for _, d := range deps {
-		log := c.takeOplog(d.old)
-		if d.old.id >= len(c.leaves) || c.leaves[d.old.id] != d.old {
-			continue
-		}
-		c.swap(d.old, d.leaves)
-		for _, op := range log {
-			if op.del {
-				c.del(op.key, false)
-			} else {
-				c.upsert(op.key, op.val, false)
-			}
-		}
-	}
-	return len(deps) > 0
-}
-
-// takeOplog removes and returns the ops logged against l, in order; ops
-// for other retraining leaves stay queued.
-func (c *Composed) takeOplog(l *Leaf) []wop {
-	var mine []wop
-	rest := c.oplog[:0]
-	for _, op := range c.oplog {
-		if op.l == l {
-			mine = append(mine, op)
+// apply swaps a finished rebuild in for old and replays the writes that
+// hit old meanwhile.
+func (c *Composed) apply(old *Leaf, leaves []*Leaf, log []retrain.Op) {
+	c.swap(old, leaves)
+	for _, op := range log {
+		if op.Del {
+			c.del(op.Key, false)
 		} else {
-			rest = append(rest, op)
+			c.upsert(op.Key, op.Val, false)
 		}
 	}
-	c.oplog = rest
-	return mine
 }
 
 // swap replaces old by its rebuilt leaves. The B+tree swaps old's first
@@ -526,7 +468,7 @@ func (c *Composed) swap(old *Leaf, repl []*Leaf) {
 
 // Delete removes key and reports whether it was present.
 func (c *Composed) Delete(key uint64) bool {
-	c.installDeposits()
+	c.aside.Install()
 	return c.del(key, true)
 }
 
@@ -554,7 +496,7 @@ func (c *Composed) del(key uint64, counted bool) bool {
 	if counted {
 		c.length--
 	}
-	c.logOp(l, key, 0, true)
+	c.aside.Log(l, key, 0, true)
 	return true
 }
 

@@ -214,12 +214,12 @@ func TestGapInsertStrategyKeepsOrder(t *testing.T) {
 	l := leaves[0]
 	st := GapInsert{}
 	for _, k := range ins {
-		if ok, retrain := st.Insert(l, k, k); !ok {
+		if ok, retrain := st.Insert(l, k, k, false); !ok {
 			if !retrain {
 				t.Fatal("insert failed without asking for retrain")
 			}
 			regap(l, 0.7)
-			if ok2, _ := st.Insert(l, k, k); !ok2 {
+			if ok2, _ := st.Insert(l, k, k, false); !ok2 {
 				t.Fatal("insert failed after regap")
 			}
 		}

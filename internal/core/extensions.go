@@ -172,7 +172,7 @@ func (s AppendInsert) tailCap() int {
 func (s AppendInsert) Prepare(l *Leaf) {}
 
 // Insert implements InsertStrategy.
-func (s AppendInsert) Insert(l *Leaf, key, value uint64) (bool, bool) {
+func (s AppendInsert) Insert(l *Leaf, key, value uint64, _ bool) (bool, bool) {
 	if l.Occ == nil && s.isAppend(l, key) {
 		l.Keys = append(l.Keys, key)
 		l.Vals = append(l.Vals, value)

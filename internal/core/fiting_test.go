@@ -104,8 +104,8 @@ func TestFitingRetrainCountsPinned(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if len(c.oplog) != 0 {
-				t.Fatalf("%s: %d writes logged with no rebuild in flight", name, len(c.oplog))
+			if n := c.aside.Logged(); n != 0 {
+				t.Fatalf("%s: %d writes logged with no rebuild in flight", name, n)
 			}
 			r, _ := c.RetrainStats()
 			if before != tc.before || c.LeafCount() != tc.leaves || r != tc.retrains {

@@ -31,11 +31,10 @@ type Leaf struct {
 	Buf delta.Run
 
 	// Composed's bookkeeping: the leaf's slot in the leaf table, its
-	// neighbours in key order, whether its rebuild is in flight, and the
-	// buffer insertion point of the last key buffered missed.
+	// neighbours in key order, and the buffer insertion point of the last
+	// key buffered missed.
 	id         int
 	prev, next *Leaf
-	retraining bool
 	bufAt      int
 }
 

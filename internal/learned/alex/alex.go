@@ -15,7 +15,9 @@
 //   - Retraining: when a data node exceeds its density bound it is either
 //     expanded (rebuilt at lower density with a retrained model) or split
 //     (sideways when it owns several parent slots, downward into a new
-//     subtree otherwise).
+//     subtree otherwise). An expand is built aside through
+//     retrain.Aside — on the pool when one is attached — while the node
+//     stays writable; a full node is expanded or split on the spot.
 package alex
 
 import (
@@ -67,13 +69,6 @@ type innerNode struct {
 type dataNode struct {
 	g          *pla.GappedNode
 	next, prev *dataNode
-	// gen counts foreground replacements of g; a background expand built
-	// from an older generation is stale and its deposit is dropped.
-	gen uint64
-	// retraining marks a node whose expand is in flight on the pool. The
-	// node stays writable through its gapped array meanwhile; writes are
-	// op-logged and replayed into the rebuilt array at install.
-	retraining bool
 }
 
 // Index is the ALEX index.
@@ -83,47 +78,25 @@ type Index struct {
 	head   *dataNode // leftmost data node, for scans
 	length int
 
-	// Background retraining (index.AsyncRetrainer) covers the *expand*
-	// path only: a dense node's rebuild-at-lower-density runs on the
-	// pool against a foreground snapshot and is installed on the writer
-	// timeline. Splits keep running on the inserting goroutine — they
-	// restructure the tree through the descent path, which a background
-	// goroutine must not touch (the deferred-expand caveat).
-	pool  *retrain.Pool
-	gen   uint64 // bumped when pending deposits become invalid (BulkLoad)
-	inbox retrain.Inbox[deposit]
-	oplog []wop
-
-	retrains  atomic.Int64
-	retrainNs atomic.Int64
-	expands   atomic.Int64
-	splits    atomic.Int64
+	// aside builds a dense node's expand from a foreground snapshot —
+	// on the pool when one is attached (index.AsyncRetrainer) — and
+	// installs it on the writer's timeline, replaying the writes the
+	// node took meanwhile. Splits keep running on the inserting
+	// goroutine: they restructure the tree through the descent path,
+	// which a background goroutine must not touch.
+	aside   retrain.Aside[*dataNode, *pla.GappedNode]
+	expands atomic.Int64
+	splits  atomic.Int64
 	// work counts what the gap inserts did, in slots. Plain ints on the
 	// writer's timeline, like length.
 	work pla.InsertWork
-}
-
-// deposit is one finished background expand: a replacement gapped array
-// for d, tagged with the generations the snapshot was taken under.
-type deposit struct {
-	d       *dataNode
-	gen     uint64
-	nodeGen uint64
-	g       *pla.GappedNode
-}
-
-// wop is one op-logged write against a retraining data node.
-type wop struct {
-	d   *dataNode
-	key uint64
-	val uint64
-	del bool
 }
 
 // New returns an empty ALEX index.
 func New(cfg Config) *Index {
 	cfg.normalize()
 	ix := &Index{cfg: cfg}
+	ix.aside.Init(ix.install)
 	ix.setRoot(ix.newDataNode(nil, nil))
 	return ix
 }
@@ -135,9 +108,7 @@ func (ix *Index) Name() string { return "alex" }
 func (ix *Index) Len() int { return ix.length }
 
 // RetrainStats implements index.RetrainReporter.
-func (ix *Index) RetrainStats() (int64, int64) {
-	return ix.retrains.Load(), ix.retrainNs.Load()
-}
+func (ix *Index) RetrainStats() (int64, int64) { return ix.aside.RetrainStats() }
 
 // ExpandSplitCounts reports the two retraining actions separately.
 func (ix *Index) ExpandSplitCounts() (expands, splits int64) {
@@ -151,18 +122,11 @@ func (ix *Index) InsertWork() pla.InsertWork { return ix.work }
 
 // SetRetrainPool implements index.AsyncRetrainer: subsequent node
 // expands rebuild their gapped arrays on the pool.
-func (ix *Index) SetRetrainPool(p *retrain.Pool) { ix.pool = p }
+func (ix *Index) SetRetrainPool(p *retrain.Pool) { ix.aside.SetPool(p) }
 
 // DrainRetrains implements index.AsyncRetrainer: wait for in-flight
 // expands and install them. Must run on the writer timeline.
-func (ix *Index) DrainRetrains() {
-	for {
-		ix.pool.Drain()
-		if !ix.installDeposits() {
-			return
-		}
-	}
-}
+func (ix *Index) DrainRetrains() { ix.aside.Drain() }
 
 func (ix *Index) setRoot(n interface{}) {
 	ix.root = n
@@ -186,8 +150,7 @@ func (ix *Index) newDataNode(keys, vals []uint64) *dataNode {
 
 // BulkLoad builds the asymmetric tree over sorted distinct keys.
 func (ix *Index) BulkLoad(keys, values []uint64) error {
-	ix.gen++ // pending expand deposits target nodes that no longer exist
-	ix.oplog = nil
+	ix.aside.Reset() // expands in flight target nodes that no longer exist
 	ix.length = len(keys)
 	if values == nil {
 		values = make([]uint64, len(keys))
@@ -361,7 +324,7 @@ func (ix *Index) Insert(key, value uint64) error {
 // descent, density-triggered retraining, and retry after an expand or
 // split made room.
 func (ix *Index) InsertReplace(key, value uint64) (bool, error) {
-	ix.installDeposits()
+	ix.aside.Install()
 	for {
 		d, parent := ix.descendParent(key)
 		if d.g.Capacity() == 0 {
@@ -373,12 +336,11 @@ func (ix *Index) InsertReplace(key, value uint64) (bool, error) {
 		if !ok {
 			// Completely full: retrain (expand or split), then retry. This
 			// runs inline even in async mode — the node has no gap left, so
-			// the next attempt needs the new array now. An in-flight expand
-			// for this node is invalidated by the generation bump.
+			// the next attempt needs the new array now.
 			ix.retrain(d, parent)
 			continue
 		}
-		ix.logOp(d, key, value, false)
+		ix.aside.Log(d, key, value, false)
 		if !existed {
 			ix.length++
 			if float64(d.g.NumKeys)/float64(d.g.Capacity()) >= ix.cfg.UpperDensity {
@@ -389,113 +351,64 @@ func (ix *Index) InsertReplace(key, value uint64) (bool, error) {
 	}
 }
 
-// maybeRetrain routes a density-triggered retrain: inline when no pool
-// is attached or the node is past the split threshold, to the pool when
-// a plain expand suffices and none is already in flight.
+// maybeRetrain routes a density-triggered retrain: a node past the split
+// threshold splits on the spot, any other has its expand built aside from
+// a snapshot (inline when no pool is attached) unless one is in flight.
 func (ix *Index) maybeRetrain(d *dataNode, parent parentSlot) {
-	if ix.pool == nil {
+	switch {
+	case ix.aside.InFlight(d): // its expand will make room
+	case d.g.NumKeys > ix.cfg.MaxLeafKeys:
 		ix.retrain(d, parent)
-		return
+	default:
+		keys, vals := snapshotNode(d.g)
+		ix.aside.Submit(d, func() *pla.GappedNode { return ix.expand(keys, vals) })
 	}
-	if d.retraining {
-		return
-	}
-	if d.g.NumKeys > ix.cfg.MaxLeafKeys {
-		ix.retrain(d, parent)
-		return
-	}
-	ix.scheduleExpand(d)
 }
 
-// scheduleExpand snapshots d's live entries on the foreground and hands
-// the model fit + gapped rebuild to the pool. The node stays writable;
-// installDeposits swaps the new array in and replays op-logged writes.
-func (ix *Index) scheduleExpand(d *dataNode) {
-	d.retraining = true
-	keys, vals := snapshotNode(d.g)
-	gen, nodeGen := ix.gen, d.gen
-	ix.pool.Submit(d, func() {
-		start := time.Now()
-		g := pla.BuildLSAGap(keys, vals, 0.6)
-		ix.expands.Add(1)
-		ix.retrains.Add(1)
-		ix.retrainNs.Add(time.Since(start).Nanoseconds())
-		ix.inbox.Put(deposit{d: d, gen: gen, nodeGen: nodeGen, g: g})
-	})
-	ix.installDeposits()
+// expand builds a data node's replacement from a snapshot of its live
+// entries (snapshotNode) at ALEX's lower density bound, 0.6, with a fresh
+// model, buying UpperDensity-0.6 of the capacity in future gap inserts.
+// It is the one expand: the pool task, the on-the-spot expand of a full
+// node and the expand on replay all run it.
+func (ix *Index) expand(keys, vals []uint64) *pla.GappedNode {
+	ix.expands.Add(1)
+	return pla.BuildLSAGap(keys, vals, 0.6)
 }
 
-// installDeposits applies finished background expands on the writer
-// timeline. Stale deposits — the index was bulk-loaded or the node was
-// retrained inline since the snapshot — are dropped. Reports whether
-// any deposit was taken.
-func (ix *Index) installDeposits() bool {
-	deps := ix.inbox.TakeAll()
-	if len(deps) == 0 {
-		return false
+// install swaps a finished expand in for d and replays the writes d took
+// meanwhile.
+func (ix *Index) install(d *dataNode, g *pla.GappedNode, log []retrain.Op) {
+	d.g = g
+	for _, op := range log {
+		ix.replay(d, op)
 	}
-	for _, dep := range deps {
-		if dep.gen != ix.gen || dep.nodeGen != dep.d.gen {
-			continue
-		}
-		d := dep.d
-		d.g = dep.g
-		d.retraining = false
-		for _, op := range ix.takeOplog(d) {
-			ix.replay(d, op)
-		}
-	}
-	return true
 }
 
 // replay applies one op-logged write to a freshly installed array. The
 // array was built at 0.6 density from a snapshot taken moments ago, so
-// finding it full is rare; when it happens the node is expanded inline
-// first (oversized nodes are split by the next foreground trigger). The
-// foreground already counted this write's work on the array it replaced.
-func (ix *Index) replay(d *dataNode, op wop) {
-	if op.del {
-		if slot, ok := d.g.SlotOf(op.key); ok {
+// finding it full is rare; when it happens the node is expanded on the
+// spot first (oversized nodes are split by the next foreground trigger).
+// The foreground already counted this write's work on the array it
+// replaced.
+func (ix *Index) replay(d *dataNode, op retrain.Op) {
+	if op.Del {
+		if slot, ok := d.g.SlotOf(op.Key); ok {
 			d.g.Remove(slot)
 		}
 		return
 	}
-	if _, ok := d.g.InsertReplace(op.key, op.val, nil); ok {
+	if _, ok := d.g.InsertReplace(op.Key, op.Val, nil); ok {
 		return
 	}
-	d.g = d.g.Expanded(0.6)
-	d.g.InsertReplace(op.key, op.val, nil)
-	d.gen++
-	ix.expands.Add(1)
-	ix.retrains.Add(1)
+	start := time.Now()
+	d.g = ix.expand(snapshotNode(d.g))
+	ix.aside.Count(start)
+	d.g.InsertReplace(op.Key, op.Val, nil)
 }
 
-// logOp records a write against a retraining node for replay at install.
-func (ix *Index) logOp(d *dataNode, key, val uint64, del bool) {
-	if !d.retraining {
-		return
-	}
-	ix.oplog = append(ix.oplog, wop{d: d, key: key, val: val, del: del})
-}
-
-// takeOplog removes and returns d's op-log entries, preserving order
-// for other nodes.
-func (ix *Index) takeOplog(d *dataNode) []wop {
-	var mine, rest []wop
-	for _, op := range ix.oplog {
-		if op.d == d {
-			mine = append(mine, op)
-		} else {
-			rest = append(rest, op)
-		}
-	}
-	ix.oplog = rest
-	return mine
-}
-
-// snapshotNode copies a gapped node's live entries in key order: what a
-// background expand may read while the node keeps taking writes, and what
-// a split partitions.
+// snapshotNode copies a gapped node's live entries in key order: what an
+// expand builds from (on the pool while the node keeps taking writes), and
+// what a split partitions.
 func snapshotNode(g *pla.GappedNode) (keys, vals []uint64) {
 	keys = make([]uint64, 0, g.NumKeys)
 	vals = make([]uint64, 0, g.NumKeys)
@@ -507,27 +420,19 @@ func snapshotNode(g *pla.GappedNode) (keys, vals []uint64) {
 	return keys, vals
 }
 
-// retrain expands or splits a data node that exceeded its density bound.
+// retrain expands or splits a data node on the spot. An expand of d in
+// flight no longer applies: d's array holds the writes logged for it, or
+// d leaves the tree.
 func (ix *Index) retrain(d *dataNode, parent parentSlot) {
-	start := time.Now()
-	d.gen++ // invalidate any in-flight background expand of this node
-	if d.retraining {
-		d.retraining = false
-		ix.takeOplog(d) // the live array already holds these writes
+	defer ix.aside.Count(time.Now())
+	ix.aside.Forget(d)
+	keys, vals := snapshotNode(d.g)
+	if len(keys) <= ix.cfg.MaxLeafKeys {
+		d.g = ix.expand(keys, vals)
+		return
 	}
-	if d.g.NumKeys <= ix.cfg.MaxLeafKeys {
-		// Expand: rebuild at the lower density bound (ALEX's 0.6) with a
-		// fresh model, buying UpperDensity-0.6 of the capacity in future
-		// gap inserts per retrain.
-		d.g = d.g.Expanded(0.6)
-		ix.expands.Add(1)
-	} else {
-		keys, vals := snapshotNode(d.g)
-		ix.split(d, keys, vals, parent)
-		ix.splits.Add(1)
-	}
-	ix.retrains.Add(1)
-	ix.retrainNs.Add(time.Since(start).Nanoseconds())
+	ix.split(d, keys, vals, parent)
+	ix.splits.Add(1)
 }
 
 // split divides an over-full data node. When the node owns more than one
@@ -607,7 +512,7 @@ func relinkTail(tail, next *dataNode) {
 // contracted (ALEX's lower-density contraction is omitted; gaps left by
 // deletes are reused by later inserts).
 func (ix *Index) Delete(key uint64) bool {
-	ix.installDeposits()
+	ix.aside.Install()
 	d := ix.descend(key)
 	slot, ok := d.g.SlotOf(key)
 	if !ok {
@@ -615,7 +520,7 @@ func (ix *Index) Delete(key uint64) bool {
 	}
 	d.g.Remove(slot)
 	ix.length--
-	ix.logOp(d, key, 0, true)
+	ix.aside.Log(d, key, 0, true)
 	return true
 }
 

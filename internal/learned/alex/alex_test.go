@@ -2,12 +2,14 @@ package alex
 
 import (
 	"runtime"
+	"sync"
 	"testing"
 
 	"learnedpieces/internal/dataset"
 	"learnedpieces/internal/index"
 	"learnedpieces/internal/indextest"
 	"learnedpieces/internal/pla"
+	"learnedpieces/internal/retrain"
 )
 
 func TestConformance(t *testing.T) {
@@ -220,6 +222,61 @@ func TestInsertWorkPinned(t *testing.T) {
 	want := pla.InsertWork{Inserts: 312_000, Shifted: 27_070_839, MaxShift: 4505, GapSearch: 92_187_138}
 	if got != want || expands != 509 || splits != 17 {
 		t.Fatalf("insert work %+v, %d expands, %d splits; want %+v", got, expands, splits, want)
+	}
+}
+
+// TestDrainConverges: behind a busy pool, dense nodes wait on their
+// expands while the writes they take are op-logged; DrainRetrains must
+// install and replay until no write waits.
+func TestDrainConverges(t *testing.T) {
+	ix := New(Config{MaxLeafKeys: 1024})
+	indextest.RunDrainConverges(t, ix, 1, ix.aside.Logged)
+}
+
+// TestSplitVoidsExpandInFlight: a node whose expand is in flight fills
+// and splits on the spot. The split's nodes hold every write, so the
+// expand and its logged writes are dropped, and the drain installs
+// nothing into the node that left the tree.
+func TestSplitVoidsExpandInFlight(t *testing.T) {
+	pool := retrain.NewPool(1, 0)
+	defer pool.Close()
+	gate, started := make(chan struct{}), make(chan struct{})
+	pool.Submit("blocker", func() { close(started); <-gate })
+	<-started
+	var release sync.Once
+	defer release.Do(func() { close(gate) }) // a failure must not leave Close waiting on the blocker
+	ix := New(Config{MaxLeafKeys: 64})
+	ix.SetRetrainPool(pool)
+	keys := dataset.Shuffled(dataset.Generate(dataset.YCSBUniform, 200, 21), 22)
+	if err := ix.BulkLoad(dataset.SortedUnique(keys[:50]), nil); err != nil {
+		t.Fatal(err)
+	}
+	d := ix.root.(*dataNode)
+	n := 50
+	for ; !ix.aside.InFlight(d); n++ {
+		ix.Insert(keys[n], keys[n])
+	}
+	for ; ix.root == d; n++ {
+		ix.Insert(keys[n], keys[n])
+		if ix.root == d && ix.aside.Logged() == 0 {
+			t.Fatalf("insert %d: no write logged against the node in flight", n)
+		}
+	}
+	if ix.aside.InFlight(d) || ix.aside.Logged() != 0 {
+		t.Fatalf("after the split: old node in flight %v, %d writes logged; want false, 0", ix.aside.InFlight(d), ix.aside.Logged())
+	}
+	release.Do(func() { close(gate) })
+	ix.DrainRetrains()
+	if exp, spl := ix.ExpandSplitCounts(); exp != 1 || spl != 1 {
+		t.Fatalf("%d expands, %d splits; want the voided expand and the split", exp, spl)
+	}
+	if ix.Len() != n {
+		t.Fatalf("Len = %d, want %d", ix.Len(), n)
+	}
+	for _, k := range keys[:n] {
+		if _, ok := ix.Get(k); !ok {
+			t.Fatalf("key %d lost", k)
+		}
 	}
 }
 

@@ -1,9 +1,6 @@
 package delta
 
 import (
-	"sync/atomic"
-	"time"
-
 	"learnedpieces/internal/index"
 	"learnedpieces/internal/retrain"
 )
@@ -18,32 +15,19 @@ type Base interface {
 // Live, in front of Base. When Live reaches the limit it becomes Frozen
 // and a retrain folds it into a replacement base aside, while a fresh
 // Live absorbs writes; lookups read Live, then Frozen, then Base. The
-// retrain is one task on the retrain pool — on a worker, or inline when
-// the index has no pool, since a nil pool runs the task on the spot —
-// and its result is installed on the writer's timeline, at the next
-// write or drain, unless a Load since the freeze voided it. The task
-// never touches the live structure.
+// retrain is built aside through retrain.Aside, the buffer itself being
+// the one node: on a pool worker, or inline when the index has no pool,
+// and installed on the writer's timeline, at the next write or drain,
+// unless a Load since the freeze voided it. Writes never touch Frozen,
+// so nothing is op-logged.
 type Buffer[B Base] struct {
 	Live, Frozen Run
 	Base         B
 
-	limit   int
-	build   func(frozen Run, base B) B
-	pool    *retrain.Pool
-	n       int  // live entries across the three layers
-	pending bool // Frozen is being folded into a new base
-	gen     uint64
-	inbox   retrain.Inbox[deposit[B]]
-
-	retrains  atomic.Int64
-	retrainNs atomic.Int64
-}
-
-// deposit is one finished retrain, tagged with the generation it was
-// built from.
-type deposit[B any] struct {
-	gen  uint64
-	base B
+	limit int
+	build func(frozen Run, base B) B
+	n     int // live entries across the three layers
+	aside retrain.Aside[*Buffer[B], B]
 }
 
 // Init sets the Live size that triggers a retrain and the retrain
@@ -51,25 +35,24 @@ type deposit[B any] struct {
 // replacement. It runs aside, so it must not write to either argument.
 func (b *Buffer[B]) Init(limit int, build func(frozen Run, base B) B) {
 	b.limit, b.build = limit, build
+	b.aside.Init(func(_ *Buffer[B], base B, _ []retrain.Op) { b.Base, b.Frozen = base, Run{} })
 }
 
 // SetPool routes subsequent retrains to p (nil: inline).
-func (b *Buffer[B]) SetPool(p *retrain.Pool) { b.pool = p }
+func (b *Buffer[B]) SetPool(p *retrain.Pool) { b.aside.SetPool(p) }
 
 // Load replaces all three layers with base, which holds n live entries
 // (a bulk load). A retrain in flight no longer applies.
 func (b *Buffer[B]) Load(base B, n int) {
-	b.gen++
-	b.Live, b.Frozen, b.Base, b.n, b.pending = Run{}, Run{}, base, n, false
+	b.aside.Reset()
+	b.Live, b.Frozen, b.Base, b.n = Run{}, Run{}, base, n
 }
 
 // Len returns the number of live entries.
 func (b *Buffer[B]) Len() int { return b.n }
 
 // RetrainStats returns the number of retrains run and their total time.
-func (b *Buffer[B]) RetrainStats() (int64, int64) {
-	return b.retrains.Load(), b.retrainNs.Load()
-}
+func (b *Buffer[B]) RetrainStats() (int64, int64) { return b.aside.RetrainStats() }
 
 // Find looks key up in the two runs, Live first.
 func (b *Buffer[B]) Find(key uint64) (val uint64, live, found bool) {
@@ -92,7 +75,7 @@ func (b *Buffer[B]) Get(key uint64) (uint64, bool) {
 // new to it asks the layers below. A tombstone for a key that is not
 // live is not written.
 func (b *Buffer[B]) Upsert(key, val uint64, dead bool) bool {
-	b.install()
+	b.aside.Install()
 	i, ok := b.Live.Pos(key)
 	var wasLive bool
 	if ok {
@@ -128,31 +111,12 @@ func (b *Buffer[B]) liveBelow(key uint64) bool {
 // base. While one retrain is in flight Live keeps absorbing writes past
 // the limit: the index never blocks on its pool.
 func (b *Buffer[B]) freeze() {
-	if b.pending {
+	if b.aside.InFlight(b) {
 		return
 	}
-	b.pending = true
 	b.Frozen, b.Live = b.Live, Run{}
-	frozen, base, gen := b.Frozen, b.Base, b.gen
-	b.pool.Submit(b, func() {
-		start := time.Now()
-		nb := b.build(frozen, base)
-		b.retrains.Add(1)
-		b.retrainNs.Add(time.Since(start).Nanoseconds())
-		b.inbox.Put(deposit[B]{gen: gen, base: nb})
-	})
-	b.install() // a retrain that ran inline has deposited already
-}
-
-// install applies deposited retrains; one built before the last Load is
-// dropped.
-func (b *Buffer[B]) install() {
-	for _, d := range b.inbox.TakeAll() {
-		if d.gen != b.gen {
-			continue
-		}
-		b.Base, b.Frozen, b.pending = d.base, Run{}, false
-	}
+	frozen, base := b.Frozen, b.Base
+	b.aside.Submit(b, func() B { return b.build(frozen, base) })
 }
 
 // Drain waits for the retrain in flight and installs it, then retrains
@@ -160,13 +124,10 @@ func (b *Buffer[B]) install() {
 // one limit of writes however far they outran the pool. Writer timeline
 // only.
 func (b *Buffer[B]) Drain() {
-	for {
-		b.pool.Drain()
-		b.install()
-		if b.pending || len(b.Live.Keys) < b.limit {
-			return
-		}
+	b.aside.Drain()
+	for len(b.Live.Keys) >= b.limit {
 		b.freeze()
+		b.aside.Drain()
 	}
 }
 

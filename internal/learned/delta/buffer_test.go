@@ -51,8 +51,8 @@ func TestBufferLoadVoidsPendingRetrain(t *testing.T) {
 	if !b.Upsert(1, 0, true) || b.Len() != 4 {
 		t.Fatalf("delete of a base key: Len = %d, want 4", b.Len())
 	}
-	if len(b.Frozen.Keys) != 4 || !b.pending {
-		t.Fatalf("frozen %d entries, pending %v: want 4 behind the busy worker", len(b.Frozen.Keys), b.pending)
+	if len(b.Frozen.Keys) != 4 || !b.aside.InFlight(&b) {
+		t.Fatalf("frozen %d entries, in flight %v: want 4 behind the busy worker", len(b.Frozen.Keys), b.aside.InFlight(&b))
 	}
 	b.Load(mapBase{7: 70}, 1)
 	close(gate)

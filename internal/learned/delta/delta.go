@@ -6,9 +6,9 @@
 // Run is the piece itself — lookup, insert-or-overwrite, a merge-cursor
 // layer, and the newest-wins Merge every adopter retrains with (pgm's
 // level cascade, rebuild's full rebuild, xindex's group compaction,
-// finedex's segment retrain, a core leaf's rebuild). Buffer (buffer.go) adds the retrain
-// protocol of the single-writer adopters: a live run in front of a
-// frozen one, built aside and installed after a generation check.
+// finedex's segment retrain, a core leaf's rebuild). Buffer (buffer.go)
+// is pgm's and the rebuild wrapper's write buffer: a live run in front of
+// a frozen one, which is folded into a new base through retrain.Aside.
 package delta
 
 import (

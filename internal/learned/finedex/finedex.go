@@ -530,9 +530,6 @@ func (c *cursor) Close() {
 // AvgDepth reports the segment locate plus the model stage.
 func (ix *Index) AvgDepth() float64 { return 2 }
 
-// SegmentCount returns the current model count.
-func (ix *Index) SegmentCount() int { return len(ix.tab.Load().segs) }
-
 // Sizes reports the footprint.
 func (ix *Index) Sizes() index.Sizes {
 	ix.structMu.RLock()

@@ -83,9 +83,6 @@ func (s *Static) Levels() int {
 	return 1 + int(s.upper.Depth())
 }
 
-// SegmentCount returns the leaf segment count.
-func (s *Static) SegmentCount() int { return len(s.segs) }
-
 // find locates key's position in the key array. A miss is settled where
 // it happens: a run whose key range excludes the key is not searched, and
 // a window whose neighbours straddle the key proves it absent, so a
@@ -390,17 +387,6 @@ func (ix *Index) AvgDepth() float64 {
 		}
 	}
 	return float64(depth)
-}
-
-// LeafCount returns the total leaf segment count across runs.
-func (ix *Index) LeafCount() int {
-	n := 0
-	for _, r := range ix.buf.Base {
-		if r != nil {
-			n += r.SegmentCount()
-		}
-	}
-	return n
 }
 
 // Sizes reports the footprint: all model levels are structure; the

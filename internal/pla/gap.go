@@ -1,10 +1,6 @@
 package pla
 
-import (
-	"math/bits"
-
-	"learnedpieces/internal/search"
-)
+import "learnedpieces/internal/search"
 
 // LSA-gap: the approximation algorithm of ALEX. Instead of passively
 // approximating the CDF of the stored keys, it first fits a least-squares
@@ -89,29 +85,6 @@ func BuildGapped(keys, values []uint64, capacity int) *GappedNode {
 			v = values[i]
 		}
 		b.place(k, v)
-	}
-	return b.finish()
-}
-
-// Expanded returns a fresh node over g's live entries at the given
-// density, with a retrained model: ALEX's expand. It fits and places
-// straight from the occupied slots, so nothing but the new arrays is
-// allocated.
-func (g *GappedNode) Expanded(density float64) *GappedNode {
-	var fit lsq
-	rank := 0
-	for w, word := range g.Occ {
-		for ; word != 0; word &= word - 1 {
-			fit.add(g.Keys[w<<6+bits.TrailingZeros64(word)], float64(rank))
-			rank++
-		}
-	}
-	b := newGapBuilder(g.NumKeys, gappedCapacity(g.NumKeys, density), &fit)
-	for w, word := range g.Occ {
-		for ; word != 0; word &= word - 1 {
-			i := w<<6 + bits.TrailingZeros64(word)
-			b.place(g.Keys[i], g.Values[i])
-		}
 	}
 	return b.finish()
 }

@@ -12,10 +12,11 @@
 // whether or not a pool is attached: only where and when the closure
 // runs differs.
 //
-// Inbox covers the publication side: it collects built-aside results for
-// indexes with a single-writer contract, where the background worker
-// must not touch the live structure; the owning writer installs deposits
-// on its own timeline (at the next write, or at Drain).
+// Aside (aside.go) covers the publication side for indexes with a
+// single-writer contract, where the background worker must not touch the
+// live structure: it tracks the nodes in flight, logs the writes they
+// take, and installs each rebuild on the writer's timeline (at the next
+// write, or at Drain) unless it was voided meanwhile.
 package retrain
 
 import (
@@ -26,7 +27,7 @@ import (
 
 // Task is one unit of retraining work. It must be self-contained: the
 // closure owns a snapshot of whatever it rebuilds and publishes the
-// result itself (an atomic swap or an Inbox deposit).
+// result itself (an atomic swap or an Aside deposit).
 type Task func()
 
 type entry struct {
@@ -232,36 +233,4 @@ func (p *Pool) Stats() Stats {
 		BackgroundNs: p.backgroundNs.Load(),
 		ForegroundNs: p.foregroundNs.Load(),
 	}
-}
-
-// Inbox hands built-aside results from background workers to an owner
-// with a single-writer contract. Workers Put; the owning writer calls
-// TakeAll on its own timeline (at the top of the next write operation,
-// or when draining) and installs the results itself — the background
-// goroutine never touches the live structure.
-type Inbox[T any] struct {
-	mu    sync.Mutex
-	items []T
-}
-
-// Put deposits one result.
-func (b *Inbox[T]) Put(v T) {
-	b.mu.Lock()
-	b.items = append(b.items, v)
-	b.mu.Unlock()
-}
-
-// TakeAll removes and returns every deposited result, oldest first.
-// Returns nil when the inbox is empty (the common, allocation-free
-// case on the hot path).
-func (b *Inbox[T]) TakeAll() []T {
-	if !b.mu.TryLock() {
-		// A worker is mid-Put; the writer will pick the deposit up on
-		// its next pass rather than stall here.
-		return nil
-	}
-	items := b.items
-	b.items = nil
-	b.mu.Unlock()
-	return items
 }

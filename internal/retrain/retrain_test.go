@@ -147,17 +147,17 @@ func TestDrainConcurrentSubmitters(t *testing.T) {
 }
 
 func TestInbox(t *testing.T) {
-	var b Inbox[int]
-	if got := b.TakeAll(); got != nil {
-		t.Fatalf("empty inbox TakeAll = %v", got)
+	var b inbox[int]
+	if got := b.takeAll(); got != nil {
+		t.Fatalf("empty inbox takeAll = %v", got)
 	}
-	b.Put(1)
-	b.Put(2)
-	got := b.TakeAll()
+	b.put(1)
+	b.put(2)
+	got := b.takeAll()
 	if len(got) != 2 || got[0] != 1 || got[1] != 2 {
-		t.Fatalf("TakeAll = %v, want [1 2]", got)
+		t.Fatalf("takeAll = %v, want [1 2]", got)
 	}
-	if again := b.TakeAll(); again != nil {
-		t.Fatalf("second TakeAll = %v, want nil", again)
+	if again := b.takeAll(); again != nil {
+		t.Fatalf("second takeAll = %v, want nil", again)
 	}
 }

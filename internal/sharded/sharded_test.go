@@ -11,6 +11,7 @@ import (
 	"learnedpieces/internal/epoch"
 	"learnedpieces/internal/index"
 	"learnedpieces/internal/indextest"
+	"learnedpieces/internal/learned/alex"
 	"learnedpieces/internal/skiplist"
 )
 
@@ -21,6 +22,21 @@ func newSharded() index.Index {
 
 func TestConformance(t *testing.T) {
 	indextest.RunAll(t, "btree+sharded", newSharded)
+}
+
+// TestAsyncRetrainForwarding: the retrain pool, the drain and the
+// retrain counters reach every shard's alex through the shard writer, so
+// the async-equivalence property holds for the sharded wrapper too.
+func TestAsyncRetrainForwarding(t *testing.T) {
+	var last *Index
+	indextest.RunAsyncEquivalence(t, "alex+sharded", func() index.Index {
+		sample := dataset.Generate(dataset.YCSBNormal, 1024, 41)
+		last = New(func() index.Index { return alex.New(alex.DefaultConfig()) }, BoundariesFromSample(sample, 2))
+		return last
+	})
+	if n, ns := last.RetrainStats(); n == 0 || ns <= 0 {
+		t.Fatalf("RetrainStats = %d retrains in %d ns, want the shards' sum", n, ns)
+	}
 }
 
 func TestBoundariesFromSample(t *testing.T) {

@@ -10,6 +10,7 @@ import (
 	"learnedpieces/internal/core"
 	"learnedpieces/internal/epoch"
 	"learnedpieces/internal/index"
+	"learnedpieces/internal/learned/alex"
 	"learnedpieces/internal/learned/finedex"
 	"learnedpieces/internal/learned/pgm"
 	"learnedpieces/internal/learned/rebuild"
@@ -38,16 +39,19 @@ const (
 	fzOps
 )
 
-// fzIndex is the index kind the stream runs on (kind%6): a btree store;
+// fzIndex is the index kind the stream runs on (kind%7): a btree store;
 // pgm and rmi-delta with tiny buffers, whose flushes (pgm's cascades
 // included) and rebuilds run on the background pool of a RetrainAsync
 // store; xindex and finedex with tiny buffers and bins, compacting and
 // retraining inline; the FITing-tree buffer preset with an 8-key leaf
 // buffer, whose leaf rebuilds run on the pool and are installed, with
-// the writes logged meanwhile replayed, at the next write or drain.
+// the writes logged meanwhile replayed, at the next write or drain; and
+// alex, the benchmark's primary index, with 16-key data nodes, whose
+// expands run on the pool the same way while full nodes expand and split
+// on the spot.
 func fzIndex(kind byte) (fresh func() index.Index, opts []Option) {
 	async := []Option{WithRetrainMode(RetrainAsync)}
-	switch kind % 6 {
+	switch kind % 7 {
 	case 1:
 		return func() index.Index { return pgm.New(pgm.Config{BaseSize: 8}) }, async
 	case 2:
@@ -63,6 +67,8 @@ func fzIndex(kind byte) (fresh func() index.Index, opts []Option) {
 		return func() index.Index {
 			return core.Compose(core.OptPLA{Eps: 32}, core.NewBTreeTop(), core.BufferInsert{Size: 8}, core.RetrainNode{})
 		}, async
+	case 6:
+		return func() index.Index { return alex.New(alex.Config{MaxLeafKeys: 16}) }, async
 	}
 	return func() index.Index { return btree.New() }, nil
 }
@@ -152,6 +158,14 @@ func FuzzStoreOps(f *testing.F) {
 	// still be retraining, so they are logged and replayed at the install.
 	f.Add(byte(5), slices.Concat(fzPuts(1, 8), []byte{fzDelete, 3, 0, fzGet, 3, 0}, fzPuts(9, 16),
 		[]byte{fzDelete, 1, 0, fzDelete, 12, 0, fzPut, 3, 7, fzRange, 0, 0, fzDrain, 0, 0, fzGet, 12, 0, fzRecover, 0, 0}))
+	// alex: the fourth Put fills the root data node and submits its
+	// expand to the pool. The overwrites and Deletes that follow leave the
+	// node's gaps alone, so they hit it while the expand is in flight (the
+	// worker takes microseconds to wake) and are logged; the Drain installs
+	// the expand and replays them. The later Puts expand and split the
+	// node.
+	f.Add(byte(6), slices.Concat(fzPuts(10, 13), []byte{fzPut, 11, 9, fzDelete, 12, 0, fzPut, 13, 2, fzDelete, 10, 0, fzGet, 12, 0, fzDrain, 0, 0},
+		fzPuts(20, 40), []byte{fzPut, 30, 5, fzDelete, 25, 0, fzPut, 33, 7, fzDrain, 0, 0, fzRange, 0, 0, fzRecover, 0, 0}))
 	// MultiGet over log neighbours whose values run past the declared size
 	// (stragglers inside a span), a tombstone and a scattered overwrite.
 	f.Add(byte(0), slices.Concat([]byte{fzPut, 1, 1, fzPut, 2, 40, fzPut, 3, 1, fzPut, 4, 90, fzPut, 5, 1, fzDelete, 3, 0},
