@@ -50,6 +50,7 @@ type Static struct {
 	keys   []uint64
 	vals   []uint64
 	dead   []bool // tombstones (used by the dynamic wrapper); nil = none
+	filter filter // membership filter (the dynamic wrapper's newer runs); nil = none
 	segs   []pla.Segment
 	firsts []uint64 // firsts[j] = segs[j].FirstKey
 	upper  *pla.LRS // empty while level 0 is one segment
@@ -84,10 +85,10 @@ func (s *Static) Levels() int {
 }
 
 // find locates key's position in the key array. A miss is settled where
-// it happens: a run whose key range excludes the key is not searched, and
-// a window whose neighbours straddle the key proves it absent, so a
-// lookup that ends in an older run pays one window in each run above it,
-// not a whole-array search.
+// it happens: a run whose key range or filter excludes the key is not
+// searched, and a window whose neighbours straddle the key proves it
+// absent, so a lookup that ends in an older run pays one cache line in
+// most runs above it and at worst one window, not a whole-array search.
 func (s *Static) find(key uint64) (int, bool) {
 	if s.excludes(key) {
 		return 0, false
@@ -96,10 +97,11 @@ func (s *Static) find(key uint64) (int, bool) {
 	return pos, pos < len(s.keys) && s.keys[pos] == key
 }
 
-// excludes reports whether key lies outside the run's key range.
+// excludes reports whether key lies outside the run's key range or its
+// filter rules the key out.
 func (s *Static) excludes(key uint64) bool {
 	n := len(s.keys)
-	return n == 0 || key < s.keys[0] || key > s.keys[n-1]
+	return n == 0 || key < s.keys[0] || key > s.keys[n-1] || (s.filter != nil && !s.filter.mayContain(key))
 }
 
 // brackets reports whether pos is key's lower bound in the whole array:
@@ -328,6 +330,11 @@ func flushInto(cfg Config, runs runSet, acc delta.Run) runSet {
 	}
 	s := NewStatic(acc.Keys, acc.Vals, cfg.Eps, cfg.EpsInternal)
 	s.dead = acc.Dead
+	if !last {
+		// A miss in the oldest run is the final answer; a newer run that
+		// does not hold the key is skipped for one cache line.
+		s.filter = newFilter(acc.Keys)
+	}
 	runs[j] = s
 	return runs
 }
@@ -389,15 +396,17 @@ func (ix *Index) AvgDepth() float64 {
 	return float64(depth)
 }
 
-// Sizes reports the footprint: all model levels are structure; the
-// insert buffer counts toward keys/values.
+// Sizes reports the footprint: all model levels, filters and tombstone
+// flags (one byte each) are structure; the insert buffer counts toward
+// keys/values.
 func (ix *Index) Sizes() index.Sizes {
 	sz := ix.buf.Sizes()
 	for _, r := range ix.buf.Base {
 		if r == nil {
 			continue
 		}
-		sz.Structure += int64(len(r.segs))*56 + int64(len(r.firsts))*8 + r.upper.SizeBytes()
+		sz.Structure += int64(len(r.segs))*56 + int64(len(r.firsts))*8 + r.upper.SizeBytes() +
+			int64(len(r.filter))*8 + int64(len(r.dead))
 		sz.Keys += int64(len(r.keys)) * 8
 		sz.Values += int64(len(r.vals)) * 8
 	}

@@ -191,3 +191,28 @@ func BenchmarkStaticFind(b *testing.B) {
 		s.find(probes[i%len(probes)])
 	}
 }
+
+var sink uint64
+
+// BenchmarkGetAfterInserts: Gets of present keys after 290k upserts on a
+// 500k-key load, so most keys live in the oldest run under the newer,
+// filtered ones. A Get must allocate nothing.
+func BenchmarkGetAfterInserts(b *testing.B) {
+	load, inserts := dataset.Split(dataset.Generate(dataset.OSMLike, 790_000, 1), 290_000)
+	ix := New(DefaultConfig())
+	if err := ix.BulkLoad(load, load); err != nil {
+		b.Fatal(err)
+	}
+	for _, k := range dataset.Shuffled(inserts, 2) {
+		ix.Insert(k, k)
+	}
+	probes := dataset.Shuffled(append(load, inserts...), 3)
+	if a := testing.AllocsPerRun(100, func() { ix.Get(probes[0]) }); a != 0 {
+		b.Fatalf("a Get allocates %v times", a)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		v, _ := ix.Get(probes[i%len(probes)])
+		sink += v
+	}
+}
