@@ -419,19 +419,3 @@ func (p *Pool) Put(ctx context.Context, key uint64, value []byte) error {
 func (p *Pool) Get(ctx context.Context, key uint64) ([]byte, bool, error) {
 	return p.Conn().Get(ctx, key)
 }
-
-// Delete removes key on the next pooled connection.
-func (p *Pool) Delete(ctx context.Context, key uint64) (bool, error) {
-	return p.Conn().Delete(ctx, key)
-}
-
-// MultiGet reads a batch on the next pooled connection.
-func (p *Pool) MultiGet(ctx context.Context, keys []uint64) ([][]byte, error) {
-	return p.Conn().MultiGet(ctx, keys)
-}
-
-// Range streams a cursor-continuation scan on the next pooled
-// connection (all of one range's frames share that connection).
-func (p *Pool) Range(ctx context.Context, start uint64, limit int) ([]wire.Entry, error) {
-	return p.Conn().Range(ctx, start, limit)
-}

@@ -8,14 +8,15 @@
 // access reads the clock once when it is issued, does the simulator's own
 // work (counters, block buffer, prefetch, a write's copy) and then waits
 // for that clock plus its stall; a Round of reads waits once for the sum
-// of its stalls. The wait ends at the first clock read past the deadline:
-// on a 2-vCPU x86-64 VM whose clock read is ~50 ns, a lone access pays
-// 89–100 ns beyond its ask and an access of a 16-read round 10–12 ns
-// (BenchmarkSpinOvershoot). On Linux the region is advised to 2 MiB
-// pages, as DAX maps Optane, so a record access pays no 4 KiB page walk
-// the model does not bill; the read prefetch stays for the cache miss. A
-// freed region's memory stays so advised; the traced index.get_ns shows
-// the index gained nothing by it.
+// of its stalls, restarting from the present when its caller's own work
+// between accesses outlasted them (Round.Resume). The wait ends at the
+// first clock read past the deadline: on a 2-vCPU x86-64 VM whose clock
+// read is ~50 ns, a lone access pays 89–100 ns beyond its ask and an
+// access of a 16-read round 10–12 ns (BenchmarkSpinOvershoot). On Linux
+// the region is advised to 2 MiB pages, as DAX maps Optane, so a record
+// access pays no 4 KiB page walk the model does not bill; the read
+// prefetch stays for the cache miss. A freed region's memory stays so
+// advised; the traced index.get_ns shows the index gained nothing by it.
 //
 // Persistence semantics: everything written is durable (CPU-cache
 // volatility is not modelled); Flush is an accounted no-op so stores can
@@ -208,12 +209,31 @@ func spinUntil(deadline int64) {
 // are paid by one wait at the end, for the first stalled access's clock
 // plus the sum of every stall the round asked. No stall overlaps
 // another; only the round's own work between its accesses runs inside
-// them. Each access is charged exactly as the same access made alone
-// (counters, block buffer, prefetch). The zero Round is empty; it is a
-// small stack value used by one goroutine, and its views must not reach
-// a caller before Wait.
+// them. A caller whose own work between bursts of accesses may outlast
+// the stalls asked so far calls Resume before the next burst. Each
+// access is charged exactly as the same access made alone (counters,
+// block buffer, prefetch). The zero Round is empty; it is a small stack
+// value used by one goroutine, and its views must not reach a caller
+// before Wait.
 type Round struct {
 	deadline int64 // stall clock at which the round's stalls are paid; 0 = none asked yet
+}
+
+// Resume readies the round for a burst of accesses that follows work of
+// the caller's own: when the clock has already passed the round's
+// deadline, the modelled device has sat idle since, so the round
+// restarts from the present and the burst's stalls are paid from now,
+// not from a time before they were asked. It reads the clock once, and
+// not at all on a round that has asked no stall.
+//
+//pieces:hotpath
+func (rd *Round) Resume() {
+	if rd.deadline == 0 {
+		return
+	}
+	if now := clock(); rd.deadline < now {
+		rd.deadline = now
+	}
 }
 
 // ReadNoCopy is r.ReadNoCopy(off, n) as one access of the round: charged

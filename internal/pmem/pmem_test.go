@@ -274,6 +274,35 @@ func TestRoundPaysItsStall(t *testing.T) {
 	}
 }
 
+// TestRoundResume: a round resumed after caller work that outlasted its
+// stalls pays the next accesses from the resume, not from its first
+// access; a resume that finds stall still outstanding leaves the
+// deadline alone, and on an empty round it is a no-op.
+func TestRoundResume(t *testing.T) {
+	const readNs = 20_000
+	r := NewRegion(1<<13, LatencyModel{ReadNs: readNs})
+	var rd Round
+	rd.Resume()
+	if rd.deadline != 0 {
+		t.Fatalf("Resume on an empty round set deadline %d", rd.deadline)
+	}
+	rd.ReadNoCopy(r, 0, 1)
+	first := rd.deadline
+	rd.Resume()
+	if rd.deadline != first {
+		t.Fatalf("Resume with stall outstanding moved the deadline %d -> %d", first, rd.deadline)
+	}
+	for start := time.Now(); time.Since(start) < 3*readNs*time.Nanosecond; {
+	}
+	start := time.Now()
+	rd.Resume()
+	rd.ReadNoCopy(r, 4096, 1)
+	rd.Wait()
+	if elapsed := time.Since(start); elapsed < readNs {
+		t.Fatalf("a read issued after a lapsed round's resume returned after %v, before its %d ns stall", elapsed, readNs)
+	}
+}
+
 // BenchmarkCold prices a store's record access without the store, at a
 // random offset of a 64 MiB region under Optane latency. Read is a Get's
 // read: a 213-byte ReadNoCopy, then a touch of the flags byte, the first

@@ -36,6 +36,7 @@ const (
 	fzRecover
 	fzDrain
 	fzMultiGet
+	fzWideMultiGet
 	fzOps
 )
 
@@ -93,6 +94,24 @@ func fzBatch(a, b byte) []uint64 {
 	return append(keys, keys[0], fzKey(a)^1<<40)
 }
 
+// fzWideBatch is a wide MultiGet batch of up to 51 keys: 1 + b%16 table
+// keys from a on, b>>4+1 apart, and a key outside the table, each asked
+// three times, round by round. In key order every run of equal keys
+// covers positions 3j..3j+2, so runs straddle the boundaries of
+// MultiGet's groups of ⌈√n⌉ keys whenever that size is not a multiple of
+// three: at 12 to 24 keys and at 39 to 51.
+func fzWideBatch(a, b byte) []uint64 {
+	n, stride := 1+int(b)%16, 1+int(b>>4)
+	keys := make([]uint64, 0, 3*(n+1))
+	for range 3 {
+		for i := 0; i < n; i++ {
+			keys = append(keys, fzKey(byte(int(a)+i*stride)))
+		}
+		keys = append(keys, fzKey(a)^1<<40)
+	}
+	return keys
+}
+
 // fzValue is a payload that differs between any two operations of a stream.
 func fzValue(op int, n int) []byte {
 	v := make([]byte, n)
@@ -122,9 +141,11 @@ func fzPuts(lo, hi byte) []byte {
 // index), so the operation is the sequence that is meaningful on a
 // non-empty store: drop the index, load, recover — after which the log's
 // earlier keys must be back. A MultiGet batch (fzBatch) holds up to 16
-// table keys, one of them repeated, and one key outside the table; values
-// longer than the store's declared size make it read stragglers inside
-// its read round.
+// table keys, one of them repeated, and one key outside the table; a wide
+// one (fzWideBatch) asks up to 16 table keys and one outside three times
+// each, so runs of equal keys straddle MultiGet's group boundaries.
+// Values longer than the store's declared size make it read stragglers
+// inside its read round.
 func FuzzStoreOps(f *testing.F) {
 	f.Add(byte(0), []byte{fzPut, 7, 3, fzDelete, 7, 0, fzBulkPut, 5, 4, fzGet, 7, 0, fzRecover, 0, 0}) // tombstone, then BulkPut of the same key
 	f.Add(byte(0), []byte{fzPut, 1, 200, fzPut, 2, 200, fzPut, 1, 9, fzCompact, 0, 0, fzPut, 2, 1, fzRecover, 0, 0})
@@ -170,6 +191,11 @@ func FuzzStoreOps(f *testing.F) {
 	// (stragglers inside a span), a tombstone and a scattered overwrite.
 	f.Add(byte(0), slices.Concat([]byte{fzPut, 1, 1, fzPut, 2, 40, fzPut, 3, 1, fzPut, 4, 90, fzPut, 5, 1, fzDelete, 3, 0},
 		fzPuts(20, 40), []byte{fzPut, 2, 200, fzMultiGet, 1, 14, fzCompact, 0, 0, fzMultiGet, 0, 31}))
+	// alex: wide MultiGets of keys 1..16 and of every third key from 2 on
+	// (41, 44 and 47 absent), each key three times, over a straggler, a
+	// tombstone, overwrites and an expand in flight, then after the drain.
+	f.Add(byte(6), slices.Concat(fzPuts(1, 40), []byte{fzPut, 5, 60, fzDelete, 7, 0, fzPut, 12, 3,
+		fzWideMultiGet, 1, 15, fzWideMultiGet, 2, 0x2f, fzDrain, 0, 0, fzWideMultiGet, 1, 15}))
 
 	f.Fuzz(func(t *testing.T, kind byte, data []byte) {
 		data = data[:min(len(data), 3*fzMaxOps)]
@@ -266,8 +292,11 @@ func FuzzStoreOps(f *testing.F) {
 				recoverNow()
 			case fzDrain:
 				s.DrainRetrains()
-			case fzMultiGet:
+			case fzMultiGet, fzWideMultiGet:
 				batch := fzBatch(a, b)
+				if data[0]%fzOps == fzWideMultiGet {
+					batch = fzWideBatch(a, b)
+				}
 				got := s.MultiGet(batch)
 				for i, k := range batch {
 					if want, has := oracle[k]; (got[i] != nil) != has || !bytes.Equal(got[i], want) {

@@ -1,0 +1,6 @@
+//go:build !race
+
+package viper
+
+// raceEnabled is set when the race detector is on.
+const raceEnabled = false

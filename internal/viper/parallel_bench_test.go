@@ -118,14 +118,18 @@ func BenchmarkCompact(b *testing.B) {
 	}
 }
 
-// BenchmarkMultiGet compares per-key Gets with the batched read path
-// that resolves the index first and reads PMem in offset order (ns/op is
-// per key in all sub-benchmarks). Each batch size runs twice: "keyloop"
-// disables the BatchGetter seam so MultiGet resolves the index key at a
-// time, "batch" is the interleaved batch kernel — the pair isolates
-// exactly what the lockstep search buys. The "dram" region injects no
-// device latency, so the index phase is visible; "pmem" is the paper's
-// Optane model, where the simulated stall dominates both paths equally.
+// BenchmarkMultiGet compares per-key Gets with the batched read path,
+// which looks the batch up in key order in groups of about √n keys and
+// reads each group's records in offset order while the next group
+// descends (ns/op is per key in all sub-benchmarks). Each batch size runs twice:
+// "keyloop" disables the BatchGetter seam so MultiGet resolves each
+// group key at a time, "batch" is the interleaved batch kernel — the pair
+// isolates what the lockstep search buys. The "dram" region injects no
+// device latency, so the index phase is all the time there is; on
+// "pmem", the paper's Optane model, each group's descents run inside the
+// stalls the earlier groups asked for, so what shows is the first
+// group's descents, the last group's stall and whatever outlasts a
+// stall.
 func BenchmarkMultiGet(b *testing.B) {
 	const n = 1_000_000
 	keys := dataset.Generate(dataset.YCSBUniform, n, 1)

@@ -126,10 +126,14 @@ func TestOneAccessPerRecord(t *testing.T) {
 		t.Fatalf("MultiGet of %d cost %+v, want %d reads of %d lines", len(batch), d, len(batch), wantLines)
 	}
 
-	// MultiGet runs on the engine Range rounds use. Duplicate keys are
-	// equal offsets, which share one read; the first filler behind key
-	// k's record (fillerOf) is its log neighbour, and the two are one
-	// span read, not two reads.
+	// MultiGet resolves its batch in key order, in groups of ⌈√n⌉ keys
+	// that never split a run of equal keys, and each group's
+	// hits are read through the engine Range rounds use. Duplicate keys
+	// are equal offsets, which share one read; the first filler behind
+	// key k's record (fillerOf) is its log neighbour. Two neighbours in
+	// one group are one span read; in different groups they are two
+	// reads, because the earlier group's reads are issued before the
+	// later group's lookup.
 	fillerOf := func(k uint64) uint64 { return 1<<32 + (k-1)*5 }
 	for _, tc := range []struct {
 		name  string
@@ -138,8 +142,15 @@ func TestOneAccessPerRecord(t *testing.T) {
 		spans [][2]uint64 // first key and record count of each expected read
 	}{
 		{"duplicates", []uint64{7, 3, 7, 29, 3, 7}, 3, [][2]uint64{{7, 1}, {3, 1}, {29, 1}}},
-		{"log neighbours", []uint64{18, fillerOf(9), 9}, 2, [][2]uint64{{18, 1}, {9, 2}}},
-		{"neighbours and duplicates", []uint64{fillerOf(9) + 1, 9, 9, fillerOf(9), 33}, 2, [][2]uint64{{9, 3}, {33, 1}}},
+		// Groups {9, 18}, {fillerOf(9)}: the neighbours are split.
+		{"log neighbours", []uint64{18, fillerOf(9), 9}, 3, [][2]uint64{{9, 1}, {18, 1}, {fillerOf(9), 1}}},
+		// Groups {9, 9, 33}, {fillerOf(9), fillerOf(9)+1}: 9 is split
+		// from its neighbour, the two fillers are one span.
+		{"neighbours and duplicates", []uint64{fillerOf(9) + 1, 9, 9, fillerOf(9), 33}, 3,
+			[][2]uint64{{9, 1}, {33, 1}, {fillerOf(9), 2}}},
+		// Groups {3, 5}, {fillerOf(9), fillerOf(9)+1}: one span read.
+		{"log neighbours in one group", []uint64{fillerOf(9) + 1, fillerOf(9), 5, 3}, 3,
+			[][2]uint64{{3, 1}, {5, 1}, {fillerOf(9), 2}}},
 	} {
 		wantLines = 0
 		for _, sp := range tc.spans {

@@ -15,6 +15,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -361,10 +362,10 @@ func (s *Store) appendRecord(key uint64, value []byte, flags byte) (int64, error
 // readRecord is the one point read of a record, shared by Get, MultiGet,
 // scattered Range entries and Compact's copy: a single device access of
 // recordHeader+ValueSize bytes at off (clamped to the region end, as
-// readLiveSpans clamps its spans), with flags and length parsed out of
+// readSpans clamps its spans), with flags and length parsed out of
 // that view. rd is nil for a lone read, which has paid its stall before
 // it parses; a batch passes its read round, which pays at the batch's end
-// (readLiveSpans). Reading the header and then the value would pay the
+// (readSpans). Reading the header and then the value would pay the
 // header's block twice whenever the value straddles a block boundary
 // (pmem.Region.charge bills every block of a multi-block access). Only a
 // value longer than the declared ValueSize costs a second access. The
@@ -458,19 +459,32 @@ func (s *Store) Get(key uint64) ([]byte, bool) {
 	return val, live
 }
 
-// MultiGet resolves the whole batch of keys against the volatile index
-// first and only then touches PMem, through the read engine a Range round
-// uses: sortByOffset orders the hits by record offset and readLiveSpans
-// reads them, so duplicate keys (equal offsets) and log neighbours
-// coalesce into one span read and the batch's record lines are touched
-// ahead of its stalls. Separating the two phases amortises the simulated
-// NVM latency: offset-ordered reads maximise the device block-buffer hit
-// rate, where per-key Gets interleave index probes with scattered record
-// reads. Indexes exposing the BatchGetter seam resolve the index phase
-// with interleaved last-mile searches (the batch's cache misses overlap);
-// the rest fall back to key-at-a-time Gets. out[i] is nil when keys[i] is
-// absent or deleted; returned slices alias the region and must not be
-// modified. MultiGet is as safe for concurrent use as Get.
+// MultiGet looks up a batch of keys with one epoch pin and one read
+// round, and overlaps the batch's index descents with its own record
+// reads. The batch's positions are put in key order, so equal keys sit
+// together, and resolved in groups of ⌈√n⌉ keys for a batch of n, a
+// group stretched so that it never splits a run of equal keys. A group
+// goes through the BatchGetter seam (lockstep descents whose cache
+// misses overlap), or through Get when the index lacks the seam or the
+// group is one key. Its hits are sorted by record offset and read by
+// readSpans into the batch's round without waiting, so the next group
+// descends while those reads are in flight: charge has already
+// prefetched each record and added its stall to the round. Before a
+// group's reads the round is resumed, so when the descents outlasted the
+// stall still outstanding the reads are paid from the present: no read
+// is served before it is asked. The round waits once, at the end, before
+// any value reaches the caller. Within a group, duplicate keys (equal
+// offsets) and log neighbours coalesce into one span read; neighbours
+// that land in different groups are read separately.
+//
+// The group size needs no constant. A descent plus a record's parse
+// costs the host about what a record's stall costs the device, so the
+// stall left after the last descent is the last group's, which grows
+// with the group size, while each group adds a sort, a resume and an
+// exposed host miss, together about one record's stall, whose count
+// falls as the size grows: √n balances the two. out[i] is nil when
+// keys[i] is absent or deleted; returned slices alias the region and
+// must not be modified. MultiGet is as safe for concurrent use as Get.
 func (s *Store) MultiGet(keys []uint64) [][]byte {
 	if s.closed.Load() {
 		return make([][]byte, len(keys))
@@ -490,44 +504,76 @@ func (s *Store) MultiGet(keys []uint64) [][]byte {
 	g := epoch.Enter(uint64(len(keys)))
 	defer g.Exit()
 	v := s.view.Load()
-	out := make([][]byte, len(keys))
+	n := len(keys)
+	out := make([][]byte, n)
 	sc := mgPool.Get().(*mgScratch)
-	sc.grow(len(keys))
-	offs, found := sc.offs[:len(keys)], sc.found[:len(keys)]
-	if v.seam.Batch != nil && len(keys) > 0 {
-		v.seam.Batch.GetBatch(keys, offs, found)
-	} else {
-		for i, k := range keys {
-			offs[i], found[i] = v.idx.Get(k)
-		}
+	sc.grow(n)
+	// byKey[j] is the position of the j-th smallest key, sorted[j] that
+	// key and sOffs/sFound its lookup; offs is indexed by position.
+	byKey, sorted := sc.byKey[:n], sc.sorted[:n]
+	sOffs, sFound, offs := sc.sOffs[:n], sc.sFound[:n], sc.offs[:n]
+	sortByKey(keys, byKey)
+	for j, i := range byKey {
+		sorted[j] = keys[i]
 	}
-	ord := sc.order[:0]
-	for i, ok := range found {
-		if ok {
-			ord = append(ord, i)
+	size := int(math.Ceil(math.Sqrt(float64(n))))
+	var rd pmem.Round
+	for lo := 0; lo < n; {
+		hi := min(lo+size, n)
+		for hi < n && sorted[hi] == sorted[hi-1] {
+			hi++
 		}
+		if v.seam.Batch != nil && hi-lo > 1 {
+			v.seam.Batch.GetBatch(sorted[lo:hi], sOffs[lo:hi], sFound[lo:hi])
+		} else {
+			for j := lo; j < hi; j++ {
+				sOffs[j], sFound[j] = v.idx.Get(sorted[j])
+			}
+		}
+		hits := sc.hits[:0]
+		for j := lo; j < hi; j++ {
+			if sFound[j] {
+				i := byKey[j]
+				offs[i] = sOffs[j]
+				hits = append(hits, i)
+			}
+		}
+		sortByOffset(offs, hits, sc.pack)
+		rd.Resume()
+		s.readSpans(&rd, offs, hits, out)
+		lo = hi
 	}
-	sortByOffset(offs, ord, sc.pack)
-	s.readLiveSpans(offs, ord, out)
+	rd.Wait()
 	mgPool.Put(sc)
 	return out
+}
+
+// sortByKey fills ord with the positions of keys in ascending key order.
+// The sort is stable, so the positions of equal keys are looked up in
+// the caller's order: a reader that sees a key twice in one batch never
+// gets the later position's value older than the earlier one's.
+func sortByKey(keys []uint64, ord []int) {
+	for i := range ord {
+		ord[i] = i
+	}
+	slices.SortStableFunc(ord, func(a, b int) int { return cmp.Compare(keys[a], keys[b]) })
 }
 
 // mgScratch holds MultiGet's per-call working state, every slice as long
 // as the largest batch seen. Pooling it keeps the batched read path
 // allocation-free apart from the returned slice.
 type mgScratch struct {
-	offs, pack []uint64 // record offset per batch position; sort words
-	found      []bool
-	order      []int
+	sorted, sOffs, offs, pack []uint64 // keys in key order, their lookups; offset per position; sort words
+	sFound                    []bool
+	byKey, hits               []int
 }
 
 func (sc *mgScratch) grow(n int) {
 	if cap(sc.offs) >= n {
 		return
 	}
-	sc.offs, sc.pack = make([]uint64, n), make([]uint64, n)
-	sc.found, sc.order = make([]bool, n), make([]int, n)
+	sc.sorted, sc.sOffs, sc.offs, sc.pack = make([]uint64, n), make([]uint64, n), make([]uint64, n), make([]uint64, n)
+	sc.sFound, sc.byKey, sc.hits = make([]bool, n), make([]int, n), make([]int, n)
 }
 
 var mgPool = sync.Pool{New: func() interface{} { return new(mgScratch) }}
@@ -620,7 +666,7 @@ func sortByOffset(offs []uint64, ord []int, pack []uint64) {
 	}
 }
 
-// readLiveSpans resolves the batch's records in ascending offset order
+// readSpans resolves the batch's records in ascending offset order
 // (ord holds batch positions sorted by offs) and writes each value —
 // nil for tombstones — back to its batch position in vals. Consecutive
 // offsets within spanBridge of one record's extent coalesce into a
@@ -631,18 +677,16 @@ func sortByOffset(offs []uint64, ord []int, pack []uint64) {
 // readRecord. Before any of that the header line of each record (up to
 // touchAhead of them) is prefetched, so the batch's cache and TLB misses
 // overlap instead of each waiting behind the previous record's stall.
-// Every span and straggler read is one access of a single pmem.Round:
-// each is charged as if made alone, and the batch waits once, at the end,
-// for the sum of their stalls, so no value reaches the caller before its
-// stall is paid and the parsing in between runs inside it. Caller holds
-// an epoch pin.
+// Every span and straggler read is one access of rd: each is charged as
+// if made alone and its stall added to the round's, so the values in
+// vals must not reach the caller before rd.Wait. Caller holds an epoch
+// pin.
 //
 //pieces:hotpath
-func (s *Store) readLiveSpans(offs []uint64, ord []int, vals [][]byte) {
+func (s *Store) readSpans(rd *pmem.Round, offs []uint64, ord []int, vals [][]byte) {
 	for _, i := range ord[:min(len(ord), touchAhead)] {
 		s.region.Prefetch(int64(offs[i]))
 	}
-	var rd pmem.Round
 	maxGap := uint64(recordHeader + s.valueSize + spanBridge)
 	size := uint64(s.region.Size())
 	m := len(ord)
@@ -652,7 +696,7 @@ func (s *Store) readLiveSpans(offs []uint64, ord []int, vals [][]byte) {
 			runEnd++
 		}
 		if runEnd-j < 2 {
-			vals[ord[j]], _ = s.readRecord(&rd, int64(offs[ord[j]]))
+			vals[ord[j]], _ = s.readRecord(rd, int64(offs[ord[j]]))
 			j++
 			continue
 		}
@@ -678,9 +722,21 @@ func (s *Store) readLiveSpans(offs []uint64, ord []int, vals [][]byte) {
 			}
 			// An oversized value or a span clamped at the region end:
 			// the straggler reads individually, over already-warm blocks.
-			vals[i], _ = s.readRecord(&rd, int64(offs[i]))
+			vals[i], _ = s.readRecord(rd, int64(offs[i]))
 		}
 	}
+}
+
+// readLiveSpans is readSpans as a round of its own, the read of one Range
+// round: the batch waits once, at the end, for the first stalled access's
+// clock plus the sum of its stalls, so the parsing between the reads runs
+// inside them and no value reaches the caller before its stall is paid.
+// Caller holds an epoch pin.
+//
+//pieces:hotpath
+func (s *Store) readLiveSpans(offs []uint64, ord []int, vals [][]byte) {
+	var rd pmem.Round
+	s.readSpans(&rd, offs, ord, vals)
 	rd.Wait()
 }
 
