@@ -76,6 +76,32 @@ func BenchmarkFig10ReadOnly(b *testing.B) {
 	}
 }
 
+// BenchmarkColdGet is the index share of a store Get past the caches:
+// bare Gets over 750k loaded OSM-like keys (the benchmark's data set),
+// each probe's key chosen by the previous answer, so one Get's misses
+// cannot overlap the next one's and every lookup pays its own descent,
+// as a Get served one at a time does. art and skiplist search no
+// window and fetch no value line apart from their keys; they are the
+// controls.
+func BenchmarkColdGet(b *testing.B) {
+	keys := dataset.Generate(dataset.OSMLike, 750_000, 1)
+	probes := dataset.Shuffled(keys, 2)
+	n := uint64(len(probes))
+	for _, name := range []string{"alex", "pgm", "btree", "rmi", "rs", "fiting-buf", "art", "skiplist"} {
+		idx := loadedIndex(b, name, keys)
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			var v uint64
+			for i := 0; i < b.N; i++ {
+				var ok bool
+				if v, ok = idx.Get(probes[(v+uint64(i))%n]); !ok {
+					b.Fatal("missing key")
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkCursorOpen is the index share of a short scan, for every
 // registered index with a cursor: open at a start drawn uniformly from
 // 750k loaded OSM-like keys (the benchmark's data set) and pull 50.

@@ -9,6 +9,7 @@ import (
 	"unsafe"
 
 	"learnedpieces/internal/index"
+	"learnedpieces/internal/prefetch"
 	"learnedpieces/internal/search"
 )
 
@@ -58,9 +59,9 @@ func (t *BTree) Get(key uint64) (uint64, bool) {
 	for {
 		switch x := n.(type) {
 		case *inner:
-			n = x.kids[upperBound(x.keys[:x.n], key)]
+			n = x.kids[x.route(key)]
 		case *leaf:
-			i := lowerBound(x.keys[:x.n], key)
+			i := x.seek(key)
 			if i < x.n && x.keys[i] == key {
 				return x.vals[i], true
 			}
@@ -76,17 +77,33 @@ func upperBound(keys []uint64, key uint64) int {
 	return search.UpperBound(keys, key, 0, len(keys))
 }
 
-// lowerBound returns the index of the first element >= key.
+// route returns the slot of the child key descends into. The child
+// slots are prefetched alongside the key search, so the line holding
+// the answer is on its way while the search runs instead of being
+// fetched once it ends.
 //
 //pieces:hotpath
-func lowerBound(keys []uint64, key uint64) int {
-	return search.LowerBound(keys, key, 0, len(keys))
+func (x *inner) route(key uint64) int {
+	prefetch.Slice(x.kids[:x.n+1])
+	return upperBound(x.keys[:x.n], key)
+}
+
+// seek returns the slot of the first key >= key, prefetching the value
+// slots alongside the key search as route does the child slots.
+//
+//pieces:hotpath
+func (l *leaf) seek(key uint64) int {
+	prefetch.Slice(l.vals[:l.n])
+	return search.LowerBound(l.keys[:l.n], key, 0, l.n)
 }
 
 // GetBatch implements index.BatchGetter: the descents of up to MaxLanes
 // keys advance one level per round (the tree is perfectly height-
 // balanced, so every lane reaches its leaf after height-1 inner steps),
-// then the leaf searches resolve in interleaved lockstep.
+// then the leaf searches resolve in interleaved lockstep. It does not
+// prefetch the child and value slots as route and seek do: the lanes'
+// misses already overlap one another, and sixteen lanes' slot arrays
+// on top of them measured 12-24% slower.
 func (t *BTree) GetBatch(keys []uint64, vals []uint64, found []bool) {
 	for off := 0; off < len(keys); off += search.MaxLanes {
 		end := off + search.MaxLanes
@@ -141,11 +158,12 @@ func (t *BTree) Floor(key uint64) (uint64, uint64, bool) {
 	for {
 		switch x := n.(type) {
 		case *inner:
-			ci := upperBound(x.keys[:x.n], key)
+			ci := x.route(key)
 			stack[depth] = frame{x, ci}
 			depth++
 			n = x.kids[ci]
 		case *leaf:
+			prefetch.Slice(x.vals[:x.n])
 			if i := upperBound(x.keys[:x.n], key); i > 0 {
 				return x.keys[i-1], x.vals[i-1], true
 			}
@@ -213,7 +231,7 @@ func (t *BTree) insert(n interface{}, level int, key, value uint64) (uint64, int
 		return t.insertLeaf(n.(*leaf), key, value)
 	}
 	x := n.(*inner)
-	ci := upperBound(x.keys[:x.n], key)
+	ci := x.route(key)
 	midKey, newRight := t.insert(x.kids[ci], level-1, key, value)
 	if newRight == nil {
 		return 0, nil
@@ -250,7 +268,7 @@ func insertInner(x *inner, at int, key uint64, kid interface{}) {
 }
 
 func (t *BTree) insertLeaf(l *leaf, key, value uint64) (uint64, interface{}) {
-	i := lowerBound(l.keys[:l.n], key)
+	i := l.seek(key)
 	if i < l.n && l.keys[i] == key {
 		l.vals[i] = value
 		return 0, nil
@@ -287,9 +305,9 @@ func (t *BTree) Delete(key uint64) bool {
 	for {
 		switch x := n.(type) {
 		case *inner:
-			n = x.kids[upperBound(x.keys[:x.n], key)]
+			n = x.kids[x.route(key)]
 		case *leaf:
-			i := lowerBound(x.keys[:x.n], key)
+			i := x.seek(key)
 			if i >= x.n || x.keys[i] != key {
 				return false
 			}
@@ -321,11 +339,11 @@ func (t *BTree) Range(start uint64) index.Cursor {
 		if !ok {
 			break
 		}
-		node = x.kids[upperBound(x.keys[:x.n], start)]
+		node = x.kids[x.route(start)]
 	}
 	l := node.(*leaf)
 	c := cursorPool.Get().(*cursor)
-	c.l, c.i = l, lowerBound(l.keys[:l.n], start)
+	c.l, c.i = l, l.seek(start)
 	return c
 }
 

@@ -13,6 +13,7 @@ import (
 	"learnedpieces/internal/learned/delta"
 	"learnedpieces/internal/parallel"
 	"learnedpieces/internal/pla"
+	"learnedpieces/internal/prefetch"
 	"learnedpieces/internal/retrain"
 	"learnedpieces/internal/search"
 )
@@ -348,6 +349,9 @@ func (ix *Index) Len() int { return ix.buf.Len() }
 // lowerBound locates the first position with keys[pos] >= key via the
 // internal-level descent, falling back to a whole-array kernel search
 // when the eps window does not bracket an absent key's insertion point.
+// Every caller reads the value at the answer next, so the window's value
+// lines are prefetched alongside its key lines: the value's miss
+// overlaps the search instead of following it.
 func (s *Static) lowerBound(key uint64) int {
 	n := len(s.keys)
 	if n == 0 {
@@ -359,6 +363,9 @@ func (s *Static) lowerBound(key uint64) int {
 	}
 	if hi > n {
 		hi = n
+	}
+	if lo < hi && s.vals != nil {
+		prefetch.Slice(s.vals[lo:hi])
 	}
 	pos := search.LowerBound(s.keys, key, lo, hi)
 	if s.brackets(pos, key) {

@@ -1,6 +1,9 @@
 package pla
 
-import "learnedpieces/internal/search"
+import (
+	"learnedpieces/internal/prefetch"
+	"learnedpieces/internal/search"
+)
 
 // LSA-gap: the approximation algorithm of ALEX. Instead of passively
 // approximating the CDF of the stored keys, it first fits a least-squares
@@ -188,6 +191,10 @@ func (g *GappedNode) lowerBound(key uint64) int {
 // window growth from the model's prediction (ALEX's method), finished by
 // the shared last-mile kernel. Both bound flavours reduce to it — the
 // strict (> key) bound is the weak bound of key+1 over uint64 keys.
+// Every caller goes on to the value at or next to the answer, which the
+// model places within a slot or two of its prediction: the value line at
+// the predicted slot is prefetched first, so its miss overlaps the key
+// search instead of following it.
 //
 //pieces:hotpath
 func (g *GappedNode) expBound(bound uint64) int {
@@ -196,6 +203,9 @@ func (g *GappedNode) expBound(bound uint64) int {
 		return 0
 	}
 	p := g.Predict(bound, n)
+	if p < len(g.Values) {
+		prefetch.Slice(g.Values[p : p+1])
+	}
 	var lo, hi int
 	if g.Keys[p] >= bound {
 		// Answer is at or left of p: grow the window leftward.

@@ -28,6 +28,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"learnedpieces/internal/prefetch"
 )
 
 // LatencyModel is the extra delay injected per access, at the
@@ -307,7 +309,7 @@ func (r *Region) charge(off int64, n int, perBlock int64, write bool, rd *Round)
 	lineCount.Add(lines)
 	stallCount.Add(stall)
 	if !write {
-		prefetch(&r.data[off], n)
+		prefetch.Slice(r.data[off : off+int64(n)])
 	}
 	r.lastBlock.Store(last + 1)
 	return deadline
@@ -339,7 +341,7 @@ func (r *Region) ReadNoCopy(off int64, n int) []byte {
 // read in turn.
 //
 //pieces:hotpath
-func (r *Region) Prefetch(off int64) { prefetch(&r.data[off], 1) }
+func (r *Region) Prefetch(off int64) { prefetch.Slice(r.data[off : off+1]) }
 
 // Write stores data at off, paying write latency.
 //

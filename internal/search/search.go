@@ -9,6 +9,8 @@
 //     body is a single conditional add, which the compiler lowers to a
 //     conditional move, so the branch predictor never sees the
 //     data-dependent comparison that makes classic binary search stall.
+//     LowerBound prefetches its window's lines before the probes, so
+//     their cache misses overlap instead of following each other.
 //   - lowerLinear handles windows at or under linearCutoff, where a
 //     straight-line scan beats any halving scheme (no mispredicted exit
 //     until the answer, hardware prefetch fully engaged).
@@ -26,6 +28,8 @@
 // to the slice), because the window — model prediction ± error bound —
 // is the part the learned index already paid for.
 package search
+
+import "learnedpieces/internal/prefetch"
 
 // linearCutoff is the window width at or below which LowerBound scans
 // instead of halving: at 24 slots (three cache lines of uint64) the
@@ -52,7 +56,14 @@ func clamp(lo, hi, n int) (int, int) {
 // LowerBound returns the first index i in [lo, hi) with keys[i] >= key,
 // or hi when no such index exists. The window is clamped to the slice;
 // keys must be sorted ascending within it. Windows of at most
-// linearCutoff slots are scanned, wider ones halved branchlessly.
+// linearCutoff slots are scanned, wider ones halved branchlessly. A
+// halving probe's address depends on the previous probe's answer, so
+// once the window spans at most MaxLanes cache lines (the misses a core
+// keeps in flight; a btree node's window and pgm's leaf window from the
+// start) it is prefetched whole: its misses overlap instead of following
+// each other, and the remaining probes hit the cache. A wider window is
+// halved to that span first, so a search never prefetches more than
+// MaxLanes lines.
 //
 //pieces:hotpath
 func LowerBound(keys []uint64, key uint64, lo, hi int) int {
@@ -62,8 +73,10 @@ func LowerBound(keys []uint64, key uint64, lo, hi int) int {
 		note(KernelLinear, 1, probes)
 		return i
 	}
-	i, probes := lowerBranchless(keys, key, lo, hi)
-	note(KernelBranchless, 1, probes)
+	base, n, wide := halve(keys, key, lo, hi-lo, MaxLanes*8) // eight keys a line
+	prefetch.Slice(keys[base : base+n])
+	i, probes := lowerBranchless(keys, key, base, base+n)
+	note(KernelBranchless, 1, wide+probes)
 	return i
 }
 
@@ -128,16 +141,7 @@ func FindBounded(keys []uint64, key uint64, lo, hi int) (int, bool) {
 //
 //pieces:hotpath
 func lowerBranchless(keys []uint64, key uint64, lo, hi int) (int, int32) {
-	base, n := lo, hi-lo
-	var probes int32
-	for n > 1 {
-		half := n >> 1
-		probes++
-		if keys[base+half-1] < key {
-			base += half
-		}
-		n -= half
-	}
+	base, n, probes := halve(keys, key, lo, hi-lo, 1)
 	if n == 1 {
 		probes++
 		if keys[base] < key {
@@ -145,6 +149,24 @@ func lowerBranchless(keys []uint64, key uint64, lo, hi int) (int, int32) {
 		}
 	}
 	return base, probes
+}
+
+// halve runs lowerBranchless's halving steps on the window of n slots at
+// base until it holds at most stop slots (stop >= 1), and returns the
+// narrowed window and the probes it took.
+//
+//pieces:hotpath
+func halve(keys []uint64, key uint64, base, n, stop int) (int, int, int32) {
+	var probes int32
+	for n > stop {
+		half := n >> 1
+		probes++
+		if keys[base+half-1] < key {
+			base += half
+		}
+		n -= half
+	}
+	return base, n, probes
 }
 
 // lowerLinear scans the window front to back. For windows within a few

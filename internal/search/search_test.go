@@ -350,16 +350,27 @@ func FuzzLowerBound(f *testing.F) {
 			v += uint64(d) * uint64(d) // quadratic gaps: skewed windows
 			keys = append(keys, v)
 		}
+		// keys' capacity is its length, so a window ending at len(keys)
+		// ends at the backing array's end: the prefetched lines of the
+		// tail windows below are the array's last.
+		n := len(keys)
 		for name, fn := range kernelsUnderTest() {
-			checkLower(t, name, fn, keys, key, 0, len(keys))
-			checkLower(t, name, fn, keys, key, len(keys)/3, 2*len(keys)/3)
+			checkLower(t, name, fn, keys, key, 0, n)
+			checkLower(t, name, fn, keys, key, n/3, 2*n/3)
+			checkLower(t, name, fn, keys, key, n, n)
+			for _, k := range []int{1, linearCutoff + 1, MaxLanes * 8, MaxLanes*8 + 1} {
+				checkLower(t, name, fn, keys, key, max(n-k, 0), n)
+			}
 		}
-		checkFloor(t, keys, key, [2]int{0, len(keys)}, [2]int{len(keys) / 3, 2 * len(keys) / 3})
+		checkFloor(t, keys, key, [2]int{0, n}, [2]int{n / 3, 2 * n / 3})
 		var b Batch
-		b.Add(keys, key, 0, len(keys))
+		b.Add(keys, key, 0, n)
+		b.Add(keys, key, n/2, n)
 		b.Run()
-		if want := oracle(keys, key, 0, len(keys)); b.Pos(0) != want {
-			t.Fatalf("batch Pos = %d, oracle %d", b.Pos(0), want)
+		for l, lo := range []int{0, n / 2} {
+			if want := oracle(keys, key, lo, n); b.Pos(l) != want {
+				t.Fatalf("batch lane %d Pos = %d, oracle %d", l, b.Pos(l), want)
+			}
 		}
 	})
 }

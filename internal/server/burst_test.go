@@ -571,6 +571,54 @@ func TestBadFramesCountsProtocolErrorsOnly(t *testing.T) {
 	}
 }
 
+// TestMultiGetBurstAllocs pipelines bursts of MultiGet frames over one
+// socket: the server allocates nothing per frame beyond what the store's
+// own MultiGet does, because every frame's keys decode into the
+// connection's kept key buffer.
+func TestMultiGetBurstAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops sync.Pool items at random")
+	}
+	_, store, addr := startServer(t, "alex", Config{})
+	if err := store.BulkPut(seq(1, 10_000), nil); err != nil {
+		t.Fatal(err)
+	}
+	nc, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = nc.Close() }()
+
+	const burst, width = 16, 16
+	var frames []byte
+	for i := 0; i < burst; i++ {
+		keys := seq(uint64(1+i*width*37), width)
+		frames = wire.AppendRequest(frames, &wire.Request{ID: uint64(i + 1), Op: wire.OpMultiGet, Keys: keys})
+	}
+	br := bufio.NewReaderSize(nc, 64<<10)
+	round := func() {
+		if _, err := nc.Write(frames); err != nil {
+			t.Fatal(err)
+		}
+		for got := 0; got < burst; got++ {
+			body, err := wire.ReadFrame(br, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if wire.Status(body[8]) != wire.StatusOK {
+				t.Fatalf("response %d: status %v", got, wire.Status(body[8]))
+			}
+		}
+	}
+	round() // the connection's buffers reach their working size
+	server := testing.AllocsPerRun(50, round) / burst
+	keys := seq(1, width)
+	own := testing.AllocsPerRun(50*burst, func() { store.MultiGet(keys) })
+	if server > own+0.5 {
+		t.Fatalf("a pipelined MultiGet frame costs %.2f allocs, the store's MultiGet alone %.2f", server, own)
+	}
+}
+
 // BenchmarkServerBurst16 is the wire-mixed shape on one raw loopback
 // socket: 14 Gets, a Put and a Range per burst, written in one write and
 // read back before the next. writes/burst is the server's socket writes

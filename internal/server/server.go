@@ -157,6 +157,7 @@ type conn struct {
 
 	out     []byte        // encoded responses awaiting the next write
 	resps   int           // how many responses out holds
+	req     wire.Request  // each frame decodes here, MultiGet keys into its kept Keys
 	resp    wire.Response // scratch for execute
 	entries []wire.Entry  // scratch for Range
 
@@ -375,8 +376,8 @@ func (c *conn) serve() {
 			big = body[:0] // ReadFrame copied it there; keep it for the next one
 		}
 		c.bytesIn += int64(len(body)) + 4
-		req, err := wire.DecodeRequest(body)
-		if err != nil {
+		req := &c.req
+		if err := req.Decode(body); err != nil {
 			// The stream may be desynchronised after a malformed frame:
 			// answer the frames before it, then this one if its ID was
 			// readable, and drop the connection.
@@ -400,7 +401,7 @@ func (c *conn) serve() {
 			if c.runGets(false) != nil {
 				return
 			}
-			c.execute(&req)
+			c.execute(req)
 		}
 		drained := br.Buffered() == 0
 		limit := held >= s.cfg.MaxInFlight || len(c.out) >= flushBytes

@@ -60,6 +60,47 @@ func serve(t testing.TB, idx index.Index, cfg Config, opts ...viper.Option) (*Se
 	return srv, store, ln.Addr().String()
 }
 
+// TestListenAndServe binds Config.Addr itself (an ephemeral loopback
+// port), answers one Put and Get, and returns net.ErrClosed once
+// Shutdown has drained it.
+func TestListenAndServe(t *testing.T) {
+	store := viper.Open(pmem.NewRegion(8<<20, pmem.None()), alex.New(alex.DefaultConfig()))
+	defer func() { _ = store.Close() }()
+	srv, err := New(Config{Addr: "127.0.0.1:0", Store: store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan error, 1)
+	go func() { served <- srv.ListenAndServe() }()
+	for srv.Addr() == nil {
+		select {
+		case err := <-served:
+			t.Fatalf("ListenAndServe: %v", err)
+		case <-time.After(time.Millisecond):
+		}
+	}
+	c, err := client.Dial(srv.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	if err := c.Put(ctx, 7, []byte("v")); err != nil {
+		t.Fatalf("put: %v", err)
+	}
+	if v, ok, err := c.Get(ctx, 7); err != nil || !ok || string(v) != "v" {
+		t.Fatalf("get: %q %v %v", v, ok, err)
+	}
+	_ = c.Close()
+	ctx, cancel := context.WithTimeout(ctx, 5*time.Second)
+	defer cancel()
+	if err := srv.Shutdown(ctx); err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+	if err := <-served; !errors.Is(err, net.ErrClosed) {
+		t.Fatalf("ListenAndServe returned %v, want net.ErrClosed", err)
+	}
+}
+
 func TestServerBasicOps(t *testing.T) {
 	_, _, addr := startServer(t, "xindex", Config{})
 	c, err := client.Dial(addr)

@@ -45,13 +45,14 @@ func Handler(sink *Sink) http.Handler {
 
 // Serve starts the observability endpoint on addr (e.g. ":6060") in a
 // background goroutine. The listen error is returned synchronously so a
-// taken port fails fast; the returned server can be Closed to stop.
+// taken port fails fast; the returned server can be Closed to stop, and
+// its Addr is the bound address (the port a ":0" addr was given).
 func Serve(addr string, sink *Sink) (*http.Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
-	srv := &http.Server{Handler: Handler(sink)}
+	srv := &http.Server{Addr: ln.Addr().String(), Handler: Handler(sink)}
 	go srv.Serve(ln)
 	return srv, nil
 }

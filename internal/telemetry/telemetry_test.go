@@ -312,6 +312,36 @@ func TestWriteText(t *testing.T) {
 	}
 }
 
+// TestServe binds an ephemeral loopback port, serves one snapshot
+// request from it and stops: after Close the port refuses connections.
+func TestServe(t *testing.T) {
+	srv, err := Serve("127.0.0.1:0", New())
+	if err != nil {
+		t.Fatal(err)
+	}
+	url := "http://" + srv.Addr + "/telemetry"
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /telemetry: status %d, %v", resp.StatusCode, err)
+	}
+	if _, err := ParseSnapshot(body); err != nil {
+		t.Fatalf("/telemetry not a snapshot: %v", err)
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	http.DefaultClient.CloseIdleConnections()
+	if resp, err := http.Get(url); err == nil {
+		resp.Body.Close()
+		t.Fatal("GET after Close succeeded")
+	}
+}
+
 func TestHTTPHandler(t *testing.T) {
 	s := New()
 	s.StoreSink().StartGet(1).Done()

@@ -3,6 +3,7 @@ package wire
 import (
 	"bufio"
 	"bytes"
+	"reflect"
 	"testing"
 )
 
@@ -10,7 +11,9 @@ import (
 // bytes may produce errors, never panics, over-reads, or oversized
 // allocations. Both decoders run on every input (a response body is
 // tried against every op, since the op comes from client-side state the
-// attacker doesn't control but could still confuse).
+// attacker doesn't control but could still confuse). One Request is
+// decoded into frame after frame, as a server connection does, and must
+// agree with a fresh DecodeRequest on every frame.
 func FuzzDecodeFrame(f *testing.F) {
 	// Seed with one valid frame per op so the fuzzer starts from
 	// structurally interesting corpora.
@@ -35,15 +38,26 @@ func FuzzDecodeFrame(f *testing.F) {
 		// Through the framed reader: must terminate with a frame or error,
 		// never panic, even on garbage prefixes.
 		br := bufio.NewReader(bytes.NewReader(data))
+		var reused Request
 		for {
 			body, err := ReadFrame(br, nil)
 			if err != nil {
 				break
 			}
-			if _, derr := DecodeRequest(body); derr == nil {
+			r, derr := DecodeRequest(body)
+			if rerr := reused.Decode(body); (rerr == nil) != (derr == nil) {
+				t.Fatalf("Decode into a reused Request: %v, DecodeRequest: %v", rerr, derr)
+			}
+			if derr == nil {
+				got := reused
+				if len(got.Keys) == 0 {
+					got.Keys = r.Keys
+				}
+				if !reflect.DeepEqual(got, r) {
+					t.Fatalf("Decode into a reused Request = %+v, DecodeRequest = %+v", got, r)
+				}
 				// Re-encode what decoded cleanly: decode(encode(decode(x)))
 				// must also succeed (the codec is self-consistent).
-				r, _ := DecodeRequest(body)
 				frame := AppendRequest(nil, &r)
 				if _, rerr := DecodeRequest(frame[4:]); rerr != nil {
 					t.Fatalf("re-decode of re-encoded request failed: %v", rerr)

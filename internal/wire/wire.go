@@ -458,54 +458,72 @@ func (c *body) rest() []byte {
 // DecodeRequest decodes a request frame body (as returned by
 // ReadFrame). Returned slices alias b.
 func DecodeRequest(b []byte) (Request, error) {
+	var r Request
+	if err := r.Decode(b); err != nil {
+		return Request{}, err
+	}
+	return r, nil
+}
+
+// Decode is DecodeRequest into r. A MultiGet's keys are decoded into
+// r.Keys' backing array, which is kept, emptied, across frames of other
+// ops and grown only when a frame carries more keys than it holds: a
+// reader that decodes every frame into one Request allocates no key
+// slice per frame. Value aliases b. On error r holds no meaningful
+// request.
+func (r *Request) Decode(b []byte) error {
+	keys := r.Keys[:0]
+	*r = Request{Keys: keys}
 	if len(b) > MaxFrame {
-		return Request{}, ErrFrameTooBig
+		return ErrFrameTooBig
 	}
 	c := body{b: b}
-	var r Request
 	var err error
 	if r.ID, err = c.u64(); err != nil {
-		return Request{}, err
+		return err
 	}
 	op, err := c.u8()
 	if err != nil {
-		return Request{}, err
+		return err
 	}
 	r.Op = Op(op)
 	switch r.Op {
 	case OpPut:
 		if r.Key, err = c.u64(); err != nil {
-			return Request{}, err
+			return err
 		}
 		r.Value = c.rest()
 		if len(r.Value) > MaxValue {
-			return Request{}, fmt.Errorf("%w: value %d bytes", ErrBadPayload, len(r.Value))
+			return fmt.Errorf("%w: value %d bytes", ErrBadPayload, len(r.Value))
 		}
 	case OpGet, OpDelete:
 		if r.Key, err = c.u64(); err != nil {
-			return Request{}, err
+			return err
 		}
 	case OpMultiGet:
 		n, err := c.u32()
 		if err != nil {
-			return Request{}, err
+			return err
 		}
 		if n > MaxKeys {
-			return Request{}, fmt.Errorf("%w: %d keys", ErrBadPayload, n)
+			return fmt.Errorf("%w: %d keys", ErrBadPayload, n)
 		}
 		if c.remaining() != int(n)*8 {
-			return Request{}, fmt.Errorf("%w: key array size", ErrBadPayload)
+			return fmt.Errorf("%w: key array size", ErrBadPayload)
 		}
-		r.Keys = make([]uint64, n)
+		if cap(keys) < int(n) {
+			keys = make([]uint64, n)
+		}
+		r.Keys = keys[:n]
 		for i := range r.Keys {
 			r.Keys[i], _ = c.u64()
 		}
 	case OpRange:
 		if r.Key, err = c.u64(); err != nil {
-			return Request{}, err
+			return err
 		}
 		if r.Limit, err = c.u32(); err != nil {
-			return Request{}, err
+			return err
 		}
 		// Zero is rejected, not "unlimited": an unbounded scan would let
 		// one 21-byte frame snapshot the whole store and build a
@@ -513,17 +531,17 @@ func DecodeRequest(b []byte) (Request, error) {
 		// continuation frames, so one cursor cannot be asked to stream
 		// the whole store either.
 		if r.Limit == 0 || r.Limit > MaxScanLimit {
-			return Request{}, fmt.Errorf("%w: scan limit %d", ErrBadPayload, r.Limit)
+			return fmt.Errorf("%w: scan limit %d", ErrBadPayload, r.Limit)
 		}
 	case OpStats, OpDrain:
 		// No payload.
 	default:
-		return Request{}, fmt.Errorf("%w: %d", ErrBadOp, op)
+		return fmt.Errorf("%w: %d", ErrBadOp, op)
 	}
 	if c.remaining() != 0 {
-		return Request{}, fmt.Errorf("%w: %d trailing bytes", ErrBadPayload, c.remaining())
+		return fmt.Errorf("%w: %d trailing bytes", ErrBadPayload, c.remaining())
 	}
-	return r, nil
+	return nil
 }
 
 // DecodeResponse decodes a response frame body for the given request
