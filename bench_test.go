@@ -105,21 +105,42 @@ func BenchmarkColdGet(b *testing.B) {
 // BenchmarkCursorOpen is the index share of a short scan, for every
 // registered index with a cursor: open at a start drawn uniformly from
 // 750k loaded OSM-like keys (the benchmark's data set) and pull 50.
+// "loaded" is the index as bulk-loaded; "rewritten" then overwrites half
+// the loaded keys in random order, as the benchmark's scan-insert
+// workload does, so a layered index (pgm's logarithmic runs, the delta
+// buffers) merges all its layers. A read-only index has no rewritten
+// shape.
 func BenchmarkCursorOpen(b *testing.B) {
 	keys := dataset.Generate(dataset.OSMLike, 750_000, 1)
 	starts := dataset.Shuffled(keys, 2)
+	rewrites := dataset.Shuffled(keys, 3)[:len(keys)/2]
 	ks, vs := make([]uint64, 50), make([]uint64, 50)
-	for _, e := range core.Registry() {
-		if !index.CapsOf(e.New()).Range {
-			continue
-		}
-		r := index.Seams(loadedIndex(b, e.Name, keys)).Range
-		b.Run(e.Name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				cur := r.Range(starts[i%len(starts)])
-				cur.Next(ks, vs)
-				cur.Close()
+	for _, shape := range []string{"loaded", "rewritten"} {
+		b.Run(shape, func(b *testing.B) {
+		registry:
+			for _, e := range core.Registry() {
+				if !index.CapsOf(e.New()).Range {
+					continue
+				}
+				idx := loadedIndex(b, e.Name, keys)
+				if shape == "rewritten" {
+					for _, k := range rewrites {
+						if _, err := idx.InsertReplace(k, k+1); err == index.ErrReadOnly {
+							continue registry
+						} else if err != nil {
+							b.Fatal(err)
+						}
+					}
+				}
+				r := index.Seams(idx).Range
+				b.Run(e.Name, func(b *testing.B) {
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						cur := r.Range(starts[i%len(starts)])
+						cur.Next(ks, vs)
+						cur.Close()
+					}
+				})
 			}
 		})
 	}

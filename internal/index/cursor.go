@@ -65,34 +65,45 @@ type MergeLayer struct {
 	Pos        int
 }
 
-type mergeCursor struct {
-	layers []MergeLayer
+// MergeCursor is a pooled cursor merging sorted layers in ascending key
+// order, newest layer first: when several layers hold the same key, the
+// earliest layer's entry wins and the others are skipped. The
+// Keys/Vals/Dead slices are aliased and must stay immutable while the
+// cursor is open.
+type MergeCursor struct {
+	// Layers are the merged sources, newest first. A caller of
+	// OpenMergeCursor appends them before the first Next.
+	Layers []MergeLayer
 }
 
-var mergeCursorPool = sync.Pool{New: func() any { return new(mergeCursor) }}
+var mergeCursorPool = sync.Pool{New: func() any { return new(MergeCursor) }}
 
-// NewMergeCursor returns a pooled cursor merging the given sorted
-// layers in ascending key order, newest layer first: when several
-// layers hold the same key, the earliest layer's entry wins and the
-// others are skipped. The layer slice is copied into pooled storage;
-// the Keys/Vals/Dead slices are aliased and must stay immutable while
-// the cursor is open.
+// OpenMergeCursor returns a pooled merge cursor with no layers. Its
+// Layers keep the capacity of the cursor's earlier opens, so an index
+// whose layer count varies from open to open (pgm's runs) appends them
+// there and allocates nothing once warm.
+func OpenMergeCursor() *MergeCursor {
+	return mergeCursorPool.Get().(*MergeCursor)
+}
+
+// NewMergeCursor returns a pooled merge cursor over the given layers,
+// which are copied into pooled storage.
 func NewMergeCursor(layers []MergeLayer) Cursor {
-	c := mergeCursorPool.Get().(*mergeCursor)
-	c.layers = append(c.layers[:0], layers...)
+	c := OpenMergeCursor()
+	c.Layers = append(c.Layers, layers...)
 	return c
 }
 
 // Next fills the destination slices with the next merged live entries.
 //
 //pieces:hotpath
-func (c *mergeCursor) Next(keys, vals []uint64) int {
+func (c *MergeCursor) Next(keys, vals []uint64) int {
 	n := 0
 	for n < len(keys) {
 		min := uint64(0)
 		win := -1
-		for i := range c.layers {
-			l := &c.layers[i]
+		for i := range c.Layers {
+			l := &c.Layers[i]
 			if l.Pos >= len(l.Keys) {
 				continue
 			}
@@ -103,7 +114,7 @@ func (c *mergeCursor) Next(keys, vals []uint64) int {
 		if win < 0 {
 			break
 		}
-		l := &c.layers[win]
+		l := &c.Layers[win]
 		dead := l.Dead != nil && l.Dead[l.Pos]
 		var val uint64
 		if l.Vals != nil {
@@ -111,8 +122,8 @@ func (c *mergeCursor) Next(keys, vals []uint64) int {
 		}
 		// Advance every layer sitting on the winning key; layers before
 		// win cannot hold it (they would have won).
-		for i := win; i < len(c.layers); i++ {
-			l2 := &c.layers[i]
+		for i := win; i < len(c.Layers); i++ {
+			l2 := &c.Layers[i]
 			if l2.Pos < len(l2.Keys) && l2.Keys[l2.Pos] == min {
 				l2.Pos++
 			}
@@ -127,8 +138,8 @@ func (c *mergeCursor) Next(keys, vals []uint64) int {
 	return n
 }
 
-func (c *mergeCursor) Close() {
-	c.layers = c.layers[:0]
+func (c *MergeCursor) Close() {
+	c.Layers = c.Layers[:0]
 	mergeCursorPool.Put(c)
 }
 

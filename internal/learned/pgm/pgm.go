@@ -377,19 +377,21 @@ func (s *Static) lowerBound(key uint64) int {
 // Range implements index.Ranger: every layer is positioned once — the
 // runs through their model descent, the buffers through the shared
 // kernels — then the pooled merge cursor walks them, newer layers
-// shadowing older ones (layers are ordered newest first).
+// shadowing older ones (layers are ordered newest first). The layers are
+// appended straight into the pooled cursor, so an open allocates nothing
+// however many runs the index holds.
 func (ix *Index) Range(start uint64) index.Cursor {
-	runs := ix.buf.Base
-	layers := ix.buf.AppendLayers(make([]index.MergeLayer, 0, 2+len(runs)), start)
-	for _, r := range runs {
+	c := index.OpenMergeCursor()
+	c.Layers = ix.buf.AppendLayers(c.Layers, start)
+	for _, r := range ix.buf.Base {
 		if r == nil {
 			continue
 		}
 		if pos := r.lowerBound(start); pos < len(r.keys) {
-			layers = append(layers, index.MergeLayer{Keys: r.keys, Vals: r.vals, Dead: r.dead, Pos: pos})
+			c.Layers = append(c.Layers, index.MergeLayer{Keys: r.keys, Vals: r.vals, Dead: r.dead, Pos: pos})
 		}
 	}
-	return index.NewMergeCursor(layers)
+	return c
 }
 
 // AvgDepth reports the model level count of the largest run (Table II).

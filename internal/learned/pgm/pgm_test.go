@@ -104,6 +104,48 @@ func TestLogarithmicMethodRunSizes(t *testing.T) {
 	}
 }
 
+// TestRangeOpenAllocs: a cursor open builds its layers in the pooled
+// cursor, so an open plus a pull allocates nothing however many runs the
+// index holds. A slice made per open for a variable run count escapes to
+// the heap.
+func TestRangeOpenAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops sync.Pool items at random")
+	}
+	ix := New(Config{Eps: 16, EpsInternal: 4, BaseSize: 32})
+	runs := func() (n int) {
+		for _, r := range ix.buf.Base {
+			if r != nil {
+				n++
+			}
+		}
+		return n
+	}
+	keys := dataset.Shuffled(dataset.Generate(dataset.YCSBUniform, 5000, 7), 8)
+	i := 0
+	for ; runs() < 4 || len(ix.buf.Live.Keys) == 0; i++ {
+		if err := ix.Insert(keys[i], keys[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	start := slices.Min(keys[:i])
+	cur := ix.Range(start)
+	if l := len(cur.(*index.MergeCursor).Layers); l < 5 {
+		t.Fatalf("a cursor over %d runs and the live buffer merges %d layers", runs(), l)
+	}
+	cur.Close()
+	ks, vs := make([]uint64, 50), make([]uint64, 50)
+	if a := testing.AllocsPerRun(100, func() {
+		cur := ix.Range(start)
+		if cur.Next(ks, vs) == 0 {
+			t.Fatal("empty pull")
+		}
+		cur.Close()
+	}); a != 0 {
+		t.Fatalf("a cursor open and pull over %d runs allocates %v times, want 0", runs(), a)
+	}
+}
+
 func TestNewestRunShadowsOldest(t *testing.T) {
 	ix := New(Config{BaseSize: 4})
 	for i := 0; i < 100; i++ {

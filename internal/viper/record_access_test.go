@@ -190,13 +190,24 @@ func TestOneAccessPerRecord(t *testing.T) {
 	}
 
 	// Range over log neighbours: the five fillers behind key 9 are one
-	// span read, and so are the ten behind keys 9 and 10 with key 10's
-	// own record bridged between them.
-	for _, n := range []int{5, 10} {
-		records := n + n/10 // the bridged record of key 10
+	// span read. A round of ten is read as a head of ⌈√10⌉ = 4 entries and
+	// a rest of 6 (rangeHead), whose reads are issued apart: the first
+	// four fillers are one span, and the fifth and the five behind key 10,
+	// with key 10's own record bridged between them, are another.
+	for _, tc := range []struct {
+		n     int
+		spans [][2]uint64 // first key and record count of each expected read
+	}{
+		{5, [][2]uint64{{fillerOf(9), 5}}},
+		{10, [][2]uint64{{fillerOf(9), 4}, {fillerOf(9) + 4, 7}}},
+	} {
+		wantLines = 0
+		for _, sp := range tc.spans {
+			wantLines += spanLines(offsetOf(t, s, sp[0]), int(sp[1])*recLen)
+		}
 		seen = 0
 		d = deviceDelta(region, func() {
-			err := s.Range(fillerOf(9), n, func(k uint64, v []byte) bool {
+			err := s.Range(fillerOf(9), tc.n, func(k uint64, v []byte) bool {
 				if k != fillerOf(9)+uint64(seen) || !bytes.Equal(v, value(k)) {
 					t.Errorf("Range entry %d: key %d or its bytes are wrong", seen, k)
 				}
@@ -207,8 +218,8 @@ func TestOneAccessPerRecord(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-		if want := spanLines(offsetOf(t, s, fillerOf(9)), records*recLen); seen != n || d.Reads != 1 || d.LineReads != want {
-			t.Fatalf("Range over %d log neighbours delivered %d for %+v, want 1 read of %d lines", n, seen, d, want)
+		if seen != tc.n || d.Reads != int64(len(tc.spans)) || d.LineReads != wantLines {
+			t.Fatalf("Range over %d log neighbours delivered %d for %+v, want %d reads of %d lines", tc.n, seen, d, len(tc.spans), wantLines)
 		}
 	}
 

@@ -634,7 +634,7 @@ const maxScanBatch = 1 << 20
 // bytes is never dearer than breaking the sequential walk.
 const spanBridge = 512
 
-// touchAhead caps how many of a round's records readLiveSpans prefetches
+// touchAhead caps how many of a read group's records readSpans prefetches
 // before it reads any: 256 header lines are 16 KB, inside any L1, where
 // the lines of a maxScanBatch round would evict one another unread.
 const touchAhead = 256
@@ -727,19 +727,6 @@ func (s *Store) readSpans(rd *pmem.Round, offs []uint64, ord []int, vals [][]byt
 	}
 }
 
-// readLiveSpans is readSpans as a round of its own, the read of one Range
-// round: the batch waits once, at the end, for the first stalled access's
-// clock plus the sum of its stalls, so the parsing between the reads runs
-// inside them and no value reaches the caller before its stall is paid.
-// Caller holds an epoch pin.
-//
-//pieces:hotpath
-func (s *Store) readLiveSpans(offs []uint64, ord []int, vals [][]byte) {
-	var rd pmem.Round
-	s.readSpans(&rd, offs, ord, vals)
-	rd.Wait()
-}
-
 // Range visits live entries with key >= start in ascending key order,
 // reading each value from PMem. n > 0 caps the number of entries
 // *delivered*: tombstoned records — deleted keys whose index entry
@@ -758,6 +745,12 @@ func (s *Store) readLiveSpans(offs []uint64, ord []int, vals [][]byte) {
 // reclamation; if an index install races the scan across a yield, the
 // cursor is reopened from the new view at the next key (counted as a
 // reseek).
+//
+// A round is read in two groups, its head and its rest, inside its one
+// epoch pin and one pmem.Round: the head's entries are pulled, sorted by
+// offset and their reads issued without waiting, then the rest is pulled,
+// sorted and read after a Resume, and the round waits once before it
+// emits (rangeHead has the split and its cost).
 func (s *Store) Range(start uint64, n int, fn func(key uint64, value []byte) bool) error {
 	if s.closed.Load() {
 		return ErrClosed
@@ -777,7 +770,7 @@ func (s *Store) Range(start uint64, n int, fn func(key uint64, value []byte) boo
 		sc.order = make([]int, batch)
 		sc.pack = make([]uint64, batch)
 	}
-	keys, offs, vals, order := sc.keys[:batch], sc.offs[:batch], sc.vals[:batch], sc.order[:batch]
+	keys, offs, vals := sc.keys[:batch], sc.offs[:batch], sc.vals[:batch]
 	defer func() {
 		for i := range sc.vals {
 			sc.vals[i] = nil // drop region aliases before pooling
@@ -814,30 +807,22 @@ func (s *Store) Range(start uint64, n int, fn func(key uint64, value []byte) boo
 		if n > 0 {
 			pull = min(pull, n-count)
 		}
-		m := cur.Next(keys[:pull], offs[:pull])
+		// The head's reads are issued before the rest is pulled, so the
+		// rest's cursor walk, sort and touch-ahead run inside the head's
+		// stall; the round waits once, for both groups.
+		head := rangeHead(pull)
+		var rd pmem.Round
+		m := cur.Next(keys[:head], offs[:head])
+		presorted := s.readGroup(&rd, sc, 0, m)
+		if m == head && head < pull {
+			m += cur.Next(keys[head:pull], offs[head:pull])
+			rd.Resume()
+			presorted = s.readGroup(&rd, sc, head, m) && presorted && (m == head || offs[head-1] <= offs[head])
+		}
 		more := m == pull // a short pull exhausted the range
 		if m > 0 {
-			// Issue the record reads in ascending offset order. Freshly
-			// bulk-loaded stores are already offset-ordered (appends
-			// followed key order), so detect that and skip the sort — the
-			// telemetry ratio shows how much reordering the workload's
-			// updates caused.
-			presorted := true
-			for i := 1; i < m; i++ {
-				if offs[i] < offs[i-1] {
-					presorted = false
-					break
-				}
-			}
 			s.met.ScanBatchPulled(m, presorted)
-			ord := order[:m]
-			for i := range ord {
-				ord[i] = i
-			}
-			if !presorted {
-				sortByOffset(offs[:m], ord, sc.pack)
-			}
-			s.readLiveSpans(offs[:m], ord, vals)
+			rd.Wait()
 			// Re-emit in key order; tombstones never consume the limit.
 			for i := 0; i < m; i++ {
 				if vals[i] == nil {
@@ -861,6 +846,46 @@ func (s *Store) Range(start uint64, n int, fn func(key uint64, value []byte) boo
 		}
 		s.met.ScanPinYield()
 	}
+}
+
+// rangeHead is the number of entries a Range round of pull reads before
+// it pulls the rest: ⌈√pull⌉, or the whole round when the rest would be
+// no longer than the head. A split costs at most one device block, when
+// a span that would have coalesced across the boundary is read as two,
+// and hides the rest's host work (cursor walk, sort, touch-ahead) inside
+// the head's stall. The smallest rest that splits is four entries, whose
+// host work about matches one block's stall; past it the rest grows as
+// pull−√pull while the cost stays one block.
+func rangeHead(pull int) int {
+	h := int(math.Ceil(math.Sqrt(float64(pull))))
+	if pull-h <= h {
+		return pull
+	}
+	return h
+}
+
+// readGroup issues the reads of positions [lo, hi) of a Range round into
+// rd in ascending offset order, leaving their values in sc.vals; it
+// skips the sort when the cursor delivered them in offset order already
+// (a freshly bulk-loaded store's appends followed key order) and reports
+// whether it did, which telemetry's presorted ratio counts per round.
+// Caller holds an epoch pin.
+//
+//pieces:hotpath
+func (s *Store) readGroup(rd *pmem.Round, sc *scanScratch, lo, hi int) (presorted bool) {
+	ord := sc.order[lo:hi]
+	presorted = true
+	for i := range ord {
+		ord[i] = lo + i
+		if i > 0 && sc.offs[lo+i] < sc.offs[lo+i-1] {
+			presorted = false
+		}
+	}
+	if !presorted {
+		sortByOffset(sc.offs[:hi], ord, sc.pack)
+	}
+	s.readSpans(rd, sc.offs, ord, sc.vals)
+	return presorted
 }
 
 // bulkMinPerWorker is the smallest record batch worth a goroutine in
