@@ -14,8 +14,8 @@ import (
 	"learnedpieces/internal/core"
 	"learnedpieces/internal/dataset"
 	"learnedpieces/internal/index"
+	"learnedpieces/internal/learned/flat"
 	"learnedpieces/internal/learned/pgm"
-	"learnedpieces/internal/learned/rs"
 	"learnedpieces/internal/pla"
 	"learnedpieces/internal/pmem"
 	"learnedpieces/internal/viper"
@@ -519,7 +519,7 @@ func BenchmarkAblationRadixBits(b *testing.B) {
 		keys := dataset.Generate(kind, benchN, 1)
 		probes := dataset.Shuffled(keys, 2)
 		for _, bits := range []int{8, 12, 16, 18} {
-			ix := rs.New(rs.Config{RadixBits: bits, MaxError: 32})
+			ix := flat.NewRS(flat.RSConfig{RadixBits: bits, MaxError: 32})
 			if err := ix.BulkLoad(keys, keys); err != nil {
 				b.Fatal(err)
 			}

@@ -385,9 +385,6 @@ func (p *Pool) Conn() *Conn {
 	return p.conns[p.next.Add(1)%uint64(len(p.conns))]
 }
 
-// Size returns the number of pooled connections.
-func (p *Pool) Size() int { return len(p.conns) }
-
 // Strays sums stray responses over the pool.
 func (p *Pool) Strays() int64 {
 	var n int64

@@ -8,8 +8,6 @@
 package core
 
 import (
-	"fmt"
-
 	"learnedpieces/internal/learned/delta"
 	"learnedpieces/internal/pla"
 	"learnedpieces/internal/search"
@@ -307,10 +305,4 @@ func LeafMetrics(leaves []*Leaf) pla.Metrics {
 		m.AvgErr = sum / float64(total)
 	}
 	return m
-}
-
-// String renders a leaf for debugging.
-func (l *Leaf) String() string {
-	return fmt.Sprintf("leaf{first=%d n=%d cap=%d gapped=%v err<=%d buf=%d}",
-		l.FirstKey, l.NumKeys, len(l.Keys), l.Occ != nil, l.MaxErr, len(l.Buf.Keys))
 }

@@ -7,11 +7,9 @@ import (
 	"learnedpieces/internal/index"
 	"learnedpieces/internal/learned/alex"
 	"learnedpieces/internal/learned/finedex"
+	"learnedpieces/internal/learned/flat"
 	"learnedpieces/internal/learned/lipp"
 	"learnedpieces/internal/learned/pgm"
-	"learnedpieces/internal/learned/rebuild"
-	"learnedpieces/internal/learned/rmi"
-	"learnedpieces/internal/learned/rs"
 	"learnedpieces/internal/learned/xindex"
 	"learnedpieces/internal/skiplist"
 )
@@ -48,26 +46,25 @@ func Registry() []Entry {
 			InnerNode: "linear models", LeafNode: "linear", Error: "unfixed",
 			Approximation: "machine learning (2-stage linear)",
 			Insertion:     "-", Retraining: "-",
-			New: func() index.Index { return rmi.New(rmi.DefaultConfig()) },
+			New: func() index.Index { return flat.NewRMI(flat.RMIConfig{}) },
 		},
 		{
 			Name: "rs", Learned: true,
 			InnerNode: "radix table", LeafNode: "spline", Error: "maximum",
 			Approximation: "one-pass spline",
 			Insertion:     "-", Retraining: "-",
-			New: func() index.Index { return rs.New(rs.DefaultConfig()) },
+			New: func() index.Index { return flat.NewRS(flat.RSConfig{}) },
 		},
 		{
 			Name: "rmi-delta", Learned: true,
 			InnerNode: "linear models", LeafNode: "linear", Error: "unfixed",
 			Approximation: "machine learning (2-stage linear)",
 			Insertion:     "delta buffer", Retraining: "full rebuild",
-			// Extension: RMI made updatable via the rebuild wrapper — the
+			// Extension: RMI made updatable via the delta wrapper — the
 			// paper's "retrain the whole index" strategy for structures
 			// without an insertion path.
 			New: func() index.Index {
-				return rebuild.New("rmi-delta", rebuild.DefaultConfig(),
-					func() rebuild.Inner { return rmi.New(rmi.DefaultConfig()) })
+				return flat.NewDelta(flat.NewRMI(flat.RMIConfig{}), flat.DeltaConfig{})
 			},
 		},
 		{
@@ -75,10 +72,9 @@ func Registry() []Entry {
 			InnerNode: "radix table", LeafNode: "spline", Error: "maximum",
 			Approximation: "one-pass spline",
 			Insertion:     "delta buffer", Retraining: "full rebuild",
-			// Extension: RadixSpline made updatable via the rebuild wrapper.
+			// Extension: RadixSpline made updatable via the delta wrapper.
 			New: func() index.Index {
-				return rebuild.New("rs-delta", rebuild.DefaultConfig(),
-					func() rebuild.Inner { return rs.New(rs.DefaultConfig()) })
+				return flat.NewDelta(flat.NewRS(flat.RSConfig{}), flat.DeltaConfig{})
 			},
 		},
 		{

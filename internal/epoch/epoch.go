@@ -265,9 +265,6 @@ func (m *Manager) Stats() Stats {
 // garbage at most briefly.
 var def = NewManager(0)
 
-// Default returns the process-wide manager.
-func Default() *Manager { return def }
-
 // Enter pins the default manager's epoch.
 //
 //pieces:hotpath

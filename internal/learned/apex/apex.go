@@ -20,7 +20,6 @@ package apex
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"math"
 	"sort"
 	"sync"
@@ -443,38 +442,14 @@ func (ix *Index) insertIntoNode(m *nodeMeta, key, value uint64) {
 	place(rn, rn+1)
 }
 
-// searchGT returns the leftmost slot with key > target.
+// searchGT returns the leftmost slot with key > target: the leftmost
+// with key >= target+1, or nodeCapacity when target is the largest key
+// there is.
 func (ix *Index) searchGT(m *nodeMeta, key uint64) int {
-	p := m.Predict(key, nodeCapacity)
-	var lo, hi int
-	if ix.keyAt(m, p) > key {
-		hi = p + 1
-		lo = p
-		step := 1
-		for lo > 0 && ix.keyAt(m, lo-1) > key {
-			lo -= step
-			if lo < 0 {
-				lo = 0
-			}
-			step <<= 1
-		}
-	} else {
-		lo = p + 1
-		hi = p + 1
-		step := 1
-		for hi < nodeCapacity && ix.keyAt(m, hi) <= key {
-			lo = hi + 1
-			hi += step
-			if hi > nodeCapacity {
-				hi = nodeCapacity
-			}
-			step <<= 1
-		}
-		if hi < nodeCapacity {
-			hi++
-		}
+	if key == ^uint64(0) {
+		return nodeCapacity
 	}
-	return lo + sort.Search(hi-lo, func(i int) bool { return ix.keyAt(m, lo+i) > key })
+	return ix.searchGE(m, key+1)
 }
 
 // split replaces the node at pos with two half-full nodes.
@@ -634,8 +609,3 @@ func (ix *Index) AvgDepth() float64 { return 1 }
 
 // NodeCount returns the live node count.
 func (ix *Index) NodeCount() int { return len(ix.metas) }
-
-// String summarises the index state.
-func (ix *Index) String() string {
-	return fmt.Sprintf("apex{%d keys, %d nodes, %d logged}", ix.length, len(ix.metas), ix.logLen)
-}

@@ -426,46 +426,52 @@ func (ix *Index) binApply(seg *segment, key, val uint64, dead bool) {
 	b.mu.Unlock()
 }
 
-// overlay returns the segment's bin entries as one run. The pivots
-// route each key to exactly one leaf and order the leaves, so an
-// in-order walk is already sorted. Safe concurrent with writers — each
-// bin is read under its lock.
+// overlay returns the segment's bin entries as one run.
 func (s *segment) overlay() delta.Run {
 	var ov delta.Run
-	var walk func(b *bin)
-	walk = func(b *bin) {
-		b.mu.Lock()
-		defer b.mu.Unlock()
-		if b.children != nil {
-			for _, c := range b.children {
-				walk(c)
-			}
-			return
-		}
-		ov.Keys = append(ov.Keys, b.Keys...)
-		ov.Vals = append(ov.Vals, b.Vals...)
-		ov.Dead = append(ov.Dead, b.Dead...)
-	}
-	walk(s.root)
+	s.root.appendTo(&ov, 0)
 	return ov
+}
+
+// appendTo appends the entries >= from of b's leaf bins to ov. The
+// pivots route each key to exactly one leaf and order the leaves, so an
+// in-order walk is already sorted. Safe concurrent with writers: each
+// bin is read under its lock.
+func (b *bin) appendTo(ov *delta.Run, from uint64) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.children == nil {
+		i := search.LowerBound(b.Keys, from, 0, len(b.Keys))
+		ov.Keys = append(ov.Keys, b.Keys[i:]...)
+		ov.Vals = append(ov.Vals, b.Vals[i:]...)
+		ov.Dead = append(ov.Dead, b.Dead[i:]...)
+		return
+	}
+	for i, c := range b.children {
+		if i < len(b.pivots) && b.pivots[i] <= from {
+			continue // every key of c is below from
+		}
+		c.appendTo(ov, from)
+	}
 }
 
 // base returns the segment's immutable base as a run.
 func (s *segment) base() delta.Run { return delta.Run{Keys: s.keys, Vals: s.vals} }
 
-// merged returns the segment's live entries (base shadowed by bins).
-func (s *segment) merged() delta.Run { return delta.Merge(s.overlay(), s.base(), false) }
-
 // cursor resumes at a key: segments retrain and tables swap underneath
-// a long scan, so the key space is the only stable coordinate. It
-// caches one segment's merged snapshot (base shadowed by bins) and
-// refills — under the structure read lock — when the cache drains. Entries are emitted in strictly ascending key order.
+// a long scan, so the key space is the only stable coordinate. It holds
+// one segment at a time: a snapshot of its bin entries from the key on,
+// copied into buffers the cursor owns, merged over the segment's
+// immutable base. When that merge drains it moves on to the segment
+// after. Entries are emitted in strictly ascending key order.
 type cursor struct {
-	ix   *Index
-	key  uint64
-	done bool
-	run  delta.Run // the cached segment's live entries
-	pos  int
+	ix    *Index
+	key   uint64 // where the next entry is searched from
+	next  uint64 // the first key past the current segment
+	last  bool   // the current segment is the table's last
+	done  bool
+	ov    delta.Run         // the current segment's bin entries >= key
+	merge index.MergeCursor // ov over the segment's base
 }
 
 var cursorPool = sync.Pool{New: func() any { return new(cursor) }}
@@ -476,54 +482,55 @@ var cursorPool = sync.Pool{New: func() any { return new(cursor) }}
 func (ix *Index) Range(start uint64) index.Cursor {
 	c := cursorPool.Get().(*cursor)
 	c.ix, c.key, c.done = ix, start, false
-	c.run, c.pos = delta.Run{}, 0
+	c.load()
 	return c
 }
 
 // Next fills the destination slices with the next live entries. Not
-// hotpath-marked: refills merge a segment's base with its bins, which
-// allocates — the price of consistency under concurrent writers.
+// hotpath-marked: moving to the next segment takes the structure read
+// lock and the bin locks, the price of consistency under concurrent
+// writers.
 func (c *cursor) Next(keys, vals []uint64) int {
 	n := 0
 	for n < len(keys) && !c.done {
-		if c.pos >= len(c.run.Keys) {
-			if !c.refill() {
-				c.done = true
-				break
-			}
+		if m := c.merge.Next(keys[n:], vals[n:]); m > 0 {
+			n += m
+			c.done = keys[n-1] == ^uint64(0)
+			c.key = keys[n-1] + 1
+			continue
 		}
-		for n < len(keys) && c.pos < len(c.run.Keys) {
-			k := c.run.Keys[c.pos]
-			keys[n], vals[n] = k, c.run.Vals[c.pos]
-			c.pos++
-			n++
-			if k == ^uint64(0) {
-				c.done = true
-				break
-			}
-			c.key = k + 1
+		if c.last {
+			c.done = true
+			break
 		}
+		c.key = c.next
+		c.load()
 	}
 	return n
 }
 
-// refill snapshots the next segment holding live entries >= c.key.
-func (c *cursor) refill() bool {
+// load positions the cursor at c.key in the segment covering it, under
+// the structure read lock: the bin entries >= c.key are copied, the
+// base is immutable and only referenced.
+func (c *cursor) load() {
 	c.ix.structMu.RLock()
 	defer c.ix.structMu.RUnlock()
 	t := c.ix.tab.Load()
-	for si := search.Floor(t.firsts, c.key, 0, len(t.firsts)); si < len(t.segs); si++ {
-		m := t.segs[si].merged()
-		if pos := search.LowerBound(m.Keys, c.key, 0, len(m.Keys)); pos < len(m.Keys) {
-			c.run, c.pos = m, pos
-			return true
-		}
+	si := search.Floor(t.firsts, c.key, 0, len(t.firsts))
+	seg := t.segs[si]
+	if c.last = si+1 == len(t.segs); !c.last {
+		c.next = t.firsts[si+1]
 	}
-	return false
+	c.ov = delta.Run{Keys: c.ov.Keys[:0], Vals: c.ov.Vals[:0], Dead: c.ov.Dead[:0]}
+	seg.root.appendTo(&c.ov, c.key)
+	c.merge.Layers = append(c.merge.Layers[:0],
+		index.MergeLayer{Keys: c.ov.Keys, Vals: c.ov.Vals, Dead: c.ov.Dead},
+		index.MergeLayer{Keys: seg.keys, Vals: seg.vals, Pos: search.LowerBound(seg.keys, c.key, 0, len(seg.keys))})
 }
 
 func (c *cursor) Close() {
-	c.ix, c.run = nil, delta.Run{}
+	clear(c.merge.Layers) // drop the references to the segment's base
+	c.ix = nil
 	cursorPool.Put(c)
 }
 

@@ -106,6 +106,30 @@ func TestConcurrentFineGrainedWrites(t *testing.T) {
 			}
 		}(r)
 	}
+	// A concurrent scanner: cursors cross segments while bins split and
+	// segments retrain, and every loaded key must come back in order.
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for pass := 0; pass < 3; pass++ {
+			next, prev, first := 0, uint64(0), true
+			index.Scan(ix, 0, 0, func(k, v uint64) bool {
+				if !first && k <= prev {
+					t.Errorf("scan: key %d after %d", k, prev)
+					return false
+				}
+				prev, first = k, false
+				if next < len(load) && k == load[next] {
+					next++
+				}
+				return true
+			})
+			if next != len(load) {
+				t.Errorf("scan %d saw %d of %d loaded keys", pass, next, len(load))
+				return
+			}
+		}
+	}()
 	wg.Wait()
 	if t.Failed() {
 		return
@@ -159,5 +183,32 @@ func TestDeleteBaseAndBinKeys(t *testing.T) {
 	})
 	if seen != len(keys)-2 {
 		t.Fatalf("scan saw %d", seen)
+	}
+}
+
+// TestRangeOpenAllocs: the pooled cursor copies a segment's bin entries
+// into buffers it keeps and merges them over the base in place, so an
+// open plus a 50-entry pull over a loaded index allocates nothing.
+func TestRangeOpenAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops sync.Pool items at random")
+	}
+	ix := New(Config{})
+	keys := dataset.Generate(dataset.OSMLike, 20000, 9)
+	if err := ix.BulkLoad(keys, keys); err != nil {
+		t.Fatal(err)
+	}
+	starts := dataset.Shuffled(keys, 10)
+	ks, vs := make([]uint64, 50), make([]uint64, 50)
+	i := 0
+	if a := testing.AllocsPerRun(100, func() {
+		cur := ix.Range(starts[i%len(starts)])
+		i++
+		if cur.Next(ks, vs) == 0 {
+			t.Fatal("empty pull")
+		}
+		cur.Close()
+	}); a != 0 {
+		t.Fatalf("a cursor open and a 50-entry pull allocates %v times, want 0", a)
 	}
 }

@@ -12,9 +12,8 @@ import (
 	"learnedpieces/internal/index"
 	"learnedpieces/internal/learned/alex"
 	"learnedpieces/internal/learned/finedex"
+	"learnedpieces/internal/learned/flat"
 	"learnedpieces/internal/learned/pgm"
-	"learnedpieces/internal/learned/rebuild"
-	"learnedpieces/internal/learned/rmi"
 	"learnedpieces/internal/learned/xindex"
 	"learnedpieces/internal/pmem"
 )
@@ -40,8 +39,8 @@ const (
 	fzOps
 )
 
-// fzIndex is the index kind the stream runs on (kind%7): a btree store;
-// pgm and rmi-delta with tiny buffers, whose flushes (pgm's cascades
+// fzIndex is the index kind the stream runs on (kind%8): a btree store;
+// pgm, rmi-delta and rs-delta with tiny buffers, whose flushes (pgm's cascades
 // included) and rebuilds run on the background pool of a RetrainAsync
 // store; xindex and finedex with tiny buffers and bins, compacting and
 // retraining inline; the FITing-tree buffer preset with an 8-key leaf
@@ -52,13 +51,12 @@ const (
 // on the spot.
 func fzIndex(kind byte) (fresh func() index.Index, opts []Option) {
 	async := []Option{WithRetrainMode(RetrainAsync)}
-	switch kind % 7 {
+	switch kind % 8 {
 	case 1:
 		return func() index.Index { return pgm.New(pgm.Config{BaseSize: 8}) }, async
 	case 2:
 		return func() index.Index {
-			return rebuild.New("rmi-delta", rebuild.Config{Threshold: 8},
-				func() rebuild.Inner { return rmi.New(rmi.DefaultConfig()) })
+			return flat.NewDelta(flat.NewRMI(flat.RMIConfig{}), flat.DeltaConfig{Threshold: 8})
 		}, async
 	case 3:
 		return func() index.Index { return xindex.New(xindex.Config{BufferThreshold: 8}) }, nil
@@ -70,6 +68,8 @@ func fzIndex(kind byte) (fresh func() index.Index, opts []Option) {
 		}, async
 	case 6:
 		return func() index.Index { return alex.New(alex.Config{MaxLeafKeys: 16}) }, async
+	case 7:
+		return func() index.Index { return flat.NewDelta(flat.NewRS(flat.RSConfig{}), flat.DeltaConfig{Threshold: 8}) }, async
 	}
 	return func() index.Index { return btree.New() }, nil
 }
@@ -196,6 +196,12 @@ func FuzzStoreOps(f *testing.F) {
 	// tombstone, overwrites and an expand in flight, then after the drain.
 	f.Add(byte(6), slices.Concat(fzPuts(1, 40), []byte{fzPut, 5, 60, fzDelete, 7, 0, fzPut, 12, 3,
 		fzWideMultiGet, 1, 15, fzWideMultiGet, 2, 0x2f, fzDrain, 0, 0, fzWideMultiGet, 1, 15}))
+
+	// rs-delta: key 0 and the largest key around a rebuilt base, so the
+	// radix table spans the whole key space; a tombstone and an overwrite
+	// of base keys, a MultiGet over both buffers, then the drain folds them.
+	f.Add(byte(7), slices.Concat([]byte{fzPut, 0, 4, fzPut, 255, 6}, fzPuts(1, 12),
+		[]byte{fzDelete, 0, 0, fzPut, 5, 9, fzMultiGet, 0, 15, fzRange, 0, 0, fzDrain, 0, 0, fzGet, 255, 0, fzRecover, 0, 0, fzRange, 1, 0}))
 
 	f.Fuzz(func(t *testing.T, kind byte, data []byte) {
 		data = data[:min(len(data), 3*fzMaxOps)]

@@ -7,7 +7,7 @@ import (
 
 	"learnedpieces/internal/btree"
 	"learnedpieces/internal/dataset"
-	"learnedpieces/internal/learned/rs"
+	"learnedpieces/internal/learned/flat"
 	"learnedpieces/internal/parallel"
 	"learnedpieces/internal/pmem"
 )
@@ -53,7 +53,7 @@ func benchModes() []struct {
 
 func BenchmarkRecover(b *testing.B) {
 	keys := dataset.Generate(dataset.YCSBUniform, benchBulkN, 1)
-	s := Open(benchRegion(), rs.New(rs.DefaultConfig()))
+	s := Open(benchRegion(), flat.NewRS(flat.RSConfig{}))
 	if err := s.BulkPut(keys, benchValue()); err != nil {
 		b.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func BenchmarkRecover(b *testing.B) {
 			b.ResetTimer()
 			reportDevice(b, deviceDelta(s.Region(), func() {
 				for i := 0; i < b.N; i++ {
-					if err := s.Recover(rs.New(rs.DefaultConfig())); err != nil {
+					if err := s.Recover(flat.NewRS(flat.RSConfig{})); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -81,7 +81,7 @@ func BenchmarkBulkPut(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				s := Open(benchRegion(), rs.New(rs.DefaultConfig()))
+				s := Open(benchRegion(), flat.NewRS(flat.RSConfig{}))
 				b.StartTimer()
 				if err := s.BulkPut(keys, v); err != nil {
 					b.Fatal(err)
@@ -156,7 +156,7 @@ func BenchmarkMultiGet(b *testing.B) {
 		lat  pmem.LatencyModel
 	}{{"dram", pmem.None()}, {"pmem", pmem.Optane()}} {
 		b.Run(mode.name, func(b *testing.B) {
-			s := Open(pmem.NewRegion(512<<20, mode.lat), rs.New(rs.DefaultConfig()))
+			s := Open(pmem.NewRegion(512<<20, mode.lat), flat.NewRS(flat.RSConfig{}))
 			if err := s.BulkPut(keys, benchValue()); err != nil {
 				b.Fatal(err)
 			}

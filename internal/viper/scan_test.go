@@ -12,8 +12,8 @@ import (
 	"learnedpieces/internal/dataset"
 	"learnedpieces/internal/index"
 	"learnedpieces/internal/learned/alex"
+	"learnedpieces/internal/learned/flat"
 	"learnedpieces/internal/learned/pgm"
-	"learnedpieces/internal/learned/rmi"
 	"learnedpieces/internal/pmem"
 	"learnedpieces/internal/telemetry"
 )
@@ -142,7 +142,7 @@ func TestRangeMatchesOracle(t *testing.T) {
 		{"btree", func() index.Index { return btree.New() }, false},
 		{"pgm", func() index.Index { return pgm.New(pgm.DefaultConfig()) }, false},
 		{"alex", func() index.Index { return alex.New(alex.DefaultConfig()) }, false},
-		{"rmi", func() index.Index { return rmi.New(rmi.DefaultConfig()) }, true},
+		{"rmi", func() index.Index { return flat.NewRMI(flat.RMIConfig{}) }, true},
 	}
 	keys := append(dataset.Generate(dataset.YCSBUniform, 4000, 7), 0, ^uint64(0))
 	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })

@@ -12,9 +12,8 @@ import (
 	"learnedpieces/internal/epoch"
 	"learnedpieces/internal/index"
 	"learnedpieces/internal/learned/alex"
+	"learnedpieces/internal/learned/flat"
 	"learnedpieces/internal/learned/pgm"
-	"learnedpieces/internal/learned/rmi"
-	"learnedpieces/internal/learned/rs"
 	"learnedpieces/internal/learned/xindex"
 	"learnedpieces/internal/pmem"
 	"learnedpieces/internal/sharded"
@@ -100,8 +99,8 @@ func freshIndexes() map[string]func() index.Index {
 	return map[string]func() index.Index{
 		"btree":   func() index.Index { return btree.New() },
 		"cceh":    func() index.Index { return cceh.New() },
-		"rmi":     func() index.Index { return rmi.New(rmi.DefaultConfig()) },
-		"rs":      func() index.Index { return rs.New(rs.DefaultConfig()) },
+		"rmi":     func() index.Index { return flat.NewRMI(flat.RMIConfig{}) },
+		"rs":      func() index.Index { return flat.NewRS(flat.RSConfig{}) },
 		"pgm":     func() index.Index { return pgm.New(pgm.DefaultConfig()) },
 		"alex":    func() index.Index { return alex.New(alex.DefaultConfig()) },
 		"xindex":  func() index.Index { return xindex.New(xindex.DefaultConfig()) },
