@@ -29,7 +29,7 @@ import (
 
 func main() {
 	var (
-		indexName = flag.String("index", "alex", "volatile index (see libench -list / Table I names)")
+		indexName = flag.String("index", "alex", "volatile index, by registry name (Table I's, plus btree, skiplist, art, cceh)")
 		size      = flag.Int("mem", 256<<20, "simulated PMem bytes")
 		latency   = flag.Bool("pmem", false, "simulate NVM latency")
 		obs       = flag.String("obs", "", "serve expvar, pprof and /telemetry on this address (e.g. :6060)")

@@ -31,7 +31,7 @@ import (
 func main() {
 	var (
 		addr      = flag.String("addr", "127.0.0.1:7070", "listen address")
-		indexName = flag.String("index", "xindex", "volatile index (see libench -list)")
+		indexName = flag.String("index", "xindex", "volatile index, by registry name (Table I's, plus btree, skiplist, art, cceh)")
 		size      = flag.Int("mem", 512<<20, "simulated PMem bytes")
 		latency   = flag.Bool("pmem", false, "simulate NVM latency")
 		retrainF  = flag.String("retrain", "async", "retrain pipeline mode: inline|async")

@@ -62,5 +62,5 @@ func main() {
 	fmt.Printf("  viper + volatile ALEX recovery: %v (scan every record, retrain)\n", viperRecovery.Round(time.Millisecond))
 	fmt.Printf("  apex persistent index recovery: %v (read node headers only)\n", apexRecovery.Round(time.Microsecond))
 	fmt.Printf("  speedup: %.0fx\n", float64(viperRecovery)/float64(apexRecovery))
-	fmt.Println("tradeoff: apex pays NVM latency on every lookup/insert; see `libench -exp extapex`")
+	fmt.Println("tradeoff: apex pays NVM latency on every lookup/insert; see `go test -run '^$' -bench ExtensionAPEX .`")
 }

@@ -21,7 +21,6 @@ var capsInterfaces = map[string]bool{
 	"DepthReporter":    true,
 	"RetrainReporter":  true,
 	"ConcurrentWrites": true,
-	"Capser":           true,
 }
 
 // CapsDiscipline forbids raw type assertions and type switches against

@@ -13,8 +13,7 @@ import (
 // field that the package also writes with a plain assignment. The fix
 // is an atomic wrapper type (atomic.Int64 reads are selector calls on a
 // struct field and pass untouched). A reporter whose body takes a lock
-// (Lock/RLock) is assumed guarded and skipped — the sharded wrapper's
-// per-shard RLock pattern.
+// (Lock/RLock) is assumed guarded and skipped.
 var ProbeDiscipline = &Analyzer{
 	Name: "probe-discipline",
 	Doc:  "telemetry reporter methods read counters atomically or under a lock",

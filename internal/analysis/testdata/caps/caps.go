@@ -26,12 +26,6 @@ func Late(idx index.Index) int {
 	return n
 }
 
-// Mask asserts against the capability descriptor interface itself.
-func Mask(idx index.Index) bool {
-	_, ok := idx.(index.Capser) // want "type assertion to index.Capser"
-	return ok
-}
-
 // Switch hits the type-switch form; anonymous interfaces stay legal.
 func Switch(idx index.Index) int {
 	switch idx.(type) {

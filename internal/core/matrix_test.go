@@ -5,11 +5,9 @@ import (
 	"reflect"
 	"testing"
 
-	"learnedpieces/internal/btree"
 	"learnedpieces/internal/dataset"
 	"learnedpieces/internal/index"
 	"learnedpieces/internal/indextest"
-	"learnedpieces/internal/sharded"
 )
 
 // TestRegistryUpsert: every registry entry — the delta wrappers, which no
@@ -26,7 +24,7 @@ func TestRegistryUpsert(t *testing.T) {
 // least one reports it and at least one does not. A capability every
 // index has belongs in index.Index, not in the descriptor.
 func TestCapsFieldsVary(t *testing.T) {
-	idxs := []index.Index{sharded.New(func() index.Index { return btree.New() }, []uint64{1 << 63})}
+	var idxs []index.Index
 	for _, e := range Registry() {
 		idxs = append(idxs, e.New())
 	}

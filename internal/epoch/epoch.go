@@ -228,7 +228,7 @@ func (m *Manager) advanceLocked() bool {
 
 // Stats is the manager's observable state: epoch clock position,
 // lifetime retire/free counts, and the current deferred-free queue
-// depth (Pending). GlobalStats adds the optimistic-read counters.
+// depth (Pending).
 type Stats struct {
 	Epoch    uint64 `json:"epoch"`
 	Advances int64  `json:"advances"`
@@ -236,13 +236,14 @@ type Stats struct {
 	Freed    int64  `json:"freed"`
 	Pending  int64  `json:"pending"`
 
-	ReadAttempts  int64 `json:"read_attempts"`
-	ReadRetries   int64 `json:"read_retries"`
-	ReadFallbacks int64 `json:"read_fallbacks"`
+	// ReadAttempts and ReadRetries are always 0: no reader in the module
+	// validates optimistically. They are kept because the benchmark
+	// module reads them.
+	ReadAttempts int64 `json:"read_attempts"`
+	ReadRetries  int64 `json:"read_retries"`
 }
 
-// Stats reports the manager's counters (without the package-global
-// optimistic-read counters; see GlobalStats).
+// Stats reports the manager's counters.
 func (m *Manager) Stats() Stats {
 	m.mu.Lock()
 	pending := 0
@@ -264,6 +265,10 @@ func (m *Manager) Stats() Stats {
 // installers share one epoch clock so a single reader pins everyone's
 // garbage at most briefly.
 var def = NewManager(0)
+
+// GlobalStats reports the default manager's counters, the shape
+// telemetry snapshots embed.
+func GlobalStats() Stats { return def.Stats() }
 
 // Enter pins the default manager's epoch.
 //

@@ -214,25 +214,6 @@ func TestStressNoUseAfterFree(t *testing.T) {
 	}
 }
 
-func TestReadCountersStriped(t *testing.T) {
-	before := GlobalStats()
-	for i := uint64(0); i < 100; i++ {
-		ReadAttempt(i)
-	}
-	ReadRetry(3)
-	ReadFallback(5)
-	after := GlobalStats()
-	if d := after.ReadAttempts - before.ReadAttempts; d != 100 {
-		t.Fatalf("ReadAttempts delta = %d, want 100", d)
-	}
-	if d := after.ReadRetries - before.ReadRetries; d != 1 {
-		t.Fatalf("ReadRetries delta = %d, want 1", d)
-	}
-	if d := after.ReadFallbacks - before.ReadFallbacks; d != 1 {
-		t.Fatalf("ReadFallbacks delta = %d, want 1", d)
-	}
-}
-
 // TestPadLayout pins the cache-line pads: each pad ends on a 64-byte
 // boundary and a struct ending in one is a whole number of lines, so a
 // field added beside a pad fails here instead of sharing a line.
@@ -243,7 +224,6 @@ func TestPadLayout(t *testing.T) {
 		got, want uintptr
 	}{
 		{"sizeof slot", unsafe.Sizeof(slot{}), 64},
-		{"sizeof padCounter", unsafe.Sizeof(padCounter{}), 64},
 		{"offsetof Manager.advances", unsafe.Offsetof(m.advances), 64},
 		{"offsetof Manager.retiredN", unsafe.Offsetof(m.retiredN), 128},
 		{"offsetof Manager.freedN", unsafe.Offsetof(m.freedN), 192},

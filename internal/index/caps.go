@@ -1,20 +1,12 @@
 package index
 
 // Caps is the consolidated capability descriptor of an index: one struct
-// answering every "can this index ...?" question the store, the sharding
-// wrapper, the benchmark harness and the telemetry layer used to ask
-// through separate type assertions. Obtain it with CapsOf. It lists only
-// what varies between indexes; what every index does is in Index.
-//
-// A true field means the corresponding operation actually works on this
-// instance — not merely that a method with the right name exists. Wrapper
-// indexes whose support depends on their inner index (sharded) implement
-// Capser to mask capabilities their current composition cannot honour.
+// answering every "can this index ...?" question the store, the
+// benchmarks and the telemetry layer used to ask through separate type
+// assertions. Obtain it with CapsOf. It lists only what varies between
+// indexes; what every index does is in Index.
 type Caps struct {
-	// Range: ordered scans work, through streaming cursors (Ranger). A
-	// wrapper whose Range method exists but cannot be honoured by its
-	// current composition (the sharded wrapper over a hash index) masks
-	// this through Capser.
+	// Range: ordered scans work, through streaming cursors (Ranger).
 	Range bool
 	// Delete: keys can be removed.
 	Delete bool
@@ -32,20 +24,9 @@ type Caps struct {
 	ConcurrentWrites bool
 }
 
-// Capser is implemented by indexes that know their capabilities better
-// than interface probing can tell — typically wrappers whose support
-// depends on the wrapped index. CapsOf consults it first.
-type Capser interface {
-	Caps() Caps
-}
-
-// CapsOf returns the capability descriptor for idx. Indexes implementing
-// Capser answer directly; for everything else the descriptor is derived
-// from the optional interfaces (the implementation seam).
+// CapsOf returns the capability descriptor for idx, derived from the
+// optional interfaces it implements (the implementation seam).
 func CapsOf(idx Index) Caps {
-	if c, ok := idx.(Capser); ok {
-		return c.Caps()
-	}
 	var caps Caps
 	_, caps.Range = idx.(Ranger)
 	_, caps.Delete = idx.(Deleter)

@@ -25,11 +25,6 @@ func (fakeFull) AvgDepth() float64            { return 2 }
 func (fakeFull) RetrainStats() (int64, int64) { return 3, 4 }
 func (fakeFull) ConcurrentWrites() bool       { return false }
 
-// fakeCapser overrides interface probing entirely.
-type fakeCapser struct{ fakeFull }
-
-func (fakeCapser) Caps() Caps { return Caps{Range: true} }
-
 func TestCapsOfBase(t *testing.T) {
 	if got := CapsOf(fakeBase{}); got != (Caps{}) {
 		t.Fatalf("CapsOf(base) = %+v, want no capability", got)
@@ -44,36 +39,6 @@ func TestCapsOfFull(t *testing.T) {
 	}
 	if got != want {
 		t.Fatalf("CapsOf(full) = %+v, want %+v", got, want)
-	}
-}
-
-// scanMasked has a Range method its composition cannot honour; Capser is
-// the only protocol for masking it, so Caps must come back with Range
-// cleared even though the Ranger interface is satisfied.
-type scanMasked struct{ fakeFull }
-
-func (m scanMasked) Caps() Caps {
-	c := CapsOf(m.fakeFull)
-	c.Range = false
-	return c
-}
-
-func TestCapsOfFoldsScanChecker(t *testing.T) {
-	if _, ok := interface{}(scanMasked{}).(Ranger); !ok {
-		t.Fatal("scanMasked must still satisfy Ranger for the test to mean anything")
-	}
-	if CapsOf(scanMasked{}).Range {
-		t.Fatal("Capser masking must clear Caps.Range despite the Range method")
-	}
-	if !CapsOf(fakeFull{}).Range {
-		t.Fatal("unmasked Ranger must report Caps.Range")
-	}
-}
-
-func TestCapsOfPrefersCapser(t *testing.T) {
-	got := CapsOf(fakeCapser{})
-	if got != (Caps{Range: true}) {
-		t.Fatalf("CapsOf(capser) = %+v, want Caps{Range:true}", got)
 	}
 }
 

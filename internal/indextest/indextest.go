@@ -18,8 +18,7 @@ import (
 type Factory func() index.Index
 
 // RunAll runs every applicable conformance test, gating the optional
-// parts on the capability descriptor of a probe instance (index.CapsOf,
-// which honours wrappers that mask capabilities via index.Capser).
+// parts on the capability descriptor of a probe instance (index.CapsOf).
 func RunAll(t *testing.T, name string, f Factory) {
 	t.Run(name+"/empty", func(t *testing.T) { testEmpty(t, f) })
 	t.Run(name+"/insert-get", func(t *testing.T) { testInsertGet(t, f) })

@@ -7,27 +7,24 @@ import (
 	"testing"
 	"time"
 
-	"learnedpieces/internal/btree"
-	"learnedpieces/internal/index"
+	"learnedpieces/internal/learned/finedex"
 	"learnedpieces/internal/pmem"
 	"learnedpieces/internal/server"
-	"learnedpieces/internal/sharded"
 	"learnedpieces/internal/viper"
 	"learnedpieces/internal/wire"
 )
 
-// startServer boots an in-process server over a sharded btree store
-// preloaded with keys 1..keyspace, so reads take the shards' lock-free
-// path and writes their per-shard lock. It returns the server and its
-// loopback address; the cleanup shuts both down.
+// startServer boots an in-process server over a finedex store preloaded
+// with keys 1..keyspace, so writes run concurrently under finedex's
+// per-bin locks. It returns the server and its loopback address; the
+// cleanup shuts both down.
 func startServer(t *testing.T, keyspace int) (*server.Server, string) {
 	t.Helper()
 	keys := make([]uint64, keyspace)
 	for i := range keys {
 		keys[i] = uint64(i + 1)
 	}
-	idx := sharded.New(func() index.Index { return btree.New() }, sharded.BoundariesFromSample(keys, 4))
-	store := viper.Open(pmem.NewRegion(64<<20, pmem.None()), idx)
+	store := viper.Open(pmem.NewRegion(64<<20, pmem.None()), finedex.New(finedex.DefaultConfig()))
 	if err := store.BulkPut(keys, nil); err != nil {
 		t.Fatal(err)
 	}

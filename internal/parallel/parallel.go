@@ -1,9 +1,8 @@
 // Package parallel provides the chunked fan-out helper shared by every
 // bulk path in the repository: page scans and record copies in the Viper
-// store, model training in the learned indexes, and shard loading in the
-// sharded wrapper. The paper's bulk experiments (recovery in Fig 16,
-// multi-threaded throughput in Figs 12/14) run on a many-core machine;
-// these helpers are how the Go reproduction puts those cores to work.
+// store and model training in the learned indexes. The paper's bulk
+// experiments (recovery in Fig 16) run on a many-core machine; these
+// helpers are how the Go reproduction puts those cores to work.
 //
 // The worker count defaults to GOMAXPROCS and can be overridden globally
 // with SetWorkers — the knob the benchmarks use to compare the serial

@@ -258,29 +258,6 @@ func (t *Table) Render(w io.Writer) {
 	}
 }
 
-// RenderCSV writes the table as CSV (header row first) for
-// machine-readable post-processing and plotting.
-func (t *Table) RenderCSV(w io.Writer) {
-	writeCSVRow(w, t.Headers)
-	for _, row := range t.Rows {
-		writeCSVRow(w, row)
-	}
-}
-
-func writeCSVRow(w io.Writer, cells []string) {
-	for i, c := range cells {
-		if i > 0 {
-			_, _ = io.WriteString(w, ",")
-		}
-		if strings.ContainsAny(c, ",\"\n") {
-			_, _ = io.WriteString(w, `"`+strings.ReplaceAll(c, `"`, `""`)+`"`)
-		} else {
-			_, _ = io.WriteString(w, c)
-		}
-	}
-	_, _ = io.WriteString(w, "\n")
-}
-
 func pad(s string, w int) string {
 	if len(s) >= w {
 		return s

@@ -135,18 +135,6 @@ func TestTableRender(t *testing.T) {
 	}
 }
 
-func TestTableRenderCSV(t *testing.T) {
-	tb := NewTable("ignored", "a", "b")
-	tb.AddRow("plain", 1.5)
-	tb.AddRow(`quo"te`, "x,y")
-	var buf bytes.Buffer
-	tb.RenderCSV(&buf)
-	want := "a,b\nplain,1.50\n\"quo\"\"te\",\"x,y\"\n"
-	if buf.String() != want {
-		t.Fatalf("CSV output:\n%q\nwant:\n%q", buf.String(), want)
-	}
-}
-
 func TestHistogramReset(t *testing.T) {
 	h := NewHistogram()
 	h.Record(42)

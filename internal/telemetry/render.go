@@ -120,21 +120,13 @@ func (sn Snapshot) WriteText(w io.Writer) {
 		sk.Render(w)
 	}
 
-	if e := sn.Epoch; e.Retired > 0 || e.ReadAttempts > 0 || e.Advances > 0 {
+	if e := sn.Epoch; e.Retired > 0 || e.Advances > 0 {
 		ep := stats.NewTable("epoch reclamation", "metric", "value")
 		ep.AddRow("epoch clock", e.Epoch)
 		ep.AddRow("advances", e.Advances)
 		ep.AddRow("retired", e.Retired)
 		ep.AddRow("freed", e.Freed)
 		ep.AddRow("pending (deferred-free queue)", e.Pending)
-		ep.AddRow("optimistic reads", e.ReadAttempts)
-		ep.AddRow("read retries", e.ReadRetries)
-		ep.AddRow("read fallbacks (mutex)", e.ReadFallbacks)
-		retryRate := float64(0)
-		if e.ReadAttempts > 0 {
-			retryRate = float64(e.ReadRetries) / float64(e.ReadAttempts)
-		}
-		ep.AddRow("retry rate", fmt.Sprintf("%.4f", retryRate))
 		fmt.Fprintln(w)
 		ep.Render(w)
 	}

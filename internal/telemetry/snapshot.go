@@ -182,8 +182,8 @@ func (p PMemSnapshot) add(o PMemSnapshot) PMemSnapshot {
 }
 
 // Snapshot is the structured, JSON-stable view of a Sink at one instant.
-// It is what the -obs HTTP endpoint serves, what libench writes as
-// BENCH_*.json, and what the plain-text table renders. All fields are
+// It is what the -obs HTTP endpoint serves and what the plain-text
+// table renders. All fields are
 // plain values so a Snapshot round-trips through JSON losslessly.
 type Snapshot struct {
 	TakenUnixNs int64         `json:"taken_unix_ns"`

@@ -7,19 +7,16 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"learnedpieces/internal/btree"
 	"learnedpieces/internal/dataset"
 	"learnedpieces/internal/epoch"
 	"learnedpieces/internal/index"
+	"learnedpieces/internal/learned/finedex"
 	"learnedpieces/internal/pmem"
-	"learnedpieces/internal/sharded"
 )
 
-// shardedBTree builds the concurrent-read/concurrent-write index the
-// lock-free read-path tests run against.
-func shardedBTree(sample []uint64) index.Index {
-	return sharded.New(func() index.Index { return btree.New() }, sharded.BoundariesFromSample(sample, 8))
-}
+// newFinedex builds the concurrent-write index the lock-free read-path
+// tests run against.
+func newFinedex() index.Index { return finedex.New(finedex.DefaultConfig()) }
 
 // startReaders runs four goroutines on the lock-free read paths until the
 // returned function is called: each draws a preloaded key and in turn
@@ -108,7 +105,7 @@ func stamped(key, ver uint64) []byte {
 // go backwards. Afterwards every key reads its last version.
 func TestConcurrentUpdatesServeOwnKey(t *testing.T) {
 	keys := dataset.Generate(dataset.YCSBUniform, 4000, 23)
-	s := Open(pmem.NewRegion(64<<20, pmem.None()), shardedBTree(keys))
+	s := Open(pmem.NewRegion(64<<20, pmem.None()), newFinedex())
 	for _, k := range keys {
 		if err := s.Put(k, stamped(k, 0)); err != nil {
 			t.Fatal(err)
@@ -217,7 +214,7 @@ func TestConcurrentUpdatesServeOwnKey(t *testing.T) {
 // protocol on the append path.
 func TestConcurrentGetDuringRollover(t *testing.T) {
 	keys := dataset.Generate(dataset.YCSBUniform, 4000, 11)
-	s := Open(pmem.NewRegion(256<<20, pmem.None()), shardedBTree(keys))
+	s := Open(pmem.NewRegion(256<<20, pmem.None()), newFinedex())
 	for _, k := range keys {
 		if err := s.Put(k, value(k)); err != nil {
 			t.Fatal(err)
@@ -251,7 +248,7 @@ func TestConcurrentGetDuringRollover(t *testing.T) {
 func TestConcurrentGetDuringCompact(t *testing.T) {
 	region := pmem.NewRegion(256<<20, pmem.None())
 	keys := dataset.Generate(dataset.YCSBUniform, 4000, 13)
-	s := Open(region, shardedBTree(keys))
+	s := Open(region, newFinedex())
 	// Several overwrite rounds so compaction has garbage to drop.
 	for round := 0; round < 3; round++ {
 		for _, k := range keys {
@@ -263,7 +260,7 @@ func TestConcurrentGetDuringCompact(t *testing.T) {
 
 	stop := startReaders(t, s, keys, "compaction")
 
-	if _, err := s.Compact(shardedBTree(keys)); err != nil {
+	if _, err := s.Compact(newFinedex()); err != nil {
 		t.Fatal(err)
 	}
 	stop()
@@ -291,7 +288,7 @@ func TestConcurrentGetDuringCompact(t *testing.T) {
 // writes across a simulated crash.
 func TestConcurrentGetDuringRecoverInstall(t *testing.T) {
 	keys := dataset.Generate(dataset.YCSBUniform, 2000, 17)
-	s := Open(pmem.NewRegion(64<<20, pmem.None()), shardedBTree(keys))
+	s := Open(pmem.NewRegion(64<<20, pmem.None()), newFinedex())
 	for _, k := range keys {
 		if err := s.Put(k, value(k)); err != nil {
 			t.Fatal(err)
@@ -317,8 +314,8 @@ func TestConcurrentGetDuringRecoverInstall(t *testing.T) {
 	}
 
 	for i := 0; i < 5; i++ {
-		s.DropIndex(shardedBTree(keys))
-		if err := s.Recover(shardedBTree(keys)); err != nil {
+		s.DropIndex(newFinedex())
+		if err := s.Recover(newFinedex()); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -18,7 +18,6 @@ import (
 	"learnedpieces/internal/learned/xindex"
 	"learnedpieces/internal/parallel"
 	"learnedpieces/internal/pmem"
-	"learnedpieces/internal/sharded"
 )
 
 // forceWorkers pins the global fan-out for the duration of a test (the
@@ -40,8 +39,7 @@ func TestConcurrentPutLiveCount(t *testing.T) {
 	// Force real thread-level interleaving even on single-core CI boxes.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
 	keys := dataset.Generate(dataset.YCSBUniform, 1500, 11)
-	idx := sharded.New(func() index.Index { return btree.New() },
-		sharded.BoundariesFromSample(keys, 16))
+	idx := newFinedex()
 	s := newStore(idx)
 	const writers = 4
 	var wg sync.WaitGroup
@@ -77,12 +75,10 @@ func TestConcurrentPutLiveCount(t *testing.T) {
 }
 
 // TestConcurrentPutMultiGetDelete exercises the full concurrent surface
-// (Put, MultiGet, Delete) against a sharded index under -race.
+// (Put, MultiGet, Delete) against a concurrent-write index under -race.
 func TestConcurrentPutMultiGetDelete(t *testing.T) {
 	keys := dataset.Generate(dataset.YCSBUniform, 8000, 12)
-	idx := sharded.New(func() index.Index { return btree.New() },
-		sharded.BoundariesFromSample(keys, 16))
-	s := newStore(idx)
+	s := newStore(newFinedex())
 	for _, k := range keys[:4000] {
 		if err := s.Put(k, value(k)); err != nil {
 			t.Fatal(err)
@@ -188,7 +184,7 @@ func TestMultiGet(t *testing.T) {
 
 // TestMultiGetBothIndexPaths: MultiGet agrees with Get whether the index
 // resolves the batch through its GetBatch seam (btree, alex, pgm with a
-// flush in flight) or key by key (xindex, sharded btree), on a batch
+// flush in flight) or key by key (xindex, finedex), on a batch
 // with duplicates, deleted and absent keys.
 func TestMultiGetBothIndexPaths(t *testing.T) {
 	keys := dataset.Generate(dataset.OSMLike, 2000, 8)
@@ -202,7 +198,7 @@ func TestMultiGetBothIndexPaths(t *testing.T) {
 		{"alex", alex.New(alex.DefaultConfig()), nil, true},
 		{"pgm-async", pgm.New(pgm.Config{BaseSize: 8}), []Option{WithRetrainMode(RetrainAsync)}, true},
 		{"xindex", xindex.New(xindex.DefaultConfig()), nil, false},
-		{"sharded", shardedBTree(keys), nil, false},
+		{"finedex", newFinedex(), nil, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if _, ok := tc.idx.(index.BatchGetter); ok != tc.batch {
@@ -472,17 +468,15 @@ func compareContents(t *testing.T, want, got map[uint64]string, what string) {
 	}
 }
 
-// TestScanCapabilityError: a sharded index over an unordered inner type
-// reports the missing scan capability up front instead of silently
-// visiting nothing.
+// TestScanCapabilityError: a store over an unordered index reports the
+// missing scan capability up front instead of silently visiting nothing.
 func TestScanCapabilityError(t *testing.T) {
-	idx := sharded.New(func() index.Index { return cceh.New() }, []uint64{1 << 32})
-	s := newStore(idx)
+	s := newStore(cceh.New())
 	if err := s.Put(42, []byte("v")); err != nil {
 		t.Fatal(err)
 	}
 	err := s.Range(0, 10, func(uint64, []byte) bool { t.Fatal("scan visited an entry"); return false })
 	if err == nil {
-		t.Fatal("Range over unscannable sharded index returned nil error")
+		t.Fatal("Range over an unscannable index returned nil error")
 	}
 }

@@ -67,7 +67,7 @@ type storeView struct {
 // epoch, load the atomically published storeView, and never touch a
 // mutex. Put appends without a lock except at page rollover. Put is
 // safe for concurrent use exactly when the volatile index supports
-// concurrent writes (XIndex, CCEH, or a sharded wrapper) — the store
+// concurrent writes (XIndex, FINEdex, CCEH) — the store
 // adds no serialisation of its own.
 type Store struct {
 	region *pmem.Region
@@ -732,9 +732,7 @@ func (s *Store) readSpans(rd *pmem.Round, offs []uint64, ord []int, vals [][]byt
 // *delivered*: tombstoned records — deleted keys whose index entry
 // still lingers in a delta layer — never consume the caller's limit,
 // only the store can tell them apart. The index must expose a streaming
-// cursor (Caps.Range, which folds in dynamic checks such as a sharded
-// wrapper's hash-layout refusal); otherwise Range returns
-// ErrUnsupported.
+// cursor (Caps.Range); otherwise Range returns ErrUnsupported.
 //
 // Range is the one scan engine. Each round pulls a batch of index
 // entries from the cursor, reads their records in ascending PMem offset

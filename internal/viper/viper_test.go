@@ -16,7 +16,6 @@ import (
 	"learnedpieces/internal/learned/pgm"
 	"learnedpieces/internal/learned/xindex"
 	"learnedpieces/internal/pmem"
-	"learnedpieces/internal/sharded"
 )
 
 func value(i uint64) []byte {
@@ -94,7 +93,7 @@ func TestScanReadsValues(t *testing.T) {
 }
 
 // freshIndexes returns a constructor for each index kind the store hosts:
-// the tree, the hash map, the learned indexes and the sharded wrapper.
+// the tree, the hash map and the learned indexes.
 func freshIndexes() map[string]func() index.Index {
 	return map[string]func() index.Index{
 		"btree":   func() index.Index { return btree.New() },
@@ -105,7 +104,7 @@ func freshIndexes() map[string]func() index.Index {
 		"alex":    func() index.Index { return alex.New(alex.DefaultConfig()) },
 		"xindex":  func() index.Index { return xindex.New(xindex.DefaultConfig()) },
 		"fiting":  fitingBuf,
-		"sharded": func() index.Index { return sharded.New(func() index.Index { return btree.New() }, []uint64{1 << 63}) },
+		"finedex": newFinedex,
 	}
 }
 
@@ -184,11 +183,9 @@ func TestBulkPut(t *testing.T) {
 	}
 }
 
-func TestConcurrentPutsWithShardedIndex(t *testing.T) {
+func TestConcurrentPuts(t *testing.T) {
 	keys := dataset.Generate(dataset.YCSBUniform, 20000, 4)
-	idx := sharded.New(func() index.Index { return btree.New() },
-		sharded.BoundariesFromSample(keys, 16))
-	s := newStore(idx)
+	s := newStore(newFinedex())
 	const workers = 8
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {

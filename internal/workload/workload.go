@@ -185,14 +185,3 @@ func InsertStream(keys []uint64, seed int64) []Op {
 	}
 	return ops
 }
-
-// ReadStream returns a pure lookup stream of n requests over the loaded
-// keys (uniform), the read-only workload.
-func ReadStream(loaded []uint64, n int, seed int64) []Op {
-	rng := rand.New(rand.NewSource(seed))
-	ops := make([]Op, n)
-	for i := range ops {
-		ops[i] = Op{Kind: OpRead, Key: loaded[rng.Intn(len(loaded))]}
-	}
-	return ops
-}

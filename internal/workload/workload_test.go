@@ -157,19 +157,6 @@ func TestOpKindStrings(t *testing.T) {
 	}
 }
 
-func TestReadStreamIsAllReads(t *testing.T) {
-	loaded := dataset.Generate(dataset.YCSBUniform, 100, 1)
-	ops := ReadStream(loaded, 50, 9)
-	if len(ops) != 50 {
-		t.Fatalf("ReadStream returned %d ops", len(ops))
-	}
-	for _, op := range ops {
-		if op.Kind != OpRead {
-			t.Fatal("non-read in ReadStream")
-		}
-	}
-}
-
 func TestInsertExhaustionDegradesToUpdate(t *testing.T) {
 	loaded := dataset.Generate(dataset.YCSBUniform, 100, 1)
 	ins := []uint64{1, 2, 3}
