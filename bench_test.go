@@ -33,15 +33,18 @@ import (
 	"learnedpieces/internal/workload"
 )
 
-// The paper's 200M–800M keys over 1000, and one seed, so every counter
-// reads the same on every run.
-const (
-	benchN    = 200_000
-	benchSeed = 42
-)
+// benchN is the paper's 200M keys over 1000, and benchSeed its one seed,
+// so every counter reads the same on every run. Every size a table
+// sweeps is a multiple or fraction of benchN; only TestPaperTablesRun
+// changes it, to run each table once at toy size.
+var benchN = 200_000
+
+const benchSeed = 42
+
+// benchSizes is the paper's 200M–800M sweep over 1000.
+func benchSizes() []int { return []int{benchN, 2 * benchN, 4 * benchN} }
 
 var (
-	benchSizes    = []int{benchN, 2 * benchN, 4 * benchN}
 	benchDatasets = []dataset.Kind{dataset.YCSBNormal, dataset.OSMLike}
 	// endToEndNames is §III's index set in plot order: the learned
 	// indexes, the sorted traditional ones, and CCEH, the unsorted upper
@@ -306,7 +309,7 @@ func BenchmarkTable2Build(b *testing.B) {
 // YCSB and OSM across the size sweep.
 func BenchmarkFig10ReadOnly(b *testing.B) {
 	for _, kind := range benchDatasets {
-		for _, size := range benchSizes {
+		for _, size := range benchSizes() {
 			b.Run(kind.String()+"/"+sizeName(size), func(b *testing.B) {
 				keys := dataset.Generate(kind, size, benchSeed)
 				probes := dataset.Shuffled(keys, benchSeed+1)
@@ -367,7 +370,7 @@ func BenchmarkFig12ParallelRead(b *testing.B) {
 // size sweep, into indexes loaded with the other half of the keys.
 func BenchmarkFig13WriteOnly(b *testing.B) {
 	for _, kind := range benchDatasets {
-		for _, size := range benchSizes {
+		for _, size := range benchSizes() {
 			b.Run(kind.String()+"/"+sizeName(size), func(b *testing.B) {
 				load, inserts := dataset.Split(dataset.Generate(kind, size, benchSeed), size*9/10)
 				order := dataset.Shuffled(inserts, benchSeed+2)
@@ -478,7 +481,7 @@ func BenchmarkTable3Sizes(b *testing.B) {
 // (store/), across the size sweep. CCEH is unsorted and needs no sorted
 // rebuild.
 func BenchmarkFig16Recovery(b *testing.B) {
-	for _, size := range benchSizes {
+	for _, size := range benchSizes() {
 		b.Run(sizeName(size), func(b *testing.B) {
 			keys := dataset.Generate(dataset.YCSBNormal, size, benchSeed)
 			offs := make([]uint64, len(keys))
@@ -600,7 +603,7 @@ func BenchmarkFig17bSegmentation(b *testing.B) {
 // BenchmarkFig17cStructures is Fig 17(c): Locate per structure as the
 // leaf count grows.
 func BenchmarkFig17cStructures(b *testing.B) {
-	for _, leaves := range []int{1_000, 10_000, 100_000, 400_000} {
+	for _, leaves := range []int{benchN / 200, benchN / 20, benchN / 2, 2 * benchN} {
 		b.Run(fmt.Sprintf("leaves=%d", leaves), func(b *testing.B) {
 			firsts := dataset.Generate(dataset.YCSBNormal, leaves, benchSeed)
 			probes := dataset.Shuffled(firsts, benchSeed+1)
@@ -1054,7 +1057,7 @@ func BenchmarkExtensionLIPP(b *testing.B) {
 // insert, and recovery, which APEX does from node headers while the
 // volatile index rescans every record (Fig 16).
 func BenchmarkExtensionAPEX(b *testing.B) {
-	for _, size := range benchSizes {
+	for _, size := range benchSizes() {
 		b.Run(sizeName(size), func(b *testing.B) {
 			load, inserts := dataset.Split(dataset.Generate(dataset.YCSBNormal, size, benchSeed), size/4)
 			order := dataset.Shuffled(inserts, benchSeed+2)

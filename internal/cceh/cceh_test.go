@@ -12,6 +12,12 @@ func TestConformance(t *testing.T) {
 	indextest.RunAll(t, "cceh", func() index.Index { return New() })
 }
 
+// TestConcurrentConformance holds Table I's claim that CCEH takes
+// concurrent writers, behind its one lock.
+func TestConcurrentConformance(t *testing.T) {
+	indextest.RunConcurrent(t, "cceh", func() index.Index { return New() })
+}
+
 func TestDirectoryDoubling(t *testing.T) {
 	m := New()
 	keys := dataset.Generate(dataset.YCSBUniform, 50000, 3)

@@ -15,6 +15,14 @@ func TestConformance(t *testing.T) {
 	})
 }
 
+// TestConcurrentConformance runs the concurrent-writer checks at the
+// small configuration, where the writes retrain and compact often.
+func TestConcurrentConformance(t *testing.T) {
+	indextest.RunConcurrent(t, "finedex", func() index.Index {
+		return New(Config{Eps: 16, BinCap: 16, BinFanout: 4, MaxDepth: 2})
+	})
+}
+
 func TestLevelBinsSplit(t *testing.T) {
 	ix := New(Config{Eps: 16, BinCap: 8, BinFanout: 4, MaxDepth: 3})
 	keys := dataset.Generate(dataset.YCSBNormal, 2000, 41)

@@ -15,6 +15,14 @@ func TestConformance(t *testing.T) {
 	})
 }
 
+// TestConcurrentConformance runs the concurrent-writer checks at the
+// small configuration, where the writes retrain and compact often.
+func TestConcurrentConformance(t *testing.T) {
+	indextest.RunConcurrent(t, "xindex", func() index.Index {
+		return New(Config{GroupSize: 256, BufferThreshold: 32, SegLen: 64})
+	})
+}
+
 func TestCompactionAndSplit(t *testing.T) {
 	ix := New(Config{GroupSize: 128, BufferThreshold: 16, SegLen: 32})
 	keys := dataset.Generate(dataset.YCSBUniform, 5000, 21)

@@ -7,14 +7,12 @@ import (
 	"testing"
 
 	"learnedpieces/internal/btree"
-	"learnedpieces/internal/cceh"
+	"learnedpieces/internal/core"
 	"learnedpieces/internal/dataset"
 	"learnedpieces/internal/epoch"
 	"learnedpieces/internal/index"
 	"learnedpieces/internal/learned/alex"
-	"learnedpieces/internal/learned/flat"
 	"learnedpieces/internal/learned/pgm"
-	"learnedpieces/internal/learned/xindex"
 	"learnedpieces/internal/pmem"
 )
 
@@ -93,19 +91,13 @@ func TestScanReadsValues(t *testing.T) {
 }
 
 // freshIndexes returns a constructor for each index kind the store hosts:
-// the tree, the hash map and the learned indexes.
+// every registry entry, the trees, the hash map and the learned indexes.
 func freshIndexes() map[string]func() index.Index {
-	return map[string]func() index.Index{
-		"btree":   func() index.Index { return btree.New() },
-		"cceh":    func() index.Index { return cceh.New() },
-		"rmi":     func() index.Index { return flat.NewRMI(flat.RMIConfig{}) },
-		"rs":      func() index.Index { return flat.NewRS(flat.RSConfig{}) },
-		"pgm":     func() index.Index { return pgm.New(pgm.DefaultConfig()) },
-		"alex":    func() index.Index { return alex.New(alex.DefaultConfig()) },
-		"xindex":  func() index.Index { return xindex.New(xindex.DefaultConfig()) },
-		"fiting":  fitingBuf,
-		"finedex": newFinedex,
+	m := make(map[string]func() index.Index)
+	for _, e := range core.Registry() {
+		m[e.Name] = e.New
 	}
+	return m
 }
 
 // TestRecoveryAllIndexes is the Fig 16 mechanism: crash (drop the DRAM
