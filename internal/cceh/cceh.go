@@ -60,6 +60,10 @@ func New() *Map {
 // Name implements index.Index.
 func (m *Map) Name() string { return "cceh" }
 
+// ConcurrentWrites reports that concurrent Inserts, Deletes and Gets are
+// safe: every one of them takes the map's RWMutex.
+func (m *Map) ConcurrentWrites() bool { return true }
+
 // Len returns the number of stored entries.
 func (m *Map) Len() int {
 	m.mu.RLock()

@@ -186,6 +186,17 @@ func TestRegistryComplete(t *testing.T) {
 	}
 }
 
+// TestRegistryConcurrentWritesMatchCaps: an entry's ConcurrentWrites
+// claim is what its index reports through CapsOf, the bit the server's
+// lock tier and the store read.
+func TestRegistryConcurrentWritesMatchCaps(t *testing.T) {
+	for _, e := range Registry() {
+		if got := index.CapsOf(e.New()).ConcurrentWrites; got != e.ConcurrentWrites {
+			t.Errorf("%s: registry ConcurrentWrites = %v, CapsOf = %v", e.Name, e.ConcurrentWrites, got)
+		}
+	}
+}
+
 func TestRegistryConstructorsFunctional(t *testing.T) {
 	keys := dataset.Generate(dataset.YCSBNormal, 5000, 23)
 	for _, e := range Registry() {

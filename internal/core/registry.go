@@ -155,7 +155,7 @@ func Registry() []Entry {
 			Name:      "cceh",
 			InnerNode: "directory", LeafNode: "hash segments", Error: "-",
 			Approximation: "-", Insertion: "hashed", Retraining: "-",
-			ConcurrentWrites: true, // via its internal lock
+			ConcurrentWrites: true,
 			New:              func() index.Index { return cceh.New() },
 		},
 	}

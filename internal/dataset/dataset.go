@@ -7,8 +7,9 @@ package dataset
 import (
 	"math"
 	"math/rand"
-	"slices"
 	"sort"
+
+	"learnedpieces/internal/radix"
 )
 
 // A Kind names one of the built-in key distributions.
@@ -245,7 +246,7 @@ func thin(keys []uint64, n int) []uint64 {
 
 // SortedUnique sorts keys ascending and removes duplicates in place.
 func SortedUnique(keys []uint64) []uint64 {
-	slices.Sort(keys)
+	radix.Sort(keys, nil)
 	out := keys[:0]
 	var prev uint64
 	for i, k := range keys {

@@ -1,6 +1,8 @@
 package dataset
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"testing"
 	"testing/quick"
@@ -193,6 +195,31 @@ func TestCDF(t *testing.T) {
 	for i := 1; i < len(ys); i++ {
 		if ys[i] < ys[i-1] || xs[i] < xs[i-1] {
 			t.Fatal("CDF not monotone")
+		}
+	}
+}
+
+// TestGeneratePinned pins every kind's keys at 200k, the size the paper
+// tables run at: a change to the generators or to the sort under
+// SortedUnique that moves one key fails here, not only in the
+// benchmark's op-stream fingerprint.
+func TestGeneratePinned(t *testing.T) {
+	want := map[Kind]uint64{
+		YCSBUniform: 0x141a0b52cf9419b5,
+		YCSBNormal:  0xb3247c77de5254ef,
+		OSMLike:     0xdf8d2298904952c4,
+		FACELike:    0x41fa4fcf25988526,
+		Sequential:  0x91d2c0f334f63de9,
+	}
+	for _, kind := range Kinds() {
+		h := fnv.New64()
+		var b [8]byte
+		for _, k := range Generate(kind, 200_000, 42) {
+			binary.LittleEndian.PutUint64(b[:], k)
+			h.Write(b[:])
+		}
+		if got := h.Sum64(); got != want[kind] {
+			t.Errorf("%s: FNV-64 %#016x, want %#016x", kind, got, want[kind])
 		}
 	}
 }

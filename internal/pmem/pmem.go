@@ -6,17 +6,26 @@
 // bottleneck the NVM or the index?"). Latency can be disabled for
 // functional tests. A stall is accounted as the nanoseconds asked. An
 // access reads the clock once when it is issued, does the simulator's own
-// work (counters, block buffer, prefetch, a write's copy) and then waits
-// for that clock plus its stall; a Round of reads waits once for the sum
-// of its stalls, restarting from the present when its caller's own work
-// between accesses outlasted them (Round.Resume). The wait ends at the
-// first clock read past the deadline: on a 2-vCPU x86-64 VM whose clock
-// read is ~50 ns, a lone access pays 89–100 ns beyond its ask and an
-// access of a 16-read round 10–12 ns (BenchmarkSpinOvershoot). On Linux
-// the region is advised to 2 MiB pages, as DAX maps Optane, so a record
-// access pays no 4 KiB page walk the model does not bill; the read
-// prefetch stays for the cache miss. A freed region's memory stays so
-// advised; the traced index.get_ns shows the index gained nothing by it.
+// work (counters, block buffer, prefetch, a write's copy or in-place
+// fill) and then waits for that clock plus its stall; a Round of reads
+// waits once for the sum of its stalls, restarting from the present when
+// its caller's own work between accesses outlasted them (Round.Resume).
+// The wait ends at the first clock read past the deadline: on a 2-vCPU
+// x86-64 VM whose clock read is ~50 ns, a lone access pays 79–94 ns
+// beyond its ask and an access of a 16-read round 8 ns
+// (BenchmarkSpinOvershoot).
+//
+// On Linux a region is one anonymous mapping outside the Go heap,
+// advised to 2 MiB pages before anything touches it, as DAX maps Optane:
+// NewRegion zeroes nothing, a page pays one huge-page fault when it is
+// first written, and a record access pays no 4 KiB page walk the model
+// does not bill; the read prefetch stays for the cache miss. A region is
+// never unmapped. When it dies, a finalizer releases its pages
+// (MADV_DONTNEED, so the mapping reads as zeros) and keeps the mapping
+// for the next region of the same size: a view wrongly kept past its
+// region reads stale bytes but never faults. Race builds, and builds for
+// other systems, keep a region in a Go heap slice instead: the race
+// detector watches heap memory only.
 //
 // Persistence semantics: everything written is durable (CPU-cache
 // volatility is not modelled); Flush is an accounted no-op so stores can
@@ -25,6 +34,7 @@ package pmem
 
 import (
 	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -58,11 +68,11 @@ const blockSize = 256
 // block are free, as on real Optane).
 //
 // Concurrency: Alloc, Free, FreeChunks, Snapshot and Restore are fully
-// synchronized. Read, ReadNoCopy, Prefetch, Write, WriteGather and Flush
-// are safe to call concurrently as long as no write overlaps a concurrent
-// read of the same bytes (a ReadNoCopy view only reads what its holder
-// dereferences; a prefetch, Prefetch's or a stalled read's own, is a
-// cache hint that reads nothing, so it overlaps no write) — the
+// synchronized. Read, ReadNoCopy, Prefetch, Write, WriteGather, WriteFill
+// and Flush are safe to call concurrently as long as no write overlaps a
+// concurrent read of the same bytes (a ReadNoCopy view only reads what
+// its holder dereferences; a prefetch, Prefetch's or a stalled read's
+// own, is a cache hint that reads nothing, so it overlaps no write) — the
 // discipline the Viper store upholds (every record slot is claimed by
 // exactly one appender and only read after its index entry is
 // published), and what lets its recovery, compaction and bulk-load paths
@@ -108,9 +118,9 @@ var ErrOutOfSpace = errors.New("pmem: out of space")
 // NewRegion creates a zeroed region of the given size, advised to 2 MiB
 // pages when it spans at least one.
 func NewRegion(size int, lat LatencyModel) *Region {
-	data := make([]byte, size)
-	adviseHugePages(data)
-	return &Region{data: data, lat: lat}
+	r := &Region{lat: lat}
+	r.mapData(size)
+	return r
 }
 
 // Size returns the region capacity in bytes.
@@ -195,7 +205,7 @@ func clock() int64 { return int64(time.Since(clockBase)) }
 // modelled. A zero deadline asks no stall and returns at once. The wait
 // ends at the first clock read past the deadline, so with the read that
 // set the deadline a bare wait costs the ask plus about two clock reads:
-// 65–108 ns on a 2-vCPU x86-64 VM with a ~50 ns clock read
+// 79–94 ns on a 2-vCPU x86-64 VM with a ~50 ns clock read
 // (BenchmarkSpinOvershoot).
 //
 //pieces:hotpath meter
@@ -322,6 +332,7 @@ func (r *Region) Read(off int64, buf []byte) {
 	r.reads.Add(1)
 	deadline := r.charge(off, len(buf), r.lat.ReadNs, false, nil)
 	copy(buf, r.data[off:off+int64(len(buf))])
+	runtime.KeepAlive(r) // a mapped region's release must not run under the copy
 	spinUntil(deadline)
 }
 
@@ -359,6 +370,21 @@ func (r *Region) WriteGather(off int64, head, tail []byte) {
 	deadline := r.charge(off, len(head)+len(tail), r.lat.WriteNs, true, nil)
 	n := copy(r.data[off:], head)
 	copy(r.data[off+int64(n):], tail)
+	runtime.KeepAlive(r)
+	spinUntil(deadline)
+}
+
+// WriteFill is one device write of the n bytes at off whose content fill
+// formats in place: charged exactly as a Write of n bytes, with fill run
+// inside the write's stall, so a caller that would otherwise build the
+// bytes in a DRAM image first (a bulk path's page) neither stages nor
+// copies them. fill is handed the n bytes, zeroed or as last written,
+// and must not keep them.
+func (r *Region) WriteFill(off int64, n int, fill func(dst []byte)) {
+	r.writes.Add(1)
+	deadline := r.charge(off, n, r.lat.WriteNs, true, nil)
+	fill(r.data[off : off+int64(n)])
+	runtime.KeepAlive(r)
 	spinUntil(deadline)
 }
 

@@ -25,6 +25,7 @@ import (
 	"learnedpieces/internal/index"
 	"learnedpieces/internal/parallel"
 	"learnedpieces/internal/pmem"
+	"learnedpieces/internal/radix"
 	"learnedpieces/internal/retrain"
 	"learnedpieces/internal/telemetry"
 )
@@ -955,11 +956,17 @@ func (s *Store) BulkPut(keys []uint64, value []byte) error {
 	return nil
 }
 
-// scanEntry is one record a page scan saw. seq places it in the log: the
-// index of its page in the scanned list, below that its position inside the
-// page and, in the lowest bit, its flagDeleted. The newest version of a key
-// is its entry with the largest seq.
-type scanEntry struct{ key, seq uint64 }
+// scanRun is what a page scan saw, one entry per record: its key and its
+// seq. seq places the record in the log: the index of its page in the
+// scanned list, below that its position inside the page and, in the
+// lowest bit, its flagDeleted. The newest version of a key is its entry
+// with the largest seq.
+type scanRun struct{ keys, seqs []uint64 }
+
+func (r *scanRun) push(key, seq uint64) {
+	r.keys = append(r.keys, key)
+	r.seqs = append(r.seqs, seq)
+}
 
 // seqPosBits is the width of seq's position and flag: PageSize is 1<<20.
 const seqPosBits = 21
@@ -976,14 +983,16 @@ const seqPosBits = 21
 // record, or at a length that would run past the page (which no written
 // record has, so it is not trusted to be one). A chunk whose keys came out
 // strictly increasing — every never-updated bulk load — is done; any other
-// is sorted by key, newest first within a key, and the first entry of each
-// equal-key run kept. The chunks, now sorted with distinct keys, merge
-// pairwise in chunk order, the later chunk (its seqs are larger) winning.
+// is radix-sorted by key, which keeps a key's entries in log order, and
+// the last entry of each equal-key run kept. The chunks, now sorted with
+// distinct keys, merge pairwise in chunk order, the later chunk (its seqs
+// are larger) winning.
 func (s *Store) scanLive(pages []int64) (keys, offs []uint64) {
 	workers := parallel.Workers(len(pages))
-	chunks := make([][]scanEntry, workers)
+	runs := make([]scanRun, workers)
 	parallel.For(workers, len(pages), func(w, lo, hi int) {
-		es := make([]scanEntry, 0, (hi-lo)*(PageSize/(recordHeader+s.valueSize)+1))
+		n := (hi - lo) * (PageSize/(recordHeader+s.valueSize) + 1)
+		run := scanRun{make([]uint64, 0, n), make([]uint64, 0, n)}
 		sorted := true
 		for p := lo; p < hi; p++ {
 			buf := s.region.ReadNoCopy(pages[p], PageSize)
@@ -998,60 +1007,76 @@ func (s *Store) scanLive(pages []int64) (keys, offs []uint64) {
 				if end > PageSize {
 					break
 				}
-				sorted = sorted && (len(es) == 0 || es[len(es)-1].key < key)
-				es = append(es, scanEntry{key, uint64(p)<<seqPosBits | uint64(pos)<<1 | uint64(flags&flagDeleted)})
+				sorted = sorted && (len(run.keys) == 0 || run.keys[len(run.keys)-1] < key)
+				run.push(key, uint64(p)<<seqPosBits|uint64(pos)<<1|uint64(flags&flagDeleted))
 				pos = end
 			}
 		}
 		if !sorted {
-			slices.SortFunc(es, func(a, b scanEntry) int {
-				if c := cmp.Compare(a.key, b.key); c != 0 {
-					return c
-				}
-				return cmp.Compare(b.seq, a.seq)
-			})
-			es = slices.CompactFunc(es, func(a, b scanEntry) bool { return a.key == b.key })
+			radix.Sort(run.keys, run.seqs)
+			run = run.newest()
 		}
-		chunks[w] = es
+		runs[w] = run
 	})
-	for len(chunks) > 1 {
-		for i := 0; i+1 < len(chunks); i += 2 {
-			chunks[i/2] = mergeNewest(chunks[i], chunks[i+1])
+	for len(runs) > 1 {
+		for i := 0; i+1 < len(runs); i += 2 {
+			runs[i/2] = mergeNewest(runs[i], runs[i+1])
 		}
-		if odd := len(chunks) - 1; odd%2 == 0 {
-			chunks[odd/2] = chunks[odd]
+		if odd := len(runs) - 1; odd%2 == 0 {
+			runs[odd/2] = runs[odd]
 		}
-		chunks = chunks[:(len(chunks)+1)/2]
+		runs = runs[:(len(runs)+1)/2]
 	}
-	keys = make([]uint64, 0, len(chunks[0]))
-	offs = make([]uint64, 0, len(chunks[0]))
-	for _, e := range chunks[0] {
-		if e.seq&flagDeleted == 0 {
-			keys = append(keys, e.key)
-			offs = append(offs, uint64(pages[e.seq>>seqPosBits])+(e.seq&(1<<seqPosBits-1))>>1)
+	keys = make([]uint64, 0, len(runs[0].keys))
+	offs = make([]uint64, 0, len(runs[0].keys))
+	for i, seq := range runs[0].seqs {
+		if seq&flagDeleted == 0 {
+			keys = append(keys, runs[0].keys[i])
+			offs = append(offs, uint64(pages[seq>>seqPosBits])+(seq&(1<<seqPosBits-1))>>1)
 		}
 	}
 	return keys, offs
 }
 
+// newest keeps, in place, the last entry of each equal-key run of a
+// key-sorted run whose equal keys are in log order: a key's newest.
+func (r scanRun) newest() scanRun {
+	n := 0
+	for i, k := range r.keys {
+		if i+1 < len(r.keys) && r.keys[i+1] == k {
+			continue
+		}
+		r.keys[n], r.seqs[n] = k, r.seqs[i]
+		n++
+	}
+	return scanRun{r.keys[:n], r.seqs[:n]}
+}
+
 // mergeNewest merges two key-sorted runs of distinct keys; a key both hold
 // keeps newer's entry.
-func mergeNewest(older, newer []scanEntry) []scanEntry {
-	if len(older) == 0 || len(newer) == 0 || older[len(older)-1].key < newer[0].key {
-		return append(older, newer...)
+func mergeNewest(older, newer scanRun) scanRun {
+	if len(older.keys) == 0 || len(newer.keys) == 0 || older.keys[len(older.keys)-1] < newer.keys[0] {
+		return scanRun{append(older.keys, newer.keys...), append(older.seqs, newer.seqs...)}
 	}
-	out := make([]scanEntry, 0, len(older)+len(newer))
-	for len(older) > 0 && len(newer) > 0 {
-		switch a, b := older[0], newer[0]; {
-		case a.key < b.key:
-			out, older = append(out, a), older[1:]
-		case a.key > b.key:
-			out, newer = append(out, b), newer[1:]
+	n := len(older.keys) + len(newer.keys)
+	out := scanRun{make([]uint64, 0, n), make([]uint64, 0, n)}
+	i, j := 0, 0
+	for i < len(older.keys) && j < len(newer.keys) {
+		switch a, b := older.keys[i], newer.keys[j]; {
+		case a < b:
+			out.push(a, older.seqs[i])
+			i++
+		case a > b:
+			out.push(b, newer.seqs[j])
+			j++
 		default:
-			out, older, newer = append(out, b), older[1:], newer[1:]
+			out.push(b, newer.seqs[j])
+			i, j = i+1, j+1
 		}
 	}
-	return append(append(out, older...), newer...)
+	out.keys = append(append(out.keys, older.keys[i:]...), newer.keys[j:]...)
+	out.seqs = append(append(out.seqs, older.seqs[i:]...), newer.seqs[j:]...)
+	return out
 }
 
 // Recover rebuilds the volatile index from the PMem pages after a
