@@ -23,7 +23,9 @@
 // never unmapped. When it dies, a finalizer releases its pages
 // (MADV_DONTNEED, so the mapping reads as zeros) and keeps the mapping
 // for the next region of the same size: a view wrongly kept past its
-// region reads stale bytes but never faults. Race builds, and builds for
+// region reads stale bytes but never faults. No method keeps its Region
+// alive, so a caller holds the *Region across every call on it and for
+// as long as it uses a view a call returned. Race builds, and builds for
 // other systems, keep a region in a Go heap slice instead: the race
 // detector watches heap memory only.
 //
@@ -34,7 +36,6 @@ package pmem
 
 import (
 	"errors"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -332,7 +333,6 @@ func (r *Region) Read(off int64, buf []byte) {
 	r.reads.Add(1)
 	deadline := r.charge(off, len(buf), r.lat.ReadNs, false, nil)
 	copy(buf, r.data[off:off+int64(len(buf))])
-	runtime.KeepAlive(r) // a mapped region's release must not run under the copy
 	spinUntil(deadline)
 }
 
@@ -370,7 +370,6 @@ func (r *Region) WriteGather(off int64, head, tail []byte) {
 	deadline := r.charge(off, len(head)+len(tail), r.lat.WriteNs, true, nil)
 	n := copy(r.data[off:], head)
 	copy(r.data[off+int64(n):], tail)
-	runtime.KeepAlive(r)
 	spinUntil(deadline)
 }
 
@@ -384,7 +383,6 @@ func (r *Region) WriteFill(off int64, n int, fill func(dst []byte)) {
 	r.writes.Add(1)
 	deadline := r.charge(off, n, r.lat.WriteNs, true, nil)
 	fill(r.data[off : off+int64(n)])
-	runtime.KeepAlive(r)
 	spinUntil(deadline)
 }
 

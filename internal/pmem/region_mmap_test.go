@@ -38,6 +38,29 @@ func TestDeadRegionMappingReused(t *testing.T) {
 	}
 }
 
+// TestKeptViewOutlivesRegion shows why a view must not outlive its
+// Region: the view does not keep the Region alive, so once the Region is
+// collected the view reads zeros, and once the mapping is handed to the
+// next region of its size, that region's bytes.
+func TestKeptViewOutlivesRegion(t *testing.T) {
+	const size = 3<<20 + 4096 // a size no other test of the package uses
+	r := NewRegion(size, None())
+	r.Write(0, []byte("value"))
+	view := r.ReadNoCopy(0, 5)
+	addr := uintptr(unsafe.Pointer(&view[0]))
+	r = nil
+	awaitRelease(t, size, addr)
+	if string(view) != "\x00\x00\x00\x00\x00" {
+		t.Fatalf("view of a released region reads %q, want zeros", view)
+	}
+	next := NewRegion(size, None())
+	next.Write(0, []byte("other"))
+	if string(view) != "other" {
+		t.Fatalf("view of a reused mapping reads %q, want the next region's %q", view, "other")
+	}
+	runtime.KeepAlive(next)
+}
+
 // deadRegion fills a region of the given size, drops it and collects
 // garbage until its finalizer has released the mapping, whose address
 // it returns.
@@ -49,6 +72,14 @@ func deadRegion(t *testing.T, size int) uintptr {
 	}
 	addr := uintptr(unsafe.Pointer(&r.data[0]))
 	r = nil
+	awaitRelease(t, size, addr)
+	return addr
+}
+
+// awaitRelease collects garbage until the dead region mapped at addr has
+// been released into the pool.
+func awaitRelease(t *testing.T, size int, addr uintptr) {
+	t.Helper()
 	for deadline := time.Now().Add(10 * time.Second); !released(size, addr); {
 		if time.Now().After(deadline) {
 			t.Fatalf("the %d-byte region's mapping was not released within 10s", size)
@@ -56,7 +87,6 @@ func deadRegion(t *testing.T, size int) uintptr {
 		runtime.GC()
 		time.Sleep(time.Millisecond)
 	}
-	return addr
 }
 
 func released(size int, addr uintptr) bool {

@@ -1,6 +1,7 @@
 package radix
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -102,25 +103,40 @@ func TestSortMatchesSlicesSort(t *testing.T) {
 
 func head(s []uint64) []uint64 { return s[:min(len(s), 8)] }
 
+// BenchmarkSort times each of Sort's two paths, and slices.Sort, on
+// random keys with a payload at sizes either side of splitMin; Sort takes
+// lsd below splitMin and split from it.
 func BenchmarkSort(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
-	src := make([]uint64, 1<<20)
-	for i := range src {
-		src[i] = rng.Uint64()
-	}
-	keys := make([]uint64, len(src))
-	for _, m := range []struct {
-		name string
-		sort func([]uint64)
-	}{
-		{"radix", func(k []uint64) { Sort(k, nil) }},
-		{"slices", slices.Sort[[]uint64]},
-	} {
-		b.Run(m.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				copy(keys, src)
-				m.sort(keys)
-			}
-		})
+	for _, n := range []int{1 << 12, 1 << 14, 1 << 16, 1 << 17, 1 << 18, 1 << 20} {
+		src := make([]uint64, n)
+		for i := range src {
+			src[i] = rng.Uint64()
+		}
+		keys, vals := make([]uint64, n), make([]uint64, n)
+		tmpK, tmpV := make([]uint64, n), make([]uint64, n)
+		for _, m := range []struct {
+			name string
+			sort func()
+		}{
+			{"lsd", func() {
+				copy(tmpK, keys)
+				copy(tmpV, vals)
+				lsd(tmpK, tmpV, keys, vals, 8)
+			}},
+			{"split", func() { split(keys, vals, tmpK, tmpV) }},
+			{"slices", func() { slices.Sort(keys) }},
+		} {
+			b.Run(fmt.Sprintf("n=%d/%s", n, m.name), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					copy(keys, src)
+					for j := range vals {
+						vals[j] = uint64(j)
+					}
+					m.sort()
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/key")
+			})
+		}
 	}
 }

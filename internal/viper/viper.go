@@ -431,9 +431,13 @@ func (s *Store) Put(key uint64, value []byte) error {
 // loads the current view, and resolves the record with no mutex on any
 // path. The pin keeps the view's index and the record's page alive
 // across the probe — a concurrent Compact defers its page frees until
-// the pin ends — but the returned slice is only protected by the
-// store-wide rule that callers must not retain region aliases across a
-// Compact.
+// the pin ends — but the returned slice is valid only while the Store
+// is reachable and not compacted. The region is a mapping outside the Go
+// heap (except in race builds and off Linux), so a kept slice does not
+// keep the Store alive: once the Store is collected, its region's
+// finalizer releases the pages, and the slice reads zeros, or another
+// store's bytes once the mapping is reused. A caller that keeps a value
+// longer copies it.
 //
 //pieces:hotpath
 func (s *Store) Get(key uint64) ([]byte, bool) {
@@ -484,8 +488,9 @@ func (s *Store) Get(key uint64) ([]byte, bool) {
 // with the group size, while each group adds a sort, a resume and an
 // exposed host miss, together about one record's stall, whose count
 // falls as the size grows: √n balances the two. out[i] is nil when
-// keys[i] is absent or deleted; returned slices alias the region and
-// must not be modified. MultiGet is as safe for concurrent use as Get.
+// keys[i] is absent or deleted; returned slices alias the region, must
+// not be modified and are valid only as long as Get's. MultiGet is as
+// safe for concurrent use as Get.
 func (s *Store) MultiGet(keys []uint64) [][]byte {
 	if s.closed.Load() {
 		return make([][]byte, len(keys))
@@ -733,7 +738,9 @@ func (s *Store) readSpans(rd *pmem.Round, offs []uint64, ord []int, vals [][]byt
 // *delivered*: tombstoned records — deleted keys whose index entry
 // still lingers in a delta layer — never consume the caller's limit,
 // only the store can tell them apart. The index must expose a streaming
-// cursor (Caps.Range); otherwise Range returns ErrUnsupported.
+// cursor (Caps.Range); otherwise Range returns ErrUnsupported. A value
+// passed to fn aliases the region, must not be modified and is valid
+// only as long as Get's.
 //
 // Range is the one scan engine. Each round pulls a batch of index
 // entries from the cursor, reads their records in ascending PMem offset
