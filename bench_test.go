@@ -273,7 +273,7 @@ func BenchmarkTable1Registry(b *testing.B) {
 		b.Run(e.Name, func(b *testing.B) {
 			if !logged {
 				b.Logf("inner node: %s | leaf node: %s | error: %s | approximation: %s | insertion: %s | retraining: %s | concurrent writes: %v",
-					e.InnerNode, e.LeafNode, e.Error, e.Approximation, e.Insertion, e.Retraining, e.ConcurrentWrites)
+					e.InnerNode, e.LeafNode, e.Error, e.Approximation, e.Insertion, e.Retraining, index.CapsOf(e.New()).ConcurrentWrites)
 				logged = true
 			}
 			for i := 0; i < b.N; i++ {

@@ -9,7 +9,7 @@ import (
 )
 
 func TestConformance(t *testing.T) {
-	indextest.RunAll(t, "art", func() index.Index { return New() })
+	indextest.Run(t, "art", func() index.Index { return New() })
 }
 
 func TestNodeGrowth(t *testing.T) {

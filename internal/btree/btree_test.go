@@ -9,7 +9,7 @@ import (
 )
 
 func TestConformance(t *testing.T) {
-	indextest.RunAll(t, "btree", func() index.Index { return New() })
+	indextest.Run(t, "btree", func() index.Index { return New() })
 }
 
 func TestSplitCascade(t *testing.T) {

@@ -10,17 +10,15 @@ import (
 // TestAsyncRetrainEquivalence runs the inline-vs-async retraining
 // property over every registry index that opts into background
 // retraining: identical reads after identical writes, regardless of
-// where the retrains ran. Indexes without the capability are skipped
-// by the helper.
+// where the retrains ran.
 func TestAsyncRetrainEquivalence(t *testing.T) {
 	for _, e := range Registry() {
-		e := e
-		if _, ok := e.New().(index.AsyncRetrainer); !ok {
+		if !index.CapsOf(e.New()).AsyncRetrain {
 			continue
 		}
 		t.Run(e.Name, func(t *testing.T) {
 			t.Parallel()
-			indextest.RunAsyncEquivalence(t, e.Name, e.New)
+			indextest.Run(t, e.Name, e.New, indextest.Async...)
 		})
 	}
 }
@@ -33,7 +31,7 @@ func gapCell(segLen int) *Composed {
 }
 
 func TestAsyncRetrainEquivalenceGapCell(t *testing.T) {
-	indextest.RunAsyncEquivalence(t, "gap-cell", func() index.Index { return gapCell(256) })
+	indextest.Run(t, "gap-cell", func() index.Index { return gapCell(256) }, indextest.Async...)
 }
 
 // TestComposedDrainConverges: behind a busy pool each strategy's leaves

@@ -86,7 +86,7 @@ func TestHotATSWithoutWeightsMatchesATS(t *testing.T) {
 }
 
 func TestAppendInsertConformance(t *testing.T) {
-	indextest.RunAll(t, "append-hybrid", func() index.Index {
+	indextest.Run(t, "append-hybrid", func() index.Index {
 		return Compose(OptPLA{Eps: 16}, NewBTreeTop(), AppendInsert{BufSize: 64}, RetrainNode{})
 	})
 }

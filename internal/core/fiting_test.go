@@ -29,11 +29,11 @@ func fitingCell(eps int, ins InsertStrategy) *Composed {
 }
 
 func TestConformanceInplace(t *testing.T) {
-	indextest.RunAll(t, "fiting-inp", func() index.Index { return fitingCell(16, Inplace{Reserve: 64}) })
+	indextest.Run(t, "fiting-inp", func() index.Index { return fitingCell(16, Inplace{Reserve: 64}) })
 }
 
 func TestConformanceBuffer(t *testing.T) {
-	indextest.RunAll(t, "fiting-buf", func() index.Index { return fitingCell(16, BufferInsert{Size: 64}) })
+	indextest.Run(t, "fiting-buf", func() index.Index { return fitingCell(16, BufferInsert{Size: 64}) })
 }
 
 func TestFitingPresets(t *testing.T) {
@@ -41,7 +41,7 @@ func TestFitingPresets(t *testing.T) {
 		if got := preset(name).Name(); got != name {
 			t.Errorf("preset %s is named %q", name, got)
 		}
-		indextest.RunAll(t, name, func() index.Index { return preset(name) })
+		indextest.Run(t, name, func() index.Index { return preset(name) })
 	}
 }
 

@@ -16,7 +16,7 @@ import (
 // without a capability check.
 func TestRegistryUpsert(t *testing.T) {
 	for _, e := range Registry() {
-		indextest.RunUpsert(t, e.Name, e.New)
+		indextest.Run(t, e.Name, e.New, "upsert")
 	}
 }
 

@@ -31,8 +31,6 @@ type Entry struct {
 	Insertion string
 	// Retraining is the retraining-strategy dimension ("-" if read-only).
 	Retraining string
-	// ConcurrentWrites reports write concurrency (Table I's last column).
-	ConcurrentWrites bool
 	// New constructs a fresh instance with benchmark-default parameters.
 	New func() index.Index
 }
@@ -110,15 +108,13 @@ func Registry() []Entry {
 			InnerNode: "2-layer rmi", LeafNode: "linear", Error: "unfixed",
 			Approximation: "lsa",
 			Insertion:     "offsite buffer", Retraining: "retrain one node (2-phase)",
-			ConcurrentWrites: true,
-			New:              func() index.Index { return xindex.New(xindex.DefaultConfig()) },
+			New: func() index.Index { return xindex.New(xindex.DefaultConfig()) },
 		},
 		{
 			Name: "finedex", Learned: true,
 			InnerNode: "segment table", LeafNode: "linear + level bins", Error: "maximum",
 			Approximation: "opt-pla (error-bounded models)",
 			Insertion:     "fine-grained level bins", Retraining: "retrain one segment",
-			ConcurrentWrites: true,
 			// Extension: cited in the paper's intro family ([7]) but not in
 			// its evaluation.
 			New: func() index.Index { return finedex.New(finedex.DefaultConfig()) },
@@ -155,8 +151,7 @@ func Registry() []Entry {
 			Name:      "cceh",
 			InnerNode: "directory", LeafNode: "hash segments", Error: "-",
 			Approximation: "-", Insertion: "hashed", Retraining: "-",
-			ConcurrentWrites: true,
-			New:              func() index.Index { return cceh.New() },
+			New: func() index.Index { return cceh.New() },
 		},
 	}
 }

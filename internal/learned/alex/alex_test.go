@@ -13,7 +13,7 @@ import (
 )
 
 func TestConformance(t *testing.T) {
-	indextest.RunAll(t, "alex", func() index.Index {
+	indextest.Run(t, "alex", func() index.Index {
 		return New(Config{MaxLeafKeys: 128})
 	})
 }

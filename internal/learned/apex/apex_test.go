@@ -19,7 +19,7 @@ func newApex() index.Index {
 }
 
 func TestConformance(t *testing.T) {
-	indextest.RunAll(t, "apex", func() index.Index { return newApex() })
+	indextest.Run(t, "apex", func() index.Index { return newApex() })
 }
 
 func TestRecoveryFromHeadersOnly(t *testing.T) {

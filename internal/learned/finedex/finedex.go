@@ -398,8 +398,10 @@ func (ix *Index) retrainSegment(old *segment) {
 	nt.firsts = append(nt.firsts, cur.firsts[pos+1:]...)
 	nt.segs = append(nt.segs, cur.segs[pos+1:]...)
 	// Keep the table's floor invariant: the first boundary must not rise.
-	if pos == 0 && len(nt.firsts) > 0 {
-		nt.firsts[0] = cur.firsts[0]
+	// It must not pass the next one either: keys written below the head
+	// retrain into segments whose firsts all sit under the old boundary.
+	if pos == 0 {
+		nt.firsts[0] = min(nt.firsts[0], cur.firsts[0])
 	}
 	ix.tab.Store(nt)
 	// Retire the displaced table and the merged-away segment so

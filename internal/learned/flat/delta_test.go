@@ -19,8 +19,8 @@ func newIx(threshold int) *Delta[*pla.RMI] {
 // threshold small enough that every case crosses many rebuilds; the
 // registry's 4096 rarely fills on the suite's datasets.
 func TestConformance(t *testing.T) {
-	indextest.RunAll(t, "rmi-delta", func() index.Index { return newIx(16) })
-	indextest.RunAll(t, "rs-delta", func() index.Index {
+	indextest.Run(t, "rmi-delta", func() index.Index { return newIx(16) })
+	indextest.Run(t, "rs-delta", func() index.Index {
 		return NewDelta(NewRS(RSConfig{}), DeltaConfig{Threshold: 16})
 	})
 }

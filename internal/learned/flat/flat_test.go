@@ -9,8 +9,8 @@ import (
 )
 
 func TestReadOnlyConformance(t *testing.T) {
-	indextest.RunReadOnly(t, "rmi", func() index.Index { return NewRMI(RMIConfig{}) })
-	indextest.RunReadOnly(t, "rs", func() index.Index { return NewRS(RSConfig{}) })
+	indextest.Run(t, "rmi", func() index.Index { return NewRMI(RMIConfig{}) })
+	indextest.Run(t, "rs", func() index.Index { return NewRS(RSConfig{}) })
 }
 
 func TestLeafAssignmentContiguous(t *testing.T) {

@@ -9,7 +9,7 @@ import (
 )
 
 func TestConformance(t *testing.T) {
-	indextest.RunAll(t, "lipp", func() index.Index { return New(DefaultConfig()) })
+	indextest.Run(t, "lipp", func() index.Index { return New(DefaultConfig()) })
 }
 
 // TestPrecisePositions verifies LIPP's defining property: a lookup never

@@ -13,7 +13,7 @@ import (
 )
 
 func TestConformance(t *testing.T) {
-	indextest.RunAll(t, "pgm", func() index.Index {
+	indextest.Run(t, "pgm", func() index.Index {
 		return New(Config{Eps: 16, EpsInternal: 4, BaseSize: 64})
 	})
 }

@@ -352,7 +352,10 @@ func (ix *Index) splitGroup(g *group, merged *groupData) {
 		hi := min(lo+per, n)
 		pivot := merged.Keys[lo]
 		if lo == 0 {
-			pivot = g.pivot
+			// The first part keeps g's boundary, unless g is the first
+			// group and took keys below it: then its parts' pivots all
+			// sit under g's, and keeping it would unsort the pivots.
+			pivot = min(g.pivot, pivot)
 		}
 		part := delta.Run{Keys: merged.Keys[lo:hi], Vals: merged.Vals[lo:hi]}
 		news = append(news, &group{pivot: pivot, data: newGroupData(part, ix.cfg.SegLen), buf: &delta.Run{}})

@@ -286,11 +286,25 @@ func TestRoundResume(t *testing.T) {
 	if rd.deadline != 0 {
 		t.Fatalf("Resume on an empty round set deadline %d", rd.deadline)
 	}
-	rd.ReadNoCopy(r, 0, 1)
-	first := rd.deadline
-	rd.Resume()
-	if rd.deadline != first {
-		t.Fatalf("Resume with stall outstanding moved the deadline %d -> %d", first, rd.deadline)
+	// A Resume inside the stall leaves the deadline alone. A try counts
+	// only when a clock read after the Resume is still before the deadline:
+	// a goroutine descheduled past the stall saw it lapse, so it takes a
+	// fresh round, reading the other of two blocks so the block buffer
+	// cannot absorb the stall.
+	for try := 0; ; try++ {
+		rd = Round{}
+		rd.ReadNoCopy(r, int64(try%2)*1024, 1)
+		first := rd.deadline
+		rd.Resume()
+		if clock() < first {
+			if rd.deadline != first {
+				t.Fatalf("Resume with stall outstanding moved the deadline %d -> %d", first, rd.deadline)
+			}
+			break
+		}
+		if try == 99 {
+			t.Fatalf("no Resume in %d tries landed inside its %d ns stall", try+1, readNs)
+		}
 	}
 	for start := time.Now(); time.Since(start) < 3*readNs*time.Nanosecond; {
 	}

@@ -8,7 +8,7 @@ import (
 )
 
 func TestConformance(t *testing.T) {
-	indextest.RunAll(t, "skiplist", func() index.Index { return New() })
+	indextest.Run(t, "skiplist", func() index.Index { return New() })
 }
 
 func TestLevelDistribution(t *testing.T) {
