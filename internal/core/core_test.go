@@ -178,24 +178,6 @@ func TestRegistryConcurrentWrites(t *testing.T) {
 	}
 }
 
-func TestRegistryConstructorsFunctional(t *testing.T) {
-	keys := dataset.Generate(dataset.YCSBNormal, 5000, 23)
-	for _, e := range Registry() {
-		e := e
-		t.Run(e.Name, func(t *testing.T) {
-			idx := e.New()
-			if err := idx.BulkLoad(keys, keys); err != nil {
-				t.Fatal(err)
-			}
-			for i := 0; i < len(keys); i += 13 {
-				if v, ok := idx.Get(keys[i]); !ok || v != keys[i] {
-					t.Fatalf("get(%d) = %d,%v", keys[i], v, ok)
-				}
-			}
-		})
-	}
-}
-
 func TestGapInsertStrategyKeepsOrder(t *testing.T) {
 	keys := dataset.Generate(dataset.YCSBNormal, 512, 29)
 	load, ins := dataset.Split(keys, 200)

@@ -12,8 +12,8 @@ import (
 
 // TestRegistryUpsert: every registry entry — the delta wrappers, which no
 // package-level conformance run covers, included — answers InsertReplace
-// exactly (the read-only pair with ErrReadOnly), so the store can call it
-// without a capability check.
+// exactly (the read-only pair with ErrReadOnly), so the store's Put needs
+// one descent.
 func TestRegistryUpsert(t *testing.T) {
 	for _, e := range Registry() {
 		indextest.Run(t, e.Name, e.New, "upsert")

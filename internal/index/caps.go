@@ -22,6 +22,8 @@ type Caps struct {
 	AsyncRetrain bool
 	// ConcurrentWrites: concurrent Inserts (and Gets) are safe.
 	ConcurrentWrites bool
+	// ReadOnly: every write is refused with ErrReadOnly.
+	ReadOnly bool
 }
 
 // CapsOf returns the capability descriptor for idx, derived from the
@@ -37,6 +39,7 @@ func CapsOf(idx Index) Caps {
 	if w, ok := idx.(ConcurrentWrites); ok {
 		caps.ConcurrentWrites = w.ConcurrentWrites()
 	}
+	_, caps.ReadOnly = idx.(interface{ ReadOnly() })
 	return caps
 }
 

@@ -20,7 +20,7 @@ func (m *machine) parallel(fns ...func(w *machine)) {
 	ws := make([]*machine, len(fns))
 	var wg sync.WaitGroup
 	for i, fn := range fns {
-		ws[i] = &machine{t: m.t, idx: m.idx, caps: m.caps, readOnly: m.readOnly, ref: m.ref.clone(), shared: true}
+		ws[i] = &machine{t: m.t, idx: m.idx, caps: m.caps, ref: m.ref.clone(), shared: true}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

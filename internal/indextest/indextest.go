@@ -6,10 +6,12 @@
 // conformance suite is a list of named seeded streams of those operations,
 // one per property (Run); the concurrency claims run the same interpreter
 // from several goroutines (concurrent.go), and Replay takes any op list,
-// such as a fuzzer's. Each index package runs it from its own tests.
+// such as a fuzzer's. Each index package runs it from its own tests; a
+// Restarter (a store over an index) is checked again once rebuilt.
 package indextest
 
 import (
+	"errors"
 	"fmt"
 	"maps"
 	"math/rand"
@@ -43,8 +45,8 @@ var (
 // Run runs conformance streams against indexes built by f, each as the
 // subtest name/<stream>: the named ones, or with none named every stream
 // but the Async and Concurrent ones. A stream runs only where the index's
-// caps, or for the read-only checks its ErrReadOnly answer, admit it. A
-// read-only index runs the write streams too and must refuse every write.
+// caps admit it. A read-only index runs the write streams too and must
+// refuse every write.
 func Run(t *testing.T, name string, f Factory, only ...string) {
 	probe := start(t, f)
 	all := slices.Concat(streams, scanStreams)
@@ -61,7 +63,7 @@ func Run(t *testing.T, name string, f Factory, only ...string) {
 			t.Run(name+"/"+s.name, func(t *testing.T) {
 				m := start(t, f)
 				s.run(m, f)
-				m.verify()
+				m.finish()
 			})
 		}
 	}
@@ -74,7 +76,13 @@ func Replay(t *testing.T, f Factory, ops []Op) {
 	for _, o := range ops {
 		m.do(o)
 	}
-	m.verify()
+	m.finish()
+}
+
+// Restarter is a target that rebuilds itself from what it persists, by a
+// recovery (even n) or a compaction (odd n); neither may change it.
+type Restarter interface {
+	Restart(n int) error
 }
 
 // Kind names an operation of the interpreter.
@@ -90,11 +98,12 @@ const (
 	Resume                    // a cursor at Key closed after N entries and reopened past the last of them
 	BulkLoad                  // BulkLoad(Keys, Vals), Keys sorted and distinct
 	Sizes                     // Sizes, and the depth and retrain reports where caps claim them
-	Drain                     // DrainRetrains, where the index retrains in the background
+	Drain                     // DrainRetrains, where the target has it
+	Restart                   // Restart(N), where the target is a Restarter
 	NKinds
 )
 
-var kindNames = [...]string{"Insert", "InsertReplace", "Delete", "Get", "GetBatch", "Scan", "Resume", "BulkLoad", "Sizes", "Drain", "all ops"}
+var kindNames = [...]string{"Insert", "InsertReplace", "Delete", "Get", "GetBatch", "Scan", "Resume", "BulkLoad", "Sizes", "Drain", "Restart", "all ops"}
 
 // Op is one operation; which fields count depends on its Kind.
 type Op struct {
@@ -107,11 +116,10 @@ type Op struct {
 // machine is the interpreter: one index, the oracle of what it must hold,
 // and the caps that gate each op.
 type machine struct {
-	t        testing.TB
-	idx      index.Index
-	caps     index.Caps
-	readOnly bool
-	ref      oracle
+	t    testing.TB
+	idx  index.Index
+	caps index.Caps
+	ref  oracle
 	// shared marks one of several machines on the index, each on its own
 	// goroutine: Len, which they share, goes unchecked per op; other, when
 	// set, accepts an answer (k, v) another machine may have written.
@@ -121,12 +129,15 @@ type machine struct {
 	keys, vals []uint64
 }
 
-// start builds an index with f and a machine over it; a second index is
-// probed for ErrReadOnly.
+// start builds an index with f and a machine over it, gated by the caps
+// the index reports through a Caps method if it has one.
 func start(t testing.TB, f Factory) *machine {
-	_, err := f().InsertReplace(0, 0)
 	idx := f()
-	return &machine{t: t, idx: idx, caps: index.CapsOf(idx), readOnly: err == index.ErrReadOnly, ref: oracle{m: map[uint64]uint64{}}}
+	caps := index.CapsOf(idx)
+	if c, ok := idx.(interface{ Caps() index.Caps }); ok {
+		caps = c.Caps()
+	}
+	return &machine{t: t, idx: idx, caps: caps, ref: oracle{m: map[uint64]uint64{}}}
 }
 
 // fail reports a disagreement and stops the machine: the test on the
@@ -155,8 +166,8 @@ func (m *machine) do(o Op) {
 		}
 		m.checkLen(o.Kind, o.Key)
 	case Delete:
-		if d, ok := m.idx.(index.Deleter); ok {
-			if got, want := d.Delete(o.Key), m.ref.del(o.Key); got != want {
+		if m.caps.Delete {
+			if got, want := m.idx.(index.Deleter).Delete(o.Key), m.ref.del(o.Key); got != want {
 				m.fail("Delete(%d) = %v, want %v", o.Key, got, want)
 			}
 			m.checkLen(o.Kind, o.Key)
@@ -178,8 +189,14 @@ func (m *machine) do(o Op) {
 	case Sizes:
 		m.sizes()
 	case Drain:
-		if a, ok := m.idx.(index.AsyncRetrainer); ok {
-			a.DrainRetrains()
+		if d, ok := m.idx.(interface{ DrainRetrains() }); ok {
+			d.DrainRetrains()
+		}
+	case Restart:
+		if r, ok := m.idx.(Restarter); ok {
+			if err := r.Restart(o.N); err != nil {
+				m.fail("Restart(%d): %v", o.N, err)
+			}
 		}
 	}
 }
@@ -211,10 +228,10 @@ func backward(keys []uint64) []uint64 {
 // wrote checks a write's error and reports whether the write took effect:
 // a read-only index must refuse every write with ErrReadOnly.
 func (m *machine) wrote(o Op, err error) bool {
-	if m.readOnly && err != index.ErrReadOnly || !m.readOnly && err != nil {
-		m.fail("%s(%d) = %v on an index with readOnly=%v", kindNames[o.Kind], o.Key, err, m.readOnly)
+	if ro := m.caps.ReadOnly; errors.Is(err, index.ErrReadOnly) != ro || !ro && err != nil {
+		m.fail("%s(%d) = %v on an index with ReadOnly=%v", kindNames[o.Kind], o.Key, err, ro)
 	}
-	return !m.readOnly
+	return !m.caps.ReadOnly
 }
 
 func (m *machine) checkLen(after Kind, key uint64) {
@@ -239,15 +256,14 @@ func (m *machine) want(k uint64) string {
 // getBatch checks GetBatch slot by slot, over result slices primed with
 // garbage it must overwrite: a miss leaves value 0.
 func (m *machine) getBatch(keys []uint64) {
-	bg, ok := m.idx.(index.BatchGetter)
-	if !ok {
+	if !m.caps.BatchGet {
 		return
 	}
 	vals, found := make([]uint64, len(keys)), make([]bool, len(keys))
 	for i := range vals {
 		vals[i], found[i] = 999_999, i%2 == 0
 	}
-	bg.GetBatch(keys, vals, found)
+	m.idx.(index.BatchGetter).GetBatch(keys, vals, found)
 	for i, k := range keys {
 		if !m.agrees(k, vals[i], found[i]) || !found[i] && vals[i] != 0 {
 			m.fail("GetBatch[%d] of %d = %d,%v, want %s", i, k, vals[i], found[i], m.want(k))
@@ -264,6 +280,17 @@ func (m *machine) sizes() {
 	c, ns, _ := index.RetrainStatsOf(m.idx)
 	if d < 0 || c < 0 || ns < 0 {
 		m.fail("DepthOf = %v, RetrainStatsOf = %d,%d", d, c, ns)
+	}
+}
+
+// finish verifies the target, a Restarter also recovered, then compacted.
+func (m *machine) finish() {
+	m.verify()
+	if _, ok := m.idx.(Restarter); ok {
+		for n := range 2 {
+			m.do(Op{Kind: Restart, N: n})
+			m.verify()
+		}
 	}
 }
 
@@ -338,7 +365,7 @@ func hardKeys() []uint64 {
 }
 
 func deletes(m *machine) bool  { return m.caps.Delete }
-func readOnly(m *machine) bool { return m.readOnly }
+func readOnly(m *machine) bool { return m.caps.ReadOnly }
 
 var streams = []stream{
 	{"empty", nil, func(m *machine, _ Factory) {
@@ -423,8 +450,8 @@ var streams = []stream{
 	{"bulkload", nil, func(m *machine, f Factory) {
 		for _, n := range []int{0, 1, 2, 63, 64, 65, 5000} {
 			keys, vals := dataset.Generate(dataset.OSMLike, n, 21), make([]uint64, n)
-			for i := range vals {
-				vals[i] = uint64(i) + 7
+			for i, k := range keys {
+				vals[i] = k ^ 7
 			}
 			m = start(m.t, f)
 			m.do(Op{Kind: BulkLoad, Keys: keys, Vals: vals})
@@ -450,7 +477,11 @@ var streams = []stream{
 		m.load(dataset.Generate(dataset.YCSBUniform, 2000, 61))
 		m.do(Op{Kind: Sizes})
 	}},
-	{"readonly-insert", readOnly, func(m *machine, _ Factory) { m.do(Op{Kind: Insert, Key: 1, Val: 1}) }},
+	{"readonly-insert", readOnly, func(m *machine, _ Factory) { // refused, also once rebuilt
+		m.do(Op{Kind: Insert, Key: 1, Val: 1})
+		m.do(Op{Kind: Restart})
+		m.do(Op{Kind: InsertReplace, Key: 2, Val: 2})
+	}},
 	// Every key distribution loaded; its keys and random absent ones read.
 	{"bulk-get-all-kinds", readOnly, func(m *machine, f Factory) {
 		for _, kind := range dataset.Kinds() {

@@ -12,10 +12,10 @@ import (
 // the oracle's sorted keys from the start. Pulls at several buffer sizes
 // also exercise, under -race, the pooled cursors' reuse across opens.
 func (m *machine) scan(o Op) {
-	r, ok := m.idx.(index.Ranger)
-	if !ok {
+	if !m.caps.Range {
 		return
 	}
+	r := m.idx.(index.Ranger)
 	keys, vals := m.keys[:0], m.vals[:0]
 	switch {
 	case o.Kind == Resume:
@@ -91,7 +91,7 @@ var edgeKeys = []uint64{0, 1, 1 << 53, 1<<53 + 1, 1 << 63, ^uint64(0) - 1, ^uint
 func loaded(m *machine) {
 	base := dataset.Generate(dataset.YCSBUniform, 4000, 71)
 	m.load(dataset.SortedUnique(slices.Concat(base, hardKeys())))
-	if !m.readOnly {
+	if !m.caps.ReadOnly {
 		m.each(Insert, dataset.Generate(dataset.YCSBNormal, 500, 72), same)
 		for i := 0; i < len(base); i += 17 {
 			m.do(Op{Kind: Delete, Key: base[i]})

@@ -97,6 +97,9 @@ func (ix *Index[M]) Insert(key, value uint64) error { return index.ErrReadOnly }
 // InsertReplace implements index.Upserter: read-only as well.
 func (ix *Index[M]) InsertReplace(key, value uint64) (bool, error) { return false, index.ErrReadOnly }
 
+// ReadOnly marks the index read-only to index.CapsOf.
+func (ix *Index[M]) ReadOnly() {}
+
 // BulkLoad fits the model over sorted distinct keys.
 func (ix *Index[M]) BulkLoad(keys, values []uint64) error {
 	t0 := time.Now()

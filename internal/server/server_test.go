@@ -275,7 +275,8 @@ func TestServerTelemetrySnapshotTakesReadTier(t *testing.T) {
 }
 
 func TestServerErrorMapping(t *testing.T) {
-	// cceh cannot scan → unsupported status → wire.ErrUnsupported.
+	// cceh cannot scan and rmi cannot write → unsupported status →
+	// wire.ErrUnsupported.
 	_, _, addr := startServer(t, "cceh", Config{})
 	c, err := client.Dial(addr)
 	if err != nil {
@@ -288,6 +289,15 @@ func TestServerErrorMapping(t *testing.T) {
 	}
 	if _, err := c.Range(ctx, 0, 10); !errors.Is(err, wire.ErrUnsupported) {
 		t.Fatalf("range on hash index: got %v, want wire.ErrUnsupported", err)
+	}
+	_, _, addr = startServer(t, "rmi", Config{})
+	ro, err := client.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = ro.Close() }()
+	if err := ro.Put(ctx, 1, []byte("v")); !errors.Is(err, wire.ErrUnsupported) {
+		t.Fatalf("put on a read-only index: got %v, want wire.ErrUnsupported", err)
 	}
 }
 

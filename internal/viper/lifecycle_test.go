@@ -6,7 +6,8 @@ import (
 	"testing"
 
 	"learnedpieces/internal/btree"
-	"learnedpieces/internal/cceh"
+	"learnedpieces/internal/index"
+	"learnedpieces/internal/learned/flat"
 	"learnedpieces/internal/pmem"
 	"learnedpieces/internal/telemetry"
 )
@@ -103,19 +104,22 @@ func TestCloseFoldsTelemetry(t *testing.T) {
 // server maps to wire status codes.
 func TestTypedErrorClassification(t *testing.T) {
 	s := newStore(btree.New())
-	if err := s.Put(1, nil); !errors.Is(err, ErrValueSize) {
-		t.Fatalf("empty value = %v, want ErrValueSize", err)
+	if err := s.Put(1, nil); !errors.Is(err, ErrEmptyValue) || !errors.Is(err, ErrValueSize) {
+		t.Fatalf("empty value = %v, want ErrEmptyValue, an ErrValueSize", err)
 	}
 	if err := s.Put(1, make([]byte, PageSize+1)); !errors.Is(err, ErrValueSize) {
 		t.Fatalf("oversized value = %v, want ErrValueSize", err)
 	}
 
-	// CCEH is unsorted: Range is unsupported.
-	h := Open(pmem.NewRegion(8<<20, pmem.None()), cceh.New())
-	if err := h.Range(0, 1, func(uint64, []byte) bool { return true }); !errors.Is(err, ErrUnsupported) {
-		t.Fatalf("hash scan = %v, want ErrUnsupported", err)
+	// A read-only index refuses a Put before anything is written.
+	ro := Open(pmem.NewRegion(8<<20, pmem.None()), flat.NewRMI(flat.RMIConfig{}))
+	if err := ro.Put(1, []byte("v")); !errors.Is(err, ErrUnsupported) || !errors.Is(err, index.ErrReadOnly) {
+		t.Fatalf("Put on a read-only index = %v, want ErrUnsupported and index.ErrReadOnly", err)
 	}
-	_ = h.Close()
+	if ro.Len() != 0 || ro.Region().Allocated() != 0 {
+		t.Fatalf("a refused Put left Len %d and %d bytes allocated, want none", ro.Len(), ro.Region().Allocated())
+	}
+	_ = ro.Close()
 
 	// A region with space for exactly one page fills on the second.
 	tiny := Open(pmem.NewRegion(PageSize, pmem.None()), btree.New())

@@ -10,12 +10,7 @@ import (
 	"testing"
 
 	"learnedpieces/internal/btree"
-	"learnedpieces/internal/cceh"
 	"learnedpieces/internal/dataset"
-	"learnedpieces/internal/index"
-	"learnedpieces/internal/learned/alex"
-	"learnedpieces/internal/learned/pgm"
-	"learnedpieces/internal/learned/xindex"
 	"learnedpieces/internal/parallel"
 	"learnedpieces/internal/pmem"
 )
@@ -131,47 +126,18 @@ func TestConcurrentPutMultiGetDelete(t *testing.T) {
 	}
 }
 
+// TestMultiGet: a batch with more positions than the offset
+// sort's packed words hold is answered in pieces, its results aligned
+// across the cut.
 func TestMultiGet(t *testing.T) {
 	s := newStore(btree.New())
 	keys := dataset.Generate(dataset.OSMLike, 3000, 3)
-	for _, k := range keys {
-		if err := s.Put(k, value(k)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := s.Delete(keys[1]); err != nil {
+	if err := s.BulkPut(keys, value(1)); err != nil {
 		t.Fatal(err)
 	}
-	// Batch mixing present, deleted and absent keys, unsorted.
-	batch := []uint64{keys[100], keys[1], 0xffff_ffff_ffff_fff0, keys[0], keys[2999]}
-	vals := s.MultiGet(batch)
-	if len(vals) != len(batch) {
-		t.Fatalf("got %d results", len(vals))
-	}
-	for _, i := range []int{0, 3, 4} {
-		if !bytes.Equal(vals[i], value(batch[i])) {
-			t.Fatalf("batch[%d] = %q", i, vals[i])
-		}
-	}
-	if vals[1] != nil {
-		t.Fatal("deleted key returned a value")
-	}
-	if vals[2] != nil {
-		t.Fatal("absent key returned a value")
-	}
-	// MultiGet agrees with Get over the full key set.
-	all := s.MultiGet(keys)
-	for i, k := range keys {
-		got, ok := s.Get(k)
-		if ok != (all[i] != nil) || (ok && !bytes.Equal(got, all[i])) {
-			t.Fatalf("MultiGet disagrees with Get at key %d", k)
-		}
-	}
-	// A batch with more positions than the offset sort's packed words
-	// hold is answered in pieces: results stay aligned across the cut.
 	huge := make([]uint64, maxScanBatch+len(keys))
 	copy(huge[maxScanBatch-5:], keys)
-	all = s.MultiGet(huge)
+	all := s.MultiGet(huge)
 	if len(all) != len(huge) {
 		t.Fatalf("MultiGet of %d keys returned %d results", len(huge), len(all))
 	}
@@ -179,55 +145,6 @@ func TestMultiGet(t *testing.T) {
 		if got, _ := s.Get(huge[i]); !bytes.Equal(all[i], got) {
 			t.Fatalf("huge batch: position %d (key %d) disagrees with Get", i, huge[i])
 		}
-	}
-}
-
-// TestMultiGetBothIndexPaths: MultiGet agrees with Get whether the index
-// resolves the batch through its GetBatch seam (btree, alex, pgm with a
-// flush in flight) or key by key (xindex, finedex), on a batch
-// with duplicates, deleted and absent keys.
-func TestMultiGetBothIndexPaths(t *testing.T) {
-	keys := dataset.Generate(dataset.OSMLike, 2000, 8)
-	for _, tc := range []struct {
-		name  string
-		idx   index.Index
-		opts  []Option
-		batch bool
-	}{
-		{"btree", btree.New(), nil, true},
-		{"alex", alex.New(alex.DefaultConfig()), nil, true},
-		{"pgm-async", pgm.New(pgm.Config{BaseSize: 8}), []Option{WithRetrainMode(RetrainAsync)}, true},
-		{"xindex", xindex.New(xindex.DefaultConfig()), nil, false},
-		{"finedex", newFinedex(), nil, false},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			if _, ok := tc.idx.(index.BatchGetter); ok != tc.batch {
-				t.Fatalf("index has the batch seam = %v, want %v", ok, tc.batch)
-			}
-			s := Open(pmem.NewRegion(32<<20, pmem.None()), tc.idx, tc.opts...)
-			defer s.Close()
-			for _, k := range keys {
-				if err := s.Put(k, value(k)); err != nil {
-					t.Fatal(err)
-				}
-			}
-			for _, k := range keys[:200] {
-				if _, err := s.Delete(k); err != nil {
-					t.Fatal(err)
-				}
-			}
-			batch := append([]uint64{keys[500], 0xffff_ffff_ffff_fff0, keys[500]}, dataset.Shuffled(keys, 9)...)
-			vals := s.MultiGet(batch)
-			for i, k := range batch {
-				got, ok := s.Get(k)
-				if ok != (vals[i] != nil) || !bytes.Equal(got, vals[i]) {
-					t.Fatalf("position %d (key %d): MultiGet %q, Get %q,%v", i, k, vals[i], got, ok)
-				}
-			}
-			if vals[0] == nil || vals[1] != nil || !bytes.Equal(vals[0], vals[2]) {
-				t.Fatalf("duplicate/absent lanes: %q %q %q", vals[0], vals[1], vals[2])
-			}
-		})
 	}
 }
 
@@ -422,7 +339,10 @@ func TestBulkPutLayout(t *testing.T) {
 	}
 
 	// A load into a non-empty store goes behind what the log holds: the
-	// earlier records stay where they were, and recovery finds both.
+	// earlier records stay where they were, and recovery finds both. The
+	// log also holds an overwritten key and a deleted one that the load
+	// writes again: after recovery the load's value wins, and the deleted
+	// key is live.
 	s = newStore(btree.New())
 	early := []uint64{3, 9, 27}
 	earlyOffs := make([]int64, len(early))
@@ -431,6 +351,15 @@ func TestBulkPutLayout(t *testing.T) {
 			t.Fatal(err)
 		}
 		earlyOffs[i] = offsetOf(t, s, k)
+	}
+	overwritten, deleted := keys[0], keys[len(keys)/3]
+	for _, k := range []uint64{overwritten, overwritten, deleted} {
+		if err := s.Put(k, value(k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if ok, err := s.Delete(deleted); !ok || err != nil {
+		t.Fatalf("Delete(%d) = %v, %v", deleted, ok, err)
 	}
 	if err := s.BulkPut(keys, v); err != nil {
 		t.Fatal(err)
@@ -451,8 +380,10 @@ func TestBulkPutLayout(t *testing.T) {
 			t.Fatalf("recovered key %d at %d, want %d", k, got, earlyOffs[i])
 		}
 	}
-	if got, ok := s.Get(keys[len(keys)/2]); !ok || !bytes.Equal(got, v) {
-		t.Fatal("a loaded key is lost after recovery")
+	for _, k := range []uint64{keys[len(keys)/2], overwritten, deleted} {
+		if got, ok := s.Get(k); !ok || !bytes.Equal(got, v) {
+			t.Fatalf("loaded key %d = %q, %v after recovery, want the load's value", k, got, ok)
+		}
 	}
 }
 
@@ -465,18 +396,5 @@ func compareContents(t *testing.T, want, got map[uint64]string, what string) {
 		if got[k] != v {
 			t.Fatalf("%s: key %d = %q, want %q", what, k, got[k], v)
 		}
-	}
-}
-
-// TestScanCapabilityError: a store over an unordered index reports the
-// missing scan capability up front instead of silently visiting nothing.
-func TestScanCapabilityError(t *testing.T) {
-	s := newStore(cceh.New())
-	if err := s.Put(42, []byte("v")); err != nil {
-		t.Fatal(err)
-	}
-	err := s.Range(0, 10, func(uint64, []byte) bool { t.Fatal("scan visited an entry"); return false })
-	if err == nil {
-		t.Fatal("Range over an unscannable index returned nil error")
 	}
 }

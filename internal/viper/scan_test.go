@@ -86,48 +86,6 @@ func TestScanLimitIgnoresTombstones(t *testing.T) {
 	}
 }
 
-// TestScanLimitWithInterleavedDeletes checks the public-path limit
-// semantics: deletes interleaved with scans never shrink what a
-// limited scan delivers as long as enough live keys remain.
-func TestScanLimitWithInterleavedDeletes(t *testing.T) {
-	s := newStore(btree.New())
-	keys := dataset.Generate(dataset.Sequential, 1000, 0)
-	for _, k := range keys {
-		if err := s.Put(k, value(k)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for round := 0; round < 5; round++ {
-		// Delete a stripe, then scan with a limit spanning it.
-		for i := round * 100; i < round*100+50; i++ {
-			if _, err := s.Delete(keys[i]); err != nil {
-				t.Fatal(err)
-			}
-		}
-		var got []uint64
-		err := s.Range(0, 200, func(k uint64, _ []byte) bool {
-			got = append(got, k)
-			return true
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != 200 {
-			t.Fatalf("round %d: delivered %d entries, want 200", round, len(got))
-		}
-		for i := 1; i < len(got); i++ {
-			if got[i] <= got[i-1] {
-				t.Fatalf("round %d: out of order at %d", round, i)
-			}
-		}
-		for _, k := range got {
-			if _, ok := s.Get(k); !ok {
-				t.Fatalf("round %d: scan delivered dead key %d", round, k)
-			}
-		}
-	}
-}
-
 // TestRangeMatchesOracle runs scans at several round sizes, on indexes
 // with different cursor shapes, against a sorted-map oracle: overwrites
 // (offsets out of key order), deletes, limits, early stop, and starts at

@@ -163,7 +163,7 @@ var (
 	// ErrClosed fences every operation after Close.
 	ErrClosed = errors.New("viper: store is closed")
 	// ErrUnsupported means the current index lacks the capability
-	// (delete, scan) the operation needs.
+	// (write, delete, scan) the operation needs.
 	ErrUnsupported = errors.New("viper: operation unsupported by index")
 	// ErrValueSize rejects a value the record format cannot carry.
 	ErrValueSize = errors.New("viper: invalid value size")
@@ -398,7 +398,7 @@ func (s *Store) readRecord(rd *pmem.Round, off int64) (val []byte, live bool) {
 // installs the new offset and reports, from that same descent, whether
 // the key already existed, which is all the live-key counter needs. No
 // existence probe precedes it, so the count is exact under concurrent
-// writers too.
+// writers too. A read-only index is refused before anything is written.
 func (s *Store) Put(key uint64, value []byte) error {
 	if s.closed.Load() {
 		return ErrClosed
@@ -406,13 +406,16 @@ func (s *Store) Put(key uint64, value []byte) error {
 	if len(value) == 0 {
 		return ErrEmptyValue
 	}
+	v := s.view.Load()
+	if v.caps.ReadOnly {
+		return fmt.Errorf("%w: index %s is read-only: %w", ErrUnsupported, v.idx.Name(), index.ErrReadOnly)
+	}
 	sp := s.met.StartPut(stripe(key))
 	off, err := s.appendRecord(key, value, 0)
 	if err != nil {
 		sp.Done()
 		return err
 	}
-	v := s.view.Load()
 	existed, err := v.idx.InsertReplace(key, uint64(off))
 	if err != nil {
 		sp.Done()

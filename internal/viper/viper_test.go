@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"learnedpieces/internal/btree"
-	"learnedpieces/internal/core"
 	"learnedpieces/internal/dataset"
 	"learnedpieces/internal/epoch"
 	"learnedpieces/internal/index"
@@ -24,155 +23,6 @@ func value(i uint64) []byte {
 
 func newStore(idx index.Index) *Store {
 	return Open(pmem.NewRegion(32<<20, pmem.None()), idx)
-}
-
-func TestPutGetDeleteWithBTree(t *testing.T) {
-	s := newStore(btree.New())
-	keys := dataset.Generate(dataset.YCSBUniform, 2000, 1)
-	for _, k := range keys {
-		if err := s.Put(k, value(k)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if s.Len() != len(keys) {
-		t.Fatalf("Len = %d", s.Len())
-	}
-	for _, k := range keys {
-		v, ok := s.Get(k)
-		if !ok || !bytes.Equal(v, value(k)) {
-			t.Fatalf("get(%d) bad", k)
-		}
-	}
-	// Update.
-	if err := s.Put(keys[0], []byte("updated")); err != nil {
-		t.Fatal(err)
-	}
-	if v, _ := s.Get(keys[0]); string(v) != "updated" {
-		t.Fatalf("update lost: %q", v)
-	}
-	if s.Len() != len(keys) {
-		t.Fatalf("Len changed on update: %d", s.Len())
-	}
-	// Delete.
-	ok, err := s.Delete(keys[1])
-	if err != nil || !ok {
-		t.Fatalf("delete: %v %v", ok, err)
-	}
-	if _, ok := s.Get(keys[1]); ok {
-		t.Fatal("deleted key visible")
-	}
-	if ok, _ := s.Delete(keys[1]); ok {
-		t.Fatal("double delete")
-	}
-}
-
-func TestScanReadsValues(t *testing.T) {
-	s := newStore(btree.New())
-	keys := dataset.Generate(dataset.Sequential, 500, 0)
-	for _, k := range keys {
-		if err := s.Put(k, value(k)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var visited []uint64
-	err := s.Range(100, 50, func(k uint64, v []byte) bool {
-		if !bytes.Equal(v, value(k)) {
-			t.Fatalf("scan value mismatch at %d", k)
-		}
-		visited = append(visited, k)
-		return true
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(visited) != 50 || visited[0] != 100 {
-		t.Fatalf("scan window wrong: %d entries from %d", len(visited), visited[0])
-	}
-}
-
-// freshIndexes returns a constructor for each index kind the store hosts:
-// every registry entry, the trees, the hash map and the learned indexes.
-func freshIndexes() map[string]func() index.Index {
-	m := make(map[string]func() index.Index)
-	for _, e := range core.Registry() {
-		m[e.Name] = e.New
-	}
-	return m
-}
-
-// TestRecoveryAllIndexes is the Fig 16 mechanism: crash (drop the DRAM
-// index), then rebuild each index type from the PMem pages.
-func TestRecoveryAllIndexes(t *testing.T) {
-	for name, f := range freshIndexes() {
-		t.Run(name, func(t *testing.T) {
-			s := newStore(btree.New())
-			keys := dataset.Generate(dataset.YCSBNormal, 3000, 5)
-			for _, k := range keys {
-				if err := s.Put(k, value(k)); err != nil {
-					t.Fatal(err)
-				}
-			}
-			// Overwrite some, delete some: recovery must keep newest state.
-			for _, k := range keys[:100] {
-				if err := s.Put(k, []byte("v2")); err != nil {
-					t.Fatal(err)
-				}
-			}
-			for _, k := range keys[100:200] {
-				if _, err := s.Delete(k); err != nil {
-					t.Fatal(err)
-				}
-			}
-			s.DropIndex(btree.New())
-			if err := s.Recover(f()); err != nil {
-				t.Fatal(err)
-			}
-			if s.Len() != len(keys)-100 {
-				t.Fatalf("recovered Len = %d, want %d", s.Len(), len(keys)-100)
-			}
-			for _, k := range keys[:100] {
-				if v, ok := s.Get(k); !ok || string(v) != "v2" {
-					t.Fatalf("updated key %d: %q %v", k, v, ok)
-				}
-			}
-			for _, k := range keys[100:200] {
-				if _, ok := s.Get(k); ok {
-					t.Fatalf("deleted key %d resurrected", k)
-				}
-			}
-			for _, k := range keys[200:] {
-				if v, ok := s.Get(k); !ok || !bytes.Equal(v, value(k)) {
-					t.Fatalf("key %d wrong after recovery", k)
-				}
-			}
-		})
-	}
-}
-
-// TestBulkPut loads every index kind through the store's bulk path: each
-// index bulk-loads, so no kind falls back to per-key inserts or refuses.
-func TestBulkPut(t *testing.T) {
-	keys := dataset.Generate(dataset.OSMLike, 5000, 9)
-	for name, f := range freshIndexes() {
-		t.Run(name, func(t *testing.T) {
-			s := newStore(f())
-			if err := s.BulkPut(keys, value(7)); err != nil {
-				t.Fatal(err)
-			}
-			if s.Len() != len(keys) {
-				t.Fatalf("Len = %d after a BulkPut of %d keys", s.Len(), len(keys))
-			}
-			for _, k := range keys {
-				if v, ok := s.Get(k); !ok || !bytes.Equal(v, value(7)) {
-					t.Fatalf("get(%d) after bulk", k)
-				}
-			}
-			st, wk, wkv := s.Sizes()
-			if !(st < wk && wk < wkv) {
-				t.Fatalf("sizes not increasing: %d %d %d", st, wk, wkv)
-			}
-		})
-	}
 }
 
 func TestConcurrentPuts(t *testing.T) {
@@ -291,13 +141,6 @@ func TestCompactReclaimsGarbage(t *testing.T) {
 	}
 	if s.Len() != want {
 		t.Fatalf("recovered Len = %d, want %d", s.Len(), want)
-	}
-}
-
-func TestEmptyValueRejected(t *testing.T) {
-	s := newStore(btree.New())
-	if err := s.Put(1, nil); err != ErrEmptyValue {
-		t.Fatalf("got %v", err)
 	}
 }
 
