@@ -420,7 +420,7 @@ func BenchmarkFig15Mixed(b *testing.B) {
 					gen := workload.NewGenerator(mix, load, inserts, benchSeed+4)
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
-						op, _ := gen.Next()
+						op := gen.Next()
 						if op.Kind == workload.OpRead || op.Kind == workload.OpRMW {
 							idx.Get(op.Key)
 						}
@@ -436,7 +436,7 @@ func BenchmarkFig15Mixed(b *testing.B) {
 					gen, h := workload.NewGenerator(mix, load, inserts, benchSeed+4), stats.NewHistogram()
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
-						op, _ := gen.Next()
+						op := gen.Next()
 						t0 := time.Now()
 						if op.Kind == workload.OpRead || op.Kind == workload.OpRMW {
 							s.Get(op.Key)
@@ -1142,7 +1142,7 @@ func BenchmarkExtensionHotATS(b *testing.B) {
 		pos[f] = i
 	}
 	for i := range probes {
-		op, _ := gen.Next()
+		op := gen.Next()
 		probes[i] = op.Key
 		weights[pos[op.Key]]++
 	}

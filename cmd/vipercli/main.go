@@ -172,10 +172,10 @@ func main() {
 		case "len":
 			fmt.Println(store.Len())
 		case "stats":
-			reads, writes, flushes := region.Stats()
+			a := region.AccessStats()
 			st, wk, wkv := store.Sizes()
 			fmt.Printf("pmem: %d reads, %d writes, %d flushes, %d/%d bytes allocated\n",
-				reads, writes, flushes, region.Allocated(), region.Size())
+				a.Reads, a.Writes, a.Flushes, region.Allocated(), region.Size())
 			fmt.Printf("sizes: index=%d index+key=%d index+KV=%d\n", st, wk, wkv)
 			sink.Snapshot().WriteText(os.Stdout)
 		case "drain":

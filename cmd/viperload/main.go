@@ -1,5 +1,5 @@
 // Command viperload is the YCSB-style multi-client load driver for
-// vipersrv. It runs a read/update/insert mix over a pooled pipelined
+// vipersrv. It runs a named workload mix (-mix) over a pooled pipelined
 // client, reports throughput and round-trip latency, and asserts the
 // protocol invariant a throughput number can't: every request sent got
 // exactly one response — zero lost, zero duplicated IDs — including
@@ -7,7 +7,7 @@
 //
 // Against a running server:
 //
-//	viperload -addr 127.0.0.1:7070 -n 100000 -ops 200000 -clients 16
+//	viperload -addr 127.0.0.1:7070 -n 100000 -ops 200000 -clients 16 -mix ycsb-e
 //
 // -strict exits non-zero when any run lost or duplicated a response,
 // which is what the CI e2e smoke gates on.
@@ -24,6 +24,7 @@ import (
 
 	"learnedpieces/internal/load"
 	"learnedpieces/internal/viper"
+	"learnedpieces/internal/workload"
 )
 
 type report struct {
@@ -47,14 +48,8 @@ func main() {
 		clients    = flag.Int("clients", 16, "concurrent workers")
 		ops        = flag.Int("ops", 200_000, "total operations")
 		n          = flag.Int("n", 100_000, "preloaded keyspace size (keys 1..n)")
-		readFrac   = flag.Float64("reads", 0.90, "read fraction")
-		updateFrac = flag.Float64("updates", 0.08, "update fraction")
-		insertFrac = flag.Float64("inserts", 0.02, "insert fraction")
-		scanFrac   = flag.Float64("scans", 0, "range-scan fraction (cursor-continuation wire scans)")
-		scanLen    = flag.Int("scanlen", 100, "maximum range length per scan")
-		scanDist   = flag.String("scanlendist", "uniform", "range-length distribution in [1,scanlen]: uniform (YCSB-E) or zipf")
-		ycsbE      = flag.Bool("ycsbe", false, "YCSB-E preset: 95% scans / 5% inserts, zipf starts, uniform scan length")
-		dist       = flag.String("dist", "zipf", "request distribution over the keyspace: zipf (YCSB theta 0.99) or uniform")
+		mixName    = flag.String("mix", workload.Server.Name, "workload mix: server (90% reads / 8% updates / 2% inserts), ycsb-a..ycsb-f, read-only or write-only")
+		scanLen    = flag.Int("scanlen", 0, "maximum range length per scan; 0 keeps the mix's (100)")
 		valueSize  = flag.Int("valuesize", viper.DefaultValueSize, "written payload bytes")
 		rate       = flag.Int("rate", 0, "open-loop target ops/sec (0 = closed loop)")
 		seed       = flag.Int64("seed", 1, "workload RNG seed")
@@ -64,31 +59,25 @@ func main() {
 	)
 	flag.Parse()
 
-	if *ycsbE {
-		// The benchmark's workload E: short ranges dominate, a trickle
-		// of inserts keeps the index absorbing new keys mid-scan.
-		*readFrac, *updateFrac, *insertFrac, *scanFrac = 0, 0, 0.05, 0.95
-		*dist = "zipf"
-		*scanDist = "uniform"
+	mix, err := workload.MixNamed(*mixName)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
 	}
-
+	if *scanLen > 0 {
+		mix.ScanLen = *scanLen
+	}
 	cfg := load.Config{
-		Addr:        *addr,
-		Conns:       *conns,
-		Clients:     *clients,
-		Ops:         *ops,
-		Keyspace:    uint64(*n),
-		Dist:        *dist,
-		ReadFrac:    *readFrac,
-		UpdateFrac:  *updateFrac,
-		InsertFrac:  *insertFrac,
-		ScanFrac:    *scanFrac,
-		ScanLen:     *scanLen,
-		ScanLenDist: *scanDist,
-		ValueSize:   *valueSize,
-		Rate:        *rate,
-		Seed:        *seed,
-		DrainEvery:  *drainEvery,
+		Addr:       *addr,
+		Conns:      *conns,
+		Clients:    *clients,
+		Ops:        *ops,
+		Keyspace:   uint64(*n),
+		Mix:        mix,
+		ValueSize:  *valueSize,
+		Rate:       *rate,
+		Seed:       *seed,
+		DrainEvery: *drainEvery,
 	}
 
 	rep := report{
@@ -102,11 +91,8 @@ func main() {
 				"kops on a small box measures protocol overhead, not index scaling.",
 		},
 		Workload: fmt.Sprintf("preload %d keys (%dB values), %d ops x %d clients over %d conns: "+
-			"%.0f%% reads / %.0f%% updates / %.0f%% inserts / %.0f%% scans (len<=%d %s), "+
-			"%s requests, closed loop unless -rate",
-			*n, *valueSize, *ops, *clients, *conns,
-			*readFrac*100, *updateFrac*100, *insertFrac*100, *scanFrac*100,
-			*scanLen, *scanDist, *dist),
+			"%+v, closed loop unless -rate",
+			*n, *valueSize, *ops, *clients, *conns, mix),
 	}
 
 	res, err := load.Run(context.Background(), cfg)

@@ -38,7 +38,7 @@ func main() {
 	start = time.Now()
 	const ops = 200_000
 	for i := 0; i < ops; i++ {
-		op, _ := gen.Next()
+		op := gen.Next()
 		switch op.Kind {
 		case workload.OpRead:
 			if _, ok := store.Get(op.Key); !ok {
@@ -54,8 +54,8 @@ func main() {
 	fmt.Printf("YCSB-B: %d ops in %v (%.2f Mops/s)\n", ops, elapsed.Round(time.Millisecond),
 		float64(ops)/elapsed.Seconds()/1e6)
 
-	reads, writes, flushes := region.Stats()
-	fmt.Printf("pmem traffic: %d reads, %d writes, %d flushes\n", reads, writes, flushes)
+	a := region.AccessStats()
+	fmt.Printf("pmem traffic: %d reads, %d writes, %d flushes\n", a.Reads, a.Writes, a.Flushes)
 
 	st, wk, wkv := store.Sizes()
 	fmt.Printf("Table III view: index %.2fMB | index+key %.2fMB | index+KV %.2fMB\n",

@@ -47,7 +47,7 @@ func main() {
 			start := time.Now()
 			const ops = 100_000
 			for i := 0; i < ops; i++ {
-				op, _ := gen.Next()
+				op := gen.Next()
 				t0 := time.Now()
 				switch op.Kind {
 				case workload.OpRead:

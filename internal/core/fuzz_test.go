@@ -264,7 +264,11 @@ func (d *opDecoder) key() uint64 {
 // decodeOps decodes ops until the input is spent: a byte whose low four
 // bits pick the kind and high four bits a count, then the kind's
 // arguments. An op's position is the value it writes. Only the first op
-// may bulk-load: the baselines build only into an empty index.
+// may bulk-load: the baselines build only into an empty index. An
+// InsertReplace writes a run of count+1 keys, from the decoded key on,
+// each one past the last: a run written below or above a load is what
+// splits a group or retrains a segment, and key by key it would cost the
+// mutator many coordinated bytes.
 func decodeOps(data []byte) []indextest.Op {
 	d := opDecoder{data: data}
 	var ops []indextest.Op
@@ -298,6 +302,14 @@ func decodeOps(data []byte) []indextest.Op {
 			o.Key, o.Buf = d.key(), int(d.byte()%5)
 		case indextest.Resume:
 			o.Key, o.N = d.key(), o.N+1
+		case indextest.InsertReplace:
+			k := d.key()
+			for range o.N {
+				o.Key = k
+				ops = append(ops, o)
+				k++
+			}
+			o.Key, d.prev = k, k
 		case indextest.Sizes, indextest.Drain, indextest.Restart:
 		default:
 			o.Key = d.key()

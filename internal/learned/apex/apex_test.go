@@ -46,12 +46,12 @@ func TestRecoveryFromHeadersOnly(t *testing.T) {
 	wantLen := ix.Len()
 
 	// "Crash": all DRAM state is discarded; only the region survives.
-	readsBefore, _, _ := region.Stats()
+	readsBefore := region.AccessStats().Reads
 	rec, err := Recover(region)
 	if err != nil {
 		t.Fatal(err)
 	}
-	readsAfter, _, _ := region.Stats()
+	readsAfter := region.AccessStats().Reads
 	if rec.Len() != wantLen {
 		t.Fatalf("recovered Len = %d, want %d", rec.Len(), wantLen)
 	}
@@ -111,11 +111,11 @@ func TestPMemTrafficCharged(t *testing.T) {
 	if err := ix.BulkLoad(keys, keys); err != nil {
 		t.Fatal(err)
 	}
-	r0, _, _ := region.Stats()
+	r0 := region.AccessStats().Reads
 	for _, k := range keys[:100] {
 		ix.Get(k)
 	}
-	r1, _, _ := region.Stats()
+	r1 := region.AccessStats().Reads
 	if r1-r0 < 100 {
 		t.Fatalf("only %d PMem reads for 100 gets — payload not on PMem?", r1-r0)
 	}

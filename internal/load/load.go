@@ -1,6 +1,6 @@
 // Package load is the YCSB-style multi-client driver for vipersrv: N
-// worker goroutines over a pooled pipelined client, issuing a
-// read/update/insert mix against a preloaded keyspace, measuring
+// worker goroutines over a pooled pipelined client, each drawing its ops
+// from a workload.Generator over a preloaded keyspace, measuring
 // whole-round-trip latency, and — the part a throughput number can't
 // fake — verifying that every request sent got exactly one response
 // (zero lost, zero duplicated IDs), including across a graceful drain.
@@ -20,14 +20,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"learnedpieces/internal/client"
 	"learnedpieces/internal/stats"
 	"learnedpieces/internal/wire"
+	"learnedpieces/internal/workload"
 )
 
 // Config parameterises one load run.
@@ -40,30 +39,21 @@ type Config struct {
 	Clients int
 	// Ops is the total operation count across workers (default 100k).
 	Ops int
-	// Keyspace is the preloaded key range [1, Keyspace]; reads and
-	// updates draw from it per Dist, inserts allocate above it.
+	// Keyspace is the preloaded key range [1, Keyspace]; reads, updates
+	// and scans draw from it, and each worker inserts into a range of its
+	// own above it.
 	Keyspace uint64
-	// Dist is the request distribution over the keyspace: "zipf"
-	// (YCSB's scrambled Zipfian, theta 0.99 — the benchmark's default
-	// request model) or "uniform". Empty means uniform.
-	Dist string
-	// ReadFrac / UpdateFrac / InsertFrac / ScanFrac select the mix;
-	// they are normalised, so 95/5/0 and 0.95/0.05/0 mean the same
-	// thing. ScanFrac > 0 issues short ranges through the wire
-	// protocol's cursor-continuation scan (YCSB-E's scan op): start key
-	// drawn per Dist, length per ScanLen/ScanLenDist.
-	ReadFrac, UpdateFrac, InsertFrac, ScanFrac float64
-	// ScanLen is the maximum range length (default 100, YCSB-E's).
-	ScanLen int
-	// ScanLenDist picks each range's length in [1, ScanLen]: "uniform"
-	// (YCSB-E's default) or "zipf" (mostly-short ranges with a heavy
-	// tail). Empty means uniform.
-	ScanLenDist string
+	// Mix is the request model every worker draws its ops from. Scans
+	// stream through the wire protocol's cursor continuation, so
+	// Mix.ScanLen may exceed one frame (it is capped at wire.MaxScanLimit);
+	// an RMW is a Get then a Put.
+	Mix workload.Mix
 	// ValueSize is the written payload size (default 200, the paper's).
 	ValueSize int
 	// Rate > 0 switches to the open loop at that many ops/sec total.
 	Rate int
-	// Seed makes the key sequence reproducible (default 1).
+	// Seed fixes every key of the run (default 1): worker w draws from a
+	// generator seeded Seed + w*7919.
 	Seed int64
 	// DrainEvery issues an OpDrain every this many ops per worker
 	// (0 = never): the graceful-drain-under-load probe.
@@ -75,7 +65,7 @@ type Result struct {
 	Label       string `json:"label"`
 	Clients     int    `json:"clients"`
 	Conns       int    `json:"conns"`
-	Ops         int64  `json:"ops"`
+	Ops         int64  `json:"ops"` // completed; an RMW is one op, one read and one update
 	Reads       int64  `json:"reads"`
 	Updates     int64  `json:"updates"`
 	Inserts     int64  `json:"inserts"`
@@ -119,29 +109,10 @@ func Run(ctx context.Context, cfg Config) (Result, error) {
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
 	}
-	switch cfg.Dist {
-	case "", "uniform", "zipf":
-	default:
-		return Result{}, fmt.Errorf("load: Dist must be \"zipf\" or \"uniform\", got %q", cfg.Dist)
+	if m := cfg.Mix; m.Read+m.Update+m.Insert+m.RMW+m.Scan <= 0 {
+		return Result{}, fmt.Errorf("load: Mix %q has no operations", m.Name)
 	}
-	if cfg.ScanLen <= 0 {
-		cfg.ScanLen = 100
-	}
-	if cfg.ScanLen > wire.MaxScanLimit {
-		cfg.ScanLen = wire.MaxScanLimit
-	}
-	switch cfg.ScanLenDist {
-	case "", "uniform", "zipf":
-	default:
-		return Result{}, fmt.Errorf("load: ScanLenDist must be \"zipf\" or \"uniform\", got %q", cfg.ScanLenDist)
-	}
-	total := cfg.ReadFrac + cfg.UpdateFrac + cfg.InsertFrac + cfg.ScanFrac
-	if total <= 0 {
-		return Result{}, errors.New("load: operation mix sums to zero")
-	}
-	readCut := cfg.ReadFrac / total
-	updateCut := readCut + cfg.UpdateFrac/total
-	scanCut := updateCut + cfg.ScanFrac/total
+	cfg.Mix.ScanLen = min(cfg.Mix.ScanLen, wire.MaxScanLimit)
 
 	pool, err := client.DialPool(cfg.Addr, cfg.Conns)
 	if err != nil {
@@ -149,24 +120,11 @@ func Run(ctx context.Context, cfg Config) (Result, error) {
 	}
 	defer func() { _ = pool.Close() }()
 
-	var (
-		res     Result
-		lat     = stats.NewHistogram()
-		sent    atomic.Int64
-		acked   atomic.Int64
-		reads   atomic.Int64
-		updates atomic.Int64
-		inserts atomic.Int64
-		misses  atomic.Int64
-		scans   atomic.Int64
-		scanEnt atomic.Int64
-		scanChk atomic.Int64
-		scanBad atomic.Int64
-		errs    atomic.Int64
-		lag     atomic.Int64
-		nextKey atomic.Uint64
-	)
-	nextKey.Store(cfg.Keyspace)
+	lat := stats.NewHistogram()
+	keys := make([]uint64, cfg.Keyspace)
+	for i := range keys {
+		keys[i] = uint64(i) + 1
+	}
 	value := make([]byte, cfg.ValueSize)
 	for i := range value {
 		value[i] = byte('a' + i%26)
@@ -177,9 +135,13 @@ func Run(ctx context.Context, cfg Config) (Result, error) {
 		interval = time.Duration(int64(time.Second) * int64(cfg.Clients) / int64(cfg.Rate))
 	}
 
+	// Worker w inserts keys from Keyspace + w*stride + 1 on, one per op
+	// at most, so no two workers insert the same key.
+	stride := (cfg.Ops + cfg.Clients - 1) / cfg.Clients
+	workers := make([]worker, cfg.Clients)
 	start := time.Now()
 	var wg sync.WaitGroup
-	for w := 0; w < cfg.Clients; w++ {
+	for w := range workers {
 		wg.Add(1)
 		// The first Ops%Clients workers issue one op more, so the run
 		// issues exactly Ops.
@@ -187,46 +149,14 @@ func Run(ctx context.Context, cfg Config) (Result, error) {
 		if w < cfg.Ops%cfg.Clients {
 			perWorker++
 		}
-		go func(w, perWorker int) {
+		workers[w] = worker{ctx: ctx, c: pool.Conn(), value: value}
+		go func(wk *worker, w, perWorker int) {
 			defer wg.Done()
-			rng := rand.New(rand.NewSource(cfg.Seed + int64(w)*7919))
-			// Same request model as internal/workload: YCSB's scrambled
-			// Zipfian — ranks are skewed, the fibonacci multiply spreads
-			// the hot ranks over the key space so skew does not become
-			// key-order locality for free.
-			var zipf *rand.Zipf
-			if cfg.Dist == "zipf" {
-				zipf = rand.NewZipf(rng, 1.01, 1, cfg.Keyspace-1)
+			inserts := make([]uint64, perWorker)
+			for i := range inserts {
+				inserts[i] = cfg.Keyspace + uint64(w*stride+i) + 1
 			}
-			pick := func() uint64 {
-				if zipf != nil {
-					return (zipf.Uint64()*0x9E3779B97F4A7C15)%cfg.Keyspace + 1
-				}
-				return rng.Uint64()%cfg.Keyspace + 1
-			}
-			// Range-start picks stay UNscrambled on zipf: YCSB-E's scans
-			// start at skewed positions but walk the key space in order,
-			// so the hot start keys must keep their key-order locality.
-			pickStart := func() uint64 {
-				if zipf != nil {
-					return zipf.Uint64()%cfg.Keyspace + 1
-				}
-				return rng.Uint64()%cfg.Keyspace + 1
-			}
-			var lenZipf *rand.Zipf
-			if cfg.ScanLenDist == "zipf" && cfg.ScanLen > 1 {
-				lenZipf = rand.NewZipf(rng, 1.5, 1, uint64(cfg.ScanLen-1))
-			}
-			pickLen := func() int {
-				if cfg.ScanLen <= 1 {
-					return 1
-				}
-				if lenZipf != nil {
-					return int(lenZipf.Uint64()) + 1
-				}
-				return rng.Intn(cfg.ScanLen) + 1
-			}
-			c := pool.Conn()
+			gen := workload.NewGenerator(cfg.Mix, keys, inserts, cfg.Seed+int64(w)*7919)
 			next := start
 			for i := 0; i < perWorker; i++ {
 				if ctx.Err() != nil {
@@ -237,139 +167,149 @@ func Run(ctx context.Context, cfg Config) (Result, error) {
 					if d := time.Until(next); d > 0 {
 						time.Sleep(d)
 					} else {
-						lag.Add(1)
+						wk.OpenLag++
 					}
 				}
 				if cfg.DrainEvery > 0 && i > 0 && i%cfg.DrainEvery == 0 {
-					sent.Add(1)
-					if err := c.Drain(ctx); err == nil {
-						acked.Add(1)
-					} else if !isConnLoss(err) {
-						acked.Add(1)
-						errs.Add(1)
+					if wk.answered(wk.c.Drain(ctx)) != nil {
+						wk.Errors++
 					}
 				}
-				p := rng.Float64()
 				t0 := time.Now()
-				sent.Add(1)
-				var err error
-				switch {
-				case p < readCut:
-					key := pick()
-					var ok bool
-					_, ok, err = c.Get(ctx, key)
-					if err == nil {
-						reads.Add(1)
-						if !ok {
-							misses.Add(1)
-						}
-					}
-				case p < updateCut:
-					err = c.Put(ctx, pick(), value)
-					if err == nil {
-						updates.Add(1)
-					}
-				case p < scanCut:
-					// YCSB-E scan: zipf-skewed start, bounded length, streamed
-					// through the cursor-continuation protocol. The callback
-					// verifies the cursor invariant — strictly ascending keys
-					// with no duplicates across chunk boundaries — because a
-					// continuation bug shows up exactly there, not in kops.
-					var (
-						last     uint64
-						chunks   int64
-						entries  int64
-						violated bool
-						first    = true
-					)
-					err = c.RangeChunks(ctx, pickStart(), pickLen(), func(es []wire.Entry, _ bool) bool {
-						chunks++
-						for _, e := range es {
-							if !first && e.Key <= last {
-								violated = true
-							}
-							first = false
-							last = e.Key
-							entries++
-						}
-						return true
-					})
-					if err == nil {
-						scans.Add(1)
-						scanEnt.Add(entries)
-						scanChk.Add(chunks)
-						if violated {
-							scanBad.Add(1)
-						}
-					}
-				default:
-					err = c.Put(ctx, nextKey.Add(1), value)
-					if err == nil {
-						inserts.Add(1)
-					}
+				if err := wk.do(gen.Next()); err != nil {
+					wk.Errors++
+					continue
 				}
-				switch {
-				case err == nil:
-					acked.Add(1)
-					lat.Record(time.Since(t0).Nanoseconds())
-				case isConnLoss(err):
-					// The wait ended without a response: genuinely lost
-					// unless the drain accounting explains it.
-					errs.Add(1)
-				default:
-					// Typed server error (full, unsupported...): answered.
-					acked.Add(1)
-					errs.Add(1)
-				}
+				wk.Ops++
+				lat.Record(time.Since(t0).Nanoseconds())
 			}
-		}(w, perWorker)
+		}(&workers[w], w, perWorker)
 	}
 	wg.Wait()
-	res.DurationNs = time.Since(start).Nanoseconds()
-
-	res.Clients = cfg.Clients
-	res.Conns = cfg.Conns
-	res.Reads = reads.Load()
-	res.Updates = updates.Load()
-	res.Inserts = inserts.Load()
-	res.Misses = misses.Load()
-	res.Scans = scans.Load()
-	res.ScanEntries = scanEnt.Load()
-	res.ScanChunks = scanChk.Load()
-	res.ScanViolations = scanBad.Load()
-	res.Errors = errs.Load()
-	res.OpenLag = lag.Load()
-	res.Ops = res.Reads + res.Updates + res.Inserts + res.Scans
-	res.Lost = sent.Load() - acked.Load()
+	res := Result{Clients: cfg.Clients, Conns: cfg.Conns, DurationNs: time.Since(start).Nanoseconds()}
 	res.Dup = pool.Strays()
+	for _, w := range workers {
+		res.Ops += w.Ops
+		res.Reads += w.Reads
+		res.Updates += w.Updates
+		res.Inserts += w.Inserts
+		res.Misses += w.Misses
+		res.Scans += w.Scans
+		res.ScanEntries += w.ScanEntries
+		res.ScanChunks += w.ScanChunks
+		res.ScanViolations += w.ScanViolations
+		res.Errors += w.Errors
+		res.Lost += w.Lost
+		res.OpenLag += w.OpenLag
+	}
 	if res.DurationNs > 0 {
 		res.Kops = float64(res.Ops) / (float64(res.DurationNs) / 1e9) / 1e3
 	}
-	res.P50Ns = lat.Percentile(50)
-	res.P99Ns = lat.Percentile(99)
-	res.MaxNs = lat.Max()
+	res.P50Ns, res.P99Ns, res.MaxNs = lat.Percentile(50), lat.Percentile(99), lat.Max()
 	return res, nil
 }
 
-// isConnLoss reports whether err means the request's response never
-// arrived (as opposed to a response carrying an error status).
-func isConnLoss(err error) bool {
-	return errors.Is(err, client.ErrConnClosed) ||
-		errors.Is(err, context.Canceled) ||
-		errors.Is(err, context.DeadlineExceeded) ||
-		(err != nil && wireStatusErr(err) == nil)
+// worker issues one worker's ops over its connection and counts them in
+// its own Result, which Run sums once every worker has returned.
+type worker struct {
+	Result
+	ctx   context.Context
+	c     *client.Conn
+	value []byte
 }
 
-// wireStatusErr returns err when it is one of the wire status
-// sentinels, nil otherwise.
-func wireStatusErr(err error) error {
+// do issues op. An op ends at its first failed request: an RMW whose Get
+// failed sends no Put.
+func (w *worker) do(op workload.Op) error {
+	switch op.Kind {
+	case workload.OpRead:
+		return w.get(op.Key)
+	case workload.OpUpdate:
+		return w.put(op.Key, &w.Updates)
+	case workload.OpInsert:
+		return w.put(op.Key, &w.Inserts)
+	case workload.OpRMW:
+		if err := w.get(op.Key); err != nil {
+			return err
+		}
+		return w.put(op.Key, &w.Updates)
+	default:
+		return w.scan(op.Key, op.ScanLen)
+	}
+}
+
+func (w *worker) get(key uint64) error {
+	_, ok, err := w.c.Get(w.ctx, key)
+	if err == nil {
+		w.Reads++
+		if !ok {
+			w.Misses++
+		}
+	}
+	return w.answered(err)
+}
+
+// put writes key and, once acknowledged, counts it in done.
+func (w *worker) put(key uint64, done *int64) error {
+	err := w.c.Put(w.ctx, key, w.value)
+	if err == nil {
+		*done++
+	}
+	return w.answered(err)
+}
+
+// scan streams a range through the cursor-continuation protocol. The
+// callback verifies the cursor invariant — strictly ascending keys with
+// no duplicates across chunk boundaries — because a continuation bug
+// shows up exactly there, not in kops.
+func (w *worker) scan(start uint64, limit int) error {
+	var (
+		last            uint64
+		chunks, entries int64
+		violated        bool
+	)
+	err := w.c.RangeChunks(w.ctx, start, limit, func(es []wire.Entry, _ bool) bool {
+		chunks++
+		for _, e := range es {
+			violated = violated || entries > 0 && e.Key <= last
+			last = e.Key
+			entries++
+		}
+		return true
+	})
+	if err == nil {
+		w.Scans++
+		w.ScanEntries += entries
+		w.ScanChunks += chunks
+		if violated {
+			w.ScanViolations++
+		}
+	}
+	return w.answered(err)
+}
+
+// answered counts the request that returned err as lost when its
+// response never arrived. It returns err.
+func (w *worker) answered(err error) error {
+	if isConnLoss(err) {
+		w.Lost++
+	}
+	return err
+}
+
+// isConnLoss reports whether err means the request's response never
+// arrived: every error but the wire status sentinels a response carries.
+func isConnLoss(err error) bool {
+	if err == nil {
+		return false
+	}
 	for _, s := range []error{
 		wire.ErrFull, wire.ErrClosed, wire.ErrUnsupported, wire.ErrValueSize,
 		wire.ErrBadRequest, wire.ErrBackpressure, wire.ErrInternal,
 	} {
 		if errors.Is(err, s) {
-			return s
+			return false
 		}
 	}
-	return nil
+	return true
 }

@@ -2,16 +2,20 @@ package load
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"net"
 	"strings"
 	"testing"
 	"time"
 
+	"learnedpieces/internal/client"
 	"learnedpieces/internal/learned/finedex"
 	"learnedpieces/internal/pmem"
 	"learnedpieces/internal/server"
 	"learnedpieces/internal/viper"
 	"learnedpieces/internal/wire"
+	"learnedpieces/internal/workload"
 )
 
 // startServer boots an in-process server over a finedex store preloaded
@@ -55,13 +59,14 @@ func checkClean(t *testing.T, r Result) {
 	}
 }
 
-// TestRunIssuesExactlyOps runs a mix whose op count does not divide by
-// the worker count: the remainder must be issued, not dropped.
+// TestRunIssuesExactlyOps runs a mix of every op kind whose op count does
+// not divide by the worker count: the remainder must be issued, not
+// dropped, and an RMW counts as one op.
 func TestRunIssuesExactlyOps(t *testing.T) {
 	_, addr := startServer(t, 5000)
 	r, err := Run(context.Background(), Config{
-		Addr: addr, Conns: 2, Clients: 8, Ops: 1001, Keyspace: 5000, Dist: "zipf",
-		ReadFrac: 0.85, UpdateFrac: 0.08, InsertFrac: 0.05, ScanFrac: 0.02, ScanLen: 20,
+		Addr: addr, Conns: 2, Clients: 8, Ops: 1001, Keyspace: 5000,
+		Mix: workload.Mix{Read: 0.8, Update: 0.08, Insert: 0.05, RMW: 0.05, Scan: 0.02, Zipfian: true, ScanLen: 20},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -73,6 +78,9 @@ func TestRunIssuesExactlyOps(t *testing.T) {
 	if r.Reads == 0 || r.Updates == 0 || r.Inserts == 0 || r.Misses != 0 {
 		t.Fatalf("mix not exercised or a preloaded key missed: %+v", r)
 	}
+	if r.Reads+r.Updates+r.Inserts+r.Scans <= r.Ops {
+		t.Fatalf("no RMW counted as a read and an update: %+v", r)
+	}
 }
 
 // TestRunLongScansSpanChunks runs YCSB-E with ranges longer than one
@@ -80,9 +88,10 @@ func TestRunIssuesExactlyOps(t *testing.T) {
 // continuation frames.
 func TestRunLongScansSpanChunks(t *testing.T) {
 	_, addr := startServer(t, 20000)
+	mix := workload.YCSBE
+	mix.ScanLen = 2 * wire.MaxRangeChunk
 	r, err := Run(context.Background(), Config{
-		Addr: addr, Conns: 2, Clients: 4, Ops: 40, Keyspace: 20000,
-		ScanFrac: 0.95, InsertFrac: 0.05, ScanLen: 2 * wire.MaxRangeChunk,
+		Addr: addr, Conns: 2, Clients: 4, Ops: 40, Keyspace: 20000, Mix: mix,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -99,7 +108,7 @@ func TestRunDrainUnderLoad(t *testing.T) {
 	srv, addr := startServer(t, 5000)
 	r, err := Run(context.Background(), Config{
 		Addr: addr, Conns: 2, Clients: 8, Ops: 2000, Keyspace: 5000,
-		ReadFrac: 0.9, UpdateFrac: 0.05, InsertFrac: 0.05, DrainEvery: 50,
+		Mix: workload.Mix{Read: 0.9, Update: 0.05, Insert: 0.05}, DrainEvery: 50,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -113,12 +122,33 @@ func TestRunDrainUnderLoad(t *testing.T) {
 	}
 }
 
+// TestRunReadsOwnInserts runs YCSB-D, whose reads mostly pick the
+// worker's own latest inserts: every one must be found.
+func TestRunReadsOwnInserts(t *testing.T) {
+	_, addr := startServer(t, 5000)
+	r, err := Run(context.Background(), Config{
+		Addr: addr, Conns: 2, Clients: 4, Ops: 2000, Keyspace: 5000, Mix: workload.YCSBD,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkClean(t, r)
+	if r.Inserts == 0 || r.Misses != 0 {
+		t.Fatalf("inserts %d, misses %d: a read missed an acknowledged insert", r.Inserts, r.Misses)
+	}
+}
+
+// TestRunRejectsBadConfig checks that an unknown mix name yields no mix
+// and that Run refuses one, as it refuses a run with no keyspace.
 func TestRunRejectsBadConfig(t *testing.T) {
 	_, addr := startServer(t, 10)
+	unknown, err := workload.MixNamed("pareto")
+	if err == nil {
+		t.Fatal("MixNamed(pareto) found a mix")
+	}
 	for field, cfg := range map[string]Config{
-		"Dist":        {Keyspace: 10, ReadFrac: 1, Dist: "pareto"},
-		"ScanLenDist": {Keyspace: 10, ScanFrac: 1, ScanLenDist: "pareto"},
-		"Keyspace":    {ReadFrac: 1},
+		"Mix":      {Keyspace: 10, Mix: unknown},
+		"Keyspace": {Mix: workload.YCSBC},
 	} {
 		t.Run(field, func(t *testing.T) {
 			cfg.Addr = addr
@@ -126,5 +156,31 @@ func TestRunRejectsBadConfig(t *testing.T) {
 				t.Fatalf("Run = %v, want an error naming %s", err, field)
 			}
 		})
+	}
+}
+
+// TestIsConnLoss pins the lost-or-answered rule that Result.Lost, and so
+// viperload -strict, rests on: a status the server sent is an answer;
+// anything else means no response arrived.
+func TestIsConnLoss(t *testing.T) {
+	for s := range 256 {
+		if err := wire.Status(s).Err(); err != nil {
+			for _, e := range []error{err, fmt.Errorf("op: %w", err)} {
+				if isConnLoss(e) {
+					t.Errorf("status %v: %v counted as lost", wire.Status(s), e)
+				}
+			}
+		}
+	}
+	for _, err := range []error{
+		client.ErrConnClosed, context.Canceled, context.DeadlineExceeded,
+		fmt.Errorf("op: %w", context.DeadlineExceeded), errors.New("unclassified"),
+	} {
+		if !isConnLoss(err) {
+			t.Errorf("%v counted as answered", err)
+		}
+	}
+	if isConnLoss(nil) {
+		t.Error("nil counted as lost")
 	}
 }

@@ -393,11 +393,6 @@ func (r *Region) Flush(off int64, n int) {
 	r.flushes.Add(1)
 }
 
-// Stats returns access counters: reads, writes, flushes.
-func (r *Region) Stats() (reads, writes, flushes int64) {
-	return r.reads.Load(), r.writes.Load(), r.flushes.Load()
-}
-
 // Snapshot captures the persisted state for crash simulation.
 func (r *Region) Snapshot() []byte {
 	r.mu.Lock()

@@ -48,9 +48,8 @@ func TestStatsCount(t *testing.T) {
 	r.Write(0, []byte{1})
 	r.Read(0, make([]byte, 1))
 	r.Flush(0, 1)
-	reads, writes, flushes := r.Stats()
-	if reads != 1 || writes != 1 || flushes != 1 {
-		t.Fatalf("stats %d/%d/%d", reads, writes, flushes)
+	if a := r.AccessStats(); a.Reads != 1 || a.Writes != 1 || a.Flushes != 1 {
+		t.Fatalf("stats %d/%d/%d", a.Reads, a.Writes, a.Flushes)
 	}
 }
 
@@ -473,9 +472,8 @@ func TestConcurrentDisjointAccess(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	reads, writes, flushes := r.Stats()
-	if reads == 0 || writes == 0 || flushes == 0 {
-		t.Fatalf("counters not advancing: %d %d %d", reads, writes, flushes)
+	if a := r.AccessStats(); a.Reads == 0 || a.Writes == 0 || a.Flushes == 0 {
+		t.Fatalf("counters not advancing: %d %d %d", a.Reads, a.Writes, a.Flushes)
 	}
 }
 

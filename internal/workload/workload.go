@@ -1,11 +1,14 @@
 // Package workload generates YCSB-style operation streams: the core
-// workloads A/B/C/D/F the paper's Fig 15 uses, plus the read-only and
-// write-only streams of Figs 10-14. Request keys follow either a uniform
-// or a Zipfian distribution over the loaded keys (the paper uses normal
-// key sets with Zipfian requests in §III-C/D).
+// workloads A/B/C/D/F the paper's Fig 15 uses, YCSB-E's short ranges,
+// the read-only and write-only streams of Figs 10-14, and viperload's
+// default mix. Request keys follow either a uniform or a Zipfian
+// distribution over the loaded keys (the paper uses normal key sets with
+// Zipfian requests in §III-C/D).
 package workload
 
 import (
+	"cmp"
+	"fmt"
 	"math/rand"
 )
 
@@ -62,6 +65,9 @@ type Mix struct {
 	Zipfian bool // request distribution over loaded keys
 	// Latest skews reads toward recently inserted keys (YCSB-D).
 	Latest bool
+	// ScanLen bounds a scan's entry count, drawn uniformly from
+	// [1, ScanLen]; 0 means 100 (YCSB-E's).
+	ScanLen int
 }
 
 // The paper's workloads (§III-A3, Fig 15).
@@ -75,16 +81,34 @@ var (
 	// YCSBD is read-latest with inserts: 95% reads of recent keys, 5%
 	// inserts of new keys — the mix that stresses insertion+retraining.
 	YCSBD = Mix{Name: "ycsb-d", Read: 0.95, Insert: 0.05, Latest: true}
+	// YCSBE is short ranges: 95% scans from Zipfian starts, 5% inserts.
+	YCSBE = Mix{Name: "ycsb-e", Scan: 0.95, Insert: 0.05, Zipfian: true}
 	// YCSBF is read-modify-write: 50% reads, 50% RMW, Zipfian.
 	YCSBF = Mix{Name: "ycsb-f", Read: 0.5, RMW: 0.5, Zipfian: true}
 	// ReadOnly drives Figs 10-12 (uniform requests).
 	ReadOnly = Mix{Name: "read-only", Read: 1}
 	// WriteOnly drives Figs 13-14.
 	WriteOnly = Mix{Name: "write-only", Insert: 1}
+	// Server is viperload's default: 90% reads, 8% updates, 2% inserts,
+	// Zipfian.
+	Server = Mix{Name: "server", Read: 0.9, Update: 0.08, Insert: 0.02, Zipfian: true}
 )
 
 // Mixes lists the read-write-mixed workloads of Fig 15.
 func Mixes() []Mix { return []Mix{YCSBA, YCSBB, YCSBD, YCSBF} }
+
+// named lists every mix MixNamed finds.
+var named = []Mix{YCSBA, YCSBB, YCSBC, YCSBD, YCSBE, YCSBF, ReadOnly, WriteOnly, Server}
+
+// MixNamed returns the mix called name.
+func MixNamed(name string) (Mix, error) {
+	for _, m := range named {
+		if m.Name == name {
+			return m, nil
+		}
+	}
+	return Mix{}, fmt.Errorf("workload: unknown mix %q", name)
+}
 
 // Generator produces a deterministic operation stream for one run.
 type Generator struct {
@@ -136,42 +160,40 @@ func (g *Generator) pickExisting() uint64 {
 	return g.loaded[g.rng.Intn(len(g.loaded))]
 }
 
-// Next returns the next operation and reports false when the stream is
-// exhausted (only Insert-consuming mixes exhaust).
-func (g *Generator) Next() (Op, bool) {
+// Next returns the next operation. Once the insert keys run out,
+// inserts degrade to updates, so the stream never ends.
+func (g *Generator) Next() Op {
 	r := g.rng.Float64()
 	m := g.mix
 	switch {
 	case r < m.Read:
-		return Op{Kind: OpRead, Key: g.pickExisting()}, true
+		return Op{Kind: OpRead, Key: g.pickExisting()}
 	case r < m.Read+m.Update:
-		return Op{Kind: OpUpdate, Key: g.pickExisting()}, true
+		return Op{Kind: OpUpdate, Key: g.pickExisting()}
 	case r < m.Read+m.Update+m.Insert:
 		if g.nextIns >= len(g.inserts) {
-			// Out of fresh keys: degrade to update, stream stays alive.
-			return Op{Kind: OpUpdate, Key: g.pickExisting()}, true
+			return Op{Kind: OpUpdate, Key: g.pickExisting()}
 		}
 		k := g.inserts[g.nextIns]
 		g.nextIns++
 		if m.Latest {
 			g.recent = append(g.recent, k)
 		}
-		return Op{Kind: OpInsert, Key: k}, true
+		return Op{Kind: OpInsert, Key: k}
 	case r < m.Read+m.Update+m.Insert+m.RMW:
-		return Op{Kind: OpRMW, Key: g.pickExisting()}, true
+		return Op{Kind: OpRMW, Key: g.pickExisting()}
 	default:
-		return Op{Kind: OpScan, Key: g.pickExisting(), ScanLen: 1 + g.rng.Intn(100)}, true
+		// A Zipfian scan start stays unscrambled: YCSB-E's scans start at
+		// skewed positions but walk the key space in order, so the hot
+		// starts keep their key-order locality.
+		var start uint64
+		if g.zipf != nil {
+			start = g.loaded[g.zipf.Uint64()]
+		} else {
+			start = g.pickExisting()
+		}
+		return Op{Kind: OpScan, Key: start, ScanLen: 1 + g.rng.Intn(cmp.Or(m.ScanLen, 100))}
 	}
-}
-
-// Ops materialises n operations (convenient for benchmarks that want to
-// exclude generation cost from the measured loop).
-func (g *Generator) Ops(n int) []Op {
-	ops := make([]Op, n)
-	for i := range ops {
-		ops[i], _ = g.Next()
-	}
-	return ops
 }
 
 // InsertStream returns a pure insertion stream over the given keys in a

@@ -1,6 +1,9 @@
 package workload
 
 import (
+	"encoding/binary"
+	"hash/fnv"
+	"strings"
 	"testing"
 
 	"learnedpieces/internal/dataset"
@@ -9,18 +12,13 @@ import (
 func TestMixProportions(t *testing.T) {
 	loaded := dataset.Generate(dataset.YCSBUniform, 10000, 1)
 	ins := dataset.Generate(dataset.Sequential, 100000, 0)
-	for _, mix := range []Mix{YCSBA, YCSBB, YCSBC, YCSBD, YCSBF, ReadOnly, WriteOnly} {
-		mix := mix
+	for _, mix := range named {
 		t.Run(mix.Name, func(t *testing.T) {
 			g := NewGenerator(mix, loaded, ins, 7)
 			counts := map[OpKind]int{}
 			const n = 50000
-			for i := 0; i < n; i++ {
-				op, ok := g.Next()
-				if !ok {
-					t.Fatalf("stream ended at %d", i)
-				}
-				counts[op.Kind]++
+			for range n {
+				counts[g.Next().Kind]++
 			}
 			check := func(kind OpKind, want float64) {
 				got := float64(counts[kind]) / n
@@ -35,17 +33,40 @@ func TestMixProportions(t *testing.T) {
 			check(OpUpdate, mix.Update)
 			check(OpInsert, mix.Insert)
 			check(OpRMW, mix.RMW)
+			check(OpScan, mix.Scan)
 		})
 	}
 }
 
-func TestDeterministicStreams(t *testing.T) {
-	loaded := dataset.Generate(dataset.YCSBUniform, 1000, 1)
-	a := NewGenerator(YCSBA, loaded, nil, 42).Ops(1000)
-	b := NewGenerator(YCSBA, loaded, nil, 42).Ops(1000)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("streams diverge at %d", i)
+// TestStreamsPinned pins the first 10,000 ops of every mix that Fig 15,
+// Figs 10-14 or the examples draw at one seed, as hashed when viperload
+// began drawing from this generator: a change that moves one of them
+// changes what those tables measure.
+func TestStreamsPinned(t *testing.T) {
+	loaded := dataset.Generate(dataset.YCSBUniform, 10000, 1)
+	ins := dataset.Generate(dataset.Sequential, 20000, 0)
+	want := map[string]uint64{
+		"ycsb-a":     0xa704f4dcc40f6895,
+		"ycsb-b":     0xec4ac5392809632d,
+		"ycsb-c":     0x56e88b7595bb3d2,
+		"ycsb-d":     0xc07bb2ba5c22db46,
+		"ycsb-f":     0x51fc751305922963,
+		"read-only":  0x2bf51d5e2e2aece9,
+		"write-only": 0x4b270ccbefa183a8,
+	}
+	for _, mix := range []Mix{YCSBA, YCSBB, YCSBC, YCSBD, YCSBF, ReadOnly, WriteOnly} {
+		g := NewGenerator(mix, loaded, ins, 7)
+		h := fnv.New64a()
+		var buf [17]byte
+		for range 10000 {
+			op := g.Next()
+			buf[0] = byte(op.Kind)
+			binary.LittleEndian.PutUint64(buf[1:], op.Key)
+			binary.LittleEndian.PutUint64(buf[9:], uint64(op.ScanLen))
+			h.Write(buf[:])
+		}
+		if got := h.Sum64(); got != want[mix.Name] {
+			t.Errorf("%s: stream hash %#x, want %#x", mix.Name, got, want[mix.Name])
 		}
 	}
 }
@@ -56,8 +77,7 @@ func TestZipfianSkew(t *testing.T) {
 	counts := map[uint64]int{}
 	const n = 100000
 	for i := 0; i < n; i++ {
-		op, _ := g.Next()
-		counts[op.Key]++
+		counts[g.Next().Key]++
 	}
 	// Top key should be requested far more often than the uniform rate.
 	max := 0
@@ -92,7 +112,7 @@ func TestLatestBiasesRecentInserts(t *testing.T) {
 	reads := 0
 	inserted := map[uint64]bool{}
 	for i := 0; i < 20000; i++ {
-		op, _ := g.Next()
+		op := g.Next()
 		switch op.Kind {
 		case OpInsert:
 			inserted[op.Key] = true
@@ -126,22 +146,45 @@ func TestInsertStreamIsPermutation(t *testing.T) {
 	}
 }
 
+// TestScanMix checks the scan share, the length bound (100 by default,
+// ScanLen when set) and that Zipfian scan starts stay unscrambled: the
+// hottest start is the smallest loaded key.
 func TestScanMix(t *testing.T) {
 	loaded := dataset.Generate(dataset.YCSBUniform, 1000, 1)
-	mix := Mix{Name: "scan-heavy", Read: 0.5, Scan: 0.5}
-	g := NewGenerator(mix, loaded, nil, 21)
-	scans := 0
-	for i := 0; i < 10000; i++ {
-		op, _ := g.Next()
-		if op.Kind == OpScan {
-			scans++
-			if op.ScanLen < 1 || op.ScanLen > 100 {
-				t.Fatalf("scan len %d out of range", op.ScanLen)
+	for _, mix := range []Mix{{Name: "scan-heavy", Read: 0.5, Scan: 0.5}, {Name: "short", Read: 0.5, Scan: 0.5, ScanLen: 7, Zipfian: true}} {
+		bound := 100
+		if mix.ScanLen > 0 {
+			bound = mix.ScanLen
+		}
+		g := NewGenerator(mix, loaded, nil, 21)
+		scans, starts := 0, map[uint64]int{}
+		for range 10000 {
+			op := g.Next()
+			if op.Kind == OpScan {
+				scans++
+				starts[op.Key]++
+				if op.ScanLen < 1 || op.ScanLen > bound {
+					t.Fatalf("%s: scan len %d out of [1, %d]", mix.Name, op.ScanLen, bound)
+				}
 			}
 		}
+		if scans < 4500 || scans > 5500 {
+			t.Fatalf("%s: scan fraction off: %d/10000", mix.Name, scans)
+		}
+		if mix.Zipfian && starts[loaded[0]] < scans/10 {
+			t.Fatalf("%s: %d of %d scans start at the smallest key", mix.Name, starts[loaded[0]], scans)
+		}
 	}
-	if scans < 4500 || scans > 5500 {
-		t.Fatalf("scan fraction off: %d/10000", scans)
+}
+
+func TestMixNamed(t *testing.T) {
+	for _, m := range named {
+		if got, err := MixNamed(m.Name); err != nil || got != m {
+			t.Fatalf("MixNamed(%q) = %+v, %v", m.Name, got, err)
+		}
+	}
+	if _, err := MixNamed("pareto"); err == nil || !strings.Contains(err.Error(), "pareto") {
+		t.Fatalf("MixNamed(pareto) = %v, want an error naming it", err)
 	}
 }
 
@@ -163,11 +206,7 @@ func TestInsertExhaustionDegradesToUpdate(t *testing.T) {
 	g := NewGenerator(Mix{Name: "ins", Insert: 1}, loaded, ins, 5)
 	kinds := map[OpKind]int{}
 	for i := 0; i < 100; i++ {
-		op, ok := g.Next()
-		if !ok {
-			t.Fatal("stream ended")
-		}
-		kinds[op.Kind]++
+		kinds[g.Next().Kind]++
 	}
 	if kinds[OpInsert] != 3 {
 		t.Fatalf("inserted %d, want 3", kinds[OpInsert])
