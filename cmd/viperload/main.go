@@ -121,9 +121,8 @@ func main() {
 
 	bad := false
 	for _, r := range rep.Runs {
-		fmt.Fprintf(os.Stderr, "%-14s %8.1f kops  p50 %7s  p99 %7s  lost %d  dup %d",
-			r.Label, r.Kops, time.Duration(r.P50Ns), time.Duration(r.P99Ns),
-			r.Lost, r.Dup)
+		fmt.Fprintf(os.Stderr, "%8.1f kops  p50 %7s  p99 %7s  lost %d  dup %d",
+			r.Kops, time.Duration(r.P50Ns), time.Duration(r.P99Ns), r.Lost, r.Dup)
 		if r.Scans > 0 {
 			fmt.Fprintf(os.Stderr, "  scans %d (entries %d, chunks %d, violations %d)",
 				r.Scans, r.ScanEntries, r.ScanChunks, r.ScanViolations)

@@ -16,19 +16,22 @@ const pmemPkgPath = "learnedpieces/internal/pmem"
 // the device's line accounting) and must never park it in a struct field
 // or package variable (a retained alias turns later "device reads" into
 // free DRAM reads, silently corrupting AccessStats and every figure
-// derived from it).
+// derived from it). The dst a WriteFill hands its fill literal is the
+// write-side borrow: the fill formats through it, but must not park it
+// either, or a later write through it would be a free, unbilled one.
 //
 // The analyzer tracks, per function, the local variables that alias a
-// ReadNoCopy result (including re-slicings) and reports
+// ReadNoCopy result or a fill literal's dst (including re-slicings) and
+// reports
 //
-//   - writes through an alias: v[i] = x, copy(v, ...)
-//   - retention of an alias in a struct field or package-level variable
+//   - writes through a ReadNoCopy alias: v[i] = x, copy(v, ...)
+//   - retention of either alias in a struct field or package-level variable
 //
-// Returning an alias to the caller remains legal — that is the store's
+// Returning a view to the caller remains legal — that is the store's
 // documented "valid until the next mutation, do not modify" contract.
 var PMemDiscipline = &Analyzer{
 	Name: "pmem-discipline",
-	Doc:  "PMem bytes stay behind Region accessors: no writes through, no retention of, zero-copy views",
+	Doc:  "PMem bytes stay behind Region accessors: no writes through zero-copy views, no retention of views or fill buffers",
 	Run: func(pass *Pass) {
 		if pass.Pkg.Pkg.Path() == pmemPkgPath {
 			return
@@ -47,67 +50,19 @@ var PMemDiscipline = &Analyzer{
 
 func checkPMemFunc(pass *Pass, body *ast.BlockStmt) {
 	info := pass.Pkg.Info
-	tracked := make(map[*types.Var]bool)
+	views := &aliasSet{info: info, vars: make(map[*types.Var]bool), root: "ReadNoCopy"}
+	fills := &aliasSet{info: info, vars: fillParams(info, body)}
+	views.collect(body)
+	fills.collect(body)
 
-	// aliases reports whether e evaluates to PMem-backed bytes: a direct
-	// ReadNoCopy call, a tracked local, or a re-slicing of either.
-	var aliases func(e ast.Expr) bool
-	aliases = func(e ast.Expr) bool {
-		switch e := e.(type) {
-		case *ast.CallExpr:
-			return isReadNoCopy(info, e)
-		case *ast.Ident:
-			v, ok := info.Uses[e].(*types.Var)
-			return ok && tracked[v]
-		case *ast.SliceExpr:
-			return aliases(e.X)
-		case *ast.ParenExpr:
-			return aliases(e.X)
+	retained := func(rhs ast.Expr, where string) {
+		switch {
+		case views.contains(rhs):
+			pass.Reportf(rhs.Pos(), "PMem-backed bytes retained in %s; later reads would bypass the Region latency model — copy via Region.Read instead", where)
+		case fills.contains(rhs):
+			pass.Reportf(rhs.Pos(), "WriteFill dst retained in %s; later writes through it would bypass the Region latency model — format only inside the fill", where)
 		}
-		return false
 	}
-
-	// Collect tracked locals to a fixpoint (aliases of aliases converge
-	// in at most a handful of rounds for real code).
-	for changed := true; changed; {
-		changed = false
-		ast.Inspect(body, func(n ast.Node) bool {
-			as, ok := n.(*ast.AssignStmt)
-			if !ok || len(as.Lhs) != len(as.Rhs) {
-				return true
-			}
-			for i, lhs := range as.Lhs {
-				id, ok := lhs.(*ast.Ident)
-				if !ok || !aliases(as.Rhs[i]) {
-					continue
-				}
-				var v *types.Var
-				if def, ok := info.Defs[id].(*types.Var); ok {
-					v = def
-				} else if use, ok := info.Uses[id].(*types.Var); ok {
-					v = use
-				}
-				if v != nil && !tracked[v] {
-					tracked[v] = true
-					changed = true
-				}
-			}
-			return true
-		})
-	}
-
-	// containsAlias reports whether any subexpression aliases the region.
-	containsAlias := func(e ast.Expr) bool {
-		found := false
-		ast.Inspect(e, func(n ast.Node) bool {
-			if expr, ok := n.(ast.Expr); ok && aliases(expr) {
-				found = true
-			}
-			return !found
-		})
-		return found
-	}
-
 	pkgScope := pass.Pkg.Pkg.Scope()
 	ast.Inspect(body, func(n ast.Node) bool {
 		switch n := n.(type) {
@@ -118,22 +73,22 @@ func checkPMemFunc(pass *Pass, body *ast.BlockStmt) {
 			for i, lhs := range n.Lhs {
 				switch lhs := lhs.(type) {
 				case *ast.IndexExpr:
-					if aliases(lhs.X) {
+					if views.aliases(lhs.X) {
 						pass.Reportf(lhs.Pos(), "write through PMem-backed bytes bypasses Region.Write and its latency/line accounting")
 					}
 				case *ast.SelectorExpr:
-					if containsAlias(n.Rhs[i]) && isFieldSelector(info, lhs) {
-						pass.Reportf(n.Rhs[i].Pos(), "PMem-backed bytes retained in a struct field; later reads would bypass the Region latency model — copy via Region.Read instead")
+					if isFieldSelector(info, lhs) {
+						retained(n.Rhs[i], "a struct field")
 					}
 				case *ast.Ident:
-					if obj, ok := info.Uses[lhs].(*types.Var); ok && obj.Parent() == pkgScope && containsAlias(n.Rhs[i]) {
-						pass.Reportf(n.Rhs[i].Pos(), "PMem-backed bytes retained in package variable %s; later reads would bypass the Region latency model — copy via Region.Read instead", lhs.Name)
+					if obj, ok := info.Uses[lhs].(*types.Var); ok && obj.Parent() == pkgScope {
+						retained(n.Rhs[i], "package variable "+lhs.Name)
 					}
 				}
 			}
 		case *ast.CallExpr:
 			if id, ok := n.Fun.(*ast.Ident); ok && len(n.Args) >= 1 {
-				if b, ok := info.Uses[id].(*types.Builtin); ok && b.Name() == "copy" && aliases(n.Args[0]) {
+				if b, ok := info.Uses[id].(*types.Builtin); ok && b.Name() == "copy" && views.aliases(n.Args[0]) {
 					pass.Reportf(n.Args[0].Pos(), "copy into PMem-backed bytes bypasses Region.Write and its latency/line accounting")
 				}
 			}
@@ -142,8 +97,100 @@ func checkPMemFunc(pass *Pass, body *ast.BlockStmt) {
 	})
 }
 
-// isReadNoCopy reports whether call is (*pmem.Region).ReadNoCopy.
-func isReadNoCopy(info *types.Info, call *ast.CallExpr) bool {
+// aliasSet is the local variables of one function body that alias PMem
+// bytes of one kind.
+type aliasSet struct {
+	info *types.Info
+	vars map[*types.Var]bool
+	root string // the pmem method whose result is such bytes; "" for none
+}
+
+// aliases reports whether e evaluates to bytes of the set: a root call,
+// a tracked local, or a re-slicing of either.
+func (a *aliasSet) aliases(e ast.Expr) bool {
+	switch e := e.(type) {
+	case *ast.CallExpr:
+		return a.root != "" && isPMemMethod(a.info, e, a.root)
+	case *ast.Ident:
+		v, ok := a.info.Uses[e].(*types.Var)
+		return ok && a.vars[v]
+	case *ast.SliceExpr:
+		return a.aliases(e.X)
+	case *ast.ParenExpr:
+		return a.aliases(e.X)
+	}
+	return false
+}
+
+// contains reports whether any subexpression of e aliases the set.
+func (a *aliasSet) contains(e ast.Expr) bool {
+	found := false
+	ast.Inspect(e, func(n ast.Node) bool {
+		if expr, ok := n.(ast.Expr); ok && a.aliases(expr) {
+			found = true
+		}
+		return !found
+	})
+	return found
+}
+
+// collect tracks every local assigned an alias, to a fixpoint (aliases of
+// aliases converge in at most a handful of rounds for real code).
+func (a *aliasSet) collect(body *ast.BlockStmt) {
+	for changed := true; changed; {
+		changed = false
+		ast.Inspect(body, func(n ast.Node) bool {
+			as, ok := n.(*ast.AssignStmt)
+			if !ok || len(as.Lhs) != len(as.Rhs) {
+				return true
+			}
+			for i, lhs := range as.Lhs {
+				id, ok := lhs.(*ast.Ident)
+				if !ok || !a.aliases(as.Rhs[i]) {
+					continue
+				}
+				var v *types.Var
+				if def, ok := a.info.Defs[id].(*types.Var); ok {
+					v = def
+				} else if use, ok := a.info.Uses[id].(*types.Var); ok {
+					v = use
+				}
+				if v != nil && !a.vars[v] {
+					a.vars[v] = true
+					changed = true
+				}
+			}
+			return true
+		})
+	}
+}
+
+// fillParams returns the parameters of the function literals body hands
+// (*pmem.Region).WriteFill as its fill.
+func fillParams(info *types.Info, body *ast.BlockStmt) map[*types.Var]bool {
+	params := make(map[*types.Var]bool)
+	ast.Inspect(body, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok || len(call.Args) != 3 || !isPMemMethod(info, call, "WriteFill") {
+			return true
+		}
+		if lit, ok := call.Args[2].(*ast.FuncLit); ok {
+			for _, field := range lit.Type.Params.List {
+				for _, name := range field.Names {
+					if v, ok := info.Defs[name].(*types.Var); ok {
+						params[v] = true
+					}
+				}
+			}
+		}
+		return true
+	})
+	return params
+}
+
+// isPMemMethod reports whether call is a method of the pmem package
+// named name (ReadNoCopy is both Region's and Round's).
+func isPMemMethod(info *types.Info, call *ast.CallExpr, name string) bool {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
 		return false
@@ -153,7 +200,7 @@ func isReadNoCopy(info *types.Info, call *ast.CallExpr) bool {
 		return false
 	}
 	fn, ok := s.Obj().(*types.Func)
-	return ok && fn.Name() == "ReadNoCopy" && fn.Pkg() != nil && fn.Pkg().Path() == pmemPkgPath
+	return ok && fn.Name() == name && fn.Pkg() != nil && fn.Pkg().Path() == pmemPkgPath
 }
 
 // isFieldSelector reports whether sel selects a struct field (as opposed

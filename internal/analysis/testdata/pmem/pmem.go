@@ -1,6 +1,7 @@
 // Package pmem exercises the pmem-discipline analyzer: writing through
-// or retaining a zero-copy Region view is flagged, while borrowing
-// (decode and return) passes.
+// or retaining a zero-copy Region view, or retaining the dst a WriteFill
+// hands its fill, is flagged, while borrowing (decode and return, format
+// inside the fill) passes.
 package pmem
 
 import "learnedpieces/internal/pmem"
@@ -38,4 +39,23 @@ func Copied(r *pmem.Region, c *cache) {
 	r.Read(0, buf)
 	buf[0] = 1
 	c.view = buf
+}
+
+// Fill formats through the dst WriteFill hands it, directly, via copy
+// and through a re-slicing — all legal.
+func Fill(r *pmem.Region) {
+	r.WriteFill(0, 16, func(dst []byte) {
+		dst[0] = 1
+		rec := dst[4:]
+		copy(rec, []byte{1, 2})
+	})
+}
+
+// KeepFill parks a fill's dst beyond its write.
+func KeepFill(r *pmem.Region, c *cache) {
+	r.WriteFill(0, 16, func(dst []byte) {
+		rec := dst[2:]
+		c.view = rec // want "WriteFill dst retained in a struct field"
+		global = dst // want "WriteFill dst retained in package variable global"
+	})
 }

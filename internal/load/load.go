@@ -62,17 +62,16 @@ type Config struct {
 
 // Result is one run's measurement, JSON-shaped for viperload -out.
 type Result struct {
-	Label       string `json:"label"`
-	Clients     int    `json:"clients"`
-	Conns       int    `json:"conns"`
-	Ops         int64  `json:"ops"` // completed; an RMW is one op, one read and one update
-	Reads       int64  `json:"reads"`
-	Updates     int64  `json:"updates"`
-	Inserts     int64  `json:"inserts"`
-	Misses      int64  `json:"misses"`
-	Scans       int64  `json:"scans,omitempty"`
-	ScanEntries int64  `json:"scan_entries,omitempty"`
-	ScanChunks  int64  `json:"scan_chunks,omitempty"` // continuation frames used
+	Clients     int   `json:"clients"`
+	Conns       int   `json:"conns"`
+	Ops         int64 `json:"ops"` // completed; an RMW is one op, one read and one update
+	Reads       int64 `json:"reads"`
+	Updates     int64 `json:"updates"`
+	Inserts     int64 `json:"inserts"`
+	Misses      int64 `json:"misses"`
+	Scans       int64 `json:"scans,omitempty"`
+	ScanEntries int64 `json:"scan_entries,omitempty"`
+	ScanChunks  int64 `json:"scan_chunks,omitempty"` // continuation frames used
 	// ScanViolations counts ranges whose reassembled stream broke the
 	// cursor invariant: a key out of ascending order or duplicated
 	// across chunk boundaries. Must be zero.

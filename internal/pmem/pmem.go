@@ -69,8 +69,8 @@ const blockSize = 256
 // block are free, as on real Optane).
 //
 // Concurrency: Alloc, Free, FreeChunks, Snapshot and Restore are fully
-// synchronized. Read, ReadNoCopy, Prefetch, Write, WriteGather, WriteFill
-// and Flush are safe to call concurrently as long as no write overlaps a
+// synchronized. Read, ReadNoCopy, Prefetch, Write, WriteFill and Flush
+// are safe to call concurrently as long as no write overlaps a
 // concurrent read of the same bytes (a ReadNoCopy view only reads what
 // its holder dereferences; a prefetch, Prefetch's or a stalled read's
 // own, is a cache hint that reads nothing, so it overlaps no write) — the
@@ -357,28 +357,20 @@ func (r *Region) Prefetch(off int64) { prefetch.Slice(r.data[off : off+1]) }
 // Write stores data at off, paying write latency.
 //
 //pieces:hotpath
-func (r *Region) Write(off int64, data []byte) { r.WriteGather(off, data, nil) }
-
-// WriteGather stores head immediately followed by tail at off as one
-// device access: one write, charged exactly as a single Write of the
-// concatenation, without the caller staging the two parts into one
-// buffer first.
-//
-//pieces:hotpath
-func (r *Region) WriteGather(off int64, head, tail []byte) {
+func (r *Region) Write(off int64, data []byte) {
 	r.writes.Add(1)
-	deadline := r.charge(off, len(head)+len(tail), r.lat.WriteNs, true, nil)
-	n := copy(r.data[off:], head)
-	copy(r.data[off+int64(n):], tail)
+	deadline := r.charge(off, len(data), r.lat.WriteNs, true, nil)
+	copy(r.data[off:], data)
 	spinUntil(deadline)
 }
 
 // WriteFill is one device write of the n bytes at off whose content fill
 // formats in place: charged exactly as a Write of n bytes, with fill run
 // inside the write's stall, so a caller that would otherwise build the
-// bytes in a DRAM image first (a bulk path's page) neither stages nor
-// copies them. fill is handed the n bytes, zeroed or as last written,
-// and must not keep them.
+// bytes in a DRAM image first (a record, a page of records) neither
+// stages nor copies them. fill is handed the n bytes, zeroed or as last
+// written, and must not keep them (pieceslint's pmem-discipline rejects
+// a fill literal that parks them in a field or package variable).
 func (r *Region) WriteFill(off int64, n int, fill func(dst []byte)) {
 	r.writes.Add(1)
 	deadline := r.charge(off, n, r.lat.WriteNs, true, nil)

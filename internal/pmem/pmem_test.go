@@ -170,7 +170,13 @@ func TestEmptyAccessTouchesNoBlock(t *testing.T) {
 			}
 		}},
 		{"Write", true, func(r *Region, off int64) { r.Write(off, nil) }},
-		{"WriteGather", true, func(r *Region, off int64) { r.WriteGather(off, nil, []byte{}) }},
+		{"WriteFill", true, func(r *Region, off int64) {
+			r.WriteFill(off, 0, func(dst []byte) {
+				if len(dst) != 0 {
+					t.Fatalf("WriteFill(%d, 0) handed %d bytes", off, len(dst))
+				}
+			})
+		}},
 	}
 	for _, op := range ops {
 		for _, off := range []int64{0, 100, blockSize, size} {
@@ -260,7 +266,7 @@ func TestRoundPaysItsStall(t *testing.T) {
 	for _, access := range []func(){
 		func() { r.ReadNoCopy(6000, 600) },
 		func() { r.Read(200, make([]byte, 300)) },
-		func() { r.WriteGather(3000, make([]byte, 13), make([]byte, 700)) },
+		func() { r.WriteFill(3000, 713, func(dst []byte) { dst[0] = 1 }) },
 	} {
 		before := r.AccessStats()
 		start := time.Now()
@@ -319,8 +325,8 @@ func TestRoundResume(t *testing.T) {
 // BenchmarkCold prices a store's record access without the store, at a
 // random offset of a 64 MiB region under Optane latency. Read is a Get's
 // read: a 213-byte ReadNoCopy, then a touch of the flags byte, the first
-// one readRecord parses. Write is a Put's write: a 13-byte header gathered
-// with a 200-byte value. host-ns/op is what the access costs beyond the
+// one readRecord parses. Write is a Put's write: a 13-byte header and a
+// 200-byte value formatted into one WriteFill. host-ns/op is what the access costs beyond the
 // stall it is billed (ns/op − stall/op): spin's clock reads, the write's
 // copy, and whatever part of the host's cache and TLB misses on the
 // backing bytes the stall did not already cover (no prefetch overlaps
@@ -354,7 +360,7 @@ func BenchmarkCold(b *testing.B) {
 	})
 	b.Run("Write", func(b *testing.B) {
 		run(b, func(s AccessStats) int64 { return s.WriteStallNs }, func(off uint64) {
-			r.WriteGather(int64(off), head, tail)
+			r.WriteFill(int64(off), hdr+val, func(dst []byte) { copy(dst[copy(dst, head):], tail) })
 		})
 	})
 	coldReadSink = sink
@@ -477,14 +483,15 @@ func TestConcurrentDisjointAccess(t *testing.T) {
 	}
 }
 
-// TestWriteGatherMatchesWrite: a gather write is one device write that
-// charges the lines and stall of, and leaves the same bytes as, a single
-// Write of the concatenation — including the block-buffer hit when
+// TestWriteFillMatchesWrite: a fill write is one device write that
+// charges the lines and stall of, and leaves the same bytes as, a Write
+// of the bytes its fill formats — here a record's header and value, laid
+// into the dst it is handed — including the block-buffer hit when
 // consecutive writes stay inside one block.
-func TestWriteGatherMatchesWrite(t *testing.T) {
+func TestWriteFillMatchesWrite(t *testing.T) {
 	lat := LatencyModel{ReadNs: 3, WriteNs: 7}
 	whole := NewRegion(1<<12, lat)
-	gather := NewRegion(1<<12, lat)
+	fill := NewRegion(1<<12, lat)
 	payload := make([]byte, 700)
 	for i := range payload {
 		payload[i] = byte(i*7 + 1)
@@ -505,10 +512,15 @@ func TestWriteGatherMatchesWrite(t *testing.T) {
 		{2048, 4, 4, 1, false},
 	}
 	for _, c := range cases {
-		before := gather.AccessStats()
+		before := fill.AccessStats()
 		whole.Write(c.off, payload[:c.head+c.tail])
-		gather.WriteGather(c.off, payload[:c.head], payload[c.head:c.head+c.tail])
-		got := gather.AccessStats()
+		fill.WriteFill(c.off, c.head+c.tail, func(dst []byte) {
+			if len(dst) != c.head+c.tail {
+				t.Fatalf("off %d: fill handed %d bytes, want %d", c.off, len(dst), c.head+c.tail)
+			}
+			copy(dst[copy(dst, payload[:c.head]):], payload[c.head:c.head+c.tail])
+		})
+		got := fill.AccessStats()
 		want := before
 		want.Writes++
 		want.LineWrites += c.lines
@@ -519,10 +531,10 @@ func TestWriteGatherMatchesWrite(t *testing.T) {
 			t.Fatalf("off %d head %d tail %d: charged %+v, want %+v", c.off, c.head, c.tail, got, want)
 		}
 		if w := whole.AccessStats(); w != got {
-			t.Fatalf("off %d: Write charged %+v, WriteGather %+v", c.off, w, got)
+			t.Fatalf("off %d: Write charged %+v, WriteFill %+v", c.off, w, got)
 		}
 	}
-	if !bytes.Equal(whole.Snapshot(), gather.Snapshot()) {
-		t.Fatal("gather writes left different bytes than contiguous writes")
+	if !bytes.Equal(whole.Snapshot(), fill.Snapshot()) {
+		t.Fatal("fill writes left different bytes than Writes")
 	}
 }

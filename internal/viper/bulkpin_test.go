@@ -16,11 +16,14 @@ import (
 
 // bulkPin is what the bulk paths leave behind for one fixed load: the
 // FNV-64 of the region's allocated bytes and the region's full device
-// bill after BulkPut and after Compact, and the FNV-64 of the (key,
+// bill after BulkPut and after Compact, the FNV-64 of the allocated
+// bytes once the Puts and Deletes behind the load are logged (the exact
+// records and tombstones they append), and the FNV-64 of the (key,
 // offset) pairs Recover bulk-loads.
 type bulkPin struct {
 	bulk, compact           uint64
 	bulkStats, compactStats pmem.AccessStats
+	logged                  uint64
 	recovered               uint64
 }
 
@@ -84,6 +87,8 @@ func runBulkPin(t *testing.T, valueSize int, longValue []byte) bulkPin {
 		t.Fatal(err)
 	}
 
+	pin.logged = allocatedHash(region)
+
 	rec := &loadRecorder{Index: btree.New(), h: fnv.New64()}
 	s.DropIndex(btree.New())
 	if err := s.Recover(rec); err != nil {
@@ -107,9 +112,9 @@ func runBulkPin(t *testing.T, valueSize int, longValue []byte) bulkPin {
 }
 
 // TestBulkPathsPinned pins the bytes and the device bill of BulkPut and
-// Compact and the pairs Recover rebuilds, at the default value size and
-// at a 64-byte nominal size whose one 300-byte value costs its reads a
-// second access.
+// Compact, the bytes the Puts and Deletes log and the pairs Recover
+// rebuilds, at the default value size and at a 64-byte nominal size whose
+// one 300-byte value costs its reads a second access.
 func TestBulkPathsPinned(t *testing.T) {
 	for _, c := range []struct {
 		name      string
@@ -119,12 +124,14 @@ func TestBulkPathsPinned(t *testing.T) {
 	}{
 		{"default", 0, bytes.Repeat([]byte("L"), 240), bulkPin{
 			bulk: 0xfdffcee525e745e2, compact: 0x8b548ad7008e5b47, recovered: 0x9df8ee19214bd3d0,
+			logged:    0xeaaff0d50a1fcd4d,
 			bulkStats: pmem.AccessStats{Writes: 2, Flushes: 2, LineWrites: 4993, WriteStallNs: 449370},
 			compactStats: pmem.AccessStats{Reads: 6006, Writes: 1956, Flushes: 1956, LineReads: 27356,
 				LineWrites: 11312, ReadStallNs: 4549880, WriteStallNs: 866610},
 		}},
 		{"value64", 64, bytes.Repeat([]byte("L"), 300), bulkPin{
 			bulk: 0x2ffabda1ff94b752, compact: 0x82f928e03d71b99d, recovered: 0x0efab5adc1187c07,
+			logged:    0xa2644ab6abc07bf6,
 			bulkStats: pmem.AccessStats{Writes: 1, Flushes: 1, LineWrites: 1805, WriteStallNs: 162450},
 			compactStats: pmem.AccessStats{Reads: 6267, Writes: 1954, Flushes: 1954, LineReads: 16308,
 				LineWrites: 5648, ReadStallNs: 2325770, WriteStallNs: 356760},

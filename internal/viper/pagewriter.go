@@ -1,21 +1,17 @@
 package viper
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"learnedpieces/internal/pmem"
 )
 
-// pageWriter is the write site of the bulk paths (BulkPut, Compact's
-// copy): it gathers a page's worth of records and hands the device the
-// page's filled prefix as one write and one flush, charged the lines a
-// sequential write covers, where appendRecord pays a write, a flush and
-// its straddled block per record. The write is charged first and the
-// records are formatted straight into the page inside its stall
-// (Region.WriteFill), so no DRAM image of the page is built or copied.
-// Pages come zeroed from the allocator, so the terminator behind the
-// prefix is already there.
+// pageWriter gathers the records of the bulk paths (BulkPut, Compact's
+// copy) from its private page source and writes each page's filled
+// prefix as one span (writeSpan): one write and one flush, charged the
+// lines a sequential write covers, where a Put pays a write, a flush and
+// its straddled block per record. Pages come zeroed from the allocator,
+// so the terminator behind the prefix is already there.
 //
 // A gathered value is held until its page is written: Compact's are
 // views of the source records, already read and paid for, which nothing
@@ -53,28 +49,13 @@ func (w *pageWriter) append(key uint64, value []byte) (uint64, error) {
 	return uint64(w.pages[len(w.pages)-1]) + uint64(w.used-n), nil
 }
 
-// commit is the gathered records' one device write and one flush.
+// commit writes the gathered records as the page's one span.
 func (w *pageWriter) commit() {
 	if len(w.keys) == 0 {
 		return
 	}
-	page := w.pages[len(w.pages)-1]
-	w.region.WriteFill(page, w.used, w.format)
-	w.region.Flush(page, w.used)
+	writeSpan(w.region, w.pages[len(w.pages)-1], w.used, w.keys, w.vals)
 	w.keys, w.vals = w.keys[:0], w.vals[:0]
-}
-
-// format lays the gathered records out back to back in dst.
-func (w *pageWriter) format(dst []byte) {
-	pos := 0
-	for i, key := range w.keys {
-		rec := dst[pos : pos+recordHeader+len(w.vals[i])]
-		binary.LittleEndian.PutUint64(rec[0:8], key)
-		binary.LittleEndian.PutUint32(rec[8:12], uint32(len(w.vals[i])))
-		rec[12] = 0
-		copy(rec[recordHeader:], w.vals[i])
-		pos += len(rec)
-	}
 }
 
 // allocPage reserves one fresh page.

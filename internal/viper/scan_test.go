@@ -61,7 +61,7 @@ func TestScanLimitIgnoresTombstones(t *testing.T) {
 				live = append(live, k)
 			}
 			for k := uint64(1); k < 100; k += 2 {
-				off, err := s.appendRecord(k, nil, flagDeleted)
+				off, err := s.appendRecord(k, nil)
 				if err != nil {
 					t.Fatal(err)
 				}

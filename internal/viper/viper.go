@@ -329,35 +329,60 @@ func (s *Store) claim(n int) (int64, error) {
 		// Roll over under the lock; only one writer allocates.
 		s.mu.Lock()
 		if s.cur.Load() == p {
-			off, err := s.region.Alloc(PageSize)
+			off, err := s.allocPage()
 			if err != nil {
 				s.mu.Unlock()
-				return 0, fmt.Errorf("%w: %w", ErrFull, err)
+				return 0, err
 			}
-			np := &page{off: off}
 			s.pages = append(s.pages, off)
-			s.cur.Store(np)
-			s.met.PageRollover()
+			s.cur.Store(&page{off: off})
 		}
 		s.mu.Unlock()
 	}
 }
 
-// appendRecord writes one record — header and value in a single device
-// write, then the record's flush — and returns its offset.
-func (s *Store) appendRecord(key uint64, value []byte, flags byte) (int64, error) {
+// appendRecord writes one record, a span of one, into a slot claimed
+// from the current page and returns its offset; an empty value is a
+// tombstone.
+func (s *Store) appendRecord(key uint64, value []byte) (int64, error) {
 	n := recordHeader + len(value)
 	off, err := s.claim(n)
 	if err != nil {
 		return 0, err
 	}
-	var hdr [recordHeader]byte
-	binary.LittleEndian.PutUint64(hdr[0:8], key)
-	binary.LittleEndian.PutUint32(hdr[8:12], uint32(len(value)))
-	hdr[12] = flags
-	s.region.WriteGather(off, hdr[:], value)
-	s.region.Flush(off, n)
+	writeSpan(s.region, off, n, []uint64{key}, [][]byte{value})
 	return off, nil
+}
+
+// writeSpan is the store's one log write. It lays the records of keys
+// and vals out back to back in the n reserved bytes at off — each a
+// header (key, value length, flags) and its value, an empty value
+// encoded as a tombstone — formatting them in place inside one device
+// write's stall (Region.WriteFill), then issues the span's one flush. A
+// Put or Delete writes a span of one record in the shared current page;
+// BulkPut and Compact write a page's worth of records (pageWriter).
+func writeSpan(region *pmem.Region, off int64, n int, keys []uint64, vals [][]byte) {
+	region.WriteFill(off, n, func(dst []byte) {
+		for i, key := range keys {
+			binary.LittleEndian.PutUint64(dst[0:8], key)
+			binary.LittleEndian.PutUint32(dst[8:12], uint32(len(vals[i])))
+			dst[12] = 0
+			if len(vals[i]) == 0 {
+				dst[12] = flagDeleted
+			}
+			dst = dst[recordHeader+copy(dst[recordHeader:], vals[i]):]
+		}
+	})
+	region.Flush(off, n)
+}
+
+// header decodes the record header at the front of b, which holds at
+// least recordHeader bytes: the record's key, its value length and its
+// flags.
+//
+//pieces:hotpath
+func header(b []byte) (key uint64, vlen uint32, flags byte) {
+	return binary.LittleEndian.Uint64(b[0:8]), binary.LittleEndian.Uint32(b[8:12]), b[12]
 }
 
 // readRecord is the one point read of a record, shared by Get, MultiGet,
@@ -381,10 +406,11 @@ func (s *Store) readRecord(rd *pmem.Round, off int64) (val []byte, live bool) {
 		n = rest
 	}
 	rec := rd.ReadNoCopy(s.region, off, n)
-	if rec[12]&flagDeleted != 0 {
+	_, vlen, flags := header(rec)
+	if flags&flagDeleted != 0 {
 		return nil, false
 	}
-	end := recordHeader + int(binary.LittleEndian.Uint32(rec[8:12]))
+	end := recordHeader + int(vlen)
 	if end > len(rec) {
 		return rd.ReadNoCopy(s.region, off+recordHeader, end-recordHeader), true
 	}
@@ -411,7 +437,7 @@ func (s *Store) Put(key uint64, value []byte) error {
 		return fmt.Errorf("%w: index %s is read-only: %w", ErrUnsupported, v.idx.Name(), index.ErrReadOnly)
 	}
 	sp := s.met.StartPut(stripe(key))
-	off, err := s.appendRecord(key, value, 0)
+	off, err := s.appendRecord(key, value)
 	if err != nil {
 		sp.Done()
 		return err
@@ -605,7 +631,7 @@ func (s *Store) Delete(key uint64) (bool, error) {
 	if _, ok := v.idx.Get(key); !ok {
 		return false, nil
 	}
-	if _, err := s.appendRecord(key, nil, flagDeleted); err != nil {
+	if _, err := s.appendRecord(key, nil); err != nil {
 		return false, err
 	}
 	s.met.Tombstone()
@@ -719,12 +745,12 @@ func (s *Store) readSpans(rd *pmem.Round, offs []uint64, ord []int, vals [][]byt
 			i := ord[j]
 			rel := offs[i] - first
 			if hdrEnd := rel + recordHeader; hdrEnd <= uint64(len(span)) {
-				if span[rel+12]&flagDeleted != 0 {
+				_, vlen, flags := header(span[rel:])
+				if flags&flagDeleted != 0 {
 					vals[i] = nil
 					continue
 				}
-				vlen := uint64(binary.LittleEndian.Uint32(span[rel+8 : rel+12]))
-				if end := hdrEnd + vlen; end <= uint64(len(span)) {
+				if end := hdrEnd + uint64(vlen); end <= uint64(len(span)) {
 					vals[i] = span[hdrEnd:end]
 					continue
 				}
@@ -1007,9 +1033,7 @@ func (s *Store) scanLive(pages []int64) (keys, offs []uint64) {
 		for p := lo; p < hi; p++ {
 			buf := s.region.ReadNoCopy(pages[p], PageSize)
 			for pos := 0; pos+recordHeader <= PageSize; {
-				key := binary.LittleEndian.Uint64(buf[pos : pos+8])
-				vlen := binary.LittleEndian.Uint32(buf[pos+8 : pos+12])
-				flags := buf[pos+12]
+				key, vlen, flags := header(buf[pos:])
 				if key == 0 && vlen == 0 && flags == 0 {
 					break // end of page
 				}
