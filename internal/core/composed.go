@@ -103,21 +103,12 @@ func (s BufferInsert) Insert(l *Leaf, key, value uint64, _ bool) (bool, bool) {
 
 // GapInsert is ALEX's model-based in-place gap insertion; the reserved
 // space is the gaps the approximation algorithm itself created, so the
-// user cannot size it directly (§IV-D).
-type GapInsert struct {
-	// UpperDensity triggers retraining; <= 0 picks 0.8.
-	UpperDensity float64
-}
+// user cannot size it directly (§IV-D). A leaf is due for a retrain once
+// an insert fills it to pla.ExpandDensity.
+type GapInsert struct{}
 
 // Name implements InsertStrategy.
 func (s GapInsert) Name() string { return "alex-gap" }
-
-func (s GapInsert) upper() float64 {
-	if s.UpperDensity <= 0 || s.UpperDensity > 1 {
-		return 0.8
-	}
-	return s.UpperDensity
-}
 
 // Prepare implements InsertStrategy.
 func (s GapInsert) Prepare(l *Leaf) {
@@ -127,7 +118,7 @@ func (s GapInsert) Prepare(l *Leaf) {
 	// Packed leaf composed with gap insertion: re-lay it out gapped. This
 	// is exactly the recombination the paper proposes (§V-B1: ATS or LRS
 	// plus LSA-gap).
-	regap(l, 0.7)
+	regap(l)
 }
 
 // Insert implements InsertStrategy: ALEX's model-based gap insertion
@@ -144,7 +135,7 @@ func (s GapInsert) Insert(l *Leaf, key, value uint64, _ bool) (bool, bool) {
 	if e := gapErr(&g, key); e > l.MaxErr {
 		l.MaxErr = e
 	}
-	return true, float64(l.NumKeys)/float64(len(l.Keys)) >= s.upper()
+	return true, float64(l.NumKeys)/float64(len(l.Keys)) >= pla.ExpandDensity
 }
 
 func gapErr(g *pla.GappedNode, key uint64) int {
@@ -159,11 +150,12 @@ func gapErr(g *pla.GappedNode, key uint64) int {
 	return e
 }
 
-// regap converts a leaf's live entries into a gapped layout.
-func regap(l *Leaf, density float64) {
+// regap converts a leaf's live entries into a gapped layout built at
+// pla.BuildDensity.
+func regap(l *Leaf) {
 	r := l.snapshot()
 	l.Buf = delta.Run{}
-	l.setGapped(pla.BuildLSAGap(r.Keys, r.Vals, density))
+	l.setGapped(pla.BuildLSAGap(r.Keys, r.Vals, pla.BuildDensity))
 }
 
 // A RetrainPolicy is the retraining dimension (§IV-E): how an over-full
@@ -212,10 +204,10 @@ func (p ExpandOrSplit) Retrain(a Approximator, keys, vals []uint64) []*Leaf {
 }
 
 func gappedWhole(keys, vals []uint64) []*Leaf {
-	// Expanded nodes are rebuilt at ALEX's lower density bound (0.6) so
-	// each retrain buys several times its cost in future gap inserts.
+	// Expanded nodes are rebuilt at ALEX's lower density bound so each
+	// retrain buys several times its cost in future gap inserts.
 	l := new(Leaf)
-	l.setGapped(pla.BuildLSAGap(keys, vals, 0.6))
+	l.setGapped(pla.BuildLSAGap(keys, vals, pla.RebuildDensity))
 	return []*Leaf{l}
 }
 

@@ -103,12 +103,18 @@ func TestStructureLocateFloor(t *testing.T) {
 // segment length.
 func TestApproximatorTradeoffs(t *testing.T) {
 	// LSA-gap beats LSA at equal segment length on the paper's YCSB keys
-	// (gaps reshape locally near-linear runs almost perfectly).
-	ycsb := dataset.Generate(dataset.YCSBNormal, 50000, 19)
-	lsaY := LeafMetrics(LSA{SegLen: 256}.Build(ycsb, nil))
-	gapY := LeafMetrics(LSAGap{SegLen: 256}.Build(ycsb, nil))
-	if gapY.AvgErr >= lsaY.AvgErr {
-		t.Fatalf("lsa-gap avg err %.2f not below lsa %.2f", gapY.AvgErr, lsaY.AvgErr)
+	// (gaps reshape locally near-linear runs almost perfectly), at short
+	// leaves and at the long ones of the §IV-A sweep.
+	for _, c := range []struct {
+		n, segLen int
+		seed      int64
+	}{{50000, 256, 19}, {20000, 2048, 42}} {
+		ycsb := dataset.Generate(dataset.YCSBNormal, c.n, c.seed)
+		lsaY := LeafMetrics(LSA{SegLen: c.segLen}.Build(ycsb, nil))
+		gapY := LeafMetrics(LSAGap{SegLen: c.segLen}.Build(ycsb, nil))
+		if gapY.AvgErr >= lsaY.AvgErr {
+			t.Fatalf("%d keys, %d a leaf: lsa-gap avg err %.2f not below lsa %.2f", c.n, c.segLen, gapY.AvgErr, lsaY.AvgErr)
+		}
 	}
 	// Opt-PLA guarantees a maximum error; Fig 17(b) compares leaf counts
 	// at equal (max) error, where the separation is large on complex CDFs:
@@ -192,7 +198,7 @@ func TestGapInsertStrategyKeepsOrder(t *testing.T) {
 			if !retrain {
 				t.Fatal("insert failed without asking for retrain")
 			}
-			regap(l, 0.7)
+			regap(l)
 			if ok2, _ := st.Insert(l, k, k, false); !ok2 {
 				t.Fatal("insert failed after regap")
 			}

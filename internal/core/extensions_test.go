@@ -83,6 +83,23 @@ func TestHotATSWithoutWeightsMatchesATS(t *testing.T) {
 			t.Fatalf("divergence at %d", i)
 		}
 	}
+	// Composed over each, the two indexes differ in name only.
+	hotIx := Compose(LSAGap{SegLen: 64}, NewHotATS(16, 64), GapInsert{}, ExpandOrSplit{})
+	plainIx := Compose(LSAGap{SegLen: 64}, NewATS(16, 64), GapInsert{}, ExpandOrSplit{})
+	for _, c := range []*Composed{hotIx, plainIx} {
+		if err := c.BulkLoad(firsts, firsts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := hotIx.Name(); got != "hot-ats+lsa-gap+alex-gap+expand-split" {
+		t.Fatalf("Name() = %q", got)
+	}
+	if hotIx.AvgDepth() != plainIx.AvgDepth() || hotIx.AvgDepth() < 1 {
+		t.Fatalf("depth %.3f over hot-ats, %.3f over ats", hotIx.AvgDepth(), plainIx.AvgDepth())
+	}
+	if hotIx.Sizes() != plainIx.Sizes() {
+		t.Fatalf("sizes %+v over hot-ats, %+v over ats", hotIx.Sizes(), plainIx.Sizes())
+	}
 }
 
 func TestAppendInsertConformance(t *testing.T) {
@@ -117,6 +134,9 @@ func TestAppendInsertSequentialEfficiency(t *testing.T) {
 				t.Fatalf("%s: get(%d) = %d,%v", c.Name(), seq[i], v, ok)
 			}
 		}
+	}
+	if got := app.Name(); got != "btree+opt-pla+append-hybrid+retrain-node" {
+		t.Fatalf("Name() = %q", got)
 	}
 	ar, _ := app.RetrainStats()
 	br, _ := buf.RetrainStats()

@@ -11,7 +11,6 @@ import (
 	"learnedpieces/internal/index"
 	"learnedpieces/internal/indextest"
 	"learnedpieces/internal/retrain"
-	"learnedpieces/internal/workload"
 )
 
 // The FITing-tree presets (registry "fiting-inp" and "fiting-buf") are
@@ -284,7 +283,7 @@ func TestDrainConverges(t *testing.T) {
 			inserts = append(inserts, k)
 		}
 	}
-	ops := workload.InsertStream(inserts, 44)
+	inserts = dataset.Shuffled(inserts, 44)
 	for _, ins := range []InsertStrategy{Inplace{Reserve: reserve}, BufferInsert{Size: reserve}} {
 		for _, workers := range []int{0, 1, 4} {
 			c := fitingCell(eps, ins)
@@ -296,8 +295,8 @@ func TestDrainConverges(t *testing.T) {
 			if err := c.BulkLoad(load, load); err != nil {
 				t.Fatal(err)
 			}
-			for _, op := range ops {
-				if err := c.Insert(op.Key, op.Key); err != nil {
+			for _, k := range inserts {
+				if err := c.Insert(k, k); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -213,12 +213,10 @@ func (a Greedy) Build(keys, vals []uint64) []*Leaf {
 
 // LSAGap is least squares with gaps (ALEX): it actively reshapes the
 // stored distribution by placing keys at model-predicted slots of an
-// under-filled array.
+// under-filled array, filled to pla.BuildDensity.
 type LSAGap struct {
 	// SegLen is the keys-per-leaf; <= 0 picks 256.
 	SegLen int
-	// Density is the fill factor; <= 0 picks 0.7.
-	Density float64
 }
 
 // Name implements Approximator.
@@ -229,10 +227,6 @@ func (a LSAGap) Build(keys, vals []uint64) []*Leaf {
 	segLen := a.SegLen
 	if segLen <= 0 {
 		segLen = 256
-	}
-	density := a.Density
-	if density <= 0 || density > 1 {
-		density = 0.7
 	}
 	var leaves []*Leaf
 	for start := 0; start < len(keys); start += segLen {
@@ -245,7 +239,7 @@ func (a LSAGap) Build(keys, vals []uint64) []*Leaf {
 			vs = vals[start:end]
 		}
 		l := new(Leaf)
-		l.setGapped(pla.BuildLSAGap(keys[start:end], vs, density))
+		l.setGapped(pla.BuildLSAGap(keys[start:end], vs, pla.BuildDensity))
 		leaves = append(leaves, l)
 	}
 	if leaves == nil {

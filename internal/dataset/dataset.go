@@ -291,29 +291,3 @@ func Split(keys []uint64, insertN int) (load, inserts []uint64) {
 	}
 	return load, inserts
 }
-
-// CDF returns the empirical cumulative distribution of sorted keys at
-// sample points: pairs (key, rank/n). Used in docs/analysis only.
-func CDF(keys []uint64, samples int) (xs []uint64, ys []float64) {
-	if samples <= 0 || len(keys) == 0 {
-		return nil, nil
-	}
-	if samples > len(keys) {
-		samples = len(keys)
-	}
-	xs = make([]uint64, samples)
-	ys = make([]float64, samples)
-	for i := 0; i < samples; i++ {
-		idx := i * (len(keys) - 1) / (samples - 1 + boolToInt(samples == 1))
-		xs[i] = keys[idx]
-		ys[i] = float64(idx) / float64(len(keys)-1+boolToInt(len(keys) == 1))
-	}
-	return xs, ys
-}
-
-func boolToInt(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
-}

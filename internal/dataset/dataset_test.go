@@ -183,22 +183,6 @@ func TestSplit(t *testing.T) {
 	}
 }
 
-func TestCDF(t *testing.T) {
-	keys := Generate(Sequential, 100, 0)
-	xs, ys := CDF(keys, 11)
-	if len(xs) != 11 || len(ys) != 11 {
-		t.Fatalf("got %d samples, want 11", len(xs))
-	}
-	if ys[0] != 0 || ys[len(ys)-1] != 1 {
-		t.Fatalf("CDF endpoints = %f,%f, want 0,1", ys[0], ys[len(ys)-1])
-	}
-	for i := 1; i < len(ys); i++ {
-		if ys[i] < ys[i-1] || xs[i] < xs[i-1] {
-			t.Fatal("CDF not monotone")
-		}
-	}
-}
-
 // TestGeneratePinned pins every kind's keys at 200k, the size the paper
 // tables run at: a change to the generators or to the sort under
 // SortedUnique that moves one key fails here, not only in the

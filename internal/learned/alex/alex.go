@@ -31,14 +31,12 @@ import (
 	"learnedpieces/internal/retrain"
 )
 
-// Config controls node sizing and densities.
+// Config controls node sizing. Data nodes are built, expanded and rebuilt
+// at ALEX's density bounds (pla.BuildDensity, pla.ExpandDensity,
+// pla.RebuildDensity).
 type Config struct {
-	// MaxLeafKeys is the split threshold for data nodes; <= 0 picks 1024.
+	// MaxLeafKeys is the split threshold for data nodes; <= 0 picks 4096.
 	MaxLeafKeys int
-	// Density is the target occupancy after (re)build; <= 0 picks 0.7.
-	Density float64
-	// UpperDensity triggers expansion/split; <= 0 picks 0.8.
-	UpperDensity float64
 	// MaxFanout bounds inner-node children; <= 0 picks 256.
 	MaxFanout int
 }
@@ -49,12 +47,6 @@ func DefaultConfig() Config { return Config{} }
 func (c *Config) normalize() {
 	if c.MaxLeafKeys <= 0 {
 		c.MaxLeafKeys = 4096
-	}
-	if c.Density <= 0 || c.Density > 1 {
-		c.Density = 0.7
-	}
-	if c.UpperDensity <= c.Density || c.UpperDensity > 1 {
-		c.UpperDensity = 0.8
 	}
 	if c.MaxFanout <= 0 {
 		c.MaxFanout = 256
@@ -145,7 +137,7 @@ func leftmost(n interface{}) *dataNode {
 }
 
 func (ix *Index) newDataNode(keys, vals []uint64) *dataNode {
-	return &dataNode{g: pla.BuildLSAGap(keys, vals, ix.cfg.Density)}
+	return &dataNode{g: pla.BuildLSAGap(keys, vals, pla.BuildDensity)}
 }
 
 // BulkLoad builds the asymmetric tree over sorted distinct keys.
@@ -328,7 +320,7 @@ func (ix *Index) InsertReplace(key, value uint64) (bool, error) {
 	for {
 		d, parent := ix.descendParent(key)
 		if d.g.Capacity() == 0 {
-			*d.g = *pla.BuildLSAGap([]uint64{key}, []uint64{value}, ix.cfg.Density)
+			*d.g = *pla.BuildLSAGap([]uint64{key}, []uint64{value}, pla.BuildDensity)
 			ix.length++
 			return false, nil
 		}
@@ -343,7 +335,7 @@ func (ix *Index) InsertReplace(key, value uint64) (bool, error) {
 		ix.aside.Log(d, key, value, false)
 		if !existed {
 			ix.length++
-			if float64(d.g.NumKeys)/float64(d.g.Capacity()) >= ix.cfg.UpperDensity {
+			if float64(d.g.NumKeys)/float64(d.g.Capacity()) >= pla.ExpandDensity {
 				ix.maybeRetrain(d, parent)
 			}
 		}
@@ -366,13 +358,13 @@ func (ix *Index) maybeRetrain(d *dataNode, parent parentSlot) {
 }
 
 // expand builds a data node's replacement from a snapshot of its live
-// entries (snapshotNode) at ALEX's lower density bound, 0.6, with a fresh
-// model, buying UpperDensity-0.6 of the capacity in future gap inserts.
+// entries (snapshotNode) at ALEX's lower density bound, pla.RebuildDensity,
+// with a fresh model.
 // It is the one expand: the pool task, the on-the-spot expand of a full
 // node and the expand on replay all run it.
 func (ix *Index) expand(keys, vals []uint64) *pla.GappedNode {
 	ix.expands.Add(1)
-	return pla.BuildLSAGap(keys, vals, 0.6)
+	return pla.BuildLSAGap(keys, vals, pla.RebuildDensity)
 }
 
 // install swaps a finished expand in for d and replays the writes d took
@@ -385,7 +377,7 @@ func (ix *Index) install(d *dataNode, g *pla.GappedNode, log []retrain.Op) {
 }
 
 // replay applies one op-logged write to a freshly installed array. The
-// array was built at 0.6 density from a snapshot taken moments ago, so
+// array was built at pla.RebuildDensity from a snapshot taken moments ago, so
 // finding it full is rare; when it happens the node is expanded on the
 // spot first (oversized nodes are split by the next foreground trigger).
 // The foreground already counted this write's work on the array it

@@ -128,6 +128,10 @@ func TestRootDataNodeSplit(t *testing.T) {
 	if _, isData := ix.root.(*dataNode); isData {
 		t.Fatal("root never split into a tree")
 	}
+	// Split nodes hold at most about MaxLeafKeys keys each.
+	if n := ix.LeafCount(); n < len(keys)/(2*64) {
+		t.Fatalf("%d data nodes for %d keys at 64 a node", n, len(keys))
+	}
 	for _, k := range keys {
 		if _, ok := ix.Get(k); !ok {
 			t.Fatalf("key %d lost across root split", k)

@@ -52,8 +52,8 @@ func TestRecoveryFromHeadersOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 	readsAfter := region.AccessStats().Reads
-	if rec.Len() != wantLen {
-		t.Fatalf("recovered Len = %d, want %d", rec.Len(), wantLen)
+	if rec.Len() != wantLen || rec.Name() != "apex" {
+		t.Fatalf("recovered %q, Len = %d, want apex, %d", rec.Name(), rec.Len(), wantLen)
 	}
 	// Recovery reads headers/log only: far fewer reads than entries.
 	if reads := readsAfter - readsBefore; reads > int64(wantLen) {

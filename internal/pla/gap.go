@@ -54,12 +54,24 @@ func (w *InsertWork) shift(moved, searched int) {
 	}
 }
 
+// ALEX's density bounds, the share of a gapped node's slots that hold
+// keys: a node is built at BuildDensity, expanded or split once an insert
+// fills it to ExpandDensity, and an expand rebuilds it at RebuildDensity,
+// so each retrain buys ExpandDensity-RebuildDensity of its capacity in
+// future gap inserts.
+const (
+	RebuildDensity = 0.6
+	BuildDensity   = 0.7
+	ExpandDensity  = 0.8
+)
+
 // Capacity returns the number of slots (occupied + gaps).
 func (g *GappedNode) Capacity() int { return len(g.Keys) }
 
 // BuildLSAGap lays out keys (with parallel values, which may be nil) into
 // a gapped array of capacity ~ len(keys)/density using a least-squares
-// model scaled to the capacity. density must be in (0, 1]; ALEX uses ~0.7.
+// model scaled to the capacity. density must be in (0, 1]; any other
+// value picks BuildDensity.
 func BuildLSAGap(keys, values []uint64, density float64) *GappedNode {
 	return BuildGapped(keys, values, gappedCapacity(len(keys), density))
 }
@@ -69,7 +81,7 @@ func gappedCapacity(n int, density float64) int {
 		return 0
 	}
 	if density <= 0 || density > 1 {
-		density = 0.7
+		density = BuildDensity
 	}
 	return max(int(float64(n)/density)+1, n)
 }
@@ -328,61 +340,4 @@ func (g *GappedNode) Remove(at int) {
 	for i, end := at, g.Occ.NextSet(at+1, n); i < end; i++ {
 		g.Keys[i] = left
 	}
-}
-
-// EvaluateGapped measures the placement error of the node's model against
-// its occupied slots: the error a lookup must cover by local search.
-func EvaluateGapped(g *GappedNode) Metrics {
-	m := Metrics{Segments: 1}
-	if g.NumKeys == 0 {
-		return m
-	}
-	var sum float64
-	n := len(g.Keys)
-	for i := g.Occ.NextSet(0, n); i < n; i = g.Occ.NextSet(i+1, n) {
-		p := g.Predict(g.Keys[i], n)
-		e := p - i
-		if e < 0 {
-			e = -e
-		}
-		sum += float64(e)
-		if e > m.MaxErr {
-			m.MaxErr = e
-		}
-	}
-	m.AvgErr = sum / float64(g.NumKeys)
-	return m
-}
-
-// BuildLSAGapSegments splits keys into fixed-length runs of segLen and
-// gap-lays each run independently, mirroring how the paper sweeps the
-// LSA-gap algorithm in §IV-A. It returns the nodes plus aggregate metrics
-// (Segments = node count; errors measured in slots).
-func BuildLSAGapSegments(keys []uint64, segLen int, density float64) ([]*GappedNode, Metrics) {
-	if segLen <= 0 {
-		segLen = 1
-	}
-	var nodes []*GappedNode
-	agg := Metrics{}
-	var sum float64
-	var total int
-	for start := 0; start < len(keys); start += segLen {
-		end := start + segLen
-		if end > len(keys) {
-			end = len(keys)
-		}
-		g := BuildLSAGap(keys[start:end], nil, density)
-		nodes = append(nodes, g)
-		m := EvaluateGapped(g)
-		sum += m.AvgErr * float64(g.NumKeys)
-		total += g.NumKeys
-		if m.MaxErr > agg.MaxErr {
-			agg.MaxErr = m.MaxErr
-		}
-	}
-	agg.Segments = len(nodes)
-	if total > 0 {
-		agg.AvgErr = sum / float64(total)
-	}
-	return nodes, agg
 }

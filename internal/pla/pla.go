@@ -82,9 +82,6 @@ func (s Segment) Local() Model {
 	return Model{FirstKey: s.FirstKey, Slope: s.Slope, Intercept: s.Intercept - float64(s.Start)}
 }
 
-// Len returns the number of keys the segment covers.
-func (s Segment) Len() int { return s.End - s.Start }
-
 // FindSegment locates the segment covering key by binary search on
 // FirstKey. It returns the last segment whose FirstKey <= key (or the
 // first segment if key precedes all of them).

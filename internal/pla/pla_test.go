@@ -263,19 +263,6 @@ func TestBuildLSAGapPlacement(t *testing.T) {
 	}
 }
 
-// TestGapBeatsPackedError checks the paper's central §IV-A claim: at the
-// same segment length, the gapped layout has (much) lower average error
-// than the packed least-squares layout (paper sweeps on YCSB keys).
-func TestGapBeatsPackedError(t *testing.T) {
-	keys := dataset.Generate(dataset.YCSBNormal, 20000, 42)
-	const segLen = 2048
-	packed := Evaluate(keys, BuildLSA(keys, segLen))
-	_, gapped := BuildLSAGapSegments(keys, segLen, 0.7)
-	if gapped.AvgErr >= packed.AvgErr {
-		t.Fatalf("gapped avg err %.2f not below packed %.2f", gapped.AvgErr, packed.AvgErr)
-	}
-}
-
 // TestModelPredictCliffs pins predictions far from the anchor: below it
 // the distance must not wrap, and far above it the clamp must come before
 // the int conversion, whose out-of-range result Go leaves to the platform.

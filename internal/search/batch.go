@@ -26,11 +26,6 @@ type Batch struct {
 	hi   [MaxLanes]int32
 }
 
-// Reset empties the batch for reuse.
-//
-//pieces:hotpath
-func (b *Batch) Reset() { b.n = 0 }
-
 // Len reports how many lanes have been added.
 //
 //pieces:hotpath

@@ -258,7 +258,7 @@ func TestBatchMatchesOracle(t *testing.T) {
 		if b.Add(nil, 0, 0, 0) && n == MaxLanes {
 			t.Fatal("Add accepted past MaxLanes")
 		}
-		b.Reset()
+		b = Batch{}
 		for _, ln := range lanes {
 			b.Add(ln.keys, ln.key, ln.lo, ln.hi)
 		}

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"net"
 	"sync"
@@ -170,8 +171,8 @@ func TestServerStatsOp(t *testing.T) {
 	if err != nil {
 		t.Fatalf("stats: %v", err)
 	}
-	sn, err := telemetry.ParseSnapshot(raw)
-	if err != nil {
+	var sn telemetry.Snapshot
+	if err := json.Unmarshal(raw, &sn); err != nil {
 		t.Fatalf("stats payload does not parse: %v\n%s", err, raw)
 	}
 	if sn.Store.Put.Ops == 0 {

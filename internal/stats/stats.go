@@ -134,16 +134,6 @@ func (h *Histogram) Merge(other *Histogram) {
 	}
 }
 
-// Reset discards all observations.
-func (h *Histogram) Reset() {
-	for i := 0; i < numBuckets; i++ {
-		h.counts[i].Store(0)
-	}
-	h.total.Store(0)
-	h.sum.Store(0)
-	h.max.Store(0)
-}
-
 // Summary is a compact, printable digest of a measurement run.
 type Summary struct {
 	Name                string

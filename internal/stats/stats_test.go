@@ -134,12 +134,3 @@ func TestTableRender(t *testing.T) {
 		t.Fatalf("expected 5 lines, got %d", len(lines))
 	}
 }
-
-func TestHistogramReset(t *testing.T) {
-	h := NewHistogram()
-	h.Record(42)
-	h.Reset()
-	if h.Count() != 0 || h.Max() != 0 || h.Percentile(99) != 0 {
-		t.Fatal("reset incomplete")
-	}
-}

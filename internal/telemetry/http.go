@@ -5,25 +5,16 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"sync"
 )
-
-// expvarOnce guards the process-global expvar registration (Publish
-// panics on duplicate names; Serve may be called more than once in
-// tests).
-var expvarOnce sync.Once
 
 // Handler returns the observability mux for sink: the standard expvar
 // and pprof surfaces plus the snapshot endpoints.
 //
-//	/debug/vars           expvar (includes the "telemetry" var)
+//	/debug/vars           expvar (the runtime's own vars)
 //	/debug/pprof/...      runtime profiles
 //	/telemetry            JSON Snapshot
 //	/telemetry/table      plain-text tables
 func Handler(sink *Sink) http.Handler {
-	expvarOnce.Do(func() {
-		expvar.Publish("telemetry", expvar.Func(func() any { return sink.Snapshot() }))
-	})
 	mux := http.NewServeMux()
 	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)

@@ -281,18 +281,8 @@ func (s *Sink) StoreSink() *StoreMetrics {
 // device totals, so counters aggregate across store generations. Safe
 // on a nil sink.
 func (s *Sink) SetPMemProbe(p func() PMemSnapshot) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	old := s.pmemProbe
-	s.pmemProbe = p
-	s.mu.Unlock()
-	if old != nil {
-		final := old()
-		s.mu.Lock()
-		s.pmem = s.pmem.add(final)
-		s.mu.Unlock()
+	if s != nil {
+		installProbe(&s.mu, &s.pmemProbe, p, func(final PMemSnapshot) { s.pmem = s.pmem.add(final) })
 	}
 }
 
@@ -301,18 +291,8 @@ func (s *Sink) SetPMemProbe(p func() PMemSnapshot) {
 // cumulative retrain totals, so counters aggregate across store
 // generations. Safe on a nil sink.
 func (s *Sink) SetRetrainProbe(p func() RetrainSnapshot) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	old := s.retrainProbe
-	s.retrainProbe = p
-	s.mu.Unlock()
-	if old != nil {
-		final := old()
-		s.mu.Lock()
-		s.retrain = s.retrain.add(final)
-		s.mu.Unlock()
+	if s != nil {
+		installProbe(&s.mu, &s.retrainProbe, p, func(final RetrainSnapshot) { s.retrain = s.retrain.add(final) })
 	}
 }
 
@@ -322,54 +302,37 @@ func (s *Sink) SetRetrainProbe(p func() RetrainSnapshot) {
 // generations (one vipersrv per process is the normal case, but the
 // bench harness restarts servers per configuration). Safe on a nil sink.
 func (s *Sink) SetServerProbe(p func() ServerSnapshot) {
-	if s == nil {
-		return
+	if s != nil {
+		installProbe(&s.mu, &s.serverProbe, p, func(final ServerSnapshot) {
+			// A retired server has no open connections or in-flight work
+			// left to report; fold only its lifetime totals.
+			final.ConnsOpen, final.InFlight = 0, 0
+			s.server = s.server.add(final)
+		})
 	}
-	s.mu.Lock()
-	old := s.serverProbe
-	s.serverProbe = p
-	s.mu.Unlock()
-	if old != nil {
-		final := old()
-		// A retired server has no open connections or in-flight work left
-		// to report; fold only its lifetime totals.
-		final.ConnsOpen, final.InFlight = 0, 0
-		s.mu.Lock()
-		s.server = s.server.add(final)
-		s.mu.Unlock()
-	}
-}
-
-// ObserveIndex records the current digest of idx (latest observation
-// per index name wins). Safe on a nil sink.
-func (s *Sink) ObserveIndex(idx index.Index) {
-	if s == nil {
-		return
-	}
-	st := CollectIndexStats(idx)
-	s.mu.Lock()
-	s.indexes[st.Name] = st
-	s.mu.Unlock()
 }
 
 // SetProbe installs the live index probe. The previous probe, if any, is
 // invoked one final time so the retiring store's index contributes its
 // final counters before the sink forgets it. Safe on a nil sink.
 func (s *Sink) SetProbe(p func() IndexStats) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	old := s.probe
-	s.probe = p
-	s.mu.Unlock()
-	if old != nil {
-		s.record(old())
+	if s != nil {
+		installProbe(&s.mu, &s.probe, p, func(final IndexStats) { s.indexes[final.Name] = final })
 	}
 }
 
-func (s *Sink) record(st IndexStats) {
-	s.mu.Lock()
-	s.indexes[st.Name] = st
-	s.mu.Unlock()
+// installProbe is every probe setter's body: it installs p in *slot and,
+// if a probe was there, reads the retired one a final time outside mu
+// and folds that reading into the sink under mu.
+func installProbe[T any](mu *sync.Mutex, slot *func() T, p func() T, fold func(final T)) {
+	mu.Lock()
+	old := *slot
+	*slot = p
+	mu.Unlock()
+	if old != nil {
+		final := old()
+		mu.Lock()
+		fold(final)
+		mu.Unlock()
+	}
 }

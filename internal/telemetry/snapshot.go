@@ -213,8 +213,9 @@ func (s *Sink) Snapshot() Snapshot {
 	if s == nil {
 		return Snapshot{}
 	}
-	// Pull the live probes first: fold the index probe into the map and
-	// add the live region's counters on top of the retired totals.
+	// Pull the live probes first: add the live counters on top of the
+	// retired totals, and file the live index digest beside the retired
+	// ones.
 	s.mu.Lock()
 	probe := s.probe
 	pmemProbe := s.pmemProbe
@@ -224,8 +225,9 @@ func (s *Sink) Snapshot() Snapshot {
 	rt := s.retrain
 	sv := s.server
 	s.mu.Unlock()
+	var live IndexStats
 	if probe != nil {
-		s.record(probe())
+		live = probe()
 	}
 	if pmemProbe != nil {
 		pm = pm.add(pmemProbe())
@@ -267,6 +269,9 @@ func (s *Sink) Snapshot() Snapshot {
 		Epoch:   epoch.GlobalStats(),
 	}
 	s.mu.Lock()
+	if probe != nil {
+		s.indexes[live.Name] = live
+	}
 	for _, st := range s.indexes {
 		snap.Indexes = append(snap.Indexes, st)
 	}
@@ -275,19 +280,10 @@ func (s *Sink) Snapshot() Snapshot {
 	return snap
 }
 
-// MarshalJSON-free helpers: the snapshot is plain data, so the stdlib
-// encoder round-trips it exactly (ParseSnapshot inverts WriteJSON).
-
-// WriteJSON writes the snapshot as indented JSON.
+// WriteJSON writes the snapshot as indented JSON. The snapshot is plain
+// data, so json.Unmarshal into a Snapshot inverts it exactly.
 func (sn Snapshot) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(sn)
-}
-
-// ParseSnapshot decodes a snapshot previously produced by WriteJSON.
-func ParseSnapshot(data []byte) (Snapshot, error) {
-	var sn Snapshot
-	err := json.Unmarshal(data, &sn)
-	return sn, err
 }

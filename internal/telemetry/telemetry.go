@@ -54,11 +54,6 @@ type Gauge struct {
 	_ [56]byte
 }
 
-// Set stores n.
-//
-//pieces:hotpath
-func (g *Gauge) Set(n int64) { g.v.Store(n) }
-
 // Add moves the level by delta.
 //
 //pieces:hotpath
@@ -144,20 +139,6 @@ func (sp Span) Done() {
 	if sp.h != nil {
 		sp.h.Record(time.Since(sp.t0).Nanoseconds())
 	}
-}
-
-// Observe records a pre-measured duration as one sampled observation and
-// counts the operation. Used by callers that already hold a duration
-// (batch paths, recovery). Safe on a nil Recorder.
-//
-//pieces:hotpath
-func (r *Recorder) Observe(stripe uint64, ns int64) {
-	if r == nil {
-		return
-	}
-	sh := &r.shards[stripe&r.mask]
-	sh.tick.Add(1)
-	sh.hist.Record(ns)
 }
 
 // Ops returns the total number of operations counted (sampled or not).

@@ -939,7 +939,10 @@ const bulkMinPerWorker = 4096
 // its scan), and the last becomes the current page, positioned behind the
 // last loaded record, where the next Put lands. Workers then fill whole
 // pages, a pageWriter each: which worker fills which page changes no byte.
-// The index bulk-load runs once over the full sorted array.
+// The index bulk-load runs once over the full sorted array. A load into a
+// log that already held records loads the index from the whole log
+// instead, through the page scan Recover runs, so the index answers what
+// a recovery would: the earlier keys stay, and the load's records win.
 func (s *Store) BulkPut(keys []uint64, value []byte) error {
 	if value == nil {
 		value = make([]byte, s.valueSize)
@@ -959,6 +962,7 @@ func (s *Store) BulkPut(keys []uint64, value []byte) error {
 	nPages := (len(keys) + perPage - 1) / perPage
 	pages := make([]int64, nPages)
 	s.mu.Lock()
+	held := len(s.pages) > 0
 	for i := range pages {
 		var err error
 		if pages[i], err = s.allocPage(); err != nil {
@@ -973,6 +977,7 @@ func (s *Store) BulkPut(keys []uint64, value []byte) error {
 		last.pos.Store(int64((len(keys) - (nPages-1)*perPage) * recLen))
 		s.cur.Store(last)
 	}
+	logPages := s.pages
 	s.mu.Unlock()
 	offs := make([]uint64, len(keys))
 	parallel.For(parallel.Workers(nPages), nPages, func(_, lo, hi int) {
@@ -983,6 +988,9 @@ func (s *Store) BulkPut(keys []uint64, value []byte) error {
 		}
 		w.commit()
 	})
+	if held {
+		keys, offs = s.scanLive(logPages)
+	}
 	if err := s.view.Load().idx.BulkLoad(keys, offs); err != nil {
 		return err
 	}

@@ -340,23 +340,35 @@ func TestDecodeResponseHostile(t *testing.T) {
 	}
 }
 
+// TestStatusErrMapping pins every status's wire name and typed error,
+// and an unknown byte's.
 func TestStatusErrMapping(t *testing.T) {
 	cases := []struct {
 		st   Status
+		name string
 		want error
 	}{
-		{StatusOK, nil},
-		{StatusNotFound, nil},
-		{StatusFull, ErrFull},
-		{StatusClosed, ErrClosed},
-		{StatusUnsupported, ErrUnsupported},
-		{StatusValueSize, ErrValueSize},
-		{StatusBadRequest, ErrBadRequest},
-		{StatusBackpressure, ErrBackpressure},
-		{StatusInternal, ErrInternal},
-		{Status(250), ErrInternal},
+		{StatusOK, "ok", nil},
+		{StatusNotFound, "not-found", nil},
+		{StatusFull, "full", ErrFull},
+		{StatusClosed, "closed", ErrClosed},
+		{StatusUnsupported, "unsupported", ErrUnsupported},
+		{StatusValueSize, "value-size", ErrValueSize},
+		{StatusBadRequest, "bad-request", ErrBadRequest},
+		{StatusBackpressure, "backpressure", ErrBackpressure},
+		{StatusInternal, "internal", ErrInternal},
+		{Status(250), "status(250)", ErrInternal},
 	}
-	for _, tc := range cases {
+	if len(cases) != int(statusMax)+1 {
+		t.Fatalf("%d cases for %d statuses and one unknown", len(cases), statusMax)
+	}
+	for i, tc := range cases {
+		if i < int(statusMax) && tc.st != Status(i) {
+			t.Fatalf("case %d is status %d", i, tc.st)
+		}
+		if got := tc.st.String(); got != tc.name {
+			t.Fatalf("Status(%d).String() = %q, want %q", uint8(tc.st), got, tc.name)
+		}
 		if got := tc.st.Err(); !errors.Is(got, tc.want) || (tc.want == nil && got != nil) {
 			t.Fatalf("%v.Err() = %v, want %v", tc.st, got, tc.want)
 		}

@@ -195,15 +195,3 @@ func (g *Generator) Next() Op {
 		return Op{Kind: OpScan, Key: start, ScanLen: 1 + g.rng.Intn(cmp.Or(m.ScanLen, 100))}
 	}
 }
-
-// InsertStream returns a pure insertion stream over the given keys in a
-// deterministic shuffled order — the write-only workload.
-func InsertStream(keys []uint64, seed int64) []Op {
-	rng := rand.New(rand.NewSource(seed))
-	ops := make([]Op, len(keys))
-	perm := rng.Perm(len(keys))
-	for i, p := range perm {
-		ops[i] = Op{Kind: OpInsert, Key: keys[p]}
-	}
-	return ops
-}

@@ -128,24 +128,6 @@ func TestLatestBiasesRecentInserts(t *testing.T) {
 	}
 }
 
-func TestInsertStreamIsPermutation(t *testing.T) {
-	keys := dataset.Generate(dataset.YCSBUniform, 2000, 2)
-	ops := InsertStream(keys, 11)
-	if len(ops) != len(keys) {
-		t.Fatalf("got %d ops", len(ops))
-	}
-	seen := make(map[uint64]bool, len(keys))
-	for _, op := range ops {
-		if op.Kind != OpInsert {
-			t.Fatal("non-insert op in insert stream")
-		}
-		if seen[op.Key] {
-			t.Fatalf("duplicate key %d", op.Key)
-		}
-		seen[op.Key] = true
-	}
-}
-
 // TestScanMix checks the scan share, the length bound (100 by default,
 // ScanLen when set) and that Zipfian scan starts stay unscrambled: the
 // hottest start is the smallest loaded key.
