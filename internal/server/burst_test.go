@@ -14,6 +14,7 @@ import (
 
 	"learnedpieces/internal/client"
 	"learnedpieces/internal/epoch"
+	"learnedpieces/internal/pmem"
 	"learnedpieces/internal/wire"
 )
 
@@ -78,6 +79,11 @@ func newScript(t *testing.T, n int, cfg Config) *script {
 	if err := store.BulkPut(keys, nil); err != nil {
 		t.Fatal(err)
 	}
+	return scriptOn(t, srv)
+}
+
+// scriptOn puts srv behind a scripted listener as well.
+func scriptOn(t *testing.T, srv *Server) *script {
 	ln := &scriptListener{conns: make(chan net.Conn), done: make(chan struct{})}
 	go func() { _ = srv.Serve(ln) }()
 	t.Cleanup(func() { _ = ln.Close() })
@@ -619,50 +625,72 @@ func TestMultiGetBurstAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkServerBurst16 is the wire-mixed shape on one raw loopback
-// socket: 14 Gets, a Put and a Range per burst, written in one write and
-// read back before the next. writes/burst is the server's socket writes
-// per burst (1 when a burst is answered at once); allocs/op counts both
-// sides of the socket, and this side allocates nothing.
+// BenchmarkServerBurst16 sends bursts of 16 pipelined frames over one
+// raw loopback socket, each burst in one write and read back before the
+// next. Row mixed is the wire-mixed shape: 14 Gets, a Put and a Range
+// per burst over a latency-free store. Row range is wire-mixed's Range
+// pass: 16 Range frames of 50 entries over a pmem.Optane() store, one
+// Store.Ranges run whose scans overlap their reads at their boundaries.
+// writes/burst is the server's socket writes per burst (1 when a burst
+// is answered at once); allocs/op counts both sides of the socket, and
+// this side allocates nothing.
 func BenchmarkServerBurst16(b *testing.B) {
-	srv, store, addr := startServer(b, "alex", Config{})
-	if err := store.BulkPut(seq(1, 100_000), nil); err != nil {
-		b.Fatal(err)
-	}
-	nc, err := net.Dial("tcp", addr)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer func() { _ = nc.Close() }()
-
 	const burst = 16
 	val := bytes.Repeat([]byte("v"), 200)
-	var frames []byte
-	for i := uint64(0); i < burst; i++ {
-		req := wire.Request{ID: i + 1, Op: wire.OpGet, Key: i*6151%100_000 + 1}
-		switch i {
-		case 5:
-			req.Op, req.Value = wire.OpPut, val
-		case 11:
-			req.Op, req.Limit = wire.OpRange, 50
-		}
-		frames = wire.AppendRequest(frames, &req)
-	}
-	br := bufio.NewReaderSize(nc, 64<<10)
-	w0 := srv.met.writes.Load()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = nc.SetDeadline(time.Now().Add(10 * time.Second))
-		if _, err := nc.Write(frames); err != nil {
-			b.Fatal(err)
-		}
-		for got := 0; got < burst; got++ {
-			if _, err := wire.ReadFrame(br, nil); err != nil {
+	for _, row := range []struct {
+		name  string
+		frame func(i uint64) wire.Request
+	}{
+		{"mixed", func(i uint64) wire.Request {
+			req := wire.Request{Op: wire.OpGet, Key: i*6151%100_000 + 1}
+			switch i {
+			case 5:
+				req.Op, req.Value = wire.OpPut, val
+			case 11:
+				req.Op, req.Limit = wire.OpRange, 50
+			}
+			return req
+		}},
+		{"range", func(i uint64) wire.Request {
+			return wire.Request{Op: wire.OpRange, Key: i*6151%99_000 + 1, Limit: 50}
+		}},
+	} {
+		b.Run(row.name, func(b *testing.B) {
+			srv, store, addr := startServer(b, "alex", Config{})
+			if row.name == "range" {
+				store.Region().SetLatency(pmem.Optane())
+			}
+			if err := store.BulkPut(seq(1, 100_000), nil); err != nil {
 				b.Fatal(err)
 			}
-		}
+			nc, err := net.Dial("tcp", addr)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer func() { _ = nc.Close() }()
+			var frames []byte
+			for i := uint64(0); i < burst; i++ {
+				req := row.frame(i)
+				req.ID = i + 1
+				frames = wire.AppendRequest(frames, &req)
+			}
+			br := bufio.NewReaderSize(nc, 64<<10)
+			w0 := srv.met.writes.Load()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				_ = nc.SetDeadline(time.Now().Add(10 * time.Second))
+				if _, err := nc.Write(frames); err != nil {
+					b.Fatal(err)
+				}
+				for got := 0; got < burst; got++ {
+					if _, err := wire.ReadFrame(br, nil); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(srv.met.writes.Load()-w0)/float64(b.N), "writes/burst")
+		})
 	}
-	b.StopTimer()
-	b.ReportMetric(float64(srv.met.writes.Load()-w0)/float64(b.N), "writes/burst")
 }

@@ -6,22 +6,25 @@
 // in arrival order, appends every response to one reused buffer and
 // issues one socket write when the input is drained. A run of
 // consecutive Gets becomes one Store.MultiGet (a run of one, a plain
-// Store.Get); any other op ends the run. There is no goroutine shared
-// between connections and no queue between reading and writing, so a
-// request crosses no scheduler hand-off on its way through the server.
+// Store.Get), and a run of consecutive Ranges one Store.Ranges, whose
+// scans overlap their reads at their boundaries; any other op ends the
+// run. There is no goroutine shared between connections and no queue
+// between reading and writing, so a request crosses no scheduler
+// hand-off on its way through the server.
 //
 // Four invariants hold by construction:
 //
 //   - Bounded memory. A connection holds its read buffer, one frame
 //     body and a response buffer that is written out once it passes
-//     flushBytes or holds MaxInFlight responses. Nothing is ever
+//     flushBytes or holds MaxInFlight responses; a Range run cut there
+//     still encodes the one scan already in flight. Nothing is ever
 //     refused: the window is enforced by writing, not by rejecting.
 //   - A client that stops reading only hurts itself. Its connection's
 //     goroutine blocks in its own write for at most WriteTimeout and
 //     then drops the connection; nobody else waits on it.
 //   - Region aliases never outlive their epoch pin: values are copied
 //     into the response buffer inside the pin that covers the store
-//     call.
+//     call, and no pin is held across a socket write.
 //   - Program order per connection: a pipelined Put(k), Get(k),
 //     Delete(k), Get(k) observes its own writes.
 //
@@ -148,18 +151,20 @@ type conn struct {
 	nc  *net.TCPConn // raw when it is TCP; enables read-side half-close
 
 	// inFlight counts requests received and not yet written back: the
-	// pending Get run plus the responses in out.
+	// pending run plus the responses in out.
 	inFlight atomic.Int64
 
-	// The pending run of consecutive Gets, in arrival order.
-	ids  []uint64
-	keys []uint64
+	// The pending run, in arrival order: the request ids of consecutive
+	// Gets and their keys, or of consecutive Ranges and their scans.
+	ids   []uint64
+	keys  []uint64
+	scans []viper.Scan
 
 	out     []byte        // encoded responses awaiting the next write
 	resps   int           // how many responses out holds
 	req     wire.Request  // each frame decodes here, MultiGet keys into its kept Keys
-	resp    wire.Response // scratch for execute
-	entries []wire.Entry  // scratch for Range
+	resp    wire.Response // scratch for execute and the Range encode
+	entries []wire.Entry  // the entries of the Range being encoded
 
 	// Counted here, added to the server's metrics at each write.
 	accepted int64
@@ -367,7 +372,7 @@ func (c *conn) serve() {
 			if errors.Is(err, wire.ErrFrameTooBig) || errors.Is(err, io.ErrUnexpectedEOF) {
 				s.met.badFrames.Inc()
 			}
-			if c.runGets(false) == nil {
+			if c.runPending(false) == nil {
 				_ = c.write()
 			}
 			return
@@ -382,7 +387,7 @@ func (c *conn) serve() {
 			// answer the frames before it, then this one if its ID was
 			// readable, and drop the connection.
 			s.met.badFrames.Inc()
-			if c.runGets(false) != nil {
+			if c.runPending(false) != nil {
 				return
 			}
 			if len(body) >= 8 {
@@ -394,19 +399,33 @@ func (c *conn) serve() {
 		}
 		c.accepted++
 		held := int(c.inFlight.Add(1))
-		if req.Op == wire.OpGet {
+		// A Get or a Range joins the pending run of its op; any other op,
+		// or a run of the other op, answers the pending run first.
+		switch req.Op {
+		case wire.OpGet:
+			if len(c.scans) > 0 && c.runPending(false) != nil {
+				return
+			}
 			c.ids = append(c.ids, req.ID)
 			c.keys = append(c.keys, req.Key)
-		} else {
-			if c.runGets(false) != nil {
+		case wire.OpRange:
+			if len(c.keys) > 0 && c.runPending(false) != nil {
+				return
+			}
+			c.ids = append(c.ids, req.ID)
+			// DecodeRequest rejects a Limit of 0, which Store.Ranges reads
+			// as no limit at all.
+			c.scans = append(c.scans, viper.Scan{Start: req.Key, N: min(int(req.Limit), wire.MaxRangeChunk)})
+		default:
+			if c.runPending(false) != nil {
 				return
 			}
 			c.execute(req)
 		}
 		drained := br.Buffered() == 0
 		limit := held >= s.cfg.MaxInFlight || len(c.out) >= flushBytes
-		if drained || limit || len(c.keys) == wire.MaxKeys {
-			if c.runGets(!drained) != nil {
+		if drained || limit || len(c.ids) == wire.MaxKeys {
+			if c.runPending(!drained) != nil {
 				return
 			}
 		}
@@ -448,16 +467,25 @@ func (c *conn) write() error {
 	return err
 }
 
-// runGets answers the pending run of Gets. cut says a limit ended the
-// run (wire.MaxKeys keys, the in-flight window, a full buffer) rather
-// than the input (a frame of another op, or nothing more buffered). A
-// run whose values overflow the response buffer is answered in several
-// rounds with a write between them, so the buffer's bound holds for any
-// value size; the error is that write's.
-func (c *conn) runGets(cut bool) error {
-	if len(c.keys) == 0 {
-		return nil
+// runPending answers the pending run, of Gets or of Ranges, if there is
+// one. cut says a limit ended the run (wire.MaxKeys frames, the
+// in-flight window, a full buffer) rather than the input (a frame of
+// another op, or nothing more buffered). A run whose responses overflow
+// the response buffer is answered in several rounds with a write between
+// them, so the buffer's bound holds for any value size; the error is
+// that write's.
+func (c *conn) runPending(cut bool) error {
+	if len(c.scans) > 0 {
+		return c.runRanges()
 	}
+	if len(c.keys) > 0 {
+		return c.runGets(cut)
+	}
+	return nil
+}
+
+// runGets answers the pending run of Gets (see runPending).
+func (c *conn) runGets(cut bool) error {
 	if n := len(c.keys); n > 1 {
 		m := c.s.met
 		m.runs.Inc()
@@ -515,6 +543,105 @@ func (c *conn) getRound(ids, keys []uint64) int {
 	return len(vals)
 }
 
+// runRanges answers the pending run of Ranges (see runPending).
+func (c *conn) runRanges() error {
+	ids, scans := c.ids, c.scans
+	c.ids, c.scans = c.ids[:0], c.scans[:0]
+	for {
+		n := c.rangeRound(ids, scans)
+		ids, scans = ids[n:], scans[n:]
+		if len(scans) == 0 {
+			return nil
+		}
+		if err := c.write(); err != nil {
+			return err
+		}
+	}
+}
+
+// rangeRound answers Range frames with one Store.Ranges call, taking the
+// read tier once, and returns how many it answered: all of them, unless
+// the response buffer passed flushBytes first. The cut falls where
+// Ranges asks to start another scan, so the scan in flight is still
+// encoded and no read is issued for a frame left to the next round.
+// Each frame's entries are encoded once its scan is over, with the same
+// chunk, frame-budget truncation and continuation as a frame alone. The
+// values alias the PMem region, so the store call and the encode share
+// one epoch pin, exited with the lock before the caller writes.
+//
+// An error fails every frame of the round: it comes from an install
+// (a view without a cursor) or a close, which, since none of the round
+// is answered yet, may be ordered before all of it.
+func (c *conn) rangeRound(ids []uint64, scans []viper.Scan) int {
+	s := c.s
+	g := epoch.Enter(scans[0].Start)
+	defer g.Exit()
+	s.lockRead()
+	defer s.unlockRead()
+	out, resps := len(c.out), c.resps
+	started, done := 1, 0 // scans Ranges started; frames encoded
+	// The frame budget: a chunk carries *up to* its limit, so a response
+	// body that would pass wire.MaxFrame is truncated before that entry.
+	const empty = respHeaderBytes + rangeHeaderBytes + 4
+	body, truncated := empty, false
+	finish := func(upto int) {
+		for ; done < upto; done++ {
+			c.appendRange(ids[done], scans[done], truncated)
+			body, truncated = empty, false
+		}
+	}
+	err := s.store.Ranges(scans, func(i int) bool {
+		finish(i - 1)
+		if len(c.out) >= flushBytes {
+			return false
+		}
+		started = i + 1
+		return true
+	}, func(i int, k uint64, v []byte) bool {
+		finish(i)
+		if body+scanEntryBytes+len(v) > wire.MaxFrame {
+			truncated = true
+			return false
+		}
+		body += scanEntryBytes + len(v)
+		c.entries = append(c.entries, wire.Entry{Key: k, Value: v})
+		return true
+	})
+	if err != nil {
+		c.out, c.resps, c.entries = c.out[:out], resps, c.entries[:0]
+		for _, id := range ids {
+			c.resp = wire.Response{ID: id, Status: statusOf(err)}
+			c.out = wire.AppendResponse(c.out, &c.resp)
+			c.resps++
+		}
+		return len(ids)
+	}
+	finish(started)
+	return started
+}
+
+// appendRange encodes the response to Range frame id over scan sc from
+// the entries its scan delivered. The server is stateless across frames
+// — the client carries the cursor as (ResumeKey, remaining limit) — so a
+// continuation costs nothing to hold open and survives the store
+// retraining or compacting between frames. A full chunk (or a
+// frame-budget stop) means the range may continue past the last
+// delivered key, unless that key is the top of the key space, where
+// there is nowhere to resume.
+func (c *conn) appendRange(id uint64, sc viper.Scan, truncated bool) {
+	es := c.entries
+	c.resp = wire.Response{ID: id, Cursor: true, Entries: es, ResumeKey: sc.Start}
+	if n := len(es); n > 0 {
+		if last := es[n-1].Key; (n == sc.N || truncated) && last != ^uint64(0) {
+			c.resp.More = true
+			c.resp.ResumeKey = last + 1
+		}
+	}
+	c.out = wire.AppendResponse(c.out, &c.resp)
+	c.resps++
+	c.entries = es[:0]
+}
+
 // lockRead takes opMu as a store read needs it on this index;
 // unlockRead releases it.
 func (s *Server) lockRead() {
@@ -540,12 +667,12 @@ const (
 	rangeHeaderBytes = 1 + 8 // Range continuation header: more flag + resume key
 )
 
-// execute runs one request other than a Get and appends its response.
-// MultiGet and Range results alias the PMem region, so for them the
+// execute runs one request other than a Get or a Range and appends its
+// response. MultiGet results alias the PMem region, so for them the
 // store call and the encode both happen under one epoch pin (see
 // getRound).
 func (c *conn) execute(req *wire.Request) {
-	if req.Op == wire.OpMultiGet || req.Op == wire.OpRange {
+	if req.Op == wire.OpMultiGet {
 		g := epoch.Enter(req.Key)
 		defer g.Exit()
 	}
@@ -566,7 +693,7 @@ func (c *conn) call(req *wire.Request) {
 			s.opMu.Lock()
 			defer s.opMu.Unlock()
 		}
-	case wire.OpMultiGet, wire.OpRange:
+	case wire.OpMultiGet:
 		s.lockRead()
 		defer s.unlockRead()
 	}
@@ -592,51 +719,6 @@ func (c *conn) call(req *wire.Request) {
 			break
 		}
 		resp.Values = vals
-	case wire.OpRange:
-		// Cursor-continuation scan: one bounded chunk per frame plus a
-		// resume header. The server is stateless across frames — the
-		// client carries the cursor as (ResumeKey, remaining limit) — so
-		// a continuation costs nothing to hold open and survives the
-		// store retraining or compacting between frames.
-		// DecodeRequest already rejects these limits; kept for direct
-		// callers so call never passes n=0 (unlimited) to Store.Range.
-		if req.Limit == 0 || req.Limit > wire.MaxScanLimit {
-			resp.Status = wire.StatusBadRequest
-			break
-		}
-		chunk := min(int(req.Limit), wire.MaxRangeChunk)
-		es := c.entries[:0]
-		truncated := false
-		// A chunk carries *up to* Limit entries, so the frame budget is
-		// enforced by truncation: stop before the entry that would push
-		// the response body past wire.MaxFrame.
-		body := respHeaderBytes + rangeHeaderBytes + 4
-		err := s.store.Range(req.Key, chunk, func(k uint64, v []byte) bool {
-			if body+scanEntryBytes+len(v) > wire.MaxFrame {
-				truncated = true
-				return false
-			}
-			body += scanEntryBytes + len(v)
-			es = append(es, wire.Entry{Key: k, Value: v})
-			return true
-		})
-		c.entries = es
-		if resp.Status = statusOf(err); resp.Status != wire.StatusOK {
-			break
-		}
-		resp.Cursor = true
-		resp.Entries = es
-		resp.ResumeKey = req.Key
-		if n := len(es); n > 0 {
-			last := es[n-1].Key
-			// A full chunk (or a frame-budget stop) means the range may
-			// continue past the last delivered key — unless that key is
-			// the top of the key space, where there is nowhere to resume.
-			if (n == chunk || truncated) && last != ^uint64(0) {
-				resp.More = true
-				resp.ResumeKey = last + 1
-			}
-		}
 	case wire.OpStats:
 		resp.Value = s.statsJSON()
 	case wire.OpDrain:

@@ -177,3 +177,94 @@ func TestRangeSlowCursor(t *testing.T) {
 		t.Fatalf("Range delivered %v after the rest's pull, before the %d ns of stall asked after it", waited, owed)
 	}
 }
+
+// TestRangesSchedule pins where a run of scans overlaps: only at a
+// scan's boundary. A scan's round that may be its last — its pull
+// reached the scan's limit or came back short — has the next scan's
+// first round pulled behind it before it is emitted; a round that holds
+// a tombstone gets its top-up pulled after that and emitted before the
+// next scan; a round that leaves more to pull is emitted before anything
+// else is pulled. Each scan's pulls are the ones it makes alone.
+func TestRangesSchedule(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		tomb  uint64 // a key whose index entry leads to a tombstone; 0 = none
+		scans []Scan
+		asked []int      // entries asked by each pull, in order
+		keys  [][]uint64 // per scan, what it delivered
+		seen  [][]int    // per scan, the pulls made before each delivery
+	}{
+		{"boundary", 0, []Scan{{1, 6}, {20, 6}}, []int{6, 6},
+			[][]uint64{{1, 2, 3, 4, 5, 6}, {20, 21, 22, 23, 24, 25}},
+			[][]int{{2, 2, 2, 2, 2, 2}, {2, 2, 2, 2, 2, 2}}},
+		{"top-up", 3, []Scan{{1, 6}, {20, 6}}, []int{6, 6, 1},
+			[][]uint64{{1, 2, 4, 5, 6, 7}, {20, 21, 22, 23, 24, 25}},
+			[][]int{{2, 2, 2, 2, 2, 3}, {3, 3, 3, 3, 3, 3}}},
+		// Rounds of 16 and 4: the first leaves more to pull, so only the
+		// second (a head of 2 and no rest) has scan 1 pulled behind it.
+		{"rounds", 0, []Scan{{1, 20}, {30, 3}}, []int{4, 12, 4, 3},
+			[][]uint64{seqKeys(1, 20), {30, 31, 32}},
+			[][]int{append(repeat(2, 16), 4, 4, 4, 4), {4, 4, 4}}},
+		// Scan 0 runs out of keys in a short pull, its last round.
+		{"short", 0, []Scan{{1<<32 + 198, 5}, {1, 2}}, []int{5, 2},
+			[][]uint64{{1<<32 + 198, 1<<32 + 199}, {1, 2}},
+			[][]int{{2, 2}, {2, 2}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			region := pmem.NewRegion(8<<20, pmem.None())
+			s, rec := rangeStore(t, region, 0)
+			s.scanBatch = 16
+			if tc.tomb != 0 {
+				off, err := s.appendRecord(tc.tomb, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := rec.Insert(tc.tomb, uint64(off)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			rec.pulls = nil
+			keys := make([][]uint64, len(tc.scans))
+			seen := make([][]int, len(tc.scans))
+			err := s.Ranges(tc.scans, nil, func(i int, k uint64, v []byte) bool {
+				if !bytes.Equal(v, value(k)) {
+					t.Fatalf("scan %d, key %d: wrong value", i, k)
+				}
+				keys[i] = append(keys[i], k)
+				seen[i] = append(seen[i], len(rec.pulls))
+				return true
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var asked []int
+			for _, p := range rec.pulls {
+				asked = append(asked, p.asked)
+			}
+			if !slices.Equal(asked, tc.asked) {
+				t.Fatalf("pulls asked %v, want %v", asked, tc.asked)
+			}
+			for i := range tc.scans {
+				if !slices.Equal(keys[i], tc.keys[i]) || !slices.Equal(seen[i], tc.seen[i]) {
+					t.Fatalf("scan %d delivered %v after pulls %v; want %v after %v", i, keys[i], seen[i], tc.keys[i], tc.seen[i])
+				}
+			}
+		})
+	}
+}
+
+func seqKeys(lo uint64, n int) []uint64 {
+	out := make([]uint64, n)
+	for i := range out {
+		out[i] = lo + uint64(i)
+	}
+	return out
+}
+
+func repeat(v, n int) []int {
+	out := make([]int, n)
+	for i := range out {
+		out[i] = v
+	}
+	return out
+}

@@ -2,8 +2,10 @@ package viper
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"testing"
 
@@ -246,5 +248,130 @@ func TestRangeReseeksAcrossCompact(t *testing.T) {
 				t.Fatalf("ScanPinYields = %d, want >= 1", n)
 			}
 		})
+	}
+}
+
+// TestRangesMatchScansAlone runs a list of scans as one Ranges run and
+// each scan alone through Range, over a btree whose delta holds index
+// entries that lead to tombstones (so rounds top up) and over a pgm with
+// overwrites and deletes in its delta layers: every scan delivers the
+// same entries either way, an emit that stops one scan stops it alone,
+// and the run issues exactly the device reads and lines the scans do
+// alone. A more that refuses scan j ends the run after scan j−1, and is
+// asked only once every scan before j−1 has been emitted in full.
+func TestRangesMatchScansAlone(t *testing.T) {
+	top := ^uint64(0)
+	scans := []Scan{{1, 50}, {40, 300}, {top - 2, 10}, {500, 9}, {2000, 5}, {100, 3}, {7, 0}, {top, 1}, {1 << 40, 4}}
+	const stopScan, stopAfter = 3, 4 // scan 3's emit returns false after 4 entries
+	for _, ix := range []struct {
+		name string
+		idx  index.Index
+	}{{"btree", btree.New()}, {"pgm", pgm.New(pgm.DefaultConfig())}} {
+		s := newStore(ix.idx)
+		keys := append(seqKeys(1, 1500), top-3, top-1, top)
+		for _, k := range keys {
+			if err := s.Put(k, value(k)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < len(keys); i += 3 {
+			if err := s.Put(keys[i], value(keys[i]+1)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 1; i < len(keys); i += 5 {
+			if _, err := s.Delete(keys[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if ix.name == "btree" {
+			for k := uint64(2); k < 1500; k += 7 {
+				off, err := s.appendRecord(k, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := s.Index().Insert(k, uint64(off)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		for _, batch := range []int{7, 0} {
+			t.Run(fmt.Sprintf("%s/batch=%d", ix.name, batch), func(t *testing.T) {
+				s.scanBatch = batch
+				alone := make([][]uint64, len(scans))
+				before := s.region.AccessStats()
+				for i, sc := range scans {
+					err := s.Range(sc.Start, sc.N, func(k uint64, v []byte) bool {
+						alone[i] = append(alone[i], k, tag(v))
+						return i != stopScan || len(alone[i]) < 2*stopAfter
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+				}
+				mid := s.region.AccessStats()
+				for _, refuse := range []int{len(scans), 5} {
+					run := make([][]uint64, len(scans))
+					err := s.Ranges(scans, func(j int) bool {
+						for i := 0; i < j-1; i++ {
+							if len(run[i]) != len(alone[i]) {
+								t.Fatalf("more(%d) asked before scan %d was emitted in full", j, i)
+							}
+						}
+						return j < refuse
+					}, func(i int, k uint64, v []byte) bool {
+						run[i] = append(run[i], k, tag(v))
+						return i != stopScan || len(run[i]) < 2*stopAfter
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					for i := range scans {
+						want := alone[i]
+						if i >= refuse {
+							want = nil
+						}
+						if !slices.Equal(run[i], want) {
+							t.Fatalf("refusing scan %d: scan %d %+v delivered %d entries, %d alone, or other ones", refuse, i, scans[i], len(run[i])/2, len(want)/2)
+						}
+					}
+					if refuse == len(scans) {
+						after := s.region.AccessStats()
+						if got, want := after.Reads-mid.Reads, mid.Reads-before.Reads; got != want {
+							t.Fatalf("the run issued %d reads, the scans alone %d", got, want)
+						}
+						if got, want := after.LineReads-mid.LineReads, mid.LineReads-before.LineReads; got != want {
+							t.Fatalf("the run read %d lines, the scans alone %d", got, want)
+						}
+					}
+				}
+			})
+		}
+	}
+}
+
+// tag tells value(k) from value(k+1): its bytes after "value-".
+func tag(v []byte) uint64 { return binary.LittleEndian.Uint64(v[6:]) }
+
+// TestRangesErrors: a run refuses a closed store and an index without a
+// cursor before it emits anything.
+func TestRangesErrors(t *testing.T) {
+	h := Open(pmem.NewRegion(8<<20, pmem.None()), cceh.New())
+	if err := h.Put(1, value(1)); err != nil {
+		t.Fatal(err)
+	}
+	never := func(int, uint64, []byte) bool { t.Fatal("a refused run emitted an entry"); return false }
+	if err := h.Ranges([]Scan{{0, 1}, {1, 1}}, nil, never); !errors.Is(err, ErrUnsupported) {
+		t.Fatalf("run on cceh = %v, want ErrUnsupported", err)
+	}
+	s := newStore(btree.New())
+	if err := s.Put(1, value(1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Ranges([]Scan{{0, 1}}, nil, never); !errors.Is(err, ErrClosed) {
+		t.Fatalf("run on a closed store = %v, want ErrClosed", err)
 	}
 }
