@@ -150,11 +150,12 @@ func storeGetEach(b *testing.B, s *viper.Store, probes []uint64) {
 
 // getRows is Fig 10's table over keys for one index: its Get alone, with
 // its depth and structure bytes, and its Get and MultiGet of 16 inside
-// the store.
+// the store. The index is built once, by the store's load, and the index
+// row reads the store's copy.
 func getRows(b *testing.B, name string, keys, probes []uint64) {
-	idx := once(func(b *testing.B) index.Index { return loadedIndex(b, name, keys) })
+	store := once(func(b *testing.B) *viper.Store { return openStore(b, newIndex(b, name), keys, len(keys)) })
 	b.Run("index/"+name, func(b *testing.B) {
-		ix := idx(b)
+		ix := store(b).Index()
 		b.ResetTimer()
 		getEach(b, ix, probes)
 		if d, ok := index.DepthOf(ix); ok {
@@ -163,7 +164,7 @@ func getRows(b *testing.B, name string, keys, probes []uint64) {
 		b.ReportMetric(float64(ix.Sizes().Structure)/float64(len(keys)), "structure-B/key")
 	})
 	b.Run("store/"+name, func(b *testing.B) {
-		s := openStore(b, newIndex(b, name), keys, len(keys))
+		s := store(b)
 		b.Run("get", func(b *testing.B) { storeGetEach(b, s, probes) })
 		b.Run("multiget16", func(b *testing.B) {
 			h := stats.NewHistogram()
