@@ -66,8 +66,12 @@ func main() {
 		defer srv.Close()
 		fmt.Printf("observability on http://%s/telemetry (also /debug/vars, /debug/pprof)\n", *obs)
 	}
-	store := viper.Open(region, entry.New(),
-		viper.WithTelemetry(sink), viper.WithRetrainMode(rmode))
+	// A crash drops the store and keeps the region; recover opens the
+	// region again, attaching to the log its page stamps list.
+	open := func() *viper.Store {
+		return viper.Open(region, entry.New(), viper.WithTelemetry(sink), viper.WithRetrainMode(rmode))
+	}
+	store := open()
 	fmt.Printf("viper store with %s index over %d MB simulated PMem (retrain mode: %s)\n",
 		*indexName, *size>>20, *retrainF)
 	fmt.Println("commands: put <k> <v> | get <k> | del <k> | scan <start> <n> | len | stats | drain | crash | recover | quit")
@@ -85,8 +89,10 @@ func main() {
 	// stopping the worker pool — so batch sessions never leak goroutines
 	// or drop a pending retrain install on exit.
 	quit := func() {
-		if err := store.Close(); err != nil {
-			fail(err)
+		if !store.Closed() {
+			if err := store.Close(); err != nil {
+				fail(err)
+			}
 		}
 		os.Exit(exitCode)
 	}
@@ -182,14 +188,12 @@ func main() {
 			store.DrainRetrains()
 			fmt.Println("retrain pipeline drained")
 		case "crash":
-			store.DropIndex(entry.New())
-			fmt.Println("DRAM index dropped; reads will miss until 'recover'")
+			_ = store.Close() // ErrClosed only when already crashed
+			fmt.Println("store dropped, region kept; reads miss and writes fail until 'recover'")
 		case "recover":
-			if err := store.Recover(entry.New()); err != nil {
-				fail(err)
-			} else {
-				fmt.Printf("recovered %d keys\n", store.Len())
-			}
+			_ = store.Close() // ErrClosed only when already crashed
+			store = open()
+			fmt.Printf("recovered %d keys\n", store.Len())
 		default:
 			fmt.Println("unknown command:", fields[0])
 		}

@@ -61,12 +61,13 @@ func main() {
 	fmt.Printf("Table III view: index %.2fMB | index+key %.2fMB | index+KV %.2fMB\n",
 		float64(st)/(1<<20), float64(wk)/(1<<20), float64(wkv)/(1<<20))
 
-	// Crash: the DRAM index vanishes; the PMem pages survive.
-	store.DropIndex(entry.New())
-	start = time.Now()
-	if err := store.Recover(entry.New()); err != nil {
+	// Crash: the store and its DRAM index vanish; the PMem region
+	// survives, and a store opened over it finds its log by the page stamps.
+	if err := store.Close(); err != nil {
 		log.Fatal(err)
 	}
+	start = time.Now()
+	store = viper.Open(region, entry.New())
 	fmt.Printf("recovered %d keys from PMem in %v\n", store.Len(), time.Since(start).Round(time.Millisecond))
 
 	if _, ok := store.Get(keys[n/2]); !ok {

@@ -23,16 +23,21 @@ func main() {
 
 	// Design A: Viper store + volatile ALEX index (the paper's setting).
 	entry, _ := core.Lookup("alex")
-	store := viper.Open(pmem.NewRegion(512<<20, pmem.Optane()), entry.New())
+	vregion := pmem.NewRegion(512<<20, pmem.Optane())
+	store := viper.Open(vregion, entry.New())
 	if err := store.BulkPut(keys, make([]byte, viper.DefaultValueSize)); err != nil {
 		log.Fatal(err)
 	}
-	store.DropIndex(entry.New()) // crash: DRAM index gone
-	start := time.Now()
-	if err := store.Recover(entry.New()); err != nil {
+	// Crash: every DRAM structure is dropped; only the region survives.
+	if err := store.Close(); err != nil {
 		log.Fatal(err)
 	}
+	start := time.Now()
+	store = viper.Open(vregion, entry.New())
 	viperRecovery := time.Since(start)
+	if store.Len() != n {
+		log.Fatalf("viper recovered %d keys, want %d", store.Len(), n)
+	}
 
 	// Design B: APEX — the index itself lives on PMem.
 	region := pmem.NewRegion(256<<20, pmem.Optane())

@@ -29,10 +29,10 @@ func TestRegistryStores(t *testing.T) {
 // indextest targets; every store is closed when t ends.
 func storeFactory(t testing.TB, fresh func() index.Index, opts ...viper.Option) indextest.Factory {
 	return func() index.Index {
-		x := &storeIndex{fresh: fresh, open: func() *viper.Store {
-			return viper.Open(pmem.NewRegion(4<<20, pmem.None()), fresh(), opts...)
+		x := &storeIndex{fresh: fresh, open: func(region *pmem.Region) *viper.Store {
+			return viper.Open(region, fresh(), opts...)
 		}}
-		x.s = x.open()
+		x.s = x.open(pmem.NewRegion(4<<20, pmem.None()))
 		t.Cleanup(func() { _ = x.s.Close() })
 		return x
 	}
@@ -44,7 +44,7 @@ func storeFactory(t testing.TB, fresh func() index.Index, opts ...viper.Option) 
 type storeIndex struct {
 	s     *viper.Store
 	fresh func() index.Index
-	open  func() *viper.Store
+	open  func(*pmem.Region) *viper.Store // a store over the region, attached to its log
 }
 
 // payload is the record value for w: w in 8 bytes, then w%509 bytes that
@@ -134,17 +134,21 @@ func (x *storeIndex) BulkLoad(keys, vals []uint64) error {
 		}
 	}
 	_ = x.s.Close()
-	x.s = x.open()
+	x.s = x.open(pmem.NewRegion(4<<20, pmem.None()))
 	return x.s.BulkPut(keys, payload(w))
 }
 
-// Restart rebuilds the index from the log (even n), or compacts the log
-// (odd n) and advances the epoch until the retired pages are free, so
-// later page rollovers reuse them.
+// Restart drops the store and opens a new one over the same region, which
+// finds the log from the bytes alone (even n), or compacts the log (odd n)
+// and advances the epoch until the retired pages are free, so later page
+// rollovers reuse them.
 func (x *storeIndex) Restart(n int) error {
 	if n%2 == 0 {
-		x.s.DropIndex(x.fresh())
-		return x.s.Recover(x.fresh())
+		if err := x.s.Close(); err != nil {
+			return err
+		}
+		x.s = x.open(x.s.Region())
+		return nil
 	}
 	_, err := x.s.Compact(x.fresh())
 	for range 3 {

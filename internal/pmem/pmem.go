@@ -31,7 +31,11 @@
 //
 // Persistence semantics: everything written is durable (CPU-cache
 // volatility is not modelled); Flush is an accounted no-op so stores can
-// report flush counts, and Snapshot/Restore simulate crash-recovery.
+// report flush counts. Snapshot and Restore simulate a crash: the bytes
+// survive, the allocator (DRAM state) does not. Restore replaces the bytes
+// and leaves the allocator as it was, so a crash restores its image into a
+// fresh Region, and the store's Open (package viper) rebuilds the
+// allocator from the page stamps it finds.
 package pmem
 
 import (
@@ -419,8 +423,9 @@ func (r *Region) Snapshot() []byte {
 	return out
 }
 
-// Restore replaces the region contents with a snapshot (simulated
-// restart: the DRAM index is gone, the PMem bytes survive).
+// Restore replaces the region contents with a snapshot and leaves the
+// allocator as it was (simulated restart: restore into a fresh region, and
+// whoever reopens the bytes rebuilds the allocator from them).
 func (r *Region) Restore(snap []byte) {
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -195,8 +195,8 @@ func TestConcurrentUpdatesServeOwnKey(t *testing.T) {
 	stopped.Store(true)
 	readers.Wait()
 
-	if len(s.pages) < 4 {
-		t.Fatalf("the writers filled %d pages, want a few rollovers", len(s.pages))
+	if len(logPages(s)) < 4 {
+		t.Fatalf("the writers filled %d pages, want a few rollovers", len(logPages(s)))
 	}
 	for _, k := range keys {
 		v, ok := s.Get(k)

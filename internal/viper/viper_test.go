@@ -84,7 +84,7 @@ func TestCompactReclaimsGarbage(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	pagesBefore := len(s.pages)
+	pagesBefore := len(logPages(s))
 
 	reclaimed, err := s.Compact(btree.New())
 	if err != nil {
@@ -93,8 +93,8 @@ func TestCompactReclaimsGarbage(t *testing.T) {
 	if reclaimed <= 0 {
 		t.Fatalf("reclaimed %d bytes", reclaimed)
 	}
-	if len(s.pages) >= pagesBefore {
-		t.Fatalf("pages %d -> %d, expected shrink", pagesBefore, len(s.pages))
+	if len(logPages(s)) >= pagesBefore {
+		t.Fatalf("pages %d -> %d, expected shrink", pagesBefore, len(logPages(s)))
 	}
 	// The physical frees are epoch-deferred: with no reader pinned, a
 	// few advances end the grace period and run them.
@@ -154,8 +154,8 @@ func TestPageRollover(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if len(s.pages) < 2 {
-		t.Fatalf("expected multiple pages, got %d", len(s.pages))
+	if len(logPages(s)) < 2 {
+		t.Fatalf("expected multiple pages, got %d", len(logPages(s)))
 	}
 	for i := uint64(1); i <= 50; i++ {
 		v, ok := s.Get(i)
@@ -250,3 +250,6 @@ func TestPutDescendsOnce(t *testing.T) {
 		})
 	}
 }
+
+// logPages is the store's log as the page walk finds it, oldest page first.
+func logPages(s *Store) []int64 { return walkPages(s.region).log }
