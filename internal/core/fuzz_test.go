@@ -119,6 +119,9 @@ var scenarios = [][]byte{
 	seed(smallBase, "p1 p2 p1 r1 p2 r0"),
 	// Key 0 and the largest key, written, deleted, written back.
 	seed(smallBase, "p0 d0 p0 p0 d0 s0/0/4 p255 r0"),
+	// Restarts in a row, each followed by a Put: a store opened over the
+	// log writes on in its newest page, so the 4 MiB region never fills.
+	seed(smallBase, "p1 r0 p1 r0 p1 r0 p1 r0 p1 r0 p1 r0 p1"),
 	// Compactions in a row behind a bulk load, each reusing the pages the
 	// one before retired.
 	seed(smallBase, "l0-59 p9 r1 p9 r1 p9 r1 p9 r1"),
