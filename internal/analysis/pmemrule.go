@@ -16,9 +16,10 @@ const pmemPkgPath = "learnedpieces/internal/pmem"
 // the device's line accounting) and must never park it in a struct field
 // or package variable (a retained alias turns later "device reads" into
 // free DRAM reads, silently corrupting AccessStats and every figure
-// derived from it). The dst a WriteFill hands its fill literal is the
-// write-side borrow: the fill formats through it, but must not park it
-// either, or a later write through it would be a free, unbilled one.
+// derived from it). The dst a WriteFill (a Region's or a Round's) hands
+// its fill literal is the write-side borrow: the fill formats through it,
+// but must not park it either, or a later write through it would be a
+// free, unbilled one.
 //
 // The analyzer tracks, per function, the local variables that alias a
 // ReadNoCopy result or a fill literal's dst (including re-slicings) and
@@ -166,15 +167,16 @@ func (a *aliasSet) collect(body *ast.BlockStmt) {
 }
 
 // fillParams returns the parameters of the function literals body hands
-// (*pmem.Region).WriteFill as its fill.
+// a WriteFill — (*pmem.Region).WriteFill or (*pmem.Round).WriteFill — as
+// its fill, the last argument of either.
 func fillParams(info *types.Info, body *ast.BlockStmt) map[*types.Var]bool {
 	params := make(map[*types.Var]bool)
 	ast.Inspect(body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
-		if !ok || len(call.Args) != 3 || !isPMemMethod(info, call, "WriteFill") {
+		if !ok || len(call.Args) == 0 || !isPMemMethod(info, call, "WriteFill") {
 			return true
 		}
-		if lit, ok := call.Args[2].(*ast.FuncLit); ok {
+		if lit, ok := call.Args[len(call.Args)-1].(*ast.FuncLit); ok {
 			for _, field := range lit.Type.Params.List {
 				for _, name := range field.Names {
 					if v, ok := info.Defs[name].(*types.Var); ok {

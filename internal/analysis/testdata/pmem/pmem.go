@@ -59,3 +59,20 @@ func KeepFill(r *pmem.Region, c *cache) {
 		global = dst // want "WriteFill dst retained in package variable global"
 	})
 }
+
+// RoundFill formats through the dst a round's write hands its fill, as
+// WriteFill's — legal.
+func RoundFill(r *pmem.Region, rd *pmem.Round) {
+	rd.WriteFill(r, 0, 16, func(dst []byte) {
+		dst[0] = 1
+		copy(dst[4:], []byte{1, 2})
+	})
+	rd.Wait()
+}
+
+// KeepRoundFill parks the dst of a round's write beyond it.
+func KeepRoundFill(r *pmem.Region, rd *pmem.Round, c *cache) {
+	rd.WriteFill(r, 0, 16, func(dst []byte) {
+		c.view = dst[2:] // want "WriteFill dst retained in a struct field"
+	})
+}

@@ -7,7 +7,7 @@
 // functional tests. A stall is accounted as the nanoseconds asked. An
 // access reads the clock once when it is issued, does the simulator's own
 // work (counters, block buffer, prefetch, a write's copy or in-place
-// fill) and then waits for that clock plus its stall; a Round of reads
+// fill) and then waits for that clock plus its stall; a Round of accesses
 // waits once for the sum of its stalls, restarting from the present when
 // its caller's own work between accesses outlasted them (Round.Resume).
 // The wait ends at the first clock read past the deadline: on a 2-vCPU
@@ -224,16 +224,16 @@ func spinUntil(deadline int64) {
 	}
 }
 
-// Round is a read round: device reads issued back to back whose stalls
+// Round is a round of device accesses issued back to back whose stalls
 // are paid by one wait at the end, for the first stalled access's clock
 // plus the sum of every stall the round asked. No stall overlaps
 // another; only the round's own work between its accesses runs inside
 // them. A caller whose own work between bursts of accesses may outlast
 // the stalls asked so far calls Resume before the next burst. Each
 // access is charged exactly as the same access made alone (counters,
-// block buffer, prefetch). The zero Round is empty; it is a small stack
-// value used by one goroutine, and its views must not reach a caller
-// before Wait.
+// block buffer, prefetch). The zero Round is empty; it is a small value
+// used by one goroutine at a time, and neither its read views nor the
+// bytes its writes put down may reach a reader before Wait.
 type Round struct {
 	deadline int64 // stall clock at which the round's stalls are paid; 0 = none asked yet
 }
@@ -264,6 +264,17 @@ func (rd *Round) ReadNoCopy(r *Region, off int64, n int) []byte {
 	r.reads.Add(1)
 	spinUntil(r.charge(off, n, r.lat.ReadNs, false, rd))
 	return r.data[off : off+int64(n)]
+}
+
+// WriteFill is r.WriteFill(off, n, fill) as one access of the round:
+// charged the same, with fill run at once and the write's stall added to
+// the round's. On a nil round it is a lone access, which pays its own
+// stall before it returns.
+func (rd *Round) WriteFill(r *Region, off int64, n int, fill func(dst []byte)) {
+	r.writes.Add(1)
+	deadline := r.charge(off, n, r.lat.WriteNs, true, rd)
+	fill(r.data[off : off+int64(n)])
+	spinUntil(deadline)
 }
 
 // Wait pays the round's summed stall and empties the round.
@@ -401,10 +412,8 @@ func (r *Region) Write(off int64, data []byte) {
 // written, and must not keep them (pieceslint's pmem-discipline rejects
 // a fill literal that parks them in a field or package variable).
 func (r *Region) WriteFill(off int64, n int, fill func(dst []byte)) {
-	r.writes.Add(1)
-	deadline := r.charge(off, n, r.lat.WriteNs, true, nil)
-	fill(r.data[off : off+int64(n)])
-	spinUntil(deadline)
+	var lone *Round
+	lone.WriteFill(r, off, n, fill)
 }
 
 // Flush records a persistence barrier (clwb/sfence equivalent).

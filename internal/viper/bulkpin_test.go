@@ -123,16 +123,16 @@ func TestBulkPathsPinned(t *testing.T) {
 		want      bulkPin
 	}{
 		{"default", 0, bytes.Repeat([]byte("L"), 240), bulkPin{
-			bulk: 0x9027830b80cf3c67, compact: 0x598f029065eab37e, recovered: 0xadd07c0acbc3e4af,
-			logged: 0x090be251afbc480c,
-			bulkStats: pmem.AccessStats{Reads: 4, Writes: 4, Flushes: 4, LineReads: 4, LineWrites: 4996,
-				ReadStallNs: 680, WriteStallNs: 449640},
-			compactStats: pmem.AccessStats{Reads: 6016, Writes: 1962, Flushes: 1962, LineReads: 27353,
-				LineWrites: 11316, ReadStallNs: 4549200, WriteStallNs: 866880},
+			bulk: 0x06f6aa3a294300e7, compact: 0x598f029065eab37e, recovered: 0xadd07c0acbc3e4af,
+			logged: 0x35d817446c6ea78c,
+			bulkStats: pmem.AccessStats{Reads: 4, Writes: 3, Flushes: 3, LineReads: 4, LineWrites: 4995,
+				ReadStallNs: 680, WriteStallNs: 449550},
+			compactStats: pmem.AccessStats{Reads: 6016, Writes: 1961, Flushes: 1961, LineReads: 27353,
+				LineWrites: 11315, ReadStallNs: 4549200, WriteStallNs: 866790},
 		}},
 		{"value64", 64, bytes.Repeat([]byte("L"), 300), bulkPin{
-			bulk: 0xab96c8c86099a036, compact: 0x0d46c2d5d2142bd1, recovered: 0x8fb1851205ef0524,
-			logged: 0x51312524c51723e2,
+			bulk: 0x112d3d6b5ded9326, compact: 0x0d46c2d5d2142bd1, recovered: 0x8fb1851205ef0524,
+			logged: 0x57d628af4c377ff2,
 			bulkStats: pmem.AccessStats{Reads: 4, Writes: 2, Flushes: 2, LineReads: 4, LineWrites: 1806,
 				ReadStallNs: 680, WriteStallNs: 162540},
 			compactStats: pmem.AccessStats{Reads: 6275, Writes: 1957, Flushes: 1957, LineReads: 16354,

@@ -2,6 +2,8 @@ package viper
 
 import (
 	"bytes"
+	"cmp"
+	"encoding/binary"
 	"fmt"
 	"maps"
 	"math/rand"
@@ -399,4 +401,106 @@ func TestCompactCurrentPageIsNewest(t *testing.T) {
 		ref[keys[i]] = string(value(keys[i]))
 	}
 	checkState(t, "reopened", reopen(region.Snapshot()), ref)
+}
+
+// TestCrashInsideBulkPut: BulkPut stamps a reused page free as it takes
+// it and the first of its fresh pages free with the load's reservation,
+// then writes every page once, in any order. An image with any seeded
+// subset of the load's pages still unwritten — the first fresh page among
+// them, holding only its reservation, and written pages above two
+// unwritten ones — opens to the state before the load plus the records of
+// the written pages, with the allocator and free list the walk lists.
+// Puts that roll over into the unwritten chunks surface no stale record,
+// and the image they leave opens right too. Loads go into an empty region
+// and into one whose log has freed pages.
+func TestCrashInsideBulkPut(t *testing.T) {
+	rng := rand.New(rand.NewSource(62))
+	val := string(value(62))
+	perPage := (PageSize - stampSize) / (recordHeader + len(val))
+	var keys []uint64
+	for k := uint64(2); k <= 300; k += 2 { // keys the log may hold already
+		keys = append(keys, k)
+	}
+	for i := uint64(0); len(keys) < 9*perPage+100; i++ {
+		keys = append(keys, 1000+3*i)
+	}
+	for _, freed := range []bool{false, true} {
+		region := pmem.NewRegion(32<<20, pmem.None())
+		s := Open(region, btree.New())
+		ref := make(map[uint64]string)
+		next := uint64(1)
+		if freed {
+			next = fillPages(t, s, ref, next, 4)
+			if _, err := s.Compact(btree.New()); err != nil {
+				t.Fatal(err)
+			}
+			drainFrees()
+		}
+		before := s.seq.Load()
+		if err := s.BulkPut(keys, []byte(val)); err != nil {
+			t.Fatal(err)
+		}
+		post := region.Snapshot()
+
+		// The load's pages in load order, and the first fresh one.
+		type loadPage struct {
+			off   int64
+			seq   uint64
+			fresh bool
+		}
+		var load []loadPage
+		for off := int64(0); off < region.Allocated(); off += PageSize {
+			b := post[off : off+stampSize]
+			if seq := binary.LittleEndian.Uint64(b[8:16]); isStamp(b) && b[16] == pageLog && seq > before {
+				load = append(load, loadPage{off, seq, binary.LittleEndian.Uint64(b[17:25]) != 0})
+			}
+		}
+		slices.SortFunc(load, func(a, b loadPage) int { return cmp.Compare(a.seq, b.seq) })
+		first := slices.IndexFunc(load, func(p loadPage) bool { return p.fresh })
+		fresh := 0
+		for _, p := range load {
+			if p.fresh {
+				fresh++
+			}
+		}
+		if fresh < 4 || freed != (first > 0) {
+			t.Fatalf("freed %v: %d load pages, %d fresh from %d; want at least 4 fresh, behind reused ones iff freed", freed, len(load), fresh, first)
+		}
+
+		for trial := range 12 {
+			unwritten := make([]bool, len(load))
+			if trial == 0 {
+				for i := first; i < first+3; i++ { // written pages above a gap of two
+					unwritten[i] = true
+				}
+			} else {
+				for i := range unwritten {
+					unwritten[i] = rng.Intn(2) == 0
+				}
+			}
+			img := slices.Clone(post)
+			want := maps.Clone(ref)
+			for i, p := range load {
+				page := img[p.off : p.off+PageSize]
+				if !unwritten[i] {
+					for _, k := range keys[i*perPage : min((i+1)*perPage, len(keys))] {
+						want[k] = val
+					}
+					continue
+				}
+				clear(page[stampSize:])
+				if p.fresh && i != first {
+					clear(page[:stampSize])
+				} else {
+					page[16] = pageFree // the stamp its page took under the lock
+				}
+			}
+			what := fmt.Sprintf("freed %v, unwritten %v", freed, unwritten)
+			r := reopen(img)
+			checkState(t, what, r, want)
+			w := walkPages(r.region)
+			fillPages(t, r, want, next, len(w.free)+2)
+			checkState(t, what+", written on", reopen(r.region.Snapshot()), want)
+		}
+	}
 }

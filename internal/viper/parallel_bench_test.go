@@ -3,10 +3,13 @@ package viper
 import (
 	"fmt"
 	"runtime"
+	"syscall"
 	"testing"
 
 	"learnedpieces/internal/btree"
 	"learnedpieces/internal/dataset"
+	"learnedpieces/internal/index"
+	"learnedpieces/internal/learned/alex"
 	"learnedpieces/internal/learned/flat"
 	"learnedpieces/internal/parallel"
 	"learnedpieces/internal/pmem"
@@ -72,23 +75,57 @@ func BenchmarkRecover(b *testing.B) {
 	}
 }
 
+// BenchmarkBulkPut prices a load into a fresh Optane-model region: rows
+// rs on 1M uniform keys, rows alex on 750k OSM-like keys, the end-to-end
+// benchmark's primary index and dataset. Beside the time, each row reports
+// what a load writes to the device (writes and 256-byte lines) and the
+// minor page faults the process takes during it: the region pages' first
+// touches, plus what the index build allocates.
 func BenchmarkBulkPut(b *testing.B) {
-	keys := dataset.Generate(dataset.YCSBUniform, benchBulkN, 1)
-	v := benchValue()
-	for _, m := range benchModes() {
-		b.Run(m.name, func(b *testing.B) {
-			defer parallel.SetWorkers(parallel.SetWorkers(m.workers))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				s := Open(benchRegion(), flat.NewRS(flat.RSConfig{}))
-				b.StartTimer()
-				if err := s.BulkPut(keys, v); err != nil {
-					b.Fatal(err)
+	for _, c := range []struct {
+		name  string
+		keys  []uint64
+		fresh func() index.Index
+	}{
+		{"rs", dataset.Generate(dataset.YCSBUniform, benchBulkN, 1), func() index.Index { return flat.NewRS(flat.RSConfig{}) }},
+		{"alex", dataset.Generate(dataset.OSMLike, 750_000, 1), func() index.Index { return alex.New(alex.DefaultConfig()) }},
+	} {
+		v := benchValue()
+		for _, m := range benchModes() {
+			b.Run(c.name+"/"+m.name, func(b *testing.B) {
+				defer parallel.SetWorkers(parallel.SetWorkers(m.workers))
+				var dev pmem.AccessStats
+				var faults int64
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					b.StopTimer()
+					s := Open(benchRegion(), c.fresh())
+					f0 := minorFaults()
+					b.StartTimer()
+					d := deviceDelta(s.Region(), func() {
+						if err := s.BulkPut(c.keys, v); err != nil {
+							b.Fatal(err)
+						}
+					})
+					faults += minorFaults() - f0
+					dev.Writes += d.Writes
+					dev.LineWrites += d.LineWrites
 				}
-			}
-		})
+				b.ReportMetric(float64(dev.Writes)/float64(b.N), "writes/op")
+				b.ReportMetric(float64(dev.LineWrites)/float64(b.N), "lines-written/op")
+				b.ReportMetric(float64(faults)/float64(b.N), "faults/op")
+			})
+		}
 	}
+}
+
+// minorFaults is the process's minor page faults so far.
+func minorFaults() int64 {
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		panic(err)
+	}
+	return int64(ru.Minflt)
 }
 
 func BenchmarkCompact(b *testing.B) {

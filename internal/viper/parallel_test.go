@@ -305,11 +305,11 @@ func TestBulkPutOverLoggedKeys(t *testing.T) {
 
 // TestBulkPutLayout pins what BulkPut puts on the device: page p of a load
 // holds keys[p·perPage : (p+1)·perPage] back to back behind its stamp,
-// written with one device write and one flush per page after the free
-// stamp the page takes when it is allocated, the same bytes at the same
-// offsets for any worker count, and the log goes on right behind the last
-// record. The two reads are the page walk's, of the empty region's first
-// two stamps.
+// written with one device write and one flush per page after one free
+// stamp on the first page, which carries the load's reservation, the same
+// bytes at the same offsets for any worker count, and the log goes on
+// right behind the last record. The two reads are the page walk's, of the
+// empty region's first two stamps.
 func TestBulkPutLayout(t *testing.T) {
 	const recLen = recordHeader + DefaultValueSize
 	const perPage = (PageSize - stampSize) / recLen
@@ -336,19 +336,19 @@ func TestBulkPutLayout(t *testing.T) {
 	if !slices.Equal(pages, logPages(par)) || !bytes.Equal(s.region.Snapshot()[:s.region.Allocated()], par.region.Snapshot()[:par.region.Allocated()]) {
 		t.Fatal("loads with 1 and with 6 workers differ in pages or bytes")
 	}
-	var wantLines int64
+	wantLines := spanLines(0, stampSize) // the reservation
 	for i, k := range keys {
 		off := offsetOf(t, s, k)
 		if want := pages[i/perPage] + stampSize + int64(i%perPage)*recLen; off != want || offsetOf(t, par, k) != want {
 			t.Fatalf("key %d of the load at %d (6 workers: %d), want %d", i, off, offsetOf(t, par, k), want)
 		}
 		if i%perPage == perPage-1 || i == len(keys)-1 {
-			wantLines += spanLines(0, stampSize) + spanLines(0, stampSize+(i%perPage+1)*recLen)
+			wantLines += spanLines(0, stampSize+(i%perPage+1)*recLen)
 		}
 	}
 	for _, d := range []pmem.AccessStats{d, dPar} {
-		if d.Writes != 2*int64(nPages) || d.Flushes != 2*int64(nPages) || d.LineWrites != wantLines || d.Reads != 2 {
-			t.Fatalf("BulkPut cost %+v, want %d writes, %d flushes, %d lines, two reads", d, 2*nPages, 2*nPages, wantLines)
+		if d.Writes != int64(nPages)+1 || d.Flushes != int64(nPages)+1 || d.LineWrites != wantLines || d.Reads != 2 {
+			t.Fatalf("BulkPut cost %+v, want %d writes, %d flushes, %d lines, two reads", d, nPages+1, nPages+1, wantLines)
 		}
 	}
 

@@ -15,7 +15,9 @@
 // bulk-loading the index (Fig 16). The store stamps each page under its
 // lock as it takes it, so below the log's end at most one chunk is ever
 // unstamped (a reused page between the allocator's clear and its stamp),
-// and two unstamped chunks in a row end the walk. Recover, Compact and
+// save the fresh pages of a BulkPut, which a reservation in their first
+// page's stamp covers until each is written, and two unstamped chunks in a
+// row outside every reservation end the walk. Recover, Compact and
 // BulkPut take their page list from the same walk. A restart is "drop the
 // Store, open the bytes", and the new store writes on in the newest page.
 package viper
@@ -193,9 +195,9 @@ var (
 // empty after two stamp reads. A region restored from an image into a
 // fresh Region has an allocator that has handed out nothing: Open rebuilds
 // it, every chunk up to the last stamped one allocated and the pages
-// stamped free on its free list, and stamps free the one chunk a crash may
-// have caught unstamped. Open panics when idx cannot bulk-load the log it
-// finds.
+// stamped free on its free list, and stamps free the chunks a crash
+// caught unstamped (walkPages). Open panics when idx cannot bulk-load the
+// log it finds.
 func Open(region *pmem.Region, idx index.Index, opts ...Option) *Store {
 	s := &Store{region: region, valueSize: DefaultValueSize}
 	for _, o := range opts {
@@ -369,7 +371,7 @@ func (s *Store) appendRecord(key uint64, value []byte) (int64, error) {
 		p := s.cur.Load()
 		if p != nil {
 			if pos := p.pos.Add(int64(n)) - int64(n); pos+int64(n) <= PageSize {
-				writeSpan(s.region, p.off+pos, n, 0, []uint64{key}, [][]byte{value})
+				writeSpan(nil, s.region, p.off+pos, n, 0, 0, []uint64{key}, [][]byte{value})
 				return p.off + pos, nil
 			}
 		}
@@ -380,7 +382,7 @@ func (s *Store) appendRecord(key uint64, value []byte) (int64, error) {
 		}
 		off, err := s.allocPage()
 		if err == nil {
-			writeSpan(s.region, off, stampSize+n, s.seq.Add(1), []uint64{key}, [][]byte{value})
+			writeSpan(nil, s.region, off, stampSize+n, s.seq.Add(1), 0, []uint64{key}, [][]byte{value})
 			np := &page{off: off}
 			np.pos.Store(stampSize + int64(n))
 			s.cur.Store(np)
@@ -394,16 +396,18 @@ func (s *Store) appendRecord(key uint64, value []byte) (int64, error) {
 // writeSpan is the store's one log write. It lays the records of keys
 // and vals out back to back in the n reserved bytes at off — each a
 // header (key, value length, flags) and its value, an empty value
-// encoded as a tombstone — behind a log page's stamp when seq is not 0,
-// formatting them in place inside one device write's stall
-// (Region.WriteFill), then issues the span's one flush. A Put or Delete
-// writes a span of one record in the shared current page, stamping the
-// page when it is the page's first; BulkPut and Compact write a page's
-// stamp and records (pageWriter).
-func writeSpan(region *pmem.Region, off int64, n int, seq uint64, keys []uint64, vals [][]byte) {
-	region.WriteFill(off, n, func(dst []byte) {
+// encoded as a tombstone — behind a log page's stamp when seq is not 0
+// (carrying the reservation resv), formatting them in place inside one
+// device write's stall (Round.WriteFill), then issues the span's one
+// flush. The write is an access of rd, or a lone one when rd is nil. A
+// Put or Delete writes a lone span of one record in the shared current
+// page, stamping the page when it is the page's first; Compact writes a
+// page's stamp and records as a lone span (pageWriter), and BulkPut writes
+// its pages into rounds.
+func writeSpan(rd *pmem.Round, region *pmem.Region, off int64, n int, seq uint64, resv int64, keys []uint64, vals [][]byte) {
+	rd.WriteFill(region, off, n, func(dst []byte) {
 		if seq != 0 {
-			putStamp(dst, seq, pageLog)
+			putStamp(dst, seq, pageLog, resv)
 			dst = dst[stampSize:]
 		}
 		for i, key := range keys {
@@ -1127,21 +1131,31 @@ const bulkMinPerWorker = 4096
 // BulkPut loads sorted distinct keys with a shared value payload through
 // the index's bulk path — the store initialisation the paper uses before
 // its read-only experiments. A nil value synthesises a zeroed payload of
-// the configured ValueSize.
+// the configured ValueSize. BulkPut loads the live index in place, so the
+// caller must quiesce readers as well as writers, as for Compact: no
+// reader may reach a loaded key before BulkPut returns.
 //
 // The records are fixed-size, so the layout is settled before anything is
 // written: page p of the load holds keys[p·perPage : (p+1)·perPage] behind
-// its stamp. The pages are allocated up front, stamped free (a reused one
-// as it is taken), and take the next sequence numbers in load order, so
-// they join the log behind whatever it holds (a previous current page is
-// sealed where it stands; its zeroed tail ends its scan), and the last
-// becomes the current page, positioned behind the last loaded record,
-// where the next Put lands. Workers then fill whole pages, a pageWriter
-// each: which worker fills which page changes no byte. The index bulk-load
-// runs once over the full sorted array. A load into a log that already held records
-// (the page walk found some) loads the index from the whole log instead,
-// through the page scan Recover runs, so the index answers what a
-// recovery would: the earlier keys stay, and the load's records win.
+// its stamp. The pages are allocated up front under the store's lock and
+// take the next sequence numbers in load order, so they join the log
+// behind whatever it holds (a previous current page is sealed where it
+// stands; its zeroed tail ends its scan), and the last becomes the current
+// page, positioned behind the last loaded record, where the next Put
+// lands. Under the same lock a reused page is stamped free as it is taken,
+// and the first fresh page is stamped free carrying the reservation (see
+// walkPages), so each fresh page is written once, by its span. Workers
+// then write whole pages, each a span into the worker's round: which worker
+// writes which page changes no byte. A round resumes before each page, so
+// no write is served before it is issued, and a worker leaves its round
+// unpaid. Meanwhile the index bulk-loads the full sorted array on a
+// goroutine of its own, with the offsets of the settled layout, so the
+// build runs beside the page formatting and inside the writes' stalls;
+// BulkPut pays every round once the build is done. A load into a log that
+// already held records (the page walk found some) pays the rounds first
+// and loads the index from the whole log instead, through the page scan
+// Recover runs, so the index answers what a recovery would: the earlier
+// keys stay, and the load's records win.
 func (s *Store) BulkPut(keys []uint64, value []byte) error {
 	if value == nil {
 		value = make([]byte, s.valueSize)
@@ -1172,8 +1186,13 @@ func (s *Store) BulkPut(keys []uint64, value []byte) error {
 			return err
 		}
 		if pages[i] < head { // reused: Region.Alloc cleared its stamp
-			s.stamp(pages[i], seq+1+uint64(i), pageFree)
+			s.stamp(pages[i], seq+1+uint64(i), pageFree, 0)
 		}
+	}
+	// The fresh pages run from head to the allocator's new head.
+	resv := s.region.Allocated()
+	if first := slices.IndexFunc(pages, func(p int64) bool { return p >= head }); first >= 0 {
+		s.stamp(pages[first], seq+1+uint64(first), pageFree, resv)
 	}
 	if nPages > 0 {
 		last := &page{off: pages[nPages-1]}
@@ -1181,35 +1200,57 @@ func (s *Store) BulkPut(keys []uint64, value []byte) error {
 		s.cur.Store(last)
 	}
 	s.mu.Unlock()
-	// The fresh pages sit above every stamped chunk, so they are stamped
-	// free apart, in parallel, as the first touch of their memory, and all
-	// before any is filled: a crash finds no log page above an unstamped
-	// one, and what lies above the walk's end is zero or a free stamp.
-	workers := parallel.Workers(nPages)
-	parallel.For(workers, nPages, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			if pages[i] >= head {
-				s.stamp(pages[i], seq+1+uint64(i), pageFree)
+	idx := s.view.Load().idx
+	loaded := make(chan error, 1)
+	if len(held) == 0 {
+		go func() {
+			offs := make([]uint64, len(keys))
+			for p, page := range pages {
+				for i := p * perPage; i < min((p+1)*perPage, len(keys)); i++ {
+					offs[i] = uint64(page) + uint64(stampSize+(i-p*perPage)*recLen)
+				}
 			}
-		}
-	})
-	offs := make([]uint64, len(keys))
-	parallel.For(workers, nPages, func(_, lo, hi int) {
-		p := lo
-		w := s.newPageWriter(func() (int64, uint64, error) { p++; return pages[p-1], seq + uint64(p), nil })
-		for i := lo * perPage; i < min(hi*perPage, len(keys)); i++ {
-			offs[i], _ = w.append(keys[i], value) // cannot fail: the record fits a page and next has one
-		}
-		w.commit()
-	})
-	if len(held) > 0 {
-		keys, offs, _ = s.scanLive(append(held, pages...))
+			loaded <- idx.BulkLoad(keys, offs)
+		}()
 	}
-	if err := s.view.Load().idx.BulkLoad(keys, offs); err != nil {
+	vals := make([][]byte, min(perPage, len(keys)))
+	for i := range vals {
+		vals[i] = value
+	}
+	workers := parallel.Workers(nPages)
+	rounds := make([]pmem.Round, workers)
+	parallel.For(workers, nPages, func(w, lo, hi int) {
+		rd := &rounds[w]
+		for p := lo; p < hi; p++ {
+			from, to := p*perPage, min((p+1)*perPage, len(keys))
+			var r int64
+			if pages[p] >= head {
+				r = resv
+			}
+			rd.Resume()
+			writeSpan(rd, s.region, pages[p], stampSize+(to-from)*recLen, seq+1+uint64(p), r, keys[from:to], vals)
+		}
+	})
+	pay := func() {
+		for i := range rounds {
+			rounds[i].Wait()
+		}
+	}
+	n := len(keys)
+	var err error
+	if len(held) > 0 {
+		pay() // the scan reads the load's pages
+		live, offs, _ := s.scanLive(append(held, pages...))
+		n, err = len(live), idx.BulkLoad(live, offs)
+	} else {
+		err = <-loaded
+	}
+	pay()
+	if err != nil {
 		return err
 	}
-	prev := s.liveLen.Swap(int64(len(keys)))
-	s.met.LiveDelta(int64(len(keys)) - prev)
+	prev := s.liveLen.Swap(int64(n))
+	s.met.LiveDelta(int64(n) - prev)
 	s.met.ObserveBulkLoad(time.Since(t0))
 	return nil
 }
